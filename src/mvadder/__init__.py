@@ -73,6 +73,6 @@ from .report import (
     rows_to_csv,
     rows_to_json,
 )
-from .timing import TimingReport, sta, stage_count
+from .timing import TimingReport, sta
 
 __version__ = "0.1.0"

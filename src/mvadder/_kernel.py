@@ -1,11 +1,15 @@
 """Flattened-circuit representation, the event-loop kernel and the
 levelized batch settle.
 
+Both engines evaluate gates by table lookup. :func:`kind_table` tabulates
+:func:`gates.eval_primitive`, the one definition of gate logic, over every
+combination of input levels; a gate's row in it is the base-5 number
+formed by its input codes (level + 1, so X is 0).
+
 The event loop runs over plain int64/float64 arrays so it can be
-JIT-compiled. Set ``MVADDER_DISABLE_NUMBA=1`` before import to run the
-same code as interpreted Python/numpy (useful for debugging and as the
-reference for the benchmark in benchmarks/bench_modes.py). Results are
-bit-identical in both modes. Batch settle (:func:`settle_batch`) is one
+JIT-compiled when numba is installed. Set ``MVADDER_DISABLE_NUMBA=1``
+before import to run the same code as interpreted Python/numpy; results
+are bit-identical in both modes. Batch settle (:func:`settle_batch`) is one
 topological pass vectorized over input vectors with numpy and does not
 depend on numba.
 """
@@ -18,13 +22,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gates import propagation_delay
+from .gates import eval_primitive, input_pins, propagation_delay
+from .levels import DomainError
 
 USE_NUMBA = os.environ.get("MVADDER_DISABLE_NUMBA", "").lower() not in ("1", "true", "yes")
 if USE_NUMBA:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but be graceful
+    except ImportError:  # numba is an optional extra
         USE_NUMBA = False
 if not USE_NUMBA:
     def njit(*args, **kwargs):
@@ -41,17 +46,6 @@ if not USE_NUMBA:
 TICK_PS = 0.1
 TICKS_PER_PS = 10
 
-# Gate kind opcodes for the kernel.
-K_DET, K_SUCC, K_MUX4, K_MUX2, K_INV, K_NAND, K_NOR, K_XOR, K_MAJ3, K_BUF = range(10)
-
-_KIND_CODE = {
-    "det1": (K_DET, 1), "det2": (K_DET, 2), "det3": (K_DET, 3),
-    "succ1": (K_SUCC, 1), "succ2": (K_SUCC, 2), "succ3": (K_SUCC, 3),
-    "mux4": (K_MUX4, 0), "mux2": (K_MUX2, 0),
-    "inv": (K_INV, 0), "nand": (K_NAND, 0), "nor": (K_NOR, 0),
-    "xor_tg": (K_XOR, 0), "maj3": (K_MAJ3, 0), "buf": (K_BUF, 0),
-}
-
 # Status codes returned by the kernels.
 OK = 0
 ERR_EVENT_CAP = 1
@@ -59,6 +53,26 @@ ERR_TIMEOUT = 2
 ERR_UNSETTLED = 3
 
 LVL_X = -1
+_CODES = 5  # input codes: X, L0..L3
+
+
+@lru_cache(maxsize=None)
+def kind_table(kind: str) -> np.ndarray:
+    """Output levels (-1 for X) of gate ``kind``, shape (5 ** inputs, 2),
+    for every combination of input levels. The base-5 digits of a row
+    number are the input codes, level + 1, first input pin most
+    significant; single-output kinds leave column 1 at X. Tabulated from
+    :func:`gates.eval_primitive` on first use. Inputs outside a gate's
+    domain (``DomainError``, e.g. ``inv`` on L2) give X on every output."""
+    n_in = len(input_pins(kind))
+    table = np.full((_CODES ** n_in, 2), LVL_X, np.int64)
+    for r, levels in enumerate(itertools.product(range(LVL_X, _CODES - 1), repeat=n_in)):
+        try:
+            outs = eval_primitive(kind, levels)
+        except DomainError:
+            continue
+        table[r, : len(outs)] = outs
+    return table
 
 
 class CompiledCircuit:
@@ -85,24 +99,32 @@ class CompiledCircuit:
         insts = list(circuit.instances.values())
         g = len(insts)
         self.n_gates = g
-        self.gate_kind = np.zeros(g, np.int64)
-        self.gate_karg = np.zeros(g, np.int64)
+        self.gate_kind = [inst.primitive.kind for inst in insts]
+        # The kind tables of this circuit stacked in one array; a gate's row
+        # is its kind's first row plus its input codes in base 5.
+        tables = {kind: kind_table(kind) for kind in dict.fromkeys(self.gate_kind)}
+        first_row = dict(zip(tables, np.cumsum([0] + [len(t) for t in tables.values()]).tolist()))
+        self.table = np.concatenate([np.empty((0, 2), np.int64), *tables.values()])
+        gate_row = []
+        init_code = (self.net_init + 1).tolist()
         self.gate_nout = np.zeros(g, np.int64)
         self.gate_in = np.full((g, 5), -1, np.int64)
         self.gate_out = np.full((g, 2), -1, np.int64)
         self.gate_delay = np.zeros((g, 2), np.int64)
-        fanout: list[list[int]] = [[] for _ in range(n)]
+        # per net: {gate it feeds: summed base-5 weights of the pins it drives}
+        fanout: list[dict] = [{} for _ in range(n)]
         for gi, inst in enumerate(insts):
-            code, karg = _KIND_CODE[inst.primitive.kind]
-            self.gate_kind[gi] = code
-            self.gate_karg[gi] = karg
             ipins = inst.primitive.input_pins
             opins = inst.primitive.output_pins
             self.gate_nout[gi] = len(opins)
+            row = first_row[inst.primitive.kind]
             for j, pin in enumerate(ipins):
                 ni = self.net_index[inst.pins[pin]]
                 self.gate_in[gi, j] = ni
-                fanout[ni].append(gi)
+                weight = _CODES ** (len(ipins) - 1 - j)
+                row += weight * init_code[ni]
+                fanout[ni][gi] = fanout[ni].get(gi, 0) + weight
+            gate_row.append(row)
             for j, pin in enumerate(opins):
                 ni = self.net_index[inst.pins[pin]]
                 self.gate_out[gi, j] = ni
@@ -111,8 +133,10 @@ class CompiledCircuit:
                 # one-transition-per-net-per-tick invariant
                 self.gate_delay[gi, j] = max(1, round(delay_s / (TICK_PS * 1e-12)))
 
+        self.gate_row = np.array(gate_row, np.int64)
         self.fan_ptr = np.cumsum([0] + [len(f) for f in fanout], dtype=np.int64)
         self.fan_gate = np.array([gi for f in fanout for gi in f], np.int64)
+        self.fan_w = np.array([w for f in fanout for w in f.values()], np.int64)
 
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
@@ -123,7 +147,7 @@ class CompiledCircuit:
     def topo_order(self) -> list:
         """Gate indices in Kahn order, every gate after the drivers of its
         inputs; nets become ready last-in first-out. Built on first use."""
-        n_wait = (self.gate_in >= 0).sum(axis=1).tolist()
+        n_wait = np.bincount(self.fan_gate, minlength=self.n_gates).tolist()  # input nets
         fan_ptr, fan_gate = self.fan_ptr.tolist(), self.fan_gate.tolist()
         gate_out = [[ni for ni in row if ni >= 0] for row in self.gate_out.tolist()]
         produced = {ni for row in gate_out for ni in row}
@@ -141,16 +165,16 @@ class CompiledCircuit:
     @cached_property
     def settle_plan(self) -> list:
         """Per gate in topological order, for :func:`settle_batch`: (live,
-        i.e. non-constant, input nets, table index weights, output table,
-        output nets). Gates with no live input are left out: they stay X."""
+        i.e. non-constant, input nets, table index weights, output table
+        from :func:`_gate_table`, output nets). Gates with no live input
+        are left out: they stay X."""
         plan = []
         for gi in self.topo_order:
             pins = self.gate_in[gi][self.gate_in[gi] >= 0]
             live = pins[self.net_init[pins] == LVL_X]
             if len(live):
                 nout = int(self.gate_nout[gi])
-                table = _gate_table(int(self.gate_kind[gi]), int(self.gate_karg[gi]),
-                                    tuple(self.net_init[pins].tolist()), nout)
+                table = _gate_table(self.gate_kind[gi], tuple(self.net_init[pins].tolist()), nout)
                 weights = _CODES ** np.arange(len(live) - 1, -1, -1)
                 plan.append((live, weights, table, self.gate_out[gi, :nout]))
         return plan
@@ -169,28 +193,19 @@ def compile_circuit(circuit) -> CompiledCircuit:
 # Levelized batch settle. Levels are held as uint8 codes, level + 1: X is
 # code 0, so a gate's table index is 0 exactly when its live inputs are X.
 
-_CODES = 5  # X, L0..L3
 _BLOCK_ROWS = 1024  # vectors settled together; bounds working memory
 
 
 @lru_cache(maxsize=None)
-def _gate_table(kind: int, karg: int, inputs: tuple, nout: int) -> np.ndarray:
+def _gate_table(kind: str, inputs: tuple, nout: int) -> np.ndarray:
     """Output codes of one gate, shape (nout, 5 ** live inputs), for every
     combination of its live inputs (``inputs`` entries of LVL_X; the others
-    are constant levels), tabulated from :func:`_eval_gate`. Entry 0, all
-    live inputs X, stays X: the event loop never evaluates such a gate."""
-    live = [j for j, lvl in enumerate(inputs) if lvl == LVL_X]
-    gin = np.full((1, 5), -1, np.int64)
-    gin[0, : len(inputs)] = np.arange(len(inputs))
-    cur = np.array(inputs, np.int64)
-    kinds, kargs = np.array([kind], np.int64), np.array([karg], np.int64)
-    out_buf = np.zeros(2, np.int64)
-    rows = []
-    for levels in itertools.product(range(LVL_X, _CODES - 1), repeat=len(live)):
-        cur[live] = levels
-        _eval_gate(0, kinds, kargs, gin, cur, out_buf)
-        rows.append(out_buf[:nout].tolist())
-    table = (np.array(rows, np.int64).T + 1).astype(np.uint8)
+    are constant levels): the slice of :func:`kind_table` at the constant
+    inputs' codes. Entry 0, all live inputs X, stays X: the event loop never
+    evaluates such a gate."""
+    index = tuple(slice(None) if lvl == LVL_X else lvl + 1 for lvl in inputs)
+    table = kind_table(kind).reshape((_CODES,) * len(inputs) + (2,))[index]
+    table = (table.reshape(-1, 2)[:, :nout].T + 1).astype(np.uint8)
     table[:, 0] = 0
     return table
 
@@ -203,7 +218,8 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
     a block of vectors by table lookup. For an acyclic circuit this is the
     event loop's quiescent state: every gate it evaluates ends at its
     function of its final inputs. Inputs leave X once and no gate output
-    returns to X, so the gates it never evaluates are those whose
+    returns to X (resolving an X input never changes a decided entry of a
+    kind table), so the gates it never evaluates are those whose
     non-constant inputs all stay X; they stay X here too.
     """
     plan = comp.settle_plan
@@ -272,82 +288,10 @@ def _hpop(keys, vals, n):
 
 
 @njit(cache=True)
-def _eval_gate(g, kind, karg, gin, cur, out_buf):
-    """Outputs of gate ``g`` into ``out_buf``: a level or X (-1), never
-    lower. A non-binary inv/xor_tg input or mux2 select gives X."""
-    k = kind[g]
-    if k == K_DET:
-        v = cur[gin[g, 0]]
-        if v < 0:
-            out_buf[0] = -1
-            out_buf[1] = -1
-        else:
-            lo = 1 if v < karg[g] else 0
-            out_buf[0] = lo
-            out_buf[1] = 1 - lo
-    elif k == K_SUCC:
-        v = cur[gin[g, 0]]
-        out_buf[0] = -1 if v < 0 else (v + karg[g]) & 3
-    elif k == K_MUX4:
-        s = cur[gin[g, 4]]
-        out_buf[0] = -1 if s < 0 else cur[gin[g, s]]
-    elif k == K_MUX2:
-        s = cur[gin[g, 2]]
-        out_buf[0] = -1 if s < 0 or s > 1 else cur[gin[g, s]]
-    elif k == K_INV:
-        v = cur[gin[g, 0]]
-        out_buf[0] = -1 if v < 0 or v > 1 else 1 - v
-    elif k == K_BUF:
-        out_buf[0] = cur[gin[g, 0]]
-    elif k == K_NAND:
-        a = cur[gin[g, 0]]
-        b = cur[gin[g, 1]]
-        if a == 0 or b == 0:
-            out_buf[0] = 1
-        elif a < 0 or b < 0:
-            out_buf[0] = -1
-        else:
-            out_buf[0] = 0
-    elif k == K_NOR:
-        a = cur[gin[g, 0]]
-        b = cur[gin[g, 1]]
-        if a == 1 or b == 1:
-            out_buf[0] = 0
-        elif a < 0 or b < 0:
-            out_buf[0] = -1
-        else:
-            out_buf[0] = 1
-    elif k == K_XOR:
-        a = cur[gin[g, 0]]
-        b = cur[gin[g, 1]]
-        if a < 0 or b < 0 or a > 1 or b > 1:
-            out_buf[0] = -1
-            out_buf[1] = -1
-        else:
-            y = a ^ b
-            out_buf[0] = y
-            out_buf[1] = 1 - y
-    else:  # K_MAJ3
-        ones = 0
-        zeros = 0
-        for j in range(3):
-            v = cur[gin[g, j]]
-            if v == 1:
-                ones += 1
-            elif v == 0:
-                zeros += 1
-        if ones >= 2:
-            out_buf[0] = 1
-        elif zeros >= 2:
-            out_buf[0] = 0
-        else:
-            out_buf[0] = -1
-
-
-@njit(cache=True)
-def _propagate(net, t, n_nets, cur, pend_t, pend_v, hk, hv, hn,
-               kind, karg, gin, gout, nout, gdelay, fan_ptr, fan_gate, out_buf):
-    """Re-evaluate every gate fed by ``net``; (re)schedule output events.
+def _propagate(net, delta, t, n_nets, cur, row, pend_t, pend_v, hk, hv, hn,
+               table, gout, nout, gdelay, fan_ptr, fan_gate, fan_w):
+    """Move the table row of every gate fed by ``net``, which changed by
+    ``delta`` levels, and (re)schedule its output events.
 
     Inertial behavior: a pending event is kept if the recomputed target
     agrees, cancelled if the target reverted to the current value (pulse
@@ -355,10 +299,10 @@ def _propagate(net, t, n_nets, cur, pend_t, pend_v, hk, hv, hn,
     """
     for fi in range(fan_ptr[net], fan_ptr[net + 1]):
         g = fan_gate[fi]
-        _eval_gate(g, kind, karg, gin, cur, out_buf)
+        row[g] += delta * fan_w[fi]
         for j in range(nout[g]):
             o = gout[g, j]
-            target = out_buf[j]
+            target = table[row[g], j]
             if pend_t[o] >= 0:
                 if target == pend_v[o]:
                     continue
@@ -402,18 +346,22 @@ def _volt(net_volt, net, lvl):
 
 
 @njit(cache=True)
-def _run_single(kind, karg, gin, gout, nout, gdelay, fan_ptr, fan_gate,
+def _run_single(table, gate_row, gout, nout, gdelay, fan_ptr, fan_gate, fan_w,
                 net_cap, net_volt, net_init, out_nets,
                 init_net, init_lvl, stim_net, stim_time, stim_lvl,
                 duration_ticks, gap_ticks, max_events):
     """Settle from the initial assignment, then play the stimulus.
 
     Returns (status, origin_ticks, n_settle, n_rec, records..., cur).
-    Simultaneous events are processed in (time, net index) order; the
-    stimulus stream is merged against the event heap on the same key.
+    Each phase merges a stream of input events with the event heap on the
+    key (time, net index), so simultaneous events are processed in that
+    order. The settle phase's stream is the initial assignment at t = 0,
+    ahead of every gate event since delays are at least one tick; the
+    measurement phase's is the stimulus, offset to the origin.
     """
     n_nets = net_cap.shape[0]
     cur = net_init.copy()
+    row = gate_row.copy()
     pend_t = np.full(n_nets, -1, np.int64)
     pend_v = np.zeros(n_nets, np.int64)
     hk = np.empty(64, np.int64)
@@ -426,107 +374,71 @@ def _run_single(kind, karg, gin, gout, nout, gdelay, fan_ptr, fan_gate,
     re = np.empty(cap0, np.float64)
     rs = np.empty(cap0, np.int64)
     nr = 0
-    out_buf = np.zeros(2, np.int64)
     events = 0
-    status = OK
-
-    # Settle phase: initial input levels land at t = 0.
-    for i in range(init_net.shape[0]):
-        net = init_net[i]
-        lvl = init_lvl[i]
-        if lvl == cur[net]:
-            continue
-        rt, rn, rl, re, rs, nr = _rec(rt, rn, rl, re, rs, nr, 0, net, lvl, 0.0, 1)
-        cur[net] = lvl
-        hk, hv, hn = _propagate(net, 0, n_nets, cur, pend_t, pend_v, hk, hv, hn,
-                                kind, karg, gin, gout, nout, gdelay,
-                                fan_ptr, fan_gate, out_buf)
-    t_q = 0
-    while hn > 0:
-        key, net, hn = _hpop(hk, hv, hn)
-        t = key // n_nets
-        if pend_t[net] != t:
-            continue
-        lvl = pend_v[net]
-        pend_t[net] = -1
-        events += 1
-        if events > max_events:
-            return (ERR_EVENT_CAP, 0, nr, nr, rt, rn, rl, re, rs, cur)
-        vf = _volt(net_volt, net, cur[net])
-        vt = _volt(net_volt, net, lvl)
-        e = 0.5 * net_cap[net] * (vt - vf) * (vt - vf)
-        rt, rn, rl, re, rs, nr = _rec(rt, rn, rl, re, rs, nr, t, net, lvl, e, 0)
-        cur[net] = lvl
-        t_q = t
-        hk, hv, hn = _propagate(net, t, n_nets, cur, pend_t, pend_v, hk, hv, hn,
-                                kind, karg, gin, gout, nout, gdelay,
-                                fan_ptr, fan_gate, out_buf)
-    origin = t_q + gap_ticks
-    n_settle = nr
-    for i in range(out_nets.shape[0]):
-        if cur[out_nets[i]] < 0:
-            return (ERR_UNSETTLED, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
-
-    # Measurement phase: merge stimulus events with the heap.
-    t_end = origin + duration_ticks
-    si = 0
-    n_stim = stim_net.shape[0]
     big = np.int64(2 ** 62)
-    while True:
-        sk = (stim_time[si] + origin) * n_nets + stim_net[si] if si < n_stim else big
-        hk0 = hk[0] if hn > 0 else big
-        if sk == big and hk0 == big:
-            break
-        if sk <= hk0:
-            t = stim_time[si] + origin
-            net = stim_net[si]
-            lvl = stim_lvl[si]
-            si += 1
-            if lvl == cur[net]:
-                continue
-            rt, rn, rl, re, rs, nr = _rec(rt, rn, rl, re, rs, nr, t, net, lvl, 0.0, 1)
+    s_net, s_time, s_lvl = init_net, np.zeros_like(init_net), init_lvl
+    origin = np.int64(0)
+    n_settle = 0
+    t_end = big
+    t_q = 0
+    for phase in range(2):
+        si = 0
+        while True:
+            sk = (s_time[si] + origin) * n_nets + s_net[si] if si < s_net.shape[0] else big
+            hk0 = hk[0] if hn > 0 else big
+            if sk == big and hk0 == big:
+                break
+            if sk <= hk0:
+                t = s_time[si] + origin
+                net = s_net[si]
+                lvl = s_lvl[si]
+                si += 1
+                if lvl == cur[net]:
+                    continue
+                e = 0.0
+                src = 1
+            else:
+                key, net, hn = _hpop(hk, hv, hn)
+                t = key // n_nets
+                if pend_t[net] != t:
+                    continue
+                if t > t_end:
+                    return (ERR_TIMEOUT, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
+                lvl = pend_v[net]
+                pend_t[net] = -1
+                events += 1
+                if events > max_events:
+                    return (ERR_EVENT_CAP, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
+                vf = _volt(net_volt, net, cur[net])
+                vt = _volt(net_volt, net, lvl)
+                e = 0.5 * net_cap[net] * (vt - vf) * (vt - vf)
+                src = 0
+            rt, rn, rl, re, rs, nr = _rec(rt, rn, rl, re, rs, nr, t, net, lvl, e, src)
+            delta = lvl - cur[net]
             cur[net] = lvl
-            hk, hv, hn = _propagate(net, t, n_nets, cur, pend_t, pend_v, hk, hv, hn,
-                                    kind, karg, gin, gout, nout, gdelay,
-                                    fan_ptr, fan_gate, out_buf)
-        else:
-            key, net, hn = _hpop(hk, hv, hn)
-            t = key // n_nets
-            if pend_t[net] != t:
-                continue
-            if t > t_end:
-                return (ERR_TIMEOUT, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
-            lvl = pend_v[net]
-            pend_t[net] = -1
-            events += 1
-            if events > max_events:
-                return (ERR_EVENT_CAP, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
-            vf = _volt(net_volt, net, cur[net])
-            vt = _volt(net_volt, net, lvl)
-            e = 0.5 * net_cap[net] * (vt - vf) * (vt - vf)
-            rt, rn, rl, re, rs, nr = _rec(rt, rn, rl, re, rs, nr, t, net, lvl, e, 0)
-            cur[net] = lvl
-            hk, hv, hn = _propagate(net, t, n_nets, cur, pend_t, pend_v, hk, hv, hn,
-                                    kind, karg, gin, gout, nout, gdelay,
-                                    fan_ptr, fan_gate, out_buf)
-    for i in range(n_nets):
-        if pend_t[i] >= 0:
-            return (ERR_TIMEOUT, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
-    return (status, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
+            t_q = t
+            hk, hv, hn = _propagate(net, delta, t, n_nets, cur, row, pend_t, pend_v,
+                                    hk, hv, hn, table, gout, nout, gdelay,
+                                    fan_ptr, fan_gate, fan_w)
+        if phase == 0:
+            origin = t_q + gap_ticks
+            n_settle = nr
+            for i in range(out_nets.shape[0]):
+                if cur[out_nets[i]] < 0:
+                    return (ERR_UNSETTLED, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
+            s_net, s_time, s_lvl = stim_net, stim_time, stim_lvl
+            t_end = origin + duration_ticks
+    return (OK, origin, n_settle, nr, rt, rn, rl, re, rs, cur)
 
 
 def warm_up() -> None:
-    """JIT-compile the event-loop kernel on a toy problem (batch settle is numpy)."""
-    kind = np.array([K_INV], np.int64)
-    karg = np.zeros(1, np.int64)
-    gin = np.full((1, 5), -1, np.int64)
-    gin[0, 0] = 0
-    gout = np.full((1, 2), -1, np.int64)
-    gout[0, 0] = 1
+    """JIT-compile the event-loop kernel on a toy problem, one inverter
+    (batch settle is numpy)."""
+    gout = np.array([[1, -1]], np.int64)
     nout = np.ones(1, np.int64)
     gdelay = np.ones((1, 2), np.int64)
     fan_ptr = np.array([0, 1, 1], np.int64)
-    fan_gate = np.array([0], np.int64)
+    fan = np.array([0], np.int64)
     net_cap = np.array([0.0, 1e-15], np.float64)
     net_volt = np.zeros((2, 4), np.float64)
     net_volt[:, 1] = 0.9
@@ -534,7 +446,8 @@ def warm_up() -> None:
     out_nets = np.array([1], np.int64)
     ins = np.array([0], np.int64)
     lvls = np.array([0], np.int64)
-    _run_single(kind, karg, gin, gout, nout, gdelay, fan_ptr, fan_gate,
+    _run_single(kind_table("inv"), np.zeros(1, np.int64), gout, nout, gdelay,
+                fan_ptr, fan, np.ones(1, np.int64),
                 net_cap, net_volt, net_init, out_nets,
                 ins, lvls, np.array([0], np.int64), np.array([10], np.int64),
                 np.array([1], np.int64), np.int64(100), np.int64(10),

@@ -32,7 +32,7 @@ from .netlist import (
     validate,
 )
 from .timing import sta
-from .verify import verify_adder_cell, verify_binary_slice, verify_cpa
+from .verify import cpa_is_exhaustive, verify_adder_cell, verify_binary_slice, verify_cpa
 
 _CAP_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*(aF|fF|pF|nF|F)?\s*$")
 _CAP_SCALE = {"aF": 1e-18, "fF": 1e-15, "pF": 1e-12, "nF": 1e-9, "F": 1.0, None: 1.0}
@@ -47,6 +47,13 @@ def parse_cap(text: str) -> float:
     value = float(m.group(1)) * _CAP_SCALE[m.group(2)]
     if value < 0:
         raise argparse.ArgumentTypeError("capacitance must be >= 0")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -76,8 +83,7 @@ def _cmd_verify(args, lib) -> int:
         return 1
     if args.cell == "cpa":
         bad = verify_cpa(circuit, args.digits, vectors=args.vectors, seed=args.seed)
-        radix = circuit.ports["A0"].encoding.radix
-        exhaustive = (radix ** args.digits) ** 2 * 2 <= 4096
+        exhaustive = cpa_is_exhaustive(circuit.ports["A0"].encoding.radix, args.digits)
         total = "exhaustive" if exhaustive else f"{args.vectors} random vectors"
         label = f"{args.base} cpa x{args.digits}"
     elif args.cell.endswith("x2"):
@@ -178,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle-equivalence check, exit 0/1")
     _add_build_args(p)
-    p.add_argument("--vectors", type=int, default=10_000,
+    p.add_argument("--vectors", type=positive_int, default=10_000,
                    help="random vectors for large CPAs")
     p.set_defaults(func=_cmd_verify)
 

@@ -227,8 +227,8 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
     max_events = _MAX_EVENTS_PER_NET * (comp.n_nets + len(ev) + 1)
 
     status, origin, n_settle, n_rec, rt, rn, rl, re, rs, cur = _kernel._run_single(
-        comp.gate_kind, comp.gate_karg, comp.gate_in, comp.gate_out,
-        comp.gate_nout, comp.gate_delay, comp.fan_ptr, comp.fan_gate,
+        comp.table, comp.gate_row, comp.gate_out, comp.gate_nout, comp.gate_delay,
+        comp.fan_ptr, comp.fan_gate, comp.fan_w,
         comp.net_cap, comp.net_volt, comp.net_init, comp.out_nets,
         init_net, init_lvl, stim_net, stim_time, stim_lvl,
         np.int64(duration_ticks), np.int64(SETTLE_GAP_TICKS), np.int64(max_events),

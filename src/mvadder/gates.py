@@ -166,7 +166,8 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
     X propagates only when it can influence the result: an X on an
     unselected MUX data input does not poison the output, and a
     controlling 0/1 on NAND/NOR/MAJ3 decides the output regardless of X
-    elsewhere.
+    or an out-of-domain level elsewhere. So replacing an X input by a
+    level never turns a decided output into X or into a DomainError.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown gate kind {kind!r}")
@@ -216,17 +217,17 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
         return (Level(_bit("in", v)),)
 
     if kind == "nand":
-        bits = [None if v is _X else _bit("in", v) for v in ins]
-        if 0 in bits:
+        if Level.L0 in ins:
             return (Level.L1,)
+        bits = [None if v is _X else _bit("in", v) for v in ins]
         if None in bits:
             return (_X,)
         return (Level.L0,)
 
     if kind == "nor":
-        bits = [None if v is _X else _bit("in", v) for v in ins]
-        if 1 in bits:
+        if Level.L1 in ins:
             return (Level.L0,)
+        bits = [None if v is _X else _bit("in", v) for v in ins]
         if None in bits:
             return (_X,)
         return (Level.L1,)
@@ -238,11 +239,11 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
         return (Level(y), Level(1 - y))
 
     if kind == "maj3":
-        bits = [None if v is _X else _bit("in", v) for v in ins]
-        if bits.count(1) >= 2:
+        if ins.count(Level.L1) >= 2:
             return (Level.L1,)
-        if bits.count(0) >= 2:
+        if ins.count(Level.L0) >= 2:
             return (Level.L0,)
+        [_bit("in", v) for v in ins if v is not _X]  # out-of-domain levels raise
         return (_X,)
 
     raise AssertionError(kind)

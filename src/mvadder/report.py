@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ class AdderConfig:
     kind: str
     vdd: float
     cl: float = 2e-15
-    n_digits: int = 1
 
     def label(self) -> str:
         return f"{self.kind}@{self.vdd:g}"
@@ -233,6 +233,6 @@ def parse_config_spec(spec: str, cl: float) -> AdderConfig:
         vdd_f = float(vdd)
     except ValueError:
         raise DomainError(f"bad supply voltage {vdd!r} in {spec!r}") from None
-    if vdd_f <= 0:
-        raise DomainError(f"supply must be > 0 in {spec!r}")
+    if not math.isfinite(vdd_f) or vdd_f <= 0:
+        raise DomainError(f"supply must be a finite number > 0 in {spec!r}")
     return AdderConfig(kind=kind, vdd=vdd_f, cl=cl)

@@ -56,11 +56,6 @@ class TimingReport:
         }
 
 
-def stage_count(report: TimingReport) -> tuple:
-    """(adder cells crossed, gate arcs) along the critical path."""
-    return report.stage_cells, report.stage_gate_arcs
-
-
 def _cells_crossed(path) -> int:
     tags = []
     for arc in path:

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from .engine import settle_levels, settle_matrix
-from .levels import DigitVector, Level, bfa_oracle, cpa_oracle, qfa_oracle
+from .levels import DigitVector, DomainError, Level, bfa_oracle, cpa_oracle, qfa_oracle
 from .netlist import Circuit
 
 
@@ -59,17 +59,22 @@ def verify_binary_slice(slice_circuit: Circuit) -> list:
     return bad
 
 
+def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
+    """Whether :func:`verify_cpa` checks every input combination of an
+    ``n_digits`` radix-``radix`` CPA by default: at most 4096 of them."""
+    return (radix ** n_digits) ** 2 * 2 <= 4096
+
+
 def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
                seed: int = 0, exhaustive: bool | None = None) -> list:
     """Compare CPA settles against digit-serial ripple oracle results.
 
-    Exhaustive below 2 digits at radix 4 (or when forced), seeded random
-    operand pairs otherwise.
+    Exhaustive below 2 digits at radix 4 (or when forced), ``vectors``
+    (at least 1) seeded random operand pairs otherwise.
     """
     radix = cpa.ports["A0"].encoding.radix
-    space = (radix ** n_digits) ** 2 * 2
     if exhaustive is None:
-        exhaustive = space <= 4096
+        exhaustive = cpa_is_exhaustive(radix, n_digits)
     if exhaustive:
         rows = []
         for va in range(radix ** n_digits):
@@ -80,6 +85,8 @@ def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
                     rows.append((cin,) + a + b)
         mat = np.array(rows, np.int64)
     else:
+        if vectors < 1:
+            raise DomainError(f"vectors must be >= 1, got {vectors}")
         rng = np.random.default_rng(seed)
         mat = np.empty((vectors, 1 + 2 * n_digits), np.int64)
         mat[:, 0] = rng.integers(0, 2, size=vectors)

@@ -7,6 +7,9 @@ import pytest
 
 from mvadder.cli import main, parse_cap
 from mvadder.engine import worst_case_stimulus
+from mvadder.levels import DomainError
+from mvadder.netlist import build_cpa, build_qfa
+from mvadder.verify import verify_cpa
 
 
 def run_cli(args):
@@ -88,6 +91,25 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
     # runtime input problems also map to 2
     assert run_cli(["sim", "--cell", "qfa2", "--stimulus", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("vectors", ["0", "-3"])
+def test_verify_rejects_vector_count_below_one(vectors, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--cell", "cpa", "--base", "qfa2", "--digits", "8",
+                 "--vectors", vectors])
+    assert exc.value.code == 2
+    assert "--vectors" in capsys.readouterr().err
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 8)
+    with pytest.raises(DomainError, match="vectors"):
+        verify_cpa(cpa, 8, vectors=int(vectors))
+
+
+@pytest.mark.parametrize("vdd", ["nan", "inf", "-inf"])
+def test_compare_rejects_non_finite_supply(vdd, capsys):
+    assert run_cli(["compare", "--configs", f"qfa2@{vdd}"]) == 2
+    err = capsys.readouterr().err
+    assert "supply" in err and f"qfa2@{vdd}" in err
 
 
 def test_bad_library_exit_two(tmp_path, capsys):

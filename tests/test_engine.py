@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -16,7 +17,14 @@ from mvadder.engine import (
     simulate,
     worst_case_stimulus,
 )
-from mvadder.gates import KINDS, CellLibrary, CellSpec, input_pins, output_pins
+from mvadder.gates import (
+    KINDS,
+    CellLibrary,
+    CellSpec,
+    eval_primitive,
+    input_pins,
+    output_pins,
+)
 from mvadder.levels import DomainError, Level, binary_full, quaternary
 from mvadder.netlist import _Builder, build_bfa, build_binary_slice, build_cpa, build_qfa
 
@@ -433,6 +441,70 @@ def test_batch_settle_leaves_unevaluated_gates_x_like_event_engine():
         _settled_by_simulate(c, ["A"], [1])
     with pytest.raises(UnsettledOutputError):
         settle_matrix(c, ["A"], [[0], [1]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_table_rows_equal_eval_primitive(kind):
+    table = _kernel.kind_table(kind)
+    n_in, n_out = len(input_pins(kind)), len(output_pins(kind))
+    assert table.shape == (5 ** n_in, 2)
+    combos = itertools.product(range(-1, 4), repeat=n_in)
+    for row, levels in zip(table.tolist(), combos):
+        try:
+            want = [int(v) for v in eval_primitive(kind, levels)]
+        except DomainError:
+            want = [-1] * n_out
+        assert row == want + [-1] * (2 - n_out), levels
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_table_outputs_stay_decided_when_an_x_input_is_resolved(kind):
+    """Replacing an X input by any level never changes a non-X output. So
+    in the settle phase every net moves at most once, from X to its final
+    level, which settle_batch's one topological pass relies on."""
+    n_in = len(input_pins(kind))
+    table = _kernel.kind_table(kind)
+    for r, codes in enumerate(itertools.product(range(5), repeat=n_in)):
+        for j, code in enumerate(codes):
+            if code == 0:
+                weight = 5 ** (n_in - 1 - j)
+                decided = table[r] >= 0
+                for lvl in range(4):
+                    resolved = table[r + (lvl + 1) * weight]
+                    assert (resolved[decided] == table[r][decided]).all(), codes
+
+
+def nand_l2_circuit(y_port, vdd=0.9):
+    """n = nand(A, B) with A quaternary, outside nand's binary domain
+    unless B = 0 decides it; Y0 = inv(B). ``y_port`` makes n the output
+    port Y1."""
+    b = _Builder("nand_l2", CellLibrary.default())
+    enc = binary_full(vdd)
+    a = b.port("A", "in", quaternary(vdd))
+    bb = b.port("B", "in", enc)
+    n = b.port("Y1", "out", enc, net="n") if y_port else b.net("n", enc)
+    b.inst("g_n", "nand", vdd, enc, {"a": a, "b": bb, "y": n})
+    b.inst("g_y0", "inv", vdd, enc, {"a": bb, "y": b.port("Y0", "out", enc)})
+    return b.finalize(vdd=vdd)
+
+
+def test_gate_fed_outside_its_domain_gives_x_in_both_engines():
+    c = nand_l2_circuit(y_port=False)
+    comp = _kernel.compile_circuit(c)
+    n = comp.net_index["n"]
+    in_nets = np.array([comp.in_port_net["A"], comp.in_port_net["B"]])
+    for a, bv, want in ((1, 1, 0), (2, 0, 1), (2, 1, -1), (3, 1, -1)):
+        tr = _settled_by_simulate(c, ["A", "B"], [a, bv])
+        settled = _kernel.settle_batch(comp, in_nets, np.array([[a, bv]]),
+                                       np.arange(comp.n_nets))
+        assert settled[0].tolist() == tr.final_levels.tolist()
+        assert tr.final_levels[n] == want
+    c = nand_l2_circuit(y_port=True)
+    assert settle_matrix(c, ["A", "B"], [[1, 1]], ["Y1"]).tolist() == [[0]]
+    with pytest.raises(UnsettledOutputError):
+        _settled_by_simulate(c, ["A", "B"], [2, 1])
+    with pytest.raises(UnsettledOutputError):
+        settle_matrix(c, ["A", "B"], [[2, 1]])
 
 
 def random_circuit(rng, n_gates=24, vdd=0.9):
