@@ -10,8 +10,8 @@ The event loop runs over plain int64/float64 arrays so it can be
 JIT-compiled when numba is installed. Set ``MVADDER_DISABLE_NUMBA=1``
 before import to run the same code as interpreted Python/numpy; results
 are bit-identical in both modes. Batch settle (:func:`settle_batch`) is one
-topological pass vectorized over input vectors with numpy and does not
-depend on numba.
+levelized pass, vectorized over gates of a level and over input vectors
+with numpy, and does not depend on numba.
 """
 
 from __future__ import annotations
@@ -164,19 +164,28 @@ class CompiledCircuit:
 
     @cached_property
     def settle_plan(self) -> list:
-        """Per gate in topological order, for :func:`settle_batch`: (live,
-        i.e. non-constant, input nets, table index weights, output table
-        from :func:`_gate_table`, output nets). Gates with no live input
-        are left out: they stay X."""
-        plan = []
+        """Steps for :func:`settle_batch` in level order, one per group of
+        gates with the same logic level (1 + the highest level of its input
+        nets; port and constant nets are 0) and :func:`_gate_table`. A step
+        is (live, i.e. non-constant, input nets (k, gates); the k table
+        index weights; the table; output nets (nout, gates)). Gates with no
+        live input are left out: they stay X."""
+        net_level = np.zeros(self.n_nets, np.int64)
+        groups: dict = {}
         for gi in self.topo_order:
             pins = self.gate_in[gi][self.gate_in[gi] >= 0]
+            nout = int(self.gate_nout[gi])
+            outs = self.gate_out[gi, :nout]
+            net_level[outs] = level = 1 + net_level[pins].max()
             live = pins[self.net_init[pins] == LVL_X]
             if len(live):
-                nout = int(self.gate_nout[gi])
-                table = _gate_table(self.gate_kind[gi], tuple(self.net_init[pins].tolist()), nout)
-                weights = _CODES ** np.arange(len(live) - 1, -1, -1)
-                plan.append((live, weights, table, self.gate_out[gi, :nout]))
+                key = (level, self.gate_kind[gi], tuple(self.net_init[pins].tolist()), nout)
+                groups.setdefault(key, []).append((live, outs))
+        plan = []
+        for (_, kind, inputs, nout), gates in sorted(groups.items(), key=lambda kv: kv[0][0]):
+            live, outs = (np.array(nets).T for nets in zip(*gates))
+            weights = _CODES ** np.arange(len(live) - 1, -1, -1)
+            plan.append((live, weights, _gate_table(kind, inputs, nout), outs))
         return plan
 
 
@@ -214,9 +223,10 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
     """Settled levels on ``out_nets`` (int64, -1 for X), one row per row of
     ``vectors``, whose columns are the levels driven on ``in_nets``.
 
-    One pass over the gates in topological order, each gate evaluated over
-    a block of vectors by table lookup. For an acyclic circuit this is the
-    event loop's quiescent state: every gate it evaluates ends at its
+    One pass over :attr:`CompiledCircuit.settle_plan`, level by level; each
+    step is one table gather for a group of gates over a block of vectors.
+    No gate feeds another of its level, and for an acyclic circuit this is
+    the event loop's quiescent state: every gate it evaluates ends at its
     function of its final inputs. Inputs leave X once and no gate output
     returns to X (resolving an X input never changes a decided entry of a
     kind table), so the gates it never evaluates are those whose
@@ -230,7 +240,8 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
         codes = np.repeat(init, len(block), axis=1)
         codes[in_nets] = block.T + 1
         for live, weights, table, outs in plan:
-            codes[outs] = table[:, weights @ codes[live]]
+            idx = weights @ codes[live].reshape(len(live), -1)
+            codes[outs] = table[:, idx].reshape(outs.shape + (len(block),))
         out[r0: r0 + len(block)] = codes[out_nets].T
     out -= 1
     return out

@@ -32,7 +32,7 @@ from .netlist import (
     validate,
 )
 from .timing import sta
-from .verify import cpa_is_exhaustive, verify_adder_cell, verify_binary_slice, verify_cpa
+from .verify import cpa_is_exhaustive, cpa_mismatches, verify_adder_cell, verify_binary_slice
 
 _CAP_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*(aF|fF|pF|nF|F)?\s*$")
 _CAP_SCALE = {"aF": 1e-18, "fF": 1e-15, "pF": 1e-12, "nF": 1e-9, "F": 1.0, None: 1.0}
@@ -55,6 +55,13 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def supply(text: str) -> float:
+    try:
+        return report_mod.parse_supply(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build(args, lib: CellLibrary | None):
@@ -82,22 +89,20 @@ def _cmd_verify(args, lib) -> int:
             print(f"INVALID: {d}")
         return 1
     if args.cell == "cpa":
-        bad = verify_cpa(circuit, args.digits, vectors=args.vectors, seed=args.seed)
+        bad, n_bad = cpa_mismatches(circuit, args.digits, vectors=args.vectors, seed=args.seed)
         exhaustive = cpa_is_exhaustive(circuit.ports["A0"].encoding.radix, args.digits)
         total = "exhaustive" if exhaustive else f"{args.vectors} random vectors"
         label = f"{args.base} cpa x{args.digits}"
     elif args.cell.endswith("x2"):
         bad = verify_binary_slice(circuit)
-        total = "32 cases"
-        label = args.cell
+        n_bad, total, label = len(bad), "32 cases", args.cell
     else:
         bad = verify_adder_cell(circuit)
-        total = "exhaustive"
-        label = args.cell
+        n_bad, total, label = len(bad), "exhaustive", args.cell
     if bad:
         for line in bad:
             print(f"MISMATCH: {line}")
-        print(f"{label}: FAIL ({len(bad)} mismatches)")
+        print(f"{label}: FAIL ({n_bad} mismatches)")
         return 1
     print(f"{label}: OK ({total} match the oracle)")
     return 0
@@ -163,7 +168,7 @@ def _cmd_dump_netlist(args, lib) -> int:
 
 def _add_build_args(p, with_digits=True):
     p.add_argument("--cell", required=True, choices=CELLS)
-    p.add_argument("--vdd", type=float, default=0.9)
+    p.add_argument("--vdd", type=supply, default=0.9)
     p.add_argument("--cl", type=parse_cap, default=0.0,
                    help="external load per output (e.g. 2fF)")
     if with_digits:

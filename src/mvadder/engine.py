@@ -62,8 +62,8 @@ class Stimulus:
     @classmethod
     def from_json(cls, data: dict) -> "Stimulus":
         return cls(
-            initial={p: Level(int(l)) for p, l in data["initial"].items()},
-            events=tuple((float(t), p, Level(int(l))) for t, p, l in data["events"]),
+            initial={p: _as_level(p, l) for p, l in data["initial"].items()},
+            events=tuple((float(t), p, _as_level(p, l)) for t, p, l in data["events"]),
             duration_ps=float(data["duration_ps"]),
         )
 
@@ -161,7 +161,24 @@ def _ticks(ps: float) -> int:
     return int(round(ps * _kernel.TICKS_PER_PS))
 
 
+def _as_level(port: str, value) -> Level:
+    """``value`` as a Level, if it is a whole number (2.0, not 2.7) naming one."""
+    try:
+        if float(value) == int(value):
+            return Level(int(value))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StimulusError(f"{port}: {value!r} is not a logic level")
+
+
 def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
+    # heap keys (tick * nets + net) must stay below the kernel's 2**62
+    # sentinel; half that range is left for the settle phase before origin
+    max_ps = 2 ** 62 // (2 * comp.n_nets) / _kernel.TICKS_PER_PS
+    if not 0 <= stim.duration_ps <= max_ps:  # NaN fails too
+        raise StimulusError(
+            f"duration_ps must be a time in [0, {max_ps:g}] ps, got {stim.duration_ps!r}"
+        )
     inputs = set(comp.in_port_net)
     given = set(stim.initial)
     if given != inputs:
@@ -173,7 +190,7 @@ def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
     for t, port, lvl in stim.events:
         if port not in inputs:
             raise StimulusError(f"event on non-input port {port!r}")
-        if t < 0 or t > stim.duration_ps:
+        if not 0 <= t <= stim.duration_ps:  # NaN fails too
             raise StimulusError(f"event at {t} ps outside [0, {stim.duration_ps}] ps")
         last = seen.get(port)
         if last is not None and t < last:
@@ -184,10 +201,7 @@ def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
             raise StimulusError(f"events on {port!r} collide at {t} ps (0.1 ps ticks)")
         seen[port] = t
     for port, lvl in list(stim.initial.items()) + [(p, l) for _, p, l in stim.events]:
-        try:
-            lvl = Level(int(lvl))
-        except ValueError:
-            raise StimulusError(f"{port}: {lvl!r} is not a logic level") from None
+        lvl = _as_level(port, lvl)
         if lvl == Level.X:
             raise StimulusError(f"{port}: inputs cannot be driven to X")
         enc = comp.port_encoding[port]
@@ -268,8 +282,8 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     (all outputs, sorted, when omitted). This is the hot path for
     exhaustive and random functional verification.
 
-    The settle is one pass over the gates in topological order, vectorized
-    over the rows (see :func:`_kernel.settle_batch`); it gives the final
+    The settle is one levelized pass, vectorized over the gates of a level
+    and over the rows (see :func:`_kernel.settle_batch`); it gives the final
     levels :func:`simulate` reaches after its settle phase. As in the event
     engine, a gate whose non-constant inputs all stay X (e.g. one fed only
     by constant nets) is never evaluated and stays X."""
@@ -283,11 +297,11 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     vectors = np.ascontiguousarray(vectors, dtype=np.int64)
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
-    for i, p in enumerate(in_ports):
-        radix = comp.port_encoding[p].radix
-        col = vectors[:, i]
-        if len(col) and (col.min() < 0 or col.max() >= radix):
-            raise StimulusError(f"{p}: levels outside {radix}-level encoding")
+    radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
+    # as uint64 a negative level is huge, so one comparison checks both ends
+    bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
+    if len(bad):
+        raise StimulusError(f"{in_ports[bad[0]]}: levels outside {radix[bad[0]]}-level encoding")
 
     in_nets = np.array([comp.in_port_net[p] for p in in_ports], np.int64)
     if out_ports is None:
@@ -295,7 +309,10 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     out_nets = np.array([comp.out_port_net[p] for p in out_ports], np.int64)
     out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
-        raise UnsettledOutputError("an output settled to X during batch evaluation")
+        x = out_lvls < 0
+        ports = [p for p, is_x in zip(out_ports, x.any(axis=0)) if is_x]
+        raise UnsettledOutputError(f"outputs {ports} settled to X during batch evaluation, "
+                                   f"first at vector row {int(x.any(axis=1).argmax())}")
     return out_lvls
 
 
@@ -304,14 +321,11 @@ def settle_levels(circuit: Circuit, assignments: list) -> list:
     one {port: Level} mapping per row out."""
     comp = compile_circuit(circuit)
     in_ports = sorted(comp.in_port_net)
-    vectors = np.empty((len(assignments), len(in_ports)), np.int64)
     for r, assign in enumerate(assignments):
         if set(assign) != set(in_ports):
-            raise StimulusError(
-                f"assignment {r} must cover exactly the input ports {in_ports}"
-            )
-        for ci, p in enumerate(in_ports):
-            vectors[r, ci] = int(assign[p])
+            raise StimulusError(f"assignment {r} must cover exactly the input ports {in_ports}")
+    vectors = np.array([[int(a[p]) for p in in_ports] for a in assignments], np.int64)
+    vectors = vectors.reshape(len(assignments), len(in_ports))
     out_ports = sorted(comp.out_port_net)
     out_lvls = settle_matrix(circuit, in_ports, vectors, out_ports)
     return [
@@ -345,26 +359,22 @@ def measure_delay(trace: Trace, src_port: str, src_event_index: int,
         raise DomainError(
             f"{src_port!r} has {len(events)} stimulus events; index {src_event_index}"
         )
-    t_src = events[src_event_index][0]
-    t_hi = _window_after(trace, t_src)
-    ni = trace.net_index(dst_port)
-    mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= t_hi)
-    if not mask.any():
-        return None
-    return float((trace.times[mask].max() - t_src) * TICK_PS)
+    return _delay_after(trace, events[src_event_index][0], trace.net_index(dst_port))
 
 
 def step_response_delays(trace: Trace, dst_port: str) -> list:
     """Per stimulus step (grouped by event time): (time_ps, delay_ps|None)
     to the last caused transition on ``dst_port``."""
     ni = trace.net_index(dst_port)
-    out = []
-    for t_src in _stim_times(trace):
-        t_hi = _window_after(trace, t_src)
-        mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= t_hi)
-        delay = float((trace.times[mask].max() - t_src) * TICK_PS) if mask.any() else None
-        out.append(((t_src - trace.origin_ticks) * TICK_PS, delay))
-    return out
+    return [((t_src - trace.origin_ticks) * TICK_PS, _delay_after(trace, t_src, ni))
+            for t_src in _stim_times(trace)]
+
+
+def _delay_after(trace: Trace, t_src: int, ni: int) -> float | None:
+    """Delay (ps) from tick ``t_src`` to net ``ni``'s last transition up to
+    the next stimulus step; None when the net does not move."""
+    mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= _window_after(trace, t_src))
+    return float((trace.times[mask].max() - t_src) * TICK_PS) if mask.any() else None
 
 
 def measure_power(trace: Trace, window: tuple) -> float:
@@ -387,10 +397,6 @@ def measure_power(trace: Trace, window: tuple) -> float:
 # Worst-case stimuli
 
 
-def _digit_bits(d: int) -> tuple:
-    return d & 1, (d >> 1) & 1
-
-
 def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9,
                         step_ps: float = 2000.0, b_level: int = 3) -> Stimulus:
     """The stressing input sequences used for delay/power comparisons.
@@ -405,61 +411,31 @@ def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9,
     L = Level
     if target not in ("input_to_carry", "carry_to_carry"):
         raise DomainError(f"unknown stimulus target {target!r}")
+    if kind not in ("qfa1", "qfa2", "bfa1x2", "bfa2x2", "bfa1", "bfa2"):
+        raise DomainError(f"unknown cell kind {kind!r}")
+    quaternary, bit_slice = kind.startswith("qfa"), kind.endswith("x2")
 
-    if kind in ("qfa1", "qfa2"):
-        if target == "input_to_carry":
-            seq = (1, 2, 3, 2, 1, 0)
-            events = tuple((step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq))
-            return Stimulus(
-                initial={"A": L.L0, "B": L(b_level), "Cin": L.L0},
-                events=events,
-                duration_ps=step_ps * (len(seq) + 1),
-            )
-        return Stimulus(
-            initial={"A": L.L2, "B": L.L1, "Cin": L.L0},
-            events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
-            duration_ps=3 * step_ps,
-        )
+    if target == "carry_to_carry":
+        if quaternary:
+            initial = {"A": L.L2, "B": L.L1}
+        elif bit_slice:
+            initial = {"A0": L.L0, "A1": L.L1, "B0": L.L1, "B1": L.L0}
+        else:
+            initial = {"A": L.L0, "B": L.L1}
+        return Stimulus(initial={**initial, "Cin": L.L0},
+                        events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
+                        duration_ps=3 * step_ps)
 
-    if kind in ("bfa1x2", "bfa2x2"):
-        if target == "input_to_carry":
-            seq = (1, 2, 3, 2, 1, 0)
-            b0, b1 = _digit_bits(b_level)
-            events = []
-            prev = (0, 0)
-            for i, d in enumerate(seq):
-                bits = _digit_bits(d)
-                t = step_ps * (i + 1)
-                if bits[0] != prev[0]:
-                    events.append((t, "A0", L(bits[0])))
-                if bits[1] != prev[1]:
-                    events.append((t, "A1", L(bits[1])))
-                prev = bits
-            return Stimulus(
-                initial={"A0": L.L0, "A1": L.L0, "B0": L(b0), "B1": L(b1),
-                         "Cin": L.L0},
-                events=tuple(events),
-                duration_ps=step_ps * (len(seq) + 1),
-            )
-        return Stimulus(
-            initial={"A0": L.L0, "A1": L.L1, "B0": L.L1, "B1": L.L0, "Cin": L.L0},
-            events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
-            duration_ps=3 * step_ps,
-        )
-
-    if kind in ("bfa1", "bfa2"):
-        if target == "input_to_carry":
-            seq = (1, 0, 1, 0, 1, 0)
-            events = tuple((step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq))
-            return Stimulus(
-                initial={"A": L.L0, "B": L.L1, "Cin": L.L0},
-                events=events,
-                duration_ps=step_ps * (len(seq) + 1),
-            )
-        return Stimulus(
-            initial={"A": L.L0, "B": L.L1, "Cin": L.L0},
-            events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
-            duration_ps=3 * step_ps,
-        )
-
-    raise DomainError(f"unknown cell kind {kind!r}")
+    seq = (1, 0, 1, 0, 1, 0) if kind in ("bfa1", "bfa2") else (1, 2, 3, 2, 1, 0)
+    if bit_slice:
+        initial = {"A0": L.L0, "A1": L.L0, "B0": L(b_level & 1), "B1": L(b_level >> 1 & 1)}
+        events, prev = [], (0, 0)
+        for i, d in enumerate(seq):
+            bits = (d & 1, d >> 1 & 1)
+            events += [(step_ps * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
+            prev = bits
+    else:
+        initial = {"A": L.L0, "B": L(b_level) if quaternary else L.L1}
+        events = [(step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
+    return Stimulus(initial={**initial, "Cin": L.L0}, events=tuple(events),
+                    duration_ps=step_ps * (len(seq) + 1))

@@ -9,6 +9,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Operand outside the legal domain of an operation."""
@@ -26,10 +28,6 @@ class Level(enum.IntEnum):
     L2 = 2
     L3 = 3
     X = -1
-
-    @property
-    def is_x(self) -> bool:
-        return self is Level.X
 
 
 #: Default guard band for voltage-to-level decoding, as a fraction of the
@@ -193,3 +191,22 @@ def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, i
         s, carry = step(da, db, carry)
         out.append(s)
     return DigitVector(a.radix, tuple(out)), carry
+
+
+def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cpa_oracle` for many operand pairs at once: row r adds the
+    digit rows ``a[r]`` and ``b[r]`` (least-significant digit first) and
+    ``cin[r]``. Returns the sum digit matrix and the carry-out vector. The
+    ripple runs over the digit columns and never forms the operands'
+    values, so it is exact at any digit count."""
+    a, b, carry = (np.asarray(x, np.int64) for x in (a, b, cin))
+    if radix not in (2, 4) or a.ndim != 2 or a.shape != b.shape or carry.shape != a.shape[:1]:
+        raise DomainError(f"need radix 2 or 4, (rows, digits) a and b and (rows,) cin; "
+                          f"got radix {radix}, {a.shape}, {b.shape}, {carry.shape}")
+    # as uint64 a negative digit is huge, so one comparison checks both ends
+    if (np.stack([a, b]).view(np.uint64) >= radix).any() or (carry.view(np.uint64) > 1).any():
+        raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
+    total, sums = a + b, np.empty_like(a)
+    for i in range(a.shape[1]):
+        carry, sums[:, i] = np.divmod(total[:, i] + carry, radix)
+    return sums, carry

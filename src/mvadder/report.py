@@ -229,10 +229,16 @@ def parse_config_spec(spec: str, cl: float) -> AdderConfig:
     kind, _, vdd = spec.partition("@")
     if kind not in CONFIG_KINDS + ("bfa1", "bfa2"):
         raise DomainError(f"unknown config kind {kind!r}")
+    return AdderConfig(kind=kind, vdd=parse_supply(vdd, f" in {spec!r}"), cl=cl)
+
+
+def parse_supply(text: str, where: str = "") -> float:
+    """``text`` as a supply voltage, a finite number > 0; ``where`` ends
+    the error message."""
     try:
-        vdd_f = float(vdd)
+        vdd = float(text)
     except ValueError:
-        raise DomainError(f"bad supply voltage {vdd!r} in {spec!r}") from None
-    if not math.isfinite(vdd_f) or vdd_f <= 0:
-        raise DomainError(f"supply must be a finite number > 0 in {spec!r}")
-    return AdderConfig(kind=kind, vdd=vdd_f, cl=cl)
+        raise DomainError(f"bad supply voltage {text!r}{where}") from None
+    if not math.isfinite(vdd) or vdd <= 0:
+        raise DomainError(f"supply must be a finite number > 0, got {text!r}{where}")
+    return vdd

@@ -7,56 +7,39 @@ import itertools
 
 import numpy as np
 
-from .engine import settle_levels, settle_matrix
-from .levels import DigitVector, DomainError, Level, bfa_oracle, cpa_oracle, qfa_oracle
+from .engine import settle_matrix
+from .levels import DomainError, bfa_oracle, cpa_oracle_rows, qfa_oracle
 from .netlist import Circuit
 
 
-def verify_adder_cell(cell: Circuit) -> list:
-    """Exhaustively settle a 1-digit adder cell against its oracle.
-
-    Returns a list of mismatch descriptions (empty = pass).
-    """
-    radix = cell.ports["A"].encoding.radix
-    oracle = qfa_oracle if radix == 4 else bfa_oracle
-    cases = list(itertools.product(range(radix), range(radix), range(2)))
-    assigns = [
-        {"A": Level(a), "B": Level(b), "Cin": Level(c)} for a, b, c in cases
+def _cell_mismatches(cases, got, oracle) -> list:
+    """Descriptions of the (a, b, cin) ``cases`` whose settled (Sum, Cout)
+    in ``got`` differ from ``oracle``'s."""
+    return [
+        f"A={a} B={b} Cin={c}: got Sum={s} Cout={co}, want Sum={want[0]} Cout={want[1]}"
+        for (a, b, c), (s, co) in zip(cases, got)
+        for want in [oracle(a, b, c)] if (s, co) != want
     ]
-    outs = settle_levels(cell, assigns)
-    bad = []
-    for (a, b, c), got in zip(cases, outs):
-        want_s, want_c = oracle(a, b, c)
-        if int(got["Sum"]) != want_s or int(got["Cout"]) != want_c:
-            bad.append(
-                f"A={a} B={b} Cin={c}: got Sum={int(got['Sum'])} "
-                f"Cout={int(got['Cout'])}, want Sum={want_s} Cout={want_c}"
-            )
-    return bad
+
+
+def verify_adder_cell(cell: Circuit) -> list:
+    """Exhaustively settle a 1-digit adder cell against its oracle; returns
+    the mismatch descriptions (empty = pass)."""
+    radix = cell.ports["A"].encoding.radix
+    cases = list(itertools.product(range(radix), range(radix), range(2)))
+    got = settle_matrix(cell, ["A", "B", "Cin"], np.array(cases), ["Sum", "Cout"])
+    return _cell_mismatches(cases, got.tolist(), qfa_oracle if radix == 4 else bfa_oracle)
 
 
 def verify_binary_slice(slice_circuit: Circuit) -> list:
     """Check a 2-cell binary slice against the quaternary oracle under the
     2-bit digit encoding, all 32 cases."""
     cases = list(itertools.product(range(4), range(4), range(2)))
-    assigns = []
-    for a, b, c in cases:
-        assigns.append({
-            "A0": Level(a & 1), "A1": Level((a >> 1) & 1),
-            "B0": Level(b & 1), "B1": Level((b >> 1) & 1),
-            "Cin": Level(c),
-        })
-    outs = settle_levels(slice_circuit, assigns)
-    bad = []
-    for (a, b, c), got in zip(cases, outs):
-        want_s, want_c = qfa_oracle(a, b, c)
-        got_s = int(got["S0"]) + 2 * int(got["S1"])
-        if got_s != want_s or int(got["Cout"]) != want_c:
-            bad.append(
-                f"A={a} B={b} Cin={c}: got Sum={got_s} Cout={int(got['Cout'])}, "
-                f"want Sum={want_s} Cout={want_c}"
-            )
-    return bad
+    bits = [(a & 1, a >> 1, b & 1, b >> 1, c) for a, b, c in cases]
+    s0, s1, cout = settle_matrix(slice_circuit, ["A0", "A1", "B0", "B1", "Cin"],
+                                 np.array(bits), ["S0", "S1", "Cout"]).T.tolist()
+    got = [(lo + 2 * hi, co) for lo, hi, co in zip(s0, s1, cout)]
+    return _cell_mismatches(cases, got, qfa_oracle)
 
 
 def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
@@ -65,25 +48,27 @@ def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
     return (radix ** n_digits) ** 2 * 2 <= 4096
 
 
-def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
-               seed: int = 0, exhaustive: bool | None = None) -> list:
-    """Compare CPA settles against digit-serial ripple oracle results.
+_MAX_REPORTED = 20  # mismatch rows described by :func:`cpa_mismatches`
+
+
+def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
+                   seed: int = 0, exhaustive: bool | None = None) -> tuple[list, int]:
+    """Compare CPA settles against the digit-serial ripple oracle.
 
     Exhaustive below 2 digits at radix 4 (or when forced), ``vectors``
-    (at least 1) seeded random operand pairs otherwise.
+    (at least 1) seeded random operand pairs otherwise. Returns the
+    descriptions of the first 20 mismatching rows, followed by
+    ``"... (truncated)"`` when more rows mismatch, and the number of
+    mismatching rows.
     """
     radix = cpa.ports["A0"].encoding.radix
     if exhaustive is None:
         exhaustive = cpa_is_exhaustive(radix, n_digits)
     if exhaustive:
-        rows = []
-        for va in range(radix ** n_digits):
-            a = DigitVector.from_int(va, radix, n_digits).digits
-            for vb in range(radix ** n_digits):
-                b = DigitVector.from_int(vb, radix, n_digits).digits
-                for cin in (0, 1):
-                    rows.append((cin,) + a + b)
-        mat = np.array(rows, np.int64)
+        # rows run over A, then B, then Cin; digits least-significant first
+        digits = np.arange(radix ** n_digits)[:, None] // radix ** np.arange(n_digits) % radix
+        va, vb, cin = np.indices((len(digits), len(digits), 2)).reshape(3, -1)
+        mat = np.column_stack([cin, digits[va], digits[vb]])
     else:
         if vectors < 1:
             raise DomainError(f"vectors must be >= 1, got {vectors}")
@@ -97,19 +82,18 @@ def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
     out_ports = [f"S{i}" for i in range(n_digits)] + [f"C{n_digits}"]
     got = settle_matrix(cpa, in_ports, mat, out_ports)
 
-    bad = []
-    for r in range(mat.shape[0]):
-        a = DigitVector(radix, tuple(int(x) for x in mat[r, 1: 1 + n_digits]))
-        b = DigitVector(radix, tuple(int(x) for x in mat[r, 1 + n_digits:]))
-        cin = int(mat[r, 0])
-        want_sum, want_cout = cpa_oracle(a, b, cin)
-        got_row = tuple(int(x) for x in got[r])
-        if got_row != want_sum.digits + (want_cout,):
-            bad.append(
-                f"A={a.digits} B={b.digits} Cin={cin}: got S+C={got_row}, "
-                f"want S={want_sum.digits} C={want_cout}"
-            )
-            if len(bad) >= 20:
-                bad.append("... (truncated)")
-                break
-    return bad
+    a, b = mat[:, 1: 1 + n_digits], mat[:, 1 + n_digits:]
+    want_sum, want_cout = cpa_oracle_rows(a, b, mat[:, 0], radix)
+    rows = np.flatnonzero((got != np.column_stack([want_sum, want_cout])).any(axis=1))
+    bad = [f"A={tuple(a[r].tolist())} B={tuple(b[r].tolist())} Cin={mat[r, 0]}: got "
+           f"S+C={tuple(got[r].tolist())}, want S={tuple(want_sum[r].tolist())} C={want_cout[r]}"
+           for r in rows[:_MAX_REPORTED]]
+    if len(rows) > _MAX_REPORTED:
+        bad.append("... (truncated)")
+    return bad, len(rows)
+
+
+def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
+               seed: int = 0, exhaustive: bool | None = None) -> list:
+    """The mismatch descriptions of :func:`cpa_mismatches` (empty = pass)."""
+    return cpa_mismatches(cpa, n_digits, vectors, seed, exhaustive)[0]

@@ -112,6 +112,31 @@ def test_compare_rejects_non_finite_supply(vdd, capsys):
     assert "supply" in err and f"qfa2@{vdd}" in err
 
 
+@pytest.mark.parametrize("vdd", ["nan", "inf", "-inf", "0", "-0.5", "volts"])
+def test_vdd_must_be_a_finite_positive_number(vdd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--cell", "qfa2", f"--vdd={vdd}"])
+    assert exc.value.code == 2
+    assert "argument --vdd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob, field", [
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [], "duration_ps": 1e300},
+     "duration_ps"),
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[1e300, "Cin", 1]],
+      "duration_ps": 1e300}, "duration_ps"),
+    ({"initial": {"A": 2.7, "B": 1, "Cin": 0}, "events": [], "duration_ps": 100.0},
+     "A: 2.7 is not a logic level"),
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", 0.5]],
+      "duration_ps": 100.0}, "Cin: 0.5 is not a logic level"),
+])
+def test_sim_rejects_bad_stimulus_fields(blob, field, tmp_path, capsys):
+    path = tmp_path / "stim.json"
+    path.write_text(json.dumps(blob))
+    assert run_cli(["sim", "--cell", "qfa2", "--stimulus", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_bad_library_exit_two(tmp_path, capsys):
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps({"inv": {"bogus_key": 1}}))

@@ -25,7 +25,7 @@ from mvadder.gates import (
     input_pins,
     output_pins,
 )
-from mvadder.levels import DomainError, Level, binary_full, quaternary
+from mvadder.levels import DomainError, Level, binary_full, cpa_oracle_rows, quaternary
 from mvadder.netlist import _Builder, build_bfa, build_binary_slice, build_cpa, build_qfa
 
 L = Level
@@ -156,6 +156,35 @@ def test_stimulus_validation():
         simulate(c, Stimulus(initial={"A": L.L0},
                              events=((50.01, "A", L.L1), (50.02, "A", L.L0)),
                              duration_ps=100.0))
+
+
+def test_stimulus_times_must_be_finite_and_in_tick_range():
+    c = single_inv()
+    for stim, field in (
+        (Stimulus(initial={"A": L.L0}, duration_ps=1e300), "duration_ps"),
+        (Stimulus(initial={"A": L.L0}, duration_ps=float("nan")), "duration_ps"),
+        (Stimulus(initial={"A": L.L0}, duration_ps=-1.0), "duration_ps"),
+        (Stimulus(initial={"A": L.L0}, events=((float("nan"), "A", L.L1),),
+                  duration_ps=100.0), "event at nan"),
+        (Stimulus(initial={"A": L.L0}, events=((float("inf"), "A", L.L1),),
+                  duration_ps=float("inf")), "duration_ps"),
+    ):
+        with pytest.raises(StimulusError, match=field):
+            simulate(c, stim)
+
+
+def test_stimulus_levels_must_be_whole_numbers():
+    c = single_inv()
+    for initial, events in (({"A": 2.7}, []), ({"A": 0}, [[50.0, "A", 0.5]]),
+                            ({"A": "x"}, []), ({"A": float("inf")}, [])):
+        blob = {"initial": initial, "events": events, "duration_ps": 100.0}
+        with pytest.raises(StimulusError, match="A: .* is not a logic level"):
+            Stimulus.from_json(blob)
+        with pytest.raises(StimulusError, match="A: .* is not a logic level"):
+            simulate(c, Stimulus(initial=initial, events=tuple(map(tuple, events)),
+                                 duration_ps=100.0))
+    stim = Stimulus.from_json({"initial": {"A": 1.0}, "events": [], "duration_ps": 10.0})
+    assert stim.initial == {"A": L.L1}
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +430,29 @@ def test_settle_matrix_agrees_with_simulate_on_cpas(kind):
             assert [tr.final_level(p) for p in out_ports] == settled.tolist()
 
 
+def test_settle_matrix_across_block_boundary_equals_array_oracle():
+    n = 6
+    rows = _kernel._BLOCK_ROWS + 476  # 1500: one full block and a partial one
+    cpa = build_cpa(build_qfa("qfa2", 0.9), n)
+    rng = np.random.default_rng(9)
+    vectors = np.column_stack([rng.integers(0, 2, rows), rng.integers(0, 4, (rows, 2 * n))])
+    in_ports = ["C0"] + [f"A{i}" for i in range(n)] + [f"B{i}" for i in range(n)]
+    got = settle_matrix(cpa, in_ports, vectors, [f"S{i}" for i in range(n)] + [f"C{n}"])
+    sums, couts = cpa_oracle_rows(vectors[:, 1: 1 + n], vectors[:, 1 + n:], vectors[:, 0], 4)
+    assert got.tolist() == np.column_stack([sums, couts]).tolist()
+
+
+def test_settle_matrix_range_check_names_the_first_bad_port():
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 2)
+    in_ports = ["C0", "A0", "A1", "B0", "B1"]
+    for row, port in (([0, 0, 0, 0, -1], "B1: levels outside 4"),
+                      ([0, 4, 0, 0, 9], "A0: levels outside 4"),
+                      ([2, 0, 0, 0, 0], "C0: levels outside 2")):
+        with pytest.raises(StimulusError, match=port):
+            settle_matrix(cpa, in_ports, [[0] * 5, row])
+    assert settle_matrix(cpa, in_ports, np.zeros((0, 5), np.int64)).shape == (0, 3)
+
+
 def tie_off_circuit(mix_port=False, vdd=0.9):
     """Y0 = inv(A). dead = inv(const 1) and dom = nand(dead, const 0) are fed
     only by constant nets. mix = nand(A, dead) is X when A = 1, and then
@@ -441,6 +493,13 @@ def test_batch_settle_leaves_unevaluated_gates_x_like_event_engine():
         _settled_by_simulate(c, ["A"], [1])
     with pytest.raises(UnsettledOutputError):
         settle_matrix(c, ["A"], [[0], [1]])
+
+
+def test_unsettled_batch_output_names_ports_and_first_row():
+    c = tie_off_circuit(mix_port=True)  # Y1 is X exactly when A = 1
+    with pytest.raises(UnsettledOutputError,
+                       match=r"outputs \['Y1'\] settled to X .* first at vector row 2"):
+        settle_matrix(c, ["A"], [[0], [0], [1], [0], [1]], ["Y0", "Y1"])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from mvadder.levels import (
     bfa_oracle,
     binary_full,
     cpa_oracle,
+    cpa_oracle_rows,
     from_voltage,
     qfa_oracle,
     quaternary,
@@ -195,3 +197,45 @@ def test_cpa_oracle_random_sweep_all_sizes():
                 DigitVector.from_int(va, 4, n), DigitVector.from_int(vb, 4, n), cin
             )
             assert s.value() + cout * 4**n == va + vb + cin
+
+
+@st.composite
+def _digit_matrices(draw):
+    radix = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    digits = st.lists(st.integers(0, radix - 1), min_size=n, max_size=n)
+    a = draw(st.lists(digits, min_size=rows, max_size=rows))
+    b = draw(st.lists(digits, min_size=rows, max_size=rows))
+    cin = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    return radix, a, b, cin
+
+
+@given(_digit_matrices())
+def test_cpa_oracle_rows_equals_cpa_oracle_row_by_row(case):
+    # up to 40 radix-4 digits: 4**32 and beyond overflow int64
+    radix, a, b, cin = case
+    sums, couts = cpa_oracle_rows(np.array(a), np.array(b), np.array(cin), radix)
+    assert sums.shape == (len(a), len(a[0])) and couts.shape == (len(a),)
+    for ra, rb, c, s, cout in zip(a, b, cin, sums.tolist(), couts.tolist()):
+        want_s, want_c = cpa_oracle(DigitVector(radix, tuple(ra)), DigitVector(radix, tuple(rb)), c)
+        assert (tuple(s), cout) == (want_s.digits, want_c)
+
+
+def test_cpa_oracle_rows_is_exact_beyond_int64():
+    n = 40  # 4**40 - 1 does not fit in int64
+    a = np.full((1, n), 3)
+    sums, couts = cpa_oracle_rows(a, np.zeros((1, n)), [1], 4)
+    assert sums.tolist() == [[0] * n] and couts.tolist() == [1]
+
+
+def test_cpa_oracle_rows_rejects_bad_operands():
+    ok = np.zeros((2, 3), np.int64)
+    for a, b, cin, radix in ((ok, ok, [0, 0], 3),            # radix
+                             (ok, ok[:, :2], [0, 0], 4),      # shapes
+                             (ok, ok, [0], 4),                 # cin length
+                             (ok + 4, ok, [0, 0], 4),          # digit too large
+                             (ok, ok - 1, [0, 0], 2),          # negative digit
+                             (ok, ok, [0, 2], 2)):             # carry-in
+        with pytest.raises(DomainError):
+            cpa_oracle_rows(a, b, cin, radix)
