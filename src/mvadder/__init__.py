@@ -7,7 +7,7 @@ models, runs static timing analysis, and produces delay/power/PDP/area
 comparison reports.
 """
 
-from ._kernel import TICK_PS, USE_NUMBA
+from ._kernel import TICK_PS
 from .engine import (
     SimulationTimeoutError,
     Stimulus,
@@ -76,3 +76,6 @@ from .report import (
 from .timing import TimingReport, sta
 
 __version__ = "0.1.0"
+
+#: The kernels are plain Python and numpy; ``perfbench`` still records this.
+USE_NUMBA = False

@@ -1,6 +1,7 @@
 """Deterministic event-driven simulation and measurement helpers.
 
-All nets start at X. A settle phase applies the stimulus's initial levels
+All nets start at X except the constants. A settle phase evaluates the
+gates the constants alone decide, applies the stimulus's initial levels
 and runs to quiescence; stimulus events then play out in a measurement
 window whose time origin sits one nanosecond after the settle finished.
 Settle energy is kept in the ledger but reported separately so it never
@@ -19,7 +20,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import TICK_PS, compile_circuit
 from .levels import DomainError, Level
-from .netlist import Circuit, validate
+from .netlist import Circuit
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
 SETTLE_GAP_TICKS = 10_000  # 1 ns
@@ -126,7 +127,7 @@ class Trace:
         mask = self.nets == ni
         out = []
         for t, lvl in zip(self.times[mask], self.levels[mask]):
-            v = float(comp.net_volt[ni, lvl]) if lvl >= 0 else float("nan")
+            v = float(comp.net_rail[ni][lvl]) if lvl >= 0 else float("nan")
             out.append((float(t) * TICK_PS, Level(int(lvl)), v))
         return out
 
@@ -144,7 +145,7 @@ class Trace:
             w = csv.writer(fh)
             w.writerow(["time_ps", "net", "level", "voltage"])
             for t, n, l in zip(self.times, self.nets, self.levels):
-                volt = repr(float(comp.net_volt[n, l])) if l >= 0 else ""
+                volt = repr(float(comp.net_rail[n][l])) if l >= 0 else ""
                 w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], int(l), volt])
 
     def write_energy_csv(self, path: str | Path) -> None:
@@ -211,67 +212,49 @@ def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
             )
 
 
-def _ensure_valid(circuit: Circuit) -> None:
-    if not getattr(circuit, "_validated", False):
-        diags = validate(circuit)
-        if diags:
-            raise DomainError(f"circuit invalid: {diags}")
-        circuit._validated = True
-
-
 def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
     """Run one stimulus; returns the full trace with the energy ledger."""
-    _ensure_valid(circuit)
     comp = compile_circuit(circuit)
     _check_stimulus(circuit, comp, stimulus)
 
-    init = sorted((comp.in_port_net[p], int(l)) for p, l in stimulus.initial.items())
-    init_net = np.array([n for n, _ in init], np.int64)
-    init_lvl = np.array([l for _, l in init], np.int64)
-
+    initial = sorted((comp.in_port_net[p], int(l)) for p, l in stimulus.initial.items())
     ev = sorted(
         ((_ticks(t), comp.in_port_net[p], int(l), p) for t, p, l in stimulus.events),
         key=lambda e: (e[0], e[1]),
     )
-    stim_time = np.array([e[0] for e in ev], np.int64)
-    stim_net = np.array([e[1] for e in ev], np.int64)
-    stim_lvl = np.array([e[2] for e in ev], np.int64)
-
     duration_ticks = _ticks(stimulus.duration_ps)
     max_events = _MAX_EVENTS_PER_NET * (comp.n_nets + len(ev) + 1)
 
-    status, origin, n_settle, n_rec, rt, rn, rl, re, rs, cur = _kernel._run_single(
-        comp.table, comp.gate_row, comp.gate_out, comp.gate_nout, comp.gate_delay,
-        comp.fan_ptr, comp.fan_gate, comp.fan_w,
-        comp.net_cap, comp.net_volt, comp.net_init, comp.out_nets,
-        init_net, init_lvl, stim_net, stim_time, stim_lvl,
-        np.int64(duration_ticks), np.int64(SETTLE_GAP_TICKS), np.int64(max_events),
-    )
+    status, tick, origin, n_settle, records, cur, pend_t = _kernel._run_single(
+        comp, initial, [e[:3] for e in ev], duration_ticks, SETTLE_GAP_TICKS, max_events)
     if status == _kernel.ERR_UNSETTLED:
-        raise UnsettledOutputError("an output was still X at the end of the settle phase")
-    if status == _kernel.ERR_TIMEOUT:
-        raise SimulationTimeoutError(
-            f"circuit not quiescent within duration ({stimulus.duration_ps} ps)"
-        )
-    if status == _kernel.ERR_EVENT_CAP:
-        raise SimulationTimeoutError("event budget exceeded; circuit appears unstable")
+        ports = [p for p, ni in sorted(comp.out_port_net.items()) if cur[ni] < 0]
+        raise UnsettledOutputError(f"outputs {ports} still X at the end of the settle phase")
+    if status != _kernel.OK:
+        pending = [comp.net_ids[n] for n, t in enumerate(pend_t) if t >= 0]
+        where = f"{len(pending)} nets still pending at tick {tick}: {pending[:8]}"
+        if status == _kernel.ERR_TIMEOUT:
+            raise SimulationTimeoutError(
+                f"circuit not quiescent within duration ({stimulus.duration_ps} ps); {where}"
+            )
+        raise SimulationTimeoutError(f"event budget exceeded; circuit appears unstable; {where}")
 
-    stim_events = tuple(
-        (int(tick) + int(origin), port, Level(int(lvl)))
-        for (tick, _net, lvl, port) in ev
-    )
+    columns = list(zip(*records)) or [()] * 5
+    times, nets, levels, energies, srcs = (
+        np.array(col, dtype) for col, dtype in
+        zip(columns, (np.int64, np.int64, np.int64, np.float64, np.int64)))
     return Trace(
         circuit=circuit,
-        times=rt[:n_rec].copy(),
-        nets=rn[:n_rec].copy(),
-        levels=rl[:n_rec].copy(),
-        energies=re[:n_rec].copy(),
-        srcs=rs[:n_rec].copy(),
-        origin_ticks=int(origin),
-        n_settle=int(n_settle),
+        times=times,
+        nets=nets,
+        levels=levels,
+        energies=energies,
+        srcs=srcs,
+        origin_ticks=origin,
+        n_settle=n_settle,
         duration_ticks=duration_ticks,
-        stim_events=stim_events,
-        final_levels=cur,
+        stim_events=tuple((tick + origin, port, Level(lvl)) for tick, _, lvl, port in ev),
+        final_levels=np.array(cur, np.int64),
         _compiled=comp,
     )
 
@@ -284,10 +267,9 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
 
     The settle is one levelized pass, vectorized over the gates of a level
     and over the rows (see :func:`_kernel.settle_batch`); it gives the final
-    levels :func:`simulate` reaches after its settle phase. As in the event
-    engine, a gate whose non-constant inputs all stay X (e.g. one fed only
-    by constant nets) is never evaluated and stays X."""
-    _ensure_valid(circuit)
+    levels :func:`simulate` reaches after its settle phase: every gate at
+    its truth-table entry for its settled inputs, with X where no input
+    combination decides it."""
     comp = compile_circuit(circuit)
     in_ports = list(in_ports)
     if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):

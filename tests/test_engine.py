@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvadder import _kernel
 from mvadder.engine import (
@@ -26,7 +27,15 @@ from mvadder.gates import (
     output_pins,
 )
 from mvadder.levels import DomainError, Level, binary_full, cpa_oracle_rows, quaternary
-from mvadder.netlist import _Builder, build_bfa, build_binary_slice, build_cpa, build_qfa
+from mvadder.netlist import (
+    _Builder,
+    build_bfa,
+    build_binary_slice,
+    build_cpa,
+    build_qfa,
+    validate,
+)
+from mvadder.timing import sta
 
 L = Level
 
@@ -127,7 +136,7 @@ def test_timeout_when_duration_too_short():
     c = inv_chain(6)
     stim = Stimulus(initial={"A": L.L0}, events=((10.0, "A", L.L1),),
                     duration_ps=12.0)  # six gate delays cannot fit in 2 ps
-    with pytest.raises(SimulationTimeoutError):
+    with pytest.raises(SimulationTimeoutError, match=r"1 nets still pending at tick \d+: \['n0'\]"):
         simulate(c, stim)
 
 
@@ -218,7 +227,7 @@ def test_energy_ledger_consistency():
     last_v = {}
     total = 0.0
     for t, n, lvl, e, s in zip(tr.times, tr.nets, tr.levels, tr.energies, tr.srcs):
-        v_to = comp.net_volt[n, lvl] if lvl >= 0 else 0.0
+        v_to = c.nets[comp.net_ids[n]].encoding.level_voltages[lvl] if lvl >= 0 else 0.0
         v_from = last_v.get(int(n), 0.0)
         expect = 0.5 * comp.net_cap[n] * (v_to - v_from) ** 2 if s == 0 else 0.0
         assert e == pytest.approx(expect, abs=1e-25)
@@ -453,11 +462,23 @@ def test_settle_matrix_range_check_names_the_first_bad_port():
     assert settle_matrix(cpa, in_ports, np.zeros((0, 5), np.int64)).shape == (0, 3)
 
 
+@pytest.mark.parametrize("run", [
+    lambda c: settle_levels(c, [{"A": L.L0, "B": L.L0, "Cin": L.L0}]),
+    lambda c: settle_matrix(c, ["A", "B", "Cin"], [[0, 0, 0]]),
+    lambda c: simulate(c, worst_case_stimulus("carry_to_carry", "qfa2")),
+    lambda c: sta(c, ["no_such_port"], ["Cout"]),  # validity is checked first
+], ids=["settle_levels", "settle_matrix", "simulate", "sta"])
+def test_invalid_circuit_is_rejected_by_name_before_compiling(run):
+    c = build_qfa("qfa2", 0.9)
+    del c.instances["inv_cout"].pins["a"]
+    with pytest.raises(DomainError, match=r"circuit invalid: .*inv_cout: pin a unbound"):
+        run(c)
+
+
 def tie_off_circuit(mix_port=False, vdd=0.9):
     """Y0 = inv(A). dead = inv(const 1) and dom = nand(dead, const 0) are fed
-    only by constant nets. mix = nand(A, dead) is X when A = 1, and then
-    tail = nand(mix, const 0) is never evaluated by the event engine.
-    ``mix_port`` makes mix the output port Y1."""
+    only by constant nets; mix = nand(A, dead) and tail = nand(mix, const 0)
+    are decided by them. ``mix_port`` makes mix the output port Y1."""
     b = _Builder("tieoff", CellLibrary.default())
     enc = binary_full(vdd)
     a = b.port("A", "in", enc)
@@ -473,33 +494,35 @@ def tie_off_circuit(mix_port=False, vdd=0.9):
     return b.finalize(vdd=vdd)
 
 
-def test_batch_settle_leaves_unevaluated_gates_x_like_event_engine():
+def test_constant_fed_gates_settle_alike_in_both_engines():
     c = tie_off_circuit()
     comp = _kernel.compile_circuit(c)
+    assert [comp.gate_kind[g] for g in comp.const_gates] == ["inv", "nand", "nand"]
     for a in (0, 1):
         tr = _settled_by_simulate(c, ["A"], [a])
         final = {nid: int(tr.final_levels[i]) for nid, i in comp.net_index.items()}
-        # a pass over every gate would give dom = nand(X, 0) = 1; one over
-        # every gate reachable from A would still give tail = 1 when A = 1
-        assert final["dead"] == final["dom"] == -1
-        assert final["tail"] == (1 if a == 0 else -1)
+        assert [final[n] for n in ("dead", "dom", "mix", "tail")] == [0, 1, 1, 1]
         settled = _kernel.settle_batch(comp, np.array([comp.in_port_net["A"]]),
                                        np.array([[a]]), np.arange(comp.n_nets))
         assert settled[0].tolist() == tr.final_levels.tolist()
+    # Y1 = nand(A, inv(const 1)) is 1 whatever A is
     c = tie_off_circuit(mix_port=True)
-    assert settle_matrix(c, ["A"], [[0]], ["Y0", "Y1"]).tolist() == [[1, 1]]
-    # A = 1 leaves Y1 = nand(1, X) at X: both engines refuse it
-    with pytest.raises(UnsettledOutputError):
-        _settled_by_simulate(c, ["A"], [1])
-    with pytest.raises(UnsettledOutputError):
-        settle_matrix(c, ["A"], [[0], [1]])
+    assert validate(c) == []
+    assert settle_matrix(c, ["A"], [[0], [1]], ["Y0", "Y1"]).tolist() == [[1, 1], [0, 1]]
+    assert _settled_by_simulate(c, ["A"], [1]).final_level("Y1") is L.L1
 
 
 def test_unsettled_batch_output_names_ports_and_first_row():
-    c = tie_off_circuit(mix_port=True)  # Y1 is X exactly when A = 1
+    c = nand_l2_circuit(y_port=True)  # Y1 is X exactly when A >= 2 and B = 1
     with pytest.raises(UnsettledOutputError,
                        match=r"outputs \['Y1'\] settled to X .* first at vector row 2"):
-        settle_matrix(c, ["A"], [[0], [0], [1], [0], [1]], ["Y0", "Y1"])
+        settle_matrix(c, ["A", "B"], [[1, 1], [2, 0], [2, 1], [0, 0], [3, 1]], ["Y0", "Y1"])
+
+
+def test_unsettled_simulate_output_names_the_x_ports():
+    c = nand_l2_circuit(y_port=True)
+    with pytest.raises(UnsettledOutputError, match=r"outputs \['Y1'\] still X"):
+        _settled_by_simulate(c, ["A", "B"], [3, 1])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -600,20 +623,50 @@ def random_circuit(rng, n_gates=24, vdd=0.9):
     return b.finalize(vdd=vdd)
 
 
-def test_batch_settle_agrees_with_event_engine_on_random_circuits():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        c = random_circuit(rng)
-        comp = _kernel.compile_circuit(c)
-        in_ports = sorted(comp.in_port_net)
-        in_nets = np.array([comp.in_port_net[p] for p in in_ports])
-        vectors = np.column_stack(
-            [rng.integers(0, comp.port_encoding[p].radix, 8) for p in in_ports])
-        got = _kernel.settle_batch(comp, in_nets, vectors, np.arange(comp.n_nets))
-        for row, settled in zip(vectors, got):
-            tr = _settled_by_simulate(c, in_ports, row)
-            assert settled.tolist() == tr.final_levels.tolist()
-            assert tr.levels.min(initial=0) >= -1  # nothing below X
+def reference_settle(c, assign):
+    """Every net's settled level from eval_primitive, gates evaluated
+    after their drivers (X where a DomainError is raised)."""
+    level = {nid: L(net.driver[1]) for nid, net in c.nets.items()
+             if net.driver is not None and net.driver[0] == "const"}
+    level.update({c.ports[p].net: L(int(v)) for p, v in assign.items()})
+    driver = {inst.pins[p]: inst for inst in c.instances.values()
+              for p in inst.primitive.output_pins}
+
+    def settle(nid):
+        if nid not in level:
+            inst = driver[nid]
+            ins = [settle(inst.pins[p]) for p in inst.primitive.input_pins]
+            opins = inst.primitive.output_pins
+            try:
+                outs = eval_primitive(inst.primitive.kind, ins)
+            except DomainError:
+                outs = [L.X] * len(opins)
+            level.update({inst.pins[p]: v for p, v in zip(opins, outs)})
+        return level[nid]
+
+    return {nid: int(settle(nid)) for nid in c.nets}
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_settle_agrees_with_event_engine_on_random_circuits(seed):
+    """On every net, the batch settle, the event engine's settle and
+    reference_settle agree."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    comp = _kernel.compile_circuit(c)
+    in_ports = sorted(comp.in_port_net)
+    in_nets = np.array([comp.in_port_net[p] for p in in_ports])
+    vectors = np.column_stack(
+        [rng.integers(0, comp.port_encoding[p].radix, 4) for p in in_ports])
+    batch = _kernel.settle_batch(comp, in_nets, vectors, np.arange(comp.n_nets))
+    for row, settled in zip(vectors, batch):
+        ref = reference_settle(c, dict(zip(in_ports, row)))
+        want = [ref[nid] for nid in comp.net_ids]
+        assert settled.tolist() == want
+        tr = _settled_by_simulate(c, in_ports, row)
+        assert tr.final_levels.tolist() == want
+        assert tr.levels.min(initial=0) >= -1  # nothing below X
 
 
 def test_stimulus_json_roundtrip(tmp_path):
