@@ -102,6 +102,9 @@ class CompiledCircuit:
         # per gate: input nets in pin order, output nets, output delays (ticks)
         self.gate_in, self.gate_out, self.gate_delay = [], [], []
         gate_row = []  # per gate: its row of the stacked table at the initial levels
+        ticks: dict = {}  # (id(primitive), output load) -> delay in ticks
+        # the settle phase's half of the event-key range (see engine._check_stimulus)
+        max_ticks = _END // max(2, 2 * n)
         # per net: {gate it feeds: summed base-5 weights of the pins it drives}
         fanout: list[dict] = [{} for _ in range(n)]
         for gi, inst in enumerate(insts):
@@ -114,10 +117,18 @@ class CompiledCircuit:
             outs, delays = [], []
             for pin in inst.primitive.output_pins:
                 outs.append(self.net_index[inst.pins[pin]])
-                delay_s = propagation_delay(inst.primitive, circuit.nets[inst.pins[pin]].total_cap)
-                # floor at one tick: zero-delay events would break the
-                # one-transition-per-net-per-tick invariant
-                delays.append(max(1, round(delay_s / (TICK_PS * 1e-12))))
+                key = (id(inst.primitive), circuit.nets[inst.pins[pin]].total_cap)
+                delay = ticks.get(key)
+                if delay is None:
+                    delay_s = propagation_delay(inst.primitive, key[1])
+                    delay = delay_s / (TICK_PS * 1e-12)
+                    if not 0 <= delay <= max_ticks:  # NaN fails too
+                        raise DomainError(f"{inst.id}.{pin}: gate delay {delay_s!r} s is not a "
+                                          f"finite number of ticks up to {max_ticks}")
+                    # floor at one tick: zero-delay events would break the
+                    # one-transition-per-net-per-tick invariant
+                    delay = ticks[key] = max(1, round(delay))
+                delays.append(delay)
             self.gate_in.append(tuple(ins))
             self.gate_out.append(tuple(outs))
             self.gate_delay.append(tuple(delays))
@@ -132,6 +143,7 @@ class CompiledCircuit:
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
+        self.port_radix = {p.name: p.encoding.radix for p in circuit.ports.values()}
 
     @cached_property
     def topo_order(self) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -45,8 +46,8 @@ def parse_cap(text: str) -> float:
     if not m:
         raise argparse.ArgumentTypeError(f"bad capacitance {text!r} (try e.g. 2fF)")
     value = float(m.group(1)) * _CAP_SCALE[m.group(2)]
-    if value < 0:
-        raise argparse.ArgumentTypeError("capacitance must be >= 0")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"capacitance must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -235,11 +236,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args, lib)
     except (NonFunctionalGateError, SimulationTimeoutError, UnsettledOutputError) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
+        print("model error:", *getattr(exc, "__notes__", ()), exc, file=sys.stderr)
         return 3
     except (DomainError, EncodingMismatchError, NetlistError, LibraryError,
             OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", *getattr(exc, "__notes__", ()), exc, file=sys.stderr)
         return 2
 
 

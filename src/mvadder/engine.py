@@ -279,7 +279,7 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     vectors = np.ascontiguousarray(vectors, dtype=np.int64)
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
-    radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
+    radix = np.array([comp.port_radix[p] for p in in_ports], np.uint64)
     # as uint64 a negative level is huge, so one comparison checks both ends
     bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
     if len(bad):

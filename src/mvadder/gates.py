@@ -326,6 +326,19 @@ class CellSpec:
     inventory: TransistorInventory
 
 
+# Specs are frozen, so every default library shares these.
+_DEFAULT_CELLS = {
+    kind: CellSpec(
+        input_cap_per_pin=DEFAULT_INPUT_CAP_F,
+        drive_resistance_ref=DEFAULT_DRIVE_RESISTANCE_OHM,
+        intrinsic_delay=DEFAULT_INTRINSIC_DELAY_S,
+        threshold_voltage=DEFAULT_THRESHOLD_V,
+        inventory=DEFAULT_INVENTORIES[kind],
+    )
+    for kind in KINDS
+}
+
+
 class CellLibrary:
     """Per-kind :class:`CellSpec` table used by the circuit generators."""
 
@@ -337,16 +350,7 @@ class CellLibrary:
 
     @classmethod
     def default(cls) -> "CellLibrary":
-        return cls({
-            kind: CellSpec(
-                input_cap_per_pin=DEFAULT_INPUT_CAP_F,
-                drive_resistance_ref=DEFAULT_DRIVE_RESISTANCE_OHM,
-                intrinsic_delay=DEFAULT_INTRINSIC_DELAY_S,
-                threshold_voltage=DEFAULT_THRESHOLD_V,
-                inventory=DEFAULT_INVENTORIES[kind],
-            )
-            for kind in KINDS
-        })
+        return cls(_DEFAULT_CELLS)
 
     def make_primitive(
         self,

@@ -8,12 +8,14 @@ run. Circuits are treated as immutable once built and validated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .gates import (
     CellLibrary,
+    ElectricalParams,
     GatePrimitive,
     TransistorInventory,
     inventory_area,
@@ -28,14 +30,26 @@ class NetlistError(ValueError):
 @dataclass
 class Net:
     """Single-driver wire. ``driver`` is ("inst", id, pin), ("port", name)
-    or ("const", level); ``total_cap`` is filled in by recompute_caps()."""
+    or ("const", level). ``total_cap`` is the external load plus the input
+    caps of the sinks, added as instances are wired; constant rails are
+    supply ties with zero switching cost, so theirs stays 0."""
 
     id: str
     encoding: SignalEncoding
     driver: tuple | None = None
     sinks: list = field(default_factory=list)  # (inst_id, pin)
     external_load: float = 0.0
-    total_cap: float = 0.0
+    total_cap: float = field(init=False)
+
+    def __post_init__(self):
+        try:
+            ok = 0 <= self.external_load < math.inf  # NaN fails too
+        except TypeError:  # not a number
+            ok = False
+        if not ok:
+            raise NetlistError(f"net {self.id!r}: external_load must be a finite number >= 0, "
+                               f"got {self.external_load!r}")
+        self.total_cap = 0.0 if self.driver and self.driver[0] == "const" else self.external_load
 
 
 @dataclass
@@ -118,15 +132,8 @@ class _Builder:
                 pin_enc[pin] = data_enc
             else:
                 pin_enc[pin] = self.nets[pins[pin]].encoding
-        inst = Instance(iid, prim, dict(pins), pin_enc, cell_tag)
-        self.instances[iid] = inst
-        for pin in prim.input_pins:
-            self.nets[pins[pin]].sinks.append((iid, pin))
-        for pin in prim.output_pins:
-            net = self.nets[pins[pin]]
-            if net.driver is not None:
-                raise NetlistError(f"net {net.id!r} already driven")
-            net.driver = ("inst", iid, pin)
+        inst = self.instances[iid] = Instance(iid, prim, dict(pins), pin_enc, cell_tag)
+        _wire(self.nets, inst)
         return inst
 
     def copy_cell(self, cell: Circuit, prefix: str, tag: str,
@@ -147,16 +154,9 @@ class _Builder:
         for iid, inst in cell.instances.items():
             new_iid = prefix + iid
             new_pins = {pin: mapped[nid] for pin, nid in inst.pins.items()}
-            new_inst = Instance(new_iid, inst.primitive, new_pins,
-                                dict(inst.pin_encodings), tag)
-            self.instances[new_iid] = new_inst
-            for pin in inst.primitive.input_pins:
-                self.nets[new_pins[pin]].sinks.append((new_iid, pin))
-            for pin in inst.primitive.output_pins:
-                net = self.nets[new_pins[pin]]
-                if net.driver is not None:
-                    raise NetlistError(f"net {net.id!r} already driven")
-                net.driver = ("inst", new_iid, pin)
+            self.instances[new_iid] = new_inst = Instance(
+                new_iid, inst.primitive, new_pins, dict(inst.pin_encodings), tag)
+            _wire(self.nets, new_inst)
         for _, inv in cell.metadata.get("cell_inventory_overrides", {}).items():
             self.metadata.setdefault("cell_inventory_overrides", {})[tag] = inv
         kinds = cell.metadata.get("cell_kinds", {})
@@ -165,22 +165,29 @@ class _Builder:
 
     def finalize(self, **metadata) -> Circuit:
         self.metadata.update(metadata)
-        c = Circuit(self.name, self.ports, self.nets, self.instances, self.metadata)
-        recompute_caps(c)
-        return c
+        return Circuit(self.name, self.ports, self.nets, self.instances, self.metadata)
 
 
-def recompute_caps(c: Circuit) -> None:
-    """Fill every net's total_cap from attached pin caps + external load.
-    Constant rails are supply ties with zero switching cost."""
-    for net in c.nets.values():
-        if net.driver is not None and net.driver[0] == "const":
-            net.total_cap = 0.0
-            continue
-        cap = net.external_load
-        for iid, _pin in net.sinks:
-            cap += c.instances[iid].primitive.params.input_cap_per_pin
-        net.total_cap = cap
+def _wire(nets: dict, inst: Instance) -> None:
+    """Attach ``inst`` to its nets: a sink (and its pin cap) on each input
+    net, the driver of each output net. Raises NetlistError naming the
+    instance and the pin on an unbound pin or a missing net, and naming the
+    net when it is already driven."""
+    prim, pins = inst.primitive, inst.pins
+    n_in = len(prim.input_pins)
+    for k, pin in enumerate(prim.input_pins + prim.output_pins):
+        net = nets.get(pins.get(pin))
+        if net is None:
+            what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
+            raise NetlistError(f"instance {inst.id!r} pin {pin!r} {what}")
+        if k < n_in:
+            net.sinks.append((inst.id, pin))
+            if net.driver is None or net.driver[0] != "const":
+                net.total_cap += prim.params.input_cap_per_pin
+        elif net.driver is not None:
+            raise NetlistError(f"net {net.id!r} already driven")
+        else:
+            net.driver = ("inst", inst.id, pin)
 
 
 # --------------------------------------------------------------------------
@@ -418,10 +425,6 @@ def validate(c: Circuit) -> list[str]:
                 diags.append(f"{inst.id}: pin {pin} unbound")
             elif inst.pins[pin] not in c.nets:
                 diags.append(f"{inst.id}.{pin}: net {inst.pins[pin]!r} does not exist")
-        for pin in prim.output_pins:
-            nid = inst.pins.get(pin)
-            if nid in drivers:
-                drivers[nid].append(("inst", inst.id, pin))
         for pin in prim.input_pins:
             nid = inst.pins.get(pin)
             if nid not in c.nets:
@@ -437,6 +440,7 @@ def validate(c: Circuit) -> list[str]:
         for pin in prim.output_pins:
             nid = inst.pins.get(pin)
             if nid in c.nets:
+                drivers[nid].append(("inst", inst.id, pin))
                 net_enc = c.nets[nid].encoding
                 if net_enc.level_voltages != out_enc.level_voltages:
                     diags.append(
@@ -578,12 +582,9 @@ def area_report(c: Circuit) -> AreaReport:
 # JSON interchange
 
 
-def _enc_to_json(enc: SignalEncoding) -> dict:
-    return {"name": enc.name, "level_voltages": list(enc.level_voltages)}
-
-
-def _enc_from_json(d: dict) -> SignalEncoding:
-    return SignalEncoding(d["name"], tuple(d["level_voltages"]))
+# ElectricalParams' numbers, in field order
+_PARAMS = ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
+           "intrinsic_delay", "threshold_voltage")
 
 
 def _inv_to_json(inv: TransistorInventory) -> list:
@@ -595,7 +596,24 @@ def _inv_from_json(raw) -> TransistorInventory:
 
 
 def to_json(c: Circuit) -> dict:
-    """Lossless netlist interchange form."""
+    """Lossless netlist interchange form. Each port, net and instance entry,
+    and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
+    the nested encoding dicts and inventory lists are formatted once per
+    distinct encoding or primitive and shared: copy one to change it."""
+    # keyed by id(): the circuit keeps every encoding and primitive alive
+    encs: dict = {}
+    prims: dict = {}
+
+    def enc(e: SignalEncoding) -> dict:
+        return encs.get(id(e)) or encs.setdefault(
+            id(e), {"name": e.name, "level_voltages": list(e.level_voltages)})
+
+    def prim(p: GatePrimitive) -> dict:
+        return prims.get(id(p)) or prims.setdefault(id(p), {
+            "kind": p.kind, **{f: getattr(p.params, f) for f in _PARAMS},
+            "output_encoding": enc(p.params.output_encoding),
+            "inventory": _inv_to_json(p.inventory)})
+
     meta = dict(c.metadata)
     if "cell_inventory_overrides" in meta:
         meta["cell_inventory_overrides"] = {
@@ -605,27 +623,18 @@ def to_json(c: Circuit) -> dict:
     return {
         "name": c.name,
         "ports": [
-            {"name": p.name, "direction": p.direction,
-             "encoding": _enc_to_json(p.encoding), "net": p.net}
+            {"name": p.name, "direction": p.direction, "encoding": enc(p.encoding), "net": p.net}
             for p in c.ports.values()
         ],
         "nets": [
-            {"id": n.id, "encoding": _enc_to_json(n.encoding),
+            {"id": n.id, "encoding": enc(n.encoding),
              "driver": list(n.driver) if n.driver else None,
              "external_load": n.external_load}
             for n in c.nets.values()
         ],
         "instances": [
-            {"id": i.id, "kind": i.primitive.kind,
-             "supply_voltage": i.primitive.params.supply_voltage,
-             "input_cap_per_pin": i.primitive.params.input_cap_per_pin,
-             "drive_resistance_ref": i.primitive.params.drive_resistance_ref,
-             "intrinsic_delay": i.primitive.params.intrinsic_delay,
-             "threshold_voltage": i.primitive.params.threshold_voltage,
-             "output_encoding": _enc_to_json(i.primitive.params.output_encoding),
-             "inventory": _inv_to_json(i.primitive.inventory),
-             "pins": dict(i.pins),
-             "pin_encodings": {p: _enc_to_json(e) for p, e in i.pin_encodings.items()},
+            {"id": i.id, **prim(i.primitive), "pins": dict(i.pins),
+             "pin_encodings": {p: enc(e) for p, e in i.pin_encodings.items()},
              "cell_tag": i.cell_tag}
             for i in c.instances.values()
         ],
@@ -634,36 +643,38 @@ def to_json(c: Circuit) -> dict:
 
 
 def from_json(data: dict) -> Circuit:
-    """Rebuild a circuit from its interchange form."""
-    from .gates import ElectricalParams
+    """Rebuild a circuit from its interchange form. Equal encodings become
+    one :class:`SignalEncoding`, and instances with equal kind, electrical
+    numbers, output encoding and inventory share one :class:`GatePrimitive`,
+    as in a :func:`build_cpa` chain. Net drivers come from the instances'
+    pins. Raises NetlistError on a pin that is unbound or names a missing
+    net, a net with two drivers or a net load not finite and >= 0."""
+    encs: dict = {}
+    prims: dict = {}
+
+    def enc(d: dict) -> SignalEncoding:
+        key = (d["name"], tuple(d["level_voltages"]))
+        return encs.get(key) or encs.setdefault(key, SignalEncoding(*key))
+
+    def prim(d: dict) -> GatePrimitive:
+        key = (d["kind"], *(d[f] for f in _PARAMS), enc(d["output_encoding"]),
+               tuple(map(tuple, d["inventory"])))
+        return prims.get(key) or prims.setdefault(key, GatePrimitive(
+            d["kind"], ElectricalParams(*key[1:7]), _inv_from_json(d["inventory"])))
 
     nets = {}
     for nd in data["nets"]:
-        driver = tuple(nd["driver"]) if nd["driver"] else None
-        nets[nd["id"]] = Net(nd["id"], _enc_from_json(nd["encoding"]),
+        driver = tuple(nd["driver"]) if nd["driver"] and nd["driver"][0] != "inst" else None
+        nets[nd["id"]] = Net(nd["id"], enc(nd["encoding"]),
                              driver=driver, external_load=nd["external_load"])
     instances = {}
     for idd in data["instances"]:
-        params = ElectricalParams(
-            supply_voltage=idd["supply_voltage"],
-            input_cap_per_pin=idd["input_cap_per_pin"],
-            drive_resistance_ref=idd["drive_resistance_ref"],
-            intrinsic_delay=idd["intrinsic_delay"],
-            threshold_voltage=idd["threshold_voltage"],
-            output_encoding=_enc_from_json(idd["output_encoding"]),
-        )
-        prim = GatePrimitive(idd["kind"], params, _inv_from_json(idd["inventory"]))
-        inst = Instance(idd["id"], prim, dict(idd["pins"]),
-                        {p: _enc_from_json(e) for p, e in idd["pin_encodings"].items()},
-                        idd["cell_tag"])
-        instances[idd["id"]] = inst
-        for pin in prim.input_pins:
-            nets[inst.pins[pin]].sinks.append((inst.id, pin))
-        for pin in prim.output_pins:
-            nets[inst.pins[pin]].driver = ("inst", inst.id, pin)
+        inst = instances[idd["id"]] = Instance(
+            idd["id"], prim(idd), dict(idd["pins"]),
+            {p: enc(e) for p, e in idd["pin_encodings"].items()}, idd["cell_tag"])
+        _wire(nets, inst)
     ports = {
-        pd["name"]: Port(pd["name"], pd["direction"],
-                         _enc_from_json(pd["encoding"]), pd["net"])
+        pd["name"]: Port(pd["name"], pd["direction"], enc(pd["encoding"]), pd["net"])
         for pd in data["ports"]
     }
     meta = dict(data.get("metadata", {}))
@@ -672,9 +683,7 @@ def from_json(data: dict) -> Circuit:
             tag: _inv_from_json(raw)
             for tag, raw in meta["cell_inventory_overrides"].items()
         }
-    c = Circuit(data["name"], ports, nets, instances, meta)
-    recompute_caps(c)
-    return c
+    return Circuit(data["name"], ports, nets, instances, meta)
 
 
 def dump_netlist(c: Circuit, path: str | Path) -> None:

@@ -96,7 +96,8 @@ def _worst_step(trace, dst_port) -> float | None:
 
 
 def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> ComparisonRow:
-    """Build one cell, run both worst-case stimuli, collect the row."""
+    """Build one cell, run both worst-case stimuli, collect the row. An
+    error on the way is re-raised as it is, with a note naming the config."""
     try:
         cell = build_config_cell(config, lib)
         stim_in = worst_case_stimulus("input_to_carry", config.kind, config.vdd)
@@ -104,7 +105,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
         trace_in = simulate(cell, stim_in)
         trace_cc = simulate(cell, stim_cc)
     except Exception as exc:
-        raise type(exc)(f"[config {config.label()}] {exc}") from exc
+        exc.add_note(f"[config {config.label()}]")
+        raise
 
     d_in = _worst_step(trace_in, "Cout")
     d_cc = _worst_step(trace_cc, "Cout")

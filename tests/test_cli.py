@@ -190,3 +190,31 @@ def test_fallback_mode_produces_identical_report(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("cl, message", [
+    # finite, but the gate delay it gives overflows the event-key range
+    ("1e300F", "mux2_sum.y: gate delay"),
+    # not finite: float("1e400") is inf
+    ("1e400F", "argument --cl: capacitance must be a finite number"),
+])
+@pytest.mark.parametrize("command", ["sta", "sim"])
+def test_huge_load_exits_two_without_traceback(cl, message, command, tmp_path):
+    stim = tmp_path / "stim.json"
+    worst_case_stimulus("carry_to_carry", "qfa2", 0.9).save(stim)
+    extra = {"sta": ["--from", "A", "--to", "Cout"], "sim": ["--stimulus", str(stim)]}[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvadder.cli", command, "--cell", "qfa2", "--cl", cl, *extra],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_parse_cap_rejects_non_finite_values():
+    import argparse
+
+    for text in ("1e400F", "1e400", "-1fF"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite number >= 0"):
+            parse_cap(text)

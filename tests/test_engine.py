@@ -710,3 +710,18 @@ def test_waveform_times_strictly_increasing_per_net():
     for nid in tr._compiled.net_ids:
         times = [t for t, _, _ in tr.waveform(nid)]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_compiled_delays_equal_per_gate_propagation_delay():
+    from mvadder.gates import propagation_delay
+    from mvadder.netlist import from_json, to_json
+
+    c = from_json(to_json(build_cpa(build_qfa("qfa1", 0.9), 6, cl=2e-15)))
+    comp = _kernel.compile_circuit(c)
+    want = [
+        tuple(max(1, round(propagation_delay(inst.primitive, c.nets[inst.pins[pin]].total_cap)
+                           / (_kernel.TICK_PS * 1e-12)))
+              for pin in inst.primitive.output_pins)
+        for inst in c.instances.values()
+    ]
+    assert comp.gate_delay == want

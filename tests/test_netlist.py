@@ -280,3 +280,79 @@ def test_netlist_json_roundtrip_lossless(factory):
 def test_roundtripped_circuit_still_verifies():
     c = from_json(to_json(build_qfa("qfa2", 0.9)))
     assert verify_adder_cell(c) == []
+
+
+# dump_netlist bytes (SHA-256) of circuits whose JSON form must not drift
+DUMP_SHA256 = {
+    "qfa2_cpa32": "d0f2e4fe25773377c3546737fe8a41137c26afb6ee3b07e6b470564b2236bd16",
+    "bfa2x2": "bf7b6644e8f02c06f55ae3823c9b3323d7cf0ea505c3dadb594e28cab60655e2",
+}
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: build_cpa(build_qfa("qfa2", 0.9), 32, cl=2e-15),
+    lambda: build_binary_slice("bfa2", 0.9, cl=2e-15),
+])
+def test_dump_bytes_survive_a_json_round_trip(factory, tmp_path):
+    import hashlib
+
+    from mvadder.netlist import dump_netlist, load_netlist
+
+    c = factory()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dump_netlist(c, first)
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == DUMP_SHA256[c.name]
+    dump_netlist(load_netlist(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_from_json_shares_equal_primitives_and_encodings():
+    c = from_json(json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 8)))))
+    prims = [inst.primitive for inst in c.instances.values()]
+    # mux_sum0 and mux_sum1 are equal but built apart; one object after loading
+    assert len({id(p) for p in prims}) == len(set(prims)) < len(build_qfa("qfa2", 0.9).instances)
+    encs = [net.encoding for net in c.nets.values()]
+    encs += [e for inst in c.instances.values() for e in inst.pin_encodings.values()]
+    assert len({id(e) for e in encs}) == len(set(encs)) == 2  # quaternary and binary
+
+
+def test_to_json_entries_are_independent_dicts():
+    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 3))
+    before = json.loads(json.dumps(blob))
+    for key in ("ports", "nets", "instances"):
+        blob[key][0]["kind"] = "mutated"
+        blob[key][0]["id"] = "mutated"
+        assert blob[key][1:] == before[key][1:]
+    assert blob["instances"][0]["pins"] is not blob["instances"][1]["pins"]
+
+
+@pytest.mark.parametrize("pins, message", [
+    (lambda p: p.pop("a"), "instance 'inv_cout' pin 'a' unbound"),
+    (lambda p: p.update(a="nowhere"), "instance 'inv_cout' pin 'a' bound to missing net 'nowhere'"),
+    (lambda p: p.pop("y"), "instance 'inv_cout' pin 'y' unbound"),
+])
+def test_from_json_names_the_instance_and_pin_of_a_bad_binding(pins, message):
+    blob = to_json(build_qfa("qfa2", 0.9))
+    [inst] = [i for i in blob["instances"] if i["id"] == "inv_cout"]
+    pins(inst["pins"])
+    with pytest.raises(NetlistError, match=message):
+        from_json(blob)
+
+
+def test_from_json_rejects_a_second_driver():
+    blob = to_json(build_qfa("qfa2", 0.9))
+    [inst] = [i for i in blob["instances"] if i["id"] == "succ1"]
+    inst["pins"]["y"] = "n_sum0"
+    with pytest.raises(NetlistError, match="net 'n_sum0' already driven"):
+        from_json(blob)
+
+
+@pytest.mark.parametrize("load", [float("nan"), float("inf"), -float("inf"), -1e-15, "2fF", None])
+def test_external_load_must_be_a_finite_number_at_least_zero(load):
+    blob = to_json(build_qfa("qfa2", 0.9))
+    [net] = [n for n in blob["nets"] if n["id"] == "n_sum"]
+    net["external_load"] = load
+    with pytest.raises(NetlistError, match="net 'n_sum': external_load must be a finite"):
+        from_json(json.loads(json.dumps(blob)))
+    with pytest.raises(NetlistError, match="net 'n_sum': external_load"):
+        build_qfa("qfa2", 0.9, cl=load)

@@ -122,3 +122,31 @@ def test_json_and_csv_shapes(four_rows):
     lines = csv_text.splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("config,kind,vdd")
+
+
+class _TwoArgError(Exception):
+    """An exception whose constructor takes more than a message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+def test_measure_config_reraises_the_same_error_with_the_config_named(monkeypatch):
+    import mvadder.report as report_mod
+
+    def fail(*args):
+        raise _TwoArgError(7, "boom")
+
+    monkeypatch.setattr(report_mod, "simulate", fail)
+    with pytest.raises(_TwoArgError) as info:
+        measure_config(AdderConfig("qfa2", 0.9))
+    assert info.value.args == (7, "boom")
+    assert info.value.__notes__ == ["[config qfa2@0.9]"]
+
+
+def test_cli_prints_the_config_of_a_failing_row(capsys):
+    from mvadder.cli import main
+
+    # QFA1's vdd/3 carry inverter is below threshold at 0.45 V
+    assert main(["compare", "--configs", "qfa2@0.9,qfa1@0.45"]) == 3
+    assert "model error: [config qfa1@0.45] inv: supply" in capsys.readouterr().err
