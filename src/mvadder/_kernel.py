@@ -12,7 +12,8 @@ event loop (:func:`_run_single`) is plain Python over lists with a
 ``heapq`` event queue; it starts by evaluating the gates the constants
 alone decide, then applies the input levels at t = 0. The batch settle
 (:func:`settle_batch`) is one levelized pass, vectorized over the gates of
-a level and over input vectors with numpy.
+a level and over input vectors with numpy. Gate order and logic levels
+come from the Kahn pass of :func:`netlist._analyse`, run once per compile.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .gates import KINDS, eval_primitive, input_pins, output_pins, propagation_delay
 from .levels import DomainError
-from .netlist import validate
+from .netlist import _analyse
 
 #: Event-time quantum: one tick is 0.1 ps. All delays are integer ticks,
 #: which keeps event ordering exact and runs deterministic.
@@ -40,7 +41,7 @@ ERR_UNSETTLED = 3
 
 LVL_X = -1
 _CODES = 5  # input codes: X, L0..L3
-_END = 2 ** 62  # event key of an exhausted input stream; every real key is below
+_END = float("inf")  # event key of an exhausted input stream, above every real key
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +73,12 @@ def gate_tables() -> tuple:
 
 
 class CompiledCircuit:
-    """Array form of a validated circuit, ready for the kernels."""
+    """Kernel array form of a circuit; ``DomainError`` names an invalid one's diagnostics."""
 
     def __init__(self, circuit):
+        diags, self._order, self._level = _analyse(circuit)
+        if diags:
+            raise DomainError(f"circuit invalid: {diags}")
         net_ids = list(circuit.nets)
         self.net_index = {nid: i for i, nid in enumerate(net_ids)}
         self.net_ids = net_ids
@@ -95,6 +99,7 @@ class CompiledCircuit:
                 self.net_init[i] = net.driver[1]
 
         insts = list(circuit.instances.values())
+        self.gate_ids = list(circuit.instances)
         self.n_gates = len(insts)
         self.gate_kind = [inst.primitive.kind for inst in insts]
         table, first_row = gate_tables()
@@ -103,8 +108,9 @@ class CompiledCircuit:
         self.gate_in, self.gate_out, self.gate_delay = [], [], []
         gate_row = []  # per gate: its row of the stacked table at the initial levels
         ticks: dict = {}  # (id(primitive), output load) -> delay in ticks
-        # the settle phase's half of the event-key range (see engine._check_stimulus)
-        max_ticks = _END // max(2, 2 * n)
+        # no path has more than n gates, so the settle phase ends within 2**61
+        # ticks; engine._check_stimulus bounds the rest so ticks fit int64
+        max_ticks = 2 ** 62 // max(2, 2 * n)
         # per net: {gate it feeds: summed base-5 weights of the pins it drives}
         fanout: list[dict] = [{} for _ in range(n)]
         for gi, inst in enumerate(insts):
@@ -147,35 +153,21 @@ class CompiledCircuit:
 
     @cached_property
     def topo_order(self) -> list:
-        """Gate indices in Kahn order, every gate after the drivers of its
-        inputs; nets become ready last-in first-out. Built on first use."""
-        n_wait = [len(set(ins)) for ins in self.gate_in]  # distinct input nets
-        produced = {ni for outs in self.gate_out for ni in outs}
-        ready = [ni for ni in reversed(range(self.n_nets)) if ni not in produced]
-        order = []
-        while ready:
-            ni = ready.pop()
-            for gi, _ in self.fanout[ni]:
-                n_wait[gi] -= 1
-                if n_wait[gi] == 0:
-                    order.append(gi)
-                    ready.extend(self.gate_out[gi])
-        return order
+        """Gate indices in the Kahn order of :func:`netlist._analyse`, every
+        gate after the drivers of its inputs. Mapped on first use."""
+        index = {iid: gi for gi, iid in enumerate(self.gate_ids)}
+        return [index[iid] for iid in self._order]
 
     @cached_property
     def settle_plan(self) -> list:
         """Steps for :func:`settle_batch` in level order, one per group of
-        gates of one kind and one logic level (1 + the highest level of its
-        input nets; port and constant nets are 0). A step is (input nets
-        (k, gates); the k table index weights; the kind's output codes
-        (nout, 5 ** k) from :func:`kind_table`; output nets (nout, gates))."""
-        net_level = [0] * self.n_nets
+        gates of one kind and one logic level (from :func:`netlist._analyse`).
+        A step is (input nets (k, gates); the k table index weights; the
+        kind's output codes (nout, 5 ** k) from :func:`kind_table`; output
+        nets (nout, gates))."""
         groups: dict = {}
         for gi in self.topo_order:
-            level = 1 + max(net_level[ni] for ni in self.gate_in[gi])
-            for ni in self.gate_out[gi]:
-                net_level[ni] = level
-            groups.setdefault((level, self.gate_kind[gi]), []).append(gi)
+            groups.setdefault((self._level[self.gate_ids[gi]], self.gate_kind[gi]), []).append(gi)
         plan = []
         for (_, kind), gates in sorted(groups.items(), key=lambda kv: kv[0][0]):
             ins = np.array([self.gate_in[gi] for gi in gates], np.int64).T
@@ -187,15 +179,10 @@ class CompiledCircuit:
 
 
 def compile_circuit(circuit) -> CompiledCircuit:
-    """Validate, compile and cache on the circuit the kernel array form.
-    Raises ``DomainError`` naming the diagnostics of an invalid circuit."""
+    """Compile (see :class:`CompiledCircuit`) and cache on the circuit."""
     cached = getattr(circuit, "_compiled", None)
     if cached is None:
-        diags = validate(circuit)
-        if diags:
-            raise DomainError(f"circuit invalid: {diags}")
-        cached = CompiledCircuit(circuit)
-        circuit._compiled = cached
+        cached = circuit._compiled = CompiledCircuit(circuit)
     return cached
 
 

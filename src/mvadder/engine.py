@@ -173,8 +173,8 @@ def _as_level(port: str, value) -> Level:
 
 
 def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
-    # heap keys (tick * nets + net) must stay below the kernel's 2**62
-    # sentinel; half that range is left for the settle phase before origin
+    # settle ends within 2**61 ticks (n_nets gates at most on a path, each within
+    # _kernel.CompiledCircuit's bound); this adds at most 2**61: ticks fit int64
     max_ps = 2 ** 62 // (2 * comp.n_nets) / _kernel.TICKS_PER_PS
     if not 0 <= stim.duration_ps <= max_ps:  # NaN fails too
         raise StimulusError(

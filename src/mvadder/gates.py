@@ -93,8 +93,13 @@ class ElectricalParams:
     def __post_init__(self):
         for field in ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
                       "intrinsic_delay", "threshold_voltage"):
-            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
-                raise DomainError(f"{field} must be finite and > 0")
+            value = getattr(self, field)
+            try:
+                ok = 0 < value < math.inf  # NaN fails too
+            except TypeError:  # not a number
+                ok = False
+            if not ok:
+                raise DomainError(f"{field} must be finite and > 0, got {value!r}")
 
 
 # Gate kinds. det{k}: inverting threshold detector plus buffered

@@ -20,7 +20,7 @@ from .gates import (
     TransistorInventory,
     inventory_area,
 )
-from .levels import Level, SignalEncoding, binary_full, quaternary, third_swing
+from .levels import DomainError, Level, SignalEncoding, binary_full, quaternary, third_swing
 
 
 class NetlistError(ValueError):
@@ -408,9 +408,19 @@ def build_binary_slice(variant: str, vdd: float = 0.9,
 
 
 def validate(c: Circuit) -> list[str]:
-    """Structural diagnostics; empty list means the circuit is usable."""
+    """Structural diagnostics; empty list means the circuit is usable. A
+    cycle diagnostic names the gates on it, not those behind it (:func:`_analyse`)."""
+    return _analyse(c)[0]
+
+
+def _analyse(c: Circuit) -> tuple[list[str], list[str], dict[str, int]]:
+    """:func:`validate`'s diagnostics, the instance ids in Kahn order and each
+    ordered gate's logic level (1 + its inputs' highest; an undriven net is 0)."""
     diags: list[str] = []
     drivers: dict[str, list] = {nid: [] for nid in c.nets}
+    feeds: dict[str, list] = {nid: [] for nid in c.nets}  # gates fed, one entry per pin
+    n_wait = dict.fromkeys(c.instances, 0)  # per gate: its input pins bound to a net
+    outs: dict[str, list] = {iid: [] for iid in c.instances}  # per gate: the nets it drives
     for port in c.ports.values():
         if port.net not in c.nets:
             diags.append(f"port {port.name}: net {port.net!r} does not exist")
@@ -429,6 +439,8 @@ def validate(c: Circuit) -> list[str]:
             nid = inst.pins.get(pin)
             if nid not in c.nets:
                 continue
+            feeds[nid].append(inst.id)
+            n_wait[inst.id] += 1
             expected = inst.pin_encodings.get(pin)
             actual = c.nets[nid].encoding
             if expected is not None and actual.level_voltages != expected.level_voltages:
@@ -441,6 +453,7 @@ def validate(c: Circuit) -> list[str]:
             nid = inst.pins.get(pin)
             if nid in c.nets:
                 drivers[nid].append(("inst", inst.id, pin))
+                outs[inst.id].append(nid)
                 net_enc = c.nets[nid].encoding
                 if net_enc.level_voltages != out_enc.level_voltages:
                     diags.append(
@@ -460,48 +473,36 @@ def validate(c: Circuit) -> list[str]:
     if c.metadata.get("adder_cell") and not _ADDER_PORTS <= set(c.ports):
         diags.append(f"adder cell missing ports {sorted(_ADDER_PORTS - set(c.ports))}")
 
-    # Combinational cycle check: instance depends on the drivers of its inputs.
-    driven_by: dict[str, str] = {}
-    for inst in c.instances.values():
-        for pin in inst.primitive.output_pins:
-            nid = inst.pins.get(pin)
-            if nid is not None:
-                driven_by[nid] = inst.id
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+    # Kahn's algorithm in waves of nets: a gate's level is the wave bringing its last input
+    driven = {nid for nets in outs.values() for nid in nets}
+    wave = [nid for nid in c.nets if nid not in driven]
+    level: dict[str, int] = {}  # in Kahn order
+    depth = 0
+    while wave:
+        depth += 1
+        nxt = []
+        for nid in wave:
+            for iid in feeds[nid]:
+                n_wait[iid] -= 1
+                if not n_wait[iid]:
+                    level[iid] = depth
+                    nxt += outs[iid]
+        wave = nxt
 
-    def _deps(iid: str) -> list[str]:
-        inst = c.instances[iid]
-        out = []
-        for pin in inst.primitive.input_pins:
-            up = driven_by.get(inst.pins.get(pin))
-            if up is not None:
-                out.append(up)
-        return out
-
-    cycle_hits: set[str] = set()
-    for start in c.instances:
-        if state.get(start):
-            continue
-        stack: list[tuple[str, list[str], int]] = [(start, _deps(start), 0)]
-        state[start] = 1
-        while stack:
-            iid, dep, idx = stack[-1]
-            if idx < len(dep):
-                stack[-1] = (iid, dep, idx + 1)
-                nxt = dep[idx]
-                st = state.get(nxt)
-                if st == 1:
-                    cycle_hits.add(nxt)
-                elif st is None:
-                    state[nxt] = 1
-                    stack.append((nxt, _deps(nxt), 0))
-            else:
-                state[iid] = 2
-                stack.pop()
-    for iid in sorted(cycle_hits):
-        diags.append(f"combinational cycle through instance {iid!r}")
-
-    return diags
+    # gates never reached lie on or behind a cycle; peel those feeding none, sinks first
+    stuck = set(c.instances) - level.keys()
+    n_fed = {g: sum(h in stuck for nid in outs[g] for h in feeds[nid]) for g in stuck}
+    peel = [g for g in stuck if not n_fed[g]]
+    for g in peel:  # grows as gates lose their last stuck sink
+        stuck.remove(g)
+        inst = c.instances[g]
+        for nid in map(inst.pins.get, inst.primitive.input_pins):
+            for f in [d[1] for d in drivers.get(nid, ()) if d[0] == "inst" and d[1] in stuck]:
+                n_fed[f] -= 1
+                if not n_fed[f]:
+                    peel.append(f)
+    diags += [f"combinational cycle through instance {iid!r}" for iid in sorted(stuck)]
+    return diags, list(level), level
 
 
 # --------------------------------------------------------------------------
@@ -647,8 +648,8 @@ def from_json(data: dict) -> Circuit:
     one :class:`SignalEncoding`, and instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
     as in a :func:`build_cpa` chain. Net drivers come from the instances'
-    pins. Raises NetlistError on a pin that is unbound or names a missing
-    net, a net with two drivers or a net load not finite and >= 0."""
+    pins. Raises NetlistError naming the net or instance on a missing field,
+    a bad number, a pin unbound or bound to a missing net, or a second driver."""
     encs: dict = {}
     prims: dict = {}
 
@@ -664,14 +665,21 @@ def from_json(data: dict) -> Circuit:
 
     nets = {}
     for nd in data["nets"]:
-        driver = tuple(nd["driver"]) if nd["driver"] and nd["driver"][0] != "inst" else None
-        nets[nd["id"]] = Net(nd["id"], enc(nd["encoding"]),
-                             driver=driver, external_load=nd["external_load"])
+        try:
+            driver = tuple(nd["driver"]) if nd["driver"] and nd["driver"][0] != "inst" else None
+            nets[nd["id"]] = Net(nd["id"], enc(nd["encoding"]),
+                                 driver=driver, external_load=nd["external_load"])
+        except KeyError as exc:
+            raise NetlistError(f"net {nd.get('id')!r}: missing field {exc}") from None
     instances = {}
     for idd in data["instances"]:
-        inst = instances[idd["id"]] = Instance(
-            idd["id"], prim(idd), dict(idd["pins"]),
-            {p: enc(e) for p, e in idd["pin_encodings"].items()}, idd["cell_tag"])
+        try:
+            inst = instances[idd["id"]] = Instance(
+                idd["id"], prim(idd), dict(idd["pins"]),
+                {p: enc(e) for p, e in idd["pin_encodings"].items()}, idd["cell_tag"])
+        except (KeyError, DomainError) as exc:
+            why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise NetlistError(f"instance {idd.get('id')!r}: {why}") from None
         _wire(nets, inst)
     ports = {
         pd["name"]: Port(pd["name"], pd["direction"], enc(pd["encoding"]), pd["net"])

@@ -85,11 +85,9 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
 
     for gi in comp.topo_order:
         inst = insts[gi]
-        for j, opin in enumerate(inst.primitive.output_pins):
-            out_ni = comp.gate_out[gi][j]
-            delay = comp.gate_delay[gi][j]
-            for ipin in inst.primitive.input_pins:
-                in_ni = comp.net_index[inst.pins[ipin]]
+        prim = inst.primitive
+        for opin, out_ni, delay in zip(prim.output_pins, comp.gate_out[gi], comp.gate_delay[gi]):
+            for ipin, in_ni in zip(prim.input_pins, comp.gate_in[gi]):
                 if arrival[in_ni] < 0:
                     continue
                 cand = arrival[in_ni] + delay
@@ -101,7 +99,7 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
                 ):
                     arrival[out_ni] = cand
                     arc = TimingArc(
-                        instance=inst.id, kind=inst.primitive.kind,
+                        instance=inst.id, kind=prim.kind,
                         from_pin=ipin, to_pin=opin,
                         from_net=comp.net_ids[in_ni], to_net=comp.net_ids[out_ni],
                         delay_ps=delay * TICK_PS, cell_tag=inst.cell_tag,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -26,7 +27,15 @@ from mvadder.gates import (
     input_pins,
     output_pins,
 )
-from mvadder.levels import DomainError, Level, binary_full, cpa_oracle_rows, quaternary
+from mvadder.levels import (
+    DigitVector,
+    DomainError,
+    Level,
+    binary_full,
+    cpa_oracle,
+    cpa_oracle_rows,
+    quaternary,
+)
 from mvadder.netlist import (
     _Builder,
     build_bfa,
@@ -36,6 +45,7 @@ from mvadder.netlist import (
     validate,
 )
 from mvadder.timing import sta
+from random_circuits import random_circuit
 
 L = Level
 
@@ -589,40 +599,6 @@ def test_gate_fed_outside_its_domain_gives_x_in_both_engines():
         settle_matrix(c, ["A", "B"], [[2, 1]])
 
 
-def random_circuit(rng, n_gates=24, vdd=0.9):
-    """Random acyclic netlist over every gate kind with constant nets
-    mixed in, its instances listed in random order. Some inputs get the
-    other radix, which validate accepts since no pin encoding is pinned.
-    It has no output ports, so X nets never stop simulate."""
-    enc = {2: binary_full(vdd), 4: quaternary(vdd)}
-    b = _Builder("random", CellLibrary.default())
-    nets = {2: [b.port("I0", "in", enc[2]), b.port("I1", "in", enc[2]),
-                b.const("k0", L.L0, enc[2]), b.const("k1", L.L1, enc[2])],
-            4: [b.port("I2", "in", enc[4]), b.const("k2", L(int(rng.integers(4))), enc[4])]}
-    for g in range(n_gates):
-        kind = str(rng.choice(KINDS))
-        r = int(rng.choice([2, 4]))  # data radix of mux and buf
-        free = kind.startswith(("mux", "buf"))
-        out_r = 4 if kind.startswith("succ") else r if free else 2
-        pins = {}
-        for pin in input_pins(kind):
-            if pin == "sel":
-                radix = 4 if kind == "mux4" else 2
-            else:
-                radix = 4 if kind.startswith(("det", "succ")) else r if free else 2
-            if rng.random() < 0.15:
-                radix = 6 - radix
-            pins[pin] = nets[radix][rng.integers(len(nets[radix]))]
-        for pin in output_pins(kind):
-            pins[pin] = b.net(f"g{g}_{pin}", enc[out_r])
-            nets[out_r].append(pins[pin])
-        b.inst(f"g{g}", kind, vdd, enc[out_r], pins)
-    order = list(b.instances)
-    rng.shuffle(order)
-    b.instances = {i: b.instances[i] for i in order}
-    return b.finalize(vdd=vdd)
-
-
 def reference_settle(c, assign):
     """Every net's settled level from eval_primitive, gates evaluated
     after their drivers (X where a DomainError is raised)."""
@@ -725,3 +701,22 @@ def test_compiled_delays_equal_per_gate_propagation_delay():
         for inst in c.instances.values()
     ]
     assert comp.gate_delay == want
+
+
+def test_long_carry_path_settles_with_keys_past_2_to_the_62():
+    """Every gate delay is within the per-gate bound, but the settle keys
+    (tick * nets + net) of the whole ripple pass 2**62; the exhausted-stream
+    sentinel still compares above them."""
+    slow = {kind: dataclasses.replace(spec, drive_resistance_ref=2e17)
+            for kind, spec in CellLibrary.default().cells.items()}
+    n = 64
+    c = build_cpa(build_qfa("qfa2", 0.9, CellLibrary(slow)), n)
+    rng = np.random.default_rng(7)
+    a, b = (DigitVector(4, tuple(int(d) for d in rng.integers(0, 4, n))) for _ in "ab")
+    initial = {"C0": L.L1, **{f"A{i}": L(a.digits[i]) for i in range(n)},
+               **{f"B{i}": L(b.digits[i]) for i in range(n)}}
+    tr = simulate(c, Stimulus(initial=initial, duration_ps=0.0))
+    assert tr.origin_ticks * tr._compiled.n_nets > 2 ** 62
+    want_sum, want_cout = cpa_oracle(a, b, 1)
+    assert tuple(int(tr.final_level(f"S{i}")) for i in range(n)) == want_sum.digits
+    assert int(tr.final_level(f"C{n}")) == want_cout

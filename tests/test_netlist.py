@@ -1,10 +1,15 @@
 import json
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvadder.levels import binary_full
+from mvadder._kernel import compile_circuit
+from mvadder.levels import DomainError, binary_full
 from mvadder.netlist import (
     NetlistError,
+    _analyse,
     area_report,
     build_bfa,
     build_binary_slice,
@@ -15,6 +20,7 @@ from mvadder.netlist import (
     validate,
 )
 from mvadder.verify import verify_adder_cell, verify_binary_slice, verify_cpa
+from random_circuits import random_circuit
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +217,85 @@ def test_validate_flags_cycle():
     assert any("cycle" in d for d in diags)
 
 
+def _cycle_diags(c) -> list:
+    return [d for d in validate(c) if "cycle" in d]
+
+
+def test_cycle_diagnostic_names_exactly_the_cycle_members():
+    c = build_cpa(build_qfa("qfa2", 0.9), 3)
+    # d0's carry out fed back into its own carry mux; d1 and d2 lie downstream
+    c.instances["d0.mux2_cout"].pins["d0"] = c.instances["d0.inv_cout"].pins["y"]
+    assert _cycle_diags(c) == ["combinational cycle through instance 'd0.inv_cout'",
+                               "combinational cycle through instance 'd0.mux2_cout'"]
+
+
+def test_unbound_pin_and_cycle_are_reported_together():
+    c = build_qfa("qfa2", 0.9)
+    c.instances["mux2_cout"].pins["d0"] = "n_cout"
+    del c.instances["succ1"].pins["a"]  # succ1 and the sum muxes it feeds are never ordered
+    diags = validate(c)
+    assert "succ1: pin a unbound" in diags
+    assert _cycle_diags(c) == ["combinational cycle through instance 'inv_cout'",
+                               "combinational cycle through instance 'mux2_cout'"]
+    with pytest.raises(DomainError, match="pin a unbound.*cycle through instance 'inv_cout'"):
+        compile_circuit(c)
+
+
+def _upstream(c) -> dict:
+    """Per instance: the instances driving its input nets."""
+    driver = {inst.pins[p]: iid for iid, inst in c.instances.items()
+              for p in inst.primitive.output_pins}
+    return {iid: [driver[inst.pins[p]] for p in inst.primitive.input_pins
+                  if inst.pins[p] in driver]
+            for iid, inst in c.instances.items()}
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_kahn_pass_orders_levels_and_finds_cycles_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    ups = _upstream(c)
+    comp = compile_circuit(c)
+    position = {comp.gate_ids[gi]: k for k, gi in enumerate(comp.topo_order)}
+    assert sorted(position) == sorted(c.instances)
+    assert all(position[u] < position[iid] for iid in ups for u in ups[iid])
+
+    @cache
+    def depth(iid):
+        return 1 + max((depth(u) for u in ups[iid]), default=0)
+
+    assert _analyse(c)[2] == {iid: depth(iid) for iid in c.instances}
+
+    # one back edge: an input of v, upstream of u or u itself, now reads u
+    u = str(rng.choice(list(c.instances)))
+    above, todo = {u}, [u]
+    while todo:
+        for w in ups[todo.pop()]:
+            if w not in above:
+                above.add(w)
+                todo.append(w)
+    v = c.instances[str(rng.choice(sorted(above)))]
+    u_out = c.instances[u].pins[str(rng.choice(c.instances[u].primitive.output_pins))]
+    v.pins[str(rng.choice(v.primitive.input_pins))] = u_out
+    ups = _upstream(c)
+
+    def on_cycle(iid):
+        seen, todo = set(), list(ups[iid])
+        while todo:
+            w = todo.pop()
+            if w == iid:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo += ups[w]
+        return False
+
+    members = sorted(iid for iid in c.instances if on_cycle(iid))
+    assert u in members and v.id in members
+    assert _cycle_diags(c) == [f"combinational cycle through instance {iid!r}" for iid in members]
+
+
 # --------------------------------------------------------------------------
 # Area report
 
@@ -356,3 +441,20 @@ def test_external_load_must_be_a_finite_number_at_least_zero(load):
         from_json(json.loads(json.dumps(blob)))
     with pytest.raises(NetlistError, match="net 'n_sum': external_load"):
         build_qfa("qfa2", 0.9, cl=load)
+
+
+@pytest.mark.parametrize("entry, field, value, message", [
+    ("nets", "external_load", None, "net 'n_sum': missing field 'external_load'"),
+    ("instances", "supply_voltage", None, "instance 'inv_cout': missing field 'supply_voltage'"),
+    ("instances", "supply_voltage", "0.9",
+     "instance 'inv_cout': supply_voltage must be finite and > 0, got '0.9'"),
+])
+def test_from_json_names_the_entry_and_field_at_fault(entry, field, value, message):
+    blob = to_json(build_qfa("qfa2", 0.9))
+    [d] = [d for d in blob[entry] if d["id"] in ("n_sum", "inv_cout")]
+    if value is None:
+        del d[field]
+    else:
+        d[field] = value
+    with pytest.raises(NetlistError, match=message):
+        from_json(blob)
