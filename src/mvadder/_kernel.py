@@ -12,8 +12,9 @@ event loop (:func:`_run_single`) is plain Python over lists with a
 ``heapq`` event queue; it starts by evaluating the gates the constants
 alone decide, then applies the input levels at t = 0. The batch settle
 (:func:`settle_batch`) is one levelized pass, vectorized over the gates of
-a level and over input vectors with numpy. Gate order and logic levels
-come from the Kahn pass of :func:`netlist._analyse`, run once per compile.
+a level and over input vectors with numpy. The net indices of every pin,
+the fan-out, the gate order and the logic levels come from the one pass
+of :func:`netlist._analyse` that a compile runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .gates import KINDS, eval_primitive, input_pins, output_pins, propagation_delay
 from .levels import DomainError
-from .netlist import _analyse
+from .netlist import _CODES, _analyse
 
 #: Event-time quantum: one tick is 0.1 ps. All delays are integer ticks,
 #: which keeps event ordering exact and runs deterministic.
@@ -40,7 +41,6 @@ ERR_TIMEOUT = 2
 ERR_UNSETTLED = 3
 
 LVL_X = -1
-_CODES = 5  # input codes: X, L0..L3
 _END = float("inf")  # event key of an exhausted input stream, above every real key
 
 
@@ -73,78 +73,75 @@ def gate_tables() -> tuple:
 
 
 class CompiledCircuit:
-    """Kernel array form of a circuit; ``DomainError`` names an invalid one's diagnostics."""
+    """Kernel array form of a circuit; ``DomainError`` names an invalid one's diagnostics.
+
+    The one pass of :func:`netlist._analyse` gives the integer graph
+    (``net_index``, ``gate_in``, ``gate_out`` and ``fanout``, whose weights
+    step a gate's table row when an input changes), the Kahn order
+    ``topo_order`` (gate indices, every gate after the drivers of its
+    inputs) and ``gate_level``. Compiling adds the output delays in ticks,
+    each gate's table row at the initial levels, the net caps and rails,
+    and the gates the constants alone decide."""
 
     def __init__(self, circuit):
-        diags, self._order, self._level = _analyse(circuit)
+        (diags, self.net_index, self.gate_in, self.gate_out, self.fanout,
+         self.topo_order, self.gate_level) = _analyse(circuit)
         if diags:
             raise DomainError(f"circuit invalid: {diags}")
-        net_ids = list(circuit.nets)
-        self.net_index = {nid: i for i, nid in enumerate(net_ids)}
-        self.net_ids = net_ids
-        n = self.n_nets = len(net_ids)
-
-        self.net_cap = np.zeros(n, np.float64)
+        nets = list(circuit.nets.values())
+        self.net_ids = list(circuit.nets)
+        n = self.n_nets = len(nets)
+        cap = [net.total_cap for net in nets]
+        self.net_cap = np.array(cap, np.float64)
+        const = {i: net.driver[1] for i, net in enumerate(nets)
+                 if net.driver is not None and net.driver[0] == "const"}
         self.net_init = np.full(n, LVL_X, np.int64)
+        self.net_init[list(const)] = list(const.values())
         # per net: its level voltages padded to four levels, then 0 V for X
         # (index -1); the nets of one encoding share one tuple
         self.net_rail = []
         rails: dict = {}
-        for nid, net in circuit.nets.items():
-            i = self.net_index[nid]
-            self.net_cap[i] = net.total_cap
+        for net in nets:
             volts = tuple(net.encoding.level_voltages)
             self.net_rail.append(rails.setdefault(volts, volts + (0.0,) * (5 - len(volts))))
-            if net.driver is not None and net.driver[0] == "const":
-                self.net_init[i] = net.driver[1]
 
         insts = list(circuit.instances.values())
         self.gate_ids = list(circuit.instances)
-        self.n_gates = len(insts)
         self.gate_kind = [inst.primitive.kind for inst in insts]
-        table, first_row = gate_tables()
-        init_code = (self.net_init + 1).tolist()
-        # per gate: input nets in pin order, output nets, output delays (ticks)
-        self.gate_in, self.gate_out, self.gate_delay = [], [], []
-        gate_row = []  # per gate: its row of the stacked table at the initial levels
+        self.gate_delay = []  # per gate: its output delays in ticks
         ticks: dict = {}  # (id(primitive), output load) -> delay in ticks
         # no path has more than n gates, so the settle phase ends within 2**61
         # ticks; engine._check_stimulus bounds the rest so ticks fit int64
         max_ticks = 2 ** 62 // max(2, 2 * n)
-        # per net: {gate it feeds: summed base-5 weights of the pins it drives}
-        fanout: list[dict] = [{} for _ in range(n)]
-        for gi, inst in enumerate(insts):
-            ins = [self.net_index[inst.pins[pin]] for pin in inst.primitive.input_pins]
-            row = first_row[inst.primitive.kind]
-            for j, ni in enumerate(ins):
-                weight = _CODES ** (len(ins) - 1 - j)
-                row += weight * init_code[ni]
-                fanout[ni][gi] = fanout[ni].get(gi, 0) + weight
-            outs, delays = [], []
-            for pin in inst.primitive.output_pins:
-                outs.append(self.net_index[inst.pins[pin]])
-                key = (id(inst.primitive), circuit.nets[inst.pins[pin]].total_cap)
-                delay = ticks.get(key)
+        for inst, outs in zip(insts, self.gate_out):
+            prim = inst.primitive
+            delays = []
+            for o in outs:
+                delay = ticks.get((id(prim), cap[o]))
                 if delay is None:
-                    delay_s = propagation_delay(inst.primitive, key[1])
+                    delay_s = propagation_delay(prim, cap[o])
                     delay = delay_s / (TICK_PS * 1e-12)
                     if not 0 <= delay <= max_ticks:  # NaN fails too
+                        pin = prim.output_pins[outs.index(o)]
                         raise DomainError(f"{inst.id}.{pin}: gate delay {delay_s!r} s is not a "
                                           f"finite number of ticks up to {max_ticks}")
                     # floor at one tick: zero-delay events would break the
                     # one-transition-per-net-per-tick invariant
-                    delay = ticks[key] = max(1, round(delay))
+                    delay = ticks[id(prim), cap[o]] = max(1, round(delay))
                 delays.append(delay)
-            self.gate_in.append(tuple(ins))
-            self.gate_out.append(tuple(outs))
             self.gate_delay.append(tuple(delays))
-            gate_row.append(row)
 
-        self.gate_row = np.array(gate_row, np.int64)
+        # per gate: its row of the stacked table at the initial levels; only
+        # the constants' codes (level + 1) are not 0
+        table, first_row = gate_tables()
+        row = [first_row[kind] for kind in self.gate_kind]
+        for i, lvl in const.items():
+            for g, w in self.fanout[i]:
+                row[g] += w * (lvl + 1)
+        self.gate_row = np.array(row, np.int64)
         # gates whose outputs the constants alone decide, from one gather;
         # the event loop evaluates them before anything else
         self.const_gates = np.flatnonzero((table[self.gate_row] >= 0).any(axis=1)).tolist()
-        self.fanout = [tuple(f.items()) for f in fanout]
 
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
@@ -152,22 +149,14 @@ class CompiledCircuit:
         self.port_radix = {p.name: p.encoding.radix for p in circuit.ports.values()}
 
     @cached_property
-    def topo_order(self) -> list:
-        """Gate indices in the Kahn order of :func:`netlist._analyse`, every
-        gate after the drivers of its inputs. Mapped on first use."""
-        index = {iid: gi for gi, iid in enumerate(self.gate_ids)}
-        return [index[iid] for iid in self._order]
-
-    @cached_property
     def settle_plan(self) -> list:
         """Steps for :func:`settle_batch` in level order, one per group of
-        gates of one kind and one logic level (from :func:`netlist._analyse`).
-        A step is (input nets (k, gates); the k table index weights; the
-        kind's output codes (nout, 5 ** k) from :func:`kind_table`; output
-        nets (nout, gates))."""
+        gates of one kind and one logic level. A step is (input nets
+        (k, gates); the k table index weights; the kind's output codes
+        (nout, 5 ** k) from :func:`kind_table`; output nets (nout, gates))."""
         groups: dict = {}
         for gi in self.topo_order:
-            groups.setdefault((self._level[self.gate_ids[gi]], self.gate_kind[gi]), []).append(gi)
+            groups.setdefault((self.gate_level[gi], self.gate_kind[gi]), []).append(gi)
         plan = []
         for (_, kind), gates in sorted(groups.items(), key=lambda kv: kv[0][0]):
             ins = np.array([self.gate_in[gi] for gi in gates], np.int64).T

@@ -394,9 +394,12 @@ def _parse_inventory(raw) -> TransistorInventory:
             raise LibraryError(f"inventory entry must be [device, chirality, count]: {item!r}")
         dev, n, count = item
         try:
-            entries.append((str(dev), int(n), int(count)))
+            if float(n) == int(n) and float(count) == int(count):  # int() truncates 19.5
+                entries.append((str(dev), int(n), int(count)))
+                continue
         except (TypeError, ValueError, OverflowError):
-            raise LibraryError(f"inventory entry must hold whole numbers: {item!r}") from None
+            pass
+        raise LibraryError(f"inventory entry must hold whole numbers: {item!r}")
     inv = TransistorInventory(tuple(entries))
     inventory_area(inv)  # reject unknown chiralities up front
     return inv

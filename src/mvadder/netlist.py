@@ -7,17 +7,21 @@ run. Circuits are treated as immutable once built and validated.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .gates import (
+    KINDS,
     CellLibrary,
     ElectricalParams,
     GatePrimitive,
     TransistorInventory,
+    _parse_inventory,
     inventory_area,
 )
 from .levels import DomainError, Level, SignalEncoding, binary_full, quaternary, third_swing
@@ -30,14 +34,14 @@ class NetlistError(ValueError):
 @dataclass
 class Net:
     """Single-driver wire. ``driver`` is ("inst", id, pin), ("port", name)
-    or ("const", level). ``total_cap`` is the external load plus the input
-    caps of the sinks, added as instances are wired; constant rails are
-    supply ties with zero switching cost, so theirs stays 0."""
+    or ("const", level), the level an int below the encoding's radix.
+    ``total_cap`` is the external load plus the input caps of the gates it
+    feeds, added as instances are wired; constant rails are supply ties
+    with zero switching cost, so theirs stays 0."""
 
     id: str
     encoding: SignalEncoding
     driver: tuple | None = None
-    sinks: list = field(default_factory=list)  # (inst_id, pin)
     external_load: float = 0.0
     total_cap: float = field(init=False)
 
@@ -49,7 +53,12 @@ class Net:
         if not ok:
             raise NetlistError(f"net {self.id!r}: external_load must be a finite number >= 0, "
                                f"got {self.external_load!r}")
-        self.total_cap = 0.0 if self.driver and self.driver[0] == "const" else self.external_load
+        const = self.driver is not None and self.driver[0] == "const"
+        if const and not (len(self.driver) == 2 and type(self.driver[1]) is int
+                          and 0 <= self.driver[1] < self.encoding.radix):
+            raise NetlistError(f"net {self.id!r}: driver must be ('const', level) with an int "
+                               f"level in [0, {self.encoding.radix}), got {self.driver!r}")
+        self.total_cap = 0.0 if const else self.external_load
 
 
 @dataclass
@@ -93,16 +102,15 @@ class _Builder:
         self.ports: dict[str, Port] = {}
         self.metadata: dict = {}
 
-    def net(self, nid: str, encoding: SignalEncoding, external_load: float = 0.0) -> str:
+    def net(self, nid: str, encoding: SignalEncoding, external_load: float = 0.0,
+            driver: tuple | None = None) -> str:
         if nid in self.nets:
             raise NetlistError(f"duplicate net id {nid!r}")
-        self.nets[nid] = Net(nid, encoding, external_load=external_load)
+        self.nets[nid] = Net(nid, encoding, driver, external_load)
         return nid
 
     def const(self, nid: str, level: Level, encoding: SignalEncoding) -> str:
-        self.net(nid, encoding)
-        self.nets[nid].driver = ("const", int(level))
-        return nid
+        return self.net(nid, encoding, driver=("const", int(level)))
 
     def port(self, name: str, direction: str, encoding: SignalEncoding,
              net: str | None = None, external_load: float = 0.0) -> str:
@@ -148,9 +156,8 @@ class _Builder:
                 continue
             new_id = prefix + nid
             mapped[nid] = new_id
-            self.net(new_id, net.encoding)
-            if net.driver is not None and net.driver[0] == "const":
-                self.nets[new_id].driver = net.driver
+            const = net.driver is not None and net.driver[0] == "const"
+            self.net(new_id, net.encoding, driver=net.driver if const else None)
         for iid, inst in cell.instances.items():
             new_iid = prefix + iid
             new_pins = {pin: mapped[nid] for pin, nid in inst.pins.items()}
@@ -169,10 +176,10 @@ class _Builder:
 
 
 def _wire(nets: dict, inst: Instance) -> None:
-    """Attach ``inst`` to its nets: a sink (and its pin cap) on each input
-    net, the driver of each output net. Raises NetlistError naming the
-    instance and the pin on an unbound pin or a missing net, and naming the
-    net when it is already driven."""
+    """Attach ``inst`` to its nets: its pin cap on each input net, the
+    driver of each output net. Raises NetlistError naming the instance and
+    the pin on an unbound pin or a missing net, and naming the net when it
+    is already driven."""
     prim, pins = inst.primitive, inst.pins
     n_in = len(prim.input_pins)
     for k, pin in enumerate(prim.input_pins + prim.output_pins):
@@ -181,7 +188,6 @@ def _wire(nets: dict, inst: Instance) -> None:
             what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
             raise NetlistError(f"instance {inst.id!r} pin {pin!r} {what}")
         if k < n_in:
-            net.sinks.append((inst.id, pin))
             if net.driver is None or net.driver[0] != "const":
                 net.total_cap += prim.params.input_cap_per_pin
         elif net.driver is not None:
@@ -409,62 +415,94 @@ def build_binary_slice(variant: str, vdd: float = 0.9,
 
 def validate(c: Circuit) -> list[str]:
     """Structural diagnostics; empty list means the circuit is usable. A
-    cycle diagnostic names the gates on it, not those behind it (:func:`_analyse`)."""
+    cycle diagnostic names the gates on it, not those behind it. This is the
+    first result of :func:`_analyse`; computing delays is left to compiling."""
     return _analyse(c)[0]
 
 
-def _analyse(c: Circuit) -> tuple[list[str], list[str], dict[str, int]]:
-    """:func:`validate`'s diagnostics, the instance ids in Kahn order and each
-    ordered gate's logic level (1 + its inputs' highest; an undriven net is 0)."""
+_CODES = 5  # codes of one input pin: X, L0..L3; a gate's pins are its base-5 digits
+
+
+def _analyse(c: Circuit) -> tuple:
+    """One pass that resolves every pin of ``c`` to a net index exactly once.
+
+    Returns ``(diags, net_index, gate_in, gate_out, fanout, order, level)``:
+    :func:`validate`'s diagnostics; each net id's index (``c.nets`` order);
+    per gate (``c.instances`` order) its input nets in pin order and its
+    output nets; per net the gates it feeds as (gate, summed base-5 weight
+    of the pins it drives), the first of k input pins weighing 5 ** (k - 1);
+    the gate indices in Kahn order, every gate after the drivers of its
+    inputs; and per gate its logic level, 1 + its inputs' highest (an
+    undriven net is 0), or 0 for a gate never ordered.
+
+    Kahn's algorithm runs in waves of nets, and a gate is released when the
+    weights of its arrived inputs sum to its bound pins' weights, so a
+    gate's level is the wave that brings its last input. The gates it never
+    releases lie on or behind a cycle; those feeding no other such gate are
+    peeled from the sinks back, in linear time, and each one left is named
+    by a cycle diagnostic. The graph is meaningful only when ``diags`` is
+    empty (an unbound input pin reads net -1 in ``gate_in``)."""
     diags: list[str] = []
-    drivers: dict[str, list] = {nid: [] for nid in c.nets}
-    feeds: dict[str, list] = {nid: [] for nid in c.nets}  # gates fed, one entry per pin
-    n_wait = dict.fromkeys(c.instances, 0)  # per gate: its input pins bound to a net
-    outs: dict[str, list] = {iid: [] for iid in c.instances}  # per gate: the nets it drives
+    nets, net_ids = list(c.nets.values()), list(c.nets)
+    index = {nid: i for i, nid in enumerate(net_ids)}
+    encs = [net.encoding for net in nets]
+    drivers = [[net.driver] if net.driver is not None and net.driver[0] == "const" else []
+               for net in nets]
     for port in c.ports.values():
-        if port.net not in c.nets:
+        i = index.get(port.net)
+        if i is None:
             diags.append(f"port {port.name}: net {port.net!r} does not exist")
-            continue
-        if port.direction == "in":
-            drivers[port.net].append(("port", port.name))
+        elif port.direction == "in":
+            drivers[i].append(("port", port.name))
 
-    for inst in c.instances.values():
-        prim = inst.primitive
-        for pin in prim.input_pins + prim.output_pins:
-            if pin not in inst.pins:
-                diags.append(f"{inst.id}: pin {pin} unbound")
-            elif inst.pins[pin] not in c.nets:
-                diags.append(f"{inst.id}.{pin}: net {inst.pins[pin]!r} does not exist")
-        for pin in prim.input_pins:
-            nid = inst.pins.get(pin)
-            if nid not in c.nets:
-                continue
-            feeds[nid].append(inst.id)
-            n_wait[inst.id] += 1
-            expected = inst.pin_encodings.get(pin)
-            actual = c.nets[nid].encoding
-            if expected is not None and actual.level_voltages != expected.level_voltages:
-                diags.append(
-                    f"encoding-mismatch: {inst.id}.{pin} expects {expected.name}, "
-                    f"net {nid} carries {actual.name}"
-                )
-        out_enc = prim.params.output_encoding
-        for pin in prim.output_pins:
-            nid = inst.pins.get(pin)
-            if nid in c.nets:
-                drivers[nid].append(("inst", inst.id, pin))
-                outs[inst.id].append(nid)
-                net_enc = c.nets[nid].encoding
-                if net_enc.level_voltages != out_enc.level_voltages:
-                    diags.append(
-                        f"encoding-mismatch: {inst.id}.{pin} drives {out_enc.name}, "
-                        f"net {nid} declared {net_enc.name}"
-                    )
+    plans: dict = {}  # id(primitive) -> its pins, their weights and its output encoding
+    gate_in, gate_out, wait = [], [], []  # wait: the weights of a gate's inputs yet to arrive
+    fanout: list[list] = [[] for _ in nets]
+    for g, inst in enumerate(c.instances.values()):
+        prim, pins = inst.primitive, inst.pins
+        plan = plans.get(id(prim))
+        if plan is None:
+            weights = [_CODES ** j for j in range(len(prim.input_pins) - 1, -1, -1)]
+            plan = plans[id(prim)] = (prim.input_pins, prim.output_pins, weights,
+                                      sum(weights), prim.params.output_encoding)
+        in_pins, out_pins, weights, total, out_enc = plan
+        try:
+            ins = [index[pins[pin]] for pin in in_pins]
+            outs = [index[pins[pin]] for pin in out_pins]
+            bound_in, bound_out = zip(in_pins, ins, weights), zip(out_pins, outs)
+        except KeyError:  # report each pin unbound or bound to a missing net; skip it
+            for pin in in_pins + out_pins:
+                if pin not in pins:
+                    diags.append(f"{inst.id}: pin {pin} unbound")
+                elif pins[pin] not in index:
+                    diags.append(f"{inst.id}.{pin}: net {pins[pin]!r} does not exist")
+            ins = [index.get(pins.get(pin), -1) for pin in in_pins]
+            bound_in = [(pin, i, w) for pin, i, w in zip(in_pins, ins, weights) if i >= 0]
+            bound_out = [(pin, index[pins[pin]]) for pin in out_pins if pins.get(pin) in index]
+            outs = [o for _, o in bound_out]
+            total = sum(w for _, _, w in bound_in)
+        pin_enc = inst.pin_encodings
+        for pin, i, w in bound_in:
+            feeds = fanout[i]
+            if feeds and feeds[-1][0] == g:  # one net on two pins of a gate
+                feeds[-1] = (g, feeds[-1][1] + w)
+            else:
+                feeds.append((g, w))
+            want, got = pin_enc.get(pin), encs[i]
+            if want is not None and want is not got and want.level_voltages != got.level_voltages:
+                diags.append(f"encoding-mismatch: {inst.id}.{pin} expects {want.name}, "
+                             f"net {net_ids[i]} carries {got.name}")
+        for pin, o in bound_out:
+            drivers[o].append(("inst", inst.id, pin))
+            got = encs[o]
+            if got is not out_enc and got.level_voltages != out_enc.level_voltages:
+                diags.append(f"encoding-mismatch: {inst.id}.{pin} drives {out_enc.name}, "
+                             f"net {net_ids[o]} declared {got.name}")
+        gate_in.append(ins)
+        gate_out.append(outs)
+        wait.append(total)
 
-    for nid, net in c.nets.items():
-        dr = list(drivers[nid])
-        if net.driver is not None and net.driver[0] == "const":
-            dr.append(net.driver)
+    for nid, dr in zip(net_ids, drivers):
         if not dr:
             diags.append(f"undriven net {nid!r}")
         elif len(dr) > 1:
@@ -473,36 +511,47 @@ def _analyse(c: Circuit) -> tuple[list[str], list[str], dict[str, int]]:
     if c.metadata.get("adder_cell") and not _ADDER_PORTS <= set(c.ports):
         diags.append(f"adder cell missing ports {sorted(_ADDER_PORTS - set(c.ports))}")
 
-    # Kahn's algorithm in waves of nets: a gate's level is the wave bringing its last input
-    driven = {nid for nets in outs.values() for nid in nets}
-    wave = [nid for nid in c.nets if nid not in driven]
-    level: dict[str, int] = {}  # in Kahn order
+    driven = set(itertools.chain.from_iterable(gate_out))
+    wave = [i for i in range(len(nets)) if i not in driven]
+    arrived = bytearray(len(nets))
+    order: list[int] = []
+    level = [0] * len(gate_in)
     depth = 0
     while wave:
         depth += 1
-        nxt = []
-        for nid in wave:
-            for iid in feeds[nid]:
-                n_wait[iid] -= 1
-                if not n_wait[iid]:
-                    level[iid] = depth
-                    nxt += outs[iid]
+        nxt: list[int] = []
+        for i in wave:
+            if arrived[i]:  # a net driven twice arrives with its first driver
+                continue
+            arrived[i] = 1
+            for g, w in fanout[i]:
+                wait[g] -= w
+                if not wait[g]:
+                    order.append(g)
+                    level[g] = depth
+                    nxt += gate_out[g]
         wave = nxt
 
-    # gates never reached lie on or behind a cycle; peel those feeding none, sinks first
-    stuck = set(c.instances) - level.keys()
-    n_fed = {g: sum(h in stuck for nid in outs[g] for h in feeds[nid]) for g in stuck}
-    peel = [g for g in stuck if not n_fed[g]]
-    for g in peel:  # grows as gates lose their last stuck sink
-        stuck.remove(g)
-        inst = c.instances[g]
-        for nid in map(inst.pins.get, inst.primitive.input_pins):
-            for f in [d[1] for d in drivers.get(nid, ()) if d[0] == "inst" and d[1] in stuck]:
-                n_fed[f] -= 1
-                if not n_fed[f]:
-                    peel.append(f)
-    diags += [f"combinational cycle through instance {iid!r}" for iid in sorted(stuck)]
-    return diags, list(level), level
+    if len(order) < len(gate_in):  # peel the gates feeding none left stuck, sinks first
+        stuck = set(range(len(gate_in))) - set(order)
+        stuck_drivers: dict = {}
+        for g in stuck:
+            for o in gate_out[g]:
+                stuck_drivers.setdefault(o, []).append(g)
+        n_fed = {g: sum(h in stuck for o in gate_out[g] for h, _ in fanout[o]) for g in stuck}
+        peel = [g for g in stuck if not n_fed[g]]
+        for g in peel:  # grows as gates lose their last stuck sink
+            stuck.remove(g)
+            for i in set(gate_in[g]):
+                for f in stuck_drivers.get(i, ()):
+                    if f in stuck:
+                        n_fed[f] -= 1
+                        if not n_fed[f]:
+                            peel.append(f)
+        ids = list(c.instances)
+        diags += [f"combinational cycle through instance {iid!r}"
+                  for iid in sorted(ids[g] for g in stuck)]
+    return diags, index, gate_in, gate_out, fanout, order, level
 
 
 # --------------------------------------------------------------------------
@@ -592,10 +641,6 @@ def _inv_to_json(inv: TransistorInventory) -> list:
     return [list(e) for e in inv.entries]
 
 
-def _inv_from_json(raw) -> TransistorInventory:
-    return TransistorInventory(tuple((str(d), int(n), int(c)) for d, n, c in raw))
-
-
 def to_json(c: Circuit) -> dict:
     """Lossless netlist interchange form. Each port, net and instance entry,
     and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
@@ -643,13 +688,37 @@ def to_json(c: Circuit) -> dict:
     }
 
 
+# what a malformed field raises while an interchange entry is parsed
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
+_KIND_SET = frozenset(KINDS)
+# the fields of each kind of entry, read at once: a KeyError names the one missing
+_NET_FIELDS = operator.itemgetter("id", "encoding", "driver", "external_load")
+_INSTANCE_FIELDS = operator.itemgetter("id", "kind", *_PARAMS, "output_encoding", "inventory",
+                                       "pins", "pin_encodings", "cell_tag")
+_PORT_FIELDS = operator.itemgetter("name", "direction", "encoding", "net")
+
+
+def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistError:
+    """The NetlistError for a ``kind`` entry (or the whole netlist) whose
+    field ``key`` raised ``exc`` while parsed. ``key`` is None while the
+    fields are read (a KeyError names the missing one) and where the
+    message names the field."""
+    name = "name" if kind == "port" else "id"
+    what = kind if kind == "netlist" else (
+        f"{kind} {entry.get(name)!r}" if isinstance(entry, dict) else f"{kind} {entry!r}")
+    why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return NetlistError(f"{what}: {why}" if key is None else f"{what}: field {key!r}: {why}")
+
+
 def from_json(data: dict) -> Circuit:
     """Rebuild a circuit from its interchange form. Equal encodings become
     one :class:`SignalEncoding`, and instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
     as in a :func:`build_cpa` chain. Net drivers come from the instances'
-    pins. Raises NetlistError naming the net or instance on a missing field,
-    a bad number, a pin unbound or bound to a missing net, or a second driver."""
+    pins. Raises NetlistError naming the port, net or instance and the field
+    on a missing or malformed field, a duplicate id, a bad number, a
+    constant level outside its net's encoding, a pin unbound or bound to a
+    missing net, or a second driver."""
     encs: dict = {}
     prims: dict = {}
 
@@ -657,41 +726,81 @@ def from_json(data: dict) -> Circuit:
         key = (d["name"], tuple(d["level_voltages"]))
         return encs.get(key) or encs.setdefault(key, SignalEncoding(*key))
 
-    def prim(d: dict) -> GatePrimitive:
-        key = (d["kind"], *(d[f] for f in _PARAMS), enc(d["output_encoding"]),
-               tuple(map(tuple, d["inventory"])))
-        return prims.get(key) or prims.setdefault(key, GatePrimitive(
-            d["kind"], ElectricalParams(*key[1:7]), _inv_from_json(d["inventory"])))
+    kind, entry, key = "netlist", data, None  # what is being parsed, for _malformed
+    nets, instances, ports = {}, {}, {}
+    try:
+        name = data["name"]
+        for key in ("ports", "nets", "instances"):
+            if not isinstance(data.get(key), list):
+                raise TypeError(f"expected a list, got {data.get(key)!r}")
+        key = "metadata"
+        meta = dict(data.get(key, {}))
+        if "cell_inventory_overrides" in meta:
+            meta["cell_inventory_overrides"] = {
+                tag: _parse_inventory(raw)
+                for tag, raw in meta["cell_inventory_overrides"].items()
+            }
 
-    nets = {}
-    for nd in data["nets"]:
-        try:
-            driver = tuple(nd["driver"]) if nd["driver"] and nd["driver"][0] != "inst" else None
-            nets[nd["id"]] = Net(nd["id"], enc(nd["encoding"]),
-                                 driver=driver, external_load=nd["external_load"])
-        except KeyError as exc:
-            raise NetlistError(f"net {nd.get('id')!r}: missing field {exc}") from None
-    instances = {}
-    for idd in data["instances"]:
-        try:
-            inst = instances[idd["id"]] = Instance(
-                idd["id"], prim(idd), dict(idd["pins"]),
-                {p: enc(e) for p, e in idd["pin_encodings"].items()}, idd["cell_tag"])
-        except (KeyError, DomainError) as exc:
-            why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise NetlistError(f"instance {idd.get('id')!r}: {why}") from None
-        _wire(nets, inst)
-    ports = {
-        pd["name"]: Port(pd["name"], pd["direction"], enc(pd["encoding"]), pd["net"])
-        for pd in data["ports"]
-    }
-    meta = dict(data.get("metadata", {}))
-    if "cell_inventory_overrides" in meta:
-        meta["cell_inventory_overrides"] = {
-            tag: _inv_from_json(raw)
-            for tag, raw in meta["cell_inventory_overrides"].items()
-        }
-    return Circuit(data["name"], ports, nets, instances, meta)
+        kind = "net"
+        for entry in data["nets"]:
+            key = None
+            nid, encoding, driver, load = _NET_FIELDS(entry)
+            key = "id"
+            if nid in nets:
+                raise ValueError("another net has this id")
+            key = "encoding"
+            encoding = enc(encoding)
+            key = "driver"
+            if driver is not None and not isinstance(driver, list):
+                raise TypeError(f"expected null or a list, got {driver!r}")
+            driver = tuple(driver) if driver and driver[0] != "inst" else None
+            nets[nid] = Net(nid, encoding, driver, load)
+
+        kind = "instance"
+        for entry in data["instances"]:
+            key = None
+            iid, gate, *nums, out_enc, rows, pins, pin_encodings, tag = _INSTANCE_FIELDS(entry)
+            key = "id"
+            if iid in instances:
+                raise ValueError("another instance has this id")
+            key = "kind"
+            if gate not in _KIND_SET:
+                raise ValueError(f"unknown gate kind {gate!r}")
+            key = "output_encoding"
+            out_enc = enc(out_enc)
+            key = "inventory"
+            pkey = (gate, *nums, out_enc, tuple(map(tuple, rows)))
+            try:
+                prim = prims.get(pkey)
+            except TypeError:  # a value that is no number: parsing below names it
+                prim = None
+            if prim is None:
+                inventory = _parse_inventory(rows)
+                key = None  # ElectricalParams names the field
+                prim = prims[pkey] = GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory)
+            key = "pin_encodings"
+            pin_encodings = {p: enc(e) for p, e in pin_encodings.items()}
+            key = "pins"
+            inst = instances[iid] = Instance(iid, prim, dict(pins), pin_encodings, tag)
+            _wire(nets, inst)
+
+        kind = "port"
+        for entry in data["ports"]:
+            key = None
+            pname, direction, encoding, net = _PORT_FIELDS(entry)
+            key = "name"
+            if pname in ports:
+                raise ValueError("another port has this name")
+            key = "direction"
+            if direction not in ("in", "out"):
+                raise ValueError(f"expected 'in' or 'out', got {direction!r}")
+            key = "encoding"
+            ports[pname] = Port(pname, direction, enc(encoding), net)
+    except NetlistError:
+        raise
+    except _MALFORMED as exc:
+        raise _malformed(kind, entry, key, exc) from None
+    return Circuit(name, ports, nets, instances, meta)
 
 
 def dump_netlist(c: Circuit, path: str | Path) -> None:

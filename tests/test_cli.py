@@ -149,6 +149,7 @@ def test_bad_library_exit_two(tmp_path, capsys):
     ({"inv": {"input_cap_per_pin_f": -1e-16}}, "inv: input_cap_per_pin_f must be a finite"),
     ({"inv": {"drive_resistance_ohm": "fast"}}, "inv: drive_resistance_ohm must be a finite"),
     ({"inv": {"inventory": [["N", float("inf"), 1]]}}, "inventory entry must hold whole numbers"),
+    ({"inv": {"inventory": [["N", 19.5, 1]]}}, "inventory entry must hold whole numbers"),
 ])
 def test_library_rejects_bad_numbers_exit_two(fields, message, tmp_path, capsys):
     lib = tmp_path / "lib.json"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mvadder._kernel import compile_circuit
 from mvadder.levels import DomainError, binary_full
 from mvadder.netlist import (
+    Net,
     NetlistError,
-    _analyse,
     area_report,
     build_bfa,
     build_binary_slice,
@@ -211,7 +211,6 @@ def test_validate_flags_cycle():
     c = build_qfa("qfa2", 0.9)
     # feed the carry inverter output back into the carry mux data pin
     c.instances["mux2_cout"].pins["d0"] = "n_cout"
-    c.nets["n_cout"].sinks.append(("mux2_cout", "d0"))
     c.instances["mux2_cout"].pin_encodings["d0"] = c.nets["n_cout"].encoding
     diags = validate(c)
     assert any("cycle" in d for d in diags)
@@ -241,6 +240,17 @@ def test_unbound_pin_and_cycle_are_reported_together():
         compile_circuit(c)
 
 
+def test_a_cycle_behind_a_net_driven_twice_is_named_exactly():
+    c = build_qfa("qfa2", 0.9)
+    c.instances["succ2"].pins["y"] = "b_lt2"  # b_lt2 now has det2 and succ2 as drivers
+    c.instances["mux_ncout1"].pins["d2"] = "n_ncout"  # mux_ncout1 -> mux2_cout -> mux_ncout1
+    diags = validate(c)
+    assert any(d.startswith("multiple-driver net 'b_lt2'") for d in diags)
+    # b_lt2 arrives once, so mux_ncout0, which it feeds, is not named
+    assert _cycle_diags(c) == ["combinational cycle through instance 'mux2_cout'",
+                               "combinational cycle through instance 'mux_ncout1'"]
+
+
 def _upstream(c) -> dict:
     """Per instance: the instances driving its input nets."""
     driver = {inst.pins[p]: iid for iid, inst in c.instances.items()
@@ -265,7 +275,7 @@ def test_kahn_pass_orders_levels_and_finds_cycles_on_random_circuits(seed):
     def depth(iid):
         return 1 + max((depth(u) for u in ups[iid]), default=0)
 
-    assert _analyse(c)[2] == {iid: depth(iid) for iid in c.instances}
+    assert dict(zip(comp.gate_ids, comp.gate_level)) == {iid: depth(iid) for iid in c.instances}
 
     # one back edge: an input of v, upstream of u or u itself, now reads u
     u = str(rng.choice(list(c.instances)))
@@ -430,6 +440,79 @@ def test_from_json_rejects_a_second_driver():
     inst["pins"]["y"] = "n_sum0"
     with pytest.raises(NetlistError, match="net 'n_sum0' already driven"):
         from_json(blob)
+
+
+def _entry(blob, section, name):
+    return next(d for d in blob[section] if name in (d.get("id"), d.get("name")))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda b: _entry(b, "ports", "Sum").pop("net"), "port 'Sum': missing field 'net'"),
+    (lambda b: _entry(b, "ports", "Sum").update(direction="both"),
+     "port 'Sum': field 'direction': expected 'in' or 'out'"),
+    (lambda b: _entry(b, "instances", "inv_cout").update(pins=3),
+     "instance 'inv_cout': field 'pins': 'int' object is not iterable"),
+    (lambda b: _entry(b, "instances", "inv_cout")["pins"].update(a=["n_ncout"]),
+     "instance 'inv_cout': field 'pins': unhashable type"),
+    (lambda b: _entry(b, "instances", "inv_cout").update(pin_encodings=3),
+     "instance 'inv_cout': field 'pin_encodings': 'int' object has no attribute 'items'"),
+    (lambda b: _entry(b, "instances", "inv_cout").update(input_cap_per_pin=[1e-15]),
+     r"instance 'inv_cout': input_cap_per_pin must be finite and > 0, got \[1e-15\]"),
+    (lambda b: _entry(b, "instances", "inv_cout")["inventory"][0].pop(),
+     r"instance 'inv_cout': field 'inventory': inventory entry must be \[device, chirality"),
+    (lambda b: _entry(b, "instances", "inv_cout").update(kind="flux"),
+     "instance 'inv_cout': field 'kind': unknown gate kind 'flux'"),
+    (lambda b: _entry(b, "nets", "n_sum").update(encoding={"name": "quat@0.9"}),
+     "net 'n_sum': field 'encoding': missing field 'level_voltages'"),
+    (lambda b: _entry(b, "nets", "n_sum").update(driver=5), "net 'n_sum': field 'driver': "),
+    (lambda b: _entry(b, "nets", "n_sum").update(id=["n_sum"]), "field 'id': unhashable type"),
+    (lambda b: _entry(b, "nets", "A").update(driver="port"), "net 'A': field 'driver': expected"),
+    (lambda b: b["nets"].append(5), "net 5: 'int' object is not subscriptable"),
+    (lambda b: b["nets"].append(dict(_entry(b, "nets", "n_sum"))),
+     "net 'n_sum': field 'id': another net has this id"),
+    (lambda b: b["instances"].append(dict(_entry(b, "instances", "succ1"))),
+     "instance 'succ1': field 'id': another instance has this id"),
+    (lambda b: b["ports"].append(dict(_entry(b, "ports", "A"))),
+     "port 'A': field 'name': another port has this name"),
+    (lambda b: b.pop("name"), "netlist: missing field 'name'"),
+    (lambda b: b.update(instances={}), "netlist: field 'instances': expected a list"),
+    (lambda b: b["metadata"].update(cell_inventory_overrides={"cell0": [["N", 19]]}),
+     "netlist: field 'metadata': inventory entry must be"),
+])
+def test_from_json_names_the_entry_and_field_of_each_malformed_field(mutate, message):
+    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+    mutate(blob)
+    with pytest.raises(NetlistError, match=message):
+        from_json(blob)
+
+
+@pytest.mark.parametrize("level", [4, -1, 1.5, "a"])
+def test_a_constant_driver_needs_a_level_of_its_net(level):
+    blob = to_json(build_qfa("qfa2", 0.9))
+    _entry(blob, "nets", "const0")["driver"] = ["const", level]
+    with pytest.raises(NetlistError, match=r"net 'const0': driver must be \('const', level\)"):
+        from_json(blob)
+    with pytest.raises(NetlistError, match=r"net 'k': driver must be .* in \[0, 2\)"):
+        Net("k", binary_full(0.9), ("const", level))
+
+
+_COMPILED = ("gate_in", "gate_out", "gate_delay", "fanout", "topo_order", "gate_level",
+             "const_gates", "net_rail")
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_json_round_trip_of_random_circuits_keeps_bytes_and_compiled_arrays(seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    blob = to_json(c)
+    reloaded = from_json(json.loads(json.dumps(blob)))
+    assert to_json(reloaded) == blob
+    want, got = compile_circuit(c), compile_circuit(reloaded)
+    for name in _COMPILED:
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("gate_row", "net_cap", "net_init"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("load", [float("nan"), float("inf"), -float("inf"), -1e-15, "2fF", None])
