@@ -77,24 +77,22 @@ class CompiledCircuit:
 
     The one pass of :func:`netlist._analyse` gives the integer graph
     (``net_index``, ``gate_in``, ``gate_out`` and ``fanout``, whose weights
-    step a gate's table row when an input changes), the Kahn order
-    ``topo_order`` (gate indices, every gate after the drivers of its
-    inputs) and ``gate_level``. Compiling adds the output delays in ticks,
-    each gate's table row at the initial levels, the net caps and rails,
-    and the gates the constants alone decide."""
+    step a gate's table row when an input changes), each net's load
+    ``net_cap``, the Kahn order ``topo_order`` (gate indices, every gate
+    after the drivers of its inputs) and ``gate_level``. Compiling adds the
+    output delays in ticks, each gate's table row at the initial levels,
+    the net rails, and the gates the constants alone decide."""
 
     def __init__(self, circuit):
-        (diags, self.net_index, self.gate_in, self.gate_out, self.fanout,
+        (diags, self.net_index, cap, self.gate_in, self.gate_out, self.fanout,
          self.topo_order, self.gate_level) = _analyse(circuit)
         if diags:
             raise DomainError(f"circuit invalid: {diags}")
         nets = list(circuit.nets.values())
         self.net_ids = list(circuit.nets)
         n = self.n_nets = len(nets)
-        cap = [net.total_cap for net in nets]
         self.net_cap = np.array(cap, np.float64)
-        const = {i: net.driver[1] for i, net in enumerate(nets)
-                 if net.driver is not None and net.driver[0] == "const"}
+        const = {i: net.driver[1] for i, net in enumerate(nets) if net.driver}
         self.net_init = np.full(n, LVL_X, np.int64)
         self.net_init[list(const)] = list(const.values())
         # per net: its level voltages padded to four levels, then 0 V for X

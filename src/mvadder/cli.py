@@ -23,22 +23,12 @@ from .engine import (
 )
 from .gates import CellLibrary, LibraryError, NonFunctionalGateError, load_library
 from .levels import DomainError, EncodingMismatchError
-from .netlist import (
-    NetlistError,
-    build_bfa,
-    build_binary_slice,
-    build_cpa,
-    build_qfa,
-    dump_netlist,
-    validate,
-)
+from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist, validate
 from .timing import sta
 from .verify import cpa_is_exhaustive, cpa_mismatches, verify_adder_cell, verify_binary_slice
 
 _CAP_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*(aF|fF|pF|nF|F)?\s*$")
 _CAP_SCALE = {"aF": 1e-18, "fF": 1e-15, "pF": 1e-12, "nF": 1e-9, "F": 1.0, None: 1.0}
-
-CELLS = ("qfa1", "qfa2", "bfa1", "bfa2", "bfa1x2", "bfa2x2", "cpa")
 
 
 def parse_cap(text: str) -> float:
@@ -66,20 +56,9 @@ def supply(text: str) -> float:
 
 
 def _build(args, lib: CellLibrary | None):
-    cell_kind = args.cell
-    if cell_kind == "cpa":
-        base = args.base
-        digits = args.digits
-        if base.startswith("qfa"):
-            cell = build_qfa(base, args.vdd, lib)
-        else:
-            cell = build_bfa(base, args.vdd, lib)
-        return build_cpa(cell, digits, cl=args.cl)
-    if cell_kind.endswith("x2"):
-        return build_binary_slice(cell_kind[:4], args.vdd, lib, cl=args.cl)
-    if cell_kind.startswith("qfa"):
-        return build_qfa(cell_kind, args.vdd, lib, cl=args.cl)
-    return build_bfa(cell_kind, args.vdd, lib, cl=args.cl)
+    if args.cell == "cpa":
+        return build_cpa(build_cell(args.base, args.vdd, lib), args.digits, cl=args.cl)
+    return build_cell(args.cell, args.vdd, lib, cl=args.cl)
 
 
 def _cmd_verify(args, lib) -> int:
@@ -168,7 +147,7 @@ def _cmd_dump_netlist(args, lib) -> int:
 
 
 def _add_build_args(p, with_digits=True):
-    p.add_argument("--cell", required=True, choices=CELLS)
+    p.add_argument("--cell", required=True, choices=CELL_KINDS + ("cpa",))
     p.add_argument("--vdd", type=supply, default=0.9)
     p.add_argument("--cl", type=parse_cap, default=0.0,
                    help="external load per output (e.g. 2fF)")

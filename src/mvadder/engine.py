@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import TICK_PS, compile_circuit
 from .levels import DomainError, Level
-from .netlist import Circuit
+from .netlist import CELL_KINDS, Circuit
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
 SETTLE_GAP_TICKS = 10_000  # 1 ns
@@ -62,11 +62,28 @@ class Stimulus:
 
     @classmethod
     def from_json(cls, data: dict) -> "Stimulus":
-        return cls(
-            initial={p: _as_level(p, l) for p, l in data["initial"].items()},
-            events=tuple((float(t), p, _as_level(p, l)) for t, p, l in data["events"]),
-            duration_ps=float(data["duration_ps"]),
-        )
+        """Raises StimulusError naming ``initial``, ``events[i]`` or
+        ``duration_ps`` when that field is missing or malformed."""
+        if not isinstance(data, dict):
+            raise StimulusError(f"a stimulus is an object of initial, events and duration_ps, "
+                                f"got {data!r}")
+        where = "initial"
+        try:
+            if not isinstance(data[where], dict):
+                raise TypeError(f"expected an object of port levels, got {data[where]!r}")
+            initial = {p: _as_level(p, l) for p, l in data[where].items()}
+            where, events = "events", []
+            for k, event in enumerate(data[where]):
+                where = f"events[{k}]"
+                t, p, l = event
+                if not isinstance(p, str):
+                    raise TypeError(f"port must be a name, got {p!r}")
+                events.append((float(t), p, _as_level(p, l)))
+            where = "duration_ps"
+            return cls(initial, tuple(events), float(data[where]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # StimulusError too
+            why = "missing" if isinstance(exc, KeyError) else exc
+            raise StimulusError(f"stimulus field {where}: {why}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "Stimulus":
@@ -393,7 +410,7 @@ def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9,
     L = Level
     if target not in ("input_to_carry", "carry_to_carry"):
         raise DomainError(f"unknown stimulus target {target!r}")
-    if kind not in ("qfa1", "qfa2", "bfa1x2", "bfa2x2", "bfa1", "bfa2"):
+    if kind not in CELL_KINDS:
         raise DomainError(f"unknown cell kind {kind!r}")
     quaternary, bit_slice = kind.startswith("qfa"), kind.endswith("x2")
 

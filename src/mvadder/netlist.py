@@ -1,8 +1,13 @@
 """Circuit graph plus generators for the adder cells and ripple chains.
 
-A :class:`Circuit` is a flat netlist of gate instances. Generators assign
-deterministic identifiers so reports and traces are reproducible run to
-run. Circuits are treated as immutable once built and validated.
+A :class:`Circuit` stores ports, nets and gate instances whose pins name
+nets by id; a net stores its id, encoding, external load and, for a supply
+tie, its level. The rest (each net's driver and load, validity, gate order
+and logic levels) is derived from the pins by the one pass of
+:func:`_analyse` when a circuit is validated or compiled, so a circuit
+compiles alike however it was built, loaded or edited (before compiling,
+which caches). Generators assign deterministic identifiers so reports and
+traces are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -33,17 +38,15 @@ class NetlistError(ValueError):
 
 @dataclass
 class Net:
-    """Single-driver wire. ``driver`` is ("inst", id, pin), ("port", name)
-    or ("const", level), the level an int below the encoding's radix.
-    ``total_cap`` is the external load plus the input caps of the gates it
-    feeds, added as instances are wired; constant rails are supply ties
-    with zero switching cost, so theirs stays 0."""
+    """A wire. ``driver`` is None, or ("const", level) for a supply tie, the
+    level an int below the encoding's radix. The port or gate that drives
+    any other net, and each net's load, are derived from the pins by
+    :func:`_analyse`."""
 
     id: str
     encoding: SignalEncoding
     driver: tuple | None = None
     external_load: float = 0.0
-    total_cap: float = field(init=False)
 
     def __post_init__(self):
         try:
@@ -53,12 +56,11 @@ class Net:
         if not ok:
             raise NetlistError(f"net {self.id!r}: external_load must be a finite number >= 0, "
                                f"got {self.external_load!r}")
-        const = self.driver is not None and self.driver[0] == "const"
-        if const and not (len(self.driver) == 2 and type(self.driver[1]) is int
-                          and 0 <= self.driver[1] < self.encoding.radix):
+        d = self.driver
+        if d is not None and not (len(d) == 2 and d[0] == "const" and type(d[1]) is int
+                                  and 0 <= d[1] < self.encoding.radix):
             raise NetlistError(f"net {self.id!r}: driver must be ('const', level) with an int "
-                               f"level in [0, {self.encoding.radix}), got {self.driver!r}")
-        self.total_cap = 0.0 if const else self.external_load
+                               f"level in [0, {self.encoding.radix}), got {d!r}")
 
 
 @dataclass
@@ -117,8 +119,6 @@ class _Builder:
         nid = net if net is not None else name
         if nid not in self.nets:
             self.net(nid, encoding, external_load=external_load)
-        if direction == "in":
-            self.nets[nid].driver = ("port", name)
         self.ports[name] = Port(name, direction, encoding, nid)
         return nid
 
@@ -141,29 +141,21 @@ class _Builder:
             else:
                 pin_enc[pin] = self.nets[pins[pin]].encoding
         inst = self.instances[iid] = Instance(iid, prim, dict(pins), pin_enc, cell_tag)
-        _wire(self.nets, inst)
         return inst
 
     def copy_cell(self, cell: Circuit, prefix: str, tag: str,
                   port_nets: Mapping[str, str]) -> None:
         """Instantiate ``cell`` with every internal id prefixed; cell ports
         are stitched onto existing builder nets per ``port_nets``."""
-        mapped = {}
-        for pname, pport in cell.ports.items():
-            mapped[pport.net] = port_nets[pname]
+        mapped = {port.net: port_nets[name] for name, port in cell.ports.items()}
         for nid, net in cell.nets.items():
-            if nid in mapped:
-                continue
-            new_id = prefix + nid
-            mapped[nid] = new_id
-            const = net.driver is not None and net.driver[0] == "const"
-            self.net(new_id, net.encoding, driver=net.driver if const else None)
+            if nid not in mapped:
+                mapped[nid] = self.net(prefix + nid, net.encoding, driver=net.driver)
         for iid, inst in cell.instances.items():
             new_iid = prefix + iid
             new_pins = {pin: mapped[nid] for pin, nid in inst.pins.items()}
-            self.instances[new_iid] = new_inst = Instance(
+            self.instances[new_iid] = Instance(
                 new_iid, inst.primitive, new_pins, dict(inst.pin_encodings), tag)
-            _wire(self.nets, new_inst)
         for _, inv in cell.metadata.get("cell_inventory_overrides", {}).items():
             self.metadata.setdefault("cell_inventory_overrides", {})[tag] = inv
         kinds = cell.metadata.get("cell_kinds", {})
@@ -173,27 +165,6 @@ class _Builder:
     def finalize(self, **metadata) -> Circuit:
         self.metadata.update(metadata)
         return Circuit(self.name, self.ports, self.nets, self.instances, self.metadata)
-
-
-def _wire(nets: dict, inst: Instance) -> None:
-    """Attach ``inst`` to its nets: its pin cap on each input net, the
-    driver of each output net. Raises NetlistError naming the instance and
-    the pin on an unbound pin or a missing net, and naming the net when it
-    is already driven."""
-    prim, pins = inst.primitive, inst.pins
-    n_in = len(prim.input_pins)
-    for k, pin in enumerate(prim.input_pins + prim.output_pins):
-        net = nets.get(pins.get(pin))
-        if net is None:
-            what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
-            raise NetlistError(f"instance {inst.id!r} pin {pin!r} {what}")
-        if k < n_in:
-            if net.driver is None or net.driver[0] != "const":
-                net.total_cap += prim.params.input_cap_per_pin
-        elif net.driver is not None:
-            raise NetlistError(f"net {net.id!r} already driven")
-        else:
-            net.driver = ("inst", inst.id, pin)
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +380,21 @@ def build_binary_slice(variant: str, vdd: float = 0.9,
     return b.finalize(variant=f"{variant}x2", vdd=vdd, cl=cl)
 
 
+CELL_KINDS = ("qfa1", "qfa2", "bfa1", "bfa2", "bfa1x2", "bfa2x2")
+
+
+def build_cell(kind: str, vdd: float = 0.9, lib: CellLibrary | None = None,
+               cl: float = 0.0) -> Circuit:
+    """The adder cell of ``kind``, one of :data:`CELL_KINDS`: a quaternary or
+    binary cell, or (``bfa1x2``, ``bfa2x2``) a two-cell binary slice."""
+    kind = kind.lower()
+    if kind not in CELL_KINDS:
+        raise NetlistError(f"unknown cell kind {kind!r}")
+    if kind.endswith("x2"):
+        return build_binary_slice(kind[:4], vdd, lib, cl)
+    return (build_qfa if kind.startswith("qfa") else build_bfa)(kind, vdd, lib, cl)
+
+
 # --------------------------------------------------------------------------
 # Validation
 
@@ -426,14 +412,16 @@ _CODES = 5  # codes of one input pin: X, L0..L3; a gate's pins are its base-5 di
 def _analyse(c: Circuit) -> tuple:
     """One pass that resolves every pin of ``c`` to a net index exactly once.
 
-    Returns ``(diags, net_index, gate_in, gate_out, fanout, order, level)``:
-    :func:`validate`'s diagnostics; each net id's index (``c.nets`` order);
-    per gate (``c.instances`` order) its input nets in pin order and its
-    output nets; per net the gates it feeds as (gate, summed base-5 weight
-    of the pins it drives), the first of k input pins weighing 5 ** (k - 1);
-    the gate indices in Kahn order, every gate after the drivers of its
-    inputs; and per gate its logic level, 1 + its inputs' highest (an
-    undriven net is 0), or 0 for a gate never ordered.
+    Returns ``(diags, net_index, net_cap, gate_in, gate_out, fanout, order,
+    level)``: :func:`validate`'s diagnostics; each net id's index (``c.nets``
+    order); per net its load, the external load plus the input cap of each
+    pin it feeds, summed in instance and pin order (0 for a supply tie,
+    which switches nothing); per gate (``c.instances`` order) its input nets
+    in pin order and its output nets; per net the gates it feeds as (gate,
+    summed base-5 weight of the pins it drives), the first of k input pins
+    weighing 5 ** (k - 1); the gate indices in Kahn order, every gate after
+    the drivers of its inputs; and per gate its logic level, 1 + its inputs'
+    highest (an undriven net is 0), or 0 for a gate never ordered.
 
     Kahn's algorithm runs in waves of nets, and a gate is released when the
     weights of its arrived inputs sum to its bound pins' weights, so a
@@ -446,16 +434,16 @@ def _analyse(c: Circuit) -> tuple:
     nets, net_ids = list(c.nets.values()), list(c.nets)
     index = {nid: i for i, nid in enumerate(net_ids)}
     encs = [net.encoding for net in nets]
-    drivers = [[net.driver] if net.driver is not None and net.driver[0] == "const" else []
-               for net in nets]
+    drivers = [[net.driver] if net.driver else [] for net in nets]
+    cap = [net.external_load for net in nets]
     for port in c.ports.values():
-        i = index.get(port.net)
-        if i is None:
+        i = _index_of(index, port.net)
+        if i < 0:
             diags.append(f"port {port.name}: net {port.net!r} does not exist")
         elif port.direction == "in":
             drivers[i].append(("port", port.name))
 
-    plans: dict = {}  # id(primitive) -> its pins, their weights and its output encoding
+    plans: dict = {}  # id(primitive) -> its pins, their weights and cap, its output encoding
     gate_in, gate_out, wait = [], [], []  # wait: the weights of a gate's inputs yet to arrive
     fanout: list[list] = [[] for _ in nets]
     for g, inst in enumerate(c.instances.values()):
@@ -463,26 +451,26 @@ def _analyse(c: Circuit) -> tuple:
         plan = plans.get(id(prim))
         if plan is None:
             weights = [_CODES ** j for j in range(len(prim.input_pins) - 1, -1, -1)]
-            plan = plans[id(prim)] = (prim.input_pins, prim.output_pins, weights,
-                                      sum(weights), prim.params.output_encoding)
-        in_pins, out_pins, weights, total, out_enc = plan
+            plan = plans[id(prim)] = (prim.input_pins, prim.output_pins, weights, sum(weights),
+                                      prim.params.input_cap_per_pin, prim.params.output_encoding)
+        in_pins, out_pins, weights, total, pin_cap, out_enc = plan
         try:
             ins = [index[pins[pin]] for pin in in_pins]
             outs = [index[pins[pin]] for pin in out_pins]
             bound_in, bound_out = zip(in_pins, ins, weights), zip(out_pins, outs)
-        except KeyError:  # report each pin unbound or bound to a missing net; skip it
-            for pin in in_pins + out_pins:
-                if pin not in pins:
-                    diags.append(f"{inst.id}: pin {pin} unbound")
-                elif pins[pin] not in index:
-                    diags.append(f"{inst.id}.{pin}: net {pins[pin]!r} does not exist")
-            ins = [index.get(pins.get(pin), -1) for pin in in_pins]
+        except (KeyError, TypeError):  # report each pin unbound or bound to no net; skip it
+            ins, outs = ([_index_of(index, pins.get(p)) for p in ps] for ps in (in_pins, out_pins))
+            for pin, i in zip(in_pins + out_pins, ins + outs):
+                if i < 0:
+                    diags.append(f"{inst.id}.{pin}: net {pins[pin]!r} does not exist"
+                                 if pin in pins else f"{inst.id}: pin {pin} unbound")
             bound_in = [(pin, i, w) for pin, i, w in zip(in_pins, ins, weights) if i >= 0]
-            bound_out = [(pin, index[pins[pin]]) for pin in out_pins if pins.get(pin) in index]
+            bound_out = [(pin, o) for pin, o in zip(out_pins, outs) if o >= 0]
             outs = [o for _, o in bound_out]
             total = sum(w for _, _, w in bound_in)
         pin_enc = inst.pin_encodings
         for pin, i, w in bound_in:
+            cap[i] += pin_cap
             feeds = fanout[i]
             if feeds and feeds[-1][0] == g:  # one net on two pins of a gate
                 feeds[-1] = (g, feeds[-1][1] + w)
@@ -502,6 +490,7 @@ def _analyse(c: Circuit) -> tuple:
         gate_out.append(outs)
         wait.append(total)
 
+    cap = [0.0 if net.driver else x for net, x in zip(nets, cap)]  # a supply tie switches nothing
     for nid, dr in zip(net_ids, drivers):
         if not dr:
             diags.append(f"undriven net {nid!r}")
@@ -551,7 +540,15 @@ def _analyse(c: Circuit) -> tuple:
         ids = list(c.instances)
         diags += [f"combinational cycle through instance {iid!r}"
                   for iid in sorted(ids[g] for g in stuck)]
-    return diags, index, gate_in, gate_out, fanout, order, level
+    return diags, index, cap, gate_in, gate_out, fanout, order, level
+
+
+def _index_of(index: dict, nid) -> int:
+    """Net ``nid``'s index, or -1 where ``nid`` names no net (unhashable too)."""
+    try:
+        return index.get(nid, -1)
+    except TypeError:
+        return -1
 
 
 # --------------------------------------------------------------------------
@@ -645,10 +642,12 @@ def to_json(c: Circuit) -> dict:
     """Lossless netlist interchange form. Each port, net and instance entry,
     and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
     the nested encoding dicts and inventory lists are formatted once per
-    distinct encoding or primitive and shared: copy one to change it."""
+    distinct encoding or primitive and shared: copy one to change it. A
+    net's ``driver`` is derived by :func:`_drivers`, null for none."""
     # keyed by id(): the circuit keeps every encoding and primitive alive
     encs: dict = {}
     prims: dict = {}
+    driven = _drivers(c)
 
     def enc(e: SignalEncoding) -> dict:
         return encs.get(id(e)) or encs.setdefault(
@@ -673,8 +672,7 @@ def to_json(c: Circuit) -> dict:
             for p in c.ports.values()
         ],
         "nets": [
-            {"id": n.id, "encoding": enc(n.encoding),
-             "driver": list(n.driver) if n.driver else None,
+            {"id": n.id, "encoding": enc(n.encoding), "driver": driven.get(n.id),
              "external_load": n.external_load}
             for n in c.nets.values()
         ],
@@ -686,6 +684,24 @@ def to_json(c: Circuit) -> dict:
         ],
         "metadata": meta,
     }
+
+
+def _drivers(c: Circuit, strict: bool = False) -> dict:
+    """Each driven net id's interchange ``driver`` entry: its constant, else
+    the first input port on it, else the first gate output bound to it. An
+    unhashable binding drives nothing; ``strict`` raises NetlistError
+    naming a net that a gate output drives again."""
+    driven = {n.id: list(n.driver) for n in c.nets.values() if n.driver}
+    bound = [(p.net, ["port", p.name]) for p in c.input_ports()]
+    bound += [(i.pins.get(pin), ["inst", i.id, pin])
+              for i in c.instances.values() for pin in i.primitive.output_pins]
+    for nid, entry in bound:
+        try:
+            if driven.setdefault(nid, entry) is not entry and strict and entry[0] == "inst":
+                raise NetlistError(f"net {nid!r} already driven")
+        except TypeError:
+            pass
+    return driven
 
 
 # what a malformed field raises while an interchange entry is parsed
@@ -714,11 +730,11 @@ def from_json(data: dict) -> Circuit:
     """Rebuild a circuit from its interchange form. Equal encodings become
     one :class:`SignalEncoding`, and instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
-    as in a :func:`build_cpa` chain. Net drivers come from the instances'
-    pins. Raises NetlistError naming the port, net or instance and the field
-    on a missing or malformed field, a duplicate id, a bad number, a
-    constant level outside its net's encoding, a pin unbound or bound to a
-    missing net, or a second driver."""
+    as in a :func:`build_cpa` chain. Raises NetlistError naming the port,
+    net or instance and the field on a missing or malformed field, a
+    duplicate id, a bad number, a constant level outside its net's
+    encoding, a pin unbound or bound to a missing net, a second driver, or
+    a net's ``driver`` other than the one :func:`_drivers` derives."""
     encs: dict = {}
     prims: dict = {}
 
@@ -753,7 +769,7 @@ def from_json(data: dict) -> Circuit:
             key = "driver"
             if driver is not None and not isinstance(driver, list):
                 raise TypeError(f"expected null or a list, got {driver!r}")
-            driver = tuple(driver) if driver and driver[0] != "inst" else None
+            driver = tuple(driver) if driver and driver[0] == "const" else None
             nets[nid] = Net(nid, encoding, driver, load)
 
         kind = "instance"
@@ -781,8 +797,12 @@ def from_json(data: dict) -> Circuit:
             key = "pin_encodings"
             pin_encodings = {p: enc(e) for p, e in pin_encodings.items()}
             key = "pins"
-            inst = instances[iid] = Instance(iid, prim, dict(pins), pin_encodings, tag)
-            _wire(nets, inst)
+            pins = dict(pins)
+            for pin in prim.input_pins + prim.output_pins:
+                if pins.get(pin) not in nets:
+                    what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
+                    raise NetlistError(f"instance {iid!r} pin {pin!r} {what}")
+            instances[iid] = Instance(iid, prim, pins, pin_encodings, tag)
 
         kind = "port"
         for entry in data["ports"]:
@@ -796,11 +816,19 @@ def from_json(data: dict) -> Circuit:
                 raise ValueError(f"expected 'in' or 'out', got {direction!r}")
             key = "encoding"
             ports[pname] = Port(pname, direction, enc(encoding), net)
+
+        circuit = Circuit(name, ports, nets, instances, meta)
+        driven = _drivers(circuit, strict=True)
+        kind, key = "net", "driver"
+        for entry in data["nets"]:
+            if entry["driver"] != driven.get(entry["id"]):
+                raise ValueError(f"got {entry['driver']!r}, but the netlist gives "
+                                 f"{driven.get(entry['id'])!r}")
     except NetlistError:
         raise
     except _MALFORMED as exc:
         raise _malformed(kind, entry, key, exc) from None
-    return Circuit(name, ports, nets, instances, meta)
+    return circuit
 
 
 def dump_netlist(c: Circuit, path: str | Path) -> None:

@@ -23,17 +23,8 @@ from .engine import (
 )
 from .gates import CellLibrary
 from .levels import DomainError, Level
-from .netlist import (
-    Circuit,
-    area_report,
-    build_bfa,
-    build_binary_slice,
-    build_cpa,
-    build_qfa,
-)
+from .netlist import CELL_KINDS, Circuit, area_report, build_cell, build_cpa
 from .timing import sta
-
-CONFIG_KINDS = ("qfa1", "qfa2", "bfa1x2", "bfa2x2")
 
 
 @dataclass(frozen=True)
@@ -75,17 +66,6 @@ class ComparisonRow:
         }
 
 
-def build_config_cell(config: AdderConfig, lib: CellLibrary | None = None) -> Circuit:
-    kind = config.kind.lower()
-    if kind in ("qfa1", "qfa2"):
-        return build_qfa(kind, config.vdd, lib, cl=config.cl)
-    if kind in ("bfa1x2", "bfa2x2"):
-        return build_binary_slice(kind[:4], config.vdd, lib, cl=config.cl)
-    if kind in ("bfa1", "bfa2"):
-        return build_bfa(kind, config.vdd, lib, cl=config.cl)
-    raise DomainError(f"unknown config kind {config.kind!r}")
-
-
 def _sum_ports(cell: Circuit) -> list:
     return sorted(p.name for p in cell.output_ports() if p.name != "Cout")
 
@@ -99,7 +79,7 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
     """Build one cell, run both worst-case stimuli, collect the row. An
     error on the way is re-raised as it is, with a note naming the config."""
     try:
-        cell = build_config_cell(config, lib)
+        cell = build_cell(config.kind, config.vdd, lib, config.cl)
         stim_in = worst_case_stimulus("input_to_carry", config.kind, config.vdd)
         stim_cc = worst_case_stimulus("carry_to_carry", config.kind, config.vdd)
         trace_in = simulate(cell, stim_in)
@@ -166,14 +146,12 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     (propagate mode on every cell) and steps C0, so the carry walks the
     whole chain.
     """
-    kind = config.kind.lower()
-    base_kind = kind[:4]
+    base_kind = config.kind.lower()[:4]
     quaternary = base_kind.startswith("qfa")
     rows = []
     for n in n_list:
         cells = n if quaternary else 2 * n
-        cell = (build_qfa if quaternary else build_bfa)(base_kind, config.vdd, lib)
-        cpa = build_cpa(cell, cells, cl=config.cl)
+        cpa = build_cpa(build_cell(base_kind, config.vdd, lib), cells, cl=config.cl)
         last = cells - 1
         rep = sta(cpa, ("C0", "A0", "B0"), (f"C{cells}", f"S{last}"))
 
@@ -229,7 +207,7 @@ def parse_config_spec(spec: str, cl: float) -> AdderConfig:
     if "@" not in spec:
         raise DomainError(f"config spec {spec!r} must look like kind@vdd")
     kind, _, vdd = spec.partition("@")
-    if kind not in CONFIG_KINDS + ("bfa1", "bfa2"):
+    if kind not in CELL_KINDS:
         raise DomainError(f"unknown config kind {kind!r}")
     return AdderConfig(kind=kind, vdd=parse_supply(vdd, f" in {spec!r}"), cl=cl)
 

@@ -136,6 +136,27 @@ def test_sim_rejects_bad_stimulus_fields(blob, field, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+_LEVELS = {"A": 2, "B": 1, "Cin": 0}
+
+
+@pytest.mark.parametrize("blob, field", [
+    ({"initial": [1, 2], "events": [], "duration_ps": 100.0}, "initial"),
+    ([1], "initial"),
+    ({"initial": _LEVELS, "events": [[50.0, ["A"], 1]], "duration_ps": 100.0}, "events[0]"),
+    ({"initial": _LEVELS, "events": [[1, "A"]], "duration_ps": 100.0}, "events[0]"),
+    ({"initial": _LEVELS, "duration_ps": 100.0}, "events: missing"),
+    ({"initial": _LEVELS, "events": [[10.0, "B", 2], ["x", "A", 1]], "duration_ps": 100.0},
+     "events[1]"),
+    ({"initial": _LEVELS, "events": [], "duration_ps": "abc"}, "duration_ps"),
+])
+def test_sim_names_the_malformed_stimulus_field(blob, field, tmp_path, capsys):
+    path = tmp_path / "stim.json"
+    path.write_text(json.dumps(blob))
+    assert run_cli(["sim", "--cell", "qfa2", "--stimulus", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_bad_library_exit_two(tmp_path, capsys):
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps({"inv": {"bogus_key": 1}}))

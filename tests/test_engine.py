@@ -26,6 +26,7 @@ from mvadder.gates import (
     eval_primitive,
     input_pins,
     output_pins,
+    switching_energy,
 )
 from mvadder.levels import (
     DigitVector,
@@ -42,6 +43,8 @@ from mvadder.netlist import (
     build_binary_slice,
     build_cpa,
     build_qfa,
+    from_json,
+    to_json,
     validate,
 )
 from mvadder.timing import sta
@@ -645,6 +648,45 @@ def test_batch_settle_agrees_with_event_engine_on_random_circuits(seed):
         assert tr.levels.min(initial=0) >= -1  # nothing below X
 
 
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_random_stimuli_on_random_circuits(seed, data):
+    """simulate ends at settle_batch's levels for the final input vector;
+    every gate-driven record's energy is switching_energy of its net's load
+    between the compiled rail voltages of its levels; and the circuit
+    reloaded from JSON simulates to the identical trace."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    comp = _kernel.compile_circuit(c)
+    ports = sorted(comp.in_port_net)
+    level = {p: data.draw(st.integers(0, comp.port_radix[p] - 1)) for p in ports}
+    initial = {p: L(v) for p, v in level.items()}
+    events = []
+    # half-ps steps land events within a gate delay of each other
+    for t in sorted(data.draw(st.lists(st.integers(0, 400), max_size=8, unique=True))):
+        p = data.draw(st.sampled_from(ports))
+        level[p] = data.draw(st.integers(0, comp.port_radix[p] - 1))
+        events.append((t * 0.5, p, L(level[p])))
+    stim = Stimulus(initial=initial, events=tuple(events), duration_ps=1e5)
+    tr = simulate(c, stim)
+
+    final = np.array([[level[p] for p in ports]])
+    in_nets = np.array([comp.in_port_net[p] for p in ports])
+    settled = _kernel.settle_batch(comp, in_nets, final, np.arange(comp.n_nets))
+    assert tr.final_levels.tolist() == settled[0].tolist()
+
+    cur = comp.net_init.tolist()
+    for n, lvl, energy, src in zip(tr.nets, tr.levels, tr.energies, tr.srcs):
+        if src == 0:
+            v_from, v_to = comp.net_rail[n][cur[n]], comp.net_rail[n][lvl]
+            assert energy == switching_energy(float(comp.net_cap[n]), v_from, v_to)
+        cur[n] = lvl
+
+    again = simulate(from_json(json.loads(json.dumps(to_json(c)))), stim)
+    for name in ("times", "nets", "levels", "energies", "srcs"):
+        assert np.array_equal(getattr(again, name), getattr(tr, name)), name
+
+
 def test_stimulus_json_roundtrip(tmp_path):
     stim = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
     path = tmp_path / "stim.json"
@@ -694,8 +736,14 @@ def test_compiled_delays_equal_per_gate_propagation_delay():
 
     c = from_json(to_json(build_cpa(build_qfa("qfa1", 0.9), 6, cl=2e-15)))
     comp = _kernel.compile_circuit(c)
+    load = {nid: net.external_load for nid, net in c.nets.items()}
+    for inst in c.instances.values():
+        for pin in inst.primitive.input_pins:
+            load[inst.pins[pin]] += inst.primitive.params.input_cap_per_pin
+    load.update({nid: 0.0 for nid, net in c.nets.items() if net.driver})  # supply ties
+    assert comp.net_cap.tolist() == [load[nid] for nid in comp.net_ids]
     want = [
-        tuple(max(1, round(propagation_delay(inst.primitive, c.nets[inst.pins[pin]].total_cap)
+        tuple(max(1, round(propagation_delay(inst.primitive, load[inst.pins[pin]])
                            / (_kernel.TICK_PS * 1e-12)))
               for pin in inst.primitive.output_pins)
         for inst in c.instances.values()

@@ -13,6 +13,7 @@ from mvadder.netlist import (
     area_report,
     build_bfa,
     build_binary_slice,
+    build_cell,
     build_cpa,
     build_qfa,
     from_json,
@@ -113,9 +114,8 @@ def test_cpa_structure():
         "C0", "S0", "S1", "S2", "S3", "C4",
     }
     # carry chain C0 -> C1 -> C2 -> C3 -> C4 via four inverters
-    for i in (1, 2, 3):
-        assert cpa.nets[f"C{i}"].driver == ("inst", f"d{i-1}.inv_cout", "y")
-    assert cpa.nets["C4"].driver == ("inst", "d3.inv_cout", "y")
+    for i in (1, 2, 3, 4):
+        assert cpa.instances[f"d{i-1}.inv_cout"].pins["y"] == f"C{i}"
     tags = {i.cell_tag for i in cpa.instances.values()}
     assert tags == {"d0", "d1", "d2", "d3"}
     # external load present on sums and last carry only
@@ -367,9 +367,7 @@ def test_netlist_json_roundtrip_lossless(factory):
     c2 = from_json(json.loads(json.dumps(blob)))
     assert to_json(c2) == blob
     assert validate(c2) == []
-    caps1 = {nid: n.total_cap for nid, n in c.nets.items()}
-    caps2 = {nid: n.total_cap for nid, n in c2.nets.items()}
-    assert caps1 == caps2
+    assert np.array_equal(compile_circuit(c2).net_cap, compile_circuit(c).net_cap)
 
 
 def test_roundtripped_circuit_still_verifies():
@@ -484,6 +482,66 @@ def test_from_json_names_the_entry_and_field_of_each_malformed_field(mutate, mes
     mutate(blob)
     with pytest.raises(NetlistError, match=message):
         from_json(blob)
+
+
+@pytest.mark.parametrize("net, driver", [
+    ("n_sum0", ["inst", 5]),
+    ("n_sum0", ["inst"]),
+    ("n_sum0", []),
+    ("n_sum0", ["inst", "mux_sum0_renamed", "y"]),
+    ("n_sum0", None),
+    ("A", ["port", "Zzz"]),
+    ("A", ["inst", "succ1", "y"]),
+])
+def test_from_json_checks_each_stored_driver_against_the_netlist(net, driver):
+    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+    _entry(blob, "nets", net)["driver"] = driver
+    with pytest.raises(NetlistError, match=rf"net '{net}': field 'driver': got "):
+        from_json(blob)
+
+
+def test_a_circuit_compiles_to_the_same_arrays_however_it_was_made():
+    """Loads and delays come from the pins, not from how they were bound."""
+    c = build_qfa("qfa2", 0.9)
+    c.instances["mux_sum1"].pins["d3"] = "a_plus1"
+    assert validate(c) == []
+    reloaded = from_json(json.loads(json.dumps(to_json(c))))
+    built, loaded = compile_circuit(c), compile_circuit(reloaded)
+    assert np.array_equal(built.net_cap, loaded.net_cap)
+    assert built.gate_delay == loaded.gate_delay
+    # a_plus1 feeds one more pin, A one fewer, than in the cell as built
+    fresh = compile_circuit(build_qfa("qfa2", 0.9))
+    pin_cap = c.instances["mux_sum1"].primitive.params.input_cap_per_pin
+    for nid, more in (("a_plus1", 1), ("A", -1)):
+        i = built.net_index[nid]
+        assert built.net_cap[i] == pytest.approx(fresh.net_cap[i] + more * pin_cap, rel=1e-9, abs=0)
+
+
+def test_a_pin_bound_to_no_net_id_gets_a_diagnostic():
+    c = build_qfa("qfa2", 0.9)
+    c.instances["inv_cout"].pins["a"] = ["x"]
+    c.instances["det1"].pins["yb"] = {"y": 1}
+    diags = validate(c)
+    assert "inv_cout.a: net ['x'] does not exist" in diags
+    assert "det1.yb: net {'y': 1} does not exist" in diags
+    with pytest.raises(DomainError, match=r"inv_cout\.a"):
+        compile_circuit(c)
+    blob = json.loads(json.dumps(to_json(c)))
+    assert _entry(blob, "instances", "inv_cout")["pins"]["a"] == ["x"]
+    assert _entry(blob, "nets", "b_ge1")["driver"] is None
+
+
+@pytest.mark.parametrize("kind", ["qfa1", "qfa2", "bfa1", "bfa2", "bfa1x2", "bfa2x2"])
+def test_build_cell_builds_each_kind(kind):
+    want = (build_qfa(kind, 0.7, cl=1e-15) if kind.startswith("qfa") else
+            build_binary_slice(kind[:4], 0.7, cl=1e-15) if kind.endswith("x2") else
+            build_bfa(kind, 0.7, cl=1e-15))
+    assert to_json(build_cell(kind.upper(), 0.7, cl=1e-15)) == to_json(want)
+
+
+def test_build_cell_rejects_an_unknown_kind():
+    with pytest.raises(NetlistError, match="unknown cell kind 'qfa3'"):
+        build_cell("qfa3")
 
 
 @pytest.mark.parametrize("level", [4, -1, 1.5, "a"])

@@ -64,10 +64,10 @@ def test_rows_match_fresh_measurements(four_rows):
 
 
 def test_power_window_matches_engine(four_rows):
-    from mvadder.report import build_config_cell
+    from mvadder.netlist import build_cell
 
     cfg = AdderConfig("qfa1", 0.9)
-    cell = build_config_cell(cfg)
+    cell = build_cell(cfg.kind, cfg.vdd, cl=cfg.cl)
     stim = worst_case_stimulus("input_to_carry", "qfa1", 0.9)
     tr = simulate(cell, stim)
     direct = measure_power(tr, (0.0, stim.duration_ps))
