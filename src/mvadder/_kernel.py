@@ -96,12 +96,12 @@ class CompiledCircuit:
         self.net_init = np.full(n, LVL_X, np.int64)
         self.net_init[list(const)] = list(const.values())
         # per net: its level voltages padded to four levels, then 0 V for X
-        # (index -1); the nets of one encoding share one tuple
-        self.net_rail = []
+        # (index -1); the nets of one encoding object share one tuple, padded
+        # once (keyed by id(): the circuit keeps every encoding alive)
         rails: dict = {}
-        for net in nets:
-            volts = tuple(net.encoding.level_voltages)
-            self.net_rail.append(rails.setdefault(volts, volts + (0.0,) * (5 - len(volts))))
+        self.net_rail = [rails.get(id(e)) or rails.setdefault(
+                             id(e), tuple(e.level_voltages) + (0.0,) * (5 - e.radix))
+                         for e in [net.encoding for net in nets]]
 
         insts = list(circuit.instances.values())
         self.gate_ids = list(circuit.instances)

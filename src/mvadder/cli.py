@@ -41,11 +41,27 @@ def parse_cap(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def port_list(text: str) -> tuple:
+    """Comma-separated port names; at least one."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one port name, got {text!r}")
+    return names
 
 
 def supply(text: str) -> float:
@@ -90,9 +106,7 @@ def _cmd_verify(args, lib) -> int:
 
 def _cmd_sta(args, lib) -> int:
     circuit = _build(args, lib)
-    sources = tuple(s.strip() for s in args.from_ports.split(",") if s.strip())
-    sinks = tuple(s.strip() for s in args.to_ports.split(",") if s.strip())
-    rep = sta(circuit, sources, sinks)
+    rep = sta(circuit, args.from_ports, args.to_ports)
     print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -152,7 +166,7 @@ def _add_build_args(p, with_digits=True):
     p.add_argument("--cl", type=parse_cap, default=0.0,
                    help="external load per output (e.g. 2fF)")
     if with_digits:
-        p.add_argument("--digits", type=int, default=4,
+        p.add_argument("--digits", type=positive_int, default=4,
                        help="digit count for --cell cpa")
         p.add_argument("--base", default="qfa2",
                        choices=("qfa1", "qfa2", "bfa1", "bfa2"),
@@ -163,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mvadder",
                                   description="Quaternary/binary adder toolkit")
     top.add_argument("--lib", help="cell library JSON overriding the defaults")
-    top.add_argument("--seed", type=int, default=0,
+    top.add_argument("--seed", type=non_negative_int, default=0,
                      help="seed for random-vector subcommands")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -175,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sta", help="static timing report (JSON on stdout)")
     _add_build_args(p)
-    p.add_argument("--from", dest="from_ports", required=True,
+    p.add_argument("--from", dest="from_ports", type=port_list, required=True,
                    help="comma-separated source ports")
-    p.add_argument("--to", dest="to_ports", required=True,
+    p.add_argument("--to", dest="to_ports", type=port_list, required=True,
                    help="comma-separated sink ports")
     p.set_defaults(func=_cmd_sta)
 

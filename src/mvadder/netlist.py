@@ -692,15 +692,22 @@ def _drivers(c: Circuit, strict: bool = False) -> dict:
     unhashable binding drives nothing; ``strict`` raises NetlistError
     naming a net that a gate output drives again."""
     driven = {n.id: list(n.driver) for n in c.nets.values() if n.driver}
-    bound = [(p.net, ["port", p.name]) for p in c.input_ports()]
-    bound += [(i.pins.get(pin), ["inst", i.id, pin])
-              for i in c.instances.values() for pin in i.primitive.output_pins]
-    for nid, entry in bound:
+    for p in c.input_ports():
         try:
-            if driven.setdefault(nid, entry) is not entry and strict and entry[0] == "inst":
-                raise NetlistError(f"net {nid!r} already driven")
+            driven.setdefault(p.net, ["port", p.name])
         except TypeError:
             pass
+    for inst in c.instances.values():
+        pins = inst.pins
+        for pin in inst.primitive.output_pins:
+            nid = pins.get(pin)
+            try:
+                if nid not in driven:
+                    driven[nid] = ["inst", inst.id, pin]
+                elif strict:
+                    raise NetlistError(f"net {nid!r} already driven")
+            except TypeError:
+                pass
     return driven
 
 
@@ -730,17 +737,35 @@ def from_json(data: dict) -> Circuit:
     """Rebuild a circuit from its interchange form. Equal encodings become
     one :class:`SignalEncoding`, and instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
-    as in a :func:`build_cpa` chain. Raises NetlistError naming the port,
-    net or instance and the field on a missing or malformed field, a
-    duplicate id, a bad number, a constant level outside its net's
-    encoding, a pin unbound or bound to a missing net, a second driver, or
-    a net's ``driver`` other than the one :func:`_drivers` derives."""
-    encs: dict = {}
-    prims: dict = {}
+    as in a :func:`build_cpa` chain. Interning looks an entry up by a cheap
+    key, an encoding's name or an instance's kind, numbers and interned
+    output encoding, and confirms the hit by comparing the stored voltages
+    or inventory rows with ``==``; a miss falls back to the full value key.
+    No input dict is keyed by identity, so a dict parsed from a file loads
+    by the same path as one shared by :func:`to_json`. Raises NetlistError
+    naming the port, net or instance and the field on a missing or
+    malformed field, a duplicate id, a bad number, a constant level outside
+    its net's encoding, a pin unbound or bound to a missing net, a second
+    driver, or a net's ``driver`` other than the one :func:`_drivers`
+    derives."""
+    encs: dict = {}  # (name, voltages) -> SignalEncoding
+    by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
+    prims: dict = {}  # (kind, *numbers, output encoding, inventory) -> primitive entry
+    by_numbers: dict = {}  # (kind, *numbers, id(output encoding)) -> primitive entry
+    # a primitive entry: (inventory rows as given, GatePrimitive, its pins)
 
     def enc(d: dict) -> SignalEncoding:
-        key = (d["name"], tuple(d["level_voltages"]))
-        return encs.get(key) or encs.setdefault(key, SignalEncoding(*key))
+        name, volts = d["name"], d["level_voltages"]
+        try:
+            hit = by_name.get(name)
+            if hit is not None and hit[0] == volts:
+                return hit[1]
+        except (TypeError, ValueError):  # the value key below names what is wrong
+            pass
+        key = (name, tuple(volts))
+        e = encs.get(key) or encs.setdefault(key, SignalEncoding(*key))
+        by_name[name] = (volts, e)
+        return e
 
     kind, entry, key = "netlist", data, None  # what is being parsed, for _malformed
     nets, instances, ports = {}, {}, {}
@@ -785,20 +810,32 @@ def from_json(data: dict) -> Circuit:
             key = "output_encoding"
             out_enc = enc(out_enc)
             key = "inventory"
-            pkey = (gate, *nums, out_enc, tuple(map(tuple, rows)))
             try:
-                prim = prims.get(pkey)
-            except TypeError:  # a value that is no number: parsing below names it
-                prim = None
-            if prim is None:
-                inventory = _parse_inventory(rows)
-                key = None  # ElectricalParams names the field
-                prim = prims[pkey] = GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory)
+                cheap = (gate, *nums, id(out_enc))
+                hit = by_numbers.get(cheap)
+                if hit is not None and hit[0] != rows:
+                    hit = None
+            except (TypeError, ValueError):  # a value that is no number: parsing below names it
+                cheap = hit = None
+            if hit is None:
+                pkey = (gate, *nums, out_enc, tuple(map(tuple, rows)))
+                try:
+                    hit = prims.get(pkey)
+                except TypeError:
+                    pass
+                if hit is None:
+                    inventory = _parse_inventory(rows)
+                    key = None  # ElectricalParams names the field
+                    prim = GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory)
+                    hit = prims[pkey] = (rows, prim, prim.input_pins + prim.output_pins)
+                if cheap is not None:
+                    by_numbers[cheap] = hit
+            _, prim, prim_pins = hit
             key = "pin_encodings"
             pin_encodings = {p: enc(e) for p, e in pin_encodings.items()}
             key = "pins"
             pins = dict(pins)
-            for pin in prim.input_pins + prim.output_pins:
+            for pin in prim_pins:
                 if pins.get(pin) not in nets:
                     what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
                     raise NetlistError(f"instance {iid!r} pin {pin!r} {what}")

@@ -66,11 +66,15 @@ def _cells_crossed(path) -> int:
 
 def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     """Worst arrival per sink port from any source port, with the critical
-    path of the globally worst sink. Ties break on lexicographic arc id
-    (instance, from_pin, to_pin) so reports are deterministic."""
+    path of the globally worst sink. Both port lists must be non-empty.
+    Ties break on lexicographic arc id (instance, from_pin, to_pin) so
+    reports are deterministic."""
     comp = compile_circuit(circuit)  # rejects an invalid circuit first
     sources = tuple(sources)
     sinks = tuple(sinks)
+    for field, names in (("sources", sources), ("sinks", sinks)):
+        if not names:
+            raise DomainError(f"{field}: expected at least one port, got none")
     for name in (*sources, *sinks):
         if name not in circuit.ports:
             raise DomainError(f"{name!r} is not a port of {circuit.name!r}")

@@ -104,6 +104,24 @@ def test_verify_rejects_vector_count_below_one(vectors, capsys):
         verify_cpa(cpa, 8, vectors=int(vectors))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1", "verify", "--cell", "cpa", "--digits", "8"],
+     "argument --seed: must be >= 0, got -1"),
+    (["--seed", "-1", "verify", "--cell", "qfa2"], "argument --seed: must be >= 0, got -1"),
+    (["--seed", "-1", "compare", "--configs", "qfa2@0.9"], "argument --seed: must be >= 0, got -1"),
+    (["verify", "--cell", "cpa", "--digits", "0"], "argument --digits: must be >= 1, got 0"),
+    (["sta", "--cell", "qfa2", "--from", ",", "--to", "Cout"],
+     "argument --from: expected at least one port name, got ','"),
+    (["sta", "--cell", "qfa2", "--from", "Cin", "--to", ","],
+     "argument --to: expected at least one port name, got ','"),
+])
+def test_bad_flag_exits_two_naming_the_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("vdd", ["nan", "inf", "-inf"])
 def test_compare_rejects_non_finite_supply(vdd, capsys):
     assert run_cli(["compare", "--configs", f"qfa2@{vdd}"]) == 2

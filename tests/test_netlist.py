@@ -409,6 +409,56 @@ def test_from_json_shares_equal_primitives_and_encodings():
     assert len({id(e) for e in encs}) == len(set(encs)) == 2  # quaternary and binary
 
 
+@pytest.mark.parametrize("shape", ["in_memory", "file"])
+def test_from_json_interns_both_traffic_shapes(shape):
+    """A reload shares one object per distinct encoding and primitive value,
+    whether its dicts are those to_json shares or fresh ones from a file."""
+    built = build_cpa(build_qfa("qfa2", 0.9), 16)
+    blob = to_json(built)
+    data = blob if shape == "in_memory" else json.loads(json.dumps(blob))
+    c = from_json(data)
+
+    def objects(circuit):
+        prims = [inst.primitive for inst in circuit.instances.values()]
+        encs = [net.encoding for net in circuit.nets.values()]
+        encs += [p.encoding for p in circuit.ports.values()]
+        encs += [p.params.output_encoding for p in prims]
+        encs += [e for inst in circuit.instances.values() for e in inst.pin_encodings.values()]
+        return prims, encs
+
+    for want, got in zip(objects(built), objects(c)):
+        assert len({id(x) for x in got}) == len(set(got)) == len(set(want))
+        assert set(got) == set(want)
+    assert to_json(c) == blob
+    want, got = compile_circuit(built), compile_circuit(c)
+    for name in _COMPILED:
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("gate_row", "net_cap", "net_init"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_from_json_confirms_an_interning_hit_by_value():
+    """One name with other voltages, or equal kind and numbers with another
+    inventory, is a different value: it gets an object of its own, and the
+    entries after it still get the first."""
+    blob = to_json(build_qfa("qfa2", 0.9))
+    quat = _entry(blob, "nets", "A")["encoding"]
+    odd = {"name": quat["name"], "level_voltages": [0.0, 0.2, 0.5, 0.9]}
+    _entry(blob, "nets", "a_plus2")["encoding"] = odd
+    mux = _entry(blob, "instances", "mux_sum1")
+    mux["inventory"] = [[dev, n, count + 1] for dev, n, count in mux["inventory"]]
+    for data in (blob, json.loads(json.dumps(blob))):
+        c = from_json(data)
+        a, odd_net, after = (c.nets[n].encoding for n in ("A", "a_plus2", "a_plus3"))
+        assert odd_net is not a and odd_net.name == a.name
+        assert list(odd_net.level_voltages) == odd["level_voltages"]
+        assert after is a
+        sum0, sum1 = (c.instances[i].primitive for i in ("mux_sum0", "mux_sum1"))
+        assert sum0 is not sum1 and sum0.params == sum1.params
+        assert [list(e) for e in sum1.inventory.entries] == mux["inventory"]
+        assert to_json(c) == blob
+
+
 def test_to_json_entries_are_independent_dicts():
     blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 3))
     before = json.loads(json.dumps(blob))

@@ -153,3 +153,12 @@ def test_report_as_dict_is_json_ready():
     parsed = json.loads(blob)
     assert parsed["stages"]["gate_arcs"] == len(parsed["critical_path"])
     assert set(parsed["arrivals_ps"]) == {"Cout", "Sum"}
+
+
+@pytest.mark.parametrize("sources, sinks, field", [
+    ((), ("Cout",), "sources"),
+    (("Cin",), [], "sinks"),
+])
+def test_sta_rejects_an_empty_workload(sources, sinks, field):
+    with pytest.raises(DomainError, match=f"{field}: expected at least one port"):
+        sta(build_qfa("qfa2", 0.9), sources, sinks)
