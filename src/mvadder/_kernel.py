@@ -14,7 +14,7 @@ alone decide, then applies the input levels at t = 0. The batch settle
 (:func:`settle_batch`) is one levelized pass, vectorized over the gates of
 a level and over input vectors with numpy. The net indices of every pin,
 the fan-out, the gate order and the logic levels come from the one pass
-of :func:`netlist._analyse` that a compile runs.
+of :func:`netlist._analyse`, which each circuit runs at most once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .gates import KINDS, eval_primitive, input_pins, output_pins, propagation_delay
 from .levels import DomainError
-from .netlist import _CODES, _analyse
+from .netlist import _CODES, _analysed
 
 #: Event-time quantum: one tick is 0.1 ps. All delays are integer ticks,
 #: which keeps event ordering exact and runs deterministic.
@@ -75,7 +75,7 @@ def gate_tables() -> tuple:
 class CompiledCircuit:
     """Kernel array form of a circuit; ``DomainError`` names an invalid one's diagnostics.
 
-    The one pass of :func:`netlist._analyse` gives the integer graph
+    The circuit's one pass of :func:`netlist._analyse` gives the integer graph
     (``net_index``, ``gate_in``, ``gate_out`` and ``fanout``, whose weights
     step a gate's table row when an input changes), each net's load
     ``net_cap``, the Kahn order ``topo_order`` (gate indices, every gate
@@ -84,10 +84,11 @@ class CompiledCircuit:
     the net rails, and the gates the constants alone decide."""
 
     def __init__(self, circuit):
-        (diags, self.net_index, cap, self.gate_in, self.gate_out, self.fanout,
-         self.topo_order, self.gate_level) = _analyse(circuit)
-        if diags:
-            raise DomainError(f"circuit invalid: {diags}")
+        a = _analysed(circuit)
+        if a.diags:
+            raise DomainError(f"circuit invalid: {a.diags}")
+        (self.net_index, cap, self.gate_in, self.gate_out, self.fanout, self.topo_order,
+         self.gate_level) = a[1:8]
         nets = list(circuit.nets.values())
         self.net_ids = list(circuit.nets)
         n = self.n_nets = len(nets)
@@ -166,11 +167,10 @@ class CompiledCircuit:
 
 
 def compile_circuit(circuit) -> CompiledCircuit:
-    """Compile (see :class:`CompiledCircuit`) and cache on the circuit."""
-    cached = getattr(circuit, "_compiled", None)
-    if cached is None:
-        cached = circuit._compiled = CompiledCircuit(circuit)
-    return cached
+    """Compile (see :class:`CompiledCircuit`) once; the circuit keeps it."""
+    if circuit._compiled is None:
+        object.__setattr__(circuit, "_compiled", CompiledCircuit(circuit))
+    return circuit._compiled
 
 
 # --------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", required=True,
                    help="comma-separated kind@vdd specs, e.g. qfa2@0.9,bfa2x2@0.45")
     p.add_argument("--cl", type=parse_cap, default=2e-15)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--out", help="report path (.json or .csv); default stdout JSON")
     p.set_defaults(func=_cmd_compare)
 

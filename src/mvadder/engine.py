@@ -115,7 +115,7 @@ class Trace:
     duration_ticks: int
     stim_events: tuple  # (abs_ticks, port, level), sorted
     final_levels: np.ndarray
-    _compiled: object = field(repr=False, default=None)
+    compiled: object = field(repr=False, default=None)  # the circuit's _kernel.CompiledCircuit
 
     @property
     def total_energy(self) -> float:
@@ -130,7 +130,7 @@ class Trace:
         return float(self.energies[self.n_settle:].sum())
 
     def net_index(self, name: str) -> int:
-        comp = self._compiled
+        comp = self.compiled
         if name in self.circuit.ports:
             name = self.circuit.ports[name].net
         if name not in comp.net_index:
@@ -140,7 +140,7 @@ class Trace:
     def waveform(self, name: str) -> list:
         """[(time_ps, Level, voltage)] for a net or port, settle included."""
         ni = self.net_index(name)
-        comp = self._compiled
+        comp = self.compiled
         mask = self.nets == ni
         out = []
         for t, lvl in zip(self.times[mask], self.levels[mask]):
@@ -157,22 +157,23 @@ class Trace:
         return int((self.nets[lo:] == ni).sum())
 
     def write_csv(self, path: str | Path) -> None:
-        comp = self._compiled
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_ps", "net", "level", "voltage"])
-            for t, n, l in zip(self.times, self.nets, self.levels):
-                volt = repr(float(comp.net_rail[n][l])) if l >= 0 else ""
-                w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], int(l), volt])
+        self._write(path, ["level", "voltage"], lambda l, e, s, rail:
+                    (int(l), repr(float(rail[l])) if l >= 0 else ""))
 
     def write_energy_csv(self, path: str | Path) -> None:
-        comp = self._compiled
+        """Gate-driven transitions only."""
+        self._write(path, ["joules"], lambda l, e, s, rail: (repr(float(e)),) if s == 0 else None)
+
+    def _write(self, path: str | Path, header: list, columns) -> None:
+        """Per record: time, net and ``columns(level, joules, src, rail)``, if not None."""
+        comp = self.compiled
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["time_ps", "net", "joules"])
-            for t, n, e, s in zip(self.times, self.nets, self.energies, self.srcs):
-                if s == 0:
-                    w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], repr(float(e))])
+            w.writerow(["time_ps", "net", *header])
+            for t, n, l, e, s in zip(self.times, self.nets, self.levels, self.energies, self.srcs):
+                more = columns(l, e, s, comp.net_rail[n])
+                if more is not None:
+                    w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], *more])
 
 
 def _ticks(ps: float) -> int:
@@ -272,7 +273,7 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
         duration_ticks=duration_ticks,
         stim_events=tuple((tick + origin, port, Level(lvl)) for tick, _, lvl, port in ev),
         final_levels=np.array(cur, np.int64),
-        _compiled=comp,
+        compiled=comp,
     )
 
 

@@ -183,60 +183,33 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
             f"{kind} takes {len(_INPUT_PINS[kind])} inputs, got {len(ins)}"
         )
 
-    if kind.startswith("det"):
-        k = int(kind[3])
-        v = ins[0]
+    if kind.startswith(("det", "succ")):
+        k, v = int(kind[-1]), ins[0]
         if v is _X:
-            return (_X, _X)
-        low = Level.L1 if int(v) < k else Level.L0
-        return (low, Level(1 - int(low)))
-
-    if kind.startswith("succ"):
-        k = int(kind[4])
-        v = ins[0]
-        if v is _X:
-            return (_X,)
+            return (_X,) * len(_OUTPUT_PINS[kind])
+        if kind.startswith("det"):
+            low = int(v) < k
+            return (Level(low), Level(1 - low))
         return (Level((int(v) + k) % 4),)
 
-    if kind == "mux4":
-        sel = ins[4]
+    if kind.startswith("mux"):
+        sel = ins[-1]
         if sel is _X:
             return (_X,)
-        return (ins[int(sel)],)
+        return (ins[int(sel) if kind == "mux4" else _bit("sel", sel)],)
 
-    if kind == "mux2":
-        sel = ins[2]
-        if sel is _X:
-            return (_X,)
-        return (ins[_bit("sel", sel)],)
-
-    if kind == "inv":
+    if kind in ("inv", "buf"):
         v = ins[0]
         if v is _X:
             return (_X,)
-        return (Level(1 - _bit("in", v)),)
+        return (Level(_bit("in", v) ^ (kind == "inv")),)
 
-    if kind == "buf":
-        v = ins[0]
-        if v is _X:
-            return (_X,)
-        return (Level(_bit("in", v)),)
-
-    if kind == "nand":
-        if Level.L0 in ins:
-            return (Level.L1,)
-        bits = [None if v is _X else _bit("in", v) for v in ins]
-        if None in bits:
-            return (_X,)
-        return (Level.L0,)
-
-    if kind == "nor":
-        if Level.L1 in ins:
-            return (Level.L0,)
-        bits = [None if v is _X else _bit("in", v) for v in ins]
-        if None in bits:
-            return (_X,)
-        return (Level.L1,)
+    if kind in ("nand", "nor"):
+        ctrl = Level.L0 if kind == "nand" else Level.L1  # decides the output alone
+        if ctrl in ins:
+            return (Level(1 - ctrl),)
+        [_bit("in", v) for v in ins if v is not _X]  # out-of-domain levels raise
+        return (_X,) if _X in ins else (ctrl,)
 
     if kind == "xor_tg":
         if _X in ins:

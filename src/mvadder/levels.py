@@ -160,22 +160,19 @@ def _check_digit(name: str, value: int, radix: int) -> int:
     return value
 
 
+def _full_add(a: int, b: int, cin: int, radix: int) -> tuple[int, int]:
+    total = _check_digit("a", a, radix) + _check_digit("b", b, radix) + _check_digit("cin", cin, 2)
+    return total % radix, total // radix
+
+
 def qfa_oracle(a: int, b: int, cin: int) -> tuple[int, int]:
     """One quaternary full-adder step: radix-4 digits in, (sum, carry) out."""
-    a = _check_digit("a", a, 4)
-    b = _check_digit("b", b, 4)
-    cin = _check_digit("cin", cin, 2)
-    total = a + b + cin
-    return total % 4, 1 if total >= 4 else 0
+    return _full_add(a, b, cin, 4)
 
 
 def bfa_oracle(a: int, b: int, cin: int) -> tuple[int, int]:
     """One binary full-adder step: s = a^b^cin, cout = majority(a, b, cin)."""
-    a = _check_digit("a", a, 2)
-    b = _check_digit("b", b, 2)
-    cin = _check_digit("cin", cin, 2)
-    total = a + b + cin
-    return total & 1, total >> 1
+    return _full_add(a, b, cin, 2)
 
 
 def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, int]:

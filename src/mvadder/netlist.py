@@ -4,10 +4,12 @@ A :class:`Circuit` stores ports, nets and gate instances whose pins name
 nets by id; a net stores its id, encoding, external load and, for a supply
 tie, its level. The rest (each net's driver and load, validity, gate order
 and logic levels) is derived from the pins by the one pass of
-:func:`_analyse` when a circuit is validated or compiled, so a circuit
-compiles alike however it was built, loaded or edited (before compiling,
-which caches). Generators assign deterministic identifiers so reports and
-traces are reproducible run to run.
+:func:`_analyse`, run at most once per circuit and stored on it. A circuit
+is a value: its records and maps are read-only, so what is derived from it
+cannot go stale. To edit one, build new records and call
+``dataclasses.replace(circuit, instances=...)``; the copy is analysed and
+compiled afresh. Generators assign deterministic identifiers so reports
+and traces are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .gates import (
@@ -27,7 +31,9 @@ from .gates import (
     GatePrimitive,
     TransistorInventory,
     _parse_inventory,
+    input_pins,
     inventory_area,
+    output_pins,
 )
 from .levels import DomainError, Level, SignalEncoding, binary_full, quaternary, third_swing
 
@@ -36,57 +42,81 @@ class NetlistError(ValueError):
     """Structural problem that prevents building or using a circuit."""
 
 
-@dataclass
-class Net:
-    """A wire. ``driver`` is None, or ("const", level) for a supply tie, the
-    level an int below the encoding's radix. The port or gate that drives
-    any other net, and each net's load, are derived from the pins by
-    :func:`_analyse`."""
+def _frozen(m) -> MappingProxyType:
+    """A read-only map over a private copy of ``m``; ``copy()`` where it has
+    one, as ``dict()`` of a mappingproxy is several times slower."""
+    return MappingProxyType(m.copy() if type(m) in (dict, MappingProxyType) else dict(m))
 
-    id: str
-    encoding: SignalEncoding
-    driver: tuple | None = None
-    external_load: float = 0.0
 
-    def __post_init__(self):
+# NamedTuple's own _make, which _replace calls, would skip a subclass's __new__
+_MAKE = classmethod(lambda cls, fields: cls(*fields))
+
+
+class Net(namedtuple("Net", "id encoding driver external_load", defaults=(None, 0.0))):
+    """A wire (immutable). ``driver`` is None, or ("const", level) for a
+    supply tie, the level an int below the encoding's radix. The port or
+    gate that drives any other net, and each net's load, are derived from
+    the pins by :func:`_analyse`."""
+
+    __slots__ = ()
+    _make = _MAKE
+
+    def __new__(cls, id, encoding, driver=None, external_load=0.0):
         try:
-            ok = 0 <= self.external_load < math.inf  # NaN fails too
+            ok = 0 <= external_load < math.inf  # NaN fails too
         except TypeError:  # not a number
             ok = False
         if not ok:
-            raise NetlistError(f"net {self.id!r}: external_load must be a finite number >= 0, "
-                               f"got {self.external_load!r}")
-        d = self.driver
-        if d is not None and not (len(d) == 2 and d[0] == "const" and type(d[1]) is int
-                                  and 0 <= d[1] < self.encoding.radix):
-            raise NetlistError(f"net {self.id!r}: driver must be ('const', level) with an int "
-                               f"level in [0, {self.encoding.radix}), got {d!r}")
+            raise NetlistError(f"net {id!r}: external_load must be a finite number >= 0, "
+                               f"got {external_load!r}")
+        if driver is not None and not (len(driver) == 2 and driver[0] == "const"
+                                       and type(driver[1]) is int
+                                       and 0 <= driver[1] < encoding.radix):
+            raise NetlistError(f"net {id!r}: driver must be ('const', level) with an int "
+                               f"level in [0, {encoding.radix}), got {driver!r}")
+        return tuple.__new__(cls, (id, encoding, driver, external_load))
 
 
-@dataclass
-class Instance:
-    id: str
-    primitive: GatePrimitive
-    pins: dict  # pin name -> net id (inputs and outputs)
-    pin_encodings: dict  # input pin name -> SignalEncoding expected there
-    cell_tag: str = "cell0"
+class Instance(namedtuple("Instance", "id primitive pins pin_encodings cell_tag",
+                          defaults=("cell0",))):
+    """A gate (immutable). ``pins`` maps each pin to a net id and
+    ``pin_encodings`` each input pin to the SignalEncoding expected there;
+    both are read-only maps over copies of the maps given."""
+
+    __slots__ = ()
+    _make = _MAKE
+
+    def __new__(cls, id, primitive, pins, pin_encodings, cell_tag="cell0"):
+        return tuple.__new__(cls, (id, primitive, _frozen(pins), _frozen(pin_encodings), cell_tag))
 
 
-@dataclass
-class Port:
-    name: str
-    direction: str  # "in" | "out"
-    encoding: SignalEncoding
-    net: str
+def _instance(*fields) -> Instance:
+    """An Instance over read-only maps that this module made or took from a
+    record, shared as they are, without the constructor's copies."""
+    return tuple.__new__(Instance, fields)
 
 
-@dataclass
+#: A circuit terminal (immutable): ``direction`` is "in" or "out".
+Port = namedtuple("Port", "name direction encoding net")
+
+
+@dataclass(frozen=True)
 class Circuit:
+    """A circuit (immutable), its maps read-only copies of the maps given.
+    Its one pass and compiled form are derived on first use and kept; a
+    copy made by ``dataclasses.replace`` starts without them."""
+
     name: str
-    ports: dict  # name -> Port
-    nets: dict  # id -> Net
-    instances: dict  # id -> Instance
-    metadata: dict = field(default_factory=dict)
+    ports: Mapping  # name -> Port
+    nets: Mapping  # id -> Net
+    instances: Mapping  # id -> Instance
+    metadata: Mapping = field(default_factory=dict)
+    _analysis = None  # not fields: set on first use by _analysed
+    _compiled = None  # and by _kernel.compile_circuit
+
+    def __post_init__(self):
+        for name in ("ports", "nets", "instances", "metadata"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def input_ports(self) -> list[Port]:
         return [p for p in self.ports.values() if p.direction == "in"]
@@ -126,7 +156,7 @@ class _Builder:
              pins: Mapping[str, str], cell_tag: str = "cell0",
              inventory: TransistorInventory | None = None,
              sel_enc: SignalEncoding | None = None,
-             data_enc: SignalEncoding | None = None) -> Instance:
+             data_enc: SignalEncoding | None = None) -> None:
         """Add one gate. Input pin expectations default to the bound nets'
         encodings; pass sel/data encodings where the contract is stricter."""
         if iid in self.instances:
@@ -140,8 +170,8 @@ class _Builder:
                 pin_enc[pin] = data_enc
             else:
                 pin_enc[pin] = self.nets[pins[pin]].encoding
-        inst = self.instances[iid] = Instance(iid, prim, dict(pins), pin_enc, cell_tag)
-        return inst
+        self.instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)),
+                                        MappingProxyType(pin_enc), cell_tag)
 
     def copy_cell(self, cell: Circuit, prefix: str, tag: str,
                   port_nets: Mapping[str, str]) -> None:
@@ -154,8 +184,8 @@ class _Builder:
         for iid, inst in cell.instances.items():
             new_iid = prefix + iid
             new_pins = {pin: mapped[nid] for pin, nid in inst.pins.items()}
-            self.instances[new_iid] = Instance(
-                new_iid, inst.primitive, new_pins, dict(inst.pin_encodings), tag)
+            self.instances[new_iid] = _instance(new_iid, inst.primitive,
+                                                MappingProxyType(new_pins), inst.pin_encodings, tag)
         for _, inv in cell.metadata.get("cell_inventory_overrides", {}).items():
             self.metadata.setdefault("cell_inventory_overrides", {})[tag] = inv
         kinds = cell.metadata.get("cell_kinds", {})
@@ -401,27 +431,54 @@ def build_cell(kind: str, vdd: float = 0.9, lib: CellLibrary | None = None,
 
 def validate(c: Circuit) -> list[str]:
     """Structural diagnostics; empty list means the circuit is usable. A
-    cycle diagnostic names the gates on it, not those behind it. This is the
-    first result of :func:`_analyse`; computing delays is left to compiling."""
-    return _analyse(c)[0]
+    cycle diagnostic names the gates on it, not those behind it. A fresh
+    copy of the diagnostics of :func:`_analyse`; computing delays is left to
+    compiling."""
+    return list(_analysed(c).diags)
 
 
 _CODES = 5  # codes of one input pin: X, L0..L3; a gate's pins are its base-5 digits
 
 
-def _analyse(c: Circuit) -> tuple:
+def _kind_plan(kind: str, ins: tuple) -> tuple:
+    """A kind's input and output pins, its input pins' base-5 weights and
+    their sum, and the positions of its data inputs if it is a mux."""
+    weights = [_CODES ** j for j in range(len(ins) - 1, -1, -1)]
+    data = [k for k, pin in enumerate(ins) if kind.startswith("mux") and pin[0] == "d"]
+    return ins, output_pins(kind), weights, sum(weights), data
+
+
+_KIND_PLANS = {kind: _kind_plan(kind, input_pins(kind)) for kind in KINDS}
+
+
+# what _analyse derives from a circuit's pins; see there
+_Analysis = namedtuple("_Analysis", "diags net_index net_cap gate_in gate_out fanout order level "
+                                    "driver bad_pins again")
+
+
+def _analysed(c: Circuit) -> _Analysis:
+    """The one pass of :func:`_analyse` over ``c``, run on first use and
+    stored on it (a circuit cannot change)."""
+    if c._analysis is None:
+        object.__setattr__(c, "_analysis", _analyse(c))
+    return c._analysis
+
+
+def _analyse(c: Circuit) -> _Analysis:
     """One pass that resolves every pin of ``c`` to a net index exactly once.
 
-    Returns ``(diags, net_index, net_cap, gate_in, gate_out, fanout, order,
-    level)``: :func:`validate`'s diagnostics; each net id's index (``c.nets``
+    Gives :func:`validate`'s diagnostics; each net id's index (``c.nets``
     order); per net its load, the external load plus the input cap of each
     pin it feeds, summed in instance and pin order (0 for a supply tie,
     which switches nothing); per gate (``c.instances`` order) its input nets
     in pin order and its output nets; per net the gates it feeds as (gate,
     summed base-5 weight of the pins it drives), the first of k input pins
     weighing 5 ** (k - 1); the gate indices in Kahn order, every gate after
-    the drivers of its inputs; and per gate its logic level, 1 + its inputs'
-    highest (an undriven net is 0), or 0 for a gate never ordered.
+    the drivers of its inputs; per gate its logic level, 1 + its inputs'
+    highest (an undriven net is 0), or 0 for a gate never ordered; per net
+    its first driver (its constant, else the first input port, else the
+    first gate output on it) or None; each (instance id, pin) unbound or
+    bound to no net; and each (net, driver) after a net's first.
 
     Kahn's algorithm runs in waves of nets, and a gate is released when the
     weights of its arrived inputs sum to its bound pins' weights, so a
@@ -431,29 +488,27 @@ def _analyse(c: Circuit) -> tuple:
     by a cycle diagnostic. The graph is meaningful only when ``diags`` is
     empty (an unbound input pin reads net -1 in ``gate_in``)."""
     diags: list[str] = []
-    nets, net_ids = list(c.nets.values()), list(c.nets)
+    net_ids = list(c.nets)
     index = {nid: i for i, nid in enumerate(net_ids)}
-    encs = [net.encoding for net in nets]
-    drivers = [[net.driver] if net.driver else [] for net in nets]
-    cap = [net.external_load for net in nets]
+    _, encs, const, cap = zip(*c.nets.values()) if net_ids else [()] * 4  # the nets' fields
+    driver, cap = list(const), list(cap)
+    again: list = []  # (net, driver) past a net's first
+    bad_pins: list = []
     for port in c.ports.values():
         i = _index_of(index, port.net)
         if i < 0:
             diags.append(f"port {port.name}: net {port.net!r} does not exist")
         elif port.direction == "in":
-            drivers[i].append(("port", port.name))
+            if driver[i] is None:
+                driver[i] = ("port", port.name)
+            else:
+                again.append((i, ("port", port.name)))
 
-    plans: dict = {}  # id(primitive) -> its pins, their weights and cap, its output encoding
     gate_in, gate_out, wait = [], [], []  # wait: the weights of a gate's inputs yet to arrive
-    fanout: list[list] = [[] for _ in nets]
-    for g, inst in enumerate(c.instances.values()):
-        prim, pins = inst.primitive, inst.pins
-        plan = plans.get(id(prim))
-        if plan is None:
-            weights = [_CODES ** j for j in range(len(prim.input_pins) - 1, -1, -1)]
-            plan = plans[id(prim)] = (prim.input_pins, prim.output_pins, weights, sum(weights),
-                                      prim.params.input_cap_per_pin, prim.params.output_encoding)
-        in_pins, out_pins, weights, total, pin_cap, out_enc = plan
+    fanout: list[list] = [[] for _ in net_ids]
+    for g, (iid, prim, pins, pin_enc, _) in enumerate(c.instances.values()):
+        in_pins, out_pins, weights, total, data = _KIND_PLANS[prim.kind]
+        pin_cap, out_enc = prim.params.input_cap_per_pin, prim.params.output_encoding
         try:
             ins = [index[pins[pin]] for pin in in_pins]
             outs = [index[pins[pin]] for pin in out_pins]
@@ -462,13 +517,13 @@ def _analyse(c: Circuit) -> tuple:
             ins, outs = ([_index_of(index, pins.get(p)) for p in ps] for ps in (in_pins, out_pins))
             for pin, i in zip(in_pins + out_pins, ins + outs):
                 if i < 0:
-                    diags.append(f"{inst.id}.{pin}: net {pins[pin]!r} does not exist"
-                                 if pin in pins else f"{inst.id}: pin {pin} unbound")
+                    bad_pins.append((iid, pin))
+                    diags.append(f"{iid}.{pin}: net {pins[pin]!r} does not exist"
+                                 if pin in pins else f"{iid}: pin {pin} unbound")
             bound_in = [(pin, i, w) for pin, i, w in zip(in_pins, ins, weights) if i >= 0]
             bound_out = [(pin, o) for pin, o in zip(out_pins, outs) if o >= 0]
             outs = [o for _, o in bound_out]
             total = sum(w for _, _, w in bound_in)
-        pin_enc = inst.pin_encodings
         for pin, i, w in bound_in:
             cap[i] += pin_cap
             feeds = fanout[i]
@@ -478,31 +533,40 @@ def _analyse(c: Circuit) -> tuple:
                 feeds.append((g, w))
             want, got = pin_enc.get(pin), encs[i]
             if want is not None and want is not got and want.level_voltages != got.level_voltages:
-                diags.append(f"encoding-mismatch: {inst.id}.{pin} expects {want.name}, "
+                diags.append(f"encoding-mismatch: {iid}.{pin} expects {want.name}, "
                              f"net {net_ids[i]} carries {got.name}")
+        for k in data:  # a mux passes its data through: none may have more levels than its output
+            got = encs[ins[k]]
+            if got is not out_enc and ins[k] >= 0 and got.radix > out_enc.radix:
+                diags.append(f"mux-data-too-wide: {iid}.{in_pins[k]} carries {got.name}, "
+                             f"more levels than its output {out_enc.name}")
         for pin, o in bound_out:
-            drivers[o].append(("inst", inst.id, pin))
+            if driver[o] is None:
+                driver[o] = ("inst", iid, pin)
+            else:
+                again.append((o, ("inst", iid, pin)))
             got = encs[o]
             if got is not out_enc and got.level_voltages != out_enc.level_voltages:
-                diags.append(f"encoding-mismatch: {inst.id}.{pin} drives {out_enc.name}, "
+                diags.append(f"encoding-mismatch: {iid}.{pin} drives {out_enc.name}, "
                              f"net {net_ids[o]} declared {got.name}")
         gate_in.append(ins)
         gate_out.append(outs)
         wait.append(total)
 
-    cap = [0.0 if net.driver else x for net, x in zip(nets, cap)]  # a supply tie switches nothing
-    for nid, dr in zip(net_ids, drivers):
-        if not dr:
-            diags.append(f"undriven net {nid!r}")
-        elif len(dr) > 1:
-            diags.append(f"multiple-driver net {nid!r}: {sorted(str(d) for d in dr)}")
+    cap = [0.0 if k else x for k, x in zip(const, cap)]  # a supply tie switches nothing
+    more: dict = {}
+    for i, d in again:
+        more.setdefault(i, [driver[i]]).append(d)
+    for i in sorted([i for i, d in enumerate(driver) if d is None] + list(more)):
+        diags.append(f"undriven net {net_ids[i]!r}" if driver[i] is None else
+                     f"multiple-driver net {net_ids[i]!r}: {sorted(str(d) for d in more[i])}")
 
     if c.metadata.get("adder_cell") and not _ADDER_PORTS <= set(c.ports):
         diags.append(f"adder cell missing ports {sorted(_ADDER_PORTS - set(c.ports))}")
 
     driven = set(itertools.chain.from_iterable(gate_out))
-    wave = [i for i in range(len(nets)) if i not in driven]
-    arrived = bytearray(len(nets))
+    wave = [i for i in range(len(net_ids)) if i not in driven]
+    arrived = bytearray(len(net_ids))
     order: list[int] = []
     level = [0] * len(gate_in)
     depth = 0
@@ -540,7 +604,8 @@ def _analyse(c: Circuit) -> tuple:
         ids = list(c.instances)
         diags += [f"combinational cycle through instance {iid!r}"
                   for iid in sorted(ids[g] for g in stuck)]
-    return diags, index, cap, gate_in, gate_out, fanout, order, level
+    return _Analysis(diags, index, cap, gate_in, gate_out, fanout, order, level, driver,
+                     bad_pins, again)
 
 
 def _index_of(index: dict, nid) -> int:
@@ -570,19 +635,7 @@ class AreaReport:
     by_kind: dict
 
     def as_dict(self) -> dict:
-        return {
-            "total_sigma_di_nm": self.total_sigma_di_nm,
-            "transistor_count": self.transistor_count,
-            "by_kind": {
-                k: {
-                    "instances": v.instances,
-                    "transistors": v.transistors,
-                    "sigma_di_nm": v.sigma_di_nm,
-                    "share": v.share,
-                }
-                for k, v in self.by_kind.items()
-            },
-        }
+        return asdict(self)
 
 
 def area_report(c: Circuit) -> AreaReport:
@@ -595,25 +648,16 @@ def area_report(c: Circuit) -> AreaReport:
     overrides: dict = c.metadata.get("cell_inventory_overrides", {})
     cell_kinds: dict = c.metadata.get("cell_kinds", {})
     counts: dict[str, list] = {}
-
-    def bump(label: str, instances: int, transistors: int, sigma: float):
-        row = counts.setdefault(label, [0, 0, 0.0])
-        row[0] += instances
-        row[1] += transistors
-        row[2] += sigma
-
     # canonical accumulation order: totals are invariant under instance
     # reordering despite float addition
-    for iid in sorted(c.instances):
-        inst = c.instances[iid]
-        if inst.cell_tag in overrides:
-            continue
-        inv = inst.primitive.inventory
-        bump(inst.primitive.kind, 1, inv.total_count, inventory_area(inv))
-    for tag in sorted(overrides):
-        inv = overrides[tag]
-        label = f"{cell_kinds.get(tag, tag)}_cell"
-        bump(label, 1, inv.total_count, inventory_area(inv))
+    parts = [(inst.primitive.kind, inst.primitive.inventory)
+             for _, inst in sorted(c.instances.items()) if inst.cell_tag not in overrides]
+    parts += [(f"{cell_kinds.get(tag, tag)}_cell", overrides[tag]) for tag in sorted(overrides)]
+    for label, inv in parts:
+        row = counts.setdefault(label, [0, 0, 0.0])
+        row[0] += 1
+        row[1] += inv.total_count
+        row[2] += inventory_area(inv)
 
     total_sigma = sum(row[2] for row in counts.values())
     total_t = sum(row[1] for row in counts.values())
@@ -643,11 +687,12 @@ def to_json(c: Circuit) -> dict:
     and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
     the nested encoding dicts and inventory lists are formatted once per
     distinct encoding or primitive and shared: copy one to change it. A
-    net's ``driver`` is derived by :func:`_drivers`, null for none."""
+    net's ``driver`` is its first driver from :func:`_analyse`, null for
+    none."""
     # keyed by id(): the circuit keeps every encoding and primitive alive
     encs: dict = {}
     prims: dict = {}
-    driven = _drivers(c)
+    driver = _analysed(c).driver
 
     def enc(e: SignalEncoding) -> dict:
         return encs.get(id(e)) or encs.setdefault(
@@ -659,7 +704,7 @@ def to_json(c: Circuit) -> dict:
             "output_encoding": enc(p.params.output_encoding),
             "inventory": _inv_to_json(p.inventory)})
 
-    meta = dict(c.metadata)
+    meta = c.metadata.copy()
     if "cell_inventory_overrides" in meta:
         meta["cell_inventory_overrides"] = {
             tag: _inv_to_json(inv)
@@ -672,43 +717,18 @@ def to_json(c: Circuit) -> dict:
             for p in c.ports.values()
         ],
         "nets": [
-            {"id": n.id, "encoding": enc(n.encoding), "driver": driven.get(n.id),
+            {"id": n.id, "encoding": enc(n.encoding), "driver": d and list(d),
              "external_load": n.external_load}
-            for n in c.nets.values()
+            for n, d in zip(c.nets.values(), driver)
         ],
         "instances": [
-            {"id": i.id, **prim(i.primitive), "pins": dict(i.pins),
+            {"id": i.id, **prim(i.primitive), "pins": i.pins.copy(),
              "pin_encodings": {p: enc(e) for p, e in i.pin_encodings.items()},
              "cell_tag": i.cell_tag}
             for i in c.instances.values()
         ],
         "metadata": meta,
     }
-
-
-def _drivers(c: Circuit, strict: bool = False) -> dict:
-    """Each driven net id's interchange ``driver`` entry: its constant, else
-    the first input port on it, else the first gate output bound to it. An
-    unhashable binding drives nothing; ``strict`` raises NetlistError
-    naming a net that a gate output drives again."""
-    driven = {n.id: list(n.driver) for n in c.nets.values() if n.driver}
-    for p in c.input_ports():
-        try:
-            driven.setdefault(p.net, ["port", p.name])
-        except TypeError:
-            pass
-    for inst in c.instances.values():
-        pins = inst.pins
-        for pin in inst.primitive.output_pins:
-            nid = pins.get(pin)
-            try:
-                if nid not in driven:
-                    driven[nid] = ["inst", inst.id, pin]
-                elif strict:
-                    raise NetlistError(f"net {nid!r} already driven")
-            except TypeError:
-                pass
-    return driven
 
 
 # what a malformed field raises while an interchange entry is parsed
@@ -745,14 +765,15 @@ def from_json(data: dict) -> Circuit:
     by the same path as one shared by :func:`to_json`. Raises NetlistError
     naming the port, net or instance and the field on a missing or
     malformed field, a duplicate id, a bad number, a constant level outside
-    its net's encoding, a pin unbound or bound to a missing net, a second
-    driver, or a net's ``driver`` other than the one :func:`_drivers`
-    derives."""
+    its net's encoding, and, from the circuit's one pass, a pin unbound or
+    bound to a missing net, a gate output on a net already driven, or a
+    net's ``driver`` other than its first driver."""
     encs: dict = {}  # (name, voltages) -> SignalEncoding
     by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
     prims: dict = {}  # (kind, *numbers, output encoding, inventory) -> primitive entry
     by_numbers: dict = {}  # (kind, *numbers, id(output encoding)) -> primitive entry
-    # a primitive entry: (inventory rows as given, GatePrimitive, its pins)
+    # a primitive entry: (inventory rows as given, GatePrimitive)
+    pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
 
     def enc(d: dict) -> SignalEncoding:
         name, volts = d["name"], d["level_voltages"]
@@ -827,19 +848,17 @@ def from_json(data: dict) -> Circuit:
                     inventory = _parse_inventory(rows)
                     key = None  # ElectricalParams names the field
                     prim = GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory)
-                    hit = prims[pkey] = (rows, prim, prim.input_pins + prim.output_pins)
+                    hit = prims[pkey] = (rows, prim)
                 if cheap is not None:
                     by_numbers[cheap] = hit
-            _, prim, prim_pins = hit
+            prim = hit[1]
             key = "pin_encodings"
             pin_encodings = {p: enc(e) for p, e in pin_encodings.items()}
+            shared = (*pin_encodings, *map(id, pin_encodings.values()))
+            pin_encodings = pin_maps.get(shared) or pin_maps.setdefault(
+                shared, MappingProxyType(pin_encodings))
             key = "pins"
-            pins = dict(pins)
-            for pin in prim_pins:
-                if pins.get(pin) not in nets:
-                    what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
-                    raise NetlistError(f"instance {iid!r} pin {pin!r} {what}")
-            instances[iid] = Instance(iid, prim, pins, pin_encodings, tag)
+            instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)), pin_encodings, tag)
 
         kind = "port"
         for entry in data["ports"]:
@@ -855,12 +874,20 @@ def from_json(data: dict) -> Circuit:
             ports[pname] = Port(pname, direction, enc(encoding), net)
 
         circuit = Circuit(name, ports, nets, instances, meta)
-        driven = _drivers(circuit, strict=True)
+        a = _analysed(circuit)
+        for iid, pin in a.bad_pins[:1]:
+            kind, entry, key, pins = "instance", {"id": iid}, "pins", instances[iid].pins
+            hash(pins.get(pin))  # a net id that cannot be one is a malformed field
+            what = f"bound to missing net {pins[pin]!r}" if pin in pins else "unbound"
+            raise NetlistError(f"instance {iid!r} pin {pin!r} {what}")
+        for i, d in a.again:
+            if d[0] == "inst":
+                raise NetlistError(f"net {list(nets)[i]!r} already driven")
         kind, key = "net", "driver"
-        for entry in data["nets"]:
-            if entry["driver"] != driven.get(entry["id"]):
-                raise ValueError(f"got {entry['driver']!r}, but the netlist gives "
-                                 f"{driven.get(entry['id'])!r}")
+        for entry, d in zip(data["nets"], a.driver):
+            got = entry["driver"]
+            if (got and tuple(got)) != d:
+                raise ValueError(f"got {got!r}, but the netlist gives {d and list(d)!r}")
     except NetlistError:
         raise
     except _MALFORMED as exc:

@@ -70,9 +70,9 @@ def _sum_ports(cell: Circuit) -> list:
     return sorted(p.name for p in cell.output_ports() if p.name != "Cout")
 
 
-def _worst_step(trace, dst_port) -> float | None:
-    delays = [d for _, d in step_response_delays(trace, dst_port) if d is not None]
-    return max(delays) if delays else None
+def _worst_step(trace, *dst_ports) -> float | None:
+    delays = [d for p in dst_ports for _, d in step_response_delays(trace, p) if d is not None]
+    return max(delays, default=None)
 
 
 def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> ComparisonRow:
@@ -90,9 +90,7 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
 
     d_in = _worst_step(trace_in, "Cout")
     d_cc = _worst_step(trace_cc, "Cout")
-    d_cs_candidates = [_worst_step(trace_cc, p) for p in _sum_ports(cell)]
-    d_cs_candidates = [d for d in d_cs_candidates if d is not None]
-    d_cs = max(d_cs_candidates) if d_cs_candidates else None
+    d_cs = _worst_step(trace_cc, *_sum_ports(cell))
     if d_in is None or d_cc is None or d_cs is None:
         raise DomainError(f"[config {config.label()}] a worst-case path did not toggle")
 

@@ -72,6 +72,8 @@ def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
     else:
         if vectors < 1:
             raise DomainError(f"vectors must be >= 1, got {vectors}")
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         mat = np.empty((vectors, 1 + 2 * n_digits), np.int64)
         mat[:, 0] = rng.integers(0, 2, size=vectors)

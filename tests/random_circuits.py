@@ -8,8 +8,9 @@ from mvadder.netlist import _Builder
 def random_circuit(rng, n_gates=24, vdd=0.9):
     """Random acyclic netlist over every gate kind with constant nets
     mixed in, its instances listed in random order. Some inputs get the
-    other radix, which validate accepts since no pin encoding is pinned.
-    It has no output ports, so X nets never stop simulate."""
+    other radix, which validate accepts since no pin encoding is pinned,
+    except where that would give a mux data wider than its output. It has
+    no output ports, so X nets never stop simulate."""
     enc = {2: binary_full(vdd), 4: quaternary(vdd)}
     b = _Builder("random", CellLibrary.default())
     nets = {2: [b.port("I0", "in", enc[2]), b.port("I1", "in", enc[2]),
@@ -26,7 +27,8 @@ def random_circuit(rng, n_gates=24, vdd=0.9):
                 radix = 4 if kind == "mux4" else 2
             else:
                 radix = 4 if kind.startswith(("det", "succ")) else r if free else 2
-            if rng.random() < 0.15:
+            if rng.random() < 0.15 and not (kind.startswith("mux") and pin != "sel"
+                                            and 6 - radix > out_r):
                 radix = 6 - radix
             pins[pin] = nets[radix][rng.integers(len(nets[radix]))]
         for pin in output_pins(kind):

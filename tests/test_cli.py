@@ -8,7 +8,7 @@ from mvadder.cli import main, parse_cap
 from mvadder.engine import worst_case_stimulus
 from mvadder.levels import DomainError
 from mvadder.netlist import build_cpa, build_qfa
-from mvadder.verify import verify_cpa
+from mvadder.verify import cpa_mismatches, verify_cpa
 
 
 def run_cli(args):
@@ -104,12 +104,22 @@ def test_verify_rejects_vector_count_below_one(vectors, capsys):
         verify_cpa(cpa, 8, vectors=int(vectors))
 
 
+def test_verify_names_a_negative_seed_before_drawing_vectors():
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 8)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        cpa_mismatches(cpa, 8, vectors=10, seed=-1)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--seed", "-1", "verify", "--cell", "cpa", "--digits", "8"],
      "argument --seed: must be >= 0, got -1"),
     (["--seed", "-1", "verify", "--cell", "qfa2"], "argument --seed: must be >= 0, got -1"),
     (["--seed", "-1", "compare", "--configs", "qfa2@0.9"], "argument --seed: must be >= 0, got -1"),
     (["verify", "--cell", "cpa", "--digits", "0"], "argument --digits: must be >= 1, got 0"),
+    (["compare", "--configs", "qfa2@0.9", "--threads", "-3"],
+     "argument --threads: must be >= 1, got -3"),
+    (["compare", "--configs", "qfa2@0.9", "--threads", "0"],
+     "argument --threads: must be >= 1, got 0"),
     (["sta", "--cell", "qfa2", "--from", ",", "--to", "Cout"],
      "argument --from: expected at least one port name, got ','"),
     (["sta", "--cell", "qfa2", "--from", "Cin", "--to", ","],

@@ -48,6 +48,7 @@ from mvadder.netlist import (
     validate,
 )
 from mvadder.timing import sta
+from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
 L = Level
@@ -234,7 +235,7 @@ def test_energy_ledger_consistency():
     c = build_qfa("qfa2", 0.9, cl=2e-15)
     stim = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
     tr = simulate(c, stim)
-    comp = tr._compiled
+    comp = tr.compiled
     # recompute every ledger entry from the waveform: walk transitions per
     # net and apply C*(dV)^2/2
     last_v = {}
@@ -482,8 +483,7 @@ def test_settle_matrix_range_check_names_the_first_bad_port():
     lambda c: sta(c, ["no_such_port"], ["Cout"]),  # validity is checked first
 ], ids=["settle_levels", "settle_matrix", "simulate", "sta"])
 def test_invalid_circuit_is_rejected_by_name_before_compiling(run):
-    c = build_qfa("qfa2", 0.9)
-    del c.instances["inv_cout"].pins["a"]
+    c = edited(build_qfa("qfa2", 0.9), pins={"inv_cout.a": UNBIND})
     with pytest.raises(DomainError, match=r"circuit invalid: .*inv_cout: pin a unbound"):
         run(c)
 
@@ -711,7 +711,7 @@ def test_trace_and_energy_csv(tmp_path):
         t, net, level, voltage = line.split(",")
         float(t)
         int(level)
-        assert net in tr._compiled.net_ids
+        assert net in tr.compiled.net_ids
         if voltage:
             float(voltage)
     elines = energy_path.read_text().splitlines()
@@ -725,7 +725,7 @@ def test_trace_and_energy_csv(tmp_path):
 def test_waveform_times_strictly_increasing_per_net():
     c = build_qfa("qfa1", 0.9, cl=2e-15)
     tr = simulate(c, worst_case_stimulus("input_to_carry", "qfa1", 0.9))
-    for nid in tr._compiled.net_ids:
+    for nid in tr.compiled.net_ids:
         times = [t for t, _, _ in tr.waveform(nid)]
         assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -764,7 +764,7 @@ def test_long_carry_path_settles_with_keys_past_2_to_the_62():
     initial = {"C0": L.L1, **{f"A{i}": L(a.digits[i]) for i in range(n)},
                **{f"B{i}": L(b.digits[i]) for i in range(n)}}
     tr = simulate(c, Stimulus(initial=initial, duration_ps=0.0))
-    assert tr.origin_ticks * tr._compiled.n_nets > 2 ** 62
+    assert tr.origin_ticks * tr.compiled.n_nets > 2 ** 62
     want_sum, want_cout = cpa_oracle(a, b, 1)
     assert tuple(int(tr.final_level(f"S{i}")) for i in range(n)) == want_sum.digits
     assert int(tr.final_level(f"C{n}")) == want_cout

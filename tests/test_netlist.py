@@ -1,15 +1,21 @@
+import dataclasses
 import json
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvadder import netlist
 from mvadder._kernel import compile_circuit
-from mvadder.levels import DomainError, binary_full
+from mvadder.gates import CellLibrary
+from mvadder.levels import DomainError, binary_full, quaternary
 from mvadder.netlist import (
+    Instance,
     Net,
     NetlistError,
+    _Builder,
     area_report,
     build_bfa,
     build_binary_slice,
@@ -20,7 +26,9 @@ from mvadder.netlist import (
     to_json,
     validate,
 )
+from mvadder.timing import sta
 from mvadder.verify import verify_adder_cell, verify_binary_slice, verify_cpa
+from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
 
@@ -59,7 +67,9 @@ def test_generated_circuits_validate_clean():
         build_bfa("bfa1", 0.9),
         build_bfa("bfa2", 0.45),
         build_binary_slice("bfa2", 0.9),
+        build_binary_slice("bfa1", 0.9),
         build_cpa(build_qfa("qfa2", 0.9), 4, cl=2e-15),
+        *(build_cpa(build_cell(kind, 0.9), 3) for kind in ("qfa1", "bfa1", "bfa2")),
     ):
         assert validate(c) == []
 
@@ -134,8 +144,7 @@ def test_cpa_single_digit_is_the_cell_with_renamed_ports():
 
 def test_cpa_requires_adder_ports():
     cell = build_qfa("qfa2", 0.9)
-    broken = build_qfa("qfa2", 0.9)
-    del broken.ports["Cout"]
+    broken = edited(cell, ports={n: p for n, p in cell.ports.items() if n != "Cout"})
     with pytest.raises(NetlistError):
         build_cpa(broken, 2)
     with pytest.raises(NetlistError):
@@ -165,8 +174,7 @@ def test_binary_cpa_matches_oracle():
 
 def test_validate_flags_carry_rail_mismatch():
     # QFA1 drives a 0.3 V carry rail; a QFA2-style Cin expects 0.9 V
-    c = build_qfa("qfa1", 0.9)
-    c.instances["mux2_cout"].pin_encodings["sel"] = binary_full(0.9)
+    c = edited(build_qfa("qfa1", 0.9), pin_encodings={"mux2_cout.sel": binary_full(0.9)})
     diags = validate(c)
     assert any("encoding-mismatch" in d for d in diags)
 
@@ -199,9 +207,8 @@ def test_validate_flags_qfa1_cout_into_qfa2_cin():
 
 
 def test_validate_flags_multiple_drivers_and_undriven():
-    c = build_qfa("qfa2", 0.9)
     # second driver onto an internal net
-    c.instances["succ1"].pins["y"] = "n_sum0"
+    c = edited(build_qfa("qfa2", 0.9), pins={"succ1.y": "n_sum0"})
     diags = validate(c)
     assert any("multiple-driver" in d for d in diags)
     assert any("undriven" in d for d in diags)  # a_plus1 lost its driver
@@ -210,8 +217,8 @@ def test_validate_flags_multiple_drivers_and_undriven():
 def test_validate_flags_cycle():
     c = build_qfa("qfa2", 0.9)
     # feed the carry inverter output back into the carry mux data pin
-    c.instances["mux2_cout"].pins["d0"] = "n_cout"
-    c.instances["mux2_cout"].pin_encodings["d0"] = c.nets["n_cout"].encoding
+    c = edited(c, pins={"mux2_cout.d0": "n_cout"},
+               pin_encodings={"mux2_cout.d0": c.nets["n_cout"].encoding})
     diags = validate(c)
     assert any("cycle" in d for d in diags)
 
@@ -223,15 +230,14 @@ def _cycle_diags(c) -> list:
 def test_cycle_diagnostic_names_exactly_the_cycle_members():
     c = build_cpa(build_qfa("qfa2", 0.9), 3)
     # d0's carry out fed back into its own carry mux; d1 and d2 lie downstream
-    c.instances["d0.mux2_cout"].pins["d0"] = c.instances["d0.inv_cout"].pins["y"]
+    c = edited(c, pins={"d0.mux2_cout.d0": c.instances["d0.inv_cout"].pins["y"]})
     assert _cycle_diags(c) == ["combinational cycle through instance 'd0.inv_cout'",
                                "combinational cycle through instance 'd0.mux2_cout'"]
 
 
 def test_unbound_pin_and_cycle_are_reported_together():
-    c = build_qfa("qfa2", 0.9)
-    c.instances["mux2_cout"].pins["d0"] = "n_cout"
-    del c.instances["succ1"].pins["a"]  # succ1 and the sum muxes it feeds are never ordered
+    # succ1, unbound, and the sum muxes it feeds are never ordered
+    c = edited(build_qfa("qfa2", 0.9), pins={"mux2_cout.d0": "n_cout", "succ1.a": UNBIND})
     diags = validate(c)
     assert "succ1: pin a unbound" in diags
     assert _cycle_diags(c) == ["combinational cycle through instance 'inv_cout'",
@@ -241,9 +247,10 @@ def test_unbound_pin_and_cycle_are_reported_together():
 
 
 def test_a_cycle_behind_a_net_driven_twice_is_named_exactly():
-    c = build_qfa("qfa2", 0.9)
-    c.instances["succ2"].pins["y"] = "b_lt2"  # b_lt2 now has det2 and succ2 as drivers
-    c.instances["mux_ncout1"].pins["d2"] = "n_ncout"  # mux_ncout1 -> mux2_cout -> mux_ncout1
+    c = edited(build_qfa("qfa2", 0.9), pins={
+        "succ2.y": "b_lt2",  # b_lt2 now has det2 and succ2 as drivers
+        "mux_ncout1.d2": "n_ncout",  # mux_ncout1 -> mux2_cout -> mux_ncout1
+    })
     diags = validate(c)
     assert any(d.startswith("multiple-driver net 'b_lt2'") for d in diags)
     # b_lt2 arrives once, so mux_ncout0, which it feeds, is not named
@@ -287,7 +294,7 @@ def test_kahn_pass_orders_levels_and_finds_cycles_on_random_circuits(seed):
                 todo.append(w)
     v = c.instances[str(rng.choice(sorted(above)))]
     u_out = c.instances[u].pins[str(rng.choice(c.instances[u].primitive.output_pins))]
-    v.pins[str(rng.choice(v.primitive.input_pins))] = u_out
+    c = edited(c, pins={f"{v.id}.{rng.choice(v.primitive.input_pins)}": u_out})
     ups = _upstream(c)
 
     def on_cycle(iid):
@@ -332,9 +339,8 @@ def test_area_ratio_quaternary_vs_binary_pair():
 def test_area_invariant_under_instance_reordering():
     c = build_qfa("qfa2", 0.9)
     rep1 = area_report(c)
-    reordered = dict(reversed(list(c.instances.items())))
-    c.instances = reordered
-    rep2 = area_report(c)
+    reordered = edited(c, instances=dict(reversed(list(c.instances.items()))))
+    rep2 = area_report(reordered)
     assert rep1.total_sigma_di_nm == rep2.total_sigma_di_nm
     assert rep1.transistor_count == rep2.transistor_count
 
@@ -552,8 +558,7 @@ def test_from_json_checks_each_stored_driver_against_the_netlist(net, driver):
 
 def test_a_circuit_compiles_to_the_same_arrays_however_it_was_made():
     """Loads and delays come from the pins, not from how they were bound."""
-    c = build_qfa("qfa2", 0.9)
-    c.instances["mux_sum1"].pins["d3"] = "a_plus1"
+    c = edited(build_qfa("qfa2", 0.9), pins={"mux_sum1.d3": "a_plus1"})
     assert validate(c) == []
     reloaded = from_json(json.loads(json.dumps(to_json(c))))
     built, loaded = compile_circuit(c), compile_circuit(reloaded)
@@ -568,9 +573,7 @@ def test_a_circuit_compiles_to_the_same_arrays_however_it_was_made():
 
 
 def test_a_pin_bound_to_no_net_id_gets_a_diagnostic():
-    c = build_qfa("qfa2", 0.9)
-    c.instances["inv_cout"].pins["a"] = ["x"]
-    c.instances["det1"].pins["yb"] = {"y": 1}
+    c = edited(build_qfa("qfa2", 0.9), pins={"inv_cout.a": ["x"], "det1.yb": {"y": 1}})
     diags = validate(c)
     assert "inv_cout.a: net ['x'] does not exist" in diags
     assert "det1.yb: net {'y': 1} does not exist" in diags
@@ -649,3 +652,100 @@ def test_from_json_names_the_entry_and_field_at_fault(entry, field, value, messa
         d[field] = value
     with pytest.raises(NetlistError, match=message):
         from_json(blob)
+
+
+# --------------------------------------------------------------------------
+# A circuit is a value
+
+
+def test_an_edited_copy_is_timed_afresh_and_its_original_is_not():
+    """A pin rebound in a copy made through the constructors and
+    dataclasses.replace times as the copy's JSON reload does, after the
+    original has been compiled, and the original keeps its own timing."""
+    c = build_qfa("qfa2", 0.9)
+    assert sta(c, ["A"], ["Sum"]).worst_arrival_ps == 9.0
+    inst = c.instances["mux_sum1"]
+    rebound = Instance(inst.id, inst.primitive, {**inst.pins, "d3": "a_plus1"},
+                       inst.pin_encodings, inst.cell_tag)
+    copy = dataclasses.replace(c, instances={**c.instances, inst.id: rebound})
+    reloaded = from_json(json.loads(json.dumps(to_json(copy))))
+    assert sta(copy, ["A"], ["Sum"]).worst_arrival_ps == 11.0
+    assert sta(reloaded, ["A"], ["Sum"]).worst_arrival_ps == 11.0
+    assert sta(c, ["A"], ["Sum"]).worst_arrival_ps == 9.0
+
+
+def test_every_part_of_a_circuit_is_read_only():
+    c = build_cpa(build_qfa("qfa2", 0.9), 2)
+    inst = c.instances["d0.mux_sum0"]
+    for record in (c.nets["C1"], c.ports["A0"], inst):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    for f in dataclasses.fields(c):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, f.name)
+    for m in (inst.pins, inst.pin_encodings, c.ports, c.nets, c.instances, c.metadata):
+        key = next(iter(m))
+        with pytest.raises(TypeError):
+            m[key] = None
+        with pytest.raises(TypeError):
+            del m[key]
+
+
+def test_records_keep_private_read_only_maps_however_they_are_made():
+    """_replace and _make go through the constructor: its checks run and
+    the maps given are copied into read-only ones."""
+    c = build_qfa("qfa2", 0.9)
+    inst, net = c.instances["inv_cout"], c.nets["n_sum"]
+    pins, encs = {"a": "n_ncout", "y": "n_cout"}, {"a": binary_full(0.9)}
+    for made in (Instance(inst.id, inst.primitive, pins, encs), inst._replace(pins=pins),
+                 Instance._make([inst.id, inst.primitive, pins, encs, "t"])):
+        assert type(made.pins) is MappingProxyType
+        assert type(made.pin_encodings) is MappingProxyType
+    pins["a"] = "elsewhere"
+    assert made.pins["a"] == "n_ncout"
+    with pytest.raises(NetlistError, match="net 'n_sum': external_load must be"):
+        net._replace(external_load=-1.0)
+    with pytest.raises(NetlistError, match=r"net 'k': driver must be"):
+        Net._make(["k", binary_full(0.9), ("const", 2), 0.0])
+
+
+def test_the_one_pass_runs_once_per_circuit(monkeypatch):
+    calls = []
+    real = netlist._analyse
+    monkeypatch.setattr(netlist, "_analyse", lambda c: calls.append(id(c)) or real(c))
+    c = build_cpa(build_qfa("qfa2", 0.9), 3)
+    validate(c).append("a caller's own diagnostic")
+    assert validate(c) == []  # a fresh list each time
+    blob = to_json(c)
+    assert sta(c, ["C0"], ["C3"]).worst_arrival_ps > 0
+    assert calls == [id(c)]
+    reloaded = from_json(blob)
+    assert compile_circuit(reloaded) is compile_circuit(reloaded)
+    assert validate(reloaded) == [] and to_json(reloaded) == blob
+    assert calls == [id(c), id(reloaded)]
+    copy = dataclasses.replace(c)  # a copy starts without the stored pass
+    assert compile_circuit(copy) is not compile_circuit(c)
+    assert calls == [id(c), id(reloaded), id(copy)]
+    assert not hasattr(netlist, "_drivers")
+
+
+def test_mux_data_with_more_levels_than_its_output_is_named():
+    b = _Builder("wide", CellLibrary.default())
+    quat, bit = quaternary(0.9), binary_full(0.9)
+    d0, d1 = b.port("D0", "in", quat), b.port("D1", "in", bit)
+    b.inst("m", "mux2", 0.9, bit, {"d0": d0, "d1": d1, "sel": b.port("S", "in", bit),
+                                   "y": b.port("Y", "out", bit)})
+    assert validate(b.finalize()) == [
+        "mux-data-too-wide: m.d0 carries quat@0.9, more levels than its output bin@0.9"]
+
+
+def test_from_json_loads_two_input_ports_on_one_net():
+    blob = to_json(build_qfa("qfa2", 0.9))
+    _entry(blob, "ports", "B")["net"] = "A"
+    _entry(blob, "nets", "B")["driver"] = None
+    diags = validate(from_json(blob))
+    assert "undriven net 'B'" in diags
+    assert "multiple-driver net 'A': [\"('port', 'A')\", \"('port', 'B')\"]" in diags
