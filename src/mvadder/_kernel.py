@@ -1,75 +1,64 @@
 """Flattened-circuit representation, the event-loop kernel and the
 levelized batch settle.
 
-Both engines evaluate gates by table lookup. :func:`kind_table` tabulates
-:func:`gates.eval_primitive`, the one definition of gate logic, over every
-combination of input levels; a gate's row in it is the base-5 number
-formed by its input codes (level + 1, so X is 0).
+Both engines evaluate gates by table lookup. :func:`gates.kind_table`
+tabulates :func:`gates.eval_primitive`, the one definition of gate logic,
+over every combination of input levels; a gate's row in it is the sum of
+its input codes (level + 1, so X is 0) times its kind's row weights,
+:attr:`gates.KindSpec.weights`.
 
 Both engines settle by one rule: every net starts at X except the
 constants, and a gate's outputs are its table entries at its inputs. The
 event loop (:func:`_run_single`) is plain Python over lists with a
 ``heapq`` event queue; it starts by evaluating the gates the constants
-alone decide, then applies the input levels at t = 0. The batch settle
-(:func:`settle_batch`) is one levelized pass, vectorized over the gates of
-a level and over input vectors with numpy. The net indices of every pin,
-the fan-out, the gate order and the logic levels come from the one pass
-of :func:`netlist._analyse`, which each circuit runs at most once.
+alone decide, then applies the input levels at t = 0, and raises
+:class:`UnsettledOutputError` or :class:`SimulationTimeoutError` where it
+finds the failure. The batch settle (:func:`settle_batch`) is one
+levelized pass, vectorized over the gates of a level and over input
+vectors with numpy. The net indices of every pin, the fan-out, the gate
+order and the logic levels come from the one pass of
+:func:`netlist._analyse`, which each circuit runs at most once.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gates import KINDS, eval_primitive, input_pins, output_pins, propagation_delay
+from .gates import KIND_SPECS, KINDS, kind_table, propagation_delay
 from .levels import DomainError
-from .netlist import _CODES, _analysed
+from .netlist import _analysed
 
 #: Event-time quantum: one tick is 0.1 ps. All delays are integer ticks,
 #: which keeps event ordering exact and runs deterministic.
 TICK_PS = 0.1
 TICKS_PER_PS = 10
 
-# Status codes returned by the event kernel.
-OK = 0
-ERR_EVENT_CAP = 1
-ERR_TIMEOUT = 2
-ERR_UNSETTLED = 3
-
 LVL_X = -1
 _END = float("inf")  # event key of an exhausted input stream, above every real key
 
 
-@lru_cache(maxsize=None)
-def kind_table(kind: str) -> np.ndarray:
-    """Output levels (-1 for X) of gate ``kind``, shape (5 ** inputs, 2),
-    for every combination of input levels. The base-5 digits of a row
-    number are the input codes, level + 1, first input pin most
-    significant; single-output kinds leave column 1 at X. Tabulated from
-    :func:`gates.eval_primitive` on first use. Inputs outside a gate's
-    domain (``DomainError``, e.g. ``inv`` on L2) give X on every output."""
-    n_in = len(input_pins(kind))
-    table = np.full((_CODES ** n_in, 2), LVL_X, np.int64)
-    for r, levels in enumerate(itertools.product(range(LVL_X, _CODES - 1), repeat=n_in)):
-        try:
-            outs = eval_primitive(kind, levels)
-        except DomainError:
-            continue
-        table[r, : len(outs)] = outs
-    return table
+class SimulationTimeoutError(RuntimeError):
+    """Circuit failed to reach quiescence within the stimulus duration."""
+
+
+class UnsettledOutputError(RuntimeError):
+    """An output port was still X after the settle phase."""
+
+
+def _ticks(ps: float) -> int:
+    return int(round(ps * TICKS_PER_PS))
 
 
 @lru_cache(maxsize=None)
 def gate_tables() -> tuple:
     """The kind tables of every kind in ``KINDS`` stacked in one array, and
     each kind's first row in it."""
-    table = np.concatenate([kind_table(kind) for kind in KINDS])
-    sizes = [_CODES ** len(input_pins(kind)) for kind in KINDS]
-    return table, dict(zip(KINDS, np.cumsum([0] + sizes).tolist()))
+    tables = [kind_table(kind) for kind in KINDS]
+    first = np.cumsum([0] + [len(t) for t in tables]).tolist()
+    return np.concatenate(tables), dict(zip(KINDS, first))
 
 
 class CompiledCircuit:
@@ -121,7 +110,7 @@ class CompiledCircuit:
                     delay_s = propagation_delay(prim, cap[o])
                     delay = delay_s / (TICK_PS * 1e-12)
                     if not 0 <= delay <= max_ticks:  # NaN fails too
-                        pin = prim.output_pins[outs.index(o)]
+                        pin = KIND_SPECS[prim.kind].outputs[outs.index(o)]
                         raise DomainError(f"{inst.id}.{pin}: gate delay {delay_s!r} s is not a "
                                           f"finite number of ticks up to {max_ticks}")
                     # floor at one tick: zero-delay events would break the
@@ -160,9 +149,9 @@ class CompiledCircuit:
         for (_, kind), gates in sorted(groups.items(), key=lambda kv: kv[0][0]):
             ins = np.array([self.gate_in[gi] for gi in gates], np.int64).T
             outs = np.array([self.gate_out[gi] for gi in gates], np.int64).T
-            weights = _CODES ** np.arange(len(ins) - 1, -1, -1)
-            codes = (kind_table(kind)[:, : len(output_pins(kind))].T + 1).astype(np.uint8)
-            plan.append((ins, weights, codes, outs))
+            spec = KIND_SPECS[kind]
+            codes = (kind_table(kind)[:, : len(spec.outputs)].T + 1).astype(np.uint8)
+            plan.append((ins, np.array(spec.weights, np.int64), codes, outs))
         return plan
 
 
@@ -218,16 +207,26 @@ def _table_rows() -> list:
     return gate_tables()[0].tolist()
 
 
-def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ticks: int,
+def _timeout(why: str, comp: CompiledCircuit, pend_t: list, t: int) -> SimulationTimeoutError:
+    """The error for an event loop stopped at tick ``t``, naming its
+    pending nets (``pend_t``: per net, the tick of its pending event or -1)."""
+    nets = [comp.net_ids[n] for n, p in enumerate(pend_t) if p >= 0]
+    return SimulationTimeoutError(f"{why}; {len(nets)} nets still pending at tick {t}: {nets[:8]}")
+
+
+def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
                 gap_ticks: int, max_events: int) -> tuple:
     """Settle from the initial assignment, then play the stimulus.
 
     ``initial`` is [(net, level)] sorted by net, applied at t = 0;
     ``stimulus`` is [(tick, net, level)] sorted by (tick, net), with ticks
-    counted from the origin. Returns (status, tick, origin_ticks, n_settle,
-    records, cur, pend_t): ``records`` is [(tick, net, level, energy, src)],
-    ``cur`` the final level per net, and ``tick`` and ``pend_t`` (per net,
-    the tick of its pending event or -1) locate a timeout.
+    counted from the origin. Returns (origin_ticks, n_settle, records,
+    cur): ``records`` is [(tick, net, level, energy, src)] and ``cur`` the
+    final level per net. Raises :class:`UnsettledOutputError` when an
+    output port is X after the settle phase, and
+    :class:`SimulationTimeoutError` when an event falls after the
+    measurement window of ``duration_ps`` or the events outnumber
+    ``max_events``.
 
     The queue holds keys tick * n_nets + net. Each phase merges a stream of
     input events with it on that key, the stream first on a tie, so
@@ -259,7 +258,6 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ticks: int,
                 pend_t[o], pend_v[o] = d, target
                 push(heap, d * n_nets + o)
 
-    status = OK
     events = origin = n_settle = t = t_q = 0
     t_end = _END
     stream = [(0, net, lvl) for net, lvl in initial]
@@ -272,14 +270,14 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ticks: int,
                 if pend_t[net] != t:
                     continue  # cancelled or replaced
                 if t > t_end:
-                    status = ERR_TIMEOUT
-                    break
+                    raise _timeout(f"circuit not quiescent within duration ({duration_ps} ps)",
+                                   comp, pend_t, t)
                 lvl = pend_v[net]
                 pend_t[net] = -1
                 events += 1
                 if events > max_events:
-                    status = ERR_EVENT_CAP
-                    break
+                    raise _timeout("event budget exceeded; circuit appears unstable",
+                                   comp, pend_t, t)
                 vf, vt = volt[net][cur[net]], volt[net][lvl]
                 record((t, net, lvl, 0.5 * cap[net] * (vt - vf) * (vt - vf), 0))
             elif si < len(stream):
@@ -303,14 +301,13 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ticks: int,
                     if target != cur[o]:
                         pend_t[o], pend_v[o] = t + d, target
                         push(heap, (t + d) * n_nets + o)
-        if status != OK:
-            break
         if phase == 0:
+            x_ports = [p for p, o in sorted(comp.out_port_net.items()) if cur[o] == LVL_X]
+            if x_ports:
+                raise UnsettledOutputError(
+                    f"outputs {x_ports} still X at the end of the settle phase")
             origin = t_q + gap_ticks
             n_settle = len(records)
-            if any(cur[o] == LVL_X for o in comp.out_port_net.values()):
-                status = ERR_UNSETTLED
-                break
             stream = [(tick + origin, net, lvl) for tick, net, lvl in stimulus]
-            t_end = origin + duration_ticks
-    return status, t, origin, n_settle, records, cur, pend_t
+            t_end = origin + _ticks(duration_ps)
+    return origin, n_settle, records, cur

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernel
-from ._kernel import TICK_PS, compile_circuit
+from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
+from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
 from .levels import DomainError, Level
 from .netlist import CELL_KINDS, Circuit
 
@@ -30,14 +31,6 @@ _MAX_EVENTS_PER_NET = 10_000
 
 class StimulusError(ValueError):
     """Stimulus inconsistent with the circuit's input ports."""
-
-
-class SimulationTimeoutError(RuntimeError):
-    """Circuit failed to reach quiescence within the stimulus duration."""
-
-
-class UnsettledOutputError(RuntimeError):
-    """An output port was still X after the settle phase."""
 
 
 @dataclass(frozen=True)
@@ -176,10 +169,6 @@ class Trace:
                     w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], *more])
 
 
-def _ticks(ps: float) -> int:
-    return int(round(ps * _kernel.TICKS_PER_PS))
-
-
 def _as_level(port: str, value) -> Level:
     """``value`` as a Level, if it is a whole number (2.0, not 2.7) naming one."""
     try:
@@ -240,22 +229,9 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
         ((_ticks(t), comp.in_port_net[p], int(l), p) for t, p, l in stimulus.events),
         key=lambda e: (e[0], e[1]),
     )
-    duration_ticks = _ticks(stimulus.duration_ps)
     max_events = _MAX_EVENTS_PER_NET * (comp.n_nets + len(ev) + 1)
-
-    status, tick, origin, n_settle, records, cur, pend_t = _kernel._run_single(
-        comp, initial, [e[:3] for e in ev], duration_ticks, SETTLE_GAP_TICKS, max_events)
-    if status == _kernel.ERR_UNSETTLED:
-        ports = [p for p, ni in sorted(comp.out_port_net.items()) if cur[ni] < 0]
-        raise UnsettledOutputError(f"outputs {ports} still X at the end of the settle phase")
-    if status != _kernel.OK:
-        pending = [comp.net_ids[n] for n, t in enumerate(pend_t) if t >= 0]
-        where = f"{len(pending)} nets still pending at tick {tick}: {pending[:8]}"
-        if status == _kernel.ERR_TIMEOUT:
-            raise SimulationTimeoutError(
-                f"circuit not quiescent within duration ({stimulus.duration_ps} ps); {where}"
-            )
-        raise SimulationTimeoutError(f"event budget exceeded; circuit appears unstable; {where}")
+    origin, n_settle, records, cur = _kernel._run_single(
+        comp, initial, [e[:3] for e in ev], stimulus.duration_ps, SETTLE_GAP_TICKS, max_events)
 
     columns = list(zip(*records)) or [()] * 5
     times, nets, levels, energies, srcs = (
@@ -270,7 +246,7 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
         srcs=srcs,
         origin_ticks=origin,
         n_settle=n_settle,
-        duration_ticks=duration_ticks,
+        duration_ticks=_ticks(stimulus.duration_ps),
         stim_events=tuple((tick + origin, port, Level(lvl)) for tick, _, lvl, port in ev),
         final_levels=np.array(cur, np.int64),
         compiled=comp,

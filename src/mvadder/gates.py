@@ -5,15 +5,23 @@ delay, switched-capacitance energy) and a transistor inventory used only
 for the diameter-sum area metric. Gate internals are behavioral: the
 inventory declares what a transmission-gate realization would cost, it is
 not a switch-level netlist.
+
+Each gate kind has one :class:`KindSpec` record in :data:`KIND_SPECS`: its
+pins and the row format of its truth table, :func:`kind_table`, in which
+both simulation engines look gates up.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .levels import DomainError, Level, SignalEncoding
 
@@ -102,40 +110,44 @@ class ElectricalParams:
                 raise DomainError(f"{field} must be finite and > 0, got {value!r}")
 
 
+class KindSpec(NamedTuple):
+    """One gate kind's pins and truth-table row format.
+
+    A gate's row in its kind table (:func:`kind_table`) is the sum of its
+    input codes (level + 1, so X is 0) times ``weights``: base 5, first
+    input pin most significant. ``data`` holds the positions of a mux's
+    data inputs (its ``d`` pins), which it passes through to its output.
+    """
+
+    inputs: tuple
+    outputs: tuple
+    weights: tuple
+    data: tuple
+
+
+_CODES = 5  # codes of one input pin: X, L0..L3
+
+
+def _spec(inputs: str, outputs: str = "y") -> KindSpec:
+    ins = tuple(inputs.split())
+    return KindSpec(ins, tuple(outputs.split()),
+                    tuple(_CODES ** j for j in range(len(ins) - 1, -1, -1)),
+                    tuple(k for k, pin in enumerate(ins) if pin[0] == "d"))
+
+
 # Gate kinds. det{k}: inverting threshold detector plus buffered
 # complement; succ{k}: (in + k) mod 4; the rest are conventional.
-KINDS = (
-    "det1", "det2", "det3",
-    "succ1", "succ2", "succ3",
-    "mux4", "mux2",
-    "inv", "buf", "nand", "nor", "xor_tg", "maj3",
-)
-
-_INPUT_PINS: dict[str, tuple[str, ...]] = {
-    "mux4": ("d0", "d1", "d2", "d3", "sel"),
-    "mux2": ("d0", "d1", "sel"),
-    "nand": ("a", "b"),
-    "nor": ("a", "b"),
-    "xor_tg": ("a", "b"),
-    "maj3": ("a", "b", "c"),
-}
-for _k in ("det1", "det2", "det3", "succ1", "succ2", "succ3", "inv", "buf"):
-    _INPUT_PINS[_k] = ("a",)
-
 # det/xor_tg expose a complementary second output ("yb"): the detector's
 # buffered complement rail, and the dual rail a transmission-gate XOR
 # produces for free.
-_OUTPUT_PINS: dict[str, tuple[str, ...]] = {k: ("y",) for k in KINDS}
-for _k in ("det1", "det2", "det3", "xor_tg"):
-    _OUTPUT_PINS[_k] = ("y", "yb")
-
-
-def input_pins(kind: str) -> tuple[str, ...]:
-    return _INPUT_PINS[kind]
-
-
-def output_pins(kind: str) -> tuple[str, ...]:
-    return _OUTPUT_PINS[kind]
+KIND_SPECS: dict[str, KindSpec] = {
+    "det1": _spec("a", "y yb"), "det2": _spec("a", "y yb"), "det3": _spec("a", "y yb"),
+    "succ1": _spec("a"), "succ2": _spec("a"), "succ3": _spec("a"),
+    "mux4": _spec("d0 d1 d2 d3 sel"), "mux2": _spec("d0 d1 sel"),
+    "inv": _spec("a"), "buf": _spec("a"), "nand": _spec("a b"), "nor": _spec("a b"),
+    "xor_tg": _spec("a b", "y yb"), "maj3": _spec("a b c"),
+}
+KINDS = tuple(KIND_SPECS)
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,6 @@ class GatePrimitive:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise LibraryError(f"unknown gate kind {self.kind!r}")
-
-    @property
-    def input_pins(self) -> tuple[str, ...]:
-        return _INPUT_PINS[self.kind]
-
-    @property
-    def output_pins(self) -> tuple[str, ...]:
-        return _OUTPUT_PINS[self.kind]
 
 
 _X = Level.X
@@ -177,16 +181,15 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
     """
     if kind not in KINDS:
         raise DomainError(f"unknown gate kind {kind!r}")
+    spec = KIND_SPECS[kind]
     ins = [Level(v) for v in inputs]
-    if len(ins) != len(_INPUT_PINS[kind]):
-        raise DomainError(
-            f"{kind} takes {len(_INPUT_PINS[kind])} inputs, got {len(ins)}"
-        )
+    if len(ins) != len(spec.inputs):
+        raise DomainError(f"{kind} takes {len(spec.inputs)} inputs, got {len(ins)}")
 
     if kind.startswith(("det", "succ")):
         k, v = int(kind[-1]), ins[0]
         if v is _X:
-            return (_X,) * len(_OUTPUT_PINS[kind])
+            return (_X,) * len(spec.outputs)
         if kind.startswith("det"):
             low = int(v) < k
             return (Level(low), Level(1 - low))
@@ -226,6 +229,25 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
         return (_X,)
 
     raise AssertionError(kind)
+
+
+@lru_cache(maxsize=None)
+def kind_table(kind: str) -> np.ndarray:
+    """Output levels (-1 for X) of gate ``kind``, shape (5 ** inputs, 2),
+    for every combination of input levels, each at the row its codes give
+    by the kind's ``weights`` (see :class:`KindSpec`); single-output kinds
+    leave column 1 at X. Tabulated from :func:`eval_primitive` on first
+    use. Inputs outside a gate's domain (``DomainError``, e.g. ``inv`` on
+    L2) give X on every output."""
+    weights = KIND_SPECS[kind].weights
+    table = np.full((_CODES ** len(weights), 2), -1, np.int64)
+    for levels in itertools.product(range(-1, _CODES - 1), repeat=len(weights)):
+        try:
+            outs = eval_primitive(kind, levels)
+        except DomainError:
+            continue
+        table[sum(w * (lvl + 1) for w, lvl in zip(weights, levels)), : len(outs)] = outs
+    return table
 
 
 def propagation_delay(gate: GatePrimitive, load_cap: float) -> float:

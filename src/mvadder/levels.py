@@ -64,10 +64,6 @@ class SignalEncoding:
     def radix(self) -> int:
         return len(self.level_voltages)
 
-    @property
-    def swing(self) -> float:
-        return self.level_voltages[-1]
-
 
 def quaternary(vdd: float) -> SignalEncoding:
     """Four full-swing levels at 0, vdd/3, 2*vdd/3, vdd."""

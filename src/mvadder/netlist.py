@@ -19,23 +19,21 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from .gates import (
-    KINDS,
+    KIND_SPECS,
     CellLibrary,
     ElectricalParams,
     GatePrimitive,
     TransistorInventory,
     _parse_inventory,
-    input_pins,
     inventory_area,
-    output_pins,
 )
-from .levels import DomainError, Level, SignalEncoding, binary_full, quaternary, third_swing
+from .levels import Level, SignalEncoding, binary_full, quaternary, third_swing
 
 
 class NetlistError(ValueError):
@@ -102,7 +100,8 @@ Port = namedtuple("Port", "name direction encoding net")
 
 @dataclass(frozen=True)
 class Circuit:
-    """A circuit (immutable), its maps read-only copies of the maps given.
+    """A circuit (immutable), its maps, and the maps among its metadata
+    values, read-only copies of the maps given.
     Its one pass and compiled form are derived on first use and kept; a
     copy made by ``dataclasses.replace`` starts without them."""
 
@@ -115,8 +114,11 @@ class Circuit:
     _compiled = None  # and by _kernel.compile_circuit
 
     def __post_init__(self):
-        for name in ("ports", "nets", "instances", "metadata"):
+        for name in ("ports", "nets", "instances"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "metadata", MappingProxyType(
+            {k: _frozen(v) if isinstance(v, (dict, MappingProxyType)) else v
+             for k, v in self.metadata.items()}))
 
     def input_ports(self) -> list[Port]:
         return [p for p in self.ports.values() if p.direction == "in"]
@@ -154,22 +156,12 @@ class _Builder:
 
     def inst(self, iid: str, kind: str, supply: float, out_enc: SignalEncoding,
              pins: Mapping[str, str], cell_tag: str = "cell0",
-             inventory: TransistorInventory | None = None,
-             sel_enc: SignalEncoding | None = None,
-             data_enc: SignalEncoding | None = None) -> None:
-        """Add one gate. Input pin expectations default to the bound nets'
-        encodings; pass sel/data encodings where the contract is stricter."""
+             inventory: TransistorInventory | None = None) -> None:
+        """Add one gate; each input pin expects the encoding of the net bound to it."""
         if iid in self.instances:
             raise NetlistError(f"duplicate instance id {iid!r}")
         prim = self.lib.make_primitive(kind, supply, out_enc, inventory)
-        pin_enc = {}
-        for pin in prim.input_pins:
-            if pin == "sel" and sel_enc is not None:
-                pin_enc[pin] = sel_enc
-            elif pin.startswith("d") and data_enc is not None:
-                pin_enc[pin] = data_enc
-            else:
-                pin_enc[pin] = self.nets[pins[pin]].encoding
+        pin_enc = {pin: self.nets[pins[pin]].encoding for pin in KIND_SPECS[kind].inputs}
         self.instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)),
                                         MappingProxyType(pin_enc), cell_tag)
 
@@ -264,18 +256,16 @@ def build_qfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
     ncout1 = b.net("n_ncout1", enc_b)
     b.inst("mux_ncout0", "mux4", vdd, enc_b,
            {"d0": one, "d1": rails[3], "d2": rails[2], "d3": rails[1],
-            "sel": a_net, "y": ncout0}, sel_enc=enc_q, data_enc=enc_b)
+            "sel": a_net, "y": ncout0})
     b.inst("mux_ncout1", "mux4", vdd, enc_b,
            {"d0": rails[3], "d1": rails[2], "d2": rails[1], "d3": zero,
-            "sel": a_net, "y": ncout1}, sel_enc=enc_q, data_enc=enc_b)
+            "sel": a_net, "y": ncout1})
 
     ncout = b.net("n_ncout", enc_b)
     b.inst("mux2_sum", "mux2", vdd, enc_q,
-           {"d0": sum0, "d1": sum1, "sel": cin, "y": sum_net},
-           sel_enc=carry_enc, data_enc=enc_q)
+           {"d0": sum0, "d1": sum1, "sel": cin, "y": sum_net})
     b.inst("mux2_cout", "mux2", vdd, enc_b,
-           {"d0": ncout0, "d1": ncout1, "sel": cin, "y": ncout},
-           sel_enc=carry_enc, data_enc=enc_b)
+           {"d0": ncout0, "d1": ncout1, "sel": cin, "y": ncout})
     # Carry-swing conversion point: this inverter's supply fixes the Cout rail.
     b.inst("inv_cout", "inv", inv_supply, carry_enc, {"a": ncout, "y": cout})
 
@@ -437,20 +427,6 @@ def validate(c: Circuit) -> list[str]:
     return list(_analysed(c).diags)
 
 
-_CODES = 5  # codes of one input pin: X, L0..L3; a gate's pins are its base-5 digits
-
-
-def _kind_plan(kind: str, ins: tuple) -> tuple:
-    """A kind's input and output pins, its input pins' base-5 weights and
-    their sum, and the positions of its data inputs if it is a mux."""
-    weights = [_CODES ** j for j in range(len(ins) - 1, -1, -1)]
-    data = [k for k, pin in enumerate(ins) if kind.startswith("mux") and pin[0] == "d"]
-    return ins, output_pins(kind), weights, sum(weights), data
-
-
-_KIND_PLANS = {kind: _kind_plan(kind, input_pins(kind)) for kind in KINDS}
-
-
 # what _analyse derives from a circuit's pins; see there
 _Analysis = namedtuple("_Analysis", "diags net_index net_cap gate_in gate_out fanout order level "
                                     "driver bad_pins again")
@@ -472,13 +448,13 @@ def _analyse(c: Circuit) -> _Analysis:
     pin it feeds, summed in instance and pin order (0 for a supply tie,
     which switches nothing); per gate (``c.instances`` order) its input nets
     in pin order and its output nets; per net the gates it feeds as (gate,
-    summed base-5 weight of the pins it drives), the first of k input pins
-    weighing 5 ** (k - 1); the gate indices in Kahn order, every gate after
-    the drivers of its inputs; per gate its logic level, 1 + its inputs'
-    highest (an undriven net is 0), or 0 for a gate never ordered; per net
-    its first driver (its constant, else the first input port, else the
-    first gate output on it) or None; each (instance id, pin) unbound or
-    bound to no net; and each (net, driver) after a net's first.
+    summed row weight of the pins it drives, see :class:`gates.KindSpec`);
+    the gate indices in Kahn order, every gate after the drivers of its
+    inputs; per gate its logic level, 1 + its inputs' highest (an undriven
+    net is 0), or 0 for a gate never ordered; per net its first driver (its
+    constant, else the first input port, else the first gate output on it)
+    or None; each (instance id, pin) unbound or bound to no net; and each
+    (net, driver) after a net's first.
 
     Kahn's algorithm runs in waves of nets, and a gate is released when the
     weights of its arrived inputs sum to its bound pins' weights, so a
@@ -498,7 +474,12 @@ def _analyse(c: Circuit) -> _Analysis:
         i = _index_of(index, port.net)
         if i < 0:
             diags.append(f"port {port.name}: net {port.net!r} does not exist")
-        elif port.direction == "in":
+            continue
+        want, got = port.encoding, encs[i]
+        if want is not got and want.level_voltages != got.level_voltages:
+            diags.append(f"encoding-mismatch: port {port.name} expects {want.name}, "
+                         f"net {net_ids[i]} carries {got.name}")
+        if port.direction == "in":
             if driver[i] is None:
                 driver[i] = ("port", port.name)
             else:
@@ -507,7 +488,8 @@ def _analyse(c: Circuit) -> _Analysis:
     gate_in, gate_out, wait = [], [], []  # wait: the weights of a gate's inputs yet to arrive
     fanout: list[list] = [[] for _ in net_ids]
     for g, (iid, prim, pins, pin_enc, _) in enumerate(c.instances.values()):
-        in_pins, out_pins, weights, total, data = _KIND_PLANS[prim.kind]
+        in_pins, out_pins, weights, data = KIND_SPECS[prim.kind]
+        total = sum(weights)
         pin_cap, out_enc = prim.params.input_cap_per_pin, prim.params.output_encoding
         try:
             ins = [index[pins[pin]] for pin in in_pins]
@@ -634,9 +616,6 @@ class AreaReport:
     transistor_count: int
     by_kind: dict
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def area_report(c: Circuit) -> AreaReport:
     """Diameter-sum area breakdown per gate kind.
@@ -704,7 +683,7 @@ def to_json(c: Circuit) -> dict:
             "output_encoding": enc(p.params.output_encoding),
             "inventory": _inv_to_json(p.inventory)})
 
-    meta = c.metadata.copy()
+    meta = {k: v.copy() if isinstance(v, MappingProxyType) else v for k, v in c.metadata.items()}
     if "cell_inventory_overrides" in meta:
         meta["cell_inventory_overrides"] = {
             tag: _inv_to_json(inv)
@@ -733,7 +712,6 @@ def to_json(c: Circuit) -> dict:
 
 # what a malformed field raises while an interchange entry is parsed
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
-_KIND_SET = frozenset(KINDS)
 # the fields of each kind of entry, read at once: a KeyError names the one missing
 _NET_FIELDS = operator.itemgetter("id", "encoding", "driver", "external_load")
 _INSTANCE_FIELDS = operator.itemgetter("id", "kind", *_PARAMS, "output_encoding", "inventory",
@@ -826,7 +804,7 @@ def from_json(data: dict) -> Circuit:
             if iid in instances:
                 raise ValueError("another instance has this id")
             key = "kind"
-            if gate not in _KIND_SET:
+            if gate not in KIND_SPECS:
                 raise ValueError(f"unknown gate kind {gate!r}")
             key = "output_encoding"
             out_enc = enc(out_enc)

@@ -128,14 +128,6 @@ class ScalingRow:
     measured_ps: float
     cells_on_path: int
 
-    def as_dict(self) -> dict:
-        return {
-            "n_digits": self.n_digits,
-            "sta_arrival_ps": self.sta_arrival_ps,
-            "measured_ps": self.measured_ps,
-            "cells_on_path": self.cells_on_path,
-        }
-
 
 def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> list:
     """Full-chain arrival and a measured full ripple per CPA size.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernel import TICK_PS, compile_circuit
+from .gates import KIND_SPECS
 from .levels import DomainError
 from .netlist import Circuit
 
@@ -89,9 +90,9 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
 
     for gi in comp.topo_order:
         inst = insts[gi]
-        prim = inst.primitive
-        for opin, out_ni, delay in zip(prim.output_pins, comp.gate_out[gi], comp.gate_delay[gi]):
-            for ipin, in_ni in zip(prim.input_pins, comp.gate_in[gi]):
+        spec = KIND_SPECS[inst.primitive.kind]
+        for opin, out_ni, delay in zip(spec.outputs, comp.gate_out[gi], comp.gate_delay[gi]):
+            for ipin, in_ni in zip(spec.inputs, comp.gate_in[gi]):
                 if arrival[in_ni] < 0:
                     continue
                 cand = arrival[in_ni] + delay
@@ -103,7 +104,7 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
                 ):
                     arrival[out_ni] = cand
                     arc = TimingArc(
-                        instance=inst.id, kind=prim.kind,
+                        instance=inst.id, kind=inst.primitive.kind,
                         from_pin=ipin, to_pin=opin,
                         from_net=comp.net_ids[in_ni], to_net=comp.net_ids[out_ni],
                         delay_ps=delay * TICK_PS, cell_tag=inst.cell_tag,

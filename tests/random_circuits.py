@@ -1,6 +1,6 @@
 """Random netlists shared by the property tests."""
 
-from mvadder.gates import KINDS, CellLibrary, input_pins, output_pins
+from mvadder.gates import KIND_SPECS, KINDS, CellLibrary
 from mvadder.levels import Level as L, binary_full, quaternary
 from mvadder.netlist import _Builder
 
@@ -22,7 +22,7 @@ def random_circuit(rng, n_gates=24, vdd=0.9):
         free = kind.startswith(("mux", "buf"))
         out_r = 4 if kind.startswith("succ") else r if free else 2
         pins = {}
-        for pin in input_pins(kind):
+        for pin in KIND_SPECS[kind].inputs:
             if pin == "sel":
                 radix = 4 if kind == "mux4" else 2
             else:
@@ -31,7 +31,7 @@ def random_circuit(rng, n_gates=24, vdd=0.9):
                                             and 6 - radix > out_r):
                 radix = 6 - radix
             pins[pin] = nets[radix][rng.integers(len(nets[radix]))]
-        for pin in output_pins(kind):
+        for pin in KIND_SPECS[kind].outputs:
             pins[pin] = b.net(f"g{g}_{pin}", enc[out_r])
             nets[out_r].append(pins[pin])
         b.inst(f"g{g}", kind, vdd, enc[out_r], pins)

@@ -214,6 +214,23 @@ def test_model_error_exit_three(tmp_path, capsys):
     assert run_cli(["--lib", str(lib), "verify", "--cell", "qfa1"]) == 3
 
 
+def test_a_simulation_timeout_exits_three(tmp_path, capsys):
+    stim = tmp_path / "stim.json"
+    stim.write_text(json.dumps({"initial": {"A": 0, "B": 0, "Cin": 0},
+                                "events": [[0.0, "A", 1]], "duration_ps": 1.0}))
+    assert run_cli(["sim", "--cell", "qfa2", "--stimulus", str(stim)]) == 3
+    assert "model error: circuit not quiescent within duration (1.0 ps)" in capsys.readouterr().err
+
+
+def test_a_gate_delay_past_the_tick_range_exits_two(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({"inv": {"drive_resistance_ohm": 1e300}}))
+    assert run_cli(["--lib", str(lib), "sta", "--cell", "qfa2", "--cl", "2fF",
+                    "--from", "A", "--to", "Cout"]) == 2
+    assert ("error: inv_cout.y: gate delay 2.0000000000000002e+285 s is not a finite number "
+            "of ticks") in capsys.readouterr().err
+
+
 def test_custom_library_changes_timing(tmp_path, capsys):
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps({"inv": {"drive_resistance_ohm": 20000.0}}))

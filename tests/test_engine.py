@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvadder import _kernel
+import mvadder
+from mvadder import _kernel, engine
 from mvadder.engine import (
     SimulationTimeoutError,
     Stimulus,
@@ -20,12 +21,12 @@ from mvadder.engine import (
     worst_case_stimulus,
 )
 from mvadder.gates import (
+    KIND_SPECS,
     KINDS,
     CellLibrary,
     CellSpec,
     eval_primitive,
-    input_pins,
-    output_pins,
+    kind_table,
     switching_energy,
 )
 from mvadder.levels import (
@@ -152,6 +153,12 @@ def test_timeout_when_duration_too_short():
                     duration_ps=12.0)  # six gate delays cannot fit in 2 ps
     with pytest.raises(SimulationTimeoutError, match=r"1 nets still pending at tick \d+: \['n0'\]"):
         simulate(c, stim)
+
+
+def test_carry_to_carry_stimulus_of_a_binary_cell():
+    assert worst_case_stimulus("carry_to_carry", "bfa1") == Stimulus(
+        initial={"A": L.L0, "B": L.L1, "Cin": L.L0},
+        events=((2000.0, "Cin", L.L1), (4000.0, "Cin", L.L0)), duration_ps=6000.0)
 
 
 def test_stimulus_validation():
@@ -538,13 +545,43 @@ def test_unsettled_simulate_output_names_the_x_ports():
         _settled_by_simulate(c, ["A", "B"], [3, 1])
 
 
+def test_the_event_loop_raises_each_failure_with_its_full_message():
+    """The unsettled, timeout and event-budget errors, raised by the event
+    loop where it finds them."""
+    with pytest.raises(UnsettledOutputError) as err:
+        _settled_by_simulate(nand_l2_circuit(y_port=True), ["A", "B"], [3, 1])
+    assert str(err.value) == "outputs ['Y1'] still X at the end of the settle phase"
+    with pytest.raises(SimulationTimeoutError) as err:
+        simulate(inv_chain(6), Stimulus({"A": L.L0}, ((10.0, "A", L.L1),), 12.0))
+    assert str(err.value) == ("circuit not quiescent within duration (12.0 ps); "
+                              "1 nets still pending at tick 10490: ['n0']")
+    comp = _kernel.compile_circuit(build_qfa("qfa2", 0.9))
+    initial = sorted((net, 0) for net in comp.in_port_net.values())
+    with pytest.raises(SimulationTimeoutError) as err:
+        _kernel._run_single(comp, initial, [], 100.0, 10, max_events=4)
+    assert str(err.value) == (
+        "event budget exceeded; circuit appears unstable; 7 nets still pending at tick 30: "
+        "['n_sum', 'b_lt1', 'b_lt2', 'b_lt3', 'a_plus1', 'a_plus2', 'a_plus3']")
+    origin, n_settle, records, cur = _kernel._run_single(comp, initial, [], 100.0, 10, 10_000)
+    assert n_settle == len(records) and origin == records[-1][0] + 10
+    assert [cur[comp.out_port_net[p]] for p in ("Sum", "Cout")] == [0, 0]
+    for name in ("SimulationTimeoutError", "UnsettledOutputError"):
+        assert getattr(mvadder, name) is getattr(engine, name) is getattr(_kernel, name)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_table_rows_equal_eval_primitive(kind):
-    table = _kernel.kind_table(kind)
-    n_in, n_out = len(input_pins(kind)), len(output_pins(kind))
+    """Row r is eval_primitive at the levels whose codes (level + 1),
+    weighted by the kind's weights, sum to r; the first pin is the most
+    significant base-5 digit, so the rows run in itertools.product order."""
+    spec = KIND_SPECS[kind]
+    table = kind_table(kind)
+    n_in, n_out = len(spec.inputs), len(spec.outputs)
     assert table.shape == (5 ** n_in, 2)
+    assert spec.weights == tuple(5 ** (n_in - 1 - j) for j in range(n_in))
     combos = itertools.product(range(-1, 4), repeat=n_in)
-    for row, levels in zip(table.tolist(), combos):
+    for r, (row, levels) in enumerate(zip(table.tolist(), combos)):
+        assert sum(w * (lvl + 1) for w, lvl in zip(spec.weights, levels)) == r
         try:
             want = [int(v) for v in eval_primitive(kind, levels)]
         except DomainError:
@@ -557,12 +594,12 @@ def test_kind_table_outputs_stay_decided_when_an_x_input_is_resolved(kind):
     """Replacing an X input by any level never changes a non-X output. So
     in the settle phase every net moves at most once, from X to its final
     level, which settle_batch's one topological pass relies on."""
-    n_in = len(input_pins(kind))
-    table = _kernel.kind_table(kind)
-    for r, codes in enumerate(itertools.product(range(5), repeat=n_in)):
+    weights = KIND_SPECS[kind].weights
+    table = kind_table(kind)
+    for r, codes in enumerate(itertools.product(range(5), repeat=len(weights))):
         for j, code in enumerate(codes):
             if code == 0:
-                weight = 5 ** (n_in - 1 - j)
+                weight = weights[j]
                 decided = table[r] >= 0
                 for lvl in range(4):
                     resolved = table[r + (lvl + 1) * weight]
@@ -609,13 +646,13 @@ def reference_settle(c, assign):
              if net.driver is not None and net.driver[0] == "const"}
     level.update({c.ports[p].net: L(int(v)) for p, v in assign.items()})
     driver = {inst.pins[p]: inst for inst in c.instances.values()
-              for p in inst.primitive.output_pins}
+              for p in KIND_SPECS[inst.primitive.kind].outputs}
 
     def settle(nid):
         if nid not in level:
             inst = driver[nid]
-            ins = [settle(inst.pins[p]) for p in inst.primitive.input_pins]
-            opins = inst.primitive.output_pins
+            ins = [settle(inst.pins[p]) for p in KIND_SPECS[inst.primitive.kind].inputs]
+            opins = KIND_SPECS[inst.primitive.kind].outputs
             try:
                 outs = eval_primitive(inst.primitive.kind, ins)
             except DomainError:
@@ -738,14 +775,14 @@ def test_compiled_delays_equal_per_gate_propagation_delay():
     comp = _kernel.compile_circuit(c)
     load = {nid: net.external_load for nid, net in c.nets.items()}
     for inst in c.instances.values():
-        for pin in inst.primitive.input_pins:
+        for pin in KIND_SPECS[inst.primitive.kind].inputs:
             load[inst.pins[pin]] += inst.primitive.params.input_cap_per_pin
     load.update({nid: 0.0 for nid, net in c.nets.items() if net.driver})  # supply ties
     assert comp.net_cap.tolist() == [load[nid] for nid in comp.net_ids]
     want = [
         tuple(max(1, round(propagation_delay(inst.primitive, load[inst.pins[pin]])
                            / (_kernel.TICK_PS * 1e-12)))
-              for pin in inst.primitive.output_pins)
+              for pin in KIND_SPECS[inst.primitive.kind].outputs)
         for inst in c.instances.values()
     ]
     assert comp.gate_delay == want

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from mvadder import netlist
 from mvadder._kernel import compile_circuit
-from mvadder.gates import CellLibrary
+from mvadder.gates import KIND_SPECS, CellLibrary, TransistorInventory
 from mvadder.levels import DomainError, binary_full, quaternary
 from mvadder.netlist import (
+    CELL_KINDS,
     Instance,
     Net,
     NetlistError,
+    Port,
     _Builder,
     area_report,
     build_bfa,
@@ -206,6 +208,35 @@ def test_validate_flags_qfa1_cout_into_qfa2_cin():
     assert any("encoding-mismatch" in d and "carry01" in d for d in diags)
 
 
+def test_validate_flags_a_port_whose_encoding_differs_from_its_nets():
+    blob = to_json(build_qfa("qfa2", 0.9))
+    port = _entry(blob, "ports", "Cin")
+    port["encoding"] = {"name": "quat@0.9", "level_voltages": list(quaternary(0.9).level_voltages)}
+    c = from_json(blob)
+    assert validate(c) == ["encoding-mismatch: port Cin expects quat@0.9, net Cin carries bin@0.9"]
+    with pytest.raises(DomainError, match="encoding-mismatch: port Cin"):
+        compile_circuit(c)
+    port["encoding"] = {"name": "renamed", "level_voltages": [0.0, 0.9]}  # equal voltages
+    assert validate(from_json(blob)) == []
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_every_port_and_pin_of_a_built_circuit_shares_its_nets_encoding(kind):
+    for c in (build_cell(kind, 0.9), build_cpa(build_cell(kind[:4], 0.9), 2)):
+        assert validate(c) == []
+        assert all(p.encoding is c.nets[p.net].encoding for p in c.ports.values())
+        assert all(e is c.nets[inst.pins[pin]].encoding
+                   for inst in c.instances.values() for pin, e in inst.pin_encodings.items())
+
+
+def test_validate_names_a_port_on_no_net_and_missing_adder_ports():
+    c = build_qfa("qfa2", 0.9)
+    ports = {n: p for n, p in c.ports.items() if n != "Sum"}
+    ports["Extra"] = Port("Extra", "in", c.ports["A"].encoding, "nowhere")
+    assert validate(edited(c, ports=ports)) == [
+        "port Extra: net 'nowhere' does not exist", "adder cell missing ports ['Sum']"]
+
+
 def test_validate_flags_multiple_drivers_and_undriven():
     # second driver onto an internal net
     c = edited(build_qfa("qfa2", 0.9), pins={"succ1.y": "n_sum0"})
@@ -261,8 +292,8 @@ def test_a_cycle_behind_a_net_driven_twice_is_named_exactly():
 def _upstream(c) -> dict:
     """Per instance: the instances driving its input nets."""
     driver = {inst.pins[p]: iid for iid, inst in c.instances.items()
-              for p in inst.primitive.output_pins}
-    return {iid: [driver[inst.pins[p]] for p in inst.primitive.input_pins
+              for p in KIND_SPECS[inst.primitive.kind].outputs}
+    return {iid: [driver[inst.pins[p]] for p in KIND_SPECS[inst.primitive.kind].inputs
                   if inst.pins[p] in driver]
             for iid, inst in c.instances.items()}
 
@@ -293,8 +324,8 @@ def test_kahn_pass_orders_levels_and_finds_cycles_on_random_circuits(seed):
                 above.add(w)
                 todo.append(w)
     v = c.instances[str(rng.choice(sorted(above)))]
-    u_out = c.instances[u].pins[str(rng.choice(c.instances[u].primitive.output_pins))]
-    c = edited(c, pins={f"{v.id}.{rng.choice(v.primitive.input_pins)}": u_out})
+    u_out = c.instances[u].pins[str(rng.choice(KIND_SPECS[c.instances[u].primitive.kind].outputs))]
+    c = edited(c, pins={f"{v.id}.{rng.choice(KIND_SPECS[v.primitive.kind].inputs)}": u_out})
     ups = _upstream(c)
 
     def on_cycle(iid):
@@ -692,6 +723,24 @@ def test_every_part_of_a_circuit_is_read_only():
             m[key] = None
         with pytest.raises(TypeError):
             del m[key]
+
+
+def test_the_maps_in_metadata_are_read_only_and_dump_as_dicts():
+    c = build_bfa("bfa1", 0.9)
+    with pytest.raises(TypeError):
+        c.metadata["cell_inventory_overrides"]["cell0"] = TransistorInventory((("N", 19, 1),))
+    assert area_report(c).transistor_count == 28
+    cpa = build_cpa(c, 2)
+    with pytest.raises(TypeError):
+        cpa.metadata["cell_kinds"]["d0"] = "zzz"
+    assert "zzz_cell" not in area_report(cpa).by_kind
+    meta = to_json(cpa)["metadata"]
+    assert type(meta["cell_kinds"]) is dict and meta["cell_kinds"] == {"d0": "bfa1", "d1": "bfa1"}
+    meta["cell_kinds"]["d0"] = "zzz"  # the dump is a copy
+    given = {"cell_kinds": {"cell0": "bfa1"}}
+    copy = dataclasses.replace(cpa, metadata=given)
+    given["cell_kinds"]["cell0"] = "zzz"
+    assert cpa.metadata["cell_kinds"]["d0"] == copy.metadata["cell_kinds"]["cell0"] == "bfa1"
 
 
 def test_records_keep_private_read_only_maps_however_they_are_made():

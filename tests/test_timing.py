@@ -55,6 +55,14 @@ def test_unreachable_sink_reports_none():
     assert rep2.arrivals_ps["A"] == pytest.approx(0.0)
 
 
+def test_a_sink_no_source_reaches_reads_none_and_is_never_worst():
+    rep = sta(build_cpa(build_qfa("qfa2", 0.9), 2), ("A1",), ("S0", "C2"))
+    assert rep.arrivals_ps == {"S0": None, "C2": 7.0}
+    assert (rep.worst_sink, rep.worst_arrival_ps) == ("C2", 7.0)
+    assert [a.instance for a in rep.critical_path] == [
+        "d1.mux_ncout0", "d1.mux2_cout", "d1.inv_cout"]
+
+
 def test_cpa_critical_path_visits_every_carry():
     cpa = build_cpa(build_qfa("qfa2", 0.9), 4, cl=2e-15)
     rep = sta(cpa, ("C0", "A0", "B0"), ("C4", "S3"))
