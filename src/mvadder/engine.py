@@ -21,7 +21,7 @@ from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
 from .levels import DomainError, Level
-from .netlist import CELL_KINDS, Circuit
+from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
 SETTLE_GAP_TICKS = 10_000  # 1 ns
@@ -179,7 +179,7 @@ def _as_level(port: str, value) -> Level:
     raise StimulusError(f"{port}: {value!r} is not a logic level")
 
 
-def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
+def _check_stimulus(comp, stim: Stimulus) -> None:
     # settle ends within 2**61 ticks (n_nets gates at most on a path, each within
     # _kernel.CompiledCircuit's bound); this adds at most 2**61: ticks fit int64
     max_ps = 2 ** 62 // (2 * comp.n_nets) / _kernel.TICKS_PER_PS
@@ -219,10 +219,11 @@ def _check_stimulus(circuit: Circuit, comp, stim: Stimulus) -> None:
             )
 
 
+@gc_paused
 def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
     """Run one stimulus; returns the full trace with the energy ledger."""
     comp = compile_circuit(circuit)
-    _check_stimulus(circuit, comp, stimulus)
+    _check_stimulus(comp, stimulus)
 
     initial = sorted((comp.in_port_net[p], int(l)) for p, l in stimulus.initial.items())
     ev = sorted(

@@ -14,10 +14,13 @@ and traces are reproducible run to run.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import math
 import operator
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,10 +43,59 @@ class NetlistError(ValueError):
     """Structural problem that prevents building or using a circuit."""
 
 
+class _CollectorPause(contextlib.ContextDecorator):
+    """Pauses the cyclic garbage collector over a ``with gc_paused:`` block
+    or, as ``@gc_paused``, over each call. mvadder pauses it inside its bulk
+    netlist, STA and simulate calls: a circuit's many records are acyclic
+    and long-lived, so a full collection walks them all and frees nothing.
+    The caller's state comes back on exit, on an exception too: the
+    outermost pause turns the collector off only if it was on and on again
+    only then. Pauses nest and are safe across threads: one lock and one
+    depth count serve all of them. It never collects, freezes or retunes the
+    collector; those are the caller's process-wide choices."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0  # pauses open, in all threads
+        self._restore = False  # whether the collector was on when the outermost opened
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._restore:
+                gc.enable()
+
+
+gc_paused = _CollectorPause()
+
+
 def _frozen(m) -> MappingProxyType:
     """A read-only map over a private copy of ``m``; ``copy()`` where it has
     one, as ``dict()`` of a mappingproxy is several times slower."""
     return MappingProxyType(m.copy() if type(m) in (dict, MappingProxyType) else dict(m))
+
+
+def _deep_frozen(v):
+    """``v`` read-only at every depth: a map becomes a read-only map and a
+    list or tuple a tuple, each over frozen copies of its values. One frame
+    per level (``map``, no comprehension), so any nesting ``json`` parses fits."""
+    if isinstance(v, (dict, MappingProxyType)):
+        return MappingProxyType(dict(zip(v, map(_deep_frozen, v.values()))))
+    return tuple(map(_deep_frozen, v)) if type(v) in (list, tuple) else v
+
+
+def _thawed(v):
+    """A value frozen by :func:`_deep_frozen` as plain dicts and lists."""
+    if type(v) is MappingProxyType:
+        return dict(zip(v, map(_thawed, v.values())))
+    return list(map(_thawed, v)) if type(v) is tuple else v
 
 
 # NamedTuple's own _make, which _replace calls, would skip a subclass's __new__
@@ -100,8 +152,9 @@ Port = namedtuple("Port", "name direction encoding net")
 
 @dataclass(frozen=True)
 class Circuit:
-    """A circuit (immutable), its maps, and the maps among its metadata
-    values, read-only copies of the maps given.
+    """A circuit (immutable). Its maps are read-only copies of those given,
+    and so is its metadata at every depth: a map in it is a read-only map
+    and a list a tuple.
     Its one pass and compiled form are derived on first use and kept; a
     copy made by ``dataclasses.replace`` starts without them."""
 
@@ -116,9 +169,7 @@ class Circuit:
     def __post_init__(self):
         for name in ("ports", "nets", "instances"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        object.__setattr__(self, "metadata", MappingProxyType(
-            {k: _frozen(v) if isinstance(v, (dict, MappingProxyType)) else v
-             for k, v in self.metadata.items()}))
+        object.__setattr__(self, "metadata", _deep_frozen(dict(self.metadata)))
 
     def input_ports(self) -> list[Port]:
         return [p for p in self.ports.values() if p.direction == "in"]
@@ -345,6 +396,7 @@ def build_bfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
 _ADDER_PORTS = {"A", "B", "Cin", "Sum", "Cout"}
 
 
+@gc_paused
 def build_cpa(cell: Circuit, n_digits: int, cl: float = 0.0) -> Circuit:
     """Ripple chain of ``n_digits`` copies of a 1-digit adder cell.
 
@@ -440,6 +492,7 @@ def _analysed(c: Circuit) -> _Analysis:
     return c._analysis
 
 
+@gc_paused
 def _analyse(c: Circuit) -> _Analysis:
     """One pass that resolves every pin of ``c`` to a net index exactly once.
 
@@ -661,6 +714,7 @@ def _inv_to_json(inv: TransistorInventory) -> list:
     return [list(e) for e in inv.entries]
 
 
+@gc_paused
 def to_json(c: Circuit) -> dict:
     """Lossless netlist interchange form. Each port, net and instance entry,
     and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
@@ -683,7 +737,7 @@ def to_json(c: Circuit) -> dict:
             "output_encoding": enc(p.params.output_encoding),
             "inventory": _inv_to_json(p.inventory)})
 
-    meta = {k: v.copy() if isinstance(v, MappingProxyType) else v for k, v in c.metadata.items()}
+    meta = _thawed(c.metadata)
     if "cell_inventory_overrides" in meta:
         meta["cell_inventory_overrides"] = {
             tag: _inv_to_json(inv)
@@ -731,6 +785,7 @@ def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistErro
     return NetlistError(f"{what}: {why}" if key is None else f"{what}: field {key!r}: {why}")
 
 
+@gc_paused
 def from_json(data: dict) -> Circuit:
     """Rebuild a circuit from its interchange form. Equal encodings become
     one :class:`SignalEncoding`, and instances with equal kind, electrical

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ._kernel import TICK_PS, compile_circuit
 from .gates import KIND_SPECS
 from .levels import DomainError
-from .netlist import Circuit
+from .netlist import Circuit, gc_paused
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ def _cells_crossed(path) -> int:
     return len(tags)
 
 
+@gc_paused
 def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     """Worst arrival per sink port from any source port, with the critical
     path of the globally worst sink. Both port lists must be non-empty.

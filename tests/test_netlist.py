@@ -743,6 +743,27 @@ def test_the_maps_in_metadata_are_read_only_and_dump_as_dicts():
     assert cpa.metadata["cell_kinds"]["d0"] == copy.metadata["cell_kinds"]["cell0"] == "bfa1"
 
 
+def test_metadata_is_read_only_at_every_depth_and_dumps_as_given():
+    d = to_json(build_qfa("qfa2"))
+    d["metadata"]["notes"] = ["a", {"k": [1]}]
+    d["metadata"]["deep"] = {"x": {"y": 1}}
+    c = from_json(d)
+    with pytest.raises(AttributeError):
+        c.metadata["notes"].append("b")
+    with pytest.raises(TypeError):
+        c.metadata["notes"][1]["k"] = [2]
+    with pytest.raises(TypeError):
+        c.metadata["deep"]["x"]["y"] = 2
+    d["metadata"]["deep"]["x"]["y"] = 3  # the circuit keeps its own copy
+    meta = to_json(c)["metadata"]
+    assert meta["notes"] == ["a", {"k": [1]}] and meta["deep"] == {"x": {"y": 1}}
+    assert type(meta["notes"]) is list and type(meta["notes"][1]["k"]) is list
+    assert type(meta["deep"]["x"]) is dict
+    # any nesting that json parses loads and dumps back
+    d["metadata"]["deep"] = json.loads('{"m": ' * 900 + "1" + "}" * 900)
+    assert json.loads(json.dumps(to_json(from_json(d))))["metadata"] == d["metadata"]
+
+
 def test_records_keep_private_read_only_maps_however_they_are_made():
     """_replace and _make go through the constructor: its checks run and
     the maps given are copied into read-only ones."""
