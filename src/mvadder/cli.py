@@ -141,6 +141,8 @@ def _cmd_sim(args, lib) -> int:
 def _cmd_compare(args, lib) -> int:
     configs = [report_mod.parse_config_spec(s, args.cl)
                for s in args.configs.split(",") if s.strip()]
+    if not configs:
+        raise DomainError(f"--configs: expected at least one kind@vdd spec, got {args.configs!r}")
     rows = report_mod.compare(configs, lib, threads=args.threads)
     if args.out:
         text = (report_mod.rows_to_csv(rows) if args.out.endswith(".csv")

@@ -102,9 +102,9 @@ class ElectricalParams:
         for field in ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
                       "intrinsic_delay", "threshold_voltage"):
             value = getattr(self, field)
-            try:
-                ok = 0 < value < math.inf  # NaN fails too
-            except TypeError:  # not a number
+            try:  # NaN fails too
+                ok = 0 < value < math.inf and float(value) < math.inf
+            except (TypeError, OverflowError):  # not a number, or an int past float range
                 ok = False
             if not ok:
                 raise DomainError(f"{field} must be finite and > 0, got {value!r}")
@@ -347,6 +347,7 @@ class CellLibrary:
         if missing:
             raise LibraryError(f"library missing kinds: {missing}")
         self.cells = dict(cells)
+        self._primitives: dict = {}  # (kind, supply, encoding name, inventory) -> (spec, primitive)
 
     @classmethod
     def default(cls) -> "CellLibrary":
@@ -359,7 +360,12 @@ class CellLibrary:
         output_encoding: SignalEncoding,
         inventory: TransistorInventory | None = None,
     ) -> GatePrimitive:
+        """The primitive of ``kind``; equal requests for one spec and encoding object share one."""
         spec = self.cells[kind]
+        key = (kind, supply_voltage, output_encoding.name, inventory)
+        hit = self._primitives.get(key)
+        if hit is not None and hit[0] is spec and hit[1].params.output_encoding is output_encoding:
+            return hit[1]
         params = ElectricalParams(
             supply_voltage=supply_voltage,
             input_cap_per_pin=spec.input_cap_per_pin,
@@ -368,7 +374,8 @@ class CellLibrary:
             threshold_voltage=spec.threshold_voltage,
             output_encoding=output_encoding,
         )
-        return GatePrimitive(kind, params, inventory or spec.inventory)
+        hit = self._primitives[key] = spec, GatePrimitive(kind, params, inventory or spec.inventory)
+        return hit[1]
 
 
 # library file key -> CellSpec field, for the number-valued keys
@@ -430,7 +437,7 @@ def load_library(path: str | Path) -> CellLibrary:
                 continue
             try:
                 number = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int past float range too
                 number = math.nan
             if not 0 < number < math.inf:  # NaN fails too
                 raise LibraryError(f"{kind}: {key} must be a finite number > 0, got {value!r}")

@@ -112,9 +112,9 @@ class Net(namedtuple("Net", "id encoding driver external_load", defaults=(None, 
     _make = _MAKE
 
     def __new__(cls, id, encoding, driver=None, external_load=0.0):
-        try:
-            ok = 0 <= external_load < math.inf  # NaN fails too
-        except TypeError:  # not a number
+        try:  # NaN fails too
+            ok = 0 <= external_load < math.inf and float(external_load) < math.inf
+        except (TypeError, OverflowError):  # not a number, or an int past float range
             ok = False
         if not ok:
             raise NetlistError(f"net {id!r}: external_load must be a finite number >= 0, "
@@ -541,12 +541,11 @@ def _analyse(c: Circuit) -> _Analysis:
     gate_in, gate_out, wait = [], [], []  # wait: the weights of a gate's inputs yet to arrive
     fanout: list[list] = [[] for _ in net_ids]
     for g, (iid, prim, pins, pin_enc, _) in enumerate(c.instances.values()):
-        in_pins, out_pins, weights, data = KIND_SPECS[prim.kind]
-        total = sum(weights)
+        (in_pins, out_pins, weights, data), in_get, out_get, total = _KIND_PLANS[prim.kind]
         pin_cap, out_enc = prim.params.input_cap_per_pin, prim.params.output_encoding
         try:
-            ins = [index[pins[pin]] for pin in in_pins]
-            outs = [index[pins[pin]] for pin in out_pins]
+            ins = list(map(index.__getitem__, in_get(pins)))
+            outs = list(map(index.__getitem__, out_get(pins)))
             bound_in, bound_out = zip(in_pins, ins, weights), zip(out_pins, outs)
         except (KeyError, TypeError):  # report each pin unbound or bound to no net; skip it
             ins, outs = ([_index_of(index, pins.get(p)) for p in ps] for ps in (in_pins, out_pins))
@@ -643,6 +642,16 @@ def _analyse(c: Circuit) -> _Analysis:
                      bad_pins, again)
 
 
+def _tuple_getter(pins: tuple):
+    """A getter of ``pins`` from a map, as a tuple for one pin too."""
+    return operator.itemgetter(*pins) if len(pins) > 1 else lambda m, pin=pins[0]: (m[pin],)
+
+
+# per gate kind: its KindSpec, getters of its input and output pins' nets, its inputs' weight
+_KIND_PLANS = {kind: (spec, _tuple_getter(spec.inputs), _tuple_getter(spec.outputs),
+                      sum(spec.weights)) for kind, spec in KIND_SPECS.items()}
+
+
 def _index_of(index: dict, nid) -> int:
     """Net ``nid``'s index, or -1 where ``nid`` names no net (unhashable too)."""
     try:
@@ -717,25 +726,19 @@ def _inv_to_json(inv: TransistorInventory) -> list:
 @gc_paused
 def to_json(c: Circuit) -> dict:
     """Lossless netlist interchange form. Each port, net and instance entry,
-    and an instance's ``pins`` and ``pin_encodings``, is a dict of its own;
-    the nested encoding dicts and inventory lists are formatted once per
-    distinct encoding or primitive and shared: copy one to change it. A
-    net's ``driver`` is its first driver from :func:`_analyse`, null for
-    none."""
-    # keyed by id(): the circuit keeps every encoding and primitive alive
+    and an instance's ``pins`` and ``pin_encodings``, is a dict of its own,
+    an instance's copied from one formatted per template (primitive and
+    ``pin_encodings`` map, shared by a cell's copies); the nested encoding
+    dicts and inventory lists are shared: copy one to change it. A net's
+    ``driver`` is its first driver from :func:`_analyse`, null for none."""
+    # keyed by id(): the circuit keeps every encoding, primitive and map alive
     encs: dict = {}
-    prims: dict = {}
+    templates: dict = {}  # (id(primitive), id(pin_encodings)) -> (entry, pin_encodings)
     driver = _analysed(c).driver
 
     def enc(e: SignalEncoding) -> dict:
         return encs.get(id(e)) or encs.setdefault(
             id(e), {"name": e.name, "level_voltages": list(e.level_voltages)})
-
-    def prim(p: GatePrimitive) -> dict:
-        return prims.get(id(p)) or prims.setdefault(id(p), {
-            "kind": p.kind, **{f: getattr(p.params, f) for f in _PARAMS},
-            "output_encoding": enc(p.params.output_encoding),
-            "inventory": _inv_to_json(p.inventory)})
 
     meta = _thawed(c.metadata)
     if "cell_inventory_overrides" in meta:
@@ -743,7 +746,7 @@ def to_json(c: Circuit) -> dict:
             tag: _inv_to_json(inv)
             for tag, inv in meta["cell_inventory_overrides"].items()
         }
-    return {
+    data = {
         "name": c.name,
         "ports": [
             {"name": p.name, "direction": p.direction, "encoding": enc(p.encoding), "net": p.net}
@@ -754,14 +757,25 @@ def to_json(c: Circuit) -> dict:
              "external_load": n.external_load}
             for n, d in zip(c.nets.values(), driver)
         ],
-        "instances": [
-            {"id": i.id, **prim(i.primitive), "pins": i.pins.copy(),
-             "pin_encodings": {p: enc(e) for p, e in i.pin_encodings.items()},
-             "cell_tag": i.cell_tag}
-            for i in c.instances.values()
-        ],
+        "instances": [],
         "metadata": meta,
     }
+    add = data["instances"].append  # after the nets: that order keeps the peak RSS down
+    for iid, prim, pins, pin_enc, tag in c.instances.values():
+        t = templates.get((id(prim), id(pin_enc)))
+        if t is None:
+            p = prim.params
+            t = templates[id(prim), id(pin_enc)] = (
+                {"id": None, "kind": prim.kind, **{f: getattr(p, f) for f in _PARAMS},
+                 "output_encoding": enc(p.output_encoding),
+                 "inventory": _inv_to_json(prim.inventory),
+                 "pins": None, "pin_encodings": None, "cell_tag": None},
+                {pin: enc(e) for pin, e in pin_enc.items()})
+        entry = t[0].copy()  # cheaper than {**t[0], ...}, and keeps the template's key order
+        entry["id"], entry["pins"], entry["pin_encodings"], entry["cell_tag"] = (
+            iid, pins.copy(), t[1].copy(), tag)
+        add(entry)
+    return data
 
 
 # what a malformed field raises while an interchange entry is parsed
@@ -794,8 +808,10 @@ def from_json(data: dict) -> Circuit:
     key, an encoding's name or an instance's kind, numbers and interned
     output encoding, and confirms the hit by comparing the stored voltages
     or inventory rows with ``==``; a miss falls back to the full value key.
-    No input dict is keyed by identity, so a dict parsed from a file loads
-    by the same path as one shared by :func:`to_json`. Raises NetlistError
+    Equal ``pin_encodings`` share one map, found first by comparing them
+    (``==``) with those last given with the same interned primitive. No
+    input dict is keyed by identity, so a dict parsed from a file loads by
+    the same path as one shared by :func:`to_json`. Raises NetlistError
     naming the port, net or instance and the field on a missing or
     malformed field, a duplicate id, a bad number, a constant level outside
     its net's encoding, and, from the circuit's one pass, a pin unbound or
@@ -807,6 +823,7 @@ def from_json(data: dict) -> Circuit:
     by_numbers: dict = {}  # (kind, *numbers, id(output encoding)) -> primitive entry
     # a primitive entry: (inventory rows as given, GatePrimitive)
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
+    last_pin_map: dict = {}  # id(interned primitive) -> (pin_encodings as given last, its map)
 
     def enc(d: dict) -> SignalEncoding:
         name, volts = d["name"], d["level_voltages"]
@@ -886,12 +903,15 @@ def from_json(data: dict) -> Circuit:
                     by_numbers[cheap] = hit
             prim = hit[1]
             key = "pin_encodings"
-            pin_encodings = {p: enc(e) for p, e in pin_encodings.items()}
-            shared = (*pin_encodings, *map(id, pin_encodings.values()))
-            pin_encodings = pin_maps.get(shared) or pin_maps.setdefault(
-                shared, MappingProxyType(pin_encodings))
+            last = last_pin_map.get(id(prim))
+            if last is None or last[0] != pin_encodings:
+                pin_map = {p: enc(e) for p, e in pin_encodings.items()}
+                shared = (*pin_map, *map(id, pin_map.values()))
+                pin_map = pin_maps.get(shared) or pin_maps.setdefault(
+                    shared, MappingProxyType(pin_map))
+                last = last_pin_map[id(prim)] = (pin_encodings, pin_map)
             key = "pins"
-            instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)), pin_encodings, tag)
+            instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)), last[1], tag)
 
         kind = "port"
         for entry in data["ports"]:

@@ -92,7 +92,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
     d_cc = _worst_step(trace_cc, "Cout")
     d_cs = _worst_step(trace_cc, *_sum_ports(cell))
     if d_in is None or d_cc is None or d_cs is None:
-        raise DomainError(f"[config {config.label()}] a worst-case path did not toggle")
+        raise DomainError(f"[config {config.label()}] at cl {config.cl:g} F a worst-case path "
+                          f"did not toggle within its stimulus steps")
 
     power_w = measure_power(trace_in, (0.0, stim_in.duration_ps))
     # PDP convention: power times the worst of the three reported delays.

@@ -132,6 +132,12 @@ def test_bad_flag_exits_two_naming_the_flag(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("configs", ["", ",", " , "])
+def test_compare_rejects_an_empty_config_list(configs, capsys):
+    assert run_cli(["compare", "--configs", configs]) == 2
+    assert "--configs: expected at least one kind@vdd spec" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("vdd", ["nan", "inf", "-inf"])
 def test_compare_rejects_non_finite_supply(vdd, capsys):
     assert run_cli(["compare", "--configs", f"qfa2@{vdd}"]) == 2
@@ -197,6 +203,7 @@ def test_bad_library_exit_two(tmp_path, capsys):
     ({"nand": {"intrinsic_delay_s": 0}}, "nand: intrinsic_delay_s must be a finite number > 0"),
     ({"inv": {"input_cap_per_pin_f": -1e-16}}, "inv: input_cap_per_pin_f must be a finite"),
     ({"inv": {"drive_resistance_ohm": "fast"}}, "inv: drive_resistance_ohm must be a finite"),
+    ({"inv": {"drive_resistance_ohm": 10 ** 400}}, "inv: drive_resistance_ohm must be a finite"),
     ({"inv": {"inventory": [["N", float("inf"), 1]]}}, "inventory entry must hold whole numbers"),
     ({"inv": {"inventory": [["N", 19.5, 1]]}}, "inventory entry must hold whole numbers"),
 ])

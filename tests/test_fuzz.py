@@ -1,0 +1,222 @@
+"""Bounded fuzz of every input boundary. The CLI runs in process on
+malformed flag values, library JSON and stimulus JSON: it exits 0, 1, 2 or
+3, no exception leaves it, and an exit-2 message names the field at fault.
+No CLI command reads netlist JSON, so ``from_json`` is fuzzed through the
+Python API: it raises NetlistError or loads. Every special value meets
+every number field once; Hypothesis draws the rest."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mvadder.cli import main
+from mvadder.netlist import Circuit, NetlistError, build_qfa, from_json, to_json, validate
+
+# flag values: non-finite, huge, tiny, negative, zero, fractional, wrongly typed, empty
+BAD_TEXT = ["nan", "inf", "-inf", "1e400", "1e300", "1e-300", "-1", "0", "-0.5", "0.5", "2.5",
+            "abc", "", " ", "0x10", "[]", "None", "1,5"]
+
+# (argv, the names an exit-2 message may give, whether any text is cheap to run): the
+# value is appended or fills "{}". An integer flag is never given a huge valid integer.
+FLAG_RUNS = [
+    (["sta", "--cell", "qfa2", "--from", "A", "--to", "Sum", "--vdd"], ("--vdd",), True),
+    (["sta", "--cell", "qfa2", "--from", "A", "--to", "Sum", "--cl"], ("--cl", "gate delay"), True),
+    (["sta", "--cell", "qfa2", "--to", "Sum", "--from"], ("--from", "port"), True),
+    (["sta", "--cell", "qfa2", "--from", "A", "--to"], ("--to", "port"), True),
+    (["verify", "--cell", "cpa", "--vectors", "4", "--digits"], ("--digits",), False),
+    (["verify", "--cell", "cpa", "--digits", "3", "--vectors"], ("--vectors",), False),
+    (["verify", "--cell", "cpa", "--digits", "3", "--vectors", "4", "--base"], ("--base",), True),
+    (["compare", "--configs", "qfa2@0.9", "--threads"], ("--threads",), False),
+    (["compare", "--configs", "qfa2@0.9", "--cl"], ("--cl", "gate delay", "at cl "), True),
+    (["compare", "--configs"], ("--configs", "config"), True),
+    (["compare", "--configs", "qfa2@{}"], ("supply", "config"), True),
+    (["--seed", "{}", "verify", "--cell", "cpa", "--digits", "3", "--vectors", "4"], ("--seed",),
+     True),
+]
+
+# JSON values for library, stimulus and netlist fields
+SPECIAL = [math.nan, math.inf, -math.inf, 1e300, 1e-300, -1, 0, 0.5, 2.5, 19.5, 10 ** 400,
+           -10 ** 400, 10 ** 30, "fast", "", None, True, False, [], {}, [1, 2], {"a": 1}]
+JUNK = st.one_of(st.sampled_from(SPECIAL), st.integers(-10, 10),
+                 st.floats(allow_nan=True, allow_infinity=True))
+INVENTORIES = st.lists(st.lists(JUNK | st.sampled_from(["N", "P", "Q", 19, 13, 7]), max_size=4),
+                       max_size=2)
+LIB_NUMBERS = ["input_cap_per_pin_f", "drive_resistance_ohm", "intrinsic_delay_s",
+               "threshold_voltage_v"]
+LIB_KINDS = ["inv", "mux4", "det1", "succ2", "nosuch"]
+STIMULUS = {"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", 1]],
+            "duration_ps": 200.0}
+# (path to a number in STIMULUS, the names an exit-2 message may give for it)
+STIMULUS_NUMBERS = [(("initial", "A"), ("initial", "A")), (("events", 0, 0), ("event",)),
+                    (("events", 0, 2), ("event", "Cin")),
+                    (("duration_ps",), ("duration_ps", "event"))]
+
+
+def _run(argv):
+    """(exit code, stderr) of the CLI on ``argv``, in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _check(argv, names):
+    code, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(name in err for name in names), (argv, err)
+
+
+def _flag_argv(argv, value):
+    if "{}" in " ".join(argv):
+        return [a.replace("{}", value) for a in argv]
+    return [*argv, value]
+
+
+def _library_argv(path, doc):
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity as JSON literals
+    return ["--lib", str(path), "sta", "--cell", "qfa2", "--from", "A", "--to", "Sum"]
+
+
+def _stimulus_argv(path, doc):
+    path.write_text(json.dumps(doc))
+    return ["sim", "--cell", "qfa2", "--stimulus", str(path)]
+
+
+def _set(doc, path, value):
+    for k in path[:-1]:
+        doc = doc[k]
+    doc[path[-1]] = value
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_every_number_field_survives_every_special_value(scratch):
+    for argv, names, _ in FLAG_RUNS:
+        for value in BAD_TEXT:
+            _check(_flag_argv(argv, value), names)
+    for key in LIB_NUMBERS:
+        for value in SPECIAL:
+            _check(_library_argv(scratch / "lib.json", {"inv": {key: value}}), (key, "gate delay"))
+    for path, names in STIMULUS_NUMBERS:
+        for value in SPECIAL:
+            stim = copy.deepcopy(STIMULUS)
+            _set(stim, path, value)
+            _check(_stimulus_argv(scratch / "stim.json", stim), names)
+
+
+@settings(deadline=None, max_examples=40)
+@given(run=st.sampled_from(FLAG_RUNS), data=st.data())
+def test_the_cli_names_a_bad_flag_value(run, data):
+    argv, names, any_text = run
+    values = st.sampled_from(BAD_TEXT)
+    if any_text:
+        values |= st.text(alphabet="0123456789.+-eEinfa@,x ", max_size=8)
+    _check(_flag_argv(argv, data.draw(values)), names)
+
+
+@settings(deadline=None, max_examples=50)
+@given(kind=st.sampled_from(LIB_KINDS), key=st.sampled_from([*LIB_NUMBERS, "inventory", "bogus"]),
+       value=JUNK | INVENTORIES, top=st.sampled_from([None, None, None, [], 3, "inv"]))
+def test_the_cli_names_a_bad_library_field(scratch, kind, key, value, top):
+    doc = {kind: {key: value}} if top is None else top
+    names = (("library file",) if top is not None else
+             (kind, key, "device type", "chirality", "count", "gate delay"))
+    _check(_library_argv(scratch / "lib.json", doc), names)
+
+
+def _stimulus_edits():
+    """(edit of a stimulus dict, the names an exit-2 message may give for it)"""
+    field = st.sampled_from(["initial", "events", "duration_ps"])
+    set_top = st.tuples(field, JUNK).map(
+        lambda fv: (lambda s: s.__setitem__(*fv), (fv[0], "event")))
+    drop = field.map(lambda f: (lambda s: s.pop(f), (f,)))
+    level = st.tuples(st.sampled_from(["A", "B", "Cin", "Z"]), JUNK).map(
+        lambda pv: (lambda s: s["initial"].__setitem__(*pv), ("initial", pv[0])))
+    event = st.tuples(st.integers(0, 3), JUNK | st.sampled_from(["A", "Z"])).map(
+        lambda kv: (lambda s: s["events"][0].__setitem__(kv[0], kv[1])
+                    if kv[0] < 3 else s["events"][0].pop(), ("event", "Cin", "A")))
+    whole = JUNK.map(lambda v: (lambda s: (s.clear(), s.update(value=v)), ("initial",)))
+    return st.one_of(set_top, drop, level, event, whole)
+
+
+@settings(deadline=None, max_examples=50)
+@given(edit=_stimulus_edits(), as_list=st.booleans())
+def test_the_cli_names_a_bad_stimulus_field(scratch, edit, as_list):
+    mutate, names = edit
+    stim = copy.deepcopy(STIMULUS)
+    mutate(stim)
+    if "value" in stim:  # the whole document replaced
+        stim = [stim["value"]] if as_list else stim["value"]
+    _check(_stimulus_argv(scratch / "stim.json", stim), names)
+
+
+def _paths(v, at=()):
+    """Every path to a value inside ``v``."""
+    yield at
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for k, x in items:
+        yield from _paths(x, at + (k,))
+
+
+_DUMP = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+_DUMP_PATHS = [p for p in _paths(_DUMP) if p]
+# each number field of one net, one instance and the encodings they name
+_NUMBER_PATHS = [p for p in _DUMP_PATHS if p[:2] in (("nets", 0), ("instances", 12))
+                 and (p[-1] in ("external_load", "supply_voltage", "input_cap_per_pin",
+                                "drive_resistance_ref", "intrinsic_delay", "threshold_voltage")
+                      or "level_voltages" in p[:-1])]
+NET_IDS = [n["id"] for n in _DUMP["nets"]]
+
+
+def _loads_or_names(data):
+    try:
+        c = from_json(data)
+    except NetlistError:
+        return
+    assert isinstance(c, Circuit)
+    assert isinstance(validate(c), list)
+
+
+def test_from_json_takes_every_special_value_in_every_number_field():
+    assert len(_NUMBER_PATHS) > 10
+    for path in _NUMBER_PATHS:
+        for value in SPECIAL:
+            data = copy.deepcopy(_DUMP)
+            _set(data, path, value)
+            _loads_or_names(data)
+
+
+@settings(deadline=None, max_examples=100)
+@given(edits=st.lists(st.tuples(st.sampled_from(_DUMP_PATHS),
+                                st.sampled_from(["set", "drop", "append"]),
+                                JUNK | st.sampled_from(NET_IDS) | INVENTORIES),
+                      min_size=1, max_size=3))
+def test_from_json_raises_netlist_error_or_loads(edits):
+    data = copy.deepcopy(_DUMP)
+    for path, op, value in edits:
+        parent = data
+        try:
+            for k in path[:-1]:
+                parent = parent[k]
+            if op == "set":
+                parent[path[-1]] = value
+            elif op == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]].append(value)
+        except (KeyError, IndexError, TypeError, AttributeError):
+            continue  # an earlier edit removed or replaced what this one names
+    _loads_or_names(data)

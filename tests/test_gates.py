@@ -1,11 +1,13 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mvadder.gates import (
     DIAMETER_NM,
+    KINDS,
     CellLibrary,
     ElectricalParams,
     LibraryError,
@@ -280,3 +282,32 @@ def test_load_library_rejects_unknown_keys(tmp_path):
     path3.write_text(json.dumps({"inv": {"inventory": [["N", 12, 1]]}}))
     with pytest.raises(LibraryError):
         load_library(path3)
+
+
+def test_make_primitive_shares_one_primitive_per_equal_request():
+    lib = CellLibrary.default()
+    bit = binary_full(0.9)
+    nand = lib.make_primitive("nand", 0.9, bit)
+    assert lib.make_primitive("nand", 0.9, bit) is nand
+    # nor's spec equals nand's, but the kind is part of the request
+    nor = lib.make_primitive("nor", 0.9, bit)
+    assert nor is not nand and nor.kind == "nor" and nor.params == nand.params
+    assert lib.make_primitive("nand", 0.9, bit) is nand
+    assert lib.make_primitive("nand", 0.7, bit) is not nand
+    inv = TransistorInventory((("N", 19, 1),))
+    assert lib.make_primitive("nand", 0.9, bit, inv).inventory is inv
+    assert lib.make_primitive("nand", 0.9, bit) is nand
+    lib.cells["nand"] = replace(lib.cells["nand"], intrinsic_delay=2e-12)  # a changed spec
+    slower = lib.make_primitive("nand", 0.9, bit)
+    assert slower.params.intrinsic_delay == 2e-12
+    other = binary_full(0.9)  # an equal encoding, but another object
+    assert lib.make_primitive("nand", 0.9, other).params.output_encoding is other
+    assert CellLibrary.default().make_primitive("nand", 0.9, bit) == nand
+
+
+def test_make_primitive_keeps_kinds_apart_when_they_share_one_spec():
+    spec = CellLibrary.default().cells["inv"]
+    lib = CellLibrary({kind: spec for kind in KINDS})
+    bit = binary_full(0.9)
+    assert [lib.make_primitive(k, 0.9, bit).kind for k in ("inv", "buf", "inv")] == [
+        "inv", "buf", "inv"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvadder import netlist
 from mvadder._kernel import compile_circuit
-from mvadder.gates import KIND_SPECS, CellLibrary, TransistorInventory
+from mvadder.gates import KIND_SPECS, CellLibrary, GatePrimitive, TransistorInventory
 from mvadder.levels import DomainError, binary_full, quaternary
 from mvadder.netlist import (
     CELL_KINDS,
@@ -497,13 +497,26 @@ def test_from_json_confirms_an_interning_hit_by_value():
 
 
 def test_to_json_entries_are_independent_dicts():
-    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 3))
+    c = build_cpa(build_qfa("qfa2", 0.9), 4)
+    blob = to_json(c)
     before = json.loads(json.dumps(blob))
     for key in ("ports", "nets", "instances"):
         blob[key][0]["kind"] = "mutated"
         blob[key][0]["id"] = "mutated"
         assert blob[key][1:] == before[key][1:]
     assert blob["instances"][0]["pins"] is not blob["instances"][1]["pins"]
+    # the entries of a cell's copies come from one template: one changes alone
+    blob = to_json(c)
+    inst = _entry(blob, "instances", "d1.mux_sum0")
+    inst["pins"]["d0"] = "elsewhere"
+    inst["pin_encodings"]["d0"] = {"name": "other", "level_voltages": [0.0, 1.0]}
+    inst["cell_tag"] = "mutated"
+    _entry(blob, "nets", "C1")["driver"] = ["mutated"]
+    for key in ("ports", "nets", "instances"):
+        for got, want in zip(blob[key], before[key]):
+            if got is not inst and got.get("id") != "C1":
+                assert got == want
+    assert to_json(c) == before
 
 
 @pytest.mark.parametrize("pins, message", [
@@ -541,6 +554,14 @@ def _entry(blob, section, name):
      "instance 'inv_cout': field 'pins': unhashable type"),
     (lambda b: _entry(b, "instances", "inv_cout").update(pin_encodings=3),
      "instance 'inv_cout': field 'pin_encodings': 'int' object has no attribute 'items'"),
+    # mux_sum1 shares mux_sum0's primitive: its pin_encodings are compared with mux_sum0's first
+    (lambda b: _entry(b, "instances", "mux_sum1")["pin_encodings"]["d0"].pop("level_voltages"),
+     "instance 'mux_sum1': field 'pin_encodings': missing field 'level_voltages'"),
+    (lambda b: _entry(b, "instances", "mux_sum1").update(pin_encodings=[["d0", None]]),
+     "instance 'mux_sum1': field 'pin_encodings': 'list' object has no attribute 'items'"),
+    (lambda b: _entry(b, "instances", "mux_sum1")["pin_encodings"].update(
+        d0={"name": "q", "level_voltages": [0.0]}),
+     "instance 'mux_sum1': field 'pin_encodings': encoding 'q' must have 2 or 4 levels"),
     (lambda b: _entry(b, "instances", "inv_cout").update(input_cap_per_pin=[1e-15]),
      r"instance 'inv_cout': input_cap_per_pin must be finite and > 0, got \[1e-15\]"),
     (lambda b: _entry(b, "instances", "inv_cout")["inventory"][0].pop(),
@@ -657,7 +678,8 @@ def test_json_round_trip_of_random_circuits_keeps_bytes_and_compiled_arrays(seed
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-@pytest.mark.parametrize("load", [float("nan"), float("inf"), -float("inf"), -1e-15, "2fF", None])
+@pytest.mark.parametrize("load", [float("nan"), float("inf"), -float("inf"), -1e-15, "2fF", None,
+                                  pytest.param(10 ** 400, id="int-past-float-range")])
 def test_external_load_must_be_a_finite_number_at_least_zero(load):
     blob = to_json(build_qfa("qfa2", 0.9))
     [net] = [n for n in blob["nets"] if n["id"] == "n_sum"]
@@ -673,6 +695,9 @@ def test_external_load_must_be_a_finite_number_at_least_zero(load):
     ("instances", "supply_voltage", None, "instance 'inv_cout': missing field 'supply_voltage'"),
     ("instances", "supply_voltage", "0.9",
      "instance 'inv_cout': supply_voltage must be finite and > 0, got '0.9'"),
+    pytest.param("instances", "input_cap_per_pin", 10 ** 400,
+                 "instance 'inv_cout': input_cap_per_pin must be finite and > 0, got 1000",
+                 id="int-past-float-range"),
 ])
 def test_from_json_names_the_entry_and_field_at_fault(entry, field, value, message):
     blob = to_json(build_qfa("qfa2", 0.9))
@@ -819,3 +844,92 @@ def test_from_json_loads_two_input_ports_on_one_net():
     diags = validate(from_json(blob))
     assert "undriven net 'B'" in diags
     assert "multiple-driver net 'A': [\"('port', 'A')\", \"('port', 'B')\"]" in diags
+
+
+# --------------------------------------------------------------------------
+# One template shared by many gates
+
+
+def _one_template_per_gate(c):
+    """``c`` with every instance given its own fresh GatePrimitive, equal to
+    the one it had, and its own pin_encodings map."""
+    instances = {}
+    for iid, inst in c.instances.items():
+        p = inst.primitive
+        prim = GatePrimitive(p.kind, dataclasses.replace(p.params), p.inventory)
+        instances[iid] = Instance(iid, prim, dict(inst.pins), dict(inst.pin_encodings),
+                                  inst.cell_tag)
+    return dataclasses.replace(c, instances=instances)
+
+
+def _shared_templates(c):
+    """``c`` with one GatePrimitive per distinct value and one read-only
+    pin_encodings map per distinct value, each shared by every instance
+    that has it."""
+    prims, maps, instances = {}, {}, {}
+    for iid, inst in c.instances.items():
+        prim = prims.setdefault(inst.primitive, inst.primitive)
+        key = tuple(sorted(inst.pin_encodings.items()))
+        pin_enc = maps.setdefault(key, MappingProxyType(dict(key)))
+        instances[iid] = netlist._instance(iid, prim, MappingProxyType(dict(inst.pins)),
+                                           pin_enc, inst.cell_tag)
+    return dataclasses.replace(c, instances=instances)
+
+
+def _assert_same_everywhere(a, b):
+    """The pass, validate, the dump bytes and (for a valid circuit) the
+    compiled arrays of ``a`` and ``b`` are equal."""
+    assert netlist._analyse(a) == netlist._analyse(b)
+    assert validate(a) == validate(b)
+    assert json.dumps(to_json(a)) == json.dumps(to_json(b))
+    if not validate(a):
+        want, got = compile_circuit(a), compile_circuit(b)
+        for name in _COMPILED:
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("gate_row", "net_cap", "net_init"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_templates_change_nothing_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    shared = _shared_templates(c)
+    assert len({id(i.primitive) for i in shared.instances.values()}) <= len(c.instances)
+    _assert_same_everywhere(_one_template_per_gate(c), shared)
+
+
+def test_shared_templates_keep_every_diagnostic():
+    """An unbound pin and an expected encoding the net does not carry, on
+    gates whose templates other gates share, are named as on gates that
+    share nothing."""
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 3)
+    assert cpa.instances["d0.mux_sum0"].pin_encodings is cpa.instances["d2.mux_sum0"].pin_encodings
+    bad = edited(cpa, pins={"d1.inv_cout.a": UNBIND},
+                 pin_encodings={"d1.mux_sum0.d0": binary_full(0.9)})
+    diags = validate(bad)
+    assert "d1.inv_cout: pin a unbound" in diags
+    assert "encoding-mismatch: d1.mux_sum0.d0 expects bin@0.9, net A1 carries quat@0.9" in diags
+    for c in (cpa, bad):
+        _assert_same_everywhere(_one_template_per_gate(c), _shared_templates(c))
+        _assert_same_everywhere(c, _one_template_per_gate(c))
+
+
+def test_from_json_gives_a_shared_primitive_the_pin_encodings_each_gate_binds():
+    """mux_sum0 and mux_sum1 share one primitive; bound to a binary net,
+    mux_sum1's pin_encodings differ from those last seen with it, so it
+    gets a map of its own, and the gates after it share the first again."""
+    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 2))
+    bit = _entry(blob, "nets", "d0.b_lt1")["encoding"]
+    mux = _entry(blob, "instances", "d0.mux_sum1")
+    mux["pins"]["d3"] = "d0.b_lt1"
+    mux["pin_encodings"]["d3"] = bit
+    for data in (blob, json.loads(json.dumps(blob))):
+        c = from_json(data)
+        sum0, sum1, later = (c.instances[i] for i in ("d0.mux_sum0", "d0.mux_sum1", "d1.mux_sum1"))
+        assert sum0.primitive is sum1.primitive is later.primitive
+        assert sum1.pin_encodings["d3"].name == "bin@0.9"
+        assert sum0.pin_encodings["d3"].name == later.pin_encodings["d3"].name == "quat@0.9"
+        assert later.pin_encodings is sum0.pin_encodings
+        assert validate(c) == [] and to_json(c) == blob
