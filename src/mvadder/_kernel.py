@@ -134,7 +134,6 @@ class CompiledCircuit:
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
-        self.port_radix = {p.name: p.encoding.radix for p in circuit.ports.values()}
 
     @cached_property
     def settle_plan(self) -> list:

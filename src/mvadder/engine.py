@@ -28,6 +28,9 @@ SETTLE_GAP_TICKS = 10_000  # 1 ns
 
 _MAX_EVENTS_PER_NET = 10_000
 
+#: Time between the steps of a worst-case stimulus.
+STEP_PS = 2000.0
+
 
 class StimulusError(ValueError):
     """Stimulus inconsistent with the circuit's input ports."""
@@ -274,7 +277,7 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     vectors = np.ascontiguousarray(vectors, dtype=np.int64)
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
-    radix = np.array([comp.port_radix[p] for p in in_ports], np.uint64)
+    radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
     # as uint64 a negative level is huge, so one comparison checks both ends
     bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
     if len(bad):
@@ -315,17 +318,6 @@ def settle_levels(circuit: Circuit, assignments: list) -> list:
 # Measurements
 
 
-def _stim_times(trace: Trace) -> list:
-    return sorted({t for t, _, _ in trace.stim_events})
-
-
-def _window_after(trace: Trace, t_src: int) -> int:
-    later = [t for t in _stim_times(trace) if t > t_src]
-    if later:
-        return later[0]
-    return int(trace.origin_ticks + trace.duration_ticks)
-
-
 def measure_delay(trace: Trace, src_port: str, src_event_index: int,
                   dst_port: str) -> float | None:
     """Delay from a stimulus event to the LAST transition it causes on
@@ -344,13 +336,15 @@ def step_response_delays(trace: Trace, dst_port: str) -> list:
     to the last caused transition on ``dst_port``."""
     ni = trace.net_index(dst_port)
     return [((t_src - trace.origin_ticks) * TICK_PS, _delay_after(trace, t_src, ni))
-            for t_src in _stim_times(trace)]
+            for t_src in sorted({t for t, _, _ in trace.stim_events})]
 
 
 def _delay_after(trace: Trace, t_src: int, ni: int) -> float | None:
     """Delay (ps) from tick ``t_src`` to net ``ni``'s last transition up to
-    the next stimulus step; None when the net does not move."""
-    mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= _window_after(trace, t_src))
+    the next stimulus step, or the window's end; None when the net does not move."""
+    end = min((t for t, _, _ in trace.stim_events if t > t_src),
+              default=trace.origin_ticks + trace.duration_ticks)
+    mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= end)
     return float((trace.times[mask].max() - t_src) * TICK_PS) if mask.any() else None
 
 
@@ -374,15 +368,14 @@ def measure_power(trace: Trace, window: tuple) -> float:
 # Worst-case stimuli
 
 
-def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9,
-                        step_ps: float = 2000.0, b_level: int = 3) -> Stimulus:
+def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9) -> Stimulus:
     """The stressing input sequences used for delay/power comparisons.
 
-    ``input_to_carry`` walks A through 0,1,2,3,2,1,0 with Cin held low
-    (B defaults to 3, which toggles the carry on every step);
-    ``carry_to_carry`` pulses Cin with A=2, B=1 held, the combination that
-    sensitizes the carry path end to end. Two-cell binary slices get the
-    bit-encoded equivalents.
+    Steps fall every :data:`STEP_PS`. ``input_to_carry`` walks A through
+    0,1,2,3,2,1,0 with Cin held low and B at 3, which toggles the carry on
+    every step; ``carry_to_carry`` pulses Cin with A=2, B=1 held, the
+    combination that sensitizes the carry path end to end. Two-cell binary
+    slices get the bit-encoded equivalents.
     """
     kind = kind.lower()
     L = Level
@@ -400,19 +393,19 @@ def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9,
         else:
             initial = {"A": L.L0, "B": L.L1}
         return Stimulus(initial={**initial, "Cin": L.L0},
-                        events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
-                        duration_ps=3 * step_ps)
+                        events=((STEP_PS, "Cin", L.L1), (2 * STEP_PS, "Cin", L.L0)),
+                        duration_ps=3 * STEP_PS)
 
     seq = (1, 0, 1, 0, 1, 0) if kind in ("bfa1", "bfa2") else (1, 2, 3, 2, 1, 0)
     if bit_slice:
-        initial = {"A0": L.L0, "A1": L.L0, "B0": L(b_level & 1), "B1": L(b_level >> 1 & 1)}
+        initial = {"A0": L.L0, "A1": L.L0, "B0": L.L1, "B1": L.L1}
         events, prev = [], (0, 0)
         for i, d in enumerate(seq):
             bits = (d & 1, d >> 1 & 1)
-            events += [(step_ps * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
+            events += [(STEP_PS * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
             prev = bits
     else:
-        initial = {"A": L.L0, "B": L(b_level) if quaternary else L.L1}
-        events = [(step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
+        initial = {"A": L.L0, "B": L.L3 if quaternary else L.L1}
+        events = [(STEP_PS * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
     return Stimulus(initial={**initial, "Cin": L.L0}, events=tuple(events),
-                    duration_ps=step_ps * (len(seq) + 1))
+                    duration_ps=STEP_PS * (len(seq) + 1))

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .levels import DomainError, Level, SignalEncoding
+from .levels import DomainError, Level, SignalEncoding, is_finite
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -102,11 +102,7 @@ class ElectricalParams:
         for field in ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
                       "intrinsic_delay", "threshold_voltage"):
             value = getattr(self, field)
-            try:  # NaN fails too
-                ok = 0 < value < math.inf and float(value) < math.inf
-            except (TypeError, OverflowError):  # not a number, or an int past float range
-                ok = False
-            if not ok:
+            if not (is_finite(value) and value > 0):
                 raise DomainError(f"{field} must be finite and > 0, got {value!r}")
 
 
@@ -257,8 +253,8 @@ def propagation_delay(gate: GatePrimitive, load_cap: float) -> float:
     overdrive, so a reduced supply slows the gate:
     R_eff = R_ref * (V_REF - V_th) / (V_supply - V_th).
     """
-    if load_cap < 0:
-        raise DomainError("load_cap must be >= 0")
+    if not load_cap >= 0:  # NaN fails too
+        raise DomainError(f"load_cap must be >= 0, got {load_cap!r}")
     p = gate.params
     if p.supply_voltage <= p.threshold_voltage:
         raise NonFunctionalGateError(
@@ -276,8 +272,8 @@ def switching_energy(node_cap: float, v_from: float, v_to: float) -> float:
 
     Symmetric in direction; both edges of a pulse are counted.
     """
-    if node_cap < 0:
-        raise DomainError("node_cap must be >= 0")
+    if not node_cap >= 0:  # NaN fails too
+        raise DomainError(f"node_cap must be >= 0, got {node_cap!r}")
     dv = v_to - v_from
     return 0.5 * node_cap * dv * dv
 

@@ -7,6 +7,8 @@ the package is verified against these functions.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,24 @@ class DomainError(ValueError):
 
 class EncodingMismatchError(ValueError):
     """Level/encoding combination that has no physical representation."""
+
+
+def is_finite(value) -> bool:
+    """Whether ``value`` is a number with a finite float value: not NaN, an
+    infinity, an int past float range or anything that is not a number."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int, if :func:`operator.index` takes it (numpy
+    integers do, 2.0 does not); a DomainError naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
 
 
 class Level(enum.IntEnum):
@@ -40,8 +60,9 @@ DEFAULT_GUARD = 0.33
 class SignalEncoding:
     """Mapping from logical values to voltages for one family of nets.
 
-    ``level_voltages`` must be strictly increasing and start at 0 V; its
-    length fixes the radix (2 for binary rails, 4 for quaternary signals).
+    ``level_voltages`` must be finite, strictly increasing and start at
+    0 V; its length fixes the radix (2 for binary rails, 4 for quaternary
+    signals).
     """
 
     name: str
@@ -53,6 +74,8 @@ class SignalEncoding:
             raise EncodingMismatchError(
                 f"encoding {self.name!r} must have 2 or 4 levels, got {len(v)}"
             )
+        if not all(map(is_finite, v)):
+            raise EncodingMismatchError(f"encoding {self.name!r} voltages must be finite numbers")
         if v[0] != 0.0:
             raise EncodingMismatchError(f"encoding {self.name!r} must start at 0 V")
         if any(b <= a for a, b in zip(v, v[1:])):
@@ -122,10 +145,10 @@ class DigitVector:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.radix not in (2, 4):
+        if whole("radix", self.radix) not in (2, 4):
             raise DomainError(f"radix must be 2 or 4, got {self.radix}")
         for d in self.digits:
-            if not 0 <= int(d) < self.radix:
+            if not 0 <= whole("digit", d) < self.radix:
                 raise DomainError(f"digit {d} out of range for radix {self.radix}")
 
     def __len__(self) -> int:
@@ -140,6 +163,7 @@ class DigitVector:
 
     @classmethod
     def from_int(cls, value: int, radix: int, n_digits: int) -> "DigitVector":
+        value, n_digits = whole("value", value), whole("n_digits", n_digits)
         if value < 0 or value >= radix**n_digits:
             raise DomainError(f"{value} does not fit in {n_digits} radix-{radix} digits")
         digits = []
@@ -150,7 +174,7 @@ class DigitVector:
 
 
 def _check_digit(name: str, value: int, radix: int) -> int:
-    value = int(value)
+    value = whole(name, value)
     if not 0 <= value < radix:
         raise DomainError(f"{name}={value} out of range [0, {radix})")
     return value
@@ -186,14 +210,25 @@ def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, i
     return DigitVector(a.radix, tuple(out)), carry
 
 
+def _whole_rows(name: str, x) -> np.ndarray:
+    """``x`` as an int64 array, if :func:`whole` takes each entry."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":  # tested first: verify's int64 matrices take no extra pass
+        # clamped to [-1, 4], out of every digit range: an entry past int64 too
+        x = np.array([min(max(whole(name, v), -1), 4) for v in x.ravel().tolist()],
+                     np.int64).reshape(x.shape)
+    return x.astype(np.int64, copy=False)
+
+
 def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cpa_oracle` for many operand pairs at once: row r adds the
     digit rows ``a[r]`` and ``b[r]`` (least-significant digit first) and
     ``cin[r]``. Returns the sum digit matrix and the carry-out vector. The
     ripple runs over the digit columns and never forms the operands'
     values, so it is exact at any digit count."""
-    a, b, carry = (np.asarray(x, np.int64) for x in (a, b, cin))
-    if radix not in (2, 4) or a.ndim != 2 or a.shape != b.shape or carry.shape != a.shape[:1]:
+    a, b, carry = (_whole_rows(name, x) for name, x in (("a", a), ("b", b), ("cin", cin)))
+    if (whole("radix", radix) not in (2, 4) or a.ndim != 2 or a.shape != b.shape
+            or carry.shape != a.shape[:1]):
         raise DomainError(f"need radix 2 or 4, (rows, digits) a and b and (rows,) cin; "
                           f"got radix {radix}, {a.shape}, {b.shape}, {carry.shape}")
     # as uint64 a negative digit is huge, so one comparison checks both ends

@@ -18,7 +18,6 @@ import contextlib
 import gc
 import itertools
 import json
-import math
 import operator
 import threading
 from collections import namedtuple
@@ -36,7 +35,7 @@ from .gates import (
     _parse_inventory,
     inventory_area,
 )
-from .levels import Level, SignalEncoding, binary_full, quaternary, third_swing
+from .levels import Level, SignalEncoding, binary_full, is_finite, quaternary, third_swing, whole
 
 
 class NetlistError(ValueError):
@@ -112,11 +111,7 @@ class Net(namedtuple("Net", "id encoding driver external_load", defaults=(None, 
     _make = _MAKE
 
     def __new__(cls, id, encoding, driver=None, external_load=0.0):
-        try:  # NaN fails too
-            ok = 0 <= external_load < math.inf and float(external_load) < math.inf
-        except (TypeError, OverflowError):  # not a number, or an int past float range
-            ok = False
-        if not ok:
+        if not (is_finite(external_load) and external_load >= 0):
             raise NetlistError(f"net {id!r}: external_load must be a finite number >= 0, "
                                f"got {external_load!r}")
         if driver is not None and not (len(driver) == 2 and driver[0] == "const"
@@ -403,6 +398,7 @@ def build_cpa(cell: Circuit, n_digits: int, cl: float = 0.0) -> Circuit:
     Ports: A0..A{n-1}, B0.., C0 in; S0.., C{n} out. The external load
     ``cl`` hangs on every sum output and on the final carry.
     """
+    n_digits = whole("n_digits", n_digits)
     if n_digits < 1:
         raise NetlistError("n_digits must be >= 1")
     missing = _ADDER_PORTS - set(cell.ports)

@@ -10,6 +10,7 @@ the matching lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from ._kernel import TICK_PS, compile_circuit
 from .gates import KIND_SPECS
@@ -35,10 +36,20 @@ class TimingReport:
     sinks: tuple
     arrivals_ps: dict  # sink port -> ps (None if unreachable)
     worst_sink: str | None
-    worst_arrival_ps: float | None
     critical_path: tuple  # TimingArc source -> sink
-    stage_cells: int
-    stage_gate_arcs: int
+
+    @property
+    def worst_arrival_ps(self) -> float | None:
+        return None if self.worst_sink is None else self.arrivals_ps[self.worst_sink]
+
+    @property
+    def stage_cells(self) -> int:
+        """Runs of consecutive critical-path arcs within one cell."""
+        return sum(1 for _ in groupby(arc.cell_tag for arc in self.critical_path))
+
+    @property
+    def stage_gate_arcs(self) -> int:
+        return len(self.critical_path)
 
     def as_dict(self) -> dict:
         return {
@@ -57,23 +68,14 @@ class TimingReport:
         }
 
 
-def _cells_crossed(path) -> int:
-    tags = []
-    for arc in path:
-        if not tags or tags[-1] != arc.cell_tag:
-            tags.append(arc.cell_tag)
-    return len(tags)
-
-
 @gc_paused
 def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     """Worst arrival per sink port from any source port, with the critical
     path of the globally worst sink. Both port lists must be non-empty.
-    Ties break on lexicographic arc id (instance, from_pin, to_pin) so
-    reports are deterministic."""
+    Ties break on the least arc id (instance, from_pin, to_pin), and then
+    the least sink name, so reports are deterministic."""
     comp = compile_circuit(circuit)  # rejects an invalid circuit first
-    sources = tuple(sources)
-    sinks = tuple(sinks)
+    sources, sinks = tuple(sources), tuple(sinks)
     for field, names in (("sources", sources), ("sinks", sinks)):
         if not names:
             raise DomainError(f"{field}: expected at least one port, got none")
@@ -81,66 +83,38 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
         if name not in circuit.ports:
             raise DomainError(f"{name!r} is not a port of {circuit.name!r}")
 
-    insts = list(circuit.instances.values())
-
     arrival = [-1] * comp.n_nets  # ticks; -1 = unreached
-    # (arc sort key, TimingArc, upstream net index) chosen per net
-    pred: list = [None] * comp.n_nets
+    pred: list = [None] * comp.n_nets  # (gate, input position, output position)
     for s in sources:
         arrival[comp.net_index[circuit.ports[s].net]] = 0
-
-    for gi in comp.topo_order:
-        inst = insts[gi]
-        spec = KIND_SPECS[inst.primitive.kind]
-        for opin, out_ni, delay in zip(spec.outputs, comp.gate_out[gi], comp.gate_delay[gi]):
-            for ipin, in_ni in zip(spec.inputs, comp.gate_in[gi]):
-                if arrival[in_ni] < 0:
-                    continue
-                cand = arrival[in_ni] + delay
-                key = (inst.id, ipin, opin)
-                if cand > arrival[out_ni] or (
-                    cand == arrival[out_ni]
-                    and pred[out_ni] is not None
-                    and key < pred[out_ni][0]
-                ):
-                    arrival[out_ni] = cand
-                    arc = TimingArc(
-                        instance=inst.id, kind=inst.primitive.kind,
-                        from_pin=ipin, to_pin=opin,
-                        from_net=comp.net_ids[in_ni], to_net=comp.net_ids[out_ni],
-                        delay_ps=delay * TICK_PS, cell_tag=inst.cell_tag,
-                    )
-                    pred[out_ni] = (key, arc, in_ni)
-
-    arrivals_ps = {}
-    worst_sink = None
-    worst_ticks = -1
-    for s in sinks:
-        ni = comp.net_index[circuit.ports[s].net]
-        if arrival[ni] < 0:
-            arrivals_ps[s] = None
+    # A net has one driver, so a gate's output is reached only through that
+    # gate (a source's 0 is below every delay). Its latest input wins, the
+    # first on a tie: KIND_SPECS lists pins in name order, so the least arc.
+    gate_in, gate_out, gate_delay = comp.gate_in, comp.gate_out, comp.gate_delay
+    for g in comp.topo_order:
+        ins = [arrival[n] for n in gate_in[g]]
+        latest = max(ins)
+        if latest < 0:
             continue
-        arrivals_ps[s] = arrival[ni] * TICK_PS
-        if arrival[ni] > worst_ticks or (arrival[ni] == worst_ticks and s < worst_sink):
-            worst_ticks = arrival[ni]
-            worst_sink = s
+        i = ins.index(latest)
+        for o, (n, delay) in enumerate(zip(gate_out[g], gate_delay[g])):
+            arrival[n] = latest + delay
+            pred[n] = (g, i, o)
+
+    sink_net = {s: comp.net_index[circuit.ports[s].net] for s in sinks}
+    arrivals_ps = {s: arrival[n] * TICK_PS if arrival[n] >= 0 else None
+                   for s, n in sink_net.items()}
+    reached = [s for s in sinks if arrival[sink_net[s]] >= 0]
+    worst_sink = min(reached, key=lambda s: (-arrival[sink_net[s]], s), default=None)
 
     path: list[TimingArc] = []
-    if worst_sink is not None:
-        ni = comp.net_index[circuit.ports[worst_sink].net]
-        while pred[ni] is not None:
-            _, arc, up = pred[ni]
-            path.append(arc)
-            ni = up
-        path.reverse()
-
-    return TimingReport(
-        sources=sources,
-        sinks=sinks,
-        arrivals_ps=arrivals_ps,
-        worst_sink=worst_sink,
-        worst_arrival_ps=None if worst_sink is None else worst_ticks * TICK_PS,
-        critical_path=tuple(path),
-        stage_cells=_cells_crossed(path),
-        stage_gate_arcs=len(path),
-    )
+    n = sink_net.get(worst_sink)  # None when no sink is reached
+    while n is not None and pred[n] is not None:
+        g, i, o = pred[n]
+        spec, gid, up = KIND_SPECS[comp.gate_kind[g]], comp.gate_ids[g], gate_in[g][i]
+        path.append(TimingArc(gid, comp.gate_kind[g], spec.inputs[i], spec.outputs[o],
+                              comp.net_ids[up], comp.net_ids[n], gate_delay[g][o] * TICK_PS,
+                              circuit.instances[gid].cell_tag))
+        n = up
+    path.reverse()
+    return TimingReport(sources, sinks, arrivals_ps, worst_sink, tuple(path))

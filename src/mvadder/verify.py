@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 from .engine import settle_matrix
-from .levels import DomainError, bfa_oracle, cpa_oracle_rows, qfa_oracle
+from .levels import DomainError, bfa_oracle, cpa_oracle_rows, qfa_oracle, whole
 from .netlist import Circuit
 
 
@@ -61,7 +61,7 @@ def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
     ``"... (truncated)"`` when more rows mismatch, and the number of
     mismatching rows.
     """
-    radix = cpa.ports["A0"].encoding.radix
+    radix, n_digits = cpa.ports["A0"].encoding.radix, whole("n_digits", n_digits)
     if exhaustive is None:
         exhaustive = cpa_is_exhaustive(radix, n_digits)
     if exhaustive:
@@ -70,6 +70,7 @@ def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
         va, vb, cin = np.indices((len(digits), len(digits), 2)).reshape(3, -1)
         mat = np.column_stack([cin, digits[va], digits[vb]])
     else:
+        vectors, seed = whole("vectors", vectors), whole("seed", seed)
         if vectors < 1:
             raise DomainError(f"vectors must be >= 1, got {vectors}")
         if seed < 0:

@@ -12,6 +12,7 @@ from mvadder.engine import (
     SimulationTimeoutError,
     Stimulus,
     StimulusError,
+    STEP_PS,
     UnsettledOutputError,
     measure_delay,
     measure_power,
@@ -159,6 +160,16 @@ def test_carry_to_carry_stimulus_of_a_binary_cell():
     assert worst_case_stimulus("carry_to_carry", "bfa1") == Stimulus(
         initial={"A": L.L0, "B": L.L1, "Cin": L.L0},
         events=((2000.0, "Cin", L.L1), (4000.0, "Cin", L.L0)), duration_ps=6000.0)
+
+
+def test_input_to_carry_stimuli_step_every_step_ps_with_b_at_three():
+    q = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
+    assert q.initial == {"A": L.L0, "B": L.L3, "Cin": L.L0}
+    assert [t for t, _, _ in q.events] == [k * STEP_PS for k in range(1, 7)] == [
+        2000.0, 4000.0, 6000.0, 8000.0, 10000.0, 12000.0]
+    assert q.duration_ps == 7 * STEP_PS
+    s = worst_case_stimulus("input_to_carry", "bfa2x2", 0.9)
+    assert (s.initial["B0"], s.initial["B1"]) == (L.L1, L.L1)
 
 
 def test_stimulus_validation():
@@ -696,13 +707,13 @@ def test_random_stimuli_on_random_circuits(seed, data):
     c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
     comp = _kernel.compile_circuit(c)
     ports = sorted(comp.in_port_net)
-    level = {p: data.draw(st.integers(0, comp.port_radix[p] - 1)) for p in ports}
+    level = {p: data.draw(st.integers(0, comp.port_encoding[p].radix - 1)) for p in ports}
     initial = {p: L(v) for p, v in level.items()}
     events = []
     # half-ps steps land events within a gate delay of each other
     for t in sorted(data.draw(st.lists(st.integers(0, 400), max_size=8, unique=True))):
         p = data.draw(st.sampled_from(ports))
-        level[p] = data.draw(st.integers(0, comp.port_radix[p] - 1))
+        level[p] = data.draw(st.integers(0, comp.port_encoding[p].radix - 1))
         events.append((t * 0.5, p, L(level[p])))
     stim = Stimulus(initial=initial, events=tuple(events), duration_ps=1e5)
     tr = simulate(c, stim)

@@ -212,6 +212,8 @@ def test_non_functional_gate():
         propagation_delay(_prim(supply=0.15, vth=0.2), 1e-15)
     with pytest.raises(DomainError):
         propagation_delay(_prim(), -1e-15)
+    with pytest.raises(DomainError, match="load_cap must be >= 0, got nan"):
+        propagation_delay(_prim(), float("nan"))
 
 
 def test_switching_energy_examples():
@@ -222,6 +224,8 @@ def test_switching_energy_examples():
     assert switching_energy(2e-15, 0.9, 0.0) == switching_energy(2e-15, 0.0, 0.9)
     with pytest.raises(DomainError):
         switching_energy(-1e-15, 0.0, 0.9)
+    with pytest.raises(DomainError, match="node_cap must be >= 0, got nan"):
+        switching_energy(float("nan"), 0.0, 1.0)
 
 
 def test_quadratic_swing_scaling():

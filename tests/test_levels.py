@@ -50,6 +50,11 @@ def test_qfa_oracle_rejects_out_of_range():
         qfa_oracle(0, 0, 2)
     with pytest.raises(DomainError):
         qfa_oracle(Level.X, 0, 0)
+    with pytest.raises(DomainError, match="^a must be a whole number, got 2.7"):
+        qfa_oracle(2.7, 1, 0)
+    with pytest.raises(DomainError, match="^cin must be a whole number, got 0.5"):
+        qfa_oracle(1, 1, 0.5)
+    assert qfa_oracle(np.int64(3), np.uint8(1), True) == (1, 1)  # what operator.index takes
 
 
 def test_bfa_oracle_all_rows():
@@ -124,6 +129,9 @@ def test_encoding_invariants():
         SignalEncoding("bad", (0.0, 0.5, 0.4, 0.9))  # not increasing
     with pytest.raises(EncodingMismatchError):
         SignalEncoding("bad", (0.0, 0.3, 0.9))  # 3 levels
+    for last in (float("nan"), float("inf"), 10 ** 400, "0.9"):
+        with pytest.raises(EncodingMismatchError, match="'bad' voltages must be finite numbers"):
+            SignalEncoding("bad", (0.0, 0.3, 0.6, last))
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +149,11 @@ def test_digit_vector_rejects_bad_digits():
         DigitVector(4, (0, 4))
     with pytest.raises(DomainError):
         DigitVector(3, (0, 1))
+    with pytest.raises(DomainError, match="^digit must be a whole number, got 2.7"):
+        DigitVector(4, (2.7, 1))
+    with pytest.raises(DomainError, match="^value must be a whole number, got 2.5"):
+        DigitVector.from_int(2.5, 4, 2)
+    assert DigitVector.from_int(np.int64(54), np.int32(4), np.uint8(4)).value() == 54
 
 
 def test_cpa_oracle_trivial_cases():
@@ -225,7 +238,7 @@ def test_cpa_oracle_rows_equals_cpa_oracle_row_by_row(case):
 def test_cpa_oracle_rows_is_exact_beyond_int64():
     n = 40  # 4**40 - 1 does not fit in int64
     a = np.full((1, n), 3)
-    sums, couts = cpa_oracle_rows(a, np.zeros((1, n)), [1], 4)
+    sums, couts = cpa_oracle_rows(a, np.zeros((1, n), np.int64), [1], 4)
     assert sums.tolist() == [[0] * n] and couts.tolist() == [1]
 
 
@@ -236,6 +249,16 @@ def test_cpa_oracle_rows_rejects_bad_operands():
                              (ok, ok, [0], 4),                 # cin length
                              (ok + 4, ok, [0, 0], 4),          # digit too large
                              (ok, ok - 1, [0, 0], 2),          # negative digit
-                             (ok, ok, [0, 2], 2)):             # carry-in
+                             (ok, ok, [0, 2], 2),              # carry-in
+                             (ok + 0.5, ok, [0, 0], 4),        # fractional digit
+                             (ok + 1.0, ok, [0, 0], 4),        # a float, even if whole
+                             (ok, ok, [0.0, 0.0], 4),          # float carry-in
+                             (ok, ok, [0, 0], 4.0)):           # float radix
         with pytest.raises(DomainError):
             cpa_oracle_rows(a, b, cin, radix)
+    # any array passes whose entries operator.index takes; one past int64 is out of range
+    objs = np.array([[1, 2**70, 3]], dtype=object)
+    with pytest.raises(DomainError, match="digit out of range"):
+        cpa_oracle_rows(objs, ok[:1], [True], 4)
+    sums, couts = cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [True], 4)
+    assert sums.tolist() == [[1, 0, 2]] and couts.tolist() == [0]

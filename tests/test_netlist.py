@@ -570,6 +570,11 @@ def _entry(blob, section, name):
      "instance 'inv_cout': field 'kind': unknown gate kind 'flux'"),
     (lambda b: _entry(b, "nets", "n_sum").update(encoding={"name": "quat@0.9"}),
      "net 'n_sum': field 'encoding': missing field 'level_voltages'"),
+    *[pytest.param(lambda b, v=v: _entry(b, "nets", "n_sum")["encoding"]["level_voltages"]
+                   .__setitem__(-1, v),
+                   "net 'n_sum': field 'encoding': encoding 'quat@0.9' voltages must be finite",
+                   id=f"level-voltage-{name}")
+      for name, v in (("nan", float("nan")), ("inf", float("inf")), ("int-past-float", 10 ** 400))],
     (lambda b: _entry(b, "nets", "n_sum").update(driver=5), "net 'n_sum': field 'driver': "),
     (lambda b: _entry(b, "nets", "n_sum").update(id=["n_sum"]), "field 'id': unhashable type"),
     (lambda b: _entry(b, "nets", "A").update(driver="port"), "net 'A': field 'driver': expected"),

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from mvadder._kernel import TICK_PS, compile_circuit
 from mvadder.engine import Stimulus, simulate, step_response_delays, worst_case_stimulus
+from mvadder.gates import KIND_SPECS
 from mvadder.levels import DomainError, Level
 from mvadder.netlist import build_bfa, build_binary_slice, build_cpa, build_qfa
-from mvadder.timing import sta
+from mvadder.timing import TimingArc, sta
 
+from random_circuits import INPUTS, random_circuit
 from test_engine import single_inv
 
 L = Level
@@ -170,3 +174,107 @@ def test_report_as_dict_is_json_ready():
 def test_sta_rejects_an_empty_workload(sources, sinks, field):
     with pytest.raises(DomainError, match=f"{field}: expected at least one port"):
         sta(build_qfa("qfa2", 0.9), sources, sinks)
+
+
+# --------------------------------------------------------------------------
+# Random circuits
+
+
+def test_every_kind_lists_its_pins_in_name_order():
+    """sta keeps the first of equal candidates in pin order, which is then
+    the least (instance, from_pin, to_pin) arc."""
+    for kind, spec in KIND_SPECS.items():
+        assert list(spec.inputs) == sorted(spec.inputs), kind
+        assert list(spec.outputs) == sorted(spec.outputs), kind
+
+
+def brute_force_sta(c, sources, sinks):
+    """(arrivals_ps, worst_sink, critical path as TimingArcs) from every arc
+    scored with its explicit key: arrivals relax over all arcs to a fixed
+    point, then each net keeps the least (instance, from_pin, to_pin) of the
+    arcs that give its arrival. Also returns whether any such choice was a
+    tie between arcs."""
+    comp = compile_circuit(c)
+    arcs = []  # (key, from net, to net, ticks, instance)
+    for inst, delays in zip(c.instances.values(), comp.gate_delay):
+        spec = KIND_SPECS[inst.primitive.kind]
+        arcs += [((inst.id, i, o), inst.pins[i], inst.pins[o], d, inst)
+                 for o, d in zip(spec.outputs, delays) for i in spec.inputs]
+    arrival = {c.ports[s].net: 0 for s in sources}
+    changed = True
+    while changed:
+        changed = False
+        for _, src, dst, d, _ in arcs:
+            if src in arrival and arrival[src] + d > arrival.get(dst, -1):
+                arrival[dst], changed = arrival[src] + d, True
+    pred, tie = {}, False
+    for key, src, dst, d, inst in sorted(arcs, key=lambda a: a[0]):
+        if src in arrival and arrival[src] + d == arrival[dst]:
+            tie |= dst in pred
+            pred.setdefault(dst, (key, src, d, inst))
+    sink_ticks = {s: arrival.get(c.ports[s].net) for s in sinks}
+    reached = [s for s, t in sink_ticks.items() if t is not None]
+    worst = min(reached, key=lambda s: (-sink_ticks[s], s), default=None)
+    path, net = [], worst and c.ports[worst].net
+    while net in pred:
+        (iid, i, o), src, d, inst = pred[net]
+        path.insert(0, TimingArc(iid, inst.primitive.kind, i, o, src, net, d * TICK_PS,
+                                 inst.cell_tag))
+        net = src
+    arrivals = {s: None if t is None else t * TICK_PS for s, t in sink_ticks.items()}
+    return arrivals, worst, tuple(path), tie
+
+
+def test_sta_agrees_with_a_brute_force_over_every_arc_on_random_circuits():
+    rng = np.random.default_rng(2024)
+    shared_pins = ties = 0
+    for _ in range(150):
+        rows = np.column_stack([rng.integers(0, r, 3) for r in INPUTS.values()])
+        c = random_circuit(rng, n_gates=int(rng.integers(1, 30)), vectors=rows)
+        ports = sorted(c.ports)
+        shared_pins += any(len(set(i.pins.values())) < len(i.pins) for i in c.instances.values())
+        for _ in range(3):
+            sources = list(rng.choice(ports, int(rng.integers(1, 4))))
+            sinks = list(rng.choice(ports, int(rng.integers(1, len(ports) + 1))))
+            rep = sta(c, sources, sinks)
+            arrivals, worst, path, tie = brute_force_sta(c, sources, sinks)
+            assert (rep.arrivals_ps, rep.worst_sink, rep.critical_path) == (arrivals, worst, path)
+            assert rep.worst_arrival_ps == (worst and arrivals[worst])
+            ties += tie
+    assert shared_pins > 20 and ties > 20  # the tie-break was exercised
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_step_delays_are_bracketed_by_sta_on_random_circuits(seed):
+    """Each step's measured delay to an output is at most the STA arrival
+    from the ports that step toggled; an output STA cannot reach from them
+    does not move."""
+    rng = np.random.default_rng(seed)
+    level = {p: int(rng.integers(r)) for p, r in INPUTS.items()}
+    initial, rows, steps = dict(level), [list(level.values())], []
+    for _ in range(int(rng.integers(1, 6))):
+        ports = rng.choice(list(INPUTS), int(rng.integers(1, 4)), replace=False)
+        step = {str(p): int(rng.integers(INPUTS[p])) for p in ports}
+        steps.append((step, sorted(p for p, v in step.items() if v != level[p])))
+        level.update(step)
+        rows.append(list(level.values()))
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)), vectors=np.array(rows))
+    outputs = sorted(p.name for p in c.output_ports())
+    assume(outputs)
+    # steps further apart than any arrival: each settles before the next
+    settle = sta(c, list(INPUTS), outputs).worst_arrival_ps or 0.0
+    gap = float(int(settle) + 100)
+    events = tuple((gap * (k + 1), p, L(v)) for k, (step, _) in enumerate(steps)
+                   for p, v in sorted(step.items()))
+    tr = simulate(c, Stimulus({p: L(v) for p, v in initial.items()}, events,
+                              duration_ps=gap * (len(steps) + 1)))
+    for out in outputs:
+        measured = step_response_delays(tr, out)
+        assert len(measured) == len(steps)
+        for (_, toggled), (_, delay) in zip(steps, measured):
+            bound = sta(c, toggled, [out]).arrivals_ps[out] if toggled else None
+            if bound is None:
+                assert delay is None, (out, toggled)
+            elif delay is not None:
+                assert delay <= bound + 1e-9, (out, toggled)

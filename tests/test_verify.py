@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from mvadder import cli
 from mvadder.engine import settle_matrix
-from mvadder.levels import DigitVector, cpa_oracle
+from mvadder.levels import DigitVector, DomainError, cpa_oracle
 from mvadder.netlist import build_cpa, build_qfa, from_json, to_json
 from mvadder.verify import cpa_mismatches, verify_cpa
 
@@ -90,3 +91,17 @@ def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
     n_bad = len(reference_lines(broken_qfa2_cpa(), 4, random_matrix(4, 500, 2)))
     assert out[-1] == f"qfa2 cpa x4: FAIL ({n_bad} mismatches)"
     assert out[-2] == "MISMATCH: ... (truncated)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cell: build_cpa(cell, 2.5), "n_digits must be a whole number, got 2.5"),
+    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 8, vectors=2.5),
+     "vectors must be a whole number, got 2.5"),
+    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 8, seed=1.5),
+     "seed must be a whole number, got 1.5"),
+])
+def test_cpa_sizes_vector_counts_and_seeds_are_whole_numbers(call, message):
+    with pytest.raises(DomainError, match=message):
+        call(build_qfa("qfa2", 0.9))
+    cpa = build_cpa(build_qfa("qfa2", 0.9), np.int64(8))  # what operator.index takes
+    assert cpa_mismatches(cpa, np.int64(8), vectors=np.int32(5), seed=np.uint8(1)) == ([], 0)
