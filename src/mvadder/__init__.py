@@ -15,7 +15,6 @@ from .engine import (
     UnsettledOutputError,
     measure_delay,
     measure_power,
-    settle_levels,
     settle_matrix,
     simulate,
     step_response_delays,
@@ -44,11 +43,9 @@ from .levels import (
     bfa_oracle,
     binary_full,
     cpa_oracle,
-    from_voltage,
     qfa_oracle,
     quaternary,
     third_swing,
-    to_voltage,
 )
 from .netlist import (
     Circuit,

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
-from .levels import DomainError, Level
+from .levels import DomainError, Level, real_number
 from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
@@ -28,7 +28,7 @@ SETTLE_GAP_TICKS = 10_000  # 1 ns
 
 _MAX_EVENTS_PER_NET = 10_000
 
-#: Time between the steps of a worst-case stimulus.
+#: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
 
 
@@ -74,9 +74,9 @@ class Stimulus:
                 t, p, l = event
                 if not isinstance(p, str):
                     raise TypeError(f"port must be a name, got {p!r}")
-                events.append((float(t), p, _as_level(p, l)))
+                events.append((float(real_number(t)), p, _as_level(p, l)))
             where = "duration_ps"
-            return cls(initial, tuple(events), float(data[where]))
+            return cls(initial, tuple(events), float(real_number(data[where])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # StimulusError too
             why = "missing" if isinstance(exc, KeyError) else exc
             raise StimulusError(f"stimulus field {where}: {why}") from None
@@ -173,9 +173,9 @@ class Trace:
 
 
 def _as_level(port: str, value) -> Level:
-    """``value`` as a Level, if it is a whole number (2.0, not 2.7) naming one."""
+    """``value`` as a Level, if it is a whole number (2.0, not 2.7 or "2") naming one."""
     try:
-        if float(value) == int(value):
+        if float(real_number(value)) == int(value):
             return Level(int(value))
     except (TypeError, ValueError, OverflowError):
         pass
@@ -296,24 +296,6 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     return out_lvls
 
 
-def settle_levels(circuit: Circuit, assignments: list) -> list:
-    """Dict-friendly batch settle: one {port: level} mapping per row in,
-    one {port: Level} mapping per row out."""
-    comp = compile_circuit(circuit)
-    in_ports = sorted(comp.in_port_net)
-    for r, assign in enumerate(assignments):
-        if set(assign) != set(in_ports):
-            raise StimulusError(f"assignment {r} must cover exactly the input ports {in_ports}")
-    vectors = np.array([[int(a[p]) for p in in_ports] for a in assignments], np.int64)
-    vectors = vectors.reshape(len(assignments), len(in_ports))
-    out_ports = sorted(comp.out_port_net)
-    out_lvls = settle_matrix(circuit, in_ports, vectors, out_ports)
-    return [
-        {p: Level(int(out_lvls[r, i])) for i, p in enumerate(out_ports)}
-        for r in range(len(assignments))
-    ]
-
-
 # --------------------------------------------------------------------------
 # Measurements
 
@@ -323,29 +305,29 @@ def measure_delay(trace: Trace, src_port: str, src_event_index: int,
     """Delay from a stimulus event to the LAST transition it causes on
     ``dst_port`` (ps). Returns None when the destination never moves —
     distinct from a zero delay."""
-    events = [(t, p, l) for t, p, l in trace.stim_events if p == src_port]
+    events = [t for t, p, _ in trace.stim_events if p == src_port]
     if src_event_index < 0 or src_event_index >= len(events):
-        raise DomainError(
-            f"{src_port!r} has {len(events)} stimulus events; index {src_event_index}"
-        )
-    return _delay_after(trace, events[src_event_index][0], trace.net_index(dst_port))
+        raise DomainError(f"{src_port!r} has {len(events)} stimulus events; "
+                          f"index {src_event_index}")
+    return _step_delays(trace, dst_port)[events[src_event_index]]
 
 
 def step_response_delays(trace: Trace, dst_port: str) -> list:
     """Per stimulus step (grouped by event time): (time_ps, delay_ps|None)
     to the last caused transition on ``dst_port``."""
-    ni = trace.net_index(dst_port)
-    return [((t_src - trace.origin_ticks) * TICK_PS, _delay_after(trace, t_src, ni))
-            for t_src in sorted({t for t, _, _ in trace.stim_events})]
+    return [((t_src - trace.origin_ticks) * TICK_PS, d)
+            for t_src, d in _step_delays(trace, dst_port).items()]
 
 
-def _delay_after(trace: Trace, t_src: int, ni: int) -> float | None:
-    """Delay (ps) from tick ``t_src`` to net ``ni``'s last transition up to
-    the next stimulus step, or the window's end; None when the net does not move."""
-    end = min((t for t, _, _ in trace.stim_events if t > t_src),
-              default=trace.origin_ticks + trace.duration_ticks)
-    mask = (trace.nets == ni) & (trace.times > t_src) & (trace.times <= end)
-    return float((trace.times[mask].max() - t_src) * TICK_PS) if mask.any() else None
+def _step_delays(trace: Trace, dst_port: str) -> dict:
+    """{step tick: delay (ps)} to the net's last transition after the step, up
+    to the next step or the window's end; None when the net does not move."""
+    steps = sorted({t for t, _, _ in trace.stim_events})
+    times = trace.times[trace.nets == trace.net_index(dst_port)]  # in time order
+    ends = [*steps[1:], trace.origin_ticks + trace.duration_ticks]
+    lo, hi = (np.searchsorted(times, x, side="right") for x in (steps, ends))
+    return {t: float((times[h - 1] - t) * TICK_PS) if h > l else None
+            for t, l, h in zip(steps, lo.tolist(), hi.tolist())}
 
 
 def measure_power(trace: Trace, window: tuple) -> float:
@@ -368,10 +350,19 @@ def measure_power(trace: Trace, window: tuple) -> float:
 # Worst-case stimuli
 
 
-def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9) -> Stimulus:
+def stimulus_step_ps(arrival_ps: float | None) -> float:
+    """The step of a worst-case stimulus for a circuit whose worst STA arrival
+    is ``arrival_ps`` (None if nothing is reached): :data:`STEP_PS`, or one
+    tick past the arrival if later. STA bounds when the event kernel last
+    moves a net after an input step, so each step's response ends in time."""
+    ticks = -1 if arrival_ps is None else _ticks(arrival_ps)
+    return max(STEP_PS, (ticks + 1) / _kernel.TICKS_PER_PS)
+
+
+def worst_case_stimulus(target: str, kind: str, *, step_ps: float = STEP_PS) -> Stimulus:
     """The stressing input sequences used for delay/power comparisons.
 
-    Steps fall every :data:`STEP_PS`. ``input_to_carry`` walks A through
+    Steps fall every ``step_ps``. ``input_to_carry`` walks A through
     0,1,2,3,2,1,0 with Cin held low and B at 3, which toggles the carry on
     every step; ``carry_to_carry`` pulses Cin with A=2, B=1 held, the
     combination that sensitizes the carry path end to end. Two-cell binary
@@ -393,8 +384,8 @@ def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9) -> Stimulus:
         else:
             initial = {"A": L.L0, "B": L.L1}
         return Stimulus(initial={**initial, "Cin": L.L0},
-                        events=((STEP_PS, "Cin", L.L1), (2 * STEP_PS, "Cin", L.L0)),
-                        duration_ps=3 * STEP_PS)
+                        events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
+                        duration_ps=3 * step_ps)
 
     seq = (1, 0, 1, 0, 1, 0) if kind in ("bfa1", "bfa2") else (1, 2, 3, 2, 1, 0)
     if bit_slice:
@@ -402,10 +393,10 @@ def worst_case_stimulus(target: str, kind: str, vdd: float = 0.9) -> Stimulus:
         events, prev = [], (0, 0)
         for i, d in enumerate(seq):
             bits = (d & 1, d >> 1 & 1)
-            events += [(STEP_PS * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
+            events += [(step_ps * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
             prev = bits
     else:
         initial = {"A": L.L0, "B": L.L3 if quaternary else L.L1}
-        events = [(STEP_PS * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
+        events = [(step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
     return Stimulus(initial={**initial, "Cin": L.L0}, events=tuple(events),
-                    duration_ps=STEP_PS * (len(seq) + 1))
+                    duration_ps=step_ps * (len(seq) + 1))

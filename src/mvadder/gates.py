@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .levels import DomainError, Level, SignalEncoding, is_finite
+from .levels import DomainError, Level, SignalEncoding, is_finite, real_number
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -392,6 +392,7 @@ def _parse_inventory(raw) -> TransistorInventory:
             raise LibraryError(f"inventory entry must be [device, chirality, count]: {item!r}")
         dev, n, count = item
         try:
+            n, count = real_number(n), real_number(count)
             if float(n) == int(n) and float(count) == int(count):  # int() truncates 19.5
                 entries.append((str(dev), int(n), int(count)))
                 continue
@@ -432,8 +433,8 @@ def load_library(path: str | Path) -> CellLibrary:
                 kwargs["inventory"] = _parse_inventory(value)
                 continue
             try:
-                number = float(value)
-            except (TypeError, ValueError, OverflowError):  # an int past float range too
+                number = float(real_number(value))
+            except (TypeError, OverflowError):  # an int past float range too
                 number = math.nan
             if not 0 < number < math.inf:  # NaN fails too
                 raise LibraryError(f"{kind}: {key} must be a finite number > 0, got {value!r}")

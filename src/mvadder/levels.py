@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,6 +32,14 @@ def is_finite(value) -> bool:
         return False
 
 
+def real_number(value):
+    """``value`` itself if it is a real number (a JSON int or float, or a
+    numpy number); a TypeError otherwise, for a bool or a string too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def whole(name: str, value) -> int:
     """``value`` as an int, if :func:`operator.index` takes it (numpy
     integers do, 2.0 does not); a DomainError naming ``name`` otherwise."""
@@ -48,12 +57,6 @@ class Level(enum.IntEnum):
     L2 = 2
     L3 = 3
     X = -1
-
-
-#: Default guard band for voltage-to-level decoding, as a fraction of the
-#: inter-level spacing. 0.33 is the widest window that keeps four levels
-#: unambiguous.
-DEFAULT_GUARD = 0.33
 
 
 @dataclass(frozen=True)
@@ -103,38 +106,6 @@ def binary_full(vdd: float) -> SignalEncoding:
 def third_swing(vdd: float) -> SignalEncoding:
     """Two levels at 0 and vdd/3 (reduced-swing binary carry rail)."""
     return SignalEncoding(f"bin3rd@{vdd:g}", (0.0, vdd / 3.0))
-
-
-def to_voltage(level: Level, enc: SignalEncoding) -> float:
-    """Nominal voltage of ``level`` under ``enc``.
-
-    Raises :class:`EncodingMismatchError` for X or a level outside the
-    encoding's radix.
-    """
-    if level == Level.X:
-        raise EncodingMismatchError("X has no voltage")
-    idx = int(level)
-    if idx < 0 or idx >= enc.radix:
-        raise EncodingMismatchError(
-            f"level {idx} not representable in {enc.radix}-level encoding {enc.name!r}"
-        )
-    return enc.level_voltages[idx]
-
-
-def from_voltage(v: float, enc: SignalEncoding, guard: float = DEFAULT_GUARD) -> Level:
-    """Decode a voltage back to a level; out-of-band voltages decode to X.
-
-    A voltage is accepted if it lies within ``guard`` times the inter-level
-    spacing of the nearest nominal level.
-    """
-    if not 0.0 < guard < 0.5:
-        raise DomainError(f"guard must be in (0, 0.5), got {guard}")
-    volts = enc.level_voltages
-    spacing = min(b - a for a, b in zip(volts, volts[1:]))
-    best = min(range(len(volts)), key=lambda i: abs(v - volts[i]))
-    if abs(v - volts[best]) <= guard * spacing:
-        return Level(best)
-    return Level.X
 
 
 @dataclass(frozen=True)

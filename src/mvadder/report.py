@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 from .engine import (
     Stimulus,
+    StimulusError,
     measure_power,
     simulate,
     step_response_delays,
+    stimulus_step_ps,
     worst_case_stimulus,
 )
 from .gates import CellLibrary
 from .levels import DomainError, Level
-from .netlist import CELL_KINDS, Circuit, area_report, build_cell, build_cpa
+from .netlist import CELL_KINDS, area_report, build_cell, build_cpa
 from .timing import sta
 
 
@@ -66,34 +68,36 @@ class ComparisonRow:
         }
 
 
-def _sum_ports(cell: Circuit) -> list:
-    return sorted(p.name for p in cell.output_ports() if p.name != "Cout")
-
-
 def _worst_step(trace, *dst_ports) -> float | None:
     delays = [d for p in dst_ports for _, d in step_response_delays(trace, p) if d is not None]
     return max(delays, default=None)
 
 
 def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> ComparisonRow:
-    """Build one cell, run both worst-case stimuli, collect the row. An
-    error on the way is re-raised as it is, with a note naming the config."""
+    """Build one cell, run both worst-case stimuli, stepped by the cell's STA
+    (:func:`stimulus_step_ps`), collect the row. An error on the way is
+    re-raised as it is, with a note naming the config."""
+    where = f"[config {config.label()}] at cl {config.cl:g} F"
     try:
         cell = build_cell(config.kind, config.vdd, lib, config.cl)
-        stim_in = worst_case_stimulus("input_to_carry", config.kind, config.vdd)
-        stim_cc = worst_case_stimulus("carry_to_carry", config.kind, config.vdd)
+        outs = sorted(p.name for p in cell.output_ports())
+        rep = sta(cell, [p.name for p in cell.input_ports()], outs)
+        step = stimulus_step_ps(rep.worst_arrival_ps)
+        stim_in = worst_case_stimulus("input_to_carry", config.kind, step_ps=step)
         trace_in = simulate(cell, stim_in)
-        trace_cc = simulate(cell, stim_cc)
+        trace_cc = simulate(cell, worst_case_stimulus("carry_to_carry", config.kind, step_ps=step))
+    except StimulusError as exc:  # well formed: only the duration can pass the tick range
+        raise DomainError(f"{where} the {step:g} ps stimulus steps do not fit the tick range: "
+                          f"{exc}") from None
     except Exception as exc:
         exc.add_note(f"[config {config.label()}]")
         raise
 
     d_in = _worst_step(trace_in, "Cout")
     d_cc = _worst_step(trace_cc, "Cout")
-    d_cs = _worst_step(trace_cc, *_sum_ports(cell))
+    d_cs = _worst_step(trace_cc, *(p for p in outs if p != "Cout"))
     if d_in is None or d_cc is None or d_cs is None:
-        raise DomainError(f"[config {config.label()}] at cl {config.cl:g} F a worst-case path "
-                          f"did not toggle within its stimulus steps")
+        raise DomainError(f"{where} a worst-case path did not toggle within its stimulus steps")
 
     power_w = measure_power(trace_in, (0.0, stim_in.duration_ps))
     # PDP convention: power times the worst of the three reported delays.
@@ -135,7 +139,8 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
 
     The measured stimulus holds every A digit at radix-1 with B at 0
     (propagate mode on every cell) and steps C0, so the carry walks the
-    whole chain.
+    whole chain. The step and the window after it are each one
+    :func:`stimulus_step_ps` of the CPA's arrival.
     """
     base_kind = config.kind.lower()[:4]
     quaternary = base_kind.startswith("qfa")
@@ -146,22 +151,17 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
         last = cells - 1
         rep = sta(cpa, ("C0", "A0", "B0"), (f"C{cells}", f"S{last}"))
 
-        radix = 4 if quaternary else 2
         initial = {"C0": Level.L0}
         for i in range(cells):
-            initial[f"A{i}"] = Level(radix - 1)
+            initial[f"A{i}"] = Level.L3 if quaternary else Level.L1
             initial[f"B{i}"] = Level.L0
-        step = 2000.0
-        duration = 2 * step + max(2000.0, 2 * rep.worst_arrival_ps)
-        stim = Stimulus(initial=initial, events=((step, "C0", Level.L1),),
-                        duration_ps=duration)
-        trace = simulate(cpa, stim)
-        delays = [d for _, d in step_response_delays(trace, f"C{cells}") if d is not None]
-        measured = max(delays) if delays else float("nan")
+        step = stimulus_step_ps(rep.worst_arrival_ps)
+        stim = Stimulus(initial=initial, events=((step, "C0", Level.L1),), duration_ps=2 * step)
+        measured = _worst_step(simulate(cpa, stim), f"C{cells}")
         rows.append(ScalingRow(
             n_digits=n,
             sta_arrival_ps=rep.worst_arrival_ps,
-            measured_ps=measured,
+            measured_ps=float("nan") if measured is None else measured,
             cells_on_path=rep.stage_cells,
         ))
     return rows

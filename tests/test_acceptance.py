@@ -86,7 +86,7 @@ def test_criterion_4_carry_swing_ordering():
     for kind in ("qfa1", "qfa2"):
         cell = build_qfa(kind, 0.9, cl=2e-15)
         arrivals[kind] = sta(cell, ("Cin",), ("Cout",)).worst_arrival_ps
-        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind, 0.9))
+        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind))
         measured[kind] = max(d for _, d in step_response_delays(tr, "Cout")
                              if d is not None)
     assert arrivals["qfa2"] < arrivals["qfa1"]
@@ -148,7 +148,7 @@ def test_criterion_7_sta_simulation_bracket():
     for kind in ("qfa1", "qfa2"):
         cell = build_qfa(kind, 0.9, cl=2e-15)
         arrival = sta(cell, ("Cin",), ("Cout",)).worst_arrival_ps
-        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind, 0.9))
+        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind))
         measured = max(d for _, d in step_response_delays(tr, "Cout")
                        if d is not None)
         assert abs(measured - arrival) <= 0.1 + 1e-9, (kind, measured, arrival)

@@ -48,7 +48,7 @@ def test_sta_json_output(capsys):
 
 def test_sim_with_trace_export(tmp_path, capsys):
     stim_path = tmp_path / "stim.json"
-    worst_case_stimulus("carry_to_carry", "qfa2", 0.9).save(stim_path)
+    worst_case_stimulus("carry_to_carry", "qfa2").save(stim_path)
     trace_path = tmp_path / "trace.csv"
     energy_path = tmp_path / "energy.csv"
     assert run_cli(["sim", "--cell", "qfa2", "--cl", "2fF",
@@ -162,6 +162,15 @@ def test_vdd_must_be_a_finite_positive_number(vdd, capsys):
      "A: 2.7 is not a logic level"),
     ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", 0.5]],
       "duration_ps": 100.0}, "Cin: 0.5 is not a logic level"),
+    # a number must be a JSON number: not a string, not a bool
+    ({"initial": {"A": "2", "B": 1, "Cin": 0}, "events": [], "duration_ps": 100.0},
+     "initial: A: '2' is not a logic level"),
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", True]],
+      "duration_ps": 100.0}, "events[0]: Cin: True is not a logic level"),
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [["2000", "Cin", 1]],
+      "duration_ps": 6000.0}, "events[0]: expected a number, got '2000'"),
+    ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[2000.0, "Cin", 1]],
+      "duration_ps": " 6000 "}, "duration_ps: expected a number, got ' 6000 '"),
 ])
 def test_sim_rejects_bad_stimulus_fields(blob, field, tmp_path, capsys):
     path = tmp_path / "stim.json"
@@ -206,12 +215,31 @@ def test_bad_library_exit_two(tmp_path, capsys):
     ({"inv": {"drive_resistance_ohm": 10 ** 400}}, "inv: drive_resistance_ohm must be a finite"),
     ({"inv": {"inventory": [["N", float("inf"), 1]]}}, "inventory entry must hold whole numbers"),
     ({"inv": {"inventory": [["N", 19.5, 1]]}}, "inventory entry must hold whole numbers"),
+    # a number must be a JSON number: not a string, not a bool
+    ({"inv": {"drive_resistance_ohm": "1e4"}}, "inv: drive_resistance_ohm must be a finite"),
+    ({"inv": {"intrinsic_delay_s": True}}, "inv: intrinsic_delay_s must be a finite"),
+    ({"inv": {"inventory": [["N", "19", 1]]}}, "inventory entry must hold whole numbers"),
+    ({"inv": {"inventory": [["N", 19, True]]}}, "inventory entry must hold whole numbers"),
 ])
 def test_library_rejects_bad_numbers_exit_two(fields, message, tmp_path, capsys):
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps(fields))  # writes NaN and Infinity as JSON literals
     assert run_cli(["--lib", str(lib), "compare", "--configs", "qfa2@0.9"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, cl, delay", [("qfa2@0.9", "200fF", 2004.0),
+                                              ("qfa1@0.9", "30fF", 2104.0)])
+def test_compare_sizes_its_stimulus_steps_for_a_slow_cell(spec, cl, delay, capsys):
+    # the carry takes longer than the least step, 2000 ps: the steps widen to fit it
+    assert run_cli(["compare", "--configs", spec, "--cl", cl]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["delay_cin_to_cout_ps"] == delay
+
+
+def test_compare_names_a_load_whose_steps_pass_the_tick_range(capsys):
+    assert run_cli(["compare", "--configs", "qfa2@0.9", "--cl", "0.5"]) == 2
+    assert ("error: [config qfa2@0.9] at cl 0.5 F the 5e+15 ps stimulus steps do not fit "
+            "the tick range") in capsys.readouterr().err
 
 
 def test_model_error_exit_three(tmp_path, capsys):
@@ -275,7 +303,7 @@ def test_fallback_mode_produces_identical_report(tmp_path):
 @pytest.mark.parametrize("command", ["sta", "sim"])
 def test_huge_load_exits_two_without_traceback(cl, message, command, tmp_path):
     stim = tmp_path / "stim.json"
-    worst_case_stimulus("carry_to_carry", "qfa2", 0.9).save(stim)
+    worst_case_stimulus("carry_to_carry", "qfa2").save(stim)
     extra = {"sta": ["--from", "A", "--to", "Cout"], "sim": ["--stimulus", str(stim)]}[command]
     proc = subprocess.run(
         [sys.executable, "-m", "mvadder.cli", command, "--cell", "qfa2", "--cl", cl, *extra],

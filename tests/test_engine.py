@@ -16,9 +16,10 @@ from mvadder.engine import (
     UnsettledOutputError,
     measure_delay,
     measure_power,
-    settle_levels,
     settle_matrix,
     simulate,
+    step_response_delays,
+    stimulus_step_ps,
     worst_case_stimulus,
 )
 from mvadder.gates import (
@@ -107,7 +108,7 @@ def test_doubling_load_increases_measured_delay():
     delays = []
     for cl in (2e-15, 4e-15):
         c = build_qfa("qfa2", 0.9, cl=cl)
-        stim = worst_case_stimulus("carry_to_carry", "qfa2", 0.9)
+        stim = worst_case_stimulus("carry_to_carry", "qfa2")
         tr = simulate(c, stim)
         delays.append(measure_delay(tr, "Cin", 0, "Cout"))
     assert delays[1] > delays[0]
@@ -163,13 +164,31 @@ def test_carry_to_carry_stimulus_of_a_binary_cell():
 
 
 def test_input_to_carry_stimuli_step_every_step_ps_with_b_at_three():
-    q = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
+    q = worst_case_stimulus("input_to_carry", "qfa2")
     assert q.initial == {"A": L.L0, "B": L.L3, "Cin": L.L0}
     assert [t for t, _, _ in q.events] == [k * STEP_PS for k in range(1, 7)] == [
         2000.0, 4000.0, 6000.0, 8000.0, 10000.0, 12000.0]
     assert q.duration_ps == 7 * STEP_PS
-    s = worst_case_stimulus("input_to_carry", "bfa2x2", 0.9)
+    s = worst_case_stimulus("input_to_carry", "bfa2x2")
     assert (s.initial["B0"], s.initial["B1"]) == (L.L1, L.L1)
+
+
+def test_stimulus_step_is_step_ps_or_one_tick_past_the_sta_arrival():
+    assert stimulus_step_ps(None) == stimulus_step_ps(435.0) == STEP_PS
+    assert stimulus_step_ps(1999.9) == STEP_PS
+    assert stimulus_step_ps(2000.0) == 2000.1
+    assert stimulus_step_ps(14004.0) == 14004.1
+    c = worst_case_stimulus("carry_to_carry", "qfa2", step_ps=2004.1)
+    assert [t for t, _, _ in c.events] == [2004.1, 4008.2] and c.duration_ps == 3 * 2004.1
+    q = worst_case_stimulus("input_to_carry", "bfa2x2", step_ps=3000.0)
+    assert {t for t, _, _ in q.events} == {3000.0 * k for k in range(1, 7)}
+    assert q.duration_ps == 21000.0
+
+
+def test_stimulus_step_is_keyword_only():
+    # a stale positional supply (the parameter it replaced) must not become a step
+    with pytest.raises(TypeError):
+        worst_case_stimulus("carry_to_carry", "qfa2", 0.9)
 
 
 def test_stimulus_validation():
@@ -217,13 +236,17 @@ def test_stimulus_times_must_be_finite_and_in_tick_range():
 def test_stimulus_levels_must_be_whole_numbers():
     c = single_inv()
     for initial, events in (({"A": 2.7}, []), ({"A": 0}, [[50.0, "A", 0.5]]),
-                            ({"A": "x"}, []), ({"A": float("inf")}, [])):
+                            ({"A": "x"}, []), ({"A": float("inf")}, []),
+                            ({"A": "1"}, []), ({"A": True}, []), ({"A": 0}, [[50.0, "A", "1"]])):
         blob = {"initial": initial, "events": events, "duration_ps": 100.0}
         with pytest.raises(StimulusError, match="A: .* is not a logic level"):
             Stimulus.from_json(blob)
         with pytest.raises(StimulusError, match="A: .* is not a logic level"):
             simulate(c, Stimulus(initial=initial, events=tuple(map(tuple, events)),
                                  duration_ps=100.0))
+    # a numpy number is a number through the Python API
+    stim = Stimulus(initial={"A": np.int64(1)}, events=((50.0, "A", np.float64(0.0)),))
+    assert simulate(c, stim).final_level("Y") == L.L1
     stim = Stimulus.from_json({"initial": {"A": 1.0}, "events": [], "duration_ps": 10.0})
     assert stim.initial == {"A": L.L1}
 
@@ -234,7 +257,7 @@ def test_stimulus_levels_must_be_whole_numbers():
 
 def test_traces_are_bit_identical_across_runs():
     c = build_qfa("qfa1", 0.9, cl=2e-15)
-    stim = worst_case_stimulus("input_to_carry", "qfa1", 0.9)
+    stim = worst_case_stimulus("input_to_carry", "qfa1")
     t1 = simulate(c, stim)
     t2 = simulate(c, stim)
     assert np.array_equal(t1.times, t2.times)
@@ -251,7 +274,7 @@ def test_traces_are_bit_identical_across_runs():
 
 def test_energy_ledger_consistency():
     c = build_qfa("qfa2", 0.9, cl=2e-15)
-    stim = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
+    stim = worst_case_stimulus("input_to_carry", "qfa2")
     tr = simulate(c, stim)
     comp = tr.compiled
     # recompute every ledger entry from the waveform: walk transitions per
@@ -291,7 +314,7 @@ def test_energy_scales_linearly_with_capacitance():
             )
         return CellLibrary(cells)
 
-    stim = worst_case_stimulus("carry_to_carry", "qfa2", 0.9)
+    stim = worst_case_stimulus("carry_to_carry", "qfa2")
     base = simulate(build_qfa("qfa2", 0.9, cl=2e-15), stim).total_energy
     for alpha in (0.5, 2.0, 3.0):
         c = build_qfa("qfa2", 0.9, scaled_lib(alpha), cl=2e-15 * alpha)
@@ -302,7 +325,7 @@ def test_halving_swing_quarters_power_exactly():
     # same logical stimulus at vdd and vdd/2 with identical activity
     def run(vdd):
         c = build_bfa("bfa2", vdd, cl=2e-15)
-        stim = worst_case_stimulus("input_to_carry", "bfa2", vdd)
+        stim = worst_case_stimulus("input_to_carry", "bfa2")
         tr = simulate(c, stim)
         acts = [(int(n), int(l)) for n, l, s in zip(tr.nets, tr.levels, tr.srcs)
                 if s == 0]
@@ -400,7 +423,7 @@ def test_short_reconvergent_hazard_is_absorbed():
 
 
 def test_input_to_carry_walks_seven_plateaus():
-    stim = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
+    stim = worst_case_stimulus("input_to_carry", "qfa2")
     assert stim.initial == {"A": L.L0, "B": L.L3, "Cin": L.L0}
     seq = [int(l) for _, p, l in stim.events if p == "A"]
     assert seq == [1, 2, 3, 2, 1, 0]
@@ -408,10 +431,8 @@ def test_input_to_carry_walks_seven_plateaus():
 
 
 def test_carry_to_carry_rail_voltages():
-    from mvadder.levels import to_voltage
-
-    s1 = worst_case_stimulus("carry_to_carry", "qfa1", 0.9)
-    s2 = worst_case_stimulus("carry_to_carry", "qfa2", 0.9)
+    s1 = worst_case_stimulus("carry_to_carry", "qfa1")
+    s2 = worst_case_stimulus("carry_to_carry", "qfa2")
     assert s1.initial == {"A": L.L2, "B": L.L1, "Cin": L.L0}
     c1 = build_qfa("qfa1", 0.9)
     c2 = build_qfa("qfa2", 0.9)
@@ -419,12 +440,12 @@ def test_carry_to_carry_rail_voltages():
     enc2 = c2.ports["Cin"].encoding
     # same logical 0->1->0 toggle; rails at 0.3 V vs 0.9 V
     assert [int(l) for _, _, l in s1.events] == [1, 0]
-    assert to_voltage(L.L1, enc1) == pytest.approx(0.3)
-    assert to_voltage(L.L1, enc2) == pytest.approx(0.9)
+    assert enc1.level_voltages[1] == pytest.approx(0.3)
+    assert enc2.level_voltages[1] == pytest.approx(0.9)
 
 
 def test_slice_stimulus_uses_bit_encoded_equivalents():
-    stim = worst_case_stimulus("carry_to_carry", "bfa2x2", 0.9)
+    stim = worst_case_stimulus("carry_to_carry", "bfa2x2")
     assert stim.initial == {"A0": L.L0, "A1": L.L1, "B0": L.L1, "B1": L.L0,
                             "Cin": L.L0}
     sl = build_binary_slice("bfa2", 0.9, cl=2e-15)
@@ -437,15 +458,14 @@ def test_slice_stimulus_uses_bit_encoded_equivalents():
 # Batch settle and file formats
 
 
-def test_settle_levels_agrees_with_simulate():
+def test_settle_matrix_agrees_with_simulate_on_every_qfa1_input():
     c = build_qfa("qfa1", 0.9)
-    assigns = [{"A": L(a), "B": L(b), "Cin": L(ci)}
-               for a in range(4) for b in range(4) for ci in range(2)]
-    outs = settle_levels(c, assigns)
-    for assign, got in zip(assigns, outs):
-        tr = simulate(c, Stimulus(initial=assign, duration_ps=100.0))
-        assert tr.final_level("Sum") == got["Sum"]
-        assert tr.final_level("Cout") == got["Cout"]
+    vectors = list(itertools.product(range(4), range(4), range(2)))
+    got = settle_matrix(c, ["A", "B", "Cin"], vectors, ["Sum", "Cout"])
+    assert got.shape == (32, 2)
+    for row, settled in zip(vectors, got):
+        tr = _settled_by_simulate(c, ["A", "B", "Cin"], row)
+        assert [tr.final_level("Sum"), tr.final_level("Cout")] == settled.tolist()
 
 
 def _settled_by_simulate(c, in_ports, row):
@@ -495,11 +515,10 @@ def test_settle_matrix_range_check_names_the_first_bad_port():
 
 
 @pytest.mark.parametrize("run", [
-    lambda c: settle_levels(c, [{"A": L.L0, "B": L.L0, "Cin": L.L0}]),
     lambda c: settle_matrix(c, ["A", "B", "Cin"], [[0, 0, 0]]),
     lambda c: simulate(c, worst_case_stimulus("carry_to_carry", "qfa2")),
     lambda c: sta(c, ["no_such_port"], ["Cout"]),  # validity is checked first
-], ids=["settle_levels", "settle_matrix", "simulate", "sta"])
+], ids=["settle_matrix", "simulate", "sta"])
 def test_invalid_circuit_is_rejected_by_name_before_compiling(run):
     c = edited(build_qfa("qfa2", 0.9), pins={"inv_cout.a": UNBIND})
     with pytest.raises(DomainError, match=r"circuit invalid: .*inv_cout: pin a unbound"):
@@ -701,8 +720,9 @@ def test_batch_settle_agrees_with_event_engine_on_random_circuits(seed):
 def test_random_stimuli_on_random_circuits(seed, data):
     """simulate ends at settle_batch's levels for the final input vector;
     every gate-driven record's energy is switching_energy of its net's load
-    between the compiled rail voltages of its levels; and the circuit
-    reloaded from JSON simulates to the identical trace."""
+    between the compiled rail voltages of its levels; each step delay is the
+    last transition after the step up to the next, read record by record;
+    and the circuit reloaded from JSON simulates to the identical trace."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
     comp = _kernel.compile_circuit(c)
@@ -730,13 +750,28 @@ def test_random_stimuli_on_random_circuits(seed, data):
             assert energy == switching_energy(float(comp.net_cap[n]), v_from, v_to)
         cur[n] = lvl
 
+    steps = sorted({t for t, _, _ in tr.stim_events})
+    ends = [*steps[1:], tr.origin_ticks + tr.duration_ticks]
+    for ni, net in enumerate(comp.net_ids):  # no output ports: every net instead
+        want = []
+        for t, end in zip(steps, ends):
+            moves = [int(x) for x, n in zip(tr.times, tr.nets) if n == ni and t < x <= end]
+            want.append(((t - tr.origin_ticks) * _kernel.TICK_PS,
+                         (max(moves) - t) * _kernel.TICK_PS if moves else None))
+        assert step_response_delays(tr, net) == want
+        by_tick = dict(zip(steps, (d for _, d in want)))
+        for src in ports:
+            ticks = [t for t, p, _ in tr.stim_events if p == src]
+            assert [measure_delay(tr, src, k, net) for k in range(len(ticks))] == [
+                by_tick[t] for t in ticks]
+
     again = simulate(from_json(json.loads(json.dumps(to_json(c)))), stim)
     for name in ("times", "nets", "levels", "energies", "srcs"):
         assert np.array_equal(getattr(again, name), getattr(tr, name)), name
 
 
 def test_stimulus_json_roundtrip(tmp_path):
-    stim = worst_case_stimulus("input_to_carry", "qfa2", 0.9)
+    stim = worst_case_stimulus("input_to_carry", "qfa2")
     path = tmp_path / "stim.json"
     stim.save(path)
     loaded = Stimulus.load(path)
@@ -747,7 +782,7 @@ def test_stimulus_json_roundtrip(tmp_path):
 
 def test_trace_and_energy_csv(tmp_path):
     c = build_qfa("qfa2", 0.9, cl=2e-15)
-    tr = simulate(c, worst_case_stimulus("carry_to_carry", "qfa2", 0.9))
+    tr = simulate(c, worst_case_stimulus("carry_to_carry", "qfa2"))
     trace_path = tmp_path / "trace.csv"
     energy_path = tmp_path / "energy.csv"
     tr.write_csv(trace_path)
@@ -772,7 +807,7 @@ def test_trace_and_energy_csv(tmp_path):
 
 def test_waveform_times_strictly_increasing_per_net():
     c = build_qfa("qfa1", 0.9, cl=2e-15)
-    tr = simulate(c, worst_case_stimulus("input_to_carry", "qfa1", 0.9))
+    tr = simulate(c, worst_case_stimulus("input_to_carry", "qfa1"))
     for nid in tr.compiled.net_ids:
         times = [t for t, _, _ in tr.waveform(nid)]
         assert all(b > a for a, b in zip(times, times[1:]))

@@ -12,11 +12,9 @@ from mvadder.levels import (
     binary_full,
     cpa_oracle,
     cpa_oracle_rows,
-    from_voltage,
     qfa_oracle,
     quaternary,
     third_swing,
-    to_voltage,
 )
 
 # Quaternary adder truth table, all 32 rows: (a, b, cin) -> (sum, cout).
@@ -82,44 +80,10 @@ def test_qfa_equals_two_chained_bfa_steps():
 # Encodings
 
 
-def test_to_voltage_examples():
-    assert to_voltage(Level.L2, quaternary(0.9)) == pytest.approx(0.6)
-    assert to_voltage(Level.L1, third_swing(0.9)) == pytest.approx(0.3)
-    assert to_voltage(Level.L1, binary_full(0.9)) == pytest.approx(0.9)
-
-
-def test_to_voltage_rejects_x_and_out_of_radix():
-    with pytest.raises(EncodingMismatchError):
-        to_voltage(Level.X, quaternary(0.9))
-    with pytest.raises(EncodingMismatchError):
-        to_voltage(Level.L2, binary_full(0.9))
-
-
-def test_from_voltage_examples():
-    enc = quaternary(0.9)
-    assert from_voltage(0.61, enc, 0.33) is Level.L2
-    assert from_voltage(0.45, enc, 0.1) is Level.X
-    assert from_voltage(0.0, enc, 0.33) is Level.L0
-    assert from_voltage(0.0, binary_full(0.45), 0.2) is Level.L0
-
-
-def test_from_voltage_guard_domain():
-    with pytest.raises(DomainError):
-        from_voltage(0.3, quaternary(0.9), 0.5)
-    with pytest.raises(DomainError):
-        from_voltage(0.3, quaternary(0.9), 0.0)
-
-
-@given(
-    st.sampled_from(["quat", "bin", "third"]),
-    st.floats(min_value=0.2, max_value=1.5),
-    st.integers(min_value=0, max_value=3),
-    st.floats(min_value=0.01, max_value=0.49),
-)
-def test_voltage_roundtrip(fam, vdd, lvl, guard):
-    enc = {"quat": quaternary, "bin": binary_full, "third": third_swing}[fam](vdd)
-    lvl = lvl % enc.radix
-    assert from_voltage(to_voltage(Level(lvl), enc), enc, guard) == Level(lvl)
+def test_encoding_level_voltages():
+    assert quaternary(0.9).level_voltages[2] == pytest.approx(0.6)
+    assert third_swing(0.9).level_voltages[1] == pytest.approx(0.3)
+    assert binary_full(0.9).level_voltages[1] == pytest.approx(0.9)
 
 
 def test_encoding_invariants():

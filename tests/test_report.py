@@ -4,6 +4,7 @@ import pytest
 
 from mvadder.engine import measure_power, simulate, worst_case_stimulus
 from mvadder.levels import DomainError
+from mvadder.netlist import build_cell
 from mvadder.report import (
     AdderConfig,
     compare,
@@ -13,6 +14,7 @@ from mvadder.report import (
     rows_to_csv,
     rows_to_json,
 )
+from mvadder.timing import sta
 
 
 FOUR_CONFIGS = [
@@ -32,9 +34,30 @@ def test_row_order_follows_input_order(four_rows):
     assert [r.config for r in four_rows] == FOUR_CONFIGS
 
 
-def test_qfa2_carry_delay_beats_qfa1(four_rows):
-    by = {r.config.label(): r for r in four_rows}
-    assert by["qfa2@0.9"].delay_cin_to_cout_ps < by["qfa1@0.9"].delay_cin_to_cout_ps
+@pytest.fixture(scope="module")
+def rows_by_load():
+    """{cl: (qfa1 row, qfa2 row)} at 0.9 V: the 200 fF QFA1 carry takes 14 ns."""
+    return {cl: tuple(measure_config(AdderConfig(k, 0.9, cl)) for k in ("qfa1", "qfa2"))
+            for cl in (2e-15, 20e-15, 200e-15)}
+
+
+@pytest.mark.parametrize("cl, qfa1_ps, qfa2_ps", [
+    (2e-15, 144.0, 24.0), (20e-15, 1404.0, 204.0), (200e-15, 14004.0, 2004.0)])
+def test_qfa2_carry_delay_beats_qfa1(rows_by_load, cl, qfa1_ps, qfa2_ps):
+    # the paper's claim: a full-swing carry beats a vdd/3 carry at every load
+    qfa1, qfa2 = rows_by_load[cl]
+    assert qfa2.delay_cin_to_cout_ps < qfa1.delay_cin_to_cout_ps
+    assert (qfa1.delay_cin_to_cout_ps, qfa2.delay_cin_to_cout_ps) == (qfa1_ps, qfa2_ps)
+
+
+def test_compare_delays_stay_within_their_sta_arrivals(rows_by_load):
+    for row in (r for rows in rows_by_load.values() for r in rows):
+        cfg = row.config
+        cell = build_cell(cfg.kind, cfg.vdd, cl=cfg.cl)
+        for delay, src, dst in ((row.delay_input_to_cout_ps, "A", "Cout"),
+                                (row.delay_cin_to_cout_ps, "Cin", "Cout"),
+                                (row.delay_cin_to_sum_ps, "Cin", "Sum")):
+            assert 0 < delay <= sta(cell, [src], [dst]).worst_arrival_ps, (cfg, src, dst)
 
 
 def test_halved_supply_quarters_power(four_rows):
@@ -64,11 +87,9 @@ def test_rows_match_fresh_measurements(four_rows):
 
 
 def test_power_window_matches_engine(four_rows):
-    from mvadder.netlist import build_cell
-
     cfg = AdderConfig("qfa1", 0.9)
     cell = build_cell(cfg.kind, cfg.vdd, cl=cfg.cl)
-    stim = worst_case_stimulus("input_to_carry", "qfa1", 0.9)
+    stim = worst_case_stimulus("input_to_carry", "qfa1")
     tr = simulate(cell, stim)
     direct = measure_power(tr, (0.0, stim.duration_ps))
     assert four_rows[0].power_uw == pytest.approx(direct * 1e6)

@@ -151,7 +151,7 @@ def test_sensitized_worst_case_equals_sta_to_the_tick():
     for kind in ("qfa1", "qfa2"):
         cell = build_qfa(kind, 0.9, cl=2e-15)
         rep = sta(cell, ("Cin",), ("Cout",))
-        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind, 0.9))
+        tr = simulate(cell, worst_case_stimulus("carry_to_carry", kind))
         delays = [d for _, d in step_response_delays(tr, "Cout") if d is not None]
         assert delays, kind
         assert max(delays) == pytest.approx(rep.worst_arrival_ps, abs=0.1)
