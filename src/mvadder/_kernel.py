@@ -14,15 +14,18 @@ event loop (:func:`_run_single`) is plain Python over lists with a
 alone decide, then applies the input levels at t = 0, and raises
 :class:`UnsettledOutputError` or :class:`SimulationTimeoutError` where it
 finds the failure. The batch settle (:func:`settle_batch`) is one
-levelized pass, vectorized over the gates of a level and over input
-vectors with numpy. The net indices of every pin, the fan-out, the gate
-order and the logic levels come from the one pass of
+levelized pass, vectorized with numpy over the gates of a level and kind
+and over input vectors; a gate with one input pin rides along as extra
+rows of the step that sets its input, read from a composed table
+(:attr:`CompiledCircuit.settle_plan`). The net indices of every pin, the
+fan-out, the gate order and the logic levels come from the one pass of
 :func:`netlist._analyse`, which each circuit runs at most once.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -137,20 +140,68 @@ class CompiledCircuit:
 
     @cached_property
     def settle_plan(self) -> list:
-        """Steps for :func:`settle_batch` in level order, one per group of
-        gates of one kind and one logic level. A step is (input nets
-        (k, gates); the k table index weights; the kind's output codes
-        (nout, 5 ** k) from :func:`kind_table`; output nets (nout, gates))."""
-        groups: dict = {}
-        for gi in self.topo_order:
-            groups.setdefault((self.gate_level[gi], self.gate_kind[gi]), []).append(gi)
+        """Steps for :func:`settle_batch` in level order. A step is (input
+        nets (k, hosts); the k table index weights; output codes (rows,
+        5 ** k); output nets (rows, hosts)), one table gather for its hosts.
+
+        A gate with one input pin rides on the step that sets its input
+        net, unless that net's driver rides itself: its outputs are extra
+        rows of that step, read from the composed table
+        ``kind_table(rider)[host level + 1]``. Exact, since both engines
+        take a gate's table entry at its inputs' settled codes, X included.
+        The other gates are hosts, one step per logic level and kind, and
+        every host of a step gets the extra rows of all its riders; a host
+        without a rider for a row writes it to the scratch net ``n_nets``.
+        Riders on an input port or a constant form level-0 steps, one per
+        multiset of rider kinds, indexed by the net's own code."""
+        driver = {o: g for g, outs in enumerate(self.gate_out) for o in outs}
+        riders: dict = {}  # per net: the gates riding on it
+        rides = set()
+        for g in self.topo_order:
+            if len(self.gate_in[g]) == 1 and driver.get(self.gate_in[g][0]) not in rides:
+                rides.add(g)
+                riders.setdefault(self.gate_in[g][0], []).append(g)
+        kind = self.gate_kind
+        groups: dict = {}  # (level, gate kind or rider kinds) -> host gates or nets
+        for n, gs in riders.items():
+            if n not in driver:
+                groups.setdefault((0, tuple(sorted(kind[g] for g in gs))), []).append(n)
+        for g in self.topo_order:
+            if g not in rides:
+                groups.setdefault((self.gate_level[g], kind[g]), []).append(g)
+
+        identity = np.arange(LVL_X, 4)[:, None]  # a net host's level at each of its codes
         plan = []
-        for (_, kind), gates in sorted(groups.items(), key=lambda kv: kv[0][0]):
-            ins = np.array([self.gate_in[gi] for gi in gates], np.int64).T
-            outs = np.array([self.gate_out[gi] for gi in gates], np.int64).T
-            spec = KIND_SPECS[kind]
-            codes = (kind_table(kind)[:, : len(spec.outputs)].T + 1).astype(np.uint8)
-            plan.append((ins, np.array(spec.weights, np.int64), codes, outs))
+        for (level, key), hosts in sorted(groups.items(), key=lambda kv: kv[0][0]):
+            if level == 0:  # hosts are nets, which set no rows of their own
+                ins, weights, table = [[n] for n in hosts], (1,), identity
+                own, codes = [[] for _ in hosts], []
+            else:
+                ins, weights = [self.gate_in[g] for g in hosts], KIND_SPECS[key].weights
+                own = [self.gate_out[g] for g in hosts]
+                table = kind_table(key)[:, : len(KIND_SPECS[key].outputs)]
+                codes = list(table.T)
+            # per host, its riders as (host output, rider kind, rider), sorted
+            carried = [sorted((k, kind[r], r) for k, o in enumerate(outs)
+                              for r in riders.get(o, ()))
+                       for outs in (ins if level == 0 else own)]
+            need = Counter()  # (host output, rider kind) slots: the most any host fills
+            for rs in carried:
+                need |= Counter(r[:2] for r in rs)
+            slots = sorted(need.elements())
+            for k, rk in slots:
+                codes += list(kind_table(rk)[table[:, k] + 1, : len(KIND_SPECS[rk].outputs)].T)
+            outs = []
+            for row, rs in zip(own, carried):  # rs fills the slots of its keys, in order
+                row = list(row)
+                for k, rk in slots:
+                    if rs and rs[0][:2] == (k, rk):
+                        row += self.gate_out[rs.pop(0)[2]]
+                    else:
+                        row += [self.n_nets] * len(KIND_SPECS[rk].outputs)
+                outs.append(row)
+            plan.append((np.array(ins, np.int64).T, np.array(weights, np.int64),
+                         (np.array(codes) + 1).astype(np.uint8), np.array(outs, np.int64).T))
         return plan
 
 
@@ -173,16 +224,19 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
     ``vectors``, whose columns are the levels driven on ``in_nets``.
 
     One pass over :attr:`CompiledCircuit.settle_plan`, level by level; each
-    step is one table gather for a group of gates over a block of vectors.
-    No gate feeds another of its level, so every gate ends at its table
-    entry for its final inputs. That is the event loop's quiescent state
+    step is one table gather for a group of gates over a block of vectors,
+    its riders' rows included. The codes hold one more row than the nets,
+    the scratch net that takes the rows a host has no rider for. No host
+    feeds another of its step and a rider reads its host through the
+    composed table, so every gate ends at its table entry for its final
+    inputs. That is the event loop's quiescent state
     for an acyclic circuit: in its settle every net leaves X at most once
     (resolving an X input never changes a decided entry of a kind table),
     and the gates it never evaluates are those whose table entry at the
     constants and X is X on every output.
     """
     plan = comp.settle_plan
-    init = (comp.net_init + 1).astype(np.uint8)[:, None]
+    init = (np.append(comp.net_init, LVL_X) + 1).astype(np.uint8)[:, None]  # and scratch
     out = np.empty((len(vectors), len(out_nets)), np.int64)
     for r0 in range(0, len(vectors), _BLOCK_ROWS):
         block = vectors[r0: r0 + _BLOCK_ROWS]

@@ -133,24 +133,8 @@ class Trace:
             raise DomainError(f"unknown net or port {name!r}")
         return comp.net_index[name]
 
-    def waveform(self, name: str) -> list:
-        """[(time_ps, Level, voltage)] for a net or port, settle included."""
-        ni = self.net_index(name)
-        comp = self.compiled
-        mask = self.nets == ni
-        out = []
-        for t, lvl in zip(self.times[mask], self.levels[mask]):
-            v = float(comp.net_rail[ni][lvl]) if lvl >= 0 else float("nan")
-            out.append((float(t) * TICK_PS, Level(int(lvl)), v))
-        return out
-
     def final_level(self, port: str) -> Level:
         return Level(int(self.final_levels[self.net_index(port)]))
-
-    def transition_count(self, name: str, measurement_only: bool = True) -> int:
-        ni = self.net_index(name)
-        lo = self.n_settle if measurement_only else 0
-        return int((self.nets[lo:] == ni).sum())
 
     def write_csv(self, path: str | Path) -> None:
         self._write(path, ["level", "voltage"], lambda l, e, s, rail:
@@ -172,13 +156,21 @@ class Trace:
                     w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], *more])
 
 
-def _as_level(port: str, value) -> Level:
-    """``value`` as a Level, if it is a whole number (2.0, not 2.7 or "2") naming one."""
+def _whole_level(port: str, value) -> int:
+    """``value`` as an int, if it is a whole number (2.0, not 2.7, "2" or
+    True); a StimulusError naming ``port`` otherwise."""
     try:
         if float(real_number(value)) == int(value):
-            return Level(int(value))
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
+    raise StimulusError(f"{port}: {value!r} is not a logic level")
+
+
+def _as_level(port: str, value) -> Level:
+    """``value`` as a Level, if it is a whole number naming one."""
+    if -1 <= _whole_level(port, value) <= 3:
+        return Level(int(value))
     raise StimulusError(f"{port}: {value!r} is not a logic level")
 
 
@@ -274,18 +266,39 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         raise StimulusError(
             f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
         )
-    vectors = np.ascontiguousarray(vectors, dtype=np.int64)
+    # tested first: an integer array takes no extra pass; anything else, a
+    # list too, is checked entry by entry as given (so True is not taken for 1)
+    if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
+        vectors = np.array(vectors, dtype=object)
+        if vectors.ndim == 2 and vectors.shape[1] == len(in_ports):
+            rows = []
+            for r, row in enumerate(vectors.tolist()):
+                try:
+                    # clamped: a level outside every encoding is the range check's to name
+                    rows.append([min(max(_whole_level(p, v), -1), 4)
+                                 for p, v in zip(in_ports, row)])
+                except StimulusError as exc:
+                    raise StimulusError(f"{exc}, at vector row {r}") from None
+            vectors = np.array(rows, np.int64).reshape(vectors.shape)
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
+    vectors = np.ascontiguousarray(vectors, dtype=np.int64)
     radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
     # as uint64 a negative level is huge, so one comparison checks both ends
     bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
     if len(bad):
-        raise StimulusError(f"{in_ports[bad[0]]}: levels outside {radix[bad[0]]}-level encoding")
+        col = bad[0]
+        row = int((vectors[:, col].view(np.uint64) >= radix[col]).argmax())
+        raise StimulusError(f"{in_ports[col]}: levels outside {radix[col]}-level encoding, "
+                            f"first at vector row {row}")
 
     in_nets = np.array([comp.in_port_net[p] for p in in_ports], np.int64)
     if out_ports is None:
         out_ports = sorted(comp.out_port_net)
+    out_ports = list(out_ports)
+    for p in out_ports:
+        if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
+            raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
     out_nets = np.array([comp.out_port_net[p] for p in out_ports], np.int64)
     out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary

@@ -195,8 +195,9 @@ def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cpa_oracle` for many operand pairs at once: row r adds the
     digit rows ``a[r]`` and ``b[r]`` (least-significant digit first) and
     ``cin[r]``. Returns the sum digit matrix and the carry-out vector. The
-    ripple runs over the digit columns and never forms the operands'
-    values, so it is exact at any digit count."""
+    digits are added in int64 chunks of at most 60 bits (30 radix-4 or 60
+    radix-2 digits), each chunk's carry-out going into the next, so it is
+    exact at any digit count."""
     a, b, carry = (_whole_rows(name, x) for name, x in (("a", a), ("b", b), ("cin", cin)))
     if (whole("radix", radix) not in (2, 4) or a.ndim != 2 or a.shape != b.shape
             or carry.shape != a.shape[:1]):
@@ -205,7 +206,12 @@ def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
     # as uint64 a negative digit is huge, so one comparison checks both ends
     if (np.stack([a, b]).view(np.uint64) >= radix).any() or (carry.view(np.uint64) > 1).any():
         raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
+    bits = int(radix).bit_length() - 1  # per digit
+    per = 60 // bits  # digits per chunk: two chunks and a carry add up below 2**61
     total, sums = a + b, np.empty_like(a)
-    for i in range(a.shape[1]):
-        carry, sums[:, i] = np.divmod(total[:, i] + carry, radix)
+    for lo in range(0, a.shape[1], per):
+        shifts = np.arange(min(per, a.shape[1] - lo)) * bits
+        chunk = (total[:, lo: lo + per] << shifts).sum(axis=1) + carry
+        sums[:, lo: lo + per] = chunk[:, None] >> shifts & (radix - 1)
+        carry = chunk >> (len(shifts) * bits)
     return sums, carry

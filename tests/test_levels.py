@@ -206,6 +206,26 @@ def test_cpa_oracle_rows_is_exact_beyond_int64():
     assert sums.tolist() == [[0] * n] and couts.tolist() == [1]
 
 
+@pytest.mark.parametrize("radix", [2, 4])
+@pytest.mark.parametrize("n", [29, 30, 31, 59, 60, 61, 64, 130])
+def test_cpa_oracle_rows_carries_across_chunks(radix, n):
+    """Widths on both sides of the 60-bit chunks (30 radix-4 or 60 radix-2
+    digits); all-ones rows carry through every chunk."""
+    rng = np.random.default_rng(n)
+    top = radix - 1
+    a = np.vstack([np.full((2, n), top), rng.integers(0, radix, (4, n))])
+    b = np.vstack([np.zeros((1, n), np.int64), np.full((1, n), top),
+                   rng.integers(0, radix, (4, n))])
+    cin = np.array([1, 1, 0, 1, 0, 1])
+    sums, couts = cpa_oracle_rows(a, b, cin, radix)
+    for ra, rb, c, s, cout in zip(a.tolist(), b.tolist(), cin.tolist(), sums.tolist(),
+                                  couts.tolist()):
+        want_s, want_c = cpa_oracle(DigitVector(radix, tuple(ra)), DigitVector(radix, tuple(rb)), c)
+        assert (tuple(s), cout) == (want_s.digits, want_c)
+    assert sums[0].tolist() == [0] * n and sums[1].tolist() == [top] * n
+    assert couts[:2].tolist() == [1, 1]
+
+
 def test_cpa_oracle_rows_rejects_bad_operands():
     ok = np.zeros((2, 3), np.int64)
     for a, b, cin, radix in ((ok, ok, [0, 0], 3),            # radix
