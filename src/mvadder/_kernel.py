@@ -73,7 +73,8 @@ class CompiledCircuit:
     ``net_cap``, the Kahn order ``topo_order`` (gate indices, every gate
     after the drivers of its inputs) and ``gate_level``. Compiling adds the
     output delays in ticks, each gate's table row at the initial levels,
-    the net rails, and the gates the constants alone decide."""
+    the net rails, the gates the constants alone decide, and ``max_ticks``,
+    the longest gate delay or stimulus window that keeps every tick in int64."""
 
     def __init__(self, circuit):
         a = _analysed(circuit)
@@ -101,9 +102,10 @@ class CompiledCircuit:
         self.gate_kind = [inst.primitive.kind for inst in insts]
         self.gate_delay = []  # per gate: its output delays in ticks
         ticks: dict = {}  # (id(primitive), output load) -> delay in ticks
-        # no path has more than n gates, so the settle phase ends within 2**61
-        # ticks; engine._check_stimulus bounds the rest so ticks fit int64
-        max_ticks = 2 ** 62 // max(2, 2 * n)
+        # the int64 tick budget: a gate delay or a stimulus window is at most
+        # max_ticks; no path has more than n gates, so the settle phase ends
+        # within 2**61 ticks and the window within 2**62
+        max_ticks = self.max_ticks = 2 ** 62 // max(2, 2 * n)
         for inst, outs in zip(insts, self.gate_out):
             prim = inst.primitive
             delays = []

@@ -23,7 +23,7 @@ from .engine import (
 )
 from .gates import CellLibrary, LibraryError, NonFunctionalGateError, load_library
 from .levels import DomainError, EncodingMismatchError
-from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist, validate
+from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist
 from .timing import sta
 from .verify import cpa_is_exhaustive, cpa_mismatches, verify_adder_cell, verify_binary_slice
 
@@ -79,11 +79,6 @@ def _build(args, lib: CellLibrary | None):
 
 def _cmd_verify(args, lib) -> int:
     circuit = _build(args, lib)
-    diags = validate(circuit)
-    if diags:
-        for d in diags:
-            print(f"INVALID: {d}")
-        return 1
     if args.cell == "cpa":
         bad, n_bad = cpa_mismatches(circuit, args.digits, vectors=args.vectors, seed=args.seed)
         exhaustive = cpa_is_exhaustive(circuit.ports["A0"].encoding.radix, args.digits)
@@ -162,17 +157,16 @@ def _cmd_dump_netlist(args, lib) -> int:
     return 0
 
 
-def _add_build_args(p, with_digits=True):
+def _add_build_args(p):
     p.add_argument("--cell", required=True, choices=CELL_KINDS + ("cpa",))
     p.add_argument("--vdd", type=supply, default=0.9)
     p.add_argument("--cl", type=parse_cap, default=0.0,
                    help="external load per output (e.g. 2fF)")
-    if with_digits:
-        p.add_argument("--digits", type=positive_int, default=4,
-                       help="digit count for --cell cpa")
-        p.add_argument("--base", default="qfa2",
-                       choices=("qfa1", "qfa2", "bfa1", "bfa2"),
-                       help="1-digit cell replicated by --cell cpa")
+    p.add_argument("--digits", type=positive_int, default=4,
+                   help="digit count for --cell cpa")
+    p.add_argument("--base", default="qfa2",
+                   choices=("qfa1", "qfa2", "bfa1", "bfa2"),
+                   help="1-digit cell replicated by --cell cpa")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
-from .levels import DomainError, Level, real_number
+from .levels import DomainError, Level, _whole_value, real_number
 from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
@@ -160,24 +160,20 @@ def _whole_level(port: str, value) -> int:
     """``value`` as an int, if it is a whole number (2.0, not 2.7, "2" or
     True); a StimulusError naming ``port`` otherwise."""
     try:
-        if float(real_number(value)) == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise StimulusError(f"{port}: {value!r} is not a logic level")
+        return _whole_value(value)
+    except (TypeError, ValueError):
+        raise StimulusError(f"{port}: {value!r} is not a logic level") from None
 
 
 def _as_level(port: str, value) -> Level:
     """``value`` as a Level, if it is a whole number naming one."""
-    if -1 <= _whole_level(port, value) <= 3:
-        return Level(int(value))
+    if -1 <= (level := _whole_level(port, value)) <= 3:
+        return Level(level)
     raise StimulusError(f"{port}: {value!r} is not a logic level")
 
 
 def _check_stimulus(comp, stim: Stimulus) -> None:
-    # settle ends within 2**61 ticks (n_nets gates at most on a path, each within
-    # _kernel.CompiledCircuit's bound); this adds at most 2**61: ticks fit int64
-    max_ps = 2 ** 62 // (2 * comp.n_nets) / _kernel.TICKS_PER_PS
+    max_ps = comp.max_ticks / _kernel.TICKS_PER_PS  # a window within the tick budget
     if not 0 <= stim.duration_ps <= max_ps:  # NaN fails too
         raise StimulusError(
             f"duration_ps must be a time in [0, {max_ps:g}] ps, got {stim.duration_ps!r}"
@@ -262,6 +258,9 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     combination decides it."""
     comp = compile_circuit(circuit)
     in_ports = list(in_ports)
+    for p in in_ports:
+        if not isinstance(p, str):  # a list is unhashable
+            raise StimulusError(f"in_ports: {p!r} is not an input port of the circuit")
     if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):
         raise StimulusError(
             f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"

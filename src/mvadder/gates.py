@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .levels import DomainError, Level, SignalEncoding, is_finite, real_number
+from .levels import DomainError, Level, SignalEncoding, _whole_value, is_finite, real_number
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -392,13 +392,9 @@ def _parse_inventory(raw) -> TransistorInventory:
             raise LibraryError(f"inventory entry must be [device, chirality, count]: {item!r}")
         dev, n, count = item
         try:
-            n, count = real_number(n), real_number(count)
-            if float(n) == int(n) and float(count) == int(count):  # int() truncates 19.5
-                entries.append((str(dev), int(n), int(count)))
-                continue
-        except (TypeError, ValueError, OverflowError):
-            pass
-        raise LibraryError(f"inventory entry must hold whole numbers: {item!r}")
+            entries.append((str(dev), _whole_value(n), _whole_value(count)))
+        except (TypeError, ValueError):
+            raise LibraryError(f"inventory entry must hold whole numbers: {item!r}") from None
     inv = TransistorInventory(tuple(entries))
     inventory_area(inv)  # reject unknown chiralities up front
     return inv

@@ -40,6 +40,15 @@ def real_number(value):
     return value
 
 
+def _whole_value(value) -> int:
+    """``value`` as an int, if it is a finite real number (:func:`real_number`)
+    with a whole value: 2.0 gives 2; 2.5, "2", True and NaN raise a TypeError
+    or ValueError. Unlike :func:`whole`, it takes a float."""
+    if is_finite(real_number(value)) and value == int(value):  # int() truncates 2.5
+        return int(value)
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
 def whole(name: str, value) -> int:
     """``value`` as an int, if :func:`operator.index` takes it (numpy
     integers do, 2.0 does not); a DomainError naming ``name`` otherwise."""

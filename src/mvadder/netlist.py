@@ -201,15 +201,14 @@ class _Builder:
         return nid
 
     def inst(self, iid: str, kind: str, supply: float, out_enc: SignalEncoding,
-             pins: Mapping[str, str], cell_tag: str = "cell0",
-             inventory: TransistorInventory | None = None) -> None:
+             pins: Mapping[str, str], inventory: TransistorInventory | None = None) -> None:
         """Add one gate; each input pin expects the encoding of the net bound to it."""
         if iid in self.instances:
             raise NetlistError(f"duplicate instance id {iid!r}")
         prim = self.lib.make_primitive(kind, supply, out_enc, inventory)
         pin_enc = {pin: self.nets[pins[pin]].encoding for pin in KIND_SPECS[kind].inputs}
         self.instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)),
-                                        MappingProxyType(pin_enc), cell_tag)
+                                        MappingProxyType(pin_enc), "cell0")
 
     def copy_cell(self, cell: Circuit, prefix: str, tag: str,
                   port_nets: Mapping[str, str]) -> None:
@@ -239,6 +238,12 @@ class _Builder:
 # Generators
 
 
+def _check_vdd(vdd) -> None:
+    """A NetlistError naming ``vdd`` unless it is an int or float (not a bool), finite and > 0."""
+    if type(vdd) is bool or not (isinstance(vdd, (int, float)) and is_finite(vdd) and vdd > 0):
+        raise NetlistError(f"vdd must be a finite number > 0, got {vdd!r}")
+
+
 def build_qfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
               cl: float = 0.0) -> Circuit:
     """Single-stage MUX-tree quaternary full adder.
@@ -253,8 +258,7 @@ def build_qfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
     variant = variant.lower()
     if variant not in ("qfa1", "qfa2"):
         raise NetlistError(f"unknown quaternary variant {variant!r}")
-    if vdd <= 0:
-        raise NetlistError("vdd must be > 0")
+    _check_vdd(vdd)
     lib = lib or CellLibrary.default()
     enc_q = quaternary(vdd)
     enc_b = binary_full(vdd)
@@ -336,8 +340,7 @@ def build_bfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
     variant = variant.lower()
     if variant not in ("bfa1", "bfa2"):
         raise NetlistError(f"unknown binary variant {variant!r}")
-    if vdd <= 0:
-        raise NetlistError("vdd must be > 0")
+    _check_vdd(vdd)
     lib = lib or CellLibrary.default()
     enc = binary_full(vdd)
 
@@ -798,16 +801,17 @@ def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistErro
 @gc_paused
 def from_json(data: dict) -> Circuit:
     """Rebuild a circuit from its interchange form. Equal encodings become
-    one :class:`SignalEncoding`, and instances with equal kind, electrical
+    one :class:`SignalEncoding`, instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
-    as in a :func:`build_cpa` chain. Interning looks an entry up by a cheap
-    key, an encoding's name or an instance's kind, numbers and interned
-    output encoding, and confirms the hit by comparing the stored voltages
-    or inventory rows with ``==``; a miss falls back to the full value key.
-    Equal ``pin_encodings`` share one map, found first by comparing them
-    (``==``) with those last given with the same interned primitive. No
-    input dict is keyed by identity, so a dict parsed from a file loads by
-    the same path as one shared by :func:`to_json`. Raises NetlistError
+    as in a :func:`build_cpa` chain, and equal ``pin_encodings`` share one
+    map. An encoding is looked up by its name and confirmed by comparing
+    its voltages with ``==``. An instance is looked up in a cache of the
+    templates of :func:`to_json`, keyed by its kind, numbers and output
+    encoding's name, and confirmed by comparing the rest of the template
+    (output encoding, inventory rows and ``pin_encodings``) with ``==``;
+    a miss interns its primitive and map by their full values. No input
+    dict is keyed by identity, so a dict parsed from a file loads by the
+    same path as one shared by :func:`to_json`. Raises NetlistError
     naming the port, net or instance and the field on a missing or
     malformed field, a duplicate id, a bad number, a constant level outside
     its net's encoding, and, from the circuit's one pass, a pin unbound or
@@ -815,11 +819,11 @@ def from_json(data: dict) -> Circuit:
     net's ``driver`` other than its first driver."""
     encs: dict = {}  # (name, voltages) -> SignalEncoding
     by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
-    prims: dict = {}  # (kind, *numbers, output encoding, inventory) -> primitive entry
-    by_numbers: dict = {}  # (kind, *numbers, id(output encoding)) -> primitive entry
-    # a primitive entry: (inventory rows as given, GatePrimitive)
+    prims: dict = {}  # (kind, *numbers, output encoding, inventory) -> GatePrimitive
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
-    last_pin_map: dict = {}  # id(interned primitive) -> (pin_encodings as given last, its map)
+    # (kind, *numbers, output encoding name) -> the last template given with them:
+    # (output encoding, inventory rows and pin_encodings as given, primitive, map)
+    templates: dict = {}
 
     def enc(d: dict) -> SignalEncoding:
         name, volts = d["name"], d["level_voltages"]
@@ -874,40 +878,37 @@ def from_json(data: dict) -> Circuit:
             key = "kind"
             if gate not in KIND_SPECS:
                 raise ValueError(f"unknown gate kind {gate!r}")
-            key = "output_encoding"
-            out_enc = enc(out_enc)
-            key = "inventory"
             try:
-                cheap = (gate, *nums, id(out_enc))
-                hit = by_numbers.get(cheap)
-                if hit is not None and hit[0] != rows:
+                tkey = (gate, *nums, out_enc["name"])
+                hit = templates.get(tkey)
+                if hit is not None and hit[:3] != (out_enc, rows, pin_encodings):
                     hit = None
-            except (TypeError, ValueError):  # a value that is no number: parsing below names it
-                cheap = hit = None
+            except _MALFORMED:  # parsing below names the field
+                tkey = hit = None
             if hit is None:
-                pkey = (gate, *nums, out_enc, tuple(map(tuple, rows)))
+                key = "output_encoding"
+                out_encoding = enc(out_enc)
+                key = "inventory"
+                pkey = (gate, *nums, out_encoding, tuple(map(tuple, rows)))
                 try:
-                    hit = prims.get(pkey)
+                    prim = prims.get(pkey)
                 except TypeError:
-                    pass
-                if hit is None:
+                    prim = None
+                if prim is None:
                     inventory = _parse_inventory(rows)
                     key = None  # ElectricalParams names the field
-                    prim = GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory)
-                    hit = prims[pkey] = (rows, prim)
-                if cheap is not None:
-                    by_numbers[cheap] = hit
-            prim = hit[1]
-            key = "pin_encodings"
-            last = last_pin_map.get(id(prim))
-            if last is None or last[0] != pin_encodings:
+                    prim = prims[pkey] = GatePrimitive(
+                        gate, ElectricalParams(*nums, out_encoding), inventory)
+                key = "pin_encodings"
                 pin_map = {p: enc(e) for p, e in pin_encodings.items()}
                 shared = (*pin_map, *map(id, pin_map.values()))
                 pin_map = pin_maps.get(shared) or pin_maps.setdefault(
                     shared, MappingProxyType(pin_map))
-                last = last_pin_map[id(prim)] = (pin_encodings, pin_map)
+                hit = (out_enc, rows, pin_encodings, prim, pin_map)
+                if tkey is not None:
+                    templates[tkey] = hit
             key = "pins"
-            instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)), last[1], tag)
+            instances[iid] = _instance(iid, hit[3], MappingProxyType(dict(pins)), hit[4], tag)
 
         kind = "port"
         for entry in data["ports"]:

@@ -12,7 +12,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import (
     Stimulus,
@@ -53,19 +53,14 @@ class ComparisonRow:
     transistor_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config.label(),
-            "kind": self.config.kind,
-            "vdd": self.config.vdd,
-            "cl_f": self.config.cl,
-            "delay_input_to_cout_ps": self.delay_input_to_cout_ps,
-            "delay_cin_to_cout_ps": self.delay_cin_to_cout_ps,
-            "delay_cin_to_sum_ps": self.delay_cin_to_sum_ps,
-            "power_uw": self.power_uw,
-            "pdp_fj": self.pdp_fj,
-            "sigma_di_nm": self.sigma_di_nm,
-            "transistor_count": self.transistor_count,
-        }
+        """The report columns, :data:`_COLUMNS`, of this row."""
+        c = self.config
+        return dict(zip(_COLUMNS, (c.label(), c.kind, c.vdd, c.cl,
+                                   *(getattr(self, k) for k in _COLUMNS[4:]))))
+
+
+# the report columns: four of the config, then the other fields of ComparisonRow
+_COLUMNS = ("config", "kind", "vdd", "cl_f", *(f.name for f in fields(ComparisonRow)[1:]))
 
 
 def _worst_step(trace, *dst_ports) -> float | None:
@@ -104,16 +99,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
     worst_ps = max(d_in, d_cc, d_cs)
     pdp_fj = power_w * worst_ps * 1e-12 * 1e15
     area = area_report(cell)
-    return ComparisonRow(
-        config=config,
-        delay_input_to_cout_ps=d_in,
-        delay_cin_to_cout_ps=d_cc,
-        delay_cin_to_sum_ps=d_cs,
-        power_uw=power_w * 1e6,
-        pdp_fj=pdp_fj,
-        sigma_di_nm=area.total_sigma_di_nm,
-        transistor_count=area.transistor_count,
-    )
+    return ComparisonRow(config, d_in, d_cc, d_cs, power_w * 1e6, pdp_fj,
+                         area.total_sigma_di_nm, area.transistor_count)
 
 
 def compare(configs, lib: CellLibrary | None = None, threads: int = 1) -> list:
@@ -140,14 +127,19 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     The measured stimulus holds every A digit at radix-1 with B at 0
     (propagate mode on every cell) and steps C0, so the carry walks the
     whole chain. The step and the window after it are each one
-    :func:`stimulus_step_ps` of the CPA's arrival.
+    :func:`stimulus_step_ps` of the CPA's arrival. A kind not in
+    :data:`CELL_KINDS` or an empty ``n_list`` raises DomainError.
     """
-    base_kind = config.kind.lower()[:4]
-    quaternary = base_kind.startswith("qfa")
+    kind, n_list = config.kind.lower(), list(n_list)
+    if kind not in CELL_KINDS:
+        raise DomainError(f"kind: unknown cell kind {config.kind!r}")
+    if not n_list:
+        raise DomainError("n_list: expected at least one CPA size")
+    quaternary = kind.startswith("qfa")
     rows = []
     for n in n_list:
         cells = n if quaternary else 2 * n
-        cpa = build_cpa(build_cell(base_kind, config.vdd, lib), cells, cl=config.cl)
+        cpa = build_cpa(build_cell(kind[:4], config.vdd, lib), cells, cl=config.cl)
         last = cells - 1
         rep = sta(cpa, ("C0", "A0", "B0"), (f"C{cells}", f"S{last}"))
 
@@ -170,25 +162,16 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
 # --------------------------------------------------------------------------
 # Serialization (deterministic bytes)
 
-_CSV_FIELDS = (
-    "config", "kind", "vdd", "cl_f",
-    "delay_input_to_cout_ps", "delay_cin_to_cout_ps", "delay_cin_to_sum_ps",
-    "power_uw", "pdp_fj", "sigma_di_nm", "transistor_count",
-)
-
-
 def rows_to_json(rows) -> str:
     return json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True) + "\n"
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    w = csv.DictWriter(buf, fieldnames=_COLUMNS, lineterminator="\n")
     w.writeheader()
     for r in rows:
-        d = r.as_dict()
-        w.writerow({k: repr(d[k]) if isinstance(d[k], float) else d[k]
-                    for k in _CSV_FIELDS})
+        w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in r.as_dict().items()})
     return buf.getvalue()
 
 

@@ -514,25 +514,31 @@ def test_settle_matrix_range_check_names_the_first_bad_port():
     assert settle_matrix(cpa, in_ports, np.zeros((0, 5), np.int64)).shape == (0, 3)
 
 
-@pytest.mark.parametrize("vectors, out_ports, match", [
-    ([[0, 0, 0], [1.5, 0, 0]], None, "A: 1.5 is not a logic level, at vector row 1"),
-    ([[0, "1", 0]], None, "B: '1' is not a logic level, at vector row 0"),
-    ([[0, 0, True]], None, "Cin: True is not a logic level, at vector row 0"),
-    (np.array([[True, False, False]]), None, "A: True is not a logic level, at vector row 0"),
-    ([[0, 0, 0], [0, 0, float("nan")]], None, "Cin: nan is not a logic level, at vector row 1"),
-    ([[0, 0, 0], [0, 1e300, 0]], None, "B: levels outside 4-level encoding, first at vector row 1"),
-    (np.array([[0, 0, 0], [0, 0, 2 ** 64 - 1]], np.uint64), None,
+_ABC = ["A", "B", "Cin"]
+
+
+@pytest.mark.parametrize("in_ports, vectors, out_ports, match", [
+    (_ABC, [[0, 0, 0], [1.5, 0, 0]], None, "A: 1.5 is not a logic level, at vector row 1"),
+    (_ABC, [[0, "1", 0]], None, "B: '1' is not a logic level, at vector row 0"),
+    (_ABC, [[0, 0, True]], None, "Cin: True is not a logic level, at vector row 0"),
+    (_ABC, np.array([[True, False, False]]), None, "A: True is not a logic level, at vector row 0"),
+    (_ABC, [[0, 0, 0], [0, 0, float("nan")]], None,
+     "Cin: nan is not a logic level, at vector row 1"),
+    (_ABC, [[0, 0, 0], [0, 1e300, 0]], None,
+     "B: levels outside 4-level encoding, first at vector row 1"),
+    (_ABC, np.array([[0, 0, 0], [0, 0, 2 ** 64 - 1]], np.uint64), None,
      "Cin: levels outside 2-level encoding, first at vector row 1"),
-    ([[0, 0], [0, 0, 0]], None, "vectors must be"),
-    ([[0, 0, 0]], ["Nope"], "out_ports: 'Nope' is not an output port"),
-    ([[0, 0, 0]], ["Sum", "A"], "out_ports: 'A' is not an output port"),
-    ([[0, 0, 0]], [["Sum"]], r"out_ports: \['Sum'\] is not an output port"),
+    (_ABC, [[0, 0], [0, 0, 0]], None, "vectors must be"),
+    (_ABC, [[0, 0, 0]], ["Nope"], "out_ports: 'Nope' is not an output port"),
+    (_ABC, [[0, 0, 0]], ["Sum", "A"], "out_ports: 'A' is not an output port"),
+    (_ABC, [[0, 0, 0]], [["Sum"]], r"out_ports: \['Sum'\] is not an output port"),
+    ([["A"], "B", "Cin"], [[0, 0, 0]], None, r"in_ports: \['A'\] is not an input port"),
 ], ids=["fraction", "string", "bool", "bool-array", "nan", "1e300", "uint64", "ragged",
-        "unknown-out", "input-out", "list-out"])
-def test_settle_matrix_names_the_port_and_row_at_fault(vectors, out_ports, match):
+        "unknown-out", "input-out", "list-out", "list-in"])
+def test_settle_matrix_names_the_port_and_row_at_fault(in_ports, vectors, out_ports, match):
     c = build_qfa("qfa2", 0.9)
     with pytest.raises(StimulusError, match=match):
-        settle_matrix(c, ["A", "B", "Cin"], vectors, out_ports)
+        settle_matrix(c, in_ports, vectors, out_ports)
 
 
 def test_settle_matrix_checks_levels_entry_by_entry_only_off_integer_arrays(monkeypatch):
@@ -949,3 +955,15 @@ def test_long_carry_path_settles_with_keys_past_2_to_the_62():
     want_sum, want_cout = cpa_oracle(a, b, 1)
     assert tuple(int(tr.final_level(f"S{i}")) for i in range(n)) == want_sum.digits
     assert int(tr.final_level(f"C{n}")) == want_cout
+
+
+def test_a_circuit_without_nets_simulates_to_an_empty_trace():
+    """The tick budget of a circuit with no nets is that of one net: no
+    division by its zero nets."""
+    c = from_json({"name": "e", "ports": [], "nets": [], "instances": []})
+    trace = simulate(c, Stimulus({}, (), 100.0))
+    assert len(trace.times) == len(trace.final_levels) == trace.n_settle == 0
+    assert trace.total_energy == 0.0 and trace.duration_ticks == 1000
+    assert _kernel.compile_circuit(c).max_ticks == 2 ** 61
+    with pytest.raises(StimulusError, match=r"duration_ps must be a time in \[0, 2\.30584e\+17\]"):
+        simulate(c, Stimulus({}, (), 1e300))

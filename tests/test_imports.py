@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the package
-reads each private name a module defines at its top level.
+"""Every module of the package uses each name it imports, the package
+reads each private name a module defines at its top level, and some call
+passes each defaulted parameter of a private function.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -81,3 +82,58 @@ def test_the_check_finds_an_unread_private_name():
 def test_the_package_reads_every_private_name_a_module_defines():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unpassed_defaults(sources: dict) -> list[str]:
+    """The ``module:function(parameter)`` of each defaulted parameter of a
+    private function, or of a method of a private class, that no call in
+    ``sources`` (module name -> source) passes, by name or by position,
+    sorted. A call is matched by the function's name (a method's by its
+    own, ``__init__``'s by its class's); a method's first parameter is the
+    object it is called on, and ``*args`` or ``**kwargs`` at a call passes
+    every parameter of its kind."""
+    defaults, calls = [], []  # defaults: (label, called as, parameter, position or None)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        funcs = [(node.name, node.name, node, 0) for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_"):
+                funcs += [(f"{cls.name}.{node.name}",
+                           cls.name if node.name == "__init__" else node.name, node, 1)
+                          for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qualname, called_as, node, skip in funcs:
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaults += [(f"{module}:{qualname}({arg.arg})", called_as, arg.arg, k - skip)
+                         for k, arg in enumerate(positional) if k >= first]
+            defaults += [(f"{module}:{qualname}({arg.arg})", called_as, arg.arg, None)
+                         for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passes(call, called_as, param, position) -> bool:
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != called_as:
+            return False
+        return any(k.arg in (param, None) for k in call.keywords) or position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return sorted(label for label, *how in defaults if not any(passes(c, *how) for c in calls))
+
+
+def test_the_check_finds_a_default_no_call_passes():
+    sources = {
+        "a": "def _f(x, y=1, z=2, *, w=3):\n    pass\nclass _C:\n"
+             "    def __init__(self, n=0):\n        pass\n"
+             "    def m(self, p=1, q=2):\n        pass\n"
+             "def _g(u=1):\n    pass\ndef public(v=1):\n    pass\n",
+        "b": "from .a import _f, _g, _C\n_f(0, 1, w=4)\n_C(n=1).m(1)\n_g(**{})\n",
+    }
+    assert unpassed_defaults(sources) == ["a:_C.m(q)", "a:_f(z)"]
+
+
+def test_every_default_of_a_private_function_is_passed_somewhere():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unpassed_defaults(sources) == []

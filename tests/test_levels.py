@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mvadder.engine import Stimulus, StimulusError
+from mvadder.gates import LibraryError, load_library
 from mvadder.levels import (
     DigitVector,
     DomainError,
@@ -246,3 +250,25 @@ def test_cpa_oracle_rows_rejects_bad_operands():
         cpa_oracle_rows(objs, ok[:1], [True], 4)
     sums, couts = cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [True], 4)
     assert sums.tolist() == [[1, 0, 2]] and couts.tolist() == [0]
+
+
+@pytest.mark.parametrize("value, want", [
+    (2.0, 2), (2, 2), (np.float64(2.0), 2), (2.5, None), ("2", None), (True, None),
+    (float("nan"), None), (float("inf"), None), (10 ** 400, None),
+], ids=["whole-float", "int", "numpy-float", "fraction", "string", "bool", "nan", "inf",
+        "int-past-float"])
+def test_levels_and_inventory_counts_take_a_real_number_with_a_whole_value(value, want, tmp_path):
+    """One rule for a stimulus level and a library inventory count: a real
+    number, not a bool, with a whole value. levels.whole is stricter (2.0
+    is no index)."""
+    stim = {"initial": {"A": value}, "events": [], "duration_ps": 10}
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({"inv": {"inventory": [["N", 19, value]]}}))
+    if want is None:
+        with pytest.raises(StimulusError, match="is not a logic level"):
+            Stimulus.from_json(stim)
+        with pytest.raises(LibraryError, match="inventory entry must hold whole numbers"):
+            load_library(lib)
+    else:
+        assert Stimulus.from_json(stim).initial == {"A": Level(want)}
+        assert load_library(lib).cells["inv"].inventory.entries == (("N", 19, want),)

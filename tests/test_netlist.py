@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
@@ -938,3 +940,20 @@ def test_from_json_gives_a_shared_primitive_the_pin_encodings_each_gate_binds():
         assert sum0.pin_encodings["d3"].name == later.pin_encodings["d3"].name == "quat@0.9"
         assert later.pin_encodings is sum0.pin_encodings
         assert validate(c) == [] and to_json(c) == blob
+
+
+@pytest.mark.parametrize("build", [build_qfa, build_bfa], ids=["qfa", "bfa"])
+@pytest.mark.parametrize("vdd", ["0.9", 10 ** 400, float("nan"), float("inf"), -float("inf"),
+                                 True, False, 0, -0.5, None, [0.9], Decimal("0.9"),
+                                 Fraction(9, 10)],
+                         ids=["string", "int-past-float", "nan", "inf", "-inf", "true", "false",
+                              "zero", "negative", "none", "list", "decimal", "fraction"])
+def test_a_cell_supply_must_be_a_finite_number_above_zero(build, vdd):
+    with pytest.raises(NetlistError, match=r"^vdd must be a finite number > 0, got "):
+        build(build.__name__[-3:] + "2", vdd)
+
+
+@pytest.mark.parametrize("vdd", [1, 0.45, np.float64(0.9)], ids=["int", "float", "numpy"])
+def test_a_cell_supply_may_be_an_int_or_float_above_zero(vdd):
+    for variant in ("qfa2", "bfa2"):
+        assert build_cell(variant, vdd).metadata["vdd"] == vdd

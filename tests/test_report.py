@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +9,7 @@ from mvadder.levels import DomainError
 from mvadder.netlist import build_cell
 from mvadder.report import (
     AdderConfig,
+    ComparisonRow,
     compare,
     cpa_scaling,
     measure_config,
@@ -171,3 +174,34 @@ def test_cli_prints_the_config_of_a_failing_row(capsys):
     # QFA1's vdd/3 carry inverter is below threshold at 0.45 V
     assert main(["compare", "--configs", "qfa2@0.9,qfa1@0.45"]) == 3
     assert "model error: [config qfa1@0.45] inv: supply" in capsys.readouterr().err
+
+
+def test_the_report_columns_are_the_config_keys_then_the_row_fields(four_rows):
+    """JSON keys and the CSV header come from ComparisonRow's fields, an empty
+    table's header too."""
+    want = ["config", "kind", "vdd", "cl_f",
+            *(f.name for f in dataclasses.fields(ComparisonRow)[1:])]
+    assert want[4:] == ["delay_input_to_cout_ps", "delay_cin_to_cout_ps", "delay_cin_to_sum_ps",
+                        "power_uw", "pdp_fj", "sigma_di_nm", "transistor_count"]
+    assert list(four_rows[0].as_dict()) == want
+    assert rows_to_csv([]) == ",".join(want) + "\n"
+    for row, line in zip(four_rows, csv.DictReader(rows_to_csv(four_rows).splitlines())):
+        assert list(line) == want
+        assert line["transistor_count"] == str(row.transistor_count)
+        assert float(line["pdp_fj"]) == row.pdp_fj
+
+
+@pytest.mark.parametrize("config, n_list, match", [
+    (AdderConfig("qfa2zzz", 0.9), [1], "kind: unknown cell kind 'qfa2zzz'"),
+    (AdderConfig("fa", 0.9), [1], "kind: unknown cell kind 'fa'"),
+    (AdderConfig("qfa2", 0.9), [], "n_list: expected at least one CPA size"),
+    (AdderConfig("qfa2", 0.9), iter(()), "n_list: expected at least one CPA size"),
+], ids=["suffixed-kind", "unknown-kind", "empty-list", "empty-iterator"])
+def test_cpa_scaling_rejects_an_unknown_kind_and_an_empty_size_list(config, n_list, match):
+    with pytest.raises(DomainError, match=match):
+        cpa_scaling(config, n_list)
+
+
+def test_cpa_scaling_takes_a_kind_in_any_case_and_sizes_from_an_iterator():
+    [row] = cpa_scaling(AdderConfig("QFA2", 0.9), iter([2]))
+    assert row == cpa_scaling(AdderConfig("qfa2", 0.9), [2])[0]
