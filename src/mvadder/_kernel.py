@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gates import KIND_SPECS, KINDS, kind_table, propagation_delay
+from .gates import _CODES, KIND_SPECS, KINDS, kind_table, propagation_delay
 from .levels import DomainError
 from .netlist import _analysed
 
@@ -142,9 +142,9 @@ class CompiledCircuit:
 
     @cached_property
     def settle_plan(self) -> list:
-        """Steps for :func:`settle_batch` in level order. A step is (input
-        nets (k, hosts); the k table index weights; output codes (rows,
-        5 ** k); output nets (rows, hosts)), one table gather for its hosts.
+        """Steps for :func:`settle_batch` in level order, one table gather each:
+        (input nets (hosts, k), or (hosts,) for one pin; the k table index
+        weights; output codes (rows, 5 ** k); output nets (rows, hosts)).
 
         A gate with one input pin rides on the step that sets its input
         net, unless that net's driver rides itself: its outputs are extra
@@ -202,8 +202,9 @@ class CompiledCircuit:
                     else:
                         row += [self.n_nets] * len(KIND_SPECS[rk].outputs)
                 outs.append(row)
-            plan.append((np.array(ins, np.int64).T, np.array(weights, np.int64),
-                         (np.array(codes) + 1).astype(np.uint8), np.array(outs, np.int64).T))
+            ins = np.array(ins, np.intp)
+            plan.append((ins[:, 0] if len(weights) == 1 else ins, np.array(weights, CODE),
+                         (np.array(codes) + 1).astype(CODE), np.array(outs, np.intp).T))
         return plan
 
 
@@ -215,9 +216,11 @@ def compile_circuit(circuit) -> CompiledCircuit:
 
 
 # --------------------------------------------------------------------------
-# Levelized batch settle. Levels are held as uint8 codes, level + 1: X is
-# code 0, so the codes of a gate's inputs index its kind table directly.
+# Levelized batch settle. Levels are held as codes, level + 1 (X is 0), in
+# CODE, the one signed dtype of codes, weights and step tables; it holds the
+# widest kind table's last row index (a mux4's 3124), so no index is cast.
 
+CODE = np.min_scalar_type(-max(_CODES ** len(s.inputs) for s in KIND_SPECS.values()))
 _BLOCK_ROWS = 1024  # vectors settled together; bounds working memory
 
 
@@ -238,15 +241,15 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
     constants and X is X on every output.
     """
     plan = comp.settle_plan
-    init = (np.append(comp.net_init, LVL_X) + 1).astype(np.uint8)[:, None]  # and scratch
+    init = (np.append(comp.net_init, LVL_X) + 1).astype(CODE)[:, None]  # and scratch
     out = np.empty((len(vectors), len(out_nets)), np.int64)
     for r0 in range(0, len(vectors), _BLOCK_ROWS):
         block = vectors[r0: r0 + _BLOCK_ROWS]
         codes = np.repeat(init, len(block), axis=1)
         codes[in_nets] = block.T + 1
-        for ins, weights, table, outs in plan:
-            idx = weights @ codes[ins].reshape(len(ins), -1)
-            codes[outs] = table[:, idx].reshape(outs.shape + (len(block),))
+        for ins, weights, table, outs in plan:  # codes[ins]: (hosts, k, vectors)
+            idx = codes[ins] if ins.ndim == 1 else weights @ codes[ins]
+            codes[outs] = table.take(idx, axis=1)
         out[r0: r0 + len(block)] = codes[out_nets].T
     out -= 1
     return out

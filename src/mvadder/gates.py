@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .levels import DomainError, Level, SignalEncoding, _whole_value, is_finite, real_number
+from .levels import DomainError, Level, SignalEncoding, _whole_value, is_finite
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -99,11 +98,14 @@ class ElectricalParams:
     output_encoding: SignalEncoding
 
     def __post_init__(self):
-        for field in ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
-                      "intrinsic_delay", "threshold_voltage"):
+        for field in ELECTRICAL_NUMBERS:
             value = getattr(self, field)
             if not (is_finite(value) and value > 0):
                 raise DomainError(f"{field} must be finite and > 0, got {value!r}")
+
+
+#: ElectricalParams' number fields, in field order: all but the output encoding
+ELECTRICAL_NUMBERS = tuple(f.name for f in fields(ElectricalParams))[:-1]
 
 
 class KindSpec(NamedTuple):
@@ -414,26 +416,22 @@ def load_library(path: str | Path) -> CellLibrary:
     if not isinstance(raw, dict):
         raise LibraryError("library file must be a JSON object keyed by gate kind")
     lib = CellLibrary.default()
-    for kind, fields in raw.items():
+    for kind, overrides in raw.items():
         if kind not in KINDS:
             raise LibraryError(f"unknown gate kind {kind!r} in library file")
-        if not isinstance(fields, dict):
+        if not isinstance(overrides, dict):
             raise LibraryError(f"{kind}: overrides must be a JSON object")
-        unknown = set(fields) - {*_LIB_NUMBERS, "inventory"}
+        unknown = set(overrides) - {*_LIB_NUMBERS, "inventory"}
         if unknown:
             raise LibraryError(f"{kind}: unknown library keys {sorted(unknown)}")
         spec = lib.cells[kind]
         kwargs = {}
-        for key, value in fields.items():
+        for key, value in overrides.items():
             if key == "inventory":
                 kwargs["inventory"] = _parse_inventory(value)
                 continue
-            try:
-                number = float(real_number(value))
-            except (TypeError, OverflowError):  # an int past float range too
-                number = math.nan
-            if not 0 < number < math.inf:  # NaN fails too
+            if not (is_finite(value) and value > 0):
                 raise LibraryError(f"{kind}: {key} must be a finite number > 0, got {value!r}")
-            kwargs[_LIB_NUMBERS[key]] = number
+            kwargs[_LIB_NUMBERS[key]] = float(value)
         lib.cells[kind] = replace(spec, **kwargs)
     return lib

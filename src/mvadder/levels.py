@@ -24,10 +24,10 @@ class EncodingMismatchError(ValueError):
 
 
 def is_finite(value) -> bool:
-    """Whether ``value`` is a number with a finite float value: not NaN, an
-    infinity, an int past float range or anything that is not a number."""
+    """Whether ``value`` is a real number (:func:`real_number`) with a finite
+    float value: not NaN, an infinity, an int past float range or a bool."""
     try:
-        return math.isfinite(value)
+        return math.isfinite(value if type(value) is float else real_number(value))
     except (TypeError, OverflowError):
         return False
 

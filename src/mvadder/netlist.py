@@ -27,6 +27,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .gates import (
+    ELECTRICAL_NUMBERS,
     KIND_SPECS,
     CellLibrary,
     ElectricalParams,
@@ -240,7 +241,7 @@ class _Builder:
 
 def _check_vdd(vdd) -> None:
     """A NetlistError naming ``vdd`` unless it is an int or float (not a bool), finite and > 0."""
-    if type(vdd) is bool or not (isinstance(vdd, (int, float)) and is_finite(vdd) and vdd > 0):
+    if not (isinstance(vdd, (int, float)) and is_finite(vdd) and vdd > 0):
         raise NetlistError(f"vdd must be a finite number > 0, got {vdd!r}")
 
 
@@ -713,11 +714,6 @@ def area_report(c: Circuit) -> AreaReport:
 # JSON interchange
 
 
-# ElectricalParams' numbers, in field order
-_PARAMS = ("supply_voltage", "input_cap_per_pin", "drive_resistance_ref",
-           "intrinsic_delay", "threshold_voltage")
-
-
 def _inv_to_json(inv: TransistorInventory) -> list:
     return [list(e) for e in inv.entries]
 
@@ -765,7 +761,7 @@ def to_json(c: Circuit) -> dict:
         if t is None:
             p = prim.params
             t = templates[id(prim), id(pin_enc)] = (
-                {"id": None, "kind": prim.kind, **{f: getattr(p, f) for f in _PARAMS},
+                {"id": None, "kind": prim.kind, **{f: getattr(p, f) for f in ELECTRICAL_NUMBERS},
                  "output_encoding": enc(p.output_encoding),
                  "inventory": _inv_to_json(prim.inventory),
                  "pins": None, "pin_encodings": None, "cell_tag": None},
@@ -781,8 +777,8 @@ def to_json(c: Circuit) -> dict:
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 # the fields of each kind of entry, read at once: a KeyError names the one missing
 _NET_FIELDS = operator.itemgetter("id", "encoding", "driver", "external_load")
-_INSTANCE_FIELDS = operator.itemgetter("id", "kind", *_PARAMS, "output_encoding", "inventory",
-                                       "pins", "pin_encodings", "cell_tag")
+_INSTANCE_FIELDS = operator.itemgetter("id", "kind", *ELECTRICAL_NUMBERS, "output_encoding",
+                                       "inventory", "pins", "pin_encodings", "cell_tag")
 _PORT_FIELDS = operator.itemgetter("name", "direction", "encoding", "net")
 
 
@@ -819,9 +815,9 @@ def from_json(data: dict) -> Circuit:
     net's ``driver`` other than its first driver."""
     encs: dict = {}  # (name, voltages) -> SignalEncoding
     by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
-    prims: dict = {}  # (kind, *numbers, output encoding, inventory) -> GatePrimitive
+    prims: dict = {}  # (kind, *numbers, *their types, output encoding, inventory) -> primitive
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
-    # (kind, *numbers, output encoding name) -> the last template given with them:
+    # (kind, *numbers, *their types, output encoding name) -> the last template given with them:
     # (output encoding, inventory rows and pin_encodings as given, primitive, map)
     templates: dict = {}
 
@@ -878,8 +874,9 @@ def from_json(data: dict) -> Circuit:
             key = "kind"
             if gate not in KIND_SPECS:
                 raise ValueError(f"unknown gate kind {gate!r}")
+            typed = (*nums, *map(type, nums))  # 1 == 1.0 == True, but each dumps apart
             try:
-                tkey = (gate, *nums, out_enc["name"])
+                tkey = (gate, *typed, out_enc["name"])
                 hit = templates.get(tkey)
                 if hit is not None and hit[:3] != (out_enc, rows, pin_encodings):
                     hit = None
@@ -889,7 +886,7 @@ def from_json(data: dict) -> Circuit:
                 key = "output_encoding"
                 out_encoding = enc(out_enc)
                 key = "inventory"
-                pkey = (gate, *nums, out_encoding, tuple(map(tuple, rows)))
+                pkey = (gate, *typed, out_encoding, tuple(map(tuple, rows)))
                 try:
                     prim = prims.get(pkey)
                 except TypeError:

@@ -819,6 +819,24 @@ def test_settle_plan_steps_of_the_verify_cpas(cell, n, steps):
     assert len(comp.settle_plan) == steps
 
 
+def test_code_dtype_holds_every_table_index():
+    """settle_batch computes each table index in its code dtype, so the last
+    row of every kind table and the last column of every step table (a
+    kind's, or one composed with riders) must fit it: a wider kind fails
+    here instead of wrapping silently."""
+    top = np.iinfo(_kernel.CODE).max
+    for kind in KINDS:
+        assert len(kind_table(kind)) - 1 <= top, kind
+    cells = [riders_circuit()] + [build_cpa(build(v, 0.9), 2) for build, v in (
+        (build_qfa, "qfa1"), (build_qfa, "qfa2"), (build_bfa, "bfa1"), (build_bfa, "bfa2"))]
+    for c in cells:
+        for ins, weights, table, outs in _kernel.compile_circuit(c).settle_plan:
+            assert weights.dtype == table.dtype == _kernel.CODE
+            hosts = outs.shape[1]  # input nets are host-major, one-pin steps one per host
+            assert ins.shape == ((hosts,) if len(weights) == 1 else (hosts, len(weights)))
+            assert 4 * int(weights.sum()) == table.shape[1] - 1 <= top
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_random_stimuli_on_random_circuits(seed, data):

@@ -2,11 +2,13 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mvadder.gates import (
     DIAMETER_NM,
+    ELECTRICAL_NUMBERS,
     KINDS,
     CellLibrary,
     ElectricalParams,
@@ -286,6 +288,16 @@ def test_load_library_rejects_unknown_keys(tmp_path):
     path3.write_text(json.dumps({"inv": {"inventory": [["N", 12, 1]]}}))
     with pytest.raises(LibraryError):
         load_library(path3)
+
+
+@pytest.mark.parametrize("field", ELECTRICAL_NUMBERS)
+def test_electrical_numbers_reject_bools_and_take_numpy_floats(field):
+    p = CellLibrary.default().make_primitive("nand", np.float64(0.9), binary_full(0.9)).params
+    assert p.supply_voltage == 0.9
+    assert getattr(replace(p, **{field: np.float32(0.5)}), field) == 0.5
+    for value in (True, "0.9"):
+        with pytest.raises(DomainError, match=f"^{field} must be finite and > 0, got {value!r}"):
+            replace(p, **{field: value})
 
 
 def test_make_primitive_shares_one_primitive_per_equal_request():

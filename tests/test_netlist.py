@@ -409,6 +409,16 @@ def test_netlist_json_roundtrip_lossless(factory):
     assert np.array_equal(compile_circuit(c2).net_cap, compile_circuit(c).net_cap)
 
 
+def test_numbers_equal_in_value_but_not_type_round_trip_byte_for_byte():
+    """1 and 1.0 are equal dict keys, but each dumps as written: an
+    instance whose supply differs from its twin's only in type keeps it."""
+    blob = to_json(build_qfa("qfa2", 1))
+    _entry(blob, "instances", "mux_sum1")["supply_voltage"] = 1.0
+    c = from_json(json.loads(json.dumps(blob)))
+    assert c.instances["mux_sum0"].primitive is not c.instances["mux_sum1"].primitive
+    assert json.dumps(to_json(c), sort_keys=True) == json.dumps(blob, sort_keys=True)
+
+
 def test_roundtripped_circuit_still_verifies():
     c = from_json(to_json(build_qfa("qfa2", 0.9)))
     assert verify_adder_cell(c) == []
@@ -576,7 +586,8 @@ def _entry(blob, section, name):
                    .__setitem__(-1, v),
                    "net 'n_sum': field 'encoding': encoding 'quat@0.9' voltages must be finite",
                    id=f"level-voltage-{name}")
-      for name, v in (("nan", float("nan")), ("inf", float("inf")), ("int-past-float", 10 ** 400))],
+      for name, v in (("nan", float("nan")), ("inf", float("inf")), ("int-past-float", 10 ** 400),
+                      ("bool", True))],
     (lambda b: _entry(b, "nets", "n_sum").update(driver=5), "net 'n_sum': field 'driver': "),
     (lambda b: _entry(b, "nets", "n_sum").update(id=["n_sum"]), "field 'id': unhashable type"),
     (lambda b: _entry(b, "nets", "A").update(driver="port"), "net 'A': field 'driver': expected"),
@@ -686,7 +697,7 @@ def test_json_round_trip_of_random_circuits_keeps_bytes_and_compiled_arrays(seed
 
 
 @pytest.mark.parametrize("load", [float("nan"), float("inf"), -float("inf"), -1e-15, "2fF", None,
-                                  pytest.param(10 ** 400, id="int-past-float-range")])
+                                  True, pytest.param(10 ** 400, id="int-past-float-range")])
 def test_external_load_must_be_a_finite_number_at_least_zero(load):
     blob = to_json(build_qfa("qfa2", 0.9))
     [net] = [n for n in blob["nets"] if n["id"] == "n_sum"]
@@ -705,6 +716,8 @@ def test_external_load_must_be_a_finite_number_at_least_zero(load):
     pytest.param("instances", "input_cap_per_pin", 10 ** 400,
                  "instance 'inv_cout': input_cap_per_pin must be finite and > 0, got 1000",
                  id="int-past-float-range"),
+    *[pytest.param("instances", f, True, f"instance 'inv_cout': {f} must be finite and > 0, "
+                   "got True", id=f"bool-{f}") for f in ("supply_voltage", "input_cap_per_pin")],
 ])
 def test_from_json_names_the_entry_and_field_at_fault(entry, field, value, message):
     blob = to_json(build_qfa("qfa2", 0.9))
