@@ -25,7 +25,7 @@ from .gates import CellLibrary, LibraryError, NonFunctionalGateError, load_libra
 from .levels import DomainError, EncodingMismatchError
 from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist
 from .timing import sta
-from .verify import cpa_is_exhaustive, cpa_mismatches, verify_adder_cell, verify_binary_slice
+from .verify import _CELL_PORTS, _SLICE_PORTS, _adder_mismatches, cpa_is_exhaustive, cpa_mismatches
 
 _CAP_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*(aF|fF|pF|nF|F)?\s*$")
 _CAP_SCALE = {"aF": 1e-18, "fF": 1e-15, "pF": 1e-12, "nF": 1e-9, "F": 1.0, None: 1.0}
@@ -84,12 +84,10 @@ def _cmd_verify(args, lib) -> int:
         exhaustive = cpa_is_exhaustive(circuit.ports["A0"].encoding.radix, args.digits)
         total = "exhaustive" if exhaustive else f"{args.vectors} random vectors"
         label = f"{args.base} cpa x{args.digits}"
-    elif args.cell.endswith("x2"):
-        bad = verify_binary_slice(circuit)
-        n_bad, total, label = len(bad), "32 cases", args.cell
     else:
-        bad = verify_adder_cell(circuit)
-        n_bad, total, label = len(bad), "exhaustive", args.cell
+        bit_slice = args.cell.endswith("x2")
+        bad, n_bad = _adder_mismatches(circuit, _SLICE_PORTS if bit_slice else _CELL_PORTS)
+        total, label = "32 cases" if bit_slice else "exhaustive", args.cell
     if bad:
         for line in bad:
             print(f"MISMATCH: {line}")

@@ -377,38 +377,32 @@ def worst_case_stimulus(target: str, kind: str, *, step_ps: float = STEP_PS) -> 
     Steps fall every ``step_ps``. ``input_to_carry`` walks A through
     0,1,2,3,2,1,0 with Cin held low and B at 3, which toggles the carry on
     every step; ``carry_to_carry`` pulses Cin with A=2, B=1 held, the
-    combination that sensitizes the carry path end to end. Two-cell binary
-    slices get the bit-encoded equivalents.
+    combination that sensitizes the carry path end to end. Binary cells
+    walk A through 0,1,0,... with B at 1, and pulse Cin with A=0, B=1. A
+    two-cell binary slice takes each A and B digit as two bits, least
+    significant first, and a step drives only the bits that change.
     """
     kind = kind.lower()
-    L = Level
     if target not in ("input_to_carry", "carry_to_carry"):
         raise DomainError(f"unknown stimulus target {target!r}")
     if kind not in CELL_KINDS:
         raise DomainError(f"unknown cell kind {kind!r}")
-    quaternary, bit_slice = kind.startswith("qfa"), kind.endswith("x2")
+    binary, bit_slice = kind in ("bfa1", "bfa2"), kind.endswith("x2")
+
+    def digit(port: str, value: int) -> dict:
+        if bit_slice and port != "Cin":
+            return {f"{port}0": Level(value & 1), f"{port}1": Level(value >> 1)}
+        return {port: Level(value)}
 
     if target == "carry_to_carry":
-        if quaternary:
-            initial = {"A": L.L2, "B": L.L1}
-        elif bit_slice:
-            initial = {"A0": L.L0, "A1": L.L1, "B0": L.L1, "B1": L.L0}
-        else:
-            initial = {"A": L.L0, "B": L.L1}
-        return Stimulus(initial={**initial, "Cin": L.L0},
-                        events=((step_ps, "Cin", L.L1), (2 * step_ps, "Cin", L.L0)),
-                        duration_ps=3 * step_ps)
-
-    seq = (1, 0, 1, 0, 1, 0) if kind in ("bfa1", "bfa2") else (1, 2, 3, 2, 1, 0)
-    if bit_slice:
-        initial = {"A0": L.L0, "A1": L.L0, "B0": L.L1, "B1": L.L1}
-        events, prev = [], (0, 0)
-        for i, d in enumerate(seq):
-            bits = (d & 1, d >> 1 & 1)
-            events += [(step_ps * (i + 1), f"A{j}", L(bits[j])) for j in (0, 1) if bits[j] != prev[j]]
-            prev = bits
+        port, seq, a, b = "Cin", (1, 0), 0 if binary else 2, 1
     else:
-        initial = {"A": L.L0, "B": L.L3 if quaternary else L.L1}
-        events = [(step_ps * (i + 1), "A", L(v)) for i, v in enumerate(seq)]
-    return Stimulus(initial={**initial, "Cin": L.L0}, events=tuple(events),
+        port, seq, a, b = "A", (1, 0) * 3 if binary else (1, 2, 3, 2, 1, 0), 0, 1 if binary else 3
+    prev = initial = {**digit("A", a), **digit("B", b), **digit("Cin", 0)}
+    events = []
+    for i, value in enumerate(seq):
+        now = digit(port, value)
+        events += [(step_ps * (i + 1), net, v) for net, v in now.items() if prev[net] != v]
+        prev = now
+    return Stimulus(initial=initial, events=tuple(events),
                     duration_ps=step_ps * (len(seq) + 1))

@@ -428,7 +428,10 @@ def load_library(path: str | Path) -> CellLibrary:
         kwargs = {}
         for key, value in overrides.items():
             if key == "inventory":
-                kwargs["inventory"] = _parse_inventory(value)
+                try:
+                    kwargs["inventory"] = _parse_inventory(value)
+                except LibraryError as exc:
+                    raise LibraryError(f"{kind}: inventory: {exc}") from None
                 continue
             if not (is_finite(value) and value > 0):
                 raise LibraryError(f"{kind}: {key} must be a finite number > 0, got {value!r}")

@@ -800,20 +800,21 @@ def from_json(data: dict) -> Circuit:
     one :class:`SignalEncoding`, instances with equal kind, electrical
     numbers, output encoding and inventory share one :class:`GatePrimitive`,
     as in a :func:`build_cpa` chain, and equal ``pin_encodings`` share one
-    map. An encoding is looked up by its name and confirmed by comparing
-    its voltages with ``==``. An instance is looked up in a cache of the
-    templates of :func:`to_json`, keyed by its kind, numbers and output
-    encoding's name, and confirmed by comparing the rest of the template
-    (output encoding, inventory rows and ``pin_encodings``) with ``==``;
-    a miss interns its primitive and map by their full values. No input
-    dict is keyed by identity, so a dict parsed from a file loads by the
-    same path as one shared by :func:`to_json`. Raises NetlistError
+    map. An encoding is looked up by its name and confirmed as the same
+    voltages list or by comparing its voltages with ``==`` and by type
+    (0 == 0.0, but each dumps apart). An instance is looked up in a cache
+    of the templates of :func:`to_json`, keyed by its kind, numbers and
+    output encoding's name, and confirmed by comparing the rest of the
+    template (output encoding, inventory rows and ``pin_encodings``) with
+    ``==``; a miss interns its primitive and map by their full values. No
+    input dict is keyed by identity, so a dict parsed from a file loads by
+    the same path as one shared by :func:`to_json`. Raises NetlistError
     naming the port, net or instance and the field on a missing or
     malformed field, a duplicate id, a bad number, a constant level outside
     its net's encoding, and, from the circuit's one pass, a pin unbound or
     bound to a missing net, a gate output on a net already driven, or a
     net's ``driver`` other than its first driver."""
-    encs: dict = {}  # (name, voltages) -> SignalEncoding
+    encs: dict = {}  # (name, voltages, their types) -> SignalEncoding
     by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
     prims: dict = {}  # (kind, *numbers, *their types, output encoding, inventory) -> primitive
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
@@ -825,12 +826,14 @@ def from_json(data: dict) -> Circuit:
         name, volts = d["name"], d["level_voltages"]
         try:
             hit = by_name.get(name)
-            if hit is not None and hit[0] == volts:
+            if hit is not None and (hit[0] is volts or hit[0] == volts
+                                    and [*map(type, hit[0])] == [*map(type, volts)]):
                 return hit[1]
         except (TypeError, ValueError):  # the value key below names what is wrong
             pass
-        key = (name, tuple(volts))
-        e = encs.get(key) or encs.setdefault(key, SignalEncoding(*key))
+        v = tuple(volts)
+        key = (name, v, tuple(map(type, v)))
+        e = encs.get(key) or encs.setdefault(key, SignalEncoding(name, v))
         by_name[name] = (volts, e)
         return e
 

@@ -26,10 +26,11 @@ def test_parse_cap():
 
 
 def test_verify_cells_exit_zero(capsys):
-    for cell in ("qfa1", "qfa2", "bfa1", "bfa2", "bfa2x2"):
+    for cell in ("qfa1", "qfa2", "bfa1", "bfa2", "bfa1x2", "bfa2x2"):
         assert run_cli(["verify", "--cell", cell]) == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
+    assert capsys.readouterr().out == "".join(
+        [f"{cell}: OK (exhaustive match the oracle)\n" for cell in ("qfa1", "qfa2", "bfa1", "bfa2")]
+        + [f"{cell}: OK (32 cases match the oracle)\n" for cell in ("bfa1x2", "bfa2x2")])
 
 
 def test_verify_cpa(capsys):
@@ -207,19 +208,33 @@ def test_bad_library_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields, message", [
+    ({"nand": 3}, "nand: overrides must be a JSON object"),
+    ({"nand": {"inventory": [["N", 0, 1]]}}, "nand: inventory: chirality must be positive, got 0"),
+])
+def test_bad_library_names_the_kind_and_field(fields, message, tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(fields))
+    assert run_cli(["--lib", str(lib), "verify", "--cell", "qfa2"]) == 2
+    assert capsys.readouterr().err == f"library error: {message}\n"
+
+
+WHOLE_COUNTS = "inv: inventory: inventory entry must hold whole numbers"
+
+
+@pytest.mark.parametrize("fields, message", [
     ({"inv": {"drive_resistance_ohm": float("inf")}}, "inv: drive_resistance_ohm must be a finite"),
     ({"mux2": {"threshold_voltage_v": float("nan")}}, "mux2: threshold_voltage_v must be a finite"),
     ({"nand": {"intrinsic_delay_s": 0}}, "nand: intrinsic_delay_s must be a finite number > 0"),
     ({"inv": {"input_cap_per_pin_f": -1e-16}}, "inv: input_cap_per_pin_f must be a finite"),
     ({"inv": {"drive_resistance_ohm": "fast"}}, "inv: drive_resistance_ohm must be a finite"),
     ({"inv": {"drive_resistance_ohm": 10 ** 400}}, "inv: drive_resistance_ohm must be a finite"),
-    ({"inv": {"inventory": [["N", float("inf"), 1]]}}, "inventory entry must hold whole numbers"),
-    ({"inv": {"inventory": [["N", 19.5, 1]]}}, "inventory entry must hold whole numbers"),
+    ({"inv": {"inventory": [["N", float("inf"), 1]]}}, WHOLE_COUNTS),
+    ({"inv": {"inventory": [["N", 19.5, 1]]}}, WHOLE_COUNTS),
     # a number must be a JSON number: not a string, not a bool
     ({"inv": {"drive_resistance_ohm": "1e4"}}, "inv: drive_resistance_ohm must be a finite"),
     ({"inv": {"intrinsic_delay_s": True}}, "inv: intrinsic_delay_s must be a finite"),
-    ({"inv": {"inventory": [["N", "19", 1]]}}, "inventory entry must hold whole numbers"),
-    ({"inv": {"inventory": [["N", 19, True]]}}, "inventory entry must hold whole numbers"),
+    ({"inv": {"inventory": [["N", "19", 1]]}}, WHOLE_COUNTS),
+    ({"inv": {"inventory": [["N", 19, True]]}}, WHOLE_COUNTS),
 ])
 def test_library_rejects_bad_numbers_exit_two(fields, message, tmp_path, capsys):
     lib = tmp_path / "lib.json"

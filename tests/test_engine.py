@@ -173,6 +173,46 @@ def test_input_to_carry_stimuli_step_every_step_ps_with_b_at_three():
     assert (s.initial["B0"], s.initial["B1"]) == (L.L1, L.L1)
 
 
+def _steps(step, *levels):
+    """Events at ``step``, 2 ``step``, ...: one (port, level) tuple per step."""
+    return tuple((step * k, port, L(v)) for k, changes in enumerate(levels, 1)
+                 for port, v in changes)
+
+
+@pytest.mark.parametrize("step", [2000.0, 2104.0])
+def test_worst_case_stimuli_of_every_kind(step):
+    """Both targets for all six kinds, written out level by level; a slice
+    drives each A and B digit as two bits, least significant first, and a
+    step drives only the bits that change."""
+    quat_walk = _steps(step, *([("A", v)] for v in (1, 2, 3, 2, 1, 0)))
+    bin_walk = _steps(step, *([("A", v)] for v in (1, 0, 1, 0, 1, 0)))
+    bit_walk = _steps(step, [("A0", 1)], [("A0", 0), ("A1", 1)], [("A0", 1)], [("A0", 0)],
+                      [("A0", 1), ("A1", 0)], [("A0", 0)])
+    pulse = _steps(step, [("Cin", 1)], [("Cin", 0)])
+    want = {
+        "qfa": ({"A": 0, "B": 3, "Cin": 0}, quat_walk, {"A": 2, "B": 1, "Cin": 0}),
+        "bfa": ({"A": 0, "B": 1, "Cin": 0}, bin_walk, {"A": 0, "B": 1, "Cin": 0}),
+        "x2": ({"A0": 0, "A1": 0, "B0": 1, "B1": 1, "Cin": 0}, bit_walk,
+               {"A0": 0, "A1": 1, "B0": 1, "B1": 0, "Cin": 0}),
+    }
+    for kind in ("qfa1", "qfa2", "bfa1", "bfa2", "bfa1x2", "bfa2x2"):
+        walk_init, walk, pulse_init = want["x2" if kind.endswith("x2") else kind[:3]]
+        for target, initial, events, steps in [("input_to_carry", walk_init, walk, 7),
+                                                ("carry_to_carry", pulse_init, pulse, 3)]:
+            got = worst_case_stimulus(target, kind, step_ps=step)
+            assert got == Stimulus({p: L(v) for p, v in initial.items()}, events, step * steps)
+            assert list(got.initial) == list(initial)
+
+
+@pytest.mark.parametrize("target, kind, message", [
+    ("carry_to_sum", "qfa2", "unknown stimulus target 'carry_to_sum'"),
+    ("input_to_carry", "qfa3", "unknown cell kind 'qfa3'"),
+])
+def test_worst_case_stimulus_rejects_an_unknown_target_or_kind(target, kind, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        worst_case_stimulus(target, kind)
+
+
 def test_stimulus_step_is_step_ps_or_one_tick_past_the_sta_arrival():
     assert stimulus_step_ps(None) == stimulus_step_ps(435.0) == STEP_PS
     assert stimulus_step_ps(1999.9) == STEP_PS
@@ -189,6 +229,20 @@ def test_stimulus_step_is_keyword_only():
     # a stale positional supply (the parameter it replaced) must not become a step
     with pytest.raises(TypeError):
         worst_case_stimulus("carry_to_carry", "qfa2", 0.9)
+
+
+def test_rejections_name_the_port_and_the_rule():
+    c = build_qfa("qfa2", 0.9)
+    trace = simulate(c, worst_case_stimulus("carry_to_carry", "qfa2"))
+    with pytest.raises(DomainError, match="^unknown net or port 'nope'$"):
+        trace.final_level("nope")
+    stim = Stimulus(initial={"A": L.L0, "B": L.L0, "Cin": L.L0},
+                    events=((20.0, "A", L.L1), (10.0, "A", L.L2)), duration_ps=100.0)
+    with pytest.raises(StimulusError, match="^events on 'A' not in time order$"):
+        simulate(c, stim)
+    with pytest.raises(StimulusError, match=r"^in_ports must cover exactly the input ports "
+                                            r"\['A', 'B', 'Cin'\]$"):
+        settle_matrix(c, ["A", "B"], np.zeros((1, 2), np.int64), ["Sum"])
 
 
 def test_stimulus_validation():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from mvadder.gates import (
     KINDS,
     CellLibrary,
     ElectricalParams,
+    GatePrimitive,
     LibraryError,
     NonFunctionalGateError,
     TransistorInventory,
@@ -183,8 +185,6 @@ def _prim(kind="inv", supply=0.9, r=10e3, tint=1e-12, vth=0.2):
         threshold_voltage=vth,
         output_encoding=p.params.output_encoding,
     )
-    from mvadder.gates import GatePrimitive
-
     return GatePrimitive(kind, params, p.inventory)
 
 
@@ -288,6 +288,29 @@ def test_load_library_rejects_unknown_keys(tmp_path):
     path3.write_text(json.dumps({"inv": {"inventory": [["N", 12, 1]]}}))
     with pytest.raises(LibraryError):
         load_library(path3)
+
+
+@pytest.mark.parametrize("inventory, message", [
+    ([["N", 0, 1]], "chirality must be positive, got 0"),
+    ([["Q", 19, 1]], "device type must be N or P, got 'Q'"),
+    ([["N", 19, 0]], "count must be >= 1, got 0"),
+    ([["N", 12, 1]], "chirality 12 not in the diameter table"),
+    ([["N", 19]], r"inventory entry must be \[device, chirality, count\]: \['N', 19\]"),
+    ({"N": 19}, r"inventory must be a list of \[device, chirality, count\]: \{'N': 19\}"),
+])
+def test_library_inventory_errors_name_the_kind_and_the_field(inventory, message, tmp_path):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"nand": {"inventory": inventory}}))
+    with pytest.raises(LibraryError, match=f"^nand: inventory: {message}$"):
+        load_library(path)
+
+
+def test_a_library_needs_every_kind_and_a_primitive_a_known_one():
+    with pytest.raises(LibraryError, match=re.escape(f"library missing kinds: {list(KINDS)}")):
+        CellLibrary({})
+    p = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9))
+    with pytest.raises(LibraryError, match="^unknown gate kind 'flux'$"):
+        GatePrimitive("flux", p.params, p.inventory)
 
 
 @pytest.mark.parametrize("field", ELECTRICAL_NUMBERS)

@@ -121,6 +121,8 @@ def test_digit_vector_rejects_bad_digits():
         DigitVector(4, (2.7, 1))
     with pytest.raises(DomainError, match="^value must be a whole number, got 2.5"):
         DigitVector.from_int(2.5, 4, 2)
+    with pytest.raises(DomainError, match="^16 does not fit in 2 radix-4 digits$"):
+        DigitVector.from_int(16, 4, 2)
     assert DigitVector.from_int(np.int64(54), np.int32(4), np.uint8(4)).value() == 54
 
 

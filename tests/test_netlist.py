@@ -419,6 +419,34 @@ def test_numbers_equal_in_value_but_not_type_round_trip_byte_for_byte():
     assert json.dumps(to_json(c), sort_keys=True) == json.dumps(blob, sort_keys=True)
 
 
+@pytest.mark.parametrize("nid", ["n_sum", "A"])
+def test_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(nid):
+    """0 == 0.0, but each dumps as written: a net whose encoding starts at
+    0 keeps it whether it comes after its 0.0 twins (n_sum) or before
+    them (A), and the 0.0 nets keep theirs."""
+    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+    _entry(blob, "nets", nid)["encoding"]["level_voltages"][0] = 0
+    c = from_json(json.loads(json.dumps(blob)))
+    assert json.dumps(to_json(c), sort_keys=True) == json.dumps(blob, sort_keys=True)
+    assert c.nets[nid].encoding is not c.nets["B" if nid == "A" else "A"].encoding
+
+
+def test_an_encoding_name_that_cannot_be_a_key_names_the_field():
+    blob = to_json(build_qfa("qfa2", 0.9))
+    blob["nets"][0] = {**blob["nets"][0], "encoding": {"name": ["quat"], "level_voltages": [0.0]}}
+    with pytest.raises(NetlistError, match="^net 'A': field 'encoding': unhashable type: 'list'$"):
+        from_json(blob)
+
+
+def test_cpa_rejects_a_cell_whose_carries_differ():
+    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+    e = {"name": "bin@0.8", "level_voltages": [0.0, 0.8]}
+    _entry(blob, "ports", "Cout")["encoding"] = _entry(blob, "nets", "n_cout")["encoding"] = e
+    with pytest.raises(NetlistError, match="^cell carry-in and carry-out encodings differ; "
+                                           "not chainable$"):
+        build_cpa(from_json(blob), 2)
+
+
 def test_roundtripped_circuit_still_verifies():
     c = from_json(to_json(build_qfa("qfa2", 0.9)))
     assert verify_adder_cell(c) == []

@@ -1,19 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mvadder import cli
 from mvadder.engine import settle_matrix
-from mvadder.levels import DigitVector, DomainError, cpa_oracle
-from mvadder.netlist import build_cpa, build_qfa, from_json, to_json
-from mvadder.verify import cpa_mismatches, verify_cpa
+from mvadder.levels import DigitVector, DomainError, bfa_oracle, cpa_oracle, qfa_oracle
+from mvadder.netlist import build_binary_slice, build_bfa, build_cpa, build_qfa, from_json, to_json
+from mvadder.verify import cpa_mismatches, verify_adder_cell, verify_binary_slice, verify_cpa
+
+
+def edited_cell(circuit, inst, kind=None, pins=None):
+    """``circuit`` reloaded with instance ``inst`` retyped to ``kind`` or
+    its ``pins`` updated."""
+    data = to_json(circuit)
+    [hit] = [i for i in data["instances"] if i["id"] == inst]
+    hit.update({"kind": kind or hit["kind"], "pins": {**hit["pins"], **(pins or {})}})
+    return from_json(data)
 
 
 def broken_qfa2_cpa(n_digits=4, inst="d3.succ1", kind="succ2"):
     """A QFA2 CPA with one +1 successor swapped for another kind."""
-    data = to_json(build_cpa(build_qfa("qfa2", 0.9), n_digits))
-    [hit] = [i for i in data["instances"] if i["id"] == inst]
-    hit["kind"] = kind
-    return from_json(data)
+    return edited_cell(build_cpa(build_qfa("qfa2", 0.9), n_digits), inst, kind)
 
 
 def random_matrix(n_digits, vectors, seed, radix=4):
@@ -99,9 +107,69 @@ def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
      "vectors must be a whole number, got 2.5"),
     (lambda cell: cpa_mismatches(build_cpa(cell, 8), 8, seed=1.5),
      "seed must be a whole number, got 1.5"),
+    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 0), "n_digits must be >= 1, got 0"),
 ])
 def test_cpa_sizes_vector_counts_and_seeds_are_whole_numbers(call, message):
     with pytest.raises(DomainError, match=message):
         call(build_qfa("qfa2", 0.9))
     cpa = build_cpa(build_qfa("qfa2", 0.9), np.int64(8))  # what operator.index takes
     assert cpa_mismatches(cpa, np.int64(8), vectors=np.int32(5), seed=np.uint8(1)) == ([], 0)
+
+
+def cell_reference_lines(adder, bit_slice):
+    """Every mismatch of a cell or two-cell slice, settled one case at a
+    time and checked against qfa_oracle or bfa_oracle; a slice takes each
+    quaternary digit as two bits, least significant first."""
+    radix = 4 if bit_slice else adder.ports["A"].encoding.radix
+    oracle = bfa_oracle if radix == 2 else qfa_oracle
+    lines = []
+    for a, b, cin in itertools.product(range(radix), range(radix), range(2)):
+        want_s, want_c = oracle(a, b, cin)
+        if bit_slice:
+            bits = [a & 1, a >> 1, b & 1, b >> 1, cin]
+            got = settle_matrix(adder, ["A0", "A1", "B0", "B1", "Cin"], np.array([bits]),
+                                ["S0", "S1", "Cout"])[0].tolist()
+            a, b, want_s = (a & 1, a >> 1), (b & 1, b >> 1), (want_s & 1, want_s >> 1)
+        else:
+            got = settle_matrix(adder, ["A", "B", "Cin"], np.array([[a, b, cin]]),
+                                ["Sum", "Cout"])[0].tolist()
+            a, b, want_s = (a,), (b,), (want_s,)
+        if got != [*want_s, want_c]:
+            lines.append(f"A={a} B={b} Cin={cin}: got S+C={tuple(got)}, want S={want_s} C={want_c}")
+    return lines
+
+
+BROKEN_CELLS = {  # a sum fault and a carry fault in each form
+    "qfa2 succ1 as succ2": lambda: edited_cell(build_qfa("qfa2", 0.9), "succ1", "succ2"),
+    "qfa2 inv_cout as buf": lambda: edited_cell(build_qfa("qfa2", 0.9), "inv_cout", "buf"),
+    "bfa1 buf_cout as inv": lambda: edited_cell(build_bfa("bfa1", 0.9), "buf_cout", "inv"),
+    "bfa1x2 b0.nand4 as nor": lambda: edited_cell(build_binary_slice("bfa1", 0.9),
+                                                  "b0.nand4", "nor"),
+    "bfa1x2 b1.buf_cout as inv": lambda: edited_cell(build_binary_slice("bfa1", 0.9),
+                                                     "b1.buf_cout", "inv"),
+    # no other gate kind has the pins of a mux2 or an xor_tg: swap a mux's data pins
+    "bfa2x2 b1.mux_cout swapped": lambda: edited_cell(
+        build_binary_slice("bfa2", 0.9), "b1.mux_cout", pins={"d0": "C1", "d1": "A1"}),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_CELLS)
+def test_broken_cells_and_slices_fail_with_the_reference_rows(name):
+    adder = BROKEN_CELLS[name]()
+    bit_slice = "x2" in name
+    want = cell_reference_lines(adder, bit_slice)
+    assert want
+    got = (verify_binary_slice if bit_slice else verify_adder_cell)(adder)
+    assert got == (want if len(want) <= 20 else want[:20] + ["... (truncated)"])
+
+
+@pytest.mark.parametrize("cell, name", [("qfa2", "qfa2 succ1 as succ2"),
+                                        ("qfa2", "qfa2 inv_cout as buf"),
+                                        ("bfa1x2", "bfa1x2 b1.buf_cout as inv")])
+def test_cli_counts_the_mismatching_rows_of_a_cell(cell, name, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_build", lambda args, lib: BROKEN_CELLS[name]())
+    assert cli.main(["verify", "--cell", cell]) == 1
+    want = cell_reference_lines(BROKEN_CELLS[name](), "x2" in cell)
+    shown = want if len(want) <= 20 else want[:20] + ["... (truncated)"]
+    assert capsys.readouterr().out == "".join(
+        [f"MISMATCH: {line}\n" for line in shown] + [f"{cell}: FAIL ({len(want)} mismatches)\n"])
