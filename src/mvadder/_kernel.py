@@ -10,10 +10,11 @@ its input codes (level + 1, so X is 0) times its kind's row weights,
 Both engines settle by one rule: every net starts at X except the
 constants, and a gate's outputs are its table entries at its inputs. The
 event loop (:func:`_run_single`) is plain Python over lists with a
-``heapq`` event queue; it starts by evaluating the gates the constants
-alone decide, then applies the input levels at t = 0, and raises
-:class:`UnsettledOutputError` or :class:`SimulationTimeoutError` where it
-finds the failure. The batch settle (:func:`settle_batch`) is one
+``heapq`` event queue and one output plan per gate (net, table column,
+delay; :attr:`CompiledCircuit.event_plan`). It starts by evaluating the
+gates the constants alone decide, then applies the input levels at t = 0,
+and raises :class:`UnsettledOutputError` or :class:`SimulationTimeoutError`
+where it finds the failure. The batch settle (:func:`settle_batch`) is one
 levelized pass, vectorized with numpy over the gates of a level and kind
 and over input vectors; a gate with one input pin rides along as extra
 rows of the step that sets its input, read from a composed table
@@ -57,11 +58,12 @@ def _ticks(ps: float) -> int:
 
 @lru_cache(maxsize=None)
 def gate_tables() -> tuple:
-    """The kind tables of every kind in ``KINDS`` stacked in one array, and
-    each kind's first row in it."""
+    """The kind tables of every kind in ``KINDS`` stacked in one array, each
+    kind's first row in it, and the array's output columns as lists."""
     tables = [kind_table(kind) for kind in KINDS]
     first = np.cumsum([0] + [len(t) for t in tables]).tolist()
-    return np.concatenate(tables), dict(zip(KINDS, first))
+    table = np.concatenate(tables)
+    return table, dict(zip(KINDS, first)), [col.tolist() for col in table.T]
 
 
 class CompiledCircuit:
@@ -126,7 +128,7 @@ class CompiledCircuit:
 
         # per gate: its row of the stacked table at the initial levels; only
         # the constants' codes (level + 1) are not 0
-        table, first_row = gate_tables()
+        table, first_row, _ = gate_tables()
         row = [first_row[kind] for kind in self.gate_kind]
         for i, lvl in const.items():
             for g, w in self.fanout[i]:
@@ -139,6 +141,12 @@ class CompiledCircuit:
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
+
+    @cached_property
+    def event_plan(self) -> list:
+        """Per gate: (output net, table column as a list, delay in ticks) per output."""
+        return [tuple(zip(outs, gate_tables()[2], delays))
+                for outs, delays in zip(self.gate_out, self.gate_delay)]
 
     @cached_property
     def settle_plan(self) -> list:
@@ -259,12 +267,6 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
 # Event loop
 
 
-@lru_cache(maxsize=None)
-def _table_rows() -> list:
-    """The stacked table of :func:`gate_tables` as nested lists."""
-    return gate_tables()[0].tolist()
-
-
 def _timeout(why: str, comp: CompiledCircuit, pend_t: list, t: int) -> SimulationTimeoutError:
     """The error for an event loop stopped at tick ``t``, naming its
     pending nets (``pend_t``: per net, the tick of its pending event or -1)."""
@@ -294,14 +296,15 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
     delays are at least one tick. The measurement phase's stream is the
     stimulus, offset to the origin.
 
-    Inertial behavior: a pending event is kept if a gate's recomputed
-    target agrees, cancelled if the target reverted to the net's current
-    level (pulse absorbed), and replaced otherwise. Cancelled and replaced
-    entries stay queued and are skipped when popped.
+    Inertial behavior: per output in the plan of a gate an event fans out
+    to (net, table column and delay; :attr:`CompiledCircuit.event_plan`), a
+    pending event is kept if the target read from the column agrees,
+    cancelled if the target reverted to the net's current level (pulse
+    absorbed), and replaced otherwise. Cancelled and replaced entries stay
+    queued and are skipped when popped.
     """
     n_nets = comp.n_nets
-    table = _table_rows()
-    gout, gdelay, fanout = comp.gate_out, comp.gate_delay, comp.fanout
+    plan, fanout = comp.event_plan, comp.fanout
     cap, volt = comp.net_cap.tolist(), comp.net_rail
     cur = comp.net_init.tolist()
     row = comp.gate_row.tolist()
@@ -311,12 +314,12 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
     records: list = []
     push, pop, record = heapq.heappush, heapq.heappop, records.append
     for g in comp.const_gates:  # outputs are all X, nothing is pending
-        for o, target, d in zip(gout[g], table[row[g]], gdelay[g]):
-            if target != LVL_X:
+        for o, col, d in plan[g]:
+            if (target := col[row[g]]) != LVL_X:
                 pend_t[o], pend_v[o] = d, target
                 push(heap, d * n_nets + o)
 
-    events = origin = n_settle = t = t_q = 0
+    events = origin = n_settle = t = 0
     t_end = _END
     stream = [(0, net, lvl) for net, lvl in initial]
     for phase in (0, 1):
@@ -348,10 +351,10 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
                 break
             delta = lvl - cur[net]
             cur[net] = lvl
-            t_q = t
             for g, w in fanout[net]:
                 r = row[g] = row[g] + delta * w
-                for o, target, d in zip(gout[g], table[r], gdelay[g]):
+                for o, col, d in plan[g]:
+                    target = col[r]
                     if pend_t[o] >= 0:
                         if target == pend_v[o]:
                             continue
@@ -364,7 +367,7 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
             if x_ports:
                 raise UnsettledOutputError(
                     f"outputs {x_ports} still X at the end of the settle phase")
-            origin = t_q + gap_ticks
+            origin = (records[-1][0] if records else 0) + gap_ticks
             n_settle = len(records)
             stream = [(tick + origin, net, lvl) for tick, net, lvl in stimulus]
             t_end = origin + _ticks(duration_ps)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -200,7 +201,7 @@ def _check_stimulus(comp, stim: Stimulus) -> None:
             raise StimulusError(f"events on {port!r} collide at {t} ps (0.1 ps ticks)")
         seen[port] = t
     for port, lvl in list(stim.initial.items()) + [(p, l) for _, p, l in stim.events]:
-        lvl = _as_level(port, lvl)
+        lvl = lvl if type(lvl) is Level else _as_level(port, lvl)  # ints, floats: checked
         if lvl == Level.X:
             raise StimulusError(f"{port}: inputs cannot be driven to X")
         enc = comp.port_encoding[port]
@@ -335,11 +336,11 @@ def _step_delays(trace: Trace, dst_port: str) -> dict:
     """{step tick: delay (ps)} to the net's last transition after the step, up
     to the next step or the window's end; None when the net does not move."""
     steps = sorted({t for t, _, _ in trace.stim_events})
-    times = trace.times[trace.nets == trace.net_index(dst_port)]  # in time order
+    times = trace.times[trace.nets == trace.net_index(dst_port)].tolist()  # in time order
     ends = [*steps[1:], trace.origin_ticks + trace.duration_ticks]
-    lo, hi = (np.searchsorted(times, x, side="right") for x in (steps, ends))
-    return {t: float((times[h - 1] - t) * TICK_PS) if h > l else None
-            for t, l, h in zip(steps, lo.tolist(), hi.tolist())}
+    return {t: float((times[h - 1] - t) * TICK_PS)
+            if (h := bisect_right(times, end)) and times[h - 1] > t else None
+            for t, end in zip(steps, ends)}
 
 
 def measure_power(trace: Trace, window: tuple) -> float:

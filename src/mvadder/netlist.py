@@ -782,6 +782,18 @@ _INSTANCE_FIELDS = operator.itemgetter("id", "kind", *ELECTRICAL_NUMBERS, "outpu
 _PORT_FIELDS = operator.itemgetter("name", "direction", "encoding", "net")
 
 
+def _same_template(old: tuple, new: tuple) -> bool:
+    """Whether an instance's (output encoding, inventory rows, pin_encodings) are a
+    template's: the same encodings, or equal ones of the same voltage types."""
+    o, n = old[2], new[2]
+    if old[0] is new[0] and len(o) == len(n) and all(
+            map(operator.is_, map(o.__getitem__, n), n.values())):
+        return old[1] == new[1]
+    return old[:3] == new and all(
+        [*map(type, a["level_voltages"])] == [*map(type, b["level_voltages"])]
+        for a, b in zip([old[0], *map(o.__getitem__, n)], [new[0], *n.values()]))
+
+
 def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistError:
     """The NetlistError for a ``kind`` entry (or the whole netlist) whose
     field ``key`` raised ``exc`` while parsed. ``key`` is None while the
@@ -796,27 +808,26 @@ def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistErro
 
 @gc_paused
 def from_json(data: dict) -> Circuit:
-    """Rebuild a circuit from its interchange form. Equal encodings become
-    one :class:`SignalEncoding`, instances with equal kind, electrical
-    numbers, output encoding and inventory share one :class:`GatePrimitive`,
-    as in a :func:`build_cpa` chain, and equal ``pin_encodings`` share one
-    map. An encoding is looked up by its name and confirmed as the same
-    voltages list or by comparing its voltages with ``==`` and by type
-    (0 == 0.0, but each dumps apart). An instance is looked up in a cache
-    of the templates of :func:`to_json`, keyed by its kind, numbers and
-    output encoding's name, and confirmed by comparing the rest of the
-    template (output encoding, inventory rows and ``pin_encodings``) with
-    ``==``; a miss interns its primitive and map by their full values. No
-    input dict is keyed by identity, so a dict parsed from a file loads by
-    the same path as one shared by :func:`to_json`. Raises NetlistError
-    naming the port, net or instance and the field on a missing or
-    malformed field, a duplicate id, a bad number, a constant level outside
-    its net's encoding, and, from the circuit's one pass, a pin unbound or
-    bound to a missing net, a gate output on a net already driven, or a
-    net's ``driver`` other than its first driver."""
+    """Rebuild a circuit from its interchange form. Equal encodings become one
+    :class:`SignalEncoding`, instances with equal kind, electrical numbers,
+    output encoding and inventory share one :class:`GatePrimitive`, as in a
+    :func:`build_cpa` chain, and equal ``pin_encodings`` share one map. An
+    encoding is looked up by its name and confirmed as the same voltages list or
+    by comparing its voltages with ``==`` and by type (0 == 0.0, but each dumps
+    apart). An instance is looked up in a cache of the templates of
+    :func:`to_json`, keyed by its kind, numbers and output encoding's name, and
+    confirmed by the rest of the template (output encoding, inventory rows and
+    ``pin_encodings``) by identity, else by ``==`` and the voltages' types; a
+    miss interns its primitive and map by their full values and types. No input
+    dict is keyed by identity, so a dict parsed from a file loads by the same
+    path as one shared by :func:`to_json`. Raises NetlistError naming the port,
+    net or instance and the field on a missing or malformed field, a duplicate
+    id, a bad number, a constant level outside its net's encoding, and, from the
+    circuit's one pass, a pin unbound or bound to a missing net, a gate output
+    on a net already driven, or a net's ``driver`` other than its first driver."""
     encs: dict = {}  # (name, voltages, their types) -> SignalEncoding
     by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
-    prims: dict = {}  # (kind, *numbers, *their types, output encoding, inventory) -> primitive
+    prims: dict = {}  # (kind, *numbers, *their types, id(output encoding), inventory) -> primitive
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
     # (kind, *numbers, *their types, output encoding name) -> the last template given with them:
     # (output encoding, inventory rows and pin_encodings as given, primitive, map)
@@ -881,7 +892,7 @@ def from_json(data: dict) -> Circuit:
             try:
                 tkey = (gate, *typed, out_enc["name"])
                 hit = templates.get(tkey)
-                if hit is not None and hit[:3] != (out_enc, rows, pin_encodings):
+                if hit is not None and not _same_template(hit, (out_enc, rows, pin_encodings)):
                     hit = None
             except _MALFORMED:  # parsing below names the field
                 tkey = hit = None
@@ -889,7 +900,7 @@ def from_json(data: dict) -> Circuit:
                 key = "output_encoding"
                 out_encoding = enc(out_enc)
                 key = "inventory"
-                pkey = (gate, *typed, out_encoding, tuple(map(tuple, rows)))
+                pkey = (gate, *typed, id(out_encoding), tuple(map(tuple, rows)))
                 try:
                     prim = prims.get(pkey)
                 except TypeError:

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .engine import (
@@ -109,6 +108,7 @@ def compare(configs, lib: CellLibrary | None = None, threads: int = 1) -> list:
     configs = list(configs)
     if threads <= 1:
         return [measure_config(c, lib) for c in configs]
+    from concurrent.futures import ThreadPoolExecutor  # imported for a pool only
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda c: measure_config(c, lib), configs))
 

@@ -132,6 +132,57 @@ def test_measure_delay_bad_event_index():
         measure_delay(tr, "A", 3, "Y")
 
 
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_step_delays_equal_a_scan_of_the_records_on_random_circuits(seed):
+    """Per step, a net's delay is its last transition after the step and at
+    or before the next step (or the window's end), or None. The first step
+    drives two ports at once; a later step falls on the tick of a gate
+    transition of the trace so far, when there is one, or on a half-ps
+    step; one window in two ends on the last transition; and the constant
+    nets never move."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_gates=int(rng.integers(1, 30)))
+    comp = _kernel.compile_circuit(c)
+    ports = sorted(comp.in_port_net)
+    level = {p: int(rng.integers(comp.port_encoding[p].radix)) for p in ports}
+    initial = {p: L(v) for p, v in level.items()}
+    events, t = [], 1
+
+    def run(duration_ps: float):
+        return simulate(c, Stimulus(initial=initial, events=tuple(events),
+                                    duration_ps=duration_ps))
+
+    for k in range(int(rng.integers(1, 6))):
+        tr = run(1e5)
+        later = [int(x) - tr.origin_ticks for x, src in zip(tr.times, tr.srcs)
+                 if src == 0 and x - tr.origin_ticks > t]
+        t = int(rng.choice(later)) if later and rng.integers(2) else t + 5 * int(rng.integers(1, 400))
+        for p in rng.choice(ports, 2 if k == 0 else 1, replace=False).tolist():
+            radix = comp.port_encoding[p].radix
+            level[p] = (level[p] + int(rng.integers(1, radix))) % radix
+            events.append((t / 10, p, L(level[p])))
+    tr = run(1e5)
+    if rng.integers(2):
+        tr = run((int(tr.times[-1]) - tr.origin_ticks) / 10)
+    steps = sorted({t for t, _, _ in tr.stim_events})
+    ends = [*steps[1:], tr.origin_ticks + tr.duration_ticks]
+    for ni, net in enumerate(comp.net_ids):
+        want = []
+        for t, end in zip(steps, ends):
+            moves = [int(x) for x, n in zip(tr.times, tr.nets) if n == ni and t < x <= end]
+            want.append(((t - tr.origin_ticks) * _kernel.TICK_PS,
+                         (max(moves) - t) * _kernel.TICK_PS if moves else None))
+        assert step_response_delays(tr, net) == want
+        if net.startswith("k"):
+            assert all(d is None for _, d in want)
+        by_tick = dict(zip(steps, (d for _, d in want)))
+        for src in ports:
+            ticks = [t for t, p, _ in tr.stim_events if p == src]
+            assert [measure_delay(tr, src, k, net) for k in range(len(ticks))] == [
+                by_tick[t] for t in ticks]
+
+
 # --------------------------------------------------------------------------
 # Quiescence, settle accounting, errors
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, the package
 reads each private name a module defines at its top level, and some call
-passes each defaulted parameter of a private function.
+passes each defaulted parameter of a private function. Importing the CLI
+loads no thread pool.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -8,6 +9,8 @@ only re-exports, and elsewhere ``from m import name as name`` marks a
 deliberate re-export, as linters read it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +140,10 @@ def test_the_check_finds_a_default_no_call_passes():
 def test_every_default_of_a_private_function_is_passed_somewhere():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unpassed_defaults(sources) == []
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    """``report`` imports ``concurrent.futures`` only for ``compare(threads > 1)``."""
+    code = "import sys, mvadder.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -431,6 +431,25 @@ def test_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(nid):
     assert c.nets[nid].encoding is not c.nets["B" if nid == "A" else "A"].encoding
 
 
+@pytest.mark.parametrize("iid", ["d1.mux2_sum", "d0.mux2_sum"])
+@pytest.mark.parametrize("field", ["output_encoding", "pin_encodings"])
+def test_instance_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(iid, field):
+    """An instance whose output or first pin encoding starts at 0 where its
+    twin in the other digit has 0.0 shares neither primitive nor pin map
+    with it, whichever comes first, and the reload dumps the edit as made."""
+    blob = json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 2))))
+    entry = _entry(blob, "instances", iid)
+    enc = entry[field] if field == "output_encoding" else next(iter(entry[field].values()))
+    enc["level_voltages"][0] = 0
+    text = json.dumps(blob)
+    for data in (blob, json.loads(text)):
+        c = from_json(data)
+        assert json.dumps(to_json(c)) == text
+        twin = c.instances["d0.mux2_sum" if iid == "d1.mux2_sum" else "d1.mux2_sum"]
+        assert c.instances[iid].primitive is not twin.primitive or (
+            c.instances[iid].pin_encodings is not twin.pin_encodings)
+
+
 def test_an_encoding_name_that_cannot_be_a_key_names_the_field():
     blob = to_json(build_qfa("qfa2", 0.9))
     blob["nets"][0] = {**blob["nets"][0], "encoding": {"name": ["quat"], "level_voltages": [0.0]}}
