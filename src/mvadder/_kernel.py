@@ -141,6 +141,7 @@ class CompiledCircuit:
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
+        self.port_plans: dict = {}  # engine.settle_matrix's checked port lists and their arrays
 
     @cached_property
     def event_plan(self) -> list:
@@ -215,6 +216,11 @@ class CompiledCircuit:
                          (np.array(codes) + 1).astype(CODE), np.array(outs, np.intp).T))
         return plan
 
+    @cached_property
+    def settle_init(self) -> np.ndarray:
+        """:func:`settle_batch`'s initial codes: per net, then the scratch net."""
+        return (np.append(self.net_init, LVL_X) + 1).astype(CODE)[:, None]
+
 
 def compile_circuit(circuit) -> CompiledCircuit:
     """Compile (see :class:`CompiledCircuit`) once; the circuit keeps it."""
@@ -248,17 +254,16 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
     and the gates it never evaluates are those whose table entry at the
     constants and X is X on every output.
     """
-    plan = comp.settle_plan
-    init = (np.append(comp.net_init, LVL_X) + 1).astype(CODE)[:, None]  # and scratch
+    plan, init = comp.settle_plan, comp.settle_init
     out = np.empty((len(vectors), len(out_nets)), np.int64)
     for r0 in range(0, len(vectors), _BLOCK_ROWS):
         block = vectors[r0: r0 + _BLOCK_ROWS]
         codes = np.repeat(init, len(block), axis=1)
         codes[in_nets] = block.T + 1
-        for ins, weights, table, outs in plan:  # codes[ins]: (hosts, k, vectors)
-            idx = codes[ins] if ins.ndim == 1 else weights @ codes[ins]
-            codes[outs] = table.take(idx, axis=1)
-        out[r0: r0 + len(block)] = codes[out_nets].T
+        for ins, weights, table, outs in plan:  # take(): codes[ins], (hosts, k, vectors)
+            idx = codes.take(ins, axis=0)
+            codes[outs] = table.take(idx if ins.ndim == 1 else weights @ idx, axis=1)
+        out[r0: r0 + len(block)] = codes.take(out_nets, axis=0).T
     out -= 1
     return out
 

@@ -29,6 +29,9 @@ SETTLE_GAP_TICKS = 10_000  # 1 ns
 
 _MAX_EVENTS_PER_NET = 10_000
 
+#: Port lists :func:`settle_matrix` keeps resolved per compiled circuit.
+_PORT_PLANS = 8
+
 #: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
 
@@ -256,16 +259,25 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     and over the rows (see :func:`_kernel.settle_batch`); it gives the final
     levels :func:`simulate` reaches after its settle phase: every gate at
     its truth-table entry for its settled inputs, with X where no input
-    combination decides it."""
+    combination decides it. The compiled circuit keeps a few checked port
+    lists with their arrays; the vectors are checked on every call."""
     comp = compile_circuit(circuit)
-    in_ports = list(in_ports)
-    for p in in_ports:
-        if not isinstance(p, str):  # a list is unhashable
-            raise StimulusError(f"in_ports: {p!r} is not an input port of the circuit")
-    if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):
-        raise StimulusError(
-            f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
-        )
+    in_ports = tuple(in_ports)
+    key = (in_ports, None if out_ports is None else tuple(out_ports))
+    # a hit only for exact str entries, which the checks below took before
+    exact = {*map(type, in_ports), *map(type, key[1] or ())} <= {str}
+    plan = comp.port_plans.get(key) if exact else None
+    if plan is None:
+        for p in in_ports:
+            if not isinstance(p, str):  # a list is unhashable
+                raise StimulusError(f"in_ports: {p!r} is not an input port of the circuit")
+        if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):
+            raise StimulusError(
+                f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
+            )
+        radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
+    else:
+        radix, in_nets, out_ports, out_nets = plan
     # tested first: an integer array takes no extra pass; anything else, a
     # list too, is checked entry by entry as given (so True is not taken for 1)
     if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
@@ -283,7 +295,6 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
     vectors = np.ascontiguousarray(vectors, dtype=np.int64)
-    radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
     # as uint64 a negative level is huge, so one comparison checks both ends
     bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
     if len(bad):
@@ -292,14 +303,17 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         raise StimulusError(f"{in_ports[col]}: levels outside {radix[col]}-level encoding, "
                             f"first at vector row {row}")
 
-    in_nets = np.array([comp.in_port_net[p] for p in in_ports], np.int64)
-    if out_ports is None:
-        out_ports = sorted(comp.out_port_net)
-    out_ports = list(out_ports)
-    for p in out_ports:
-        if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
-            raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
-    out_nets = np.array([comp.out_port_net[p] for p in out_ports], np.int64)
+    if plan is None:
+        out_ports = sorted(comp.out_port_net) if out_ports is None else key[1]
+        for p in out_ports:
+            if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
+                raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
+        in_nets = np.array([comp.in_port_net[p] for p in in_ports], np.int64)
+        out_nets = np.array([comp.out_port_net[p] for p in out_ports], np.int64)
+        if exact:
+            if len(comp.port_plans) >= _PORT_PLANS:
+                comp.port_plans.clear()  # atomic, unlike evicting one entry
+            comp.port_plans[key] = radix, in_nets, out_ports, out_nets
     out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
         x = out_lvls < 0

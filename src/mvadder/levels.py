@@ -212,15 +212,16 @@ def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
             or carry.shape != a.shape[:1]):
         raise DomainError(f"need radix 2 or 4, (rows, digits) a and b and (rows,) cin; "
                           f"got radix {radix}, {a.shape}, {b.shape}, {carry.shape}")
-    # as uint64 a negative digit is huge, so one comparison checks both ends
-    if (np.stack([a, b]).view(np.uint64) >= radix).any() or (carry.view(np.uint64) > 1).any():
+    # as uint64 a negative digit is huge, so one maximum checks both ends
+    if max(a.view(np.uint64).max(initial=0), b.view(np.uint64).max(initial=0)) >= radix or (
+            carry.view(np.uint64).max(initial=0) > 1):
         raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
     bits = int(radix).bit_length() - 1  # per digit
     per = 60 // bits  # digits per chunk: two chunks and a carry add up below 2**61
     total, sums = a + b, np.empty_like(a)
     for lo in range(0, a.shape[1], per):
         shifts = np.arange(min(per, a.shape[1] - lo)) * bits
-        chunk = (total[:, lo: lo + per] << shifts).sum(axis=1) + carry
+        chunk = total[:, lo: lo + per] @ (1 << shifts) + carry  # times the place values
         sums[:, lo: lo + per] = chunk[:, None] >> shifts & (radix - 1)
         carry = chunk >> (len(shifts) * bits)
     return sums, carry

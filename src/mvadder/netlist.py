@@ -727,7 +727,7 @@ def to_json(c: Circuit) -> dict:
     dicts and inventory lists are shared: copy one to change it. A net's
     ``driver`` is its first driver from :func:`_analyse`, null for none."""
     # keyed by id(): the circuit keeps every encoding, primitive and map alive
-    encs: dict = {}
+    encs: dict = {}  # id(encoding) -> its dict, id(inventory) -> its rows
     templates: dict = {}  # (id(primitive), id(pin_encodings)) -> (entry, pin_encodings)
     driver = _analysed(c).driver
 
@@ -763,7 +763,8 @@ def to_json(c: Circuit) -> dict:
             t = templates[id(prim), id(pin_enc)] = (
                 {"id": None, "kind": prim.kind, **{f: getattr(p, f) for f in ELECTRICAL_NUMBERS},
                  "output_encoding": enc(p.output_encoding),
-                 "inventory": _inv_to_json(prim.inventory),
+                 "inventory": encs.get(id(prim.inventory)) or encs.setdefault(
+                     id(prim.inventory), _inv_to_json(prim.inventory)),
                  "pins": None, "pin_encodings": None, "cell_tag": None},
                 {pin: enc(e) for pin, e in pin_enc.items()})
         entry = t[0].copy()  # cheaper than {**t[0], ...}, and keeps the template's key order
@@ -782,16 +783,23 @@ _INSTANCE_FIELDS = operator.itemgetter("id", "kind", *ELECTRICAL_NUMBERS, "outpu
 _PORT_FIELDS = operator.itemgetter("name", "direction", "encoding", "net")
 
 
+def _template_types(out_enc: dict, rows: list, pin_encodings: dict) -> tuple:
+    """An instance template's pin order, then the types of its output and pin
+    voltages and of its inventory entries (1 == 1.0 == True, but each dumps or
+    parses apart)."""
+    return (*pin_encodings, *map(type, itertools.chain(
+        out_enc["level_voltages"], *[e["level_voltages"] for e in pin_encodings.values()], *rows)))
+
+
 def _same_template(old: tuple, new: tuple) -> bool:
     """Whether an instance's (output encoding, inventory rows, pin_encodings) are a
-    template's: the same encodings, or equal ones of the same voltage types."""
+    template's: the same objects in the same pin order, or equal ones of the
+    template's pin order and types (:func:`_template_types`, stored as ``old[5]``)."""
     o, n = old[2], new[2]
-    if old[0] is new[0] and len(o) == len(n) and all(
-            map(operator.is_, map(o.__getitem__, n), n.values())):
-        return old[1] == new[1]
-    return old[:3] == new and all(
-        [*map(type, a["level_voltages"])] == [*map(type, b["level_voltages"])]
-        for a, b in zip([old[0], *map(o.__getitem__, n)], [new[0], *n.values()]))
+    if old[0] is new[0] and old[1] is new[1] and [*o] == [*n] and all(
+            map(operator.is_, o.values(), n.values())):
+        return True
+    return old[:3] == new and old[5] == _template_types(*new)
 
 
 def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistError:
@@ -830,7 +838,7 @@ def from_json(data: dict) -> Circuit:
     prims: dict = {}  # (kind, *numbers, *their types, id(output encoding), inventory) -> primitive
     pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
     # (kind, *numbers, *their types, output encoding name) -> the last template given with them:
-    # (output encoding, inventory rows and pin_encodings as given, primitive, map)
+    # (output encoding, inventory rows and pin_encodings as given, primitive, map, their types)
     templates: dict = {}
 
     def enc(d: dict) -> SignalEncoding:
@@ -900,7 +908,8 @@ def from_json(data: dict) -> Circuit:
                 key = "output_encoding"
                 out_encoding = enc(out_enc)
                 key = "inventory"
-                pkey = (gate, *typed, id(out_encoding), tuple(map(tuple, rows)))
+                pkey = (gate, *typed, id(out_encoding), tuple(map(tuple, rows)),
+                        *map(type, itertools.chain(*rows)))
                 try:
                     prim = prims.get(pkey)
                 except TypeError:
@@ -915,7 +924,8 @@ def from_json(data: dict) -> Circuit:
                 shared = (*pin_map, *map(id, pin_map.values()))
                 pin_map = pin_maps.get(shared) or pin_maps.setdefault(
                     shared, MappingProxyType(pin_map))
-                hit = (out_enc, rows, pin_encodings, prim, pin_map)
+                hit = (out_enc, rows, pin_encodings, prim, pin_map,
+                       _template_types(out_enc, rows, pin_encodings))
                 if tkey is not None:
                     templates[tkey] = hit
             key = "pins"

@@ -5,6 +5,8 @@ CPA is checked exhaustively when small, by seeded random vectors otherwise."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .engine import settle_matrix
@@ -54,7 +56,7 @@ def _adder_mismatches(adder: Circuit, ports: tuple, vectors: int = 10_000,
 
     a, b = mat[:, 1: 1 + n_digits], mat[:, 1 + n_digits:]
     want_sum, want_cout = cpa_oracle_rows(a, b, mat[:, 0], radix)
-    rows = np.flatnonzero((got != np.column_stack([want_sum, want_cout])).any(axis=1))
+    rows = np.flatnonzero((got[:, :-1] != want_sum).any(axis=1) | (got[:, -1] != want_cout))
     bad = [f"A={tuple(a[r].tolist())} B={tuple(b[r].tolist())} Cin={mat[r, 0]}: got "
            f"S+C={tuple(got[r].tolist())}, want S={tuple(want_sum[r].tolist())} C={want_cout[r]}"
            for r in rows[:_MAX_REPORTED]]
@@ -84,8 +86,14 @@ def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
     n_digits = whole("n_digits", n_digits)
     if n_digits < 1:
         raise DomainError(f"n_digits must be >= 1, got {n_digits}")
-    a, b, s = ([f"{p}{i}" for i in range(n_digits)] for p in "ABS")
-    return _adder_mismatches(cpa, (a, b, s, "C0", f"C{n_digits}"), vectors, seed, exhaustive)
+    return _adder_mismatches(cpa, _cpa_ports(n_digits), vectors, seed, exhaustive)
+
+
+@lru_cache(maxsize=64)
+def _cpa_ports(n_digits: int) -> tuple:
+    """An ``n_digits`` :func:`~mvadder.netlist.build_cpa` chain's ports, as checked."""
+    a, b, s = (tuple(f"{p}{i}" for i in range(n_digits)) for p in "ABS")
+    return a, b, s, "C0", f"C{n_digits}"
 
 
 def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,

@@ -646,6 +646,50 @@ def test_settle_matrix_names_the_port_and_row_at_fault(in_ports, vectors, out_po
         settle_matrix(c, in_ports, vectors, out_ports)
 
 
+def test_settle_matrix_resolves_a_port_list_once_and_checks_every_call():
+    """The first call with a port list resolves it, later ones reuse it: the
+    same levels, and the same error for each bad call after a good one."""
+    c = build_cpa(build_qfa("qfa2", 0.9), 2)
+    ins, outs = ["C0", "A0", "A1", "B0", "B1"], ["S0", "S1", "C2"]
+    vectors = np.array([[1, 3, 2, 1, 0], [0, 0, 3, 3, 3]])
+    comp = _kernel.compile_circuit(c)
+    assert comp.port_plans == {}
+    cold = settle_matrix(c, ins, vectors, outs)
+    assert list(comp.port_plans) == [(tuple(ins), tuple(outs))]
+    # 11 + 1 + 1 = 13 and 12 + 15 = 27, in base-4 digits and a carry
+    assert settle_matrix(c, tuple(ins), vectors, outs).tolist() == cold.tolist() == [
+        [1, 3, 0], [3, 2, 1]]
+    assert settle_matrix(c, ins, vectors).tolist() == settle_matrix(c, ins, vectors).tolist()
+    everything = r"in_ports must cover exactly the input ports \['A0', 'A1', 'B0', 'B1', 'C0'\]"
+    for in_ports, rows, out_ports, match in [
+        ([["C0"], *ins[1:]], vectors, outs, r"in_ports: \['C0'\] is not an input port"),
+        ([True, *ins[1:]], vectors, outs, "in_ports: True is not an input port"),
+        (ins[:-1], vectors[:, :-1], outs, everything),
+        ([*ins, "S0"], vectors[:, [0, 1, 2, 3, 4, 4]], outs, everything),
+        (ins, vectors, ["S0", "A0"], "out_ports: 'A0' is not an output port"),
+        (ins, vectors, [["S0"]], r"out_ports: \['S0'\] is not an output port"),
+        (ins, vectors + [[0, 0, 1, 0, 0]], outs,
+         "A1: levels outside 4-level encoding, first at vector row 1"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(StimulusError, match=f"^{match}"):
+                settle_matrix(c, in_ports, rows, out_ports)
+    assert settle_matrix(c, ins, vectors, outs).tolist() == cold.tolist()
+
+
+def test_settle_matrix_keeps_at_most_its_cap_of_port_lists():
+    c = build_cpa(build_qfa("qfa2", 0.9), 2)
+    ins = ["C0", "A0", "A1", "B0", "B1"]
+    vectors = np.array([[1, 3, 2, 1, 0], [0, 0, 3, 3, 3]])
+    want = settle_matrix(c, ins, vectors)
+    comp = _kernel.compile_circuit(c)
+    for order in itertools.islice(itertools.permutations(range(5)), 41):
+        got = settle_matrix(c, [ins[i] for i in order], vectors[:, order])
+        assert got.tolist() == want.tolist()
+        assert (tuple(ins[i] for i in order), None) in comp.port_plans
+        assert len(comp.port_plans) <= engine._PORT_PLANS
+
+
 def test_settle_matrix_checks_levels_entry_by_entry_only_off_integer_arrays(monkeypatch):
     c = build_qfa("qfa2", 0.9)
     want = settle_matrix(c, ["A", "B", "Cin"], [[2, 1, 1], [3, 3, 0]]).tolist()

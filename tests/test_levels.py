@@ -254,6 +254,28 @@ def test_cpa_oracle_rows_rejects_bad_operands():
     assert sums.tolist() == [[1, 0, 2]] and couts.tolist() == [0]
 
 
+@pytest.mark.parametrize("radix", [2, 4])
+def test_cpa_oracle_rows_reads_slices_as_their_copies(radix):
+    """Strided views, as verify passes the columns of its matrix, give the
+    results of contiguous copies; a bad digit in any of them is named alike."""
+    n = 70
+    rng = np.random.default_rng(radix)
+    mat = rng.integers(0, radix, (9, 1 + 2 * n))
+    mat[:, 0] %= 2
+    a, b, cin = mat[::2, 1: 1 + 2 * n: 2], mat[::2, 2: 2 + 2 * n: 2], mat[::2, 0]
+    assert not (a.flags.c_contiguous or b.flags.c_contiguous or cin.flags.c_contiguous)
+    got = cpa_oracle_rows(a, b, cin, radix)
+    want = cpa_oracle_rows(a.copy(), b.copy(), cin.copy(), radix)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    for which, bad in [(0, radix), (0, -1), (1, radix), (1, -1), (2, 2), (2, -1)]:
+        edited = mat.copy()
+        edited[4, 0 if which == 2 else 1 + which + 2 * (n // 2)] = bad
+        views = edited[::2, 1: 1 + 2 * n: 2], edited[::2, 2: 2 + 2 * n: 2], edited[::2, 0]
+        with pytest.raises(DomainError, match=fr"^digit out of range \[0, {radix}\) or "
+                                              r"carry-in out of \[0, 2\)$"):
+            cpa_oracle_rows(*views, radix)
+
+
 @pytest.mark.parametrize("value, want", [
     (2.0, 2), (2, 2), (np.float64(2.0), 2), (2.5, None), ("2", None), (True, None),
     (float("nan"), None), (float("inf"), None), (10 ** 400, None),

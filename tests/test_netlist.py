@@ -450,6 +450,30 @@ def test_instance_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(
             c.instances[iid].pin_encodings is not twin.pin_encodings)
 
 
+@pytest.mark.parametrize("iid", ["d1.mux2_sum", "d0.mux2_sum"])
+def test_an_inventory_count_equal_to_its_twins_but_a_bool_is_rejected(iid):
+    """True == 1, but a bool is no count: after its twin, as before it."""
+    blob = json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 2))))
+    for twin in ("d0.mux2_sum", "d1.mux2_sum"):
+        _entry(blob, "instances", twin)["inventory"][0][2] = 1
+    from_json(json.loads(json.dumps(blob)))
+    _entry(blob, "instances", iid)["inventory"][0][2] = True
+    with pytest.raises(NetlistError, match=fr"^instance '{iid}': field 'inventory': inventory "
+                                           r"entry must hold whole numbers: \['N', 19, True\]$"):
+        from_json(blob)
+
+
+# a mux4's pins all share one encoding: a reversed order keeps each position's encoding
+@pytest.mark.parametrize("iid", ["d1.mux2_sum", "d0.mux2_sum", "d1.mux_sum0"])
+def test_pin_encodings_in_another_order_than_the_twins_round_trip_byte_for_byte(iid):
+    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 2))
+    entry = _entry(blob, "instances", iid)
+    entry["pin_encodings"] = dict(reversed(entry["pin_encodings"].items()))
+    text = json.dumps(blob)
+    for data in (blob, json.loads(text)):  # the encodings shared as to_json gives them, or parsed
+        assert json.dumps(to_json(from_json(data))) == text
+
+
 def test_an_encoding_name_that_cannot_be_a_key_names_the_field():
     blob = to_json(build_qfa("qfa2", 0.9))
     blob["nets"][0] = {**blob["nets"][0], "encoding": {"name": ["quat"], "level_voltages": [0.0]}}
