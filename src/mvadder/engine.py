@@ -397,7 +397,7 @@ def worst_case_stimulus(target: str, kind: str, *, step_ps: float = STEP_PS) -> 
     two-cell binary slice takes each A and B digit as two bits, least
     significant first, and a step drives only the bits that change.
     """
-    kind = kind.lower()
+    kind = kind.lower() if isinstance(kind, str) else kind
     if target not in ("input_to_carry", "carry_to_carry"):
         raise DomainError(f"unknown stimulus target {target!r}")
     if kind not in CELL_KINDS:

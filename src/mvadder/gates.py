@@ -337,6 +337,11 @@ _DEFAULT_CELLS = {
 }
 
 
+#: Primitives :meth:`CellLibrary.make_primitive` keeps, shared by every library and build.
+_PRIMITIVES_KEPT = 256
+_primitives: dict = {}  # (kind, supply, its type, id(encoding), inventory) -> (spec, primitive)
+
+
 class CellLibrary:
     """Per-kind :class:`CellSpec` table used by the circuit generators."""
 
@@ -345,7 +350,6 @@ class CellLibrary:
         if missing:
             raise LibraryError(f"library missing kinds: {missing}")
         self.cells = dict(cells)
-        self._primitives: dict = {}  # (kind, supply, encoding name, inventory) -> (spec, primitive)
 
     @classmethod
     def default(cls) -> "CellLibrary":
@@ -358,10 +362,12 @@ class CellLibrary:
         output_encoding: SignalEncoding,
         inventory: TransistorInventory | None = None,
     ) -> GatePrimitive:
-        """The primitive of ``kind``; equal requests for one spec and encoding object share one."""
+        """The primitive of ``kind``; equal requests for one spec and encoding
+        object share one, across libraries and builds. The stored primitive
+        holds the encoding, so the id in its key names no other object."""
         spec = self.cells[kind]
-        key = (kind, supply_voltage, output_encoding.name, inventory)
-        hit = self._primitives.get(key)
+        key = (kind, supply_voltage, type(supply_voltage), id(output_encoding), inventory)
+        hit = _primitives.get(key)
         if hit is not None and hit[0] is spec and hit[1].params.output_encoding is output_encoding:
             return hit[1]
         params = ElectricalParams(
@@ -372,7 +378,9 @@ class CellLibrary:
             threshold_voltage=spec.threshold_voltage,
             output_encoding=output_encoding,
         )
-        hit = self._primitives[key] = spec, GatePrimitive(kind, params, inventory or spec.inventory)
+        if len(_primitives) >= _PRIMITIVES_KEPT:
+            _primitives.clear()  # atomic, unlike evicting one entry
+        hit = _primitives[key] = spec, GatePrimitive(kind, params, inventory or spec.inventory)
         return hit[1]
 
 

@@ -11,6 +11,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,9 @@ class SignalEncoding:
         return len(self.level_voltages)
 
 
+# Encodings are frozen, so each constructor returns one shared object per
+# supply; typed, so an encoding keeps its supply's type (1 dumps as 1).
+@lru_cache(maxsize=64, typed=True)
 def quaternary(vdd: float) -> SignalEncoding:
     """Four full-swing levels at 0, vdd/3, 2*vdd/3, vdd."""
     return SignalEncoding(
@@ -107,11 +111,13 @@ def quaternary(vdd: float) -> SignalEncoding:
     )
 
 
+@lru_cache(maxsize=64, typed=True)
 def binary_full(vdd: float) -> SignalEncoding:
     """Two levels at 0 and vdd (full-swing binary rail)."""
     return SignalEncoding(f"bin@{vdd:g}", (0.0, vdd))
 
 
+@lru_cache(maxsize=64, typed=True)
 def third_swing(vdd: float) -> SignalEncoding:
     """Two levels at 0 and vdd/3 (reduced-swing binary carry rail)."""
     return SignalEncoding(f"bin3rd@{vdd:g}", (0.0, vdd / 3.0))

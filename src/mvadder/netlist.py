@@ -256,7 +256,7 @@ def build_qfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
     inverter. QFA1 runs that inverter from vdd/3 (reduced carry swing),
     QFA2 from vdd (full carry swing).
     """
-    variant = variant.lower()
+    variant = variant.lower() if isinstance(variant, str) else variant
     if variant not in ("qfa1", "qfa2"):
         raise NetlistError(f"unknown quaternary variant {variant!r}")
     _check_vdd(vdd)
@@ -338,7 +338,7 @@ def build_bfa(variant: str, vdd: float = 0.9, lib: CellLibrary | None = None,
     gates. BFA2 is the 14T transmission-gate style: a dual-rail XOR and two
     select-inverter-free TG muxes.
     """
-    variant = variant.lower()
+    variant = variant.lower() if isinstance(variant, str) else variant
     if variant not in ("bfa1", "bfa2"):
         raise NetlistError(f"unknown binary variant {variant!r}")
     _check_vdd(vdd)
@@ -408,26 +408,34 @@ def build_cpa(cell: Circuit, n_digits: int, cl: float = 0.0) -> Circuit:
     missing = _ADDER_PORTS - set(cell.ports)
     if missing:
         raise NetlistError(f"cell lacks adder ports: {sorted(missing)}")
-    enc_d = cell.ports["A"].encoding
-    enc_c = cell.ports["Cin"].encoding
-    if cell.ports["Cout"].encoding.level_voltages != enc_c.level_voltages:
+    if cell.ports["Cout"].encoding.level_voltages != cell.ports["Cin"].encoding.level_voltages:
         raise NetlistError("cell carry-in and carry-out encodings differ; not chainable")
 
-    b = _Builder(f"{cell.name}_cpa{n_digits}", CellLibrary.default())
-    carries = [b.port("C0", "in", enc_c)]
-    for i in range(1, n_digits):
-        carries.append(b.net(f"C{i}", enc_c))
-    carries.append(b.port(f"C{n_digits}", "out", enc_c, external_load=cl))
-    for i in range(n_digits):
-        a = b.port(f"A{i}", "in", enc_d)
-        bb = b.port(f"B{i}", "in", enc_d)
-        s = b.port(f"S{i}", "out", enc_d, external_load=cl)
-        b.copy_cell(cell, f"d{i}.", f"d{i}",
-                    {"A": a, "B": bb, "Cin": carries[i],
-                     "Sum": s, "Cout": carries[i + 1]})
+    b = _chain(f"{cell.name}_cpa{n_digits}", cell, [f"C{i}" for i in range(n_digits + 1)],
+               "d", cl)
     meta = {k: v for k, v in cell.metadata.items()
             if k not in ("adder_cell", "cell_kinds", "cell_inventory_overrides")}
     return b.finalize(n_digits=n_digits, cl=cl, **meta)
+
+
+def _chain(name: str, cell: Circuit, carries, prefix: str, cl: float) -> _Builder:
+    """A builder holding copy i of ``cell`` (ids prefixed ``{prefix}{i}.``,
+    tagged ``{prefix}{i}``) for each link ``carries[i]`` -> ``carries[i + 1]``
+    of the carry chain, with ports A{i}, B{i} in and S{i} out. The first
+    carry is an in port, the last an out port; ``cl`` loads every out port."""
+    enc_d, enc_c = cell.ports["A"].encoding, cell.ports["Cin"].encoding
+    b = _Builder(name, CellLibrary.default())
+    b.port(carries[0], "in", enc_c)
+    for nid in carries[1:-1]:
+        b.net(nid, enc_c)
+    b.port(carries[-1], "out", enc_c, external_load=cl)
+    for i in range(len(carries) - 1):
+        a = b.port(f"A{i}", "in", enc_d)
+        bb = b.port(f"B{i}", "in", enc_d)
+        s = b.port(f"S{i}", "out", enc_d, external_load=cl)
+        b.copy_cell(cell, f"{prefix}{i}.", f"{prefix}{i}",
+                    {"A": a, "B": bb, "Cin": carries[i], "Sum": s, "Cout": carries[i + 1]})
+    return b
 
 
 def build_binary_slice(variant: str, vdd: float = 0.9,
@@ -436,19 +444,7 @@ def build_binary_slice(variant: str, vdd: float = 0.9,
 
     Ports A0/A1, B0/B1 (bit 0 = LSB), Cin, S0/S1, Cout.
     """
-    cell = build_bfa(variant, vdd, lib)
-    b = _Builder(f"{variant}x2", CellLibrary.default())
-    enc = cell.ports["A"].encoding
-    cin = b.port("Cin", "in", enc)
-    mid = b.net("C1", enc)
-    cout = b.port("Cout", "out", enc, external_load=cl)
-    for i, carry_out in ((0, mid), (1, cout)):
-        a = b.port(f"A{i}", "in", enc)
-        bb = b.port(f"B{i}", "in", enc)
-        s = b.port(f"S{i}", "out", enc, external_load=cl)
-        b.copy_cell(cell, f"b{i}.", f"b{i}",
-                    {"A": a, "B": bb, "Cin": cin if i == 0 else mid,
-                     "Sum": s, "Cout": carry_out})
+    b = _chain(f"{variant}x2", build_bfa(variant, vdd, lib), ("Cin", "C1", "Cout"), "b", cl)
     return b.finalize(variant=f"{variant}x2", vdd=vdd, cl=cl)
 
 
@@ -459,7 +455,7 @@ def build_cell(kind: str, vdd: float = 0.9, lib: CellLibrary | None = None,
                cl: float = 0.0) -> Circuit:
     """The adder cell of ``kind``, one of :data:`CELL_KINDS`: a quaternary or
     binary cell, or (``bfa1x2``, ``bfa2x2``) a two-cell binary slice."""
-    kind = kind.lower()
+    kind = kind.lower() if isinstance(kind, str) else kind
     if kind not in CELL_KINDS:
         raise NetlistError(f"unknown cell kind {kind!r}")
     if kind.endswith("x2"):

@@ -37,7 +37,10 @@ class AdderConfig:
     cl: float = 2e-15
 
     def label(self) -> str:
-        return f"{self.kind}@{self.vdd:g}"
+        try:
+            return f"{self.kind}@{self.vdd:g}"
+        except (TypeError, ValueError):  # not a number: the build's own check names it
+            return f"{self.kind}@{self.vdd!r}"
 
 
 @dataclass(frozen=True)
@@ -67,11 +70,15 @@ def _worst_step(trace, *dst_ports) -> float | None:
     return max(delays, default=None)
 
 
+def _where(config: AdderConfig) -> str:
+    """The config a failed measurement names; its cl passed the build's check."""
+    return f"[config {config.label()}] at cl {config.cl:g} F"
+
+
 def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> ComparisonRow:
     """Build one cell, run both worst-case stimuli, stepped by the cell's STA
     (:func:`stimulus_step_ps`), collect the row. An error on the way is
     re-raised as it is, with a note naming the config."""
-    where = f"[config {config.label()}] at cl {config.cl:g} F"
     try:
         cell = build_cell(config.kind, config.vdd, lib, config.cl)
         outs = sorted(p.name for p in cell.output_ports())
@@ -81,8 +88,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
         trace_in = simulate(cell, stim_in)
         trace_cc = simulate(cell, worst_case_stimulus("carry_to_carry", config.kind, step_ps=step))
     except StimulusError as exc:  # well formed: only the duration can pass the tick range
-        raise DomainError(f"{where} the {step:g} ps stimulus steps do not fit the tick range: "
-                          f"{exc}") from None
+        raise DomainError(f"{_where(config)} the {step:g} ps stimulus steps do not fit the "
+                          f"tick range: {exc}") from None
     except Exception as exc:
         exc.add_note(f"[config {config.label()}]")
         raise
@@ -91,7 +98,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
     d_cc = _worst_step(trace_cc, "Cout")
     d_cs = _worst_step(trace_cc, *(p for p in outs if p != "Cout"))
     if d_in is None or d_cc is None or d_cs is None:
-        raise DomainError(f"{where} a worst-case path did not toggle within its stimulus steps")
+        raise DomainError(f"{_where(config)} a worst-case path did not toggle within its "
+                          "stimulus steps")
 
     power_w = measure_power(trace_in, (0.0, stim_in.duration_ps))
     # PDP convention: power times the worst of the three reported delays.
@@ -130,7 +138,8 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     :func:`stimulus_step_ps` of the CPA's arrival. A kind not in
     :data:`CELL_KINDS` or an empty ``n_list`` raises DomainError.
     """
-    kind, n_list = config.kind.lower(), list(n_list)
+    kind = config.kind.lower() if isinstance(config.kind, str) else config.kind
+    n_list = list(n_list)
     if kind not in CELL_KINDS:
         raise DomainError(f"kind: unknown cell kind {config.kind!r}")
     if not n_list:

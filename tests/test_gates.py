@@ -23,7 +23,9 @@ from mvadder.gates import (
     propagation_delay,
     switching_energy,
 )
-from mvadder.levels import DomainError, Level, binary_full
+from mvadder import gates
+from mvadder.levels import DomainError, Level, SignalEncoding, binary_full
+from mvadder.netlist import build_cell
 
 X = Level.X
 L = Level
@@ -323,11 +325,19 @@ def test_electrical_numbers_reject_bools_and_take_numpy_floats(field):
             replace(p, **{field: value})
 
 
-def test_make_primitive_shares_one_primitive_per_equal_request():
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh primitive memo, so that whether a request hits does not
+    depend on what earlier tests left in the shared one."""
+    monkeypatch.setattr(gates, "_primitives", {})
+
+
+def test_make_primitive_shares_one_primitive_per_equal_request(empty_memo):
     lib = CellLibrary.default()
     bit = binary_full(0.9)
     nand = lib.make_primitive("nand", 0.9, bit)
     assert lib.make_primitive("nand", 0.9, bit) is nand
+    assert CellLibrary.default().make_primitive("nand", 0.9, bit) is nand  # across libraries
     # nor's spec equals nand's, but the kind is part of the request
     nor = lib.make_primitive("nor", 0.9, bit)
     assert nor is not nand and nor.kind == "nor" and nor.params == nand.params
@@ -339,9 +349,43 @@ def test_make_primitive_shares_one_primitive_per_equal_request():
     lib.cells["nand"] = replace(lib.cells["nand"], intrinsic_delay=2e-12)  # a changed spec
     slower = lib.make_primitive("nand", 0.9, bit)
     assert slower.params.intrinsic_delay == 2e-12
-    other = binary_full(0.9)  # an equal encoding, but another object
+    other = SignalEncoding("bin@0.9", (0.0, 0.9))  # an equal encoding, but another object
+    assert other == bit and other is not bit
     assert lib.make_primitive("nand", 0.9, other).params.output_encoding is other
+    assert lib.make_primitive("nand", 0.9, bit).params.output_encoding is bit
     assert CellLibrary.default().make_primitive("nand", 0.9, bit) == nand
+
+
+def test_the_primitive_memo_stays_within_its_bound(empty_memo):
+    lib, bit = CellLibrary.default(), binary_full(0.9)
+    for supply in (0.5 + k / 1000 for k in range(300)):
+        assert lib.make_primitive("inv", supply, bit).params.supply_voltage == supply
+        assert len(gates._primitives) <= gates._PRIMITIVES_KEPT < 300
+
+
+def test_supplies_1_and_1_0_get_different_primitives(empty_memo):
+    lib, bit = CellLibrary.default(), binary_full(1.0)
+    one_f, one = lib.make_primitive("nand", 1.0, bit), lib.make_primitive("nand", 1, bit)
+    assert one is not one_f and one == one_f  # as 1 == 1.0, but they dump as 1 and 1.0
+    assert type(one.params.supply_voltage) is int and type(one_f.params.supply_voltage) is float
+    assert lib.make_primitive("nand", 1.0, bit) is one_f
+
+
+def test_a_library_override_never_gets_a_default_librarys_primitive(tmp_path, empty_memo):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"nand": {"intrinsic_delay_s": 3e-12}}))
+    bit = binary_full(0.9)
+    default = CellLibrary.default().make_primitive("nand", 0.9, bit)
+    slow = load_library(path).make_primitive("nand", 0.9, bit)
+    assert slow.params.intrinsic_delay == 3e-12 and default.params.intrinsic_delay == 1e-12
+    assert CellLibrary.default().make_primitive("nand", 0.9, bit) == default
+    # a kind the file leaves alone keeps the default spec, and shares its primitive
+    nor = CellLibrary.default().make_primitive("nor", 0.9, bit)
+    assert load_library(path).make_primitive("nor", 0.9, bit) is nor
+    for lib, delay in ((None, 1e-12), (load_library(path), 3e-12), (None, 1e-12)):
+        cell = build_cell("bfa1", 0.9, lib)
+        assert {i.primitive.params.intrinsic_delay for i in cell.instances.values()
+                if i.primitive.kind == "nand"} == {delay}
 
 
 def test_make_primitive_keeps_kinds_apart_when_they_share_one_spec():

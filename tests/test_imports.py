@@ -142,6 +142,55 @@ def test_every_default_of_a_private_function_is_passed_somewhere():
     assert unpassed_defaults(sources) == []
 
 
+#: Unbounded caches over a small fixed set of inputs: one entry per gate kind.
+BOUNDLESS_CACHE_OK = {"gates:kind_table"}
+
+
+def unbounded_caches(sources: dict) -> list[str]:
+    """The ``module:function`` of each function of ``sources`` (module name
+    -> source) that takes parameters and has an ``lru_cache`` decorator with
+    ``maxsize=None``, or a ``cache`` decorator, sorted. A bare ``lru_cache``
+    keeps its default bound of 128."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            if not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg):
+                continue  # one result for the process's life
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else ast.Call(dec, [], [])
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                size = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if name == "cache" or name == "lru_cache" and any(
+                        isinstance(v, ast.Constant) and v.value is None for v in size):
+                    found.append(f"{module}:{node.name}")
+    return sorted(found)
+
+
+def test_the_check_finds_an_unbounded_cache():
+    sources = {
+        "a": "from functools import cache, lru_cache\nimport functools\n"
+             "@lru_cache(maxsize=None)\ndef _f(x):\n    pass\n"
+             "@functools.lru_cache(None)\ndef g(x):\n    pass\n"
+             "@cache\ndef h(*x):\n    pass\n"
+             "@lru_cache(maxsize=None)\ndef tables():\n    pass\n"
+             "@lru_cache\ndef small(x):\n    pass\n"
+             "@lru_cache(maxsize=64, typed=True)\ndef typed(x):\n    pass\n",
+    }
+    assert unbounded_caches(sources) == ["a:_f", "a:g", "a:h"]
+
+
+def test_every_cache_over_open_ended_inputs_is_bounded():
+    """A cache shared across calls holds its arguments and results for the
+    life of the process, so one whose inputs callers choose needs a bound."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sorted(set(unbounded_caches(sources)) - BOUNDLESS_CACHE_OK) == []
+    assert BOUNDLESS_CACHE_OK <= set(unbounded_caches(sources))  # no stale exemption
+
+
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     """``report`` imports ``concurrent.futures`` only for ``compare(threads > 1)``."""
     code = "import sys, mvadder.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"

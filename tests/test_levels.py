@@ -90,6 +90,15 @@ def test_encoding_level_voltages():
     assert binary_full(0.9).level_voltages[1] == pytest.approx(0.9)
 
 
+def test_an_encoding_is_shared_per_supply_and_supply_type():
+    for make in (quaternary, binary_full, third_swing):
+        assert make(0.9) is make(0.9) and make(0.7) is not make(0.9)
+        assert make(1) is not make(1.0) and make(1) == make(1.0)  # as 1 == 1.0
+    # each keeps the supply of the type it was asked for: vdd 1 dumps as 1
+    for vdd in (1, 1.0, 0.5, np.float64(0.5)):
+        assert type(quaternary(vdd).level_voltages[-1]) is type(vdd)
+
+
 def test_encoding_invariants():
     with pytest.raises(EncodingMismatchError):
         SignalEncoding("bad", (0.1, 0.9))  # must start at 0

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import json
+import sys
 
 import pytest
 
+from mvadder import gates
 from mvadder.engine import measure_power, simulate, worst_case_stimulus
 from mvadder.levels import DomainError
-from mvadder.netlist import build_cell
+from mvadder.netlist import NetlistError, build_bfa, build_cell, build_qfa
 from mvadder.report import (
     AdderConfig,
     ComparisonRow,
@@ -107,6 +109,21 @@ def test_reports_byte_identical_across_runs_and_threads(four_rows):
     assert rows_to_csv(rows_t4) == rows_to_csv(four_rows)
 
 
+def test_threads_that_keep_clearing_the_shared_primitive_memo_give_the_serial_rows(
+        four_rows, monkeypatch):
+    """More threads than cores share the memo at a 1 us switch interval, with
+    a bound of 4 clearing it on nearly every request; a primitive handed to
+    another request would change a row."""
+    monkeypatch.setattr(gates, "_PRIMITIVES_KEPT", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = compare(FOUR_CONFIGS, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows_to_json(rows) == rows_to_json(four_rows)
+
+
 def test_bfa1x2_config_builds_and_measures():
     row = measure_config(AdderConfig("bfa1x2", 0.9))
     assert row.transistor_count == 56  # two 28T cells
@@ -189,6 +206,27 @@ def test_the_report_columns_are_the_config_keys_then_the_row_fields(four_rows):
         assert list(line) == want
         assert line["transistor_count"] == str(row.transistor_count)
         assert float(line["pdp_fj"]) == row.pdp_fj
+
+
+@pytest.mark.parametrize("call, error, message, notes", [
+    (lambda: build_cell(None), NetlistError, "unknown cell kind None", []),
+    (lambda: build_qfa(None), NetlistError, "unknown quaternary variant None", []),
+    (lambda: build_bfa(3), NetlistError, "unknown binary variant 3", []),
+    (lambda: worst_case_stimulus("input_to_carry", None), DomainError,
+     "unknown cell kind None", []),
+    (lambda: cpa_scaling(AdderConfig(None, 0.9), [2]), DomainError,
+     "kind: unknown cell kind None", []),
+    (lambda: measure_config(AdderConfig("qfa2", 0.9, cl=None)), NetlistError,
+     "net 'n_sum': external_load must be a finite number >= 0, got None", ["[config qfa2@0.9]"]),
+    (lambda: measure_config(AdderConfig("qfa2", None)), NetlistError,
+     "vdd must be a finite number > 0, got None", ["[config qfa2@None]"]),
+], ids=["build_cell", "build_qfa", "build_bfa", "worst_case_stimulus", "cpa_scaling",
+        "measure_config-cl", "measure_config-vdd"])
+def test_a_kind_or_number_of_another_type_meets_the_entry_points_own_check(
+        call, error, message, notes):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message and getattr(info.value, "__notes__", []) == notes
 
 
 @pytest.mark.parametrize("config, n_list, match", [
