@@ -56,14 +56,10 @@ def _ticks(ps: float) -> int:
     return int(round(ps * TICKS_PER_PS))
 
 
-@lru_cache(maxsize=None)
-def gate_tables() -> tuple:
-    """The kind tables of every kind in ``KINDS`` stacked in one array, each
-    kind's first row in it, and the array's output columns as lists."""
-    tables = [kind_table(kind) for kind in KINDS]
-    first = np.cumsum([0] + [len(t) for t in tables]).tolist()
-    table = np.concatenate(tables)
-    return table, dict(zip(KINDS, first)), [col.tolist() for col in table.T]
+@lru_cache(maxsize=len(KINDS))
+def _columns(kind: str) -> list:
+    """The output columns of ``kind``'s table, as lists."""
+    return [col.tolist() for col in kind_table(kind).T]
 
 
 class CompiledCircuit:
@@ -126,17 +122,17 @@ class CompiledCircuit:
                 delays.append(delay)
             self.gate_delay.append(tuple(delays))
 
-        # per gate: its row of the stacked table at the initial levels; only
-        # the constants' codes (level + 1) are not 0
-        table, first_row, _ = gate_tables()
-        row = [first_row[kind] for kind in self.gate_kind]
+        # per gate: its row of its kind's table at the initial levels; only
+        # the constants' codes (level + 1) are not 0, and a row of X inputs
+        # is X on every output, so the constants alone decide only gates
+        # they feed; the event loop evaluates those before anything else
+        row = [0] * len(insts)
         for i, lvl in const.items():
             for g, w in self.fanout[i]:
                 row[g] += w * (lvl + 1)
         self.gate_row = np.array(row, np.int64)
-        # gates whose outputs the constants alone decide, from one gather;
-        # the event loop evaluates them before anything else
-        self.const_gates = np.flatnonzero((table[self.gate_row] >= 0).any(axis=1)).tolist()
+        self.const_gates = sorted({g for i in const for g, _ in self.fanout[i]
+                                   if any(c[row[g]] != LVL_X for c in _columns(self.gate_kind[g]))})
 
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
@@ -146,8 +142,8 @@ class CompiledCircuit:
     @cached_property
     def event_plan(self) -> list:
         """Per gate: (output net, table column as a list, delay in ticks) per output."""
-        return [tuple(zip(outs, gate_tables()[2], delays))
-                for outs, delays in zip(self.gate_out, self.gate_delay)]
+        return [tuple(zip(outs, _columns(kind), delays))
+                for outs, kind, delays in zip(self.gate_out, self.gate_kind, self.gate_delay)]
 
     @cached_property
     def settle_plan(self) -> list:

@@ -1,7 +1,6 @@
-"""Functional verification of generated circuits against the digit-serial
-ripple oracle. A QFA or BFA cell is checked as a 1-digit ripple adder and
-a two-cell binary slice as a 2-digit radix-2 one, both exhaustively; a
-CPA is checked exhaustively when small, by seeded random vectors otherwise."""
+"""Functional verification of ripple adders (a QFA or BFA cell: 1 digit; a
+two-cell binary slice: 2 radix-2 digits; a CPA: N digits) against the
+digit-serial ripple oracle, exhaustively when small, by seeded random rows."""
 
 from __future__ import annotations
 
@@ -13,41 +12,39 @@ from .engine import settle_matrix
 from .levels import DomainError, cpa_oracle_rows, whole
 from .netlist import Circuit
 
-# A, B and sum digit ports (least significant first), carry in, carry out
-_CELL_PORTS = (["A"], ["B"], ["Sum"], "Cin", "Cout")
-_SLICE_PORTS = (["A0", "A1"], ["B0", "B1"], ["S0", "S1"], "Cin", "Cout")
-_MAX_REPORTED = 20  # mismatch rows described by :func:`_adder_mismatches`
-
 
 def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
-    """Whether :func:`verify_cpa` checks every input combination of an
-    ``n_digits`` radix-``radix`` CPA by default: at most 4096 of them."""
+    """Whether :func:`adder_mismatches` checks every input combination of
+    an ``n_digits`` radix-``radix`` adder: at most 4096 of them."""
     return (radix ** n_digits) ** 2 * 2 <= 4096
 
 
-def _adder_mismatches(adder: Circuit, ports: tuple, vectors: int = 10_000,
-                      seed: int = 0, exhaustive: bool | None = True) -> tuple[list, int]:
-    """Compare the settles of the ripple adder with these ``ports`` against
-    the digit-serial ripple oracle: every input combination when
-    ``exhaustive`` (None: by :func:`cpa_is_exhaustive`), ``vectors`` (at
-    least 1) seeded random rows otherwise. Returns the descriptions of the
-    first 20 mismatching rows, followed by ``"... (truncated)"`` when more
-    rows mismatch, and the number of mismatching rows."""
+def adder_mismatches(adder: Circuit, vectors: int = 10_000, seed: int = 0) -> tuple[list, int]:
+    """Check a ripple adder against the oracle on every input combination
+    when :func:`cpa_is_exhaustive` holds, else on ``vectors`` (at least 1)
+    seeded random rows. Its ports: a cell's ``A``, ``B``, ``Sum``, ``Cin``,
+    ``Cout``; a slice's or CPA's digits ``A0``, ``B0``, ``S0``, ..., with
+    ``Cin``, ``Cout`` or ``C0``, ``C{n}``; a ``DomainError`` names those it
+    lacks. Returns the first 20 mismatching rows' descriptions (then
+    ``"... (truncated)"`` if more rows mismatch) and the mismatch count."""
+    return _adder_mismatches(adder, _adder_ports(adder), vectors, seed)
+
+
+def _adder_mismatches(adder: Circuit, ports: tuple, vectors: int, seed: int) -> tuple[list, int]:
+    """:func:`adder_mismatches` on the ``ports`` :func:`_adder_ports` reads."""
     a_ports, b_ports, s_ports, cin, cout = ports
+    vectors, seed = whole("vectors", vectors), whole("seed", seed)
+    if vectors < 1:
+        raise DomainError(f"vectors must be >= 1, got {vectors}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     n_digits, radix = len(a_ports), adder.ports[a_ports[0]].encoding.radix
-    if exhaustive is None:
-        exhaustive = cpa_is_exhaustive(radix, n_digits)
-    if exhaustive:
+    if cpa_is_exhaustive(radix, n_digits):
         # rows run over A, then B, then Cin; digits least-significant first
         digits = np.arange(radix ** n_digits)[:, None] // radix ** np.arange(n_digits) % radix
         va, vb, c = np.indices((len(digits), len(digits), 2)).reshape(3, -1)
         mat = np.column_stack([c, digits[va], digits[vb]])
     else:
-        vectors, seed = whole("vectors", vectors), whole("seed", seed)
-        if vectors < 1:
-            raise DomainError(f"vectors must be >= 1, got {vectors}")
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         mat = np.empty((vectors, 1 + 2 * n_digits), np.int64)
         mat[:, 0] = rng.integers(0, 2, size=vectors)
@@ -59,44 +56,38 @@ def _adder_mismatches(adder: Circuit, ports: tuple, vectors: int = 10_000,
     rows = np.flatnonzero((got[:, :-1] != want_sum).any(axis=1) | (got[:, -1] != want_cout))
     bad = [f"A={tuple(a[r].tolist())} B={tuple(b[r].tolist())} Cin={mat[r, 0]}: got "
            f"S+C={tuple(got[r].tolist())}, want S={tuple(want_sum[r].tolist())} C={want_cout[r]}"
-           for r in rows[:_MAX_REPORTED]]
-    if len(rows) > _MAX_REPORTED:
+           for r in rows[:20]]
+    if len(rows) > 20:
         bad.append("... (truncated)")
     return bad, len(rows)
 
 
-def verify_adder_cell(cell: Circuit) -> list:
-    """Exhaustively settle a 1-digit adder cell as a 1-digit ripple adder;
-    returns the mismatch descriptions (empty = pass)."""
-    return _adder_mismatches(cell, _CELL_PORTS)[0]
-
-
-def verify_binary_slice(slice_circuit: Circuit) -> list:
-    """Check a 2-cell binary slice as a 2-digit radix-2 ripple adder, all
-    32 cases; its A, B and sum digits are described as bits."""
-    return _adder_mismatches(slice_circuit, _SLICE_PORTS)[0]
-
-
-def cpa_mismatches(cpa: Circuit, n_digits: int, vectors: int = 10_000,
-                   seed: int = 0, exhaustive: bool | None = None) -> tuple[list, int]:
-    """Compare a :func:`~mvadder.netlist.build_cpa` chain's settles against
-    the ripple oracle, exhaustively below 2 digits at radix 4 (or when
-    forced), by ``vectors`` seeded random operand pairs otherwise: the
-    first 20 mismatch descriptions and the mismatch count."""
-    n_digits = whole("n_digits", n_digits)
-    if n_digits < 1:
-        raise DomainError(f"n_digits must be >= 1, got {n_digits}")
-    return _adder_mismatches(cpa, _cpa_ports(n_digits), vectors, seed, exhaustive)
+def _adder_ports(adder: Circuit) -> tuple:
+    """(A, B, sum digit ports, least significant first; carry in; carry out)
+    of ``adder``: digit ``i`` is there while ``A{i}``, ``B{i}`` or ``S{i}`` is."""
+    have, n = adder.ports, 1
+    while f"A{n}" in have or f"B{n}" in have or f"S{n}" in have:
+        n += 1
+    a, b, s = (("A",), ("B",), ("Sum",)) if "A" in have else _digit_ports(n)
+    cin, cout = ("C0", f"C{n}") if "C0" in have else ("Cin", "Cout")
+    if missing := [p for p in (*a, *b, *s, cin, cout) if p not in have]:
+        raise DomainError(f"{adder.name} is not a ripple adder: no port {', '.join(missing)}")
+    return a, b, s, cin, cout
 
 
 @lru_cache(maxsize=64)
-def _cpa_ports(n_digits: int) -> tuple:
-    """An ``n_digits`` :func:`~mvadder.netlist.build_cpa` chain's ports, as checked."""
-    a, b, s = (tuple(f"{p}{i}" for i in range(n_digits)) for p in "ABS")
-    return a, b, s, "C0", f"C{n_digits}"
+def _digit_ports(n: int) -> tuple:
+    """The ``A``, ``B`` and ``S`` ports of ``n`` digits, named once (so hashed once)."""
+    return tuple(tuple(f"{p}{i}" for i in range(n)) for p in "ABS")
 
 
-def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000,
-               seed: int = 0, exhaustive: bool | None = None) -> list:
-    """The mismatch descriptions of :func:`cpa_mismatches` (empty = pass)."""
-    return cpa_mismatches(cpa, n_digits, vectors, seed, exhaustive)[0]
+def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000, seed: int = 0) -> list:
+    """The mismatch descriptions of :func:`adder_mismatches` (empty = pass)
+    for a :func:`~mvadder.netlist.build_cpa` chain of ``n_digits``."""
+    n_digits = whole("n_digits", n_digits)
+    if n_digits < 1:
+        raise DomainError(f"n_digits must be >= 1, got {n_digits}")
+    ports = _adder_ports(cpa)
+    if ports[4] != f"C{n_digits}":  # a cell's or slice's is Cout
+        raise DomainError(f"{cpa.name} is not a {n_digits}-digit CPA")
+    return _adder_mismatches(cpa, ports, vectors, seed)[0]

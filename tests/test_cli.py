@@ -8,7 +8,7 @@ from mvadder.cli import main, parse_cap
 from mvadder.engine import worst_case_stimulus
 from mvadder.levels import DomainError
 from mvadder.netlist import build_cpa, build_qfa
-from mvadder.verify import cpa_mismatches, verify_cpa
+from mvadder.verify import adder_mismatches, verify_cpa
 
 
 def run_cli(args):
@@ -108,7 +108,7 @@ def test_verify_rejects_vector_count_below_one(vectors, capsys):
 def test_verify_names_a_negative_seed_before_drawing_vectors():
     cpa = build_cpa(build_qfa("qfa2", 0.9), 8)
     with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
-        cpa_mismatches(cpa, 8, vectors=10, seed=-1)
+        adder_mismatches(cpa, vectors=10, seed=-1)
 
 
 @pytest.mark.parametrize("argv, message", [

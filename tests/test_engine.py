@@ -803,6 +803,8 @@ def test_kind_table_rows_equal_eval_primitive(kind):
         except DomainError:
             want = [-1] * n_out
         assert row == want + [-1] * (2 - n_out), levels
+    # X on every input decides no output; CompiledCircuit.const_gates relies on it
+    assert table[0].tolist() == [-1, -1]
 
 
 @pytest.mark.parametrize("kind", KINDS)

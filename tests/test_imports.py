@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, the package
 reads each private name a module defines at its top level, and some call
-passes each defaulted parameter of a private function. Importing the CLI
-loads no thread pool.
+passes each defaulted parameter of a private function. The CLI reads no
+private name of another module, and importing it loads no thread pool.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -140,6 +140,44 @@ def test_the_check_finds_a_default_no_call_passes():
 def test_every_default_of_a_private_function_is_passed_somewhere():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unpassed_defaults(sources) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """The private names (``_x``, not ``__x__``) ``source`` takes from a
+    package module, sorted: an imported name, a module on an import's path
+    or an attribute read from a module it imports from the package."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mvadder")):
+            found |= {p for p in (node.module or "").split(".") if private(p)}
+            found |= {a.name for a in node.names if private(a.name)}
+            modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("mvadder"):
+                    found |= {p for p in a.name.split(".") if private(p)}
+                    modules.add(a.asname or a.name.partition(".")[0])
+    found |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules
+              and private(node.attr)}
+    return sorted(found)
+
+
+def test_the_check_finds_a_private_name_taken_from_the_package():
+    source = ("import numpy as np\nimport mvadder._kernel\nfrom . import report as r, verify\n"
+              "from .engine import Trace, _step_delays\nfrom .gates import __all__\n"
+              "from mvadder.verify import _adder_ports\nr._cells, verify.adder_mismatches\n"
+              "np._core, r.__doc__\n")
+    assert private_reads(source) == ["_adder_ports", "_cells", "_kernel", "_step_delays"]
+
+
+def test_the_cli_reads_no_private_name_of_another_module():
+    """The CLI runs the package through its public checks, as a caller would."""
+    assert private_reads((PACKAGE / "cli.py").read_text()) == []
 
 
 #: Unbounded caches over a small fixed set of inputs: one entry per gate kind.

@@ -31,7 +31,7 @@ from mvadder.netlist import (
     validate,
 )
 from mvadder.timing import sta
-from mvadder.verify import verify_adder_cell, verify_binary_slice, verify_cpa
+from mvadder.verify import adder_mismatches, verify_cpa
 from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
@@ -92,28 +92,42 @@ def test_build_rejects_unknown_variants():
         build_qfa("qfa2", -0.9)
 
 
+def test_the_builder_rejects_a_second_net_or_instance_of_one_id():
+    b = _Builder("twice", CellLibrary.default())
+    enc = binary_full(0.9)
+    a, y = b.port("A", "in", enc), b.net("y", enc)
+    with pytest.raises(NetlistError, match="^duplicate net id 'y'$"):
+        b.net("y", enc)
+    with pytest.raises(NetlistError, match="^duplicate net id 'A'$"):
+        b.const("A", 0, enc)
+    b.inst("g", "inv", 0.9, enc, {"a": a, "y": y})
+    with pytest.raises(NetlistError, match="^duplicate instance id 'g'$"):
+        b.inst("g", "buf", 0.9, enc, {"a": a, "y": y})
+    assert list(b.nets) == ["A", "y"] and list(b.instances) == ["g"]
+
+
 # --------------------------------------------------------------------------
 # Functional equivalence (steady state vs oracles)
 
 
 def test_qfa_variants_match_oracle_exhaustively():
-    assert verify_adder_cell(build_qfa("qfa1", 0.9)) == []
-    assert verify_adder_cell(build_qfa("qfa2", 0.9)) == []
+    assert adder_mismatches(build_qfa("qfa1", 0.9)) == ([], 0)
+    assert adder_mismatches(build_qfa("qfa2", 0.9)) == ([], 0)
 
 
 def test_bfa_variants_match_oracle_exhaustively():
-    assert verify_adder_cell(build_bfa("bfa1", 0.9)) == []
-    assert verify_adder_cell(build_bfa("bfa2", 0.9)) == []
-    assert verify_adder_cell(build_bfa("bfa2", 0.45)) == []
+    assert adder_mismatches(build_bfa("bfa1", 0.9)) == ([], 0)
+    assert adder_mismatches(build_bfa("bfa2", 0.9)) == ([], 0)
+    assert adder_mismatches(build_bfa("bfa2", 0.45)) == ([], 0)
 
 
 def test_binary_slice_equals_quaternary_digit():
-    assert verify_binary_slice(build_binary_slice("bfa1", 0.9)) == []
-    assert verify_binary_slice(build_binary_slice("bfa2", 0.9)) == []
+    assert adder_mismatches(build_binary_slice("bfa1", 0.9)) == ([], 0)
+    assert adder_mismatches(build_binary_slice("bfa2", 0.9)) == ([], 0)
 
 
 def test_qfa_works_at_other_supplies():
-    assert verify_adder_cell(build_qfa("qfa2", 1.2)) == []
+    assert adder_mismatches(build_qfa("qfa2", 1.2)) == ([], 0)
 
 
 # --------------------------------------------------------------------------
@@ -492,7 +506,7 @@ def test_cpa_rejects_a_cell_whose_carries_differ():
 
 def test_roundtripped_circuit_still_verifies():
     c = from_json(to_json(build_qfa("qfa2", 0.9)))
-    assert verify_adder_cell(c) == []
+    assert adder_mismatches(c) == ([], 0)
 
 
 # dump_netlist bytes (SHA-256) of circuits whose JSON form must not drift

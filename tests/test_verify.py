@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from mvadder import cli
+from mvadder import cli, verify
 from mvadder.engine import settle_matrix
 from mvadder.levels import DigitVector, DomainError, bfa_oracle, cpa_oracle, qfa_oracle
-from mvadder.netlist import build_binary_slice, build_bfa, build_cpa, build_qfa, from_json, to_json
-from mvadder.verify import cpa_mismatches, verify_adder_cell, verify_binary_slice, verify_cpa
+from mvadder.netlist import (CELL_KINDS, build_binary_slice, build_bfa, build_cell, build_cpa,
+                             build_qfa, from_json, to_json)
+from mvadder.verify import adder_mismatches, verify_cpa
+from circuit_edits import edited
+from random_circuits import random_circuit
 
 
 def edited_cell(circuit, inst, kind=None, pins=None):
@@ -57,7 +60,7 @@ def test_exactly_twenty_mismatches_give_no_truncation_marker():
     cpa = broken_qfa2_cpa()
     want = reference_lines(cpa, 4, random_matrix(4, 63, 0))
     assert len(want) == 20
-    bad, n_bad = cpa_mismatches(cpa, 4, vectors=63, seed=0)
+    bad, n_bad = adder_mismatches(cpa, vectors=63, seed=0)
     assert n_bad == 20 and bad == want
     assert verify_cpa(cpa, 4, vectors=63, seed=0) == want
 
@@ -66,7 +69,7 @@ def test_more_than_twenty_mismatches_are_truncated():
     cpa = broken_qfa2_cpa()
     want = reference_lines(cpa, 4, random_matrix(4, 500, 2))
     assert len(want) > 21
-    bad, n_bad = cpa_mismatches(cpa, 4, vectors=500, seed=2)
+    bad, n_bad = adder_mismatches(cpa, vectors=500, seed=2)
     assert n_bad == len(want)
     assert bad == want[:20] + ["... (truncated)"]
 
@@ -77,7 +80,7 @@ def test_few_mismatches_and_passing_cpas():
     assert 0 < len(want) < 20
     assert verify_cpa(cpa, 4, vectors=10, seed=1) == want
     good = build_cpa(build_qfa("qfa2", 0.9), 4)
-    assert cpa_mismatches(good, 4, vectors=300, seed=4) == ([], 0)
+    assert adder_mismatches(good, vectors=300, seed=4) == ([], 0)
 
 
 def test_exhaustive_rows_run_over_a_then_b_then_cin():
@@ -86,6 +89,69 @@ def test_exhaustive_rows_run_over_a_then_b_then_cin():
     want = reference_lines(cpa, 1, np.array(rows))
     assert 0 < len(want) <= 20
     assert verify_cpa(cpa, 1) == want
+
+
+@pytest.mark.parametrize("n_digits, vectors, seed, n_bad", [
+    (1, 5, 0, 8), (2, 10, 0, 128), (3, 1000, 9, 248), (4, 10, 1, 1), (4, 63, 0, 20),
+    (4, 500, 2, 140)])
+def test_broken_cpa_mismatch_counts_stay_pinned(n_digits, vectors, seed, n_bad):
+    """The counts the CPA check gave when callers passed it the digit count."""
+    cpa = broken_qfa2_cpa(n_digits, inst=f"d{n_digits - 1}.succ1")
+    assert adder_mismatches(cpa, vectors=vectors, seed=seed)[1] == n_bad
+
+
+@pytest.mark.parametrize("kind, n_digits, rows", [
+    *[(kind, None, 8 if kind in ("bfa1", "bfa2") else 32) for kind in CELL_KINDS],
+    ("qfa2", 2, 512), ("qfa2", 3, 7), ("bfa2", 5, 2048), ("bfa2", 6, 7)])
+def test_adder_mismatches_takes_its_ports_and_rows_from_the_adder(kind, n_digits, rows,
+                                                                  monkeypatch):
+    """A cell's, a slice's or a CPA's own ports, in digit order; every
+    input combination up to 4096 of them, seeded random rows beyond."""
+    seen = []
+
+    def spy(circuit, in_ports, mat, out_ports):
+        seen.append((in_ports, mat, out_ports))
+        return settle_matrix(circuit, in_ports, mat, out_ports)
+
+    monkeypatch.setattr(verify, "settle_matrix", spy)
+    cell = build_cell(kind, 0.9)
+    adder = cell if n_digits is None else build_cpa(cell, n_digits)
+    assert adder_mismatches(adder, vectors=7, seed=3) == ([], 0)
+    if n_digits:
+        a, b, s = ([f"{p}{i}" for i in range(n_digits)] for p in "ABS")
+        cin, cout = "C0", f"C{n_digits}"
+        assert verify_cpa(adder, n_digits, vectors=7, seed=3) == []
+        assert np.array_equal(seen[1][1], seen[0][1])  # the same rows
+    elif kind.endswith("x2"):
+        (a, b, s), cin, cout = (["A0", "A1"], ["B0", "B1"], ["S0", "S1"]), "Cin", "Cout"
+    else:
+        (a, b, s), cin, cout = (["A"], ["B"], ["Sum"]), "Cin", "Cout"
+    in_ports, mat, out_ports = seen[0]
+    assert (in_ports, out_ports) == ([cin, *a, *b], [*s, cout])
+    assert len(mat) == rows
+    radix = adder.ports[a[0]].encoding.radix
+    if rows == 7:
+        assert np.array_equal(mat, random_matrix(len(a), 7, 3, radix))
+    else:
+        assert len(np.unique(mat, axis=0)) == rows == 2 * radix ** (2 * len(a))
+
+
+def without_ports(circuit, *names):
+    """``circuit`` with its ``names`` ports dropped (their nets stay)."""
+    return edited(circuit, ports={n: p for n, p in circuit.ports.items() if n not in names})
+
+
+@pytest.mark.parametrize("make, missing", [
+    (lambda: random_circuit(np.random.default_rng(0)), "A0, B0, S0, Cin, Cout"),
+    (lambda: without_ports(build_qfa("qfa2", 0.9), "Cout"), "Cout"),
+    (lambda: without_ports(build_binary_slice("bfa2", 0.9), "B1"), "B1"),
+    (lambda: without_ports(build_cpa(build_qfa("qfa2", 0.9), 3), "S1", "C3"), "S1, C3"),
+    (lambda: without_ports(build_cpa(build_qfa("qfa2", 0.9), 3), "A2"), "A2"),
+    (lambda: without_ports(build_cpa(build_bfa("bfa2", 0.9), 4), "A1"), "A1"),
+])
+def test_a_circuit_that_is_not_an_adder_is_named_by_its_missing_ports(make, missing):
+    with pytest.raises(DomainError, match=f"is not a ripple adder: no port {missing}$"):
+        adder_mismatches(make())
 
 
 def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
@@ -103,17 +169,23 @@ def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
 
 @pytest.mark.parametrize("call, message", [
     (lambda cell: build_cpa(cell, 2.5), "n_digits must be a whole number, got 2.5"),
-    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 8, vectors=2.5),
+    (lambda cell: adder_mismatches(build_cpa(cell, 8), vectors=2.5),
      "vectors must be a whole number, got 2.5"),
-    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 8, seed=1.5),
+    (lambda cell: adder_mismatches(build_cpa(cell, 8), seed=1.5),
      "seed must be a whole number, got 1.5"),
-    (lambda cell: cpa_mismatches(build_cpa(cell, 8), 0), "n_digits must be >= 1, got 0"),
+    (lambda cell: verify_cpa(build_cpa(cell, 8), 0), "n_digits must be >= 1, got 0"),
+    (lambda cell: verify_cpa(build_cpa(cell, 8), 7), "is not a 7-digit CPA$"),
+    (lambda cell: verify_cpa(cell, 1), "is not a 1-digit CPA$"),
+    (lambda cell: adder_mismatches(cell, vectors=0), "vectors must be >= 1, got 0"),
+    (lambda cell: verify_cpa(build_cpa(cell, 1), 1, seed=-1), "seed must be >= 0, got -1"),
+    (lambda cell: adder_mismatches(cell, vectors="x"), "vectors must be a whole number"),
 ])
 def test_cpa_sizes_vector_counts_and_seeds_are_whole_numbers(call, message):
     with pytest.raises(DomainError, match=message):
         call(build_qfa("qfa2", 0.9))
     cpa = build_cpa(build_qfa("qfa2", 0.9), np.int64(8))  # what operator.index takes
-    assert cpa_mismatches(cpa, np.int64(8), vectors=np.int32(5), seed=np.uint8(1)) == ([], 0)
+    assert verify_cpa(cpa, np.int64(8), vectors=np.int32(5), seed=np.uint8(1)) == []
+    assert adder_mismatches(cpa, vectors=np.int32(5), seed=np.uint8(1)) == ([], 0)
 
 
 def cell_reference_lines(adder, bit_slice):
@@ -159,7 +231,8 @@ def test_broken_cells_and_slices_fail_with_the_reference_rows(name):
     bit_slice = "x2" in name
     want = cell_reference_lines(adder, bit_slice)
     assert want
-    got = (verify_binary_slice if bit_slice else verify_adder_cell)(adder)
+    got, n_bad = adder_mismatches(adder)
+    assert n_bad == len(want)
     assert got == (want if len(want) <= 20 else want[:20] + ["... (truncated)"])
 
 
