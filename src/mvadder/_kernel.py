@@ -134,7 +134,9 @@ class CompiledCircuit:
         self.const_gates = sorted({g for i in const for g, _ in self.fanout[i]
                                    if any(c[row[g]] != LVL_X for c in _columns(self.gate_kind[g]))})
 
-        self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
+        ins = circuit.input_ports()
+        self.in_port_net = {p.name: self.net_index[p.net] for p in ins}
+        self.in_port_radix = {p.name: p.encoding.radix for p in ins}  # engine's level checks
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
         self.port_plans: dict = {}  # engine.settle_matrix's checked port lists and their arrays

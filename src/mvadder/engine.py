@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
-from .levels import DomainError, Level, _whole_value, real_number
+from .levels import DomainError, Level, _whole_value, is_real, real_number, whole
 from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
@@ -31,6 +33,9 @@ _MAX_EVENTS_PER_NET = 10_000
 
 #: Port lists :func:`settle_matrix` keeps resolved per compiled circuit.
 _PORT_PLANS = 8
+
+#: The Level of each level an input can be driven to, by its int.
+_LEVELS = (Level.L0, Level.L1, Level.L2, Level.L3)
 
 #: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
@@ -95,27 +100,39 @@ class Stimulus:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
+def _column(k: int, dtype) -> cached_property:
+    """Field ``k`` of every trace record, as a numpy array built on first read."""
+    return cached_property(lambda trace: np.array([r[k] for r in trace.records], dtype))
+
+
 @dataclass
 class Trace:
     """Time-ordered transition record plus the per-transition energy ledger.
 
-    ``times`` are absolute ticks (settle included); ``origin_ticks`` marks
-    the stimulus origin. ``srcs`` distinguishes externally driven input
-    transitions (1, zero energy) from gate-driven ones (0).
+    ``records`` is the event kernel's list of (tick, net, level, joules,
+    src) tuples, in time order: ticks are absolute (settle included) and
+    ``origin_ticks`` marks the stimulus origin; ``src`` tells externally
+    driven input transitions (1, zero energy) from gate-driven ones (0).
+    The measurements and the CSV writers read the records. ``times``,
+    ``nets``, ``levels``, ``energies`` and ``srcs`` are the same records as
+    numpy columns (float64 for ``energies``, int64 for the rest), each
+    built on its first read.
     """
 
     circuit: Circuit
-    times: np.ndarray
-    nets: np.ndarray
-    levels: np.ndarray
-    energies: np.ndarray
-    srcs: np.ndarray
+    records: list = field(repr=False)  # [(tick, net, level, joules, src)]
     origin_ticks: int
     n_settle: int
     duration_ticks: int
     stim_events: tuple  # (abs_ticks, port, level), sorted
     final_levels: np.ndarray
     compiled: object = field(repr=False, default=None)  # the circuit's _kernel.CompiledCircuit
+
+    times = _column(0, np.int64)
+    nets = _column(1, np.int64)
+    levels = _column(2, np.int64)
+    energies = _column(3, np.float64)
+    srcs = _column(4, np.int64)
 
     @property
     def total_energy(self) -> float:
@@ -130,34 +147,35 @@ class Trace:
         return float(self.energies[self.n_settle:].sum())
 
     def net_index(self, name: str) -> int:
-        comp = self.compiled
-        if name in self.circuit.ports:
-            name = self.circuit.ports[name].net
-        if name not in comp.net_index:
-            raise DomainError(f"unknown net or port {name!r}")
-        return comp.net_index[name]
+        """The index of a net, named by its id or by a port on it."""
+        if isinstance(name, str):  # a list is unhashable
+            port = self.circuit.ports.get(name)
+            index = self.compiled.net_index.get(name if port is None else port.net)
+            if index is not None:
+                return index
+        raise DomainError(f"unknown net or port {name!r}")
 
     def final_level(self, port: str) -> Level:
         return Level(int(self.final_levels[self.net_index(port)]))
 
     def write_csv(self, path: str | Path) -> None:
-        self._write(path, ["level", "voltage"], lambda l, e, s, rail:
-                    (int(l), repr(float(rail[l])) if l >= 0 else ""))
+        rail = self.compiled.net_rail
+        self._write(path, ["level", "voltage"], (
+            (t, n, l, repr(float(rail[n][l])) if l >= 0 else "")
+            for t, n, l, _, _ in self.records))
 
     def write_energy_csv(self, path: str | Path) -> None:
         """Gate-driven transitions only."""
-        self._write(path, ["joules"], lambda l, e, s, rail: (repr(float(e)),) if s == 0 else None)
+        self._write(path, ["joules"], ((t, n, repr(e)) for t, n, _, e, s in self.records
+                                       if s == 0))
 
-    def _write(self, path: str | Path, header: list, columns) -> None:
-        """Per record: time, net and ``columns(level, joules, src, rail)``, if not None."""
-        comp = self.compiled
+    def _write(self, path: str | Path, header: list, rows) -> None:
+        """One line per row of (tick, net, more...): time (ps), net id, more."""
+        names = self.compiled.net_ids
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time_ps", "net", *header])
-            for t, n, l, e, s in zip(self.times, self.nets, self.levels, self.energies, self.srcs):
-                more = columns(l, e, s, comp.net_rail[n])
-                if more is not None:
-                    w.writerow([repr(float(t) * TICK_PS), comp.net_ids[n], *more])
+            w.writerows([repr(t * TICK_PS), names[n], *more] for t, n, *more in rows)
 
 
 def _whole_level(port: str, value) -> int:
@@ -176,74 +194,103 @@ def _as_level(port: str, value) -> Level:
     raise StimulusError(f"{port}: {value!r} is not a logic level")
 
 
-def _check_stimulus(comp, stim: Stimulus) -> None:
-    max_ps = comp.max_ticks / _kernel.TICKS_PER_PS  # a window within the tick budget
-    if not 0 <= stim.duration_ps <= max_ps:  # NaN fails too
-        raise StimulusError(
-            f"duration_ps must be a time in [0, {max_ps:g}] ps, got {stim.duration_ps!r}"
-        )
+def _cover_error(comp, initial) -> StimulusError:
+    """Why ``initial`` is not a map of exactly the input ports to levels."""
     inputs = set(comp.in_port_net)
-    given = set(stim.initial)
-    if given != inputs:
+    try:
+        given = set(initial)
+    except TypeError:  # not iterable, or an unhashable entry
+        given = None
+    if given is None or given == inputs:  # no map, or not one
+        return StimulusError(f"initial levels must be a map of the input ports to levels, "
+                             f"got {initial!r}")
+    return StimulusError(f"initial levels must cover exactly the input ports; "
+                         f"missing {sorted(inputs - given)}, extra {sorted(given - inputs)}")
+
+
+def _level(comp, port: str, value) -> int:
+    """``value`` as the level it drives on input ``port``, if it can drive it."""
+    lvl = value if type(value) is Level else _as_level(port, value)  # ints, floats: checked
+    if 0 <= lvl < comp.in_port_radix[port]:
+        return int(lvl)
+    if lvl == Level.X:
+        raise StimulusError(f"{port}: inputs cannot be driven to X")
+    enc = comp.port_encoding[port]
+    raise StimulusError(
+        f"{port}: level {int(lvl)} outside {enc.radix}-level encoding {enc.name!r}")
+
+
+def _check_stimulus(comp, stim: Stimulus) -> tuple:
+    """The stimulus checked against the compiled circuit, in one pass: its
+    initial levels as [(net, level)] sorted by net, and its events as
+    [(tick, net, level, port)] sorted by (tick, net), levels as ints.
+
+    The checks run in this order, the first failure raised as a
+    StimulusError: the window, the ports of the initial levels, then per
+    event its form, port and time; the levels come last, initial first."""
+    duration = stim.duration_ps
+    max_ps = comp.max_ticks / _kernel.TICKS_PER_PS  # a window within the tick budget
+    if not (is_real(duration) and 0 <= duration <= max_ps):  # NaN fails too
         raise StimulusError(
-            f"initial levels must cover exactly the input ports; "
-            f"missing {sorted(inputs - given)}, extra {sorted(given - inputs)}"
-        )
-    seen: dict = {}
-    for t, port, lvl in stim.events:
-        if port not in inputs:
+            f"duration_ps must be a time in [0, {max_ps:g}] ps, got {duration!r}")
+    in_net, initial = comp.in_port_net, stim.initial
+    if not (isinstance(initial, Mapping) and initial.keys() == in_net.keys()):
+        raise _cover_error(comp, initial)
+    seen: dict = {}  # per port: its last event's (time, tick)
+    events = []
+    bad = None  # the first event level that cannot drive its port
+    for k, event in enumerate(stim.events):
+        try:
+            t, port, lvl = event
+            net = in_net.get(port)
+        except (TypeError, ValueError):  # not a triple, or an unhashable port
+            raise StimulusError(f"events[{k}]: expected (time_ps, input port, level), "
+                                f"got {event!r}") from None
+        if net is None:
             raise StimulusError(f"event on non-input port {port!r}")
-        if not 0 <= t <= stim.duration_ps:  # NaN fails too
-            raise StimulusError(f"event at {t} ps outside [0, {stim.duration_ps}] ps")
+        if not is_real(t):
+            raise StimulusError(f"events[{k}]: time must be a number of ps, got {t!r}")
+        if not 0 <= t <= duration:  # NaN fails too
+            raise StimulusError(f"event at {t} ps outside [0, {duration}] ps")
+        tick = _ticks(t)
         last = seen.get(port)
-        if last is not None and t < last:
-            raise StimulusError(f"events on {port!r} not in time order")
-        # compare at tick resolution: distinct ps times that quantize to the
-        # same tick would double-toggle the net within one tick
-        if last is not None and _ticks(t) == _ticks(last):
-            raise StimulusError(f"events on {port!r} collide at {t} ps (0.1 ps ticks)")
-        seen[port] = t
-    for port, lvl in list(stim.initial.items()) + [(p, l) for _, p, l in stim.events]:
-        lvl = lvl if type(lvl) is Level else _as_level(port, lvl)  # ints, floats: checked
-        if lvl == Level.X:
-            raise StimulusError(f"{port}: inputs cannot be driven to X")
-        enc = comp.port_encoding[port]
-        if int(lvl) >= enc.radix:
-            raise StimulusError(
-                f"{port}: level {int(lvl)} outside {enc.radix}-level encoding {enc.name!r}"
-            )
+        if last is not None:
+            if t < last[0]:
+                raise StimulusError(f"events on {port!r} not in time order")
+            # compare at tick resolution: distinct ps times that quantize to the
+            # same tick would double-toggle the net within one tick
+            if tick == last[1]:
+                raise StimulusError(f"events on {port!r} collide at {t} ps (0.1 ps ticks)")
+        seen[port] = t, tick
+        try:
+            lvl = _level(comp, port, lvl)
+        except StimulusError as exc:  # raised after the initial levels' checks
+            bad, lvl = bad or exc, -1
+        events.append((tick, net, lvl, port))
+    start = [(in_net[port], _level(comp, port, lvl)) for port, lvl in initial.items()]
+    if bad is not None:
+        raise bad
+    start.sort()
+    events.sort()  # (tick, net) is unique: ports have their own nets, ticks do not collide
+    return start, events
 
 
 @gc_paused
 def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
     """Run one stimulus; returns the full trace with the energy ledger."""
     comp = compile_circuit(circuit)
-    _check_stimulus(comp, stimulus)
-
-    initial = sorted((comp.in_port_net[p], int(l)) for p, l in stimulus.initial.items())
-    ev = sorted(
-        ((_ticks(t), comp.in_port_net[p], int(l), p) for t, p, l in stimulus.events),
-        key=lambda e: (e[0], e[1]),
-    )
-    max_events = _MAX_EVENTS_PER_NET * (comp.n_nets + len(ev) + 1)
+    initial, events = _check_stimulus(comp, stimulus)
+    max_events = _MAX_EVENTS_PER_NET * (comp.n_nets + len(events) + 1)
     origin, n_settle, records, cur = _kernel._run_single(
-        comp, initial, [e[:3] for e in ev], stimulus.duration_ps, SETTLE_GAP_TICKS, max_events)
-
-    columns = list(zip(*records)) or [()] * 5
-    times, nets, levels, energies, srcs = (
-        np.array(col, dtype) for col, dtype in
-        zip(columns, (np.int64, np.int64, np.int64, np.float64, np.int64)))
+        comp, initial, [e[:3] for e in events], stimulus.duration_ps, SETTLE_GAP_TICKS,
+        max_events)
     return Trace(
         circuit=circuit,
-        times=times,
-        nets=nets,
-        levels=levels,
-        energies=energies,
-        srcs=srcs,
+        records=records,
         origin_ticks=origin,
         n_settle=n_settle,
         duration_ticks=_ticks(stimulus.duration_ps),
-        stim_events=tuple((tick + origin, port, Level(lvl)) for tick, _, lvl, port in ev),
+        stim_events=tuple((tick + origin, port, _LEVELS[lvl]) for tick, _, lvl, port in events),
         final_levels=np.array(cur, np.int64),
         compiled=comp,
     )
@@ -275,7 +322,7 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
             raise StimulusError(
                 f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
             )
-        radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
+        radix = np.array([comp.in_port_radix[p] for p in in_ports], np.uint64)
     else:
         radix, in_nets, out_ports, out_nets = plan
     # tested first: an integer array takes no extra pass; anything else, a
@@ -332,11 +379,14 @@ def measure_delay(trace: Trace, src_port: str, src_event_index: int,
     """Delay from a stimulus event to the LAST transition it causes on
     ``dst_port`` (ps). Returns None when the destination never moves —
     distinct from a zero delay."""
+    if isinstance(src_event_index, bool):  # whole() takes it for 1
+        raise DomainError(f"src_event_index must be a whole number, got {src_event_index!r}")
+    index = whole("src_event_index", src_event_index)
     events = [t for t, p, _ in trace.stim_events if p == src_port]
-    if src_event_index < 0 or src_event_index >= len(events):
+    if index < 0 or index >= len(events):
         raise DomainError(f"{src_port!r} has {len(events)} stimulus events; "
                           f"index {src_event_index}")
-    return _step_delays(trace, dst_port)[events[src_event_index]]
+    return _step_delays(trace, dst_port)[events[index]]
 
 
 def step_response_delays(trace: Trace, dst_port: str) -> list:
@@ -348,9 +398,11 @@ def step_response_delays(trace: Trace, dst_port: str) -> list:
 
 def _step_delays(trace: Trace, dst_port: str) -> dict:
     """{step tick: delay (ps)} to the net's last transition after the step, up
-    to the next step or the window's end; None when the net does not move."""
+    to the next step or the window's end; None when the net does not move.
+    Settle records fall before every step, so only the window's are read."""
     steps = sorted({t for t, _, _ in trace.stim_events})
-    times = trace.times[trace.nets == trace.net_index(dst_port)].tolist()  # in time order
+    net = trace.net_index(dst_port)
+    times = [t for t, n, _, _, _ in trace.records[trace.n_settle:] if n == net]  # in time order
     ends = [*steps[1:], trace.origin_ticks + trace.duration_ticks]
     return {t: float((times[h - 1] - t) * TICK_PS)
             if (h := bisect_right(times, end)) and times[h - 1] > t else None
@@ -363,13 +415,19 @@ def measure_power(trace: Trace, window: tuple) -> float:
     Only gate-driven transitions count; the window [w0, w1) excludes the
     settle phase by construction (measurement time 0 = stimulus origin).
     """
-    w0, w1 = window
+    try:
+        w0, w1 = window
+    except (TypeError, ValueError):
+        w0 = w1 = None
+    if not (is_real(w0) and is_real(w1)):
+        raise DomainError(f"window must be a (start_ps, end_ps) pair of numbers, got {window!r}")
     if not (0 <= w0 < w1 <= trace.duration_ticks * TICK_PS):
         raise DomainError(f"window {window} empty or outside the trace")
     t0 = trace.origin_ticks + _ticks(w0)
     t1 = trace.origin_ticks + _ticks(w1)
-    mask = (trace.srcs == 0) & (trace.times >= t0) & (trace.times < t1)
-    energy = float(trace.energies[mask].sum())
+    # numpy's pairwise sum, as over the energies column: a Python sum rounds otherwise
+    selected = [e for t, _, _, e, s in trace.records[trace.n_settle:] if s == 0 and t0 <= t < t1]
+    energy = float(np.array(selected, np.float64).sum())
     return energy / ((w1 - w0) * 1e-12)
 
 

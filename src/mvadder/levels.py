@@ -33,10 +33,16 @@ def is_finite(value) -> bool:
         return False
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a JSON int or float, or a numpy
+    number; not a bool or a string."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+
+
 def real_number(value):
-    """``value`` itself if it is a real number (a JSON int or float, or a
-    numpy number); a TypeError otherwise, for a bool or a string too."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+    """``value`` itself if it is a real number (:func:`is_real`); a
+    TypeError otherwise."""
+    if not is_real(value):
         raise TypeError(f"expected a number, got {value!r}")
     return value
 

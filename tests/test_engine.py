@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,71 @@ def test_stimulus_levels_must_be_whole_numbers():
     assert simulate(c, stim).final_level("Y") == L.L1
     stim = Stimulus.from_json({"initial": {"A": 1.0}, "events": [], "duration_ps": 10.0})
     assert stim.initial == {"A": L.L1}
+
+
+_ZEROS = {"A": L.L0, "B": L.L0, "Cin": L.L0}
+
+
+@pytest.mark.parametrize("initial, events, duration_ps, match", [
+    (_ZEROS, (("5", "A", L.L1),), 100.0, r"events\[0\]: time must be a number of ps, got '5'"),
+    (_ZEROS, ((10.0, "B", L.L1), (None, "A", L.L1)), 100.0,
+     r"events\[1\]: time must be a number of ps, got None"),
+    (_ZEROS, ((True, "A", L.L1),), 100.0, r"events\[0\]: time must be a number of ps, got True"),
+    (_ZEROS, ((5.0, ["A"], L.L1),), 100.0,
+     r"events\[0\]: expected \(time_ps, input port, level\), got \(5\.0, \['A'\], "),
+    (_ZEROS, ((5.0, "A"),), 100.0,
+     r"events\[0\]: expected \(time_ps, input port, level\), got \(5\.0, 'A'\)"),
+    (_ZEROS, (5.0,), 100.0, r"events\[0\]: expected \(time_ps, input port, level\), got 5\.0"),
+    (_ZEROS, (), "5", r"duration_ps must be a time in \[0, .*\] ps, got '5'"),
+    (_ZEROS, (), None, r"duration_ps must be a time in \[0, .*\] ps, got None"),
+    (_ZEROS, (), True, r"duration_ps must be a time in \[0, .*\] ps, got True"),
+    (None, (), 100.0, "initial levels must be a map of the input ports to levels, got None"),
+    (["A", "B", "Cin"], (), 100.0, "initial levels must be a map of the input ports to levels"),
+    ([], (), 100.0, r"initial levels must cover exactly the input ports; "
+                    r"missing \['A', 'B', 'Cin'\], extra \[\]"),
+    ("ABC", (), 100.0, r"initial levels must cover exactly the input ports; "
+                       r"missing \['Cin'\], extra \['C'\]"),
+], ids=["time-str", "time-none", "time-bool", "port-list", "pair", "scalar", "duration-str",
+        "duration-none", "duration-bool", "initial-none", "initial-names", "initial-empty",
+        "initial-str"])
+def test_simulate_names_the_stimulus_field_at_fault(initial, events, duration_ps, match):
+    with pytest.raises(StimulusError, match=f"^{match}"):
+        simulate(build_qfa("qfa2", 0.9), Stimulus(initial, events, duration_ps))
+
+
+def test_stimulus_checks_keep_their_order():
+    """Each event's port and time come before any level; initial levels
+    before event levels."""
+    c = build_qfa("qfa2", 0.9)
+    for initial, events, match in [
+        (_ZEROS, ((5.0, "A", 9), (500.0, "A", L.L1)), r"event at 500\.0 ps outside"),
+        (_ZEROS, ((5.0, "A", 9), (7.0, "Sum", L.L1)), "event on non-input port 'Sum'"),
+        ({**_ZEROS, "Cin": 3}, ((5.0, "A", 9),), "Cin: level 3 outside 2-level encoding"),
+        (_ZEROS, ((5.0, "A", L.X), (6.0, "Cin", 2)), "A: inputs cannot be driven to X"),
+        (_ZEROS, ((5.0, "Cin", 2), (6.0, "A", L.X)), "Cin: level 2 outside 2-level encoding"),
+    ]:
+        with pytest.raises(StimulusError, match=f"^{match}"):
+            simulate(c, Stimulus(initial, events, 100.0))
+
+
+def test_measurements_name_the_argument_at_fault():
+    c = build_qfa("qfa2", 0.9)
+    trace = simulate(c, worst_case_stimulus("carry_to_carry", "qfa2"))
+    for window in [(0, "x"), (0, 1, 2), None, (False, True), (0.0, None), 5.0]:
+        with pytest.raises(DomainError, match=r"^window must be a \(start_ps, end_ps\) pair"):
+            measure_power(trace, window)
+    for call in (lambda: step_response_delays(trace, ["Cout"]),
+                 lambda: trace.final_level(["Cout"]),
+                 lambda: measure_delay(trace, "Cin", 0, ["Cout"])):
+        with pytest.raises(DomainError, match=r"^unknown net or port \['Cout'\]$"):
+            call()
+    for index in ("0", True, 1.0, None):
+        with pytest.raises(DomainError, match=f"^src_event_index must be a whole number, "
+                                              f"got {re.escape(repr(index))}$"):
+            measure_delay(trace, "Cin", index, "Cout")
+    one = measure_delay(trace, "Cin", 1, "Cout")
+    assert one is not None and measure_delay(trace, "Cin", np.int64(1), "Cout") == one
+    assert measure_power(trace, (np.float64(0.0), 6000)) == measure_power(trace, (0.0, 6000.0))
 
 
 # --------------------------------------------------------------------------
@@ -1132,6 +1198,8 @@ def test_a_circuit_without_nets_simulates_to_an_empty_trace():
     c = from_json({"name": "e", "ports": [], "nets": [], "instances": []})
     trace = simulate(c, Stimulus({}, (), 100.0))
     assert len(trace.times) == len(trace.final_levels) == trace.n_settle == 0
+    assert trace.records == [] and trace.energies.dtype == np.float64
+    assert all(getattr(trace, c).dtype == np.int64 for c in ("times", "nets", "levels", "srcs"))
     assert trace.total_energy == 0.0 and trace.duration_ticks == 1000
     assert _kernel.compile_circuit(c).max_ticks == 2 ** 61
     with pytest.raises(StimulusError, match=r"duration_ps must be a time in \[0, 2\.30584e\+17\]"):
