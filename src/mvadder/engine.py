@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
-from .levels import DomainError, Level, _whole_value, is_real, real_number, whole
+from .levels import DomainError, Level, is_finite, whole
 from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
@@ -83,10 +83,10 @@ class Stimulus:
                 t, p, l = event
                 if not isinstance(p, str):
                     raise TypeError(f"port must be a name, got {p!r}")
-                events.append((float(real_number(t)), p, _as_level(p, l)))
+                events.append((_time(t), p, _as_level(p, l)))
             where = "duration_ps"
-            return cls(initial, tuple(events), float(real_number(data[where])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # StimulusError too
+            return cls(initial, tuple(events), _time(data[where]))
+        except (KeyError, TypeError, ValueError) as exc:  # StimulusError too
             why = "missing" if isinstance(exc, KeyError) else exc
             raise StimulusError(f"stimulus field {where}: {why}") from None
 
@@ -178,19 +178,22 @@ class Trace:
             w.writerows([repr(t * TICK_PS), names[n], *more] for t, n, *more in rows)
 
 
-def _whole_level(port: str, value) -> int:
-    """``value`` as an int, if it is a whole number (2.0, not 2.7, "2" or
-    True); a StimulusError naming ``port`` otherwise."""
-    try:
-        return _whole_value(value)
-    except (TypeError, ValueError):
-        raise StimulusError(f"{port}: {value!r} is not a logic level") from None
+def _time(value) -> float:
+    """A stimulus time or duration as a float, if it is a real number, a float
+    NaN or infinity too (the range checks name them); a TypeError otherwise."""
+    if is_finite(value) or isinstance(value, float):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
 
 
 def _as_level(port: str, value) -> Level:
-    """``value`` as a Level, if it is a whole number naming one."""
-    if -1 <= (level := _whole_level(port, value)) <= 3:
-        return Level(level)
+    """``value`` as a Level, if it is a whole number naming one (2.0, not
+    2.7, "2" or True)."""
+    try:
+        if -1 <= (level := whole(port, value, floats=True)) <= 3:
+            return Level(level)
+    except DomainError:
+        pass
     raise StimulusError(f"{port}: {value!r} is not a logic level")
 
 
@@ -230,7 +233,7 @@ def _check_stimulus(comp, stim: Stimulus) -> tuple:
     event its form, port and time; the levels come last, initial first."""
     duration = stim.duration_ps
     max_ps = comp.max_ticks / _kernel.TICKS_PER_PS  # a window within the tick budget
-    if not (is_real(duration) and 0 <= duration <= max_ps):  # NaN fails too
+    if not (is_finite(duration) and 0 <= duration <= max_ps):
         raise StimulusError(
             f"duration_ps must be a time in [0, {max_ps:g}] ps, got {duration!r}")
     in_net, initial = comp.in_port_net, stim.initial
@@ -248,7 +251,7 @@ def _check_stimulus(comp, stim: Stimulus) -> tuple:
                                 f"got {event!r}") from None
         if net is None:
             raise StimulusError(f"event on non-input port {port!r}")
-        if not is_real(t):
+        if not (is_finite(t) or isinstance(t, float)):  # a float NaN: the range check names it
             raise StimulusError(f"events[{k}]: time must be a number of ps, got {t!r}")
         if not 0 <= t <= duration:  # NaN fails too
             raise StimulusError(f"event at {t} ps outside [0, {duration}] ps")
@@ -332,12 +335,12 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         if vectors.ndim == 2 and vectors.shape[1] == len(in_ports):
             rows = []
             for r, row in enumerate(vectors.tolist()):
-                try:
-                    # clamped: a level outside every encoding is the range check's to name
-                    rows.append([min(max(_whole_level(p, v), -1), 4)
-                                 for p, v in zip(in_ports, row)])
-                except StimulusError as exc:
-                    raise StimulusError(f"{exc}, at vector row {r}") from None
+                for p, v in zip(in_ports, row):
+                    try:  # clamped: a level outside every encoding is the range check's to name
+                        rows.append(min(max(whole(p, v, floats=True), -1), 4))
+                    except DomainError:
+                        raise StimulusError(f"{p}: {v!r} is not a logic level, "
+                                            f"at vector row {r}") from None
             vectors = np.array(rows, np.int64).reshape(vectors.shape)
     if vectors.ndim != 2 or vectors.shape[1] != len(in_ports):
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
@@ -379,8 +382,6 @@ def measure_delay(trace: Trace, src_port: str, src_event_index: int,
     """Delay from a stimulus event to the LAST transition it causes on
     ``dst_port`` (ps). Returns None when the destination never moves —
     distinct from a zero delay."""
-    if isinstance(src_event_index, bool):  # whole() takes it for 1
-        raise DomainError(f"src_event_index must be a whole number, got {src_event_index!r}")
     index = whole("src_event_index", src_event_index)
     events = [t for t, p, _ in trace.stim_events if p == src_port]
     if index < 0 or index >= len(events):
@@ -419,7 +420,7 @@ def measure_power(trace: Trace, window: tuple) -> float:
         w0, w1 = window
     except (TypeError, ValueError):
         w0 = w1 = None
-    if not (is_real(w0) and is_real(w1)):
+    if not (is_finite(w0) and is_finite(w1)):
         raise DomainError(f"window must be a (start_ps, end_ps) pair of numbers, got {window!r}")
     if not (0 <= w0 < w1 <= trace.duration_ticks * TICK_PS):
         raise DomainError(f"window {window} empty or outside the trace")
@@ -460,6 +461,8 @@ def worst_case_stimulus(target: str, kind: str, *, step_ps: float = STEP_PS) -> 
         raise DomainError(f"unknown stimulus target {target!r}")
     if kind not in CELL_KINDS:
         raise DomainError(f"unknown cell kind {kind!r}")
+    if not (is_finite(step_ps) and step_ps > 0):
+        raise DomainError(f"step_ps must be a finite number > 0, got {step_ps!r}")
     binary, bit_slice = kind in ("bfa1", "bfa2"), kind.endswith("x2")
 
     def digit(port: str, value: int) -> dict:

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .levels import DomainError, Level, SignalEncoding, _whole_value, is_finite
+from .levels import DomainError, Level, SignalEncoding, is_finite, whole
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -402,8 +402,9 @@ def _parse_inventory(raw) -> TransistorInventory:
             raise LibraryError(f"inventory entry must be [device, chirality, count]: {item!r}")
         dev, n, count = item
         try:
-            entries.append((str(dev), _whole_value(n), _whole_value(count)))
-        except (TypeError, ValueError):
+            entries.append((str(dev), whole("chirality", n, floats=True),
+                            whole("count", count, floats=True)))
+        except DomainError:
             raise LibraryError(f"inventory entry must hold whole numbers: {item!r}") from None
     inv = TransistorInventory(tuple(entries))
     inventory_area(inv)  # reject unknown chiralities up front

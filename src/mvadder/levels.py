@@ -25,44 +25,32 @@ class EncodingMismatchError(ValueError):
 
 
 def is_finite(value) -> bool:
-    """Whether ``value`` is a real number (:func:`real_number`) with a finite
-    float value: not NaN, an infinity, an int past float range or a bool."""
+    """Whether ``value`` is a real number with a finite float value: an int,
+    a float or a numpy number; not a bool, a string, NaN, an infinity or an
+    int past float range."""
+    if type(value) is float:  # the common case, taken first
+        return math.isfinite(value)
     try:
-        return math.isfinite(value if type(value) is float else real_number(value))
-    except (TypeError, OverflowError):
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:  # an int past float range
         return False
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number: a JSON int or float, or a numpy
-    number; not a bool or a string."""
-    return not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
-
-
-def real_number(value):
-    """``value`` itself if it is a real number (:func:`is_real`); a
-    TypeError otherwise."""
-    if not is_real(value):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _whole_value(value) -> int:
-    """``value`` as an int, if it is a finite real number (:func:`real_number`)
-    with a whole value: 2.0 gives 2; 2.5, "2", True and NaN raise a TypeError
-    or ValueError. Unlike :func:`whole`, it takes a float."""
-    if is_finite(real_number(value)) and value == int(value):  # int() truncates 2.5
-        return int(value)
-    raise ValueError(f"expected a whole number, got {value!r}")
-
-
-def whole(name: str, value) -> int:
-    """``value`` as an int, if :func:`operator.index` takes it (numpy
-    integers do, 2.0 does not); a DomainError naming ``name`` otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+def whole(name: str, value, *, floats: bool = False) -> int:
+    """``value`` as an int, if it is an int or a numpy integer, not a bool.
+    With ``floats``, any real number with a finite whole value
+    (:func:`is_finite`) instead: 2.0 gives 2, and an int past float range
+    fails. A DomainError naming ``name`` otherwise."""
+    if floats:
+        if is_finite(value) and value == int(value):  # int() truncates 2.5
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
 class Level(enum.IntEnum):
@@ -156,6 +144,7 @@ class DigitVector:
     @classmethod
     def from_int(cls, value: int, radix: int, n_digits: int) -> "DigitVector":
         value, n_digits = whole("value", value), whole("n_digits", n_digits)
+        radix = whole("radix", radix)
         if value < 0 or value >= radix**n_digits:
             raise DomainError(f"{value} does not fit in {n_digits} radix-{radix} digits")
         digits = []

@@ -23,7 +23,7 @@ from .engine import (
     worst_case_stimulus,
 )
 from .gates import CellLibrary
-from .levels import DomainError, Level
+from .levels import DomainError, Level, whole
 from .netlist import CELL_KINDS, area_report, build_cell, build_cpa
 from .timing import sta
 
@@ -111,10 +111,12 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
 
 
 def compare(configs, lib: CellLibrary | None = None, threads: int = 1) -> list:
-    """Measure every config; row order follows input order regardless of
-    thread count."""
-    configs = list(configs)
-    if threads <= 1:
+    """Measure every config in ``threads`` threads (a whole number >= 1);
+    row order follows input order regardless of thread count."""
+    configs, threads = list(configs), whole("threads", threads)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         return [measure_config(c, lib) for c in configs]
     from concurrent.futures import ThreadPoolExecutor  # imported for a pool only
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -277,6 +277,14 @@ def test_stimulus_step_is_step_ps_or_one_tick_past_the_sta_arrival():
     assert q.duration_ps == 21000.0
 
 
+@pytest.mark.parametrize("step_ps", [True, float("nan"), -5.0, "1"])
+def test_worst_case_stimulus_takes_a_step_of_finite_ps_above_zero(step_ps):
+    """True is no 1 ps step, and "1" no string to repeat into the duration."""
+    with pytest.raises(DomainError, match=f"^step_ps must be a finite number > 0, "
+                                          f"got {re.escape(repr(step_ps))}$"):
+        worst_case_stimulus("carry_to_carry", "qfa2", step_ps=step_ps)
+
+
 def test_stimulus_step_is_keyword_only():
     # a stale positional supply (the parameter it replaced) must not become a step
     with pytest.raises(TypeError):
@@ -760,7 +768,7 @@ def test_settle_matrix_checks_levels_entry_by_entry_only_off_integer_arrays(monk
     c = build_qfa("qfa2", 0.9)
     want = settle_matrix(c, ["A", "B", "Cin"], [[2, 1, 1], [3, 3, 0]]).tolist()
     assert settle_matrix(c, ["A", "B", "Cin"], [[2.0, 1, 1], [3, 3.0, 0]]).tolist() == want
-    monkeypatch.setattr(engine, "_whole_level", None)  # an integer array never calls it
+    monkeypatch.setattr(engine, "whole", None)  # an integer array never calls it
     for dtype in (np.int64, np.uint8, np.int32):
         vectors = np.array([[2, 1, 1], [3, 3, 0]], dtype)
         assert settle_matrix(c, ["A", "B", "Cin"], vectors).tolist() == want

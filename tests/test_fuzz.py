@@ -3,19 +3,32 @@ malformed flag values, library JSON and stimulus JSON: it exits 0, 1, 2 or
 3, no exception leaves it, and an exit-2 message names the field at fault.
 No CLI command reads netlist JSON, so ``from_json`` is fuzzed through the
 Python API: it raises NetlistError or loads. Every special value meets
-every number field once; Hypothesis draws the rest."""
+every number field once; Hypothesis draws the rest. The numeric parameters
+of the Python API meet the special values once each, and name themselves
+when they refuse one."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvadder.cli import main
-from mvadder.netlist import Circuit, NetlistError, build_qfa, from_json, to_json, validate
+from mvadder.engine import (Stimulus, StimulusError, measure_delay, simulate,
+                            worst_case_stimulus)
+from mvadder.gates import CellLibrary, LibraryError, load_library
+from mvadder.levels import (DigitVector, DomainError, bfa_oracle, binary_full, cpa_oracle_rows,
+                            qfa_oracle)
+from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
+                             validate)
+from mvadder.report import AdderConfig, compare
+from mvadder.verify import adder_mismatches, verify_cpa
 
 # flag values: non-finite, huge, tiny, negative, zero, fractional, wrongly typed, empty
 BAD_TEXT = ["nan", "inf", "-inf", "1e400", "1e300", "1e-300", "-1", "0", "-0.5", "0.5", "2.5",
@@ -115,6 +128,106 @@ def test_every_number_field_survives_every_special_value(scratch):
             stim = copy.deepcopy(STIMULUS)
             _set(stim, path, value)
             _check(_stimulus_argv(scratch / "stim.json", stim), names)
+
+
+# the values every numeric parameter of the Python API meets, by label
+API_VALUES = {"True": True, "False": False, "'1'": "1", "None": None, "nan": math.nan,
+              "inf": math.inf, "-inf": -math.inf, "2**63": 2 ** 63, "1.5": 1.5,
+              "int64(2)": np.int64(2)}
+WHOLE = {"int64(2)"}  # what a whole parameter takes of them, when 2 is in its range
+REAL = {"int64(2)", "2**63", "1.5"}  # what a real parameter > 0 takes
+
+
+def _api_runs(tmp_path):
+    """(parameter, call of one value, error class, what its message names, the
+    labels of the values it accepts, the labels it is not given). A count
+    that sizes the work it asks for is never given 2**63, as the CLI's
+    integer flags are never given a huge valid integer."""
+    qfa2 = build_qfa("qfa2", 0.9)
+    cpa2, cpa3 = build_cpa(qfa2, 2), build_cpa(qfa2, 3)  # exhaustive; random rows
+    trace = simulate(qfa2, worst_case_stimulus("input_to_carry", "qfa2"))  # A steps 6 times
+    params = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9)).params
+    zeros = {"A": 0, "B": 0, "Cin": 0}
+
+    def stimulus(initial=zeros, events=(), duration_ps=100.0):
+        """The stimulus through the Python API and through its JSON form."""
+        simulate(qfa2, Stimulus(initial, events, duration_ps))
+        simulate(qfa2, Stimulus.from_json({"initial": initial, "events": events,
+                                           "duration_ps": duration_ps}))
+
+    def library(overrides):
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps({"inv": overrides}, default=int))  # int64 as a JSON int
+        load_library(path)
+
+    return [
+        ("build_cpa n_digits", lambda v: build_cpa(qfa2, v), DomainError, "n_digits", WHOLE,
+         {"2**63"}),
+        ("verify_cpa n_digits", lambda v: verify_cpa(cpa2, v), DomainError, "digit", WHOLE, ()),
+        ("verify_cpa vectors", lambda v: verify_cpa(cpa2, 2, vectors=v), DomainError, "vectors",
+         {*WHOLE, "2**63"}, ()),
+        ("verify_cpa seed", lambda v: verify_cpa(cpa3, 3, vectors=2, seed=v), DomainError, "seed",
+         {*WHOLE, "2**63"}, ()),
+        ("adder_mismatches vectors", lambda v: adder_mismatches(qfa2, vectors=v), DomainError,
+         "vectors", {*WHOLE, "2**63"}, ()),
+        ("adder_mismatches seed", lambda v: adder_mismatches(cpa3, vectors=2, seed=v),
+         DomainError, "seed", {*WHOLE, "2**63"}, ()),
+        ("measure_delay src_event_index", lambda v: measure_delay(trace, "A", v, "Cout"),
+         DomainError, "index", WHOLE, ()),
+        ("worst_case_stimulus step_ps",
+         lambda v: worst_case_stimulus("carry_to_carry", "qfa2", step_ps=v), DomainError,
+         "step_ps", REAL, ()),
+        ("compare threads", lambda v: compare([AdderConfig("qfa2", 0.9)], threads=v),
+         DomainError, "threads", {*WHOLE, "2**63"}, ()),  # a pool starts a thread per config
+        ("DigitVector radix", lambda v: DigitVector(v, (1,)), DomainError, "radix", WHOLE, ()),
+        ("DigitVector digit", lambda v: DigitVector(4, (v,)), DomainError, "digit", WHOLE, ()),
+        ("from_int value", lambda v: DigitVector.from_int(v, 4, 2), DomainError,
+         "value|does not fit", WHOLE, ()),
+        ("from_int radix", lambda v: DigitVector.from_int(1, v, 2), DomainError, "radix", WHOLE,
+         ()),
+        ("from_int n_digits", lambda v: DigitVector.from_int(1, 4, v), DomainError, "n_digits",
+         WHOLE, {"2**63"}),
+        *[(f"{name} {operand}", lambda v, oracle=oracle, k=k: oracle(*(v if i == k else 0
+                                                                      for i in range(3))),
+           DomainError, operand, WHOLE if name == "qfa_oracle" and k < 2 else set(), ())
+          for name, oracle in (("qfa_oracle", qfa_oracle), ("bfa_oracle", bfa_oracle))
+          for k, operand in enumerate(("a", "b", "cin"))],
+        ("cpa_oracle_rows a", lambda v: cpa_oracle_rows([[v]], [[0]], [0], 4), DomainError,
+         "a must|digit", WHOLE, ()),
+        ("cpa_oracle_rows b", lambda v: cpa_oracle_rows([[0]], [[v]], [0], 4), DomainError,
+         "b must|digit", WHOLE, ()),
+        ("cpa_oracle_rows cin", lambda v: cpa_oracle_rows([[0]], [[0]], [v], 4), DomainError,
+         "cin|carry-in", set(), ()),
+        ("stimulus level", lambda v: stimulus(initial={**zeros, "A": v}), StimulusError, "A",
+         WHOLE, ()),
+        ("stimulus time", lambda v: stimulus(events=[[v, "Cin", 1]]), StimulusError, "event",
+         {"int64(2)", "1.5"}, ()),
+        ("stimulus duration_ps", lambda v: stimulus(duration_ps=v), StimulusError,
+         "duration_ps", {"int64(2)", "1.5"}, ()),
+        ("ElectricalParams drive_resistance_ref",
+         lambda v: replace(params, drive_resistance_ref=v), DomainError, "drive_resistance_ref",
+         REAL, ()),
+        ("library drive_resistance_ohm", lambda v: library({"drive_resistance_ohm": v}),
+         LibraryError, "drive_resistance_ohm", REAL, ()),
+        ("library inventory count", lambda v: library({"inventory": [["N", 19, v]]}),
+         LibraryError, "inventory", {*WHOLE, "2**63"}, ()),
+    ]
+
+
+def test_every_api_number_names_itself_or_is_taken(tmp_path):
+    """Bools, strings, None, non-finite and fractional values are refused by
+    the boundary's own error class, naming the parameter; a numpy integer is
+    taken wherever an int is."""
+    for param, call, error, names, accepts, skips in _api_runs(tmp_path):
+        for label, value in API_VALUES.items():
+            if label in skips:
+                continue
+            if label in accepts:
+                call(value)
+                continue
+            with pytest.raises(error) as exc:
+                call(value)
+            assert re.search(names, str(exc.value)), (param, label, str(exc.value))
 
 
 @settings(deadline=None, max_examples=40)

@@ -2,6 +2,7 @@
 reads each private name a module defines at its top level, and some call
 passes each defaulted parameter of a private function. The CLI reads no
 private name of another module, and importing it loads no thread pool.
+The number rules for Python values live in ``levels`` alone.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -227,6 +228,43 @@ def test_every_cache_over_open_ended_inputs_is_bounded():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert sorted(set(unbounded_caches(sources)) - BOUNDLESS_CACHE_OK) == []
     assert BOUNDLESS_CACHE_OK <= set(unbounded_caches(sources))  # no stale exemption
+
+
+def number_rules(source: str) -> list[str]:
+    """Each ``operator.index``, ``numbers`` name or ``isinstance(..., bool)``
+    of ``source``, as written, sorted: the pieces of a rule for whole or
+    real Python numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                node.value.id == "numbers" or (node.value.id, node.attr) == ("operator", "index")):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module == "numbers" or (
+                node.module == "operator" and any(a.name == "index" for a in node.names))):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2 and any(isinstance(n, ast.Name) and n.id == "bool"
+                                              for n in ast.walk(node.args[1]))):
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_the_check_finds_a_number_rule():
+    source = ("import numbers, operator\nfrom operator import index, itemgetter\n"
+              "from numbers import Real\nx = operator.index(1), operator.itemgetter(0)\n"
+              "y = isinstance(x, (int, bool)), isinstance(x, numbers.Real), isinstance(x, int)\n")
+    assert number_rules(source) == [
+        "from numbers import Real", "from operator import index, itemgetter",
+        "isinstance(x, (int, bool))", "numbers.Real", "operator.index"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "levels.py"))
+def test_only_levels_holds_a_number_rule(path):
+    """Whole and real Python numbers are checked by ``levels.whole`` and
+    ``levels.is_finite`` alone, so every boundary takes or refuses a bool,
+    a string or a numpy number alike."""
+    assert number_rules((PACKAGE / path).read_text()) == []
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():

@@ -56,7 +56,9 @@ def test_qfa_oracle_rejects_out_of_range():
         qfa_oracle(2.7, 1, 0)
     with pytest.raises(DomainError, match="^cin must be a whole number, got 0.5"):
         qfa_oracle(1, 1, 0.5)
-    assert qfa_oracle(np.int64(3), np.uint8(1), True) == (1, 1)  # what operator.index takes
+    assert qfa_oracle(np.int64(3), np.uint8(1), 1) == (1, 1)  # numpy integers are whole
+    with pytest.raises(DomainError, match="^cin must be a whole number, got True"):
+        qfa_oracle(3, 1, True)  # a carry is 0 or 1, not a bool
 
 
 def test_bfa_oracle_all_rows():
@@ -255,12 +257,14 @@ def test_cpa_oracle_rows_rejects_bad_operands():
                              (ok, ok, [0, 0], 4.0)):           # float radix
         with pytest.raises(DomainError):
             cpa_oracle_rows(a, b, cin, radix)
-    # any array passes whose entries operator.index takes; one past int64 is out of range
+    # any array passes whose entries are whole numbers; one past int64 is out of range
     objs = np.array([[1, 2**70, 3]], dtype=object)
     with pytest.raises(DomainError, match="digit out of range"):
-        cpa_oracle_rows(objs, ok[:1], [True], 4)
-    sums, couts = cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [True], 4)
+        cpa_oracle_rows(objs, ok[:1], [np.int64(1)], 4)
+    sums, couts = cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [np.int64(1)], 4)
     assert sums.tolist() == [[1, 0, 2]] and couts.tolist() == [0]
+    with pytest.raises(DomainError, match="^cin must be a whole number, got True"):
+        cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [True], 4)
 
 
 @pytest.mark.parametrize("radix", [2, 4])
@@ -292,8 +296,8 @@ def test_cpa_oracle_rows_reads_slices_as_their_copies(radix):
         "int-past-float"])
 def test_levels_and_inventory_counts_take_a_real_number_with_a_whole_value(value, want, tmp_path):
     """One rule for a stimulus level and a library inventory count: a real
-    number, not a bool, with a whole value. levels.whole is stricter (2.0
-    is no index)."""
+    number, not a bool, with a whole value: levels.whole with floats. Without
+    them it is stricter (2.0 is no digit count)."""
     stim = {"initial": {"A": value}, "events": [], "duration_ps": 10}
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps({"inv": {"inventory": [["N", 19, value]]}}))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import sys
 
 import pytest
@@ -107,6 +108,20 @@ def test_reports_byte_identical_across_runs_and_threads(four_rows):
     assert rows_to_json(rows_t4) == blob
     assert rows_to_json(rows_again) == blob
     assert rows_to_csv(rows_t4) == rows_to_csv(four_rows)
+
+
+@pytest.mark.parametrize("threads, message", [
+    (True, "threads must be a whole number, got True"),
+    (2.0, "threads must be a whole number, got 2.0"),
+    ("2", "threads must be a whole number, got '2'"),
+    (None, "threads must be a whole number, got None"),
+    (0, "threads must be >= 1, got 0"),
+    (-3, "threads must be >= 1, got -3"),
+])
+def test_compare_takes_a_whole_number_of_threads_from_one(threads, message):
+    """No value runs serially in place of an error, and none escapes as a TypeError."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        compare(FOUR_CONFIGS[:1], threads=threads)
 
 
 def test_threads_that_keep_clearing_the_shared_primitive_memo_give_the_serial_rows(
