@@ -40,6 +40,8 @@ _LEVELS = (Level.L0, Level.L1, Level.L2, Level.L3)
 #: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
 
+_EVENTS_FORM = "events must be a list of (time_ps, input port, level), got {!r}"
+
 
 class StimulusError(ValueError):
     """Stimulus inconsistent with the circuit's input ports."""
@@ -67,28 +69,20 @@ class Stimulus:
 
     @classmethod
     def from_json(cls, data: dict) -> "Stimulus":
-        """Raises StimulusError naming ``initial``, ``events[i]`` or
-        ``duration_ps`` when that field is missing or malformed."""
+        """The stimulus a JSON object holds, its values as given: only the
+        shape is checked here, :func:`simulate` checks the rest. Raises
+        StimulusError naming a missing field, or ``events`` if not a list."""
         if not isinstance(data, dict):
             raise StimulusError(f"a stimulus is an object of initial, events and duration_ps, "
                                 f"got {data!r}")
-        where = "initial"
-        try:
-            if not isinstance(data[where], dict):
-                raise TypeError(f"expected an object of port levels, got {data[where]!r}")
-            initial = {p: _as_level(p, l) for p, l in data[where].items()}
-            where, events = "events", []
-            for k, event in enumerate(data[where]):
-                where = f"events[{k}]"
-                t, p, l = event
-                if not isinstance(p, str):
-                    raise TypeError(f"port must be a name, got {p!r}")
-                events.append((_time(t), p, _as_level(p, l)))
-            where = "duration_ps"
-            return cls(initial, tuple(events), _time(data[where]))
-        except (KeyError, TypeError, ValueError) as exc:  # StimulusError too
-            why = "missing" if isinstance(exc, KeyError) else exc
-            raise StimulusError(f"stimulus field {where}: {why}") from None
+        for name in ("initial", "events", "duration_ps"):
+            if name not in data:
+                raise StimulusError(f"{name}: missing")
+        events = data["events"]
+        if not isinstance(events, (list, tuple)):
+            raise StimulusError(_EVENTS_FORM.format(events))
+        events = tuple(tuple(e) if isinstance(e, list) else e for e in events)
+        return cls(data["initial"], events, data["duration_ps"])
 
     @classmethod
     def load(cls, path: str | Path) -> "Stimulus":
@@ -178,25 +172,6 @@ class Trace:
             w.writerows([repr(t * TICK_PS), names[n], *more] for t, n, *more in rows)
 
 
-def _time(value) -> float:
-    """A stimulus time or duration as a float, if it is a real number, a float
-    NaN or infinity too (the range checks name them); a TypeError otherwise."""
-    if is_finite(value) or isinstance(value, float):
-        return float(value)
-    raise TypeError(f"expected a number, got {value!r}")
-
-
-def _as_level(port: str, value) -> Level:
-    """``value`` as a Level, if it is a whole number naming one (2.0, not
-    2.7, "2" or True)."""
-    try:
-        if -1 <= (level := whole(port, value, floats=True)) <= 3:
-            return Level(level)
-    except DomainError:
-        pass
-    raise StimulusError(f"{port}: {value!r} is not a logic level")
-
-
 def _cover_error(comp, initial) -> StimulusError:
     """Why ``initial`` is not a map of exactly the input ports to levels."""
     inputs = set(comp.in_port_net)
@@ -212,8 +187,16 @@ def _cover_error(comp, initial) -> StimulusError:
 
 
 def _level(comp, port: str, value) -> int:
-    """``value`` as the level it drives on input ``port``, if it can drive it."""
-    lvl = value if type(value) is Level else _as_level(port, value)  # ints, floats: checked
+    """``value`` as the level it drives on input ``port``, if it can drive it:
+    a Level, or a whole number naming one (2.0, not 2.7, "2" or True)."""
+    lvl = value
+    if type(lvl) is not Level:  # ints, floats: checked
+        try:
+            lvl = whole(port, value, floats=True)
+        except DomainError:
+            lvl = None
+        if lvl not in (-1, 0, 1, 2, 3):
+            raise StimulusError(f"{port}: {value!r} is not a logic level")
     if 0 <= lvl < comp.in_port_radix[port]:
         return int(lvl)
     if lvl == Level.X:
@@ -224,13 +207,15 @@ def _level(comp, port: str, value) -> int:
 
 
 def _check_stimulus(comp, stim: Stimulus) -> tuple:
-    """The stimulus checked against the compiled circuit, in one pass: its
-    initial levels as [(net, level)] sorted by net, and its events as
-    [(tick, net, level, port)] sorted by (tick, net), levels as ints.
+    """The stimulus checked against the compiled circuit, in one pass, the one
+    home of every stimulus rule: its initial levels as [(net, level)] sorted
+    by net, and its events as [(tick, net, level, port)] sorted by (tick,
+    net), levels as ints.
 
     The checks run in this order, the first failure raised as a
-    StimulusError: the window, the ports of the initial levels, then per
-    event its form, port and time; the levels come last, initial first."""
+    StimulusError that starts with its field: the window, the ports of the
+    initial levels, then per event its form, port, time, order and tick; the
+    levels come last, initial first."""
     duration = stim.duration_ps
     max_ps = comp.max_ticks / _kernel.TICKS_PER_PS  # a window within the tick budget
     if not (is_finite(duration) and 0 <= duration <= max_ps):
@@ -239,10 +224,14 @@ def _check_stimulus(comp, stim: Stimulus) -> tuple:
     in_net, initial = comp.in_port_net, stim.initial
     if not (isinstance(initial, Mapping) and initial.keys() == in_net.keys()):
         raise _cover_error(comp, initial)
+    try:
+        given = enumerate(stim.events)
+    except TypeError:  # not iterable
+        raise StimulusError(_EVENTS_FORM.format(stim.events)) from None
     seen: dict = {}  # per port: its last event's (time, tick)
     events = []
     bad = None  # the first event level that cannot drive its port
-    for k, event in enumerate(stim.events):
+    for k, event in given:
         try:
             t, port, lvl = event
             net = in_net.get(port)
@@ -250,27 +239,30 @@ def _check_stimulus(comp, stim: Stimulus) -> tuple:
             raise StimulusError(f"events[{k}]: expected (time_ps, input port, level), "
                                 f"got {event!r}") from None
         if net is None:
-            raise StimulusError(f"event on non-input port {port!r}")
-        if not (is_finite(t) or isinstance(t, float)):  # a float NaN: the range check names it
-            raise StimulusError(f"events[{k}]: time must be a number of ps, got {t!r}")
-        if not 0 <= t <= duration:  # NaN fails too
-            raise StimulusError(f"event at {t} ps outside [0, {duration}] ps")
+            raise StimulusError(f"events[{k}]: {port!r} is not an input port")
+        if not (is_finite(t) and 0 <= t <= duration):  # NaN and infinities of any width
+            raise StimulusError(f"events[{k}]: time must be a number in "
+                                f"[0, duration_ps={duration}] ps, got {t!r}")
         tick = _ticks(t)
         last = seen.get(port)
         if last is not None:
             if t < last[0]:
-                raise StimulusError(f"events on {port!r} not in time order")
+                raise StimulusError(f"events[{k}]: events on {port!r} not in time order")
             # compare at tick resolution: distinct ps times that quantize to the
             # same tick would double-toggle the net within one tick
             if tick == last[1]:
-                raise StimulusError(f"events on {port!r} collide at {t} ps (0.1 ps ticks)")
+                raise StimulusError(f"events[{k}]: events on {port!r} collide at {t} ps "
+                                    f"(0.1 ps ticks)")
         seen[port] = t, tick
         try:
             lvl = _level(comp, port, lvl)
         except StimulusError as exc:  # raised after the initial levels' checks
-            bad, lvl = bad or exc, -1
+            bad, lvl = bad or StimulusError(f"events[{k}]: {exc}"), -1
         events.append((tick, net, lvl, port))
-    start = [(in_net[port], _level(comp, port, lvl)) for port, lvl in initial.items()]
+    try:
+        start = [(in_net[port], _level(comp, port, lvl)) for port, lvl in initial.items()]
+    except StimulusError as exc:
+        raise StimulusError(f"initial: {exc}") from None
     if bad is not None:
         raise bad
     start.sort()

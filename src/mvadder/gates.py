@@ -58,9 +58,13 @@ class TransistorInventory:
         for dev, n, count in self.entries:
             if dev not in ("N", "P"):
                 raise LibraryError(f"device type must be N or P, got {dev!r}")
+            try:
+                n, count = whole("chirality", n), whole("count", count)
+            except DomainError as exc:
+                raise LibraryError(str(exc)) from None
             if count < 1:
                 raise LibraryError(f"count must be >= 1, got {count}")
-            if int(n) < 1:
+            if n < 1:
                 raise LibraryError(f"chirality must be positive, got {n}")
 
     @property

@@ -127,6 +127,8 @@ class DigitVector:
     def __post_init__(self):
         if whole("radix", self.radix) not in (2, 4):
             raise DomainError(f"radix must be 2 or 4, got {self.radix}")
+        if not isinstance(self.digits, tuple):
+            raise DomainError(f"digits must be a tuple of whole numbers, got {self.digits!r}")
         for d in self.digits:
             if not 0 <= whole("digit", d) < self.radix:
                 raise DomainError(f"digit {d} out of range for radix {self.radix}")

@@ -169,9 +169,10 @@ def test_vdd_must_be_a_finite_positive_number(vdd, capsys):
     ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", True]],
       "duration_ps": 100.0}, "events[0]: Cin: True is not a logic level"),
     ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [["2000", "Cin", 1]],
-      "duration_ps": 6000.0}, "events[0]: expected a number, got '2000'"),
+      "duration_ps": 6000.0},
+     "events[0]: time must be a number in [0, duration_ps=6000.0] ps, got '2000'"),
     ({"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[2000.0, "Cin", 1]],
-      "duration_ps": " 6000 "}, "duration_ps: expected a number, got ' 6000 '"),
+      "duration_ps": " 6000 "}, "duration_ps must be a time in [0, 1.09802e+16] ps, got ' 6000 '"),
 ])
 def test_sim_rejects_bad_stimulus_fields(blob, field, tmp_path, capsys):
     path = tmp_path / "stim.json"

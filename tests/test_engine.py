@@ -298,7 +298,7 @@ def test_rejections_name_the_port_and_the_rule():
         trace.final_level("nope")
     stim = Stimulus(initial={"A": L.L0, "B": L.L0, "Cin": L.L0},
                     events=((20.0, "A", L.L1), (10.0, "A", L.L2)), duration_ps=100.0)
-    with pytest.raises(StimulusError, match="^events on 'A' not in time order$"):
+    with pytest.raises(StimulusError, match=r"^events\[1\]: events on 'A' not in time order$"):
         simulate(c, stim)
     with pytest.raises(StimulusError, match=r"^in_ports must cover exactly the input ports "
                                             r"\['A', 'B', 'Cin'\]$"):
@@ -338,8 +338,10 @@ def test_stimulus_times_must_be_finite_and_in_tick_range():
         (Stimulus(initial={"A": L.L0}, duration_ps=1e300), "duration_ps"),
         (Stimulus(initial={"A": L.L0}, duration_ps=float("nan")), "duration_ps"),
         (Stimulus(initial={"A": L.L0}, duration_ps=-1.0), "duration_ps"),
-        (Stimulus(initial={"A": L.L0}, events=((float("nan"), "A", L.L1),),
-                  duration_ps=100.0), "event at nan"),
+        *[(Stimulus(initial={"A": L.L0}, events=((t, "A", L.L1),), duration_ps=100.0),
+           rf"^events\[0\]: time must be a number in \[0, duration_ps=100\.0\] ps, "
+           rf"got {re.escape(repr(t))}$")  # one message for NaN and infinities of any width
+          for t in (float("nan"), np.float32("nan"), np.float16("nan"), np.float32("-inf"))],
         (Stimulus(initial={"A": L.L0}, events=((float("inf"), "A", L.L1),),
                   duration_ps=float("inf")), "duration_ps"),
     ):
@@ -354,7 +356,7 @@ def test_stimulus_levels_must_be_whole_numbers():
                             ({"A": "1"}, []), ({"A": True}, []), ({"A": 0}, [[50.0, "A", "1"]])):
         blob = {"initial": initial, "events": events, "duration_ps": 100.0}
         with pytest.raises(StimulusError, match="A: .* is not a logic level"):
-            Stimulus.from_json(blob)
+            simulate(c, Stimulus.from_json(blob))  # from_json reads only the shape
         with pytest.raises(StimulusError, match="A: .* is not a logic level"):
             simulate(c, Stimulus(initial=initial, events=tuple(map(tuple, events)),
                                  duration_ps=100.0))
@@ -362,37 +364,82 @@ def test_stimulus_levels_must_be_whole_numbers():
     stim = Stimulus(initial={"A": np.int64(1)}, events=((50.0, "A", np.float64(0.0)),))
     assert simulate(c, stim).final_level("Y") == L.L1
     stim = Stimulus.from_json({"initial": {"A": 1.0}, "events": [], "duration_ps": 10.0})
-    assert stim.initial == {"A": L.L1}
+    assert stim.initial == {"A": L.L1} and simulate(c, stim).final_level("Y") == L.L0
 
 
 _ZEROS = {"A": L.L0, "B": L.L0, "Cin": L.L0}
+_TIME = r"time must be a number in \[0, duration_ps=100\.0\] ps, got "
+_FORM = r"expected \(time_ps, input port, level\), got "
 
 
 @pytest.mark.parametrize("initial, events, duration_ps, match", [
-    (_ZEROS, (("5", "A", L.L1),), 100.0, r"events\[0\]: time must be a number of ps, got '5'"),
-    (_ZEROS, ((10.0, "B", L.L1), (None, "A", L.L1)), 100.0,
-     r"events\[1\]: time must be a number of ps, got None"),
-    (_ZEROS, ((True, "A", L.L1),), 100.0, r"events\[0\]: time must be a number of ps, got True"),
-    (_ZEROS, ((5.0, ["A"], L.L1),), 100.0,
-     r"events\[0\]: expected \(time_ps, input port, level\), got \(5\.0, \['A'\], "),
-    (_ZEROS, ((5.0, "A"),), 100.0,
-     r"events\[0\]: expected \(time_ps, input port, level\), got \(5\.0, 'A'\)"),
-    (_ZEROS, (5.0,), 100.0, r"events\[0\]: expected \(time_ps, input port, level\), got 5\.0"),
-    (_ZEROS, (), "5", r"duration_ps must be a time in \[0, .*\] ps, got '5'"),
-    (_ZEROS, (), None, r"duration_ps must be a time in \[0, .*\] ps, got None"),
-    (_ZEROS, (), True, r"duration_ps must be a time in \[0, .*\] ps, got True"),
-    (None, (), 100.0, "initial levels must be a map of the input ports to levels, got None"),
+    (_ZEROS, (("5", "A", 1),), 100.0, rf"events\[0\]: {_TIME}'5'$"),
+    (_ZEROS, ((10.0, "B", 1), (None, "A", 1)), 100.0, rf"events\[1\]: {_TIME}None$"),
+    (_ZEROS, ((True, "A", 1),), 100.0, rf"events\[0\]: {_TIME}True$"),
+    (_ZEROS, ((float("nan"), "A", 1),), 100.0, rf"events\[0\]: {_TIME}nan$"),
+    (_ZEROS, ((-1.0, "A", 1),), 100.0, rf"events\[0\]: {_TIME}-1\.0$"),
+    (_ZEROS, ((10.0, "B", 1), (100.5, "A", 1)), 100.0, rf"events\[1\]: {_TIME}100\.5$"),
+    (_ZEROS, ((5.0, ["A"], 1),), 100.0, rf"events\[0\]: {_FORM}\(5\.0, \['A'\], 1\)$"),
+    (_ZEROS, ((5.0, "A"),), 100.0, rf"events\[0\]: {_FORM}\(5\.0, 'A'\)$"),
+    (_ZEROS, (5.0,), 100.0, rf"events\[0\]: {_FORM}5\.0$"),
+    (_ZEROS, 5, 100.0, rf"events must be a list of \(time_ps, input port, level\), got 5$"),
+    (_ZEROS, None, 100.0, r"events must be a list of \(time_ps, input port, level\), got None$"),
+    (_ZEROS, ((5.0, "Sum", 1),), 100.0, r"events\[0\]: 'Sum' is not an input port$"),
+    (_ZEROS, ((20.0, "A", 1), (10.0, "A", 2)), 100.0,
+     r"events\[1\]: events on 'A' not in time order$"),
+    (_ZEROS, ((50.01, "A", 1), (50.02, "A", 2)), 100.0,
+     r"events\[1\]: events on 'A' collide at 50\.02 ps \(0\.1 ps ticks\)$"),
+    ({**_ZEROS, "A": 2.7}, (), 100.0, r"initial: A: 2\.7 is not a logic level$"),
+    ({**_ZEROS, "A": "2"}, (), 100.0, r"initial: A: '2' is not a logic level$"),
+    ({**_ZEROS, "Cin": 2}, (), 100.0, r"initial: Cin: level 2 outside 2-level encoding "),
+    (_ZEROS, ((50.0, "Cin", True),), 100.0, r"events\[0\]: Cin: True is not a logic level$"),
+    (_ZEROS, ((50.0, "A", -1),), 100.0, r"events\[0\]: A: inputs cannot be driven to X$"),
+    (_ZEROS, (), "5", r"duration_ps must be a time in \[0, .*\] ps, got '5'$"),
+    (_ZEROS, (), None, r"duration_ps must be a time in \[0, .*\] ps, got None$"),
+    (_ZEROS, (), True, r"duration_ps must be a time in \[0, .*\] ps, got True$"),
+    (_ZEROS, (), float("nan"), r"duration_ps must be a time in \[0, .*\] ps, got nan$"),
+    (_ZEROS, (), -1.0, r"duration_ps must be a time in \[0, .*\] ps, got -1\.0$"),
+    (_ZEROS, (), 1e300, r"duration_ps must be a time in \[0, .*\] ps, got 1e\+300$"),
+    (None, (), 100.0, "initial levels must be a map of the input ports to levels, got None$"),
     (["A", "B", "Cin"], (), 100.0, "initial levels must be a map of the input ports to levels"),
     ([], (), 100.0, r"initial levels must cover exactly the input ports; "
-                    r"missing \['A', 'B', 'Cin'\], extra \[\]"),
+                    r"missing \['A', 'B', 'Cin'\], extra \[\]$"),
     ("ABC", (), 100.0, r"initial levels must cover exactly the input ports; "
-                       r"missing \['Cin'\], extra \['C'\]"),
-], ids=["time-str", "time-none", "time-bool", "port-list", "pair", "scalar", "duration-str",
-        "duration-none", "duration-bool", "initial-none", "initial-names", "initial-empty",
-        "initial-str"])
+                       r"missing \['Cin'\], extra \['C'\]$"),
+], ids=["time-str", "time-none", "time-bool", "time-nan", "time-negative", "time-past",
+        "port-list", "pair", "scalar", "events-int", "events-none", "port", "order", "collision",
+        "level-fraction", "level-str", "level-encoding", "level-bool", "level-x",
+        "duration-str", "duration-none", "duration-bool", "duration-nan", "duration-negative",
+        "duration-huge", "initial-none", "initial-names", "initial-empty", "initial-str"])
 def test_simulate_names_the_stimulus_field_at_fault(initial, events, duration_ps, match):
-    with pytest.raises(StimulusError, match=f"^{match}"):
-        simulate(build_qfa("qfa2", 0.9), Stimulus(initial, events, duration_ps))
+    """The Python API and the JSON path raise the same text, which starts with
+    its field: ``Stimulus.from_json`` reads only the shape."""
+    qfa2 = build_qfa("qfa2", 0.9)
+    with pytest.raises(StimulusError, match=f"^{match}") as api:
+        simulate(qfa2, Stimulus(initial, events, duration_ps))
+    blob = json.loads(json.dumps({"initial": initial, "events": events,
+                                  "duration_ps": duration_ps}))
+    with pytest.raises(StimulusError) as via_json:
+        simulate(qfa2, Stimulus.from_json(blob))
+    assert str(via_json.value) == str(api.value)
+
+
+def test_stimulus_json_is_read_for_its_shape_only():
+    """Values pass on as given; a missing field or an events that is not a
+    list is named."""
+    stim = Stimulus.from_json({"initial": {"A": "x"}, "events": [[1, ["B"], 2.5], 7],
+                               "duration_ps": "soon"})
+    assert stim == Stimulus({"A": "x"}, ((1, ["B"], 2.5), 7), "soon")
+    for blob, match in [
+        ([1], "^a stimulus is an object of initial, events and duration_ps, got \\[1\\]$"),
+        ({"events": [], "duration_ps": 1.0}, "^initial: missing$"),
+        ({"initial": {}, "duration_ps": 1.0}, "^events: missing$"),
+        ({"initial": {}, "events": []}, "^duration_ps: missing$"),
+        ({"initial": {}, "events": "abc", "duration_ps": 1.0},
+         r"^events must be a list of \(time_ps, input port, level\), got 'abc'$"),
+    ]:
+        with pytest.raises(StimulusError, match=match):
+            Stimulus.from_json(blob)
 
 
 def test_stimulus_checks_keep_their_order():
@@ -400,11 +447,14 @@ def test_stimulus_checks_keep_their_order():
     before event levels."""
     c = build_qfa("qfa2", 0.9)
     for initial, events, match in [
-        (_ZEROS, ((5.0, "A", 9), (500.0, "A", L.L1)), r"event at 500\.0 ps outside"),
-        (_ZEROS, ((5.0, "A", 9), (7.0, "Sum", L.L1)), "event on non-input port 'Sum'"),
-        ({**_ZEROS, "Cin": 3}, ((5.0, "A", 9),), "Cin: level 3 outside 2-level encoding"),
-        (_ZEROS, ((5.0, "A", L.X), (6.0, "Cin", 2)), "A: inputs cannot be driven to X"),
-        (_ZEROS, ((5.0, "Cin", 2), (6.0, "A", L.X)), "Cin: level 2 outside 2-level encoding"),
+        (_ZEROS, ((5.0, "A", 9), (500.0, "A", L.L1)),
+         r"events\[1\]: time must be a number in \[0, duration_ps=100\.0\] ps, got 500\.0"),
+        (_ZEROS, ((5.0, "A", 9), (7.0, "Sum", L.L1)), r"events\[1\]: 'Sum' is not an input port"),
+        ({**_ZEROS, "Cin": 3}, ((5.0, "A", 9),), "initial: Cin: level 3 outside 2-level encoding"),
+        (_ZEROS, ((5.0, "A", L.X), (6.0, "Cin", 2)),
+         r"events\[0\]: A: inputs cannot be driven to X"),
+        (_ZEROS, ((5.0, "Cin", 2), (6.0, "A", L.X)),
+         r"events\[0\]: Cin: level 2 outside 2-level encoding"),
     ]:
         with pytest.raises(StimulusError, match=f"^{match}"):
             simulate(c, Stimulus(initial, events, 100.0))

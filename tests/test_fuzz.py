@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from mvadder.cli import main
 from mvadder.engine import (Stimulus, StimulusError, measure_delay, simulate,
                             worst_case_stimulus)
-from mvadder.gates import CellLibrary, LibraryError, load_library
+from mvadder.gates import CellLibrary, LibraryError, TransistorInventory, load_library
 from mvadder.levels import (DigitVector, DomainError, bfa_oracle, binary_full, cpa_oracle_rows,
                             qfa_oracle)
 from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
@@ -65,9 +65,8 @@ LIB_KINDS = ["inv", "mux4", "det1", "succ2", "nosuch"]
 STIMULUS = {"initial": {"A": 2, "B": 1, "Cin": 0}, "events": [[50.0, "Cin", 1]],
             "duration_ps": 200.0}
 # (path to a number in STIMULUS, the names an exit-2 message may give for it)
-STIMULUS_NUMBERS = [(("initial", "A"), ("initial", "A")), (("events", 0, 0), ("event",)),
-                    (("events", 0, 2), ("event", "Cin")),
-                    (("duration_ps",), ("duration_ps", "event"))]
+STIMULUS_NUMBERS = [(("initial", "A"), ("initial",)), (("events", 0, 0), ("events[0]",)),
+                    (("events", 0, 2), ("events[0]",)), (("duration_ps",), ("duration_ps",))]
 
 
 def _run(argv):
@@ -181,6 +180,7 @@ def _api_runs(tmp_path):
          DomainError, "threads", {*WHOLE, "2**63"}, ()),  # a pool starts a thread per config
         ("DigitVector radix", lambda v: DigitVector(v, (1,)), DomainError, "radix", WHOLE, ()),
         ("DigitVector digit", lambda v: DigitVector(4, (v,)), DomainError, "digit", WHOLE, ()),
+        ("DigitVector digits", lambda v: DigitVector(4, v), DomainError, "^digits", set(), ()),
         ("from_int value", lambda v: DigitVector.from_int(v, 4, 2), DomainError,
          "value|does not fit", WHOLE, ()),
         ("from_int radix", lambda v: DigitVector.from_int(1, v, 2), DomainError, "radix", WHOLE,
@@ -198,12 +198,13 @@ def _api_runs(tmp_path):
          "b must|digit", WHOLE, ()),
         ("cpa_oracle_rows cin", lambda v: cpa_oracle_rows([[0]], [[0]], [v], 4), DomainError,
          "cin|carry-in", set(), ()),
-        ("stimulus level", lambda v: stimulus(initial={**zeros, "A": v}), StimulusError, "A",
-         WHOLE, ()),
-        ("stimulus time", lambda v: stimulus(events=[[v, "Cin", 1]]), StimulusError, "event",
-         {"int64(2)", "1.5"}, ()),
+        ("stimulus level", lambda v: stimulus(initial={**zeros, "A": v}), StimulusError,
+         "^initial: A: ", WHOLE, ()),
+        ("stimulus events", lambda v: stimulus(events=v), StimulusError, "^events", set(), ()),
+        ("stimulus time", lambda v: stimulus(events=[[v, "Cin", 1]]), StimulusError,
+         r"^events\[0\]: time", {"int64(2)", "1.5"}, ()),
         ("stimulus duration_ps", lambda v: stimulus(duration_ps=v), StimulusError,
-         "duration_ps", {"int64(2)", "1.5"}, ()),
+         "^duration_ps", {"int64(2)", "1.5"}, ()),
         ("ElectricalParams drive_resistance_ref",
          lambda v: replace(params, drive_resistance_ref=v), DomainError, "drive_resistance_ref",
          REAL, ()),
@@ -211,6 +212,10 @@ def _api_runs(tmp_path):
          LibraryError, "drive_resistance_ohm", REAL, ()),
         ("library inventory count", lambda v: library({"inventory": [["N", 19, v]]}),
          LibraryError, "inventory", {*WHOLE, "2**63"}, ()),
+        ("TransistorInventory chirality", lambda v: TransistorInventory((("N", v, 1),)),
+         LibraryError, "^chirality", {*WHOLE, "2**63"}, ()),
+        ("TransistorInventory count", lambda v: TransistorInventory((("N", 19, v),)),
+         LibraryError, "^count", {*WHOLE, "2**63"}, ()),
     ]
 
 
@@ -253,14 +258,13 @@ def test_the_cli_names_a_bad_library_field(scratch, kind, key, value, top):
 def _stimulus_edits():
     """(edit of a stimulus dict, the names an exit-2 message may give for it)"""
     field = st.sampled_from(["initial", "events", "duration_ps"])
-    set_top = st.tuples(field, JUNK).map(
-        lambda fv: (lambda s: s.__setitem__(*fv), (fv[0], "event")))
+    set_top = st.tuples(field, JUNK).map(lambda fv: (lambda s: s.__setitem__(*fv), (fv[0],)))
     drop = field.map(lambda f: (lambda s: s.pop(f), (f,)))
     level = st.tuples(st.sampled_from(["A", "B", "Cin", "Z"]), JUNK).map(
-        lambda pv: (lambda s: s["initial"].__setitem__(*pv), ("initial", pv[0])))
+        lambda pv: (lambda s: s["initial"].__setitem__(*pv), ("initial",)))
     event = st.tuples(st.integers(0, 3), JUNK | st.sampled_from(["A", "Z"])).map(
         lambda kv: (lambda s: s["events"][0].__setitem__(kv[0], kv[1])
-                    if kv[0] < 3 else s["events"][0].pop(), ("event", "Cin", "A")))
+                    if kv[0] < 3 else s["events"][0].pop(), ("events[0]",)))
     whole = JUNK.map(lambda v: (lambda s: (s.clear(), s.update(value=v)), ("initial",)))
     return st.one_of(set_top, drop, level, event, whole)
 

@@ -64,6 +64,16 @@ def test_inventory_rejects_bad_entries():
         TransistorInventory((("Q", 19, 1),))
     with pytest.raises(LibraryError):
         TransistorInventory((("N", 19, 0),))
+    # whole numbers, as levels.whole takes them: library JSON reads 2.0 as 2 before this
+    for n, count, message in [(True, 1, "chirality must be a whole number, got True"),
+                              ("x", 1, "chirality must be a whole number, got 'x'"),
+                              (19, 2.5, "count must be a whole number, got 2.5"),
+                              (19, 2.0, "count must be a whole number, got 2.0"),
+                              (19, "2", "count must be a whole number, got '2'")]:
+        with pytest.raises(LibraryError, match=f"^{re.escape(message)}$"):
+            TransistorInventory((("N", n, count),))
+    inv = TransistorInventory((("N", np.int64(19), np.int64(2)),))
+    assert inv.total_count == 2 and inventory_area(inv) == pytest.approx(2.974)
 
 
 _entry = st.tuples(st.sampled_from("NP"), st.sampled_from(sorted(DIAMETER_NM)),

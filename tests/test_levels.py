@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvadder.engine import Stimulus, StimulusError
+from mvadder.engine import Stimulus, StimulusError, simulate
 from mvadder.gates import LibraryError, load_library
 from mvadder.levels import (
     DigitVector,
@@ -20,6 +21,7 @@ from mvadder.levels import (
     quaternary,
     third_swing,
 )
+from mvadder.netlist import build_qfa
 
 # Quaternary adder truth table, all 32 rows: (a, b, cin) -> (sum, cout).
 TRUTH_TABLE = {
@@ -130,6 +132,10 @@ def test_digit_vector_rejects_bad_digits():
         DigitVector(3, (0, 1))
     with pytest.raises(DomainError, match="^digit must be a whole number, got 2.7"):
         DigitVector(4, (2.7, 1))
+    for digits in (None, 5, [0, 1], "01"):
+        with pytest.raises(DomainError, match=f"^digits must be a tuple of whole numbers, "
+                                              f"got {re.escape(repr(digits))}$"):
+            DigitVector(4, digits)
     with pytest.raises(DomainError, match="^value must be a whole number, got 2.5"):
         DigitVector.from_int(2.5, 4, 2)
     with pytest.raises(DomainError, match="^16 does not fit in 2 radix-4 digits$"):
@@ -298,14 +304,15 @@ def test_levels_and_inventory_counts_take_a_real_number_with_a_whole_value(value
     """One rule for a stimulus level and a library inventory count: a real
     number, not a bool, with a whole value: levels.whole with floats. Without
     them it is stricter (2.0 is no digit count)."""
-    stim = {"initial": {"A": value}, "events": [], "duration_ps": 10}
+    stim = {"initial": {"A": value, "B": 0, "Cin": 0}, "events": [], "duration_ps": 10}
+    qfa2 = build_qfa("qfa2", 0.9)
     lib = tmp_path / "lib.json"
     lib.write_text(json.dumps({"inv": {"inventory": [["N", 19, value]]}}))
     if want is None:
-        with pytest.raises(StimulusError, match="is not a logic level"):
-            Stimulus.from_json(stim)
+        with pytest.raises(StimulusError, match="^initial: A: .* is not a logic level$"):
+            simulate(qfa2, Stimulus.from_json(stim))  # from_json reads only the shape
         with pytest.raises(LibraryError, match="inventory entry must hold whole numbers"):
             load_library(lib)
     else:
-        assert Stimulus.from_json(stim).initial == {"A": Level(want)}
+        assert simulate(qfa2, Stimulus.from_json(stim)).final_level("A") == Level(want)
         assert load_library(lib).cells["inv"].inventory.entries == (("N", 19, want),)
