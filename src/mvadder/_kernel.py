@@ -9,15 +9,16 @@ its input codes (level + 1, so X is 0) times its kind's row weights,
 
 Both engines settle by one rule: every net starts at X except the
 constants, and a gate's outputs are its table entries at its inputs. The
-event loop (:func:`_run_single`) is plain Python over lists with a
-``heapq`` event queue and one output plan per gate (net, table column,
-delay; :attr:`CompiledCircuit.event_plan`). It starts by evaluating the
-gates the constants alone decide, then applies the input levels at t = 0,
-and raises :class:`UnsettledOutputError` or :class:`SimulationTimeoutError`
-where it finds the failure. The batch settle (:func:`settle_batch`) is one
-levelized pass, vectorized with numpy over the gates of a level and kind
-and over input vectors; a gate with one input pin rides along as extra
-rows of the step that sets its input, read from a composed table
+event loop (:func:`_run_single`) is plain Python over the compiled lists,
+read as they are, with a ``heapq`` event queue and one output plan per gate
+(net, table column, delay; :attr:`CompiledCircuit.event_plan`). It starts
+by evaluating the gates the constants alone decide, then applies the input
+levels at t = 0, and raises :class:`UnsettledOutputError` or
+:class:`SimulationTimeoutError` where it finds the failure. The batch
+settle (:func:`settle_batch`) is one levelized pass, vectorized with numpy
+over the gates of a level and kind and over input vectors, on arrays built
+at its first use; a gate with one input pin rides along as extra rows of
+the step that sets its input, read from a composed table
 (:attr:`CompiledCircuit.settle_plan`). The net indices of every pin, the
 fan-out, the gate order and the logic levels come from the one pass of
 :func:`netlist._analyse`, which each circuit runs at most once.
@@ -63,16 +64,17 @@ def _columns(kind: str) -> list:
 
 
 class CompiledCircuit:
-    """Kernel array form of a circuit; ``DomainError`` names an invalid one's diagnostics.
+    """A circuit as lists per net and gate; ``DomainError`` names an invalid one's diagnostics.
 
     The circuit's one pass of :func:`netlist._analyse` gives the integer graph
     (``net_index``, ``gate_in``, ``gate_out`` and ``fanout``, whose weights
     step a gate's table row when an input changes), each net's load
-    ``net_cap``, the Kahn order ``topo_order`` (gate indices, every gate
-    after the drivers of its inputs) and ``gate_level``. Compiling adds the
-    output delays in ticks, each gate's table row at the initial levels,
-    the net rails, the gates the constants alone decide, and ``max_ticks``,
-    the longest gate delay or stimulus window that keeps every tick in int64."""
+    ``net_cap`` (its list, shared), the Kahn order ``topo_order`` (every
+    gate after the drivers of its inputs) and ``gate_level``. Compiling adds
+    the output delays in ticks, the initial levels ``net_init`` and table
+    rows ``gate_row`` (which the event loop copies), the net rails, the gates
+    the constants alone decide, and ``max_ticks``, the longest gate delay or
+    stimulus window that keeps every tick in int64."""
 
     def __init__(self, circuit):
         a = _analysed(circuit)
@@ -83,10 +85,11 @@ class CompiledCircuit:
         nets = list(circuit.nets.values())
         self.net_ids = list(circuit.nets)
         n = self.n_nets = len(nets)
-        self.net_cap = np.array(cap, np.float64)
+        self.net_cap = cap  # shared with the analysis, never mutated
         const = {i: net.driver[1] for i, net in enumerate(nets) if net.driver}
-        self.net_init = np.full(n, LVL_X, np.int64)
-        self.net_init[list(const)] = list(const.values())
+        init = self.net_init = [LVL_X] * n
+        for i, lvl in const.items():
+            init[i] = lvl
         # per net: its level voltages padded to four levels, then 0 V for X
         # (index -1); the nets of one encoding object share one tuple, padded
         # once (keyed by id(): the circuit keeps every encoding alive)
@@ -130,13 +133,11 @@ class CompiledCircuit:
         for i, lvl in const.items():
             for g, w in self.fanout[i]:
                 row[g] += w * (lvl + 1)
-        self.gate_row = np.array(row, np.int64)
+        self.gate_row = row
         self.const_gates = sorted({g for i in const for g, _ in self.fanout[i]
                                    if any(c[row[g]] != LVL_X for c in _columns(self.gate_kind[g]))})
 
-        ins = circuit.input_ports()
-        self.in_port_net = {p.name: self.net_index[p.net] for p in ins}
-        self.in_port_radix = {p.name: p.encoding.radix for p in ins}  # engine's level checks
+        self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
         self.port_plans: dict = {}  # engine.settle_matrix's checked port lists and their arrays
@@ -308,9 +309,9 @@ def _run_single(comp: CompiledCircuit, initial, stimulus, duration_ps: float,
     """
     n_nets = comp.n_nets
     plan, fanout = comp.event_plan, comp.fanout
-    cap, volt = comp.net_cap.tolist(), comp.net_rail
-    cur = comp.net_init.tolist()
-    row = comp.gate_row.tolist()
+    cap, volt = comp.net_cap, comp.net_rail
+    cur = comp.net_init.copy()
+    row = comp.gate_row.copy()
     pend_t = [-1] * n_nets
     pend_v = [0] * n_nets
     heap: list = []

@@ -34,9 +34,6 @@ _MAX_EVENTS_PER_NET = 10_000
 #: Port lists :func:`settle_matrix` keeps resolved per compiled circuit.
 _PORT_PLANS = 8
 
-#: The Level of each level an input can be driven to, by its int.
-_LEVELS = (Level.L0, Level.L1, Level.L2, Level.L3)
-
 #: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
 
@@ -61,11 +58,18 @@ class Stimulus:
     duration_ps: float = 1000.0
 
     def to_json(self) -> dict:
-        return {
-            "initial": {p: int(l) for p, l in self.initial.items()},
-            "events": [[float(t), p, int(l)] for t, p, l in self.events],
-            "duration_ps": float(self.duration_ps),
-        }
+        """The stimulus as a JSON object, each value as it is: a level as an
+        int (a whole number), a time as a float (any float, or a finite
+        number) and a port as a str. A StimulusError, starting with its
+        field, for a value that is none of these; :func:`simulate` checks
+        the rest."""
+        duration, initial = _json_time("duration_ps", self.duration_ps), self.initial
+        if not isinstance(initial, Mapping):
+            raise StimulusError(f"initial levels must be a map of ports to levels, got {initial!r}")
+        initial = {p: _json_level("initial", p, lvl) for p, lvl in initial.items()}
+        events = [[_json_time(f"events[{k}]: time", t), p, _json_level(f"events[{k}]", p, lvl)]
+                  for k, t, p, lvl in _events(self.events)]
+        return {"initial": initial, "events": events, "duration_ps": duration}
 
     @classmethod
     def from_json(cls, data: dict) -> "Stimulus":
@@ -94,6 +98,39 @@ class Stimulus:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
+def _json_time(field: str, t) -> float:
+    if isinstance(t, float) or is_finite(t):
+        return float(t)
+    raise StimulusError(f"{field} must be a number, got {t!r}")
+
+
+def _json_level(field: str, port, value) -> int:
+    if not isinstance(port, str):
+        raise StimulusError(f"{field}: {port!r} is not a port name")
+    try:
+        return whole(port, value, floats=True)
+    except DomainError:
+        raise StimulusError(f"{field}: {port}: {value!r} is not a logic level") from None
+
+
+def _events(events):
+    """Per entry of ``events``: its index, time, port and level. A
+    StimulusError naming ``events``, or ``events[k]`` for an entry not of
+    that form or with an unhashable port."""
+    try:
+        given = enumerate(events)
+    except TypeError:  # not iterable
+        raise StimulusError(_EVENTS_FORM.format(events)) from None
+    for k, event in given:
+        try:
+            t, port, lvl = event
+            hash(port)
+        except (TypeError, ValueError):  # not a triple, or an unhashable port
+            raise StimulusError(f"events[{k}]: expected (time_ps, input port, level), "
+                                f"got {event!r}") from None
+        yield k, t, port, lvl
+
+
 def _column(k: int, dtype) -> cached_property:
     """Field ``k`` of every trace record, as a numpy array built on first read."""
     return cached_property(lambda trace: np.array([r[k] for r in trace.records], dtype))
@@ -118,9 +155,9 @@ class Trace:
     origin_ticks: int
     n_settle: int
     duration_ticks: int
-    stim_events: tuple  # (abs_ticks, port, level), sorted
-    final_levels: np.ndarray
-    compiled: object = field(repr=False, default=None)  # the circuit's _kernel.CompiledCircuit
+    stim_events: tuple  # (abs_ticks, port, level as an int), sorted
+    final_levels: list  # the kernel's last level per net, as an int (-1 for X)
+    compiled: object = field(repr=False)  # the circuit's _kernel.CompiledCircuit
 
     times = _column(0, np.int64)
     nets = _column(1, np.int64)
@@ -150,7 +187,7 @@ class Trace:
         raise DomainError(f"unknown net or port {name!r}")
 
     def final_level(self, port: str) -> Level:
-        return Level(int(self.final_levels[self.net_index(port)]))
+        return Level(self.final_levels[self.net_index(port)])
 
     def write_csv(self, path: str | Path) -> None:
         rail = self.compiled.net_rail
@@ -197,11 +234,11 @@ def _level(comp, port: str, value) -> int:
             lvl = None
         if lvl not in (-1, 0, 1, 2, 3):
             raise StimulusError(f"{port}: {value!r} is not a logic level")
-    if 0 <= lvl < comp.in_port_radix[port]:
+    enc = comp.port_encoding[port]
+    if 0 <= lvl < enc.radix:
         return int(lvl)
     if lvl == Level.X:
         raise StimulusError(f"{port}: inputs cannot be driven to X")
-    enc = comp.port_encoding[port]
     raise StimulusError(
         f"{port}: level {int(lvl)} outside {enc.radix}-level encoding {enc.name!r}")
 
@@ -224,20 +261,11 @@ def _check_stimulus(comp, stim: Stimulus) -> tuple:
     in_net, initial = comp.in_port_net, stim.initial
     if not (isinstance(initial, Mapping) and initial.keys() == in_net.keys()):
         raise _cover_error(comp, initial)
-    try:
-        given = enumerate(stim.events)
-    except TypeError:  # not iterable
-        raise StimulusError(_EVENTS_FORM.format(stim.events)) from None
     seen: dict = {}  # per port: its last event's (time, tick)
     events = []
     bad = None  # the first event level that cannot drive its port
-    for k, event in given:
-        try:
-            t, port, lvl = event
-            net = in_net.get(port)
-        except (TypeError, ValueError):  # not a triple, or an unhashable port
-            raise StimulusError(f"events[{k}]: expected (time_ps, input port, level), "
-                                f"got {event!r}") from None
+    for k, t, port, lvl in _events(stim.events):
+        net = in_net.get(port)
         if net is None:
             raise StimulusError(f"events[{k}]: {port!r} is not an input port")
         if not (is_finite(t) and 0 <= t <= duration):  # NaN and infinities of any width
@@ -285,8 +313,8 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
         origin_ticks=origin,
         n_settle=n_settle,
         duration_ticks=_ticks(stimulus.duration_ps),
-        stim_events=tuple((tick + origin, port, _LEVELS[lvl]) for tick, _, lvl, port in events),
-        final_levels=np.array(cur, np.int64),
+        stim_events=tuple((tick + origin, port, lvl) for tick, _, lvl, port in events),
+        final_levels=cur,
         compiled=comp,
     )
 
@@ -317,7 +345,7 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
             raise StimulusError(
                 f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
             )
-        radix = np.array([comp.in_port_radix[p] for p in in_ports], np.uint64)
+        radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
     else:
         radix, in_nets, out_ports, out_nets = plan
     # tested first: an integer array takes no extra pass; anything else, a

@@ -55,7 +55,12 @@ class TransistorInventory:
     entries: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
-        for dev, n, count in self.entries:
+        entries = self.entries
+        if not (isinstance(entries, tuple)
+                and all(isinstance(e, tuple) and len(e) == 3 for e in entries)):
+            raise LibraryError(f"entries must be a tuple of (device type, chirality, count) "
+                               f"tuples, got {entries!r}")
+        for dev, n, count in entries:
             if dev not in ("N", "P"):
                 raise LibraryError(f"device type must be N or P, got {dev!r}")
             try:

@@ -53,6 +53,17 @@ def whole(name: str, value, *, floats: bool = False) -> int:
     raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
+def listed(name: str, value) -> tuple:
+    """The items of ``value``, an iterable other than a str, as a tuple; a
+    DomainError naming ``name`` otherwise."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:  # not iterable
+            pass
+    raise DomainError(f"{name}: expected a list, got {value!r}")
+
+
 class Level(enum.IntEnum):
     """Logical value carried by a net. ``X`` marks unknown/uninitialized."""
 

@@ -444,6 +444,7 @@ def build_binary_slice(variant: str, vdd: float = 0.9,
 
     Ports A0/A1, B0/B1 (bit 0 = LSB), Cin, S0/S1, Cout.
     """
+    variant = variant.lower() if isinstance(variant, str) else variant
     b = _chain(f"{variant}x2", build_bfa(variant, vdd, lib), ("Cin", "C1", "Cout"), "b", cl)
     return b.finalize(variant=f"{variant}x2", vdd=vdd, cl=cl)
 
@@ -493,17 +494,17 @@ def _analyse(c: Circuit) -> _Analysis:
     """One pass that resolves every pin of ``c`` to a net index exactly once.
 
     Gives :func:`validate`'s diagnostics; each net id's index (``c.nets``
-    order); per net its load, the external load plus the input cap of each
-    pin it feeds, summed in instance and pin order (0 for a supply tie,
-    which switches nothing); per gate (``c.instances`` order) its input nets
-    in pin order and its output nets; per net the gates it feeds as (gate,
-    summed row weight of the pins it drives, see :class:`gates.KindSpec`);
-    the gate indices in Kahn order, every gate after the drivers of its
-    inputs; per gate its logic level, 1 + its inputs' highest (an undriven
-    net is 0), or 0 for a gate never ordered; per net its first driver (its
-    constant, else the first input port, else the first gate output on it)
-    or None; each (instance id, pin) unbound or bound to no net; and each
-    (net, driver) after a net's first.
+    order); per net its load as a float, the external load plus the input
+    cap of each pin it feeds, summed in instance and pin order (0 for a
+    supply tie, which switches nothing); per gate (``c.instances`` order)
+    its input nets in pin order and its output nets; per net the gates it
+    feeds as (gate, summed row weight of the pins it drives, see
+    :class:`gates.KindSpec`); the gate indices in Kahn order, every gate
+    after the drivers of its inputs; per gate its logic level, 1 + its
+    inputs' highest (an undriven net is 0), or 0 for a gate never ordered;
+    per net its first driver (its constant, else the first input port, else
+    the first gate output on it) or None; each (instance id, pin) unbound or
+    bound to no net; and each (net, driver) after a net's first.
 
     Kahn's algorithm runs in waves of nets, and a gate is released when the
     weights of its arrived inputs sum to its bound pins' weights, so a
@@ -583,7 +584,7 @@ def _analyse(c: Circuit) -> _Analysis:
         gate_out.append(outs)
         wait.append(total)
 
-    cap = [0.0 if k else x for k, x in zip(const, cap)]  # a supply tie switches nothing
+    cap = [0.0 if k else float(x) for k, x in zip(const, cap)]  # a supply tie switches nothing
     more: dict = {}
     for i, d in again:
         more.setdefault(i, [driver[i]]).append(d)

@@ -23,7 +23,7 @@ from .engine import (
     worst_case_stimulus,
 )
 from .gates import CellLibrary
-from .levels import DomainError, Level, whole
+from .levels import DomainError, Level, listed, whole
 from .netlist import CELL_KINDS, area_report, build_cell, build_cpa
 from .timing import sta
 
@@ -141,7 +141,7 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     :data:`CELL_KINDS` or an empty ``n_list`` raises DomainError.
     """
     kind = config.kind.lower() if isinstance(config.kind, str) else config.kind
-    n_list = list(n_list)
+    n_list = listed("n_list", n_list)
     if kind not in CELL_KINDS:
         raise DomainError(f"kind: unknown cell kind {config.kind!r}")
     if not n_list:

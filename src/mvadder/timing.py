@@ -14,7 +14,7 @@ from itertools import groupby
 
 from ._kernel import TICK_PS, compile_circuit
 from .gates import KIND_SPECS
-from .levels import DomainError
+from .levels import DomainError, listed
 from .netlist import Circuit, gc_paused
 
 
@@ -75,13 +75,13 @@ def sta(circuit: Circuit, sources, sinks) -> TimingReport:
     Ties break on the least arc id (instance, from_pin, to_pin), and then
     the least sink name, so reports are deterministic."""
     comp = compile_circuit(circuit)  # rejects an invalid circuit first
-    sources, sinks = tuple(sources), tuple(sinks)
+    sources, sinks = listed("sources", sources), listed("sinks", sinks)
     for field, names in (("sources", sources), ("sinks", sinks)):
         if not names:
             raise DomainError(f"{field}: expected at least one port, got none")
-    for name in (*sources, *sinks):
-        if name not in circuit.ports:
-            raise DomainError(f"{name!r} is not a port of {circuit.name!r}")
+        for name in names:
+            if not isinstance(name, str) or name not in circuit.ports:  # a list is unhashable
+                raise DomainError(f"{field}: {name!r} is not a port of {circuit.name!r}")
 
     arrival = [-1] * comp.n_nets  # ticks; -1 = unreached
     pred: list = [None] * comp.n_nets  # (gate, input position, output position)

@@ -860,11 +860,11 @@ def test_constant_fed_gates_settle_alike_in_both_engines():
     assert [comp.gate_kind[g] for g in comp.const_gates] == ["inv", "nand", "nand"]
     for a in (0, 1):
         tr = _settled_by_simulate(c, ["A"], [a])
-        final = {nid: int(tr.final_levels[i]) for nid, i in comp.net_index.items()}
+        final = {nid: tr.final_levels[i] for nid, i in comp.net_index.items()}
         assert [final[n] for n in ("dead", "dom", "mix", "tail")] == [0, 1, 1, 1]
         settled = _kernel.settle_batch(comp, np.array([comp.in_port_net["A"]]),
                                        np.array([[a]]), np.arange(comp.n_nets))
-        assert settled[0].tolist() == tr.final_levels.tolist()
+        assert settled[0].tolist() == tr.final_levels
     # Y1 = nand(A, inv(const 1)) is 1 whatever A is
     c = tie_off_circuit(mix_port=True)
     assert validate(c) == []
@@ -971,7 +971,7 @@ def test_gate_fed_outside_its_domain_gives_x_in_both_engines():
         tr = _settled_by_simulate(c, ["A", "B"], [a, bv])
         settled = _kernel.settle_batch(comp, in_nets, np.array([[a, bv]]),
                                        np.arange(comp.n_nets))
-        assert settled[0].tolist() == tr.final_levels.tolist()
+        assert settled[0].tolist() == tr.final_levels
         assert tr.final_levels[n] == want
     c = nand_l2_circuit(y_port=True)
     assert settle_matrix(c, ["A", "B"], [[1, 1]], ["Y1"]).tolist() == [[0]]
@@ -1023,7 +1023,7 @@ def test_batch_settle_agrees_with_event_engine_on_random_circuits(seed):
         want = [ref[nid] for nid in comp.net_ids]
         assert settled.tolist() == want
         tr = _settled_by_simulate(c, in_ports, row)
-        assert tr.final_levels.tolist() == want
+        assert tr.final_levels == want
         assert tr.levels.min(initial=0) >= -1  # nothing below X
 
 
@@ -1138,13 +1138,13 @@ def test_random_stimuli_on_random_circuits(seed, data):
     final = np.array([[level[p] for p in ports]])
     in_nets = np.array([comp.in_port_net[p] for p in ports])
     settled = _kernel.settle_batch(comp, in_nets, final, np.arange(comp.n_nets))
-    assert tr.final_levels.tolist() == settled[0].tolist()
+    assert tr.final_levels == settled[0].tolist()
 
-    cur = comp.net_init.tolist()
+    cur = comp.net_init.copy()
     for n, lvl, energy, src in zip(tr.nets, tr.levels, tr.energies, tr.srcs):
         if src == 0:
             v_from, v_to = comp.net_rail[n][cur[n]], comp.net_rail[n][lvl]
-            assert energy == switching_energy(float(comp.net_cap[n]), v_from, v_to)
+            assert energy == switching_energy(comp.net_cap[n], v_from, v_to)
         cur[n] = lvl
 
     steps = sorted({t for t, _, _ in tr.stim_events})
@@ -1175,6 +1175,60 @@ def test_stimulus_json_roundtrip(tmp_path):
     assert loaded == stim
     blob = json.loads(path.read_text())
     assert set(blob) == {"initial", "events", "duration_ps"}
+
+
+def test_compile_and_the_trace_keep_the_event_loops_lists():
+    """One form of each fact between compile, the event loop and the trace."""
+    tr = simulate(build_qfa("qfa2", 0.9), worst_case_stimulus("input_to_carry", "qfa2"))
+    comp = tr.compiled
+    for name in ("net_cap", "net_init", "gate_row"):
+        assert type(getattr(comp, name)) is list, name
+    assert {type(x) for x in comp.net_cap} == {float} and not hasattr(comp, "in_port_radix")
+    assert type(tr.final_levels) is list and {type(v) for v in tr.final_levels} == {int}
+    assert {type(lvl) for _, _, lvl in tr.stim_events} == {int}
+    [compiled] = [f for f in dataclasses.fields(tr) if f.name == "compiled"]
+    assert compiled.default is dataclasses.MISSING
+
+
+@pytest.mark.parametrize("stim, message", [
+    (Stimulus({**_ZEROS, "A": 2.5}), "initial: A: 2.5 is not a logic level"),
+    (Stimulus({**_ZEROS, "B": True}), "initial: B: True is not a logic level"),
+    (Stimulus({**_ZEROS, "A": "1"}), "initial: A: '1' is not a logic level"),
+    (Stimulus({**_ZEROS, "A": "x"}), "initial: A: 'x' is not a logic level"),
+    (Stimulus({**_ZEROS, "A": float("inf")}), "initial: A: inf is not a logic level"),
+    (Stimulus({1: 0}), "initial: 1 is not a port name"),
+    (Stimulus(None), "initial levels must be a map of ports to levels, got None"),
+    (Stimulus(_ZEROS, ((True, "A", 1),)), "events[0]: time must be a number, got True"),
+    (Stimulus(_ZEROS, ((1.0, "A", 1), (2.0, "A", 2.5))),
+     "events[1]: A: 2.5 is not a logic level"),
+    (Stimulus(_ZEROS, ((1.0, ("A",), 1),)), "events[0]: ('A',) is not a port name"),
+    (Stimulus(_ZEROS, 5), "events must be a list of (time_ps, input port, level), got 5"),
+    (Stimulus(_ZEROS, ((1.0, "A"),)),
+     "events[0]: expected (time_ps, input port, level), got (1.0, 'A')"),
+    (Stimulus(_ZEROS, (), "soon"), "duration_ps must be a number, got 'soon'"),
+    (Stimulus(_ZEROS, (), 10 ** 400), f"duration_ps must be a number, got {10 ** 400!r}"),
+], ids=["fraction", "bool", "str-level", "text", "inf", "int-port", "initial-none",
+        "time-bool", "event-level", "tuple-port", "events-int", "pair", "duration-str",
+        "duration-huge"])
+def test_stimulus_to_json_names_a_value_it_cannot_write_as_it_is(stim, message):
+    """Nothing is rewritten on the way to JSON: a value that is not written
+    as it is raises, starting with its field."""
+    with pytest.raises(StimulusError) as info:
+        stim.to_json()
+    assert str(info.value) == message
+
+
+def test_stimulus_to_json_writes_levels_as_ints_and_times_as_floats():
+    stim = Stimulus({"A": L.L2, "B": np.int64(1), "Cin": np.float64(0.0)},
+                    ((np.float32(1.5), "A", np.uint8(3)), (2, "B", 2 ** 63),
+                     (float("nan"), "Cin", 1.0)), np.int64(5))
+    blob = stim.to_json()
+    assert json.dumps(blob) == json.dumps({
+        "initial": {"A": 2, "B": 1, "Cin": 0},
+        "events": [[1.5, "A", 3], [2.0, "B", 2 ** 63], [float("nan"), "Cin", 1]],
+        "duration_ps": 5.0})
+    assert [type(v) for v in blob["initial"].values()] == [int] * 3
+    assert [type(x) for e in blob["events"] for x in e] == [float, str, int] * 3
 
 
 def test_trace_and_energy_csv(tmp_path):
@@ -1221,7 +1275,7 @@ def test_compiled_delays_equal_per_gate_propagation_delay():
         for pin in KIND_SPECS[inst.primitive.kind].inputs:
             load[inst.pins[pin]] += inst.primitive.params.input_cap_per_pin
     load.update({nid: 0.0 for nid, net in c.nets.items() if net.driver})  # supply ties
-    assert comp.net_cap.tolist() == [load[nid] for nid in comp.net_ids]
+    assert comp.net_cap == [load[nid] for nid in comp.net_ids]
     want = [
         tuple(max(1, round(propagation_delay(inst.primitive, load[inst.pins[pin]])
                            / (_kernel.TICK_PS * 1e-12)))

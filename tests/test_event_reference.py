@@ -37,7 +37,7 @@ FIELDS = ("times", "nets", "levels", "energies", "srcs", "origin_ticks", "n_sett
 def reference_simulate(circuit, stim: Stimulus) -> dict:
     """The trace fields of ``simulate(circuit, stim)``, one event at a time."""
     comp = _kernel.compile_circuit(circuit)
-    index, cap = comp.net_index, comp.net_cap.tolist()
+    index, cap = comp.net_index, comp.net_cap
     nets = list(circuit.nets.values())
     level = [net.driver[1] if net.driver else X for net in nets]
     gates = []  # (kind, input nets, output nets, output delays in ticks)

@@ -27,7 +27,8 @@ from mvadder.levels import (DigitVector, DomainError, bfa_oracle, binary_full, c
                             qfa_oracle)
 from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
                              validate)
-from mvadder.report import AdderConfig, compare
+from mvadder.report import AdderConfig, compare, cpa_scaling
+from mvadder.timing import sta
 from mvadder.verify import adder_mismatches, verify_cpa
 
 # flag values: non-finite, huge, tiny, negative, zero, fractional, wrongly typed, empty
@@ -205,6 +206,12 @@ def _api_runs(tmp_path):
          r"^events\[0\]: time", {"int64(2)", "1.5"}, ()),
         ("stimulus duration_ps", lambda v: stimulus(duration_ps=v), StimulusError,
          "^duration_ps", {"int64(2)", "1.5"}, ()),
+        ("Stimulus.to_json level", lambda v: Stimulus({**zeros, "A": v}).to_json(),
+         StimulusError, "^initial: A: ", {"int64(2)", "2**63"}, ()),
+        ("sta sources", lambda v: sta(qfa2, v, ("Cout",)), DomainError, "^sources", set(), ()),
+        ("sta sinks", lambda v: sta(qfa2, ("Cin",), v), DomainError, "^sinks", set(), ()),
+        ("cpa_scaling n_list", lambda v: cpa_scaling(AdderConfig("qfa2", 0.9), v), DomainError,
+         "^n_list", set(), ()),
         ("ElectricalParams drive_resistance_ref",
          lambda v: replace(params, drive_resistance_ref=v), DomainError, "drive_resistance_ref",
          REAL, ()),
@@ -216,6 +223,8 @@ def _api_runs(tmp_path):
          LibraryError, "^chirality", {*WHOLE, "2**63"}, ()),
         ("TransistorInventory count", lambda v: TransistorInventory((("N", 19, v),)),
          LibraryError, "^count", {*WHOLE, "2**63"}, ()),
+        ("TransistorInventory entries", TransistorInventory, LibraryError, "^entries", set(),
+         ()),
     ]
 
 

@@ -76,6 +76,18 @@ def test_inventory_rejects_bad_entries():
     assert inv.total_count == 2 and inventory_area(inv) == pytest.approx(2.974)
 
 
+@pytest.mark.parametrize("entries", [None, 5, "N19", (("N", 19),), (("N", 19, 1, 1),),
+                                     [("N", 19, 1)], (["N", 19, 1],)],
+                         ids=["none", "int", "str", "pair", "quad", "list", "list-entry"])
+def test_inventory_entries_are_a_tuple_of_triples(entries):
+    """As DigitVector takes its digits: a list of entries, or a list as an
+    entry, would leave the inventory unhashable."""
+    message = (f"entries must be a tuple of (device type, chirality, count) tuples, "
+               f"got {entries!r}")
+    with pytest.raises(LibraryError, match=f"^{re.escape(message)}$"):
+        TransistorInventory(entries)
+
+
 _entry = st.tuples(st.sampled_from("NP"), st.sampled_from(sorted(DIAMETER_NM)),
                    st.integers(min_value=1, max_value=10))
 

@@ -2,7 +2,8 @@
 reads each private name a module defines at its top level, and some call
 passes each defaulted parameter of a private function. The CLI reads no
 private name of another module, and importing it loads no thread pool.
-The number rules for Python values live in ``levels`` alone.
+The number rules for Python values live in ``levels`` alone, and the
+event path names no numpy.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -265,6 +266,36 @@ def test_only_levels_holds_a_number_rule(path):
     ``levels.is_finite`` alone, so every boundary takes or refuses a bool,
     a string or a numpy number alike."""
     assert number_rules((PACKAGE / path).read_text()) == []
+
+
+def numpy_names(source: str, qualname: str) -> list[int]:
+    """The lines on which function ``qualname`` of ``source`` (``f`` or
+    ``Class.method``) names ``np`` or ``numpy``, sorted."""
+    node = ast.parse(source)
+    for part in qualname.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
+    return sorted(n.lineno for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and n.id in ("np", "numpy"))
+
+
+def test_the_check_finds_numpy_in_a_function():
+    source = ("import numpy as np\nclass C:\n    def __init__(self, xs):\n"
+              "        self.a = np.array(xs)\n    def size(self):\n        return len(self.a)\n"
+              "def f(xs):\n    return list(xs)\ndef g(xs) -> np.ndarray:\n    pass\n")
+    assert numpy_names(source, "C.__init__") == [4]
+    assert numpy_names(source, "C.size") == numpy_names(source, "f") == []
+    assert numpy_names(source, "g") == [9]
+
+
+@pytest.mark.parametrize("module, qualname", [("_kernel", "CompiledCircuit.__init__"),
+                                              ("_kernel", "_run_single"),
+                                              ("engine", "simulate")])
+def test_the_event_path_keeps_lists(module, qualname):
+    """Compiling, the event loop and the trace it fills keep one form of
+    each fact, the lists the event loop reads: numpy is for the batch
+    settle and the trace's columns."""
+    assert numpy_names((PACKAGE / f"{module}.py").read_text(), qualname) == []
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():

@@ -200,6 +200,19 @@ def test_measure_config_reraises_the_same_error_with_the_config_named(monkeypatc
     assert info.value.__notes__ == ["[config qfa2@0.9]"]
 
 
+def test_measure_config_names_a_worst_case_path_that_did_not_toggle(monkeypatch):
+    import mvadder.report as report_mod
+
+    def still(target, kind, *, step_ps):  # the worst-case stimulus without its steps
+        return dataclasses.replace(worst_case_stimulus(target, kind, step_ps=step_ps), events=())
+
+    monkeypatch.setattr(report_mod, "worst_case_stimulus", still)
+    with pytest.raises(DomainError) as info:
+        measure_config(AdderConfig("qfa2", 0.9))
+    assert str(info.value) == ("[config qfa2@0.9] at cl 2e-15 F a worst-case path did not "
+                               "toggle within its stimulus steps")
+
+
 def test_cli_prints_the_config_of_a_failing_row(capsys):
     from mvadder.cli import main
 
@@ -249,7 +262,9 @@ def test_a_kind_or_number_of_another_type_meets_the_entry_points_own_check(
     (AdderConfig("fa", 0.9), [1], "kind: unknown cell kind 'fa'"),
     (AdderConfig("qfa2", 0.9), [], "n_list: expected at least one CPA size"),
     (AdderConfig("qfa2", 0.9), iter(()), "n_list: expected at least one CPA size"),
-], ids=["suffixed-kind", "unknown-kind", "empty-list", "empty-iterator"])
+    (AdderConfig("qfa2", 0.9), None, "n_list: expected a list, got None"),
+    (AdderConfig("qfa2", 0.9), "12", "n_list: expected a list, got '12'"),
+], ids=["suffixed-kind", "unknown-kind", "empty-list", "empty-iterator", "none", "str"])
 def test_cpa_scaling_rejects_an_unknown_kind_and_an_empty_size_list(config, n_list, match):
     with pytest.raises(DomainError, match=match):
         cpa_scaling(config, n_list)

@@ -176,6 +176,21 @@ def test_sta_rejects_an_empty_workload(sources, sinks, field):
         sta(build_qfa("qfa2", 0.9), sources, sinks)
 
 
+@pytest.mark.parametrize("sources, sinks, message", [
+    (None, ("Cout",), "sources: expected a list, got None"),
+    ("Cin", "Cout", "sources: expected a list, got 'Cin'"),
+    ([["A"]], ("Cout",), "sources: ['A'] is not a port of 'qfa2'"),
+    (("Cin",), 5, "sinks: expected a list, got 5"),
+    (("Cin",), ("Cout", 1), "sinks: 1 is not a port of 'qfa2'"),
+    (("Cin",), ("Carry",), "sinks: 'Carry' is not a port of 'qfa2'"),
+], ids=["none", "str", "nested", "int", "int-port", "unknown-port"])
+def test_sta_names_the_port_list_at_fault(sources, sinks, message):
+    """A port list is an iterable of port names, not a str of letters."""
+    with pytest.raises(DomainError) as info:
+        sta(build_qfa("qfa2", 0.9), sources, sinks)
+    assert str(info.value) == message
+
+
 # --------------------------------------------------------------------------
 # Random circuits
 
