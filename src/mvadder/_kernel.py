@@ -3,36 +3,36 @@ levelized batch settle.
 
 Both engines evaluate gates by table lookup. :func:`gates.kind_table`
 tabulates :func:`gates.eval_primitive`, the one definition of gate logic,
-over every combination of input levels; a gate's row in it is the sum of
-its input codes (level + 1, so X is 0) times its kind's row weights,
-:attr:`gates.KindSpec.weights`.
+as one tuple per output; a gate's row in it is the sum of its input codes
+(level + 1, so X is 0) times its kind's :attr:`gates.KindSpec.weights`.
 
 Both engines settle by one rule: every net starts at X except the
 constants, and a gate's outputs are its table entries at its inputs. The
 event loop (:func:`_run_single`) is plain Python over the compiled lists,
 read as they are, with a ``heapq`` event queue and one output plan per gate
-(net, table column, delay; :attr:`CompiledCircuit.event_plan`). It starts
+(net, table tuple, delay; :attr:`CompiledCircuit.event_plan`). It starts
 by evaluating the gates the constants alone decide, then applies the input
 levels at t = 0, and raises :class:`UnsettledOutputError` or
 :class:`SimulationTimeoutError` where it finds the failure. The batch
 settle (:func:`settle_batch`) is one levelized pass, vectorized with numpy
-over the gates of a level and kind and over input vectors, on arrays built
-at its first use; a gate with one input pin rides along as extra rows of
-the step that sets its input, read from a composed table
-(:attr:`CompiledCircuit.settle_plan`). The net indices of every pin, the
-fan-out, the gate order and the logic levels come from the one pass of
-:func:`netlist._analyse`, which each circuit runs at most once.
+over the gates of a level and kind and over input vectors, on the only
+table arrays, built from those tuples at its first use; a gate with one
+input pin rides along as extra rows of the step that sets its input, read
+from a composed table (:attr:`CompiledCircuit.settle_plan`). The net
+indices of every pin, the fan-out, the gate order and the logic levels
+come from the one pass of :func:`netlist._analyse`, which each circuit
+runs at most once.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .gates import _CODES, KIND_SPECS, KINDS, kind_table, propagation_delay
+from .gates import _CODES, KIND_SPECS, kind_table, propagation_delay
 from .levels import DomainError
 from .netlist import _analysed
 
@@ -55,12 +55,6 @@ class UnsettledOutputError(RuntimeError):
 
 def _ticks(ps: float) -> int:
     return int(round(ps * TICKS_PER_PS))
-
-
-@lru_cache(maxsize=len(KINDS))
-def _columns(kind: str) -> list:
-    """The output columns of ``kind``'s table, as lists."""
-    return [col.tolist() for col in kind_table(kind).T]
 
 
 class CompiledCircuit:
@@ -100,7 +94,7 @@ class CompiledCircuit:
 
         insts = list(circuit.instances.values())
         self.gate_ids = list(circuit.instances)
-        self.gate_kind = [inst.primitive.kind for inst in insts]
+        kinds = self.gate_kind = [inst.primitive.kind for inst in insts]
         self.gate_delay = []  # per gate: its output delays in ticks
         ticks: dict = {}  # (id(primitive), output load) -> delay in ticks
         # the int64 tick budget: a gate delay or a stimulus window is at most
@@ -135,7 +129,7 @@ class CompiledCircuit:
                 row[g] += w * (lvl + 1)
         self.gate_row = row
         self.const_gates = sorted({g for i in const for g, _ in self.fanout[i]
-                                   if any(c[row[g]] != LVL_X for c in _columns(self.gate_kind[g]))})
+                                   if any(c[row[g]] != LVL_X for c in kind_table(kinds[g]))})
 
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
@@ -144,8 +138,8 @@ class CompiledCircuit:
 
     @cached_property
     def event_plan(self) -> list:
-        """Per gate: (output net, table column as a list, delay in ticks) per output."""
-        return [tuple(zip(outs, _columns(kind), delays))
+        """Per gate: (output net, its table tuple, delay in ticks) per output."""
+        return [tuple(zip(outs, kind_table(kind), delays))
                 for outs, kind, delays in zip(self.gate_out, self.gate_kind, self.gate_delay)]
 
     @cached_property
@@ -156,8 +150,8 @@ class CompiledCircuit:
 
         A gate with one input pin rides on the step that sets its input
         net, unless that net's driver rides itself: its outputs are extra
-        rows of that step, read from the composed table
-        ``kind_table(rider)[host level + 1]``. Exact, since both engines
+        rows of that step, read from the composed table: each rider output's
+        tuple at the host output's level + 1. Exact, since both engines
         take a gate's table entry at its inputs' settled codes, X included.
         The other gates are hosts, one step per logic level and kind, and
         every host of a step gets the extra rows of all its riders; a host
@@ -180,7 +174,7 @@ class CompiledCircuit:
             if g not in rides:
                 groups.setdefault((self.gate_level[g], kind[g]), []).append(g)
 
-        identity = np.arange(LVL_X, 4)[:, None]  # a net host's level at each of its codes
+        identity = (tuple(range(LVL_X, 4)),)  # a net host's level at each of its codes
         plan = []
         for (level, key), hosts in sorted(groups.items(), key=lambda kv: kv[0][0]):
             if level == 0:  # hosts are nets, which set no rows of their own
@@ -189,8 +183,8 @@ class CompiledCircuit:
             else:
                 ins, weights = [self.gate_in[g] for g in hosts], KIND_SPECS[key].weights
                 own = [self.gate_out[g] for g in hosts]
-                table = kind_table(key)[:, : len(KIND_SPECS[key].outputs)]
-                codes = list(table.T)
+                table = kind_table(key)
+                codes = list(table)
             # per host, its riders as (host output, rider kind, rider), sorted
             carried = [sorted((k, kind[r], r) for k, o in enumerate(outs)
                               for r in riders.get(o, ()))
@@ -200,7 +194,7 @@ class CompiledCircuit:
                 need |= Counter(r[:2] for r in rs)
             slots = sorted(need.elements())
             for k, rk in slots:
-                codes += list(kind_table(rk)[table[:, k] + 1, : len(KIND_SPECS[rk].outputs)].T)
+                codes += [[col[lvl + 1] for lvl in table[k]] for col in kind_table(rk)]
             outs = []
             for row, rs in zip(own, carried):  # rs fills the slots of its keys, in order
                 row = list(row)

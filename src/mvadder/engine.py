@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import SimulationTimeoutError as SimulationTimeoutError  # re-exported
 from ._kernel import TICK_PS, UnsettledOutputError, _ticks, compile_circuit
-from .levels import DomainError, Level, is_finite, whole
+from .levels import DomainError, Level, is_finite, listed, whole
 from .netlist import CELL_KINDS, Circuit, gc_paused
 
 #: Quiet gap inserted between settle quiescence and the stimulus origin.
@@ -319,6 +319,28 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
     )
 
 
+def _port_plan(comp, key: tuple) -> tuple:
+    """The port lists ``key``, (in_ports, out_ports or None), checked: (radix,
+    in_nets, out_ports, out_nets), kept in ``comp.port_plans`` once all pass."""
+    in_ports, out_ports = key[0], tuple(sorted(comp.out_port_net)) if key[1] is None else key[1]
+    for p in in_ports:
+        if not isinstance(p, str):  # a list is unhashable
+            raise StimulusError(f"in_ports: {p!r} is not an input port of the circuit")
+    if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):
+        raise StimulusError(
+            f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}")
+    for p in out_ports:
+        if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
+            raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
+    plan = (np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64),
+            np.array([comp.in_port_net[p] for p in in_ports], np.int64), out_ports,
+            np.array([comp.out_port_net[p] for p in out_ports], np.int64))
+    if len(comp.port_plans) >= _PORT_PLANS:
+        comp.port_plans.clear()  # atomic, unlike evicting one entry
+    comp.port_plans[key] = plan
+    return plan
+
+
 def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.ndarray:
     """Low-overhead batch settle: ``vectors[r, i]`` is the level driven on
     ``in_ports[i]``; returns an int64 matrix aligned to ``out_ports``
@@ -330,24 +352,15 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     levels :func:`simulate` reaches after its settle phase: every gate at
     its truth-table entry for its settled inputs, with X where no input
     combination decides it. The compiled circuit keeps a few checked port
-    lists with their arrays; the vectors are checked on every call."""
+    lists with their arrays; the vectors are checked after them, every call."""
     comp = compile_circuit(circuit)
-    in_ports = tuple(in_ports)
-    key = (in_ports, None if out_ports is None else tuple(out_ports))
-    # a hit only for exact str entries, which the checks below took before
-    exact = {*map(type, in_ports), *map(type, key[1] or ())} <= {str}
-    plan = comp.port_plans.get(key) if exact else None
-    if plan is None:
-        for p in in_ports:
-            if not isinstance(p, str):  # a list is unhashable
-                raise StimulusError(f"in_ports: {p!r} is not an input port of the circuit")
-        if set(in_ports) != set(comp.in_port_net) or len(in_ports) != len(comp.in_port_net):
-            raise StimulusError(
-                f"in_ports must cover exactly the input ports {sorted(comp.in_port_net)}"
-            )
-        radix = np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64)
-    else:
-        radix, in_nets, out_ports, out_nets = plan
+    in_ports = listed("in_ports", in_ports)
+    key = (in_ports, None if out_ports is None else listed("out_ports", out_ports))
+    try:
+        plan = comp.port_plans.get(key)
+    except TypeError:  # an unhashable entry, which _port_plan refuses
+        plan = None
+    radix, in_nets, out_ports, out_nets = plan or _port_plan(comp, key)
     # tested first: an integer array takes no extra pass; anything else, a
     # list too, is checked entry by entry as given (so True is not taken for 1)
     if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
@@ -373,17 +386,6 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         raise StimulusError(f"{in_ports[col]}: levels outside {radix[col]}-level encoding, "
                             f"first at vector row {row}")
 
-    if plan is None:
-        out_ports = sorted(comp.out_port_net) if out_ports is None else key[1]
-        for p in out_ports:
-            if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
-                raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
-        in_nets = np.array([comp.in_port_net[p] for p in in_ports], np.int64)
-        out_nets = np.array([comp.out_port_net[p] for p in out_ports], np.int64)
-        if exact:
-            if len(comp.port_plans) >= _PORT_PLANS:
-                comp.port_plans.clear()  # atomic, unlike evicting one entry
-            comp.port_plans[key] = radix, in_nets, out_ports, out_nets
     out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
         x = out_lvls < 0

@@ -7,8 +7,8 @@ inventory declares what a transmission-gate realization would cost, it is
 not a switch-level netlist.
 
 Each gate kind has one :class:`KindSpec` record in :data:`KIND_SPECS`: its
-pins and the row format of its truth table, :func:`kind_table`, in which
-both simulation engines look gates up.
+pins and the row format of its truth table, :func:`kind_table` (one tuple
+of ints per output), in which both simulation engines look gates up.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .levels import DomainError, Level, SignalEncoding, is_finite, whole
+from .levels import DomainError, Level, SignalEncoding, is_finite, listed, whole
 
 # Chirality index -> nanotube diameter (nm). Diameter sets the device
 # threshold, so threshold detectors and successor circuits need specific
@@ -169,6 +167,14 @@ class GatePrimitive:
 
 
 _X = Level.X
+_LEVEL = {int(v): v for v in Level}  # a level's int -> the Level
+
+
+def _input(k: int, value) -> Level:
+    try:
+        return _LEVEL[whole("inputs", value)]
+    except (DomainError, KeyError):
+        raise DomainError(f"inputs[{k}] must be a level -1..3, got {value!r}") from None
 
 
 def _bit(name: str, v: Level) -> int:
@@ -185,11 +191,12 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
     controlling 0/1 on NAND/NOR/MAJ3 decides the output regardless of X
     or an out-of-domain level elsewhere. So replacing an X input by a
     level never turns a decided output into X or into a DomainError.
+    Each input is a Level or a whole number naming one, not a bool.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown gate kind {kind!r}")
     spec = KIND_SPECS[kind]
-    ins = [Level(v) for v in inputs]
+    ins = [_input(k, v) for k, v in enumerate(listed("inputs", inputs))]
     if len(ins) != len(spec.inputs):
         raise DomainError(f"{kind} takes {len(spec.inputs)} inputs, got {len(ins)}")
 
@@ -239,22 +246,23 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
 
 
 @lru_cache(maxsize=None)
-def kind_table(kind: str) -> np.ndarray:
-    """Output levels (-1 for X) of gate ``kind``, shape (5 ** inputs, 2),
-    for every combination of input levels, each at the row its codes give
-    by the kind's ``weights`` (see :class:`KindSpec`); single-output kinds
-    leave column 1 at X. Tabulated from :func:`eval_primitive` on first
-    use. Inputs outside a gate's domain (``DomainError``, e.g. ``inv`` on
-    L2) give X on every output."""
-    weights = KIND_SPECS[kind].weights
-    table = np.full((_CODES ** len(weights), 2), -1, np.int64)
-    for levels in itertools.product(range(-1, _CODES - 1), repeat=len(weights)):
+def kind_table(kind: str) -> tuple:
+    """Output levels (-1 for X) of gate ``kind``: one tuple per output,
+    holding its level at every combination of input levels, in
+    ``itertools.product`` order over the levels -1..3. That is the row
+    order the kind's ``weights`` give (see :class:`KindSpec`). Tabulated
+    from :func:`eval_primitive` on first use. Inputs outside a gate's
+    domain (``DomainError``, e.g. ``inv`` on L2) give X on every output."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown gate kind {kind!r}")
+    spec = KIND_SPECS[kind]
+    rows = []
+    for levels in itertools.product(range(-1, _CODES - 1), repeat=len(spec.inputs)):
         try:
-            outs = eval_primitive(kind, levels)
+            rows.append(tuple(map(int, eval_primitive(kind, levels))))
         except DomainError:
-            continue
-        table[sum(w * (lvl + 1) for w, lvl in zip(weights, levels)), : len(outs)] = outs
-    return table
+            rows.append((-1,) * len(spec.outputs))
+    return tuple(zip(*rows))
 
 
 def propagation_delay(gate: GatePrimitive, load_cap: float) -> float:
@@ -374,6 +382,8 @@ class CellLibrary:
         """The primitive of ``kind``; equal requests for one spec and encoding
         object share one, across libraries and builds. The stored primitive
         holds the encoding, so the id in its key names no other object."""
+        if kind not in KINDS:  # as GatePrimitive checks
+            raise LibraryError(f"unknown gate kind {kind!r}")
         spec = self.cells[kind]
         key = (kind, supply_voltage, type(supply_voltage), id(output_encoding), inventory)
         hit = _primitives.get(key)

@@ -206,7 +206,10 @@ def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, i
 
 def _whole_rows(name: str, x) -> np.ndarray:
     """``x`` as an int64 array, if :func:`whole` takes each entry."""
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError:  # ragged rows
+        raise DomainError(f"{name} must be rows of one length") from None
     if x.dtype.kind not in "iu":  # tested first: verify's int64 matrices take no extra pass
         # clamped to [-1, 4], out of every digit range: an entry past int64 too
         x = np.array([min(max(whole(name, v), -1), 4) for v in x.ravel().tolist()],

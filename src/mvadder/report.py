@@ -79,6 +79,8 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
     """Build one cell, run both worst-case stimuli, stepped by the cell's STA
     (:func:`stimulus_step_ps`), collect the row. An error on the way is
     re-raised as it is, with a note naming the config."""
+    if not isinstance(config, AdderConfig):
+        raise DomainError(f"config must be an AdderConfig, got {config!r}")
     try:
         cell = build_cell(config.kind, config.vdd, lib, config.cl)
         outs = sorted(p.name for p in cell.output_ports())
@@ -113,7 +115,7 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
 def compare(configs, lib: CellLibrary | None = None, threads: int = 1) -> list:
     """Measure every config in ``threads`` threads (a whole number >= 1);
     row order follows input order regardless of thread count."""
-    configs, threads = list(configs), whole("threads", threads)
+    configs, threads = listed("configs", configs), whole("threads", threads)
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     if threads == 1:
@@ -140,6 +142,8 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     :func:`stimulus_step_ps` of the CPA's arrival. A kind not in
     :data:`CELL_KINDS` or an empty ``n_list`` raises DomainError.
     """
+    if not isinstance(config, AdderConfig):
+        raise DomainError(f"config must be an AdderConfig, got {config!r}")
     kind = config.kind.lower() if isinstance(config.kind, str) else config.kind
     n_list = listed("n_list", n_list)
     if kind not in CELL_KINDS:

@@ -801,6 +801,29 @@ def test_settle_matrix_resolves_a_port_list_once_and_checks_every_call():
     assert settle_matrix(c, ins, vectors, outs).tolist() == cold.tolist()
 
 
+@pytest.mark.parametrize("in_ports, out_ports, match", [
+    (None, None, "^in_ports: expected a list, got None$"),
+    ("ABC", None, "^in_ports: expected a list, got 'ABC'$"),
+    (_ABC, 5, "^out_ports: expected a list, got 5$"),
+    (_ABC, "Sum", "^out_ports: expected a list, got 'Sum'$"),
+], ids=["none-in", "str-in", "int-out", "str-out"])
+def test_settle_matrix_names_a_port_list_that_is_not_a_list(in_ports, out_ports, match):
+    with pytest.raises(DomainError, match=match):
+        settle_matrix(build_qfa("qfa2", 0.9), in_ports, [[0, 0, 0]], out_ports)
+
+
+def test_settle_matrix_checks_the_ports_before_the_vectors_and_keeps_only_checked_lists():
+    c = build_qfa("qfa2", 0.9)
+    comp = _kernel.compile_circuit(c)
+    for out_ports in (["Nope"], [["Sum"]]):
+        with pytest.raises(StimulusError, match="^out_ports: "):
+            settle_matrix(c, _ABC, [[0, 0]], out_ports)
+    assert comp.port_plans == {}
+    with pytest.raises(StimulusError, match="^vectors must be"):
+        settle_matrix(c, _ABC, [[0, 0]], ["Sum"])
+    assert list(comp.port_plans) == [(tuple(_ABC), ("Sum",))]
+
+
 def test_settle_matrix_keeps_at_most_its_cap_of_port_lists():
     c = build_cpa(build_qfa("qfa2", 0.9), 2)
     ins = ["C0", "A0", "A1", "B0", "B1"]
@@ -915,9 +938,9 @@ def test_kind_table_rows_equal_eval_primitive(kind):
     weighted by the kind's weights, sum to r; the first pin is the most
     significant base-5 digit, so the rows run in itertools.product order."""
     spec = KIND_SPECS[kind]
-    table = kind_table(kind)
+    table = np.array(kind_table(kind)).T  # (rows, outputs)
     n_in, n_out = len(spec.inputs), len(spec.outputs)
-    assert table.shape == (5 ** n_in, 2)
+    assert table.shape == (5 ** n_in, n_out)
     assert spec.weights == tuple(5 ** (n_in - 1 - j) for j in range(n_in))
     combos = itertools.product(range(-1, 4), repeat=n_in)
     for r, (row, levels) in enumerate(zip(table.tolist(), combos)):
@@ -926,9 +949,9 @@ def test_kind_table_rows_equal_eval_primitive(kind):
             want = [int(v) for v in eval_primitive(kind, levels)]
         except DomainError:
             want = [-1] * n_out
-        assert row == want + [-1] * (2 - n_out), levels
+        assert row == want, levels
     # X on every input decides no output; CompiledCircuit.const_gates relies on it
-    assert table[0].tolist() == [-1, -1]
+    assert table[0].tolist() == [-1] * n_out
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -937,7 +960,7 @@ def test_kind_table_outputs_stay_decided_when_an_x_input_is_resolved(kind):
     in the settle phase every net moves at most once, from X to its final
     level, which settle_batch's one topological pass relies on."""
     weights = KIND_SPECS[kind].weights
-    table = kind_table(kind)
+    table = np.array(kind_table(kind)).T  # (rows, outputs)
     for r, codes in enumerate(itertools.product(range(5), repeat=len(weights))):
         for j, code in enumerate(codes):
             if code == 0:
@@ -1101,7 +1124,7 @@ def test_code_dtype_holds_every_table_index():
     here instead of wrapping silently."""
     top = np.iinfo(_kernel.CODE).max
     for kind in KINDS:
-        assert len(kind_table(kind)) - 1 <= top, kind
+        assert len(kind_table(kind)[0]) - 1 <= top, kind
     cells = [riders_circuit()] + [build_cpa(build(v, 0.9), 2) for build, v in (
         (build_qfa, "qfa1"), (build_qfa, "qfa2"), (build_bfa, "bfa1"), (build_bfa, "bfa2"))]
     for c in cells:

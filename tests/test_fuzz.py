@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvadder.cli import main
-from mvadder.engine import (Stimulus, StimulusError, measure_delay, simulate,
+from mvadder.engine import (Stimulus, StimulusError, measure_delay, settle_matrix, simulate,
                             worst_case_stimulus)
-from mvadder.gates import CellLibrary, LibraryError, TransistorInventory, load_library
+from mvadder.gates import (CellLibrary, LibraryError, TransistorInventory, eval_primitive,
+                           load_library)
 from mvadder.levels import (DigitVector, DomainError, bfa_oracle, binary_full, cpa_oracle_rows,
                             qfa_oracle)
 from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
@@ -212,6 +213,14 @@ def _api_runs(tmp_path):
         ("sta sinks", lambda v: sta(qfa2, ("Cin",), v), DomainError, "^sinks", set(), ()),
         ("cpa_scaling n_list", lambda v: cpa_scaling(AdderConfig("qfa2", 0.9), v), DomainError,
          "^n_list", set(), ()),
+        ("compare configs", compare, DomainError, "^configs", set(), ()),
+        ("settle_matrix in_ports", lambda v: settle_matrix(qfa2, v, [[0, 0, 0]]), DomainError,
+         "^in_ports", set(), ()),
+        ("settle_matrix out_ports",
+         lambda v: settle_matrix(qfa2, ("A", "B", "Cin"), [[0, 0, 0]], v), DomainError,
+         "^out_ports", set(), {"None"}),  # None asks for every output port
+        ("eval_primitive input", lambda v: eval_primitive("succ1", [v]), DomainError,
+         r"inputs\[0\]", WHOLE, ()),
         ("ElectricalParams drive_resistance_ref",
          lambda v: replace(params, drive_resistance_ref=v), DomainError, "drive_resistance_ref",
          REAL, ()),

@@ -194,6 +194,31 @@ def test_eval_arity_errors():
         eval_primitive("nosuch", [L.L0])
 
 
+@pytest.mark.parametrize("value", [True, False, 7, -2, 2 ** 63, "0", None, 1.0, [1]],
+                         ids=repr)
+def test_eval_primitive_names_the_input_at_fault(value):
+    with pytest.raises(DomainError, match=r"^inputs\[1\] must be a level -1\.\.3, got "):
+        eval_primitive("nand", [L.L1, value])
+
+
+def test_eval_primitive_takes_a_level_or_a_whole_number_naming_one():
+    for value in (L.L2, 2, np.int64(2), np.uint8(2)):
+        assert eval_primitive("succ1", [value]) == (L.L3,)
+    assert eval_primitive("succ1", (v for v in [-1])) == (X,)
+    with pytest.raises(DomainError, match="^inputs: expected a list, got None$"):
+        eval_primitive("succ1", None)
+
+
+def test_kind_table_is_one_tuple_of_ints_per_output():
+    for kind in KINDS:
+        table = gates.kind_table(kind)
+        assert type(table) is tuple and len(table) == len(gates.KIND_SPECS[kind].outputs)
+        assert {type(col) for col in table} == {tuple}
+        assert {type(v) for col in table for v in col} == {int}
+    with pytest.raises(DomainError, match="^unknown gate kind 'zz'$"):
+        gates.kind_table("zz")
+
+
 # --------------------------------------------------------------------------
 # Electrical model
 
@@ -335,6 +360,12 @@ def test_a_library_needs_every_kind_and_a_primitive_a_known_one():
     p = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9))
     with pytest.raises(LibraryError, match="^unknown gate kind 'flux'$"):
         GatePrimitive("flux", p.params, p.inventory)
+
+
+@pytest.mark.parametrize("kind", ["zz", None, ["inv"]], ids=repr)
+def test_make_primitive_names_an_unknown_kind(kind):
+    with pytest.raises(LibraryError, match=re.escape(f"unknown gate kind {kind!r}")):
+        CellLibrary.default().make_primitive(kind, 0.9, binary_full(0.9))
 
 
 @pytest.mark.parametrize("field", ELECTRICAL_NUMBERS)

@@ -3,7 +3,7 @@ reads each private name a module defines at its top level, and some call
 passes each defaulted parameter of a private function. The CLI reads no
 private name of another module, and importing it loads no thread pool.
 The number rules for Python values live in ``levels`` alone, and the
-event path names no numpy.
+event path and the gate tables name no numpy.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -296,6 +296,36 @@ def test_the_event_path_keeps_lists(module, qualname):
     each fact, the lists the event loop reads: numpy is for the batch
     settle and the trace's columns."""
     assert numpy_names((PACKAGE / f"{module}.py").read_text(), qualname) == []
+
+
+def module_numpy_names(source: str) -> list[int]:
+    """The lines on which ``source`` names ``np`` or ``numpy`` anywhere: a
+    name read, or an import of numpy or binding either name, sorted."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [a.name.partition(".")[0] for a in n.names] + [a.asname for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [(n.module or "").partition(".")[0]] + [a.asname or a.name for a in n.names]
+        else:
+            names = [getattr(n, "id", None)]
+        if {"np", "numpy"} & set(names):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_the_check_finds_numpy_anywhere_in_a_module():
+    source = ("import numpy as np\nfrom numpy import array\nimport os\nx = os.path\n"
+              "def f():\n    import numpy.linalg\n    return np\n"
+              "y = numpy\nz = 'numpy'\nfrom .levels import whole as np\n")
+    assert module_numpy_names(source) == [1, 2, 6, 7, 8, 10]
+    assert module_numpy_names("import os\nx = os.path.join('numpy', 'np')\n") == []
+
+
+def test_the_gate_tables_hold_no_array():
+    """``gates`` tabulates each kind as tuples, read as they are by the event
+    loop; only the batch settle builds arrays from them."""
+    assert module_numpy_names((PACKAGE / "gates.py").read_text()) == []
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():

@@ -273,6 +273,16 @@ def test_cpa_oracle_rows_rejects_bad_operands():
         cpa_oracle_rows(objs[:, [0, 2, 0]], [[3, 0, 0]], [True], 4)
 
 
+@pytest.mark.parametrize("a, b, cin, name", [
+    ([[0], [0, 1]], [[0], [0]], [0, 0], "a"),
+    ([[0], [0]], [[0, 1], [0]], [0, 0], "b"),
+    ([[0], [0]], [[0], [0]], [0, [0, 1]], "cin"),
+])
+def test_cpa_oracle_rows_names_the_operand_with_ragged_rows(a, b, cin, name):
+    with pytest.raises(DomainError, match=f"^{name} must be rows of one length$"):
+        cpa_oracle_rows(a, b, cin, 4)
+
+
 @pytest.mark.parametrize("radix", [2, 4])
 def test_cpa_oracle_rows_reads_slices_as_their_copies(radix):
     """Strided views, as verify passes the columns of its matrix, give the

@@ -270,6 +270,20 @@ def test_cpa_scaling_rejects_an_unknown_kind_and_an_empty_size_list(config, n_li
         cpa_scaling(config, n_list)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: measure_config(None),
+    lambda: measure_config("qfa2@0.9"),
+    lambda: compare([AdderConfig("qfa2", 0.9), None]),
+    lambda: compare([("qfa2", 0.9)], threads=2),
+    lambda: cpa_scaling(None, [2]),
+    lambda: cpa_scaling({"kind": "qfa2", "vdd": 0.9}, [2]),
+], ids=["measure_config-none", "measure_config-str", "compare", "compare-threads",
+        "cpa_scaling-none", "cpa_scaling-dict"])
+def test_a_config_that_is_not_an_adder_config_is_named(call):
+    with pytest.raises(DomainError, match="^config must be an AdderConfig, got "):
+        call()
+
+
 def test_cpa_scaling_takes_a_kind_in_any_case_and_sizes_from_an_iterator():
     [row] = cpa_scaling(AdderConfig("QFA2", 0.9), iter([2]))
     assert row == cpa_scaling(AdderConfig("qfa2", 0.9), [2])[0]
