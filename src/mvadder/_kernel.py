@@ -15,20 +15,17 @@ by evaluating the gates the constants alone decide, then applies the input
 levels at t = 0, and raises :class:`UnsettledOutputError` or
 :class:`SimulationTimeoutError` where it finds the failure. The batch
 settle (:func:`settle_batch`) is one levelized pass, vectorized with numpy
-over the gates of a level and kind and over input vectors, on the only
-table arrays, built from those tuples at its first use; a gate with one
-input pin rides along as extra rows of the step that sets its input, read
-from a composed table (:attr:`CompiledCircuit.settle_plan`). The net
-indices of every pin, the fan-out, the gate order and the logic levels
-come from the one pass of :func:`netlist._analyse`, which each circuit
-runs at most once.
+over input vectors: each step is one gather from a table composed from the
+kind tables of a unit of gates, over its pins' codes, for every unit of one
+form (:attr:`CompiledCircuit.settle_plan`). The net indices of every pin,
+the fan-out and the gate order come from the one pass of
+:func:`netlist._analyse`, which each circuit runs at most once.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,19 +60,18 @@ class CompiledCircuit:
     The circuit's one pass of :func:`netlist._analyse` gives the integer graph
     (``net_index``, ``gate_in``, ``gate_out`` and ``fanout``, whose weights
     step a gate's table row when an input changes), each net's load
-    ``net_cap`` (its list, shared), the Kahn order ``topo_order`` (every
-    gate after the drivers of its inputs) and ``gate_level``. Compiling adds
-    the output delays in ticks, the initial levels ``net_init`` and table
-    rows ``gate_row`` (which the event loop copies), the net rails, the gates
-    the constants alone decide, and ``max_ticks``, the longest gate delay or
-    stimulus window that keeps every tick in int64."""
+    ``net_cap`` (its list, shared) and the Kahn order ``topo_order`` (every
+    gate after the drivers of its inputs). Compiling adds the output delays
+    in ticks, the initial levels ``net_init`` and table rows ``gate_row``
+    (which the event loop copies), the net rails, the gates the constants
+    alone decide, and ``max_ticks``, the longest gate delay or stimulus
+    window that keeps every tick in int64."""
 
     def __init__(self, circuit):
         a = _analysed(circuit)
         if a.diags:
             raise DomainError(f"circuit invalid: {a.diags}")
-        (self.net_index, cap, self.gate_in, self.gate_out, self.fanout, self.topo_order,
-         self.gate_level) = a[1:8]
+        self.net_index, cap, self.gate_in, self.gate_out, self.fanout, self.topo_order = a[1:7]
         nets = list(circuit.nets.values())
         self.net_ids = list(circuit.nets)
         n = self.n_nets = len(nets)
@@ -144,75 +140,91 @@ class CompiledCircuit:
 
     @cached_property
     def settle_plan(self) -> list:
-        """Steps for :func:`settle_batch` in level order, one table gather each:
-        (input nets (hosts, k), or (hosts,) for one pin; the k table index
-        weights; output codes (rows, 5 ** k); output nets (rows, hosts)).
+        """Steps for :func:`settle_batch` in level order, one table gather
+        each: (pin nets (units, k), or (units,) for one pin; the k table index
+        weights; output codes (outputs, rows); output nets (outputs, units)).
 
-        A gate with one input pin rides on the step that sets its input
-        net, unless that net's driver rides itself: its outputs are extra
-        rows of that step, read from the composed table: each rider output's
-        tuple at the host output's level + 1. Exact, since both engines
-        take a gate's table entry at its inputs' settled codes, X included.
-        The other gates are hosts, one step per logic level and kind, and
-        every host of a step gets the extra rows of all its riders; a host
-        without a rider for a row writes it to the scratch net ``n_nets``.
-        Riders on an input port or a constant form level-0 steps, one per
-        multiset of rider kinds, indexed by the net's own code."""
-        driver = {o: g for g, outs in enumerate(self.gate_out) for o in outs}
-        riders: dict = {}  # per net: the gates riding on it
-        rides = set()
-        for g in self.topo_order:
-            if len(self.gate_in[g]) == 1 and driver.get(self.gate_in[g][0]) not in rides:
-                rides.add(g)
-                riders.setdefault(self.gate_in[g][0], []).append(g)
-        kind = self.gate_kind
-        groups: dict = {}  # (level, gate kind or rider kinds) -> host gates or nets
-        for n, gs in riders.items():
-            if n not in driver:
-                groups.setdefault((0, tuple(sorted(kind[g] for g in gs))), []).append(n)
-        for g in self.topo_order:
-            if g not in rides:
-                groups.setdefault((self.gate_level[g], kind[g]), []).append(g)
+        Gates settle in units, each read from one table over its pins' codes
+        in mixed radix, first pin most significant. A net's width is the
+        number of codes it can hold: an input port's radix + 1, a gate
+        output's 1 + its kind table's highest code over its inputs' code
+        ranges; constants are folded into the tables. In topological order, a
+        gate joins a unit that writes or reads as a pin one of its inputs, if
+        each other input is a pin or output of that unit, a constant, or set
+        at an earlier step (a port, or an output of a lower-level unit), and
+        the unit's rows stay within the widest kind table's. Else it starts a
+        unit one level above those writing its pins (0 if all are ports); a
+        gate feeding no gate joins only a unit it adds no pin to, else it
+        settles at the last level. The units of one level and form (pin
+        widths, gate kinds, input sources) share a step and a table tabulated
+        from the kind tables. Exact, since both engines take a gate's table
+        entry at its inputs' settled codes, X included."""
+        kind, gate_in, gate_out, const = self.gate_kind, self.gate_in, self.gate_out, self.net_init
+        width = {n: self.port_encoding[p].radix + 1 for p, n in self.in_port_net.items()}
+        at = dict.fromkeys(width, -1)  # per net a step sets: its level, -1 for a port
+        near: dict = {}  # per net: the units writing it or reading it as a pin
+        units, last = [], []  # [level, pins, gates, rows]; (gate, pins) settled last
 
-        identity = (tuple(range(LVL_X, 4)),)  # a net host's level at each of its codes
-        plan = []
-        for (level, key), hosts in sorted(groups.items(), key=lambda kv: kv[0][0]):
-            if level == 0:  # hosts are nets, which set no rows of their own
-                ins, weights, table = [[n] for n in hosts], (1,), identity
-                own, codes = [[] for _ in hosts], []
+        def add(u, g, new):  # gate g and its pins not yet in unit u join it
+            unit = units[u]
+            unit[1] += new
+            unit[2].append(g)
+            for n in new:
+                unit[3] *= width[n]
+                near.setdefault(n, []).append(u)
+            spans = tuple(range(width[n]) if n in at else range(const[n] + 1, const[n] + 2)
+                          for n in gate_in[g])
+            for o, w in zip(gate_out[g], _widths(kind[g], spans)):
+                width[o], at[o], near[o] = w, unit[0], [u]
+
+        for g in self.topo_order:
+            ins = [n for n in dict.fromkeys(gate_in[g]) if n in at]  # its pins: no constants
+            sink = not any(self.fanout[o] for o in gate_out[g])
+            for u in dict.fromkeys(u for n in ins for u in near.get(n, ())):
+                level, _, _, rows = units[u]
+                new = [n for n in ins if u not in near.get(n, ())]
+                for n in new:
+                    rows *= width[n]
+                if rows <= _ROWS and not (sink and new) and all(at[n] < level for n in new):
+                    break
             else:
-                ins, weights = [self.gate_in[g] for g in hosts], KIND_SPECS[key].weights
-                own = [self.gate_out[g] for g in hosts]
-                table = kind_table(key)
-                codes = list(table)
-            # per host, its riders as (host output, rider kind, rider), sorted
-            carried = [sorted((k, kind[r], r) for k, o in enumerate(outs)
-                              for r in riders.get(o, ()))
-                       for outs in (ins if level == 0 else own)]
-            need = Counter()  # (host output, rider kind) slots: the most any host fills
-            for rs in carried:
-                need |= Counter(r[:2] for r in rs)
-            slots = sorted(need.elements())
-            for k, rk in slots:
-                codes += [[col[lvl + 1] for lvl in table[k]] for col in kind_table(rk)]
-            outs = []
-            for row, rs in zip(own, carried):  # rs fills the slots of its keys, in order
-                row = list(row)
-                for k, rk in slots:
-                    if rs and rs[0][:2] == (k, rk):
-                        row += self.gate_out[rs.pop(0)[2]]
-                    else:
-                        row += [self.n_nets] * len(KIND_SPECS[rk].outputs)
-                outs.append(row)
-            ins = np.array(ins, np.intp)
+                if sink:
+                    last.append((g, ins))
+                    continue
+                u, new = len(units), ins
+                units.append([1 + max([at[n] for n in ins], default=-1), [], [], 1])
+            add(u, g, new)
+        top = 1 + max([unit[0] for unit in units], default=-1)
+        for g, ins in last:
+            units.append([top, [], [], 1])
+            add(len(units) - 1, g, ins)
+
+        steps: dict = {}  # (level, form) -> per unit: (pins, gates, output nets)
+        for level, pins, gates, _ in units:
+            outs = [o for g in gates for o in gate_out[g]]
+            src = {n: j for j, n in enumerate(pins + outs)}  # a constant's source is (level,)
+            form = (tuple(width[n] for n in pins),
+                    tuple((kind[g], tuple(src.get(n, (const[n],)) for n in gate_in[g]))
+                          for g in gates))
+            steps.setdefault((level, form), []).append((pins, gates, outs))
+        plan = []
+        for ((_, (widths, _)), members) in sorted(steps.items(), key=lambda kv: kv[0][0]):
+            pins, gates, outs = members[0]
+            codes = dict(zip(pins, np.ix_(*map(np.arange, widths))))
+            for g in gates:
+                codes.update(zip(gate_out[g], _codes(kind[g], [
+                    codes.get(n, const[n] + 1) for n in gate_in[g]])))
+            table = np.array([np.broadcast_to(codes[o], widths).ravel() for o in outs], CODE)
+            weights = table.shape[1] // np.cumprod(widths, dtype=np.intp)  # mixed radix
+            ins = np.array([m[0] for m in members], np.intp)
             plan.append((ins[:, 0] if len(weights) == 1 else ins, np.array(weights, CODE),
-                         (np.array(codes) + 1).astype(CODE), np.array(outs, np.intp).T))
+                         table, np.array([m[2] for m in members], np.intp).T))
         return plan
 
     @cached_property
     def settle_init(self) -> np.ndarray:
-        """:func:`settle_batch`'s initial codes: per net, then the scratch net."""
-        return (np.append(self.net_init, LVL_X) + 1).astype(CODE)[:, None]
+        """:func:`settle_batch`'s initial codes, one row per net."""
+        return (np.array(self.net_init) + 1).astype(CODE)[:, None]
 
 
 def compile_circuit(circuit) -> CompiledCircuit:
@@ -225,22 +237,37 @@ def compile_circuit(circuit) -> CompiledCircuit:
 # --------------------------------------------------------------------------
 # Levelized batch settle. Levels are held as codes, level + 1 (X is 0), in
 # CODE, the one signed dtype of codes, weights and step tables; it holds the
-# widest kind table's last row index (a mux4's 3124), so no index is cast.
+# widest kind table's last row index (a mux4's 3124), which no step table
+# exceeds, so no index is cast.
 
-CODE = np.min_scalar_type(-max(_CODES ** len(s.inputs) for s in KIND_SPECS.values()))
+_ROWS = max(_CODES ** len(s.inputs) for s in KIND_SPECS.values())
+CODE = np.min_scalar_type(-_ROWS)
 _BLOCK_ROWS = 1024  # vectors settled together; bounds working memory
+
+
+def _codes(kind: str, ins) -> list:
+    """Per output of gate ``kind``, its codes at input codes ``ins`` (ints or arrays)."""
+    row = sum(c * w for c, w in zip(ins, KIND_SPECS[kind].weights))
+    return [np.array(col, CODE)[row] + 1 for col in kind_table(kind)]
+
+
+@lru_cache(maxsize=256)
+def _widths(kind: str, spans: tuple) -> tuple:
+    """Per output of gate ``kind``, 1 + its highest code at input codes in ``spans`` (ranges)."""
+    mesh = np.ix_(*(np.arange(s.start, s.stop) for s in spans))
+    return tuple(int(c.max()) + 1 for c in _codes(kind, mesh))
 
 
 def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarray:
     """Settled levels on ``out_nets`` (int64, -1 for X), one row per row of
-    ``vectors``, whose columns are the levels driven on ``in_nets``.
+    ``vectors``, whose columns are the levels driven on ``in_nets``, input
+    port nets: within each port's radix or -1, as :func:`engine.settle_matrix`
+    checks, so every code is below its net's width.
 
     One pass over :attr:`CompiledCircuit.settle_plan`, level by level; each
-    step is one table gather for a group of gates over a block of vectors,
-    its riders' rows included. The codes hold one more row than the nets,
-    the scratch net that takes the rows a host has no rider for. No host
-    feeds another of its step and a rider reads its host through the
-    composed table, so every gate ends at its table entry for its final
+    step is one table gather for a group of units over a block of vectors.
+    A unit reads only nets set at earlier steps and its table evaluates its
+    gates in order, so every gate ends at its table entry for its final
     inputs. That is the event loop's quiescent state
     for an acyclic circuit: in its settle every net leaves X at most once
     (resolving an X input never changes a decided entry of a kind table),
@@ -253,7 +280,7 @@ def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarra
         block = vectors[r0: r0 + _BLOCK_ROWS]
         codes = np.repeat(init, len(block), axis=1)
         codes[in_nets] = block.T + 1
-        for ins, weights, table, outs in plan:  # take(): codes[ins], (hosts, k, vectors)
+        for ins, weights, table, outs in plan:  # take(): codes[ins], (units, k, vectors)
             idx = codes.take(ins, axis=0)
             codes[outs] = table.take(idx if ins.ndim == 1 else weights @ idx, axis=1)
         out[r0: r0 + len(block)] = codes.take(out_nets, axis=0).T

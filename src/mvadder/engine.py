@@ -347,10 +347,10 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     (all outputs, sorted, when omitted). This is the hot path for
     exhaustive and random functional verification.
 
-    The settle is one levelized pass, vectorized over the gates of a level
-    and over the rows (see :func:`_kernel.settle_batch`); it gives the final
-    levels :func:`simulate` reaches after its settle phase: every gate at
-    its truth-table entry for its settled inputs, with X where no input
+    The settle is one levelized pass, vectorized over the gate units of a
+    step and over the rows (see :func:`_kernel.settle_batch`); it gives the
+    final levels :func:`simulate` reaches after its settle phase: every gate
+    at its truth-table entry for its settled inputs, with X where no input
     combination decides it. The compiled circuit keeps a few checked port
     lists with their arrays; the vectors are checked after them, every call."""
     comp = compile_circuit(circuit)

@@ -245,7 +245,6 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
     raise AssertionError(kind)
 
 
-@lru_cache(maxsize=None)
 def kind_table(kind: str) -> tuple:
     """Output levels (-1 for X) of gate ``kind``: one tuple per output,
     holding its level at every combination of input levels, in
@@ -253,8 +252,13 @@ def kind_table(kind: str) -> tuple:
     order the kind's ``weights`` give (see :class:`KindSpec`). Tabulated
     from :func:`eval_primitive` on first use. Inputs outside a gate's
     domain (``DomainError``, e.g. ``inv`` on L2) give X on every output."""
-    if kind not in KINDS:
+    if kind not in KINDS:  # before the cache, which would hash an unhashable kind
         raise DomainError(f"unknown gate kind {kind!r}")
+    return _kind_table(kind)
+
+
+@lru_cache(maxsize=None)  # of a kind kind_table found in KINDS
+def _kind_table(kind: str) -> tuple:
     spec = KIND_SPECS[kind]
     rows = []
     for levels in itertools.product(range(-1, _CODES - 1), repeat=len(spec.inputs)):

@@ -233,12 +233,20 @@ def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
     if max(a.view(np.uint64).max(initial=0), b.view(np.uint64).max(initial=0)) >= radix or (
             carry.view(np.uint64).max(initial=0) > 1):
         raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
+    out = _cpa_sums(a, b, carry, radix)
+    return out[:, :-1], out[:, -1]
+
+
+def _cpa_sums(a: np.ndarray, b: np.ndarray, carry: np.ndarray, radix: int) -> np.ndarray:
+    """:func:`cpa_oracle_rows` of int64 operands it would accept, as one
+    (rows, digits + 1) matrix: the sum digits, then the carry out."""
     bits = int(radix).bit_length() - 1  # per digit
     per = 60 // bits  # digits per chunk: two chunks and a carry add up below 2**61
-    total, sums = a + b, np.empty_like(a)
+    total, out = a + b, np.empty((len(a), a.shape[1] + 1), np.int64)
     for lo in range(0, a.shape[1], per):
         shifts = np.arange(min(per, a.shape[1] - lo)) * bits
         chunk = total[:, lo: lo + per] @ (1 << shifts) + carry  # times the place values
-        sums[:, lo: lo + per] = chunk[:, None] >> shifts & (radix - 1)
+        out[:, lo: lo + len(shifts)] = chunk[:, None] >> shifts & (radix - 1)
         carry = chunk >> (len(shifts) * bits)
-    return sums, carry
+    out[:, -1] = carry
+    return out

@@ -477,7 +477,7 @@ def validate(c: Circuit) -> list[str]:
 
 
 # what _analyse derives from a circuit's pins; see there
-_Analysis = namedtuple("_Analysis", "diags net_index net_cap gate_in gate_out fanout order level "
+_Analysis = namedtuple("_Analysis", "diags net_index net_cap gate_in gate_out fanout order "
                                     "driver bad_pins again")
 
 
@@ -500,18 +500,16 @@ def _analyse(c: Circuit) -> _Analysis:
     its input nets in pin order and its output nets; per net the gates it
     feeds as (gate, summed row weight of the pins it drives, see
     :class:`gates.KindSpec`); the gate indices in Kahn order, every gate
-    after the drivers of its inputs; per gate its logic level, 1 + its
-    inputs' highest (an undriven net is 0), or 0 for a gate never ordered;
-    per net its first driver (its constant, else the first input port, else
-    the first gate output on it) or None; each (instance id, pin) unbound or
-    bound to no net; and each (net, driver) after a net's first.
+    after the drivers of its inputs; per net its first driver (its
+    constant, else the first input port, else the first gate output on it)
+    or None; each (instance id, pin) unbound or bound to no net; and each
+    (net, driver) after a net's first.
 
     Kahn's algorithm runs in waves of nets, and a gate is released when the
-    weights of its arrived inputs sum to its bound pins' weights, so a
-    gate's level is the wave that brings its last input. The gates it never
-    releases lie on or behind a cycle; those feeding no other such gate are
-    peeled from the sinks back, in linear time, and each one left is named
-    by a cycle diagnostic. The graph is meaningful only when ``diags`` is
+    weights of its arrived inputs sum to its bound pins' weights. The gates
+    it never releases lie on or behind a cycle; those feeding no other such
+    gate are peeled from the sinks back, in linear time, and each one left
+    is named by a cycle diagnostic. The graph is meaningful only when ``diags`` is
     empty (an unbound input pin reads net -1 in ``gate_in``)."""
     diags: list[str] = []
     net_ids = list(c.nets)
@@ -599,10 +597,7 @@ def _analyse(c: Circuit) -> _Analysis:
     wave = [i for i in range(len(net_ids)) if i not in driven]
     arrived = bytearray(len(net_ids))
     order: list[int] = []
-    level = [0] * len(gate_in)
-    depth = 0
     while wave:
-        depth += 1
         nxt: list[int] = []
         for i in wave:
             if arrived[i]:  # a net driven twice arrives with its first driver
@@ -612,7 +607,6 @@ def _analyse(c: Circuit) -> _Analysis:
                 wait[g] -= w
                 if not wait[g]:
                     order.append(g)
-                    level[g] = depth
                     nxt += gate_out[g]
         wave = nxt
 
@@ -635,8 +629,7 @@ def _analyse(c: Circuit) -> _Analysis:
         ids = list(c.instances)
         diags += [f"combinational cycle through instance {iid!r}"
                   for iid in sorted(ids[g] for g in stuck)]
-    return _Analysis(diags, index, cap, gate_in, gate_out, fanout, order, level, driver,
-                     bad_pins, again)
+    return _Analysis(diags, index, cap, gate_in, gate_out, fanout, order, driver, bad_pins, again)
 
 
 def _tuple_getter(pins: tuple):

@@ -1087,16 +1087,17 @@ def riders_circuit(vdd=0.9):
 
 def test_settle_plan_composes_single_input_gates_into_their_hosts():
     """Every net of riders_circuit, at every input, equals reference_settle;
-    the plan takes 7 steps (9 without composition), and x2 pads the rows of
-    x1's riders into the scratch net."""
+    the plan takes 5 steps (9 with one step per level and kind), x1's three
+    inverters sit in x1's unit, and every row writes a net of the circuit."""
     c = riders_circuit()
     comp = _kernel.compile_circuit(c)
-    assert len(comp.settle_plan) == 7
-    x1, x2 = (comp.gate_out[comp.gate_ids.index(g)] for g in ("x1", "x2"))
-    [outs] = [outs for *_, outs in comp.settle_plan if x1[0] in outs[0]]
-    assert outs.shape == (2 + 3, 2)  # y, yb, then the rows of x1's three riders
-    assert (outs[2:, outs[0].tolist().index(x1[0])] < comp.n_nets).all()
-    assert (outs[2:, outs[0].tolist().index(x2[0])] == comp.n_nets).all()
+    assert len(comp.settle_plan) == 5
+    gate = {g: comp.gate_out[comp.gate_ids.index(g)] for g in comp.gate_ids}
+    [outs] = [outs for *_, outs in comp.settle_plan if gate["x1"][0] in outs]
+    [unit] = [col for col in outs.T.tolist() if gate["x1"][0] in col]
+    assert {o for g in ("x1", "inv_x1a", "inv_x1b", "inv_x1yb") for o in gate[g]} <= set(unit)
+    assert all(0 <= outs.min() and outs.max() < comp.n_nets for *_, outs in comp.settle_plan)
+    assert comp.settle_init.shape == (comp.n_nets, 1)
     in_ports = ["A", "B", "C"]
     vectors = np.array(list(itertools.product(range(4), range(2), range(2))))
     in_nets = np.array([comp.in_port_net[p] for p in in_ports])
@@ -1106,22 +1107,46 @@ def test_settle_plan_composes_single_input_gates_into_their_hosts():
         assert settled == [ref[nid] for nid in comp.net_ids], row
 
 
-@pytest.mark.parametrize("cell, n, steps", [("qfa2", 4, 7), ("qfa2", 8, 11), ("qfa2", 16, 19),
-                                            ("bfa2", 32, 33)])
+@pytest.mark.parametrize("cell, n, steps", [("qfa2", 4, 5), ("qfa2", 8, 7), ("qfa2", 16, 9),
+                                            ("bfa2", 32, 13)])
 def test_settle_plan_steps_of_the_verify_cpas(cell, n, steps):
-    """Each digit's det and succ gates ride on its B and A ports (two
-    level-0 steps for all digits), and its carry inverter on its mux2 step:
-    one step per digit after the mux4 step. BFA2 has no single-input gates."""
+    """Carry nets hold three codes (X, 0 and 1), so the carry logic of
+    three digits shares one table: QFA2 takes three steps of its own units
+    at level 0 (the first digit's carry among them), one per three later
+    digits and one for the sum muxes. BFA2 takes two at level 0, then one
+    per three cells; its last carry mux feeds no gate and settles with the
+    sum muxes."""
     build = build_qfa if cell.startswith("qfa") else build_bfa
     comp = _kernel.compile_circuit(build_cpa(build(cell, 0.9), n))
     assert len(comp.settle_plan) == steps
 
 
+def test_settle_plan_settles_the_sum_muxes_of_a_qfa2_cpa_in_one_last_step():
+    """The S{i} muxes feed no gate and read the carry in, which their
+    digit's sum unit does not read, so they wait for the last step."""
+    n = 6
+    comp = _kernel.compile_circuit(build_cpa(build_qfa("qfa2", 0.9), n))
+    sums = sorted(comp.out_port_net[f"S{i}"] for i in range(n))
+    *rest, (_, _, table, outs) = comp.settle_plan
+    assert sorted(outs.ravel().tolist()) == sums and table.shape[0] == 1
+    assert not set(sums) & {o for *_, outs in rest for o in outs.ravel().tolist()}
+
+
+def pin_widths(weights, table) -> list:
+    """Each pin's width of a step, read from its mixed-radix weights: the
+    last weight is 1, and each width is the weight before it (the table
+    width before the first) over its own."""
+    above = [table.shape[1], *weights.tolist()]
+    assert weights.tolist()[-1:] in ([], [1])
+    assert all(a % w == 0 for a, w in zip(above, above[1:]))
+    return [a // w for a, w in zip(above, above[1:])]
+
+
 def test_code_dtype_holds_every_table_index():
     """settle_batch computes each table index in its code dtype, so the last
-    row of every kind table and the last column of every step table (a
-    kind's, or one composed with riders) must fit it: a wider kind fails
-    here instead of wrapping silently."""
+    row of every kind table and the last column of every step table must
+    fit it: a wider kind fails here instead of wrapping silently. A step's
+    last column is its pins' highest codes (width - 1) times their weights."""
     top = np.iinfo(_kernel.CODE).max
     for kind in KINDS:
         assert len(kind_table(kind)[0]) - 1 <= top, kind
@@ -1130,9 +1155,30 @@ def test_code_dtype_holds_every_table_index():
     for c in cells:
         for ins, weights, table, outs in _kernel.compile_circuit(c).settle_plan:
             assert weights.dtype == table.dtype == _kernel.CODE
-            hosts = outs.shape[1]  # input nets are host-major, one-pin steps one per host
+            hosts = outs.shape[1]  # input nets are unit-major, one-pin steps one per unit
             assert ins.shape == ((hosts,) if len(weights) == 1 else (hosts, len(weights)))
-            assert 4 * int(weights.sum()) == table.shape[1] - 1 <= top
+            widths = pin_widths(weights, table)
+            assert sum((w - 1) * int(x) for w, x in zip(widths, weights)) == (
+                table.shape[1] - 1) <= min(top, 5 ** 5 - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_settled_codes_stay_within_their_pins_widths(seed):
+    """On random circuits and vectors with X on some inputs, each pin of
+    each step holds a code (level + 1) below the width its weights give it,
+    so no pin's code spills into another's place in the table index."""
+    rng = np.random.default_rng(seed)
+    comp = _kernel.compile_circuit(random_circuit(rng, n_gates=int(rng.integers(1, 30))))
+    in_ports = sorted(comp.in_port_net)
+    in_nets = np.array([comp.in_port_net[p] for p in in_ports])
+    vectors = np.column_stack(
+        [rng.integers(-1, comp.port_encoding[p].radix, 16) for p in in_ports])
+    codes = _kernel.settle_batch(comp, in_nets, vectors, np.arange(comp.n_nets)).T + 1
+    for ins, weights, table, _ in comp.settle_plan:
+        pins = ins.reshape(len(ins), -1)  # (units, pins)
+        for j, width in enumerate(pin_widths(weights, table)):
+            assert codes[pins[:, j]].max(initial=0) < width
 
 
 @settings(deadline=None, max_examples=30)

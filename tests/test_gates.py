@@ -217,6 +217,11 @@ def test_kind_table_is_one_tuple_of_ints_per_output():
         assert {type(v) for col in table for v in col} == {int}
     with pytest.raises(DomainError, match="^unknown gate kind 'zz'$"):
         gates.kind_table("zz")
+    # an unhashable kind is named as eval_primitive names it, not hashed first
+    for bad in (["inv"], {"inv": 1}):
+        for table_or_eval in (gates.kind_table, lambda k: eval_primitive(k, [0])):
+            with pytest.raises(DomainError, match=fr"^unknown gate kind {re.escape(repr(bad))}$"):
+                table_or_eval(bad)
 
 
 # --------------------------------------------------------------------------

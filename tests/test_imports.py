@@ -183,7 +183,7 @@ def test_the_cli_reads_no_private_name_of_another_module():
 
 
 #: Unbounded caches over a small fixed set of inputs: one entry per gate kind.
-BOUNDLESS_CACHE_OK = {"gates:kind_table"}
+BOUNDLESS_CACHE_OK = {"gates:_kind_table"}
 
 
 def unbounded_caches(sources: dict) -> list[str]:
