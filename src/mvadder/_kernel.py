@@ -14,10 +14,11 @@ read as they are, with a ``heapq`` event queue and one output plan per gate
 by evaluating the gates the constants alone decide, then applies the input
 levels at t = 0, and raises :class:`UnsettledOutputError` or
 :class:`SimulationTimeoutError` where it finds the failure. The batch
-settle (:func:`settle_batch`) is one levelized pass, vectorized with numpy
+settle (:func:`settle_rows`) is one levelized pass, vectorized with numpy
 over input vectors: each step is one gather from a table composed from the
 kind tables of a unit of gates, over its pins' codes, for every unit of one
-form (:attr:`CompiledCircuit.settle_plan`). The net indices of every pin,
+form (:attr:`CompiledCircuit.settle_plan`), written in place to the step's
+own rows of the codes. The net indices of every pin,
 the fan-out and the gate order come from the one pass of
 :func:`netlist._analyse`, which each circuit runs at most once.
 """
@@ -139,27 +140,33 @@ class CompiledCircuit:
                 for outs, kind, delays in zip(self.gate_out, self.gate_kind, self.gate_delay)]
 
     @cached_property
-    def settle_plan(self) -> list:
-        """Steps for :func:`settle_batch` in level order, one table gather
-        each: (pin nets (units, k), or (units,) for one pin; the k table index
-        weights; output codes (outputs, rows); output nets (outputs, units)).
+    def _settle(self) -> tuple:
+        """The steps for :func:`settle_rows` in level order, one table gather
+        each: (pin rows (units, k), or (units,) for one pin; the k table index
+        weights; output codes (outputs, rows); output rows (outputs, units));
+        each net's row: each step's outputs, outputs-major, follow the
+        previous step's, then come the nets no step writes in net order (the
+        tail: ports, constants and what they alone drive, undriven nets); and
+        the tail's codes.
 
         Gates settle in units, each read from one table over its pins' codes
         in mixed radix, first pin most significant. A net's width is the
         number of codes it can hold: an input port's radix + 1, a gate
         output's 1 + its kind table's highest code over its inputs' code
-        ranges; constants are folded into the tables. In topological order, a
-        gate joins a unit that writes or reads as a pin one of its inputs, if
-        each other input is a pin or output of that unit, a constant, or set
-        at an earlier step (a port, or an output of a lower-level unit), and
-        the unit's rows stay within the widest kind table's. Else it starts a
-        unit one level above those writing its pins (0 if all are ports); a
-        gate feeding no gate joins only a unit it adds no pin to, else it
-        settles at the last level. The units of one level and form (pin
-        widths, gate kinds, input sources) share a step and a table tabulated
-        from the kind tables. Exact, since both engines take a gate's table
-        entry at its inputs' settled codes, X included."""
-        kind, gate_in, gate_out, const = self.gate_kind, self.gate_in, self.gate_out, self.net_init
+        ranges; constants, and so the gates the constants alone feed, are
+        folded into the tables. In topological order, a gate joins a unit
+        that writes or reads as a pin one of its inputs, if each other input
+        is a pin or output of that unit, a constant, or set at an earlier
+        step (a port, or an output of a lower-level unit), and the unit's
+        rows stay within the widest kind table's. Else it starts a unit one
+        level above those writing its pins (0 if all are ports); a gate
+        feeding no gate joins only a unit it adds no pin to, else it settles
+        at the last level. The units of one level and form (pin widths, gate
+        kinds, input sources) share a step and a table tabulated from the
+        kind tables. Exact, since both engines take a gate's table entry at
+        its inputs' settled codes, X included."""
+        kind, gate_in, gate_out = self.gate_kind, self.gate_in, self.gate_out
+        const = self.net_init.copy()  # per net not set by a step: its level
         width = {n: self.port_encoding[p].radix + 1 for p, n in self.in_port_net.items()}
         at = dict.fromkeys(width, -1)  # per net a step sets: its level, -1 for a port
         near: dict = {}  # per net: the units writing it or reading it as a pin
@@ -179,6 +186,10 @@ class CompiledCircuit:
 
         for g in self.topo_order:
             ins = [n for n in dict.fromkeys(gate_in[g]) if n in at]  # its pins: no constants
+            if not ins:  # the constants alone feed it: its outputs are constants too
+                for o, c in zip(gate_out[g], _codes(kind[g], [const[n] + 1 for n in gate_in[g]])):
+                    const[o] = int(c) - 1
+                continue
             sink = not any(self.fanout[o] for o in gate_out[g])
             for u in dict.fromkeys(u for n in ins for u in near.get(n, ())):
                 level, _, _, rows = units[u]
@@ -219,12 +230,15 @@ class CompiledCircuit:
             ins = np.array([m[0] for m in members], np.intp)
             plan.append((ins[:, 0] if len(weights) == 1 else ins, np.array(weights, CODE),
                          table, np.array([m[2] for m in members], np.intp).T))
-        return plan
+        order = [o for *_, outs in plan for o in outs.ravel().tolist()]  # the written nets
+        tail = sorted(set(range(self.n_nets)).difference(order))
+        row = np.argsort(order + tail)  # per net, its row
+        return ([(row[ins], weights, table, row[outs]) for ins, weights, table, outs in plan],
+                row, (np.array([const[n] for n in tail]) + 1).astype(CODE)[:, None])
 
-    @cached_property
-    def settle_init(self) -> np.ndarray:
-        """:func:`settle_batch`'s initial codes, one row per net."""
-        return (np.array(self.net_init) + 1).astype(CODE)[:, None]
+    settle_plan = property(lambda self: self._settle[0], doc="The steps; see :attr:`_settle`.")
+    settle_row = property(lambda self: self._settle[1], doc="Per net, its row of the codes.")
+    settle_init = property(lambda self: self._settle[2], doc="The tail rows' initial codes.")
 
 
 def compile_circuit(circuit) -> CompiledCircuit:
@@ -259,32 +273,42 @@ def _widths(kind: str, spans: tuple) -> tuple:
 
 
 def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarray:
-    """Settled levels on ``out_nets`` (int64, -1 for X), one row per row of
-    ``vectors``, whose columns are the levels driven on ``in_nets``, input
-    port nets: within each port's radix or -1, as :func:`engine.settle_matrix`
-    checks, so every code is below its net's width.
+    """:func:`settle_rows` on ``in_nets`` and ``out_nets``, nets."""
+    row = comp.settle_row
+    return settle_rows(comp, row[in_nets], vectors, row[out_nets])
+
+
+def settle_rows(comp: CompiledCircuit, in_rows, vectors, out_rows) -> np.ndarray:
+    """Settled levels on ``out_rows`` (int64, -1 for X), one row per row of
+    ``vectors``, an integer matrix whose columns are the levels driven on
+    ``in_rows``, input port rows: within each port's radix or -1, as
+    :func:`engine.settle_matrix` checks, so every code is below its net's width.
 
     One pass over :attr:`CompiledCircuit.settle_plan`, level by level; each
-    step is one table gather for a group of units over a block of vectors.
-    A unit reads only nets set at earlier steps and its table evaluates its
-    gates in order, so every gate ends at its table entry for its final
-    inputs. That is the event loop's quiescent state
+    step is one table gather for a group of units over a block of vectors,
+    written in place to the step's rows. A unit reads only rows set at
+    earlier steps or in the tail, and its table evaluates its gates in
+    order, so every gate ends at its table entry for its final inputs.
+    That is the event loop's quiescent state
     for an acyclic circuit: in its settle every net leaves X at most once
     (resolving an X input never changes a decided entry of a kind table),
     and the gates it never evaluates are those whose table entry at the
     constants and X is X on every output.
     """
     plan, init = comp.settle_plan, comp.settle_init
-    out = np.empty((len(vectors), len(out_nets)), np.int64)
+    out = np.empty((len(vectors), len(out_rows)), np.int64)
     for r0 in range(0, len(vectors), _BLOCK_ROWS):
         block = vectors[r0: r0 + _BLOCK_ROWS]
-        codes = np.repeat(init, len(block), axis=1)
-        codes[in_nets] = block.T + 1
+        codes = np.empty((comp.n_nets, len(block)), CODE)
+        codes[comp.n_nets - len(init):] = init  # the tail
+        codes[in_rows] = block.T + 1
+        row = 0
         for ins, weights, table, outs in plan:  # take(): codes[ins], (units, k, vectors)
             idx = codes.take(ins, axis=0)
-            codes[outs] = table.take(idx if ins.ndim == 1 else weights @ idx, axis=1)
-        out[r0: r0 + len(block)] = codes.take(out_nets, axis=0).T
-    out -= 1
+            idx = idx if ins.ndim == 1 else weights @ idx
+            slab, row = codes[row: row + outs.size], row + outs.size
+            table.take(idx, axis=1, out=slab.reshape(len(table), *idx.shape))
+        np.subtract(codes.take(out_rows, axis=0).T, 1, out=out[r0: r0 + len(block)])
     return out
 
 

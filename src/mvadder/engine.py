@@ -320,8 +320,13 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
 
 
 def _port_plan(comp, key: tuple) -> tuple:
-    """The port lists ``key``, (in_ports, out_ports or None), checked: (radix,
-    in_nets, out_ports, out_nets), kept in ``comp.port_plans`` once all pass."""
+    """The port lists ``key``, (in_ports, out_ports or None), as kept in
+    ``comp.port_plans``, else checked: (radix, in_rows, out_ports, out_rows),
+    kept once all checks pass."""
+    try:
+        return comp.port_plans[key]
+    except (KeyError, TypeError):  # a miss, or an unhashable entry the checks refuse
+        pass
     in_ports, out_ports = key[0], tuple(sorted(comp.out_port_net)) if key[1] is None else key[1]
     for p in in_ports:
         if not isinstance(p, str):  # a list is unhashable
@@ -332,9 +337,10 @@ def _port_plan(comp, key: tuple) -> tuple:
     for p in out_ports:
         if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
             raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
+    row = comp.settle_row
     plan = (np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64),
-            np.array([comp.in_port_net[p] for p in in_ports], np.int64), out_ports,
-            np.array([comp.out_port_net[p] for p in out_ports], np.int64))
+            row[[comp.in_port_net[p] for p in in_ports]], out_ports,
+            row[[comp.out_port_net[p] for p in out_ports]])
     if len(comp.port_plans) >= _PORT_PLANS:
         comp.port_plans.clear()  # atomic, unlike evicting one entry
     comp.port_plans[key] = plan
@@ -348,19 +354,16 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     exhaustive and random functional verification.
 
     The settle is one levelized pass, vectorized over the gate units of a
-    step and over the rows (see :func:`_kernel.settle_batch`); it gives the
+    step and over the rows (see :func:`_kernel.settle_rows`); it gives the
     final levels :func:`simulate` reaches after its settle phase: every gate
     at its truth-table entry for its settled inputs, with X where no input
-    combination decides it. The compiled circuit keeps a few checked port
+    combination decides it. This is the port and vector checks, then
+    :func:`_settle_ports`. The compiled circuit keeps a few checked port
     lists with their arrays; the vectors are checked after them, every call."""
     comp = compile_circuit(circuit)
     in_ports = listed("in_ports", in_ports)
     key = (in_ports, None if out_ports is None else listed("out_ports", out_ports))
-    try:
-        plan = comp.port_plans.get(key)
-    except TypeError:  # an unhashable entry, which _port_plan refuses
-        plan = None
-    radix, in_nets, out_ports, out_nets = plan or _port_plan(comp, key)
+    radix = _port_plan(comp, key)[0]
     # tested first: an integer array takes no extra pass; anything else, a
     # list too, is checked entry by entry as given (so True is not taken for 1)
     if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
@@ -379,14 +382,20 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         raise StimulusError("vectors must be (n_vectors, n_input_ports)")
     vectors = np.ascontiguousarray(vectors, dtype=np.int64)
     # as uint64 a negative level is huge, so one comparison checks both ends
-    bad = np.flatnonzero(vectors.view(np.uint64).max(axis=0, initial=0) >= radix)
-    if len(bad):
-        col = bad[0]
+    bad = vectors.view(np.uint64).max(axis=0, initial=0) >= radix
+    if bad.any():
+        col = int(bad.argmax())
         row = int((vectors[:, col].view(np.uint64) >= radix[col]).argmax())
         raise StimulusError(f"{in_ports[col]}: levels outside {radix[col]}-level encoding, "
                             f"first at vector row {row}")
+    return _settle_ports(comp, key, vectors)
 
-    out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
+
+def _settle_ports(comp, key: tuple, vectors: np.ndarray) -> np.ndarray:
+    """:func:`settle_matrix` of ``vectors`` it would accept on the port lists
+    ``key``: the batch settle and its X check, which names ports and a row."""
+    _, in_rows, out_ports, out_rows = _port_plan(comp, key)
+    out_lvls = _kernel.settle_rows(comp, in_rows, vectors, out_rows)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
         x = out_lvls < 0
         ports = [p for p, is_x in zip(out_ports, x.any(axis=0)) if is_x]

@@ -233,20 +233,32 @@ def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
     if max(a.view(np.uint64).max(initial=0), b.view(np.uint64).max(initial=0)) >= radix or (
             carry.view(np.uint64).max(initial=0) > 1):
         raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
-    out = _cpa_sums(a, b, carry, radix)
+    out = _cpa_sums(np.column_stack([carry, a, b]), radix)
     return out[:, :-1], out[:, -1]
 
 
-def _cpa_sums(a: np.ndarray, b: np.ndarray, carry: np.ndarray, radix: int) -> np.ndarray:
-    """:func:`cpa_oracle_rows` of int64 operands it would accept, as one
-    (rows, digits + 1) matrix: the sum digits, then the carry out."""
-    bits = int(radix).bit_length() - 1  # per digit
-    per = 60 // bits  # digits per chunk: two chunks and a carry add up below 2**61
-    total, out = a + b, np.empty((len(a), a.shape[1] + 1), np.int64)
-    for lo in range(0, a.shape[1], per):
-        shifts = np.arange(min(per, a.shape[1] - lo)) * bits
-        chunk = total[:, lo: lo + per] @ (1 << shifts) + carry  # times the place values
+def _cpa_sums(mat: np.ndarray, radix: int) -> np.ndarray:
+    """:func:`cpa_oracle_rows` of an int64 matrix of rows it would accept,
+    each the carry in, then the digits of ``a``, then those of ``b``, as
+    one (rows, digits + 1) matrix: the sum digits, then the carry out."""
+    out = np.empty((len(mat), mat.shape[1] // 2 + 1), np.int64)
+    carry = mat[:, 0]
+    for lo, shifts, places, top in _chunks(int(radix), mat.shape[1] // 2):
+        chunk = mat @ places + carry
         out[:, lo: lo + len(shifts)] = chunk[:, None] >> shifts & (radix - 1)
-        carry = chunk >> (len(shifts) * bits)
+        carry = chunk >> top
     out[:, -1] = carry
     return out
+
+
+@lru_cache(maxsize=64)
+def _chunks(radix: int, digits: int) -> tuple:
+    """:func:`_cpa_sums`' chunks of at most 60 bits, so that two and a carry
+    add up below 2**61: (first digit, bit shifts, place per column, bits)."""
+    bits, chunks = radix.bit_length() - 1, []  # bits per digit
+    for lo in range(0, digits, 60 // bits):
+        shifts = np.arange(min(60 // bits, digits - lo)) * bits
+        place = np.zeros(digits, np.int64)
+        place[lo: lo + len(shifts)] = 1 << shifts
+        chunks.append((lo, shifts, np.r_[0, place, place], len(shifts) * bits))
+    return tuple(chunks)

@@ -161,6 +161,7 @@ class Circuit:
     metadata: Mapping = field(default_factory=dict)
     _analysis = None  # not fields: set on first use by _analysed
     _compiled = None  # and by _kernel.compile_circuit
+    _adder_ports = None  # and by verify._adder_ports
 
     def __post_init__(self):
         for name in ("ports", "nets", "instances"):

@@ -1087,17 +1087,22 @@ def riders_circuit(vdd=0.9):
 
 def test_settle_plan_composes_single_input_gates_into_their_hosts():
     """Every net of riders_circuit, at every input, equals reference_settle;
-    the plan takes 5 steps (9 with one step per level and kind), x1's three
-    inverters sit in x1's unit, and every row writes a net of the circuit."""
+    the plan takes 3 steps (9 with one step per level and kind; buf_k, fed
+    by a constant alone, is folded into nand_k's table, which then joins
+    inv_c1's unit), x1's three inverters sit in x1's unit, and every row
+    writes a net of the circuit."""
     c = riders_circuit()
     comp = _kernel.compile_circuit(c)
-    assert len(comp.settle_plan) == 5
+    assert len(comp.settle_plan) == 3
+    net_of = np.argsort(comp.settle_row)  # per row, its net
     gate = {g: comp.gate_out[comp.gate_ids.index(g)] for g in comp.gate_ids}
-    [outs] = [outs for *_, outs in comp.settle_plan if gate["x1"][0] in outs]
+    [outs] = [net_of[outs] for *_, outs in comp.settle_plan if gate["x1"][0] in net_of[outs]]
     [unit] = [col for col in outs.T.tolist() if gate["x1"][0] in col]
     assert {o for g in ("x1", "inv_x1a", "inv_x1b", "inv_x1yb") for o in gate[g]} <= set(unit)
     assert all(0 <= outs.min() and outs.max() < comp.n_nets for *_, outs in comp.settle_plan)
-    assert comp.settle_init.shape == (comp.n_nets, 1)
+    [buf_k] = gate["buf_k"]
+    assert comp.settle_row[buf_k] >= comp.n_nets - len(comp.settle_init)  # a tail row
+    assert comp.settle_init[comp.settle_row[buf_k] - comp.n_nets, 0] == 2  # L1's code
     in_ports = ["A", "B", "C"]
     vectors = np.array(list(itertools.product(range(4), range(2), range(2))))
     in_nets = np.array([comp.in_port_net[p] for p in in_ports])
@@ -1126,10 +1131,44 @@ def test_settle_plan_settles_the_sum_muxes_of_a_qfa2_cpa_in_one_last_step():
     digit's sum unit does not read, so they wait for the last step."""
     n = 6
     comp = _kernel.compile_circuit(build_cpa(build_qfa("qfa2", 0.9), n))
-    sums = sorted(comp.out_port_net[f"S{i}"] for i in range(n))
+    sums = sorted(comp.settle_row[comp.out_port_net[f"S{i}"]] for i in range(n))
     *rest, (_, _, table, outs) = comp.settle_plan
     assert sorted(outs.ravel().tolist()) == sums and table.shape[0] == 1
     assert not set(sums) & {o for *_, outs in rest for o in outs.ravel().tolist()}
+
+
+def layout_circuits():
+    """The verify CPAs, other CPAs, riders_circuit and random circuits."""
+    yield from (build_cpa(build(kind, 0.9), n) for build, kind, n in (
+        (build_qfa, "qfa2", 4), (build_qfa, "qfa2", 16), (build_bfa, "bfa2", 32),
+        (build_qfa, "qfa1", 3), (build_bfa, "bfa1", 5)))
+    yield riders_circuit()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        yield random_circuit(rng, n_gates=int(rng.integers(1, 40)))
+
+
+def test_settle_rows_tile_the_written_rows_and_read_only_rows_already_set():
+    """settle_row numbers every net once; each step writes the rows right
+    after the previous step's, outputs-major, so the steps' rows tile the
+    rows before the tail and no row is written twice; every pin row is a
+    tail row or one an earlier step wrote; and the tail starts at each
+    net's initial code, a constant's or X, unless a gate the constants
+    alone feed drives it."""
+    for c in layout_circuits():
+        comp = _kernel.compile_circuit(c)
+        assert sorted(comp.settle_row.tolist()) == list(range(comp.n_nets))
+        top = comp.n_nets - len(comp.settle_init)
+        row = 0
+        for ins, _, table, outs in comp.settle_plan:
+            assert outs.shape[0] == len(table)
+            assert outs.ravel().tolist() == list(range(row, row + outs.size))
+            assert ((ins < row) | (ins >= top)).all()
+            row += outs.size
+        assert row == top
+        driven = {o for outs in comp.gate_out for o in outs}
+        for net, code in zip(np.argsort(comp.settle_row)[top:], comp.settle_init[:, 0]):
+            assert net in driven or code == comp.net_init[net] + 1
 
 
 def pin_widths(weights, table) -> list:
@@ -1174,7 +1213,8 @@ def test_settled_codes_stay_within_their_pins_widths(seed):
     in_nets = np.array([comp.in_port_net[p] for p in in_ports])
     vectors = np.column_stack(
         [rng.integers(-1, comp.port_encoding[p].radix, 16) for p in in_ports])
-    codes = _kernel.settle_batch(comp, in_nets, vectors, np.arange(comp.n_nets)).T + 1
+    net_of = np.argsort(comp.settle_row)  # codes by row, as the plan reads them
+    codes = _kernel.settle_batch(comp, in_nets, vectors, net_of).T + 1
     for ins, weights, table, _ in comp.settle_plan:
         pins = ins.reshape(len(ins), -1)  # (units, pins)
         for j, width in enumerate(pin_widths(weights, table)):

@@ -149,6 +149,7 @@ def _api_runs(tmp_path):
     trace = simulate(qfa2, worst_case_stimulus("input_to_carry", "qfa2"))  # A steps 6 times
     params = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9)).params
     zeros = {"A": 0, "B": 0, "Cin": 0}
+    top_1, top_2, others = 2 ** 27 // 3, 2 ** 27 // 5, set(API_VALUES) - WHOLE
 
     def stimulus(initial=zeros, events=(), duration_ps=100.0):
         """The stimulus through the Python API and through its JSON form."""
@@ -166,11 +167,26 @@ def _api_runs(tmp_path):
          {"2**63"}),
         ("verify_cpa n_digits", lambda v: verify_cpa(cpa2, v), DomainError, "digit", WHOLE, ()),
         ("verify_cpa vectors", lambda v: verify_cpa(cpa2, 2, vectors=v), DomainError, "vectors",
-         {*WHOLE, "2**63"}, ()),
+         WHOLE, ()),
         ("verify_cpa seed", lambda v: verify_cpa(cpa3, 3, vectors=2, seed=v), DomainError, "seed",
          {*WHOLE, "2**63"}, ()),
         ("adder_mismatches vectors", lambda v: adder_mismatches(qfa2, vectors=v), DomainError,
-         "vectors", {*WHOLE, "2**63"}, ()),
+         "vectors", WHOLE, ()),
+        # int64(2) alone, shifted to vectors' largest accepted and smallest refused value
+        # (2**27 matrix entries of 2n + 1 columns); both adders are exhaustive, so the
+        # accepted value draws nothing
+        ("adder_mismatches vectors at its bound",
+         lambda v: adder_mismatches(qfa2, vectors=top_1 - 2 + v), DomainError, "vectors",
+         WHOLE, others),
+        ("adder_mismatches vectors past its bound",
+         lambda v: adder_mismatches(qfa2, vectors=top_1 - 1 + v), DomainError,
+         f"^vectors must be <= {top_1} ", set(), others),
+        ("verify_cpa vectors at its bound",
+         lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 2 + v), DomainError, "vectors", WHOLE,
+         others),
+        ("verify_cpa vectors past its bound",
+         lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 1 + v), DomainError,
+         f"^vectors must be <= {top_2} ", set(), others),
         ("adder_mismatches seed", lambda v: adder_mismatches(cpa3, vectors=2, seed=v),
          DomainError, "seed", {*WHOLE, "2**63"}, ()),
         ("measure_delay src_event_index", lambda v: measure_delay(trace, "A", v, "Cout"),

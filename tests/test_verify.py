@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from mvadder import cli, verify
-from mvadder.engine import settle_matrix
+from mvadder import cli, engine, verify
+from mvadder.engine import UnsettledOutputError, settle_matrix
 from mvadder.levels import DigitVector, DomainError, bfa_oracle, cpa_oracle, qfa_oracle
 from mvadder.netlist import (CELL_KINDS, build_binary_slice, build_bfa, build_cell, build_cpa,
                              build_qfa, from_json, to_json)
 from mvadder.verify import adder_mismatches, verify_cpa
-from circuit_edits import edited
+from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
 
@@ -106,14 +106,16 @@ def test_broken_cpa_mismatch_counts_stay_pinned(n_digits, vectors, seed, n_bad):
 def test_adder_mismatches_takes_its_ports_and_rows_from_the_adder(kind, n_digits, rows,
                                                                   monkeypatch):
     """A cell's, a slice's or a CPA's own ports, in digit order; every
-    input combination up to 4096 of them, seeded random rows beyond."""
+    input combination up to 4096 of them, seeded random rows beyond; each
+    settled by the core of settle_matrix."""
     seen = []
+    core = engine._settle_ports
 
-    def spy(circuit, in_ports, mat, out_ports):
-        seen.append((in_ports, mat, out_ports))
-        return settle_matrix(circuit, in_ports, mat, out_ports)
+    def spy(comp, key, mat):
+        seen.append((key[0], mat, key[1]))
+        return core(comp, key, mat)
 
-    monkeypatch.setattr(verify, "settle_matrix", spy)
+    monkeypatch.setattr(engine, "_settle_ports", spy)
     cell = build_cell(kind, 0.9)
     adder = cell if n_digits is None else build_cpa(cell, n_digits)
     assert adder_mismatches(adder, vectors=7, seed=3) == ([], 0)
@@ -127,13 +129,54 @@ def test_adder_mismatches_takes_its_ports_and_rows_from_the_adder(kind, n_digits
     else:
         (a, b, s), cin, cout = (["A"], ["B"], ["Sum"]), "Cin", "Cout"
     in_ports, mat, out_ports = seen[0]
-    assert (in_ports, out_ports) == ([cin, *a, *b], [*s, cout])
+    assert (in_ports, out_ports) == ((cin, *a, *b), (*s, cout))
     assert len(mat) == rows
     radix = adder.ports[a[0]].encoding.radix
     if rows == 7:
         assert np.array_equal(mat, random_matrix(len(a), 7, 3, radix))
     else:
         assert len(np.unique(mat, axis=0)) == rows == 2 * radix ** (2 * len(a))
+
+
+@pytest.mark.parametrize("kind, n_digits", [
+    *[(kind, None) for kind in CELL_KINDS], ("qfa2", 2), ("bfa2", 5),  # exhaustive
+    ("qfa2", 3), ("qfa2", 16), ("bfa2", 6), ("bfa2", 32)])  # seeded random rows
+def test_the_drawn_matrix_is_int64_within_each_input_ports_radix(kind, n_digits, monkeypatch):
+    """The precondition of settle_matrix's core, which its range check
+    enforces: every matrix the check draws, exhaustive or random, is int64
+    with each column within its input port's radix."""
+    seen = []
+    core = engine._settle_ports
+
+    def spy(comp, key, mat):
+        seen.append((key[0], mat))
+        return core(comp, key, mat)
+
+    monkeypatch.setattr(engine, "_settle_ports", spy)
+    cell = build_cell(kind, 0.9)
+    adder = cell if n_digits is None else build_cpa(cell, n_digits)
+    for seed in (0, 1, 2):
+        assert adder_mismatches(adder, vectors=300, seed=seed) == ([], 0)
+    for in_ports, mat in seen:
+        radix = [adder.ports[p].encoding.radix for p in in_ports]
+        assert mat.dtype == np.int64 and mat.shape[1] == len(radix)
+        assert mat.min(initial=0) >= 0 and (mat.max(axis=0, initial=0) < radix).all()
+        assert len(np.unique(mat[:, 0])) == 2  # both carries in, and so both digit ends
+        assert (mat.max(axis=0) == np.array(radix) - 1).all()
+
+
+def test_a_cpa_output_settling_to_x_is_named_through_verify_cpa():
+    """A QFA2 CPA whose digit-1 carry inverter reads the quaternary A1 (as
+    nand_l2_circuit feeds a NAND) settles to X wherever A1 is 2 or 3: the
+    error names the ports that follow and the first such row of the draw."""
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 4)
+    cpa = edited(cpa, pins={"d1.inv_cout.a": "A1"}, pin_encodings={"d1.inv_cout.a": UNBIND})
+    for seed in (0, 1, 5):
+        first = int(np.argmax(random_matrix(4, 50, seed)[:, 2] >= 2))  # A1's column
+        with pytest.raises(UnsettledOutputError) as err:
+            verify_cpa(cpa, 4, vectors=50, seed=seed)
+        assert str(err.value) == (f"outputs ['S2', 'S3', 'C4'] settled to X during batch "
+                                  f"evaluation, first at vector row {first}")
 
 
 def without_ports(circuit, *names):
@@ -152,6 +195,15 @@ def without_ports(circuit, *names):
 def test_a_circuit_that_is_not_an_adder_is_named_by_its_missing_ports(make, missing):
     with pytest.raises(DomainError, match=f"is not a ripple adder: no port {missing}$"):
         adder_mismatches(make())
+
+
+def test_an_adder_keeps_its_ports_and_a_copy_names_its_own():
+    """The ports are named once per adder; a copy made by dataclasses.replace
+    starts without them, so a copy that lacks a port is named as lacking it."""
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 3)
+    assert verify_cpa(cpa, 3, vectors=5) == [] and cpa._adder_ports is verify._adder_ports(cpa)
+    with pytest.raises(DomainError, match="no port S1$"):
+        verify_cpa(without_ports(cpa, "S1"), 3, vectors=5)
 
 
 def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
