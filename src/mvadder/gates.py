@@ -234,15 +234,13 @@ def eval_primitive(kind: str, inputs: Sequence[Level]) -> tuple[Level, ...]:
         y = _bit("a", ins[0]) ^ _bit("b", ins[1])
         return (Level(y), Level(1 - y))
 
-    if kind == "maj3":
-        if ins.count(Level.L1) >= 2:
-            return (Level.L1,)
-        if ins.count(Level.L0) >= 2:
-            return (Level.L0,)
-        [_bit("in", v) for v in ins if v is not _X]  # out-of-domain levels raise
-        return (_X,)
-
-    raise AssertionError(kind)
+    # maj3, the last kind
+    if ins.count(Level.L1) >= 2:
+        return (Level.L1,)
+    if ins.count(Level.L0) >= 2:
+        return (Level.L0,)
+    [_bit("in", v) for v in ins if v is not _X]  # out-of-domain levels raise
+    return (_X,)
 
 
 def kind_table(kind: str) -> tuple:

@@ -37,20 +37,28 @@ def is_finite(value) -> bool:
         return False
 
 
-def whole(name: str, value, *, floats: bool = False) -> int:
+def whole(name: str, value, *, floats: bool = False, low=None, high=None) -> int:
     """``value`` as an int, if it is an int or a numpy integer, not a bool.
     With ``floats``, any real number with a finite whole value
     (:func:`is_finite`) instead: 2.0 gives 2, and an int past float range
-    fails. A DomainError naming ``name`` otherwise."""
+    fails. A DomainError naming ``name`` otherwise, or where the int is
+    below ``low`` or above ``high``, bounds that are None for none."""
+    v = None
     if floats:
         if is_finite(value) and value == int(value):  # int() truncates 2.5
-            return int(value)
+            v = int(value)
     elif not isinstance(value, bool):
         try:
-            return operator.index(value)
+            v = operator.index(value)
         except TypeError:
             pass
-    raise DomainError(f"{name} must be a whole number, got {value!r}")
+    if v is None:
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    if low is not None and v < low:
+        raise DomainError(f"{name} must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise DomainError(f"{name} must be <= {high}, got {v}")
+    return v
 
 
 def listed(name: str, value) -> tuple:
@@ -78,9 +86,9 @@ class Level(enum.IntEnum):
 class SignalEncoding:
     """Mapping from logical values to voltages for one family of nets.
 
-    ``level_voltages`` must be finite, strictly increasing and start at
-    0 V; its length fixes the radix (2 for binary rails, 4 for quaternary
-    signals).
+    ``name`` must be a string, and ``level_voltages`` finite, strictly
+    increasing and start at 0 V; its length fixes the radix (2 for binary
+    rails, 4 for quaternary signals).
     """
 
     name: str
@@ -88,6 +96,8 @@ class SignalEncoding:
 
     def __post_init__(self):
         v = self.level_voltages
+        if not isinstance(self.name, str):
+            raise EncodingMismatchError(f"encoding name must be a string, got {self.name!r}")
         if len(v) not in (2, 4):
             raise EncodingMismatchError(
                 f"encoding {self.name!r} must have 2 or 4 levels, got {len(v)}"

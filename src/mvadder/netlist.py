@@ -92,9 +92,11 @@ def _deep_frozen(v):
 
 
 def _thawed(v):
-    """A value frozen by :func:`_deep_frozen` as plain dicts and lists."""
+    """A value frozen by :func:`_deep_frozen` as plain dicts and lists, and
+    an inventory as its rows."""
     if type(v) is MappingProxyType:
         return dict(zip(v, map(_thawed, v.values())))
+    v = v.entries if type(v) is TransistorInventory else v
     return list(map(_thawed, v)) if type(v) is tuple else v
 
 
@@ -705,35 +707,50 @@ def area_report(c: Circuit) -> AreaReport:
 # JSON interchange
 
 
-def _inv_to_json(inv: TransistorInventory) -> list:
-    return [list(e) for e in inv.entries]
+#: The ``format`` of the interchange form that :func:`to_json` writes
+FORMAT = "mvadder-netlist-2"
 
 
 @gc_paused
 def to_json(c: Circuit) -> dict:
-    """Lossless netlist interchange form. Each port, net and instance entry,
-    and an instance's ``pins`` and ``pin_encodings``, is a dict of its own,
-    an instance's copied from one formatted per template (primitive and
-    ``pin_encodings`` map, shared by a cell's copies); the nested encoding
-    dicts and inventory lists are shared: copy one to change it. A net's
+    """Lossless netlist interchange form, :data:`FORMAT`. Each distinct
+    encoding, primitive and ``pin_encodings`` map (values equal but of other
+    types, as 1 and 1.0, are distinct) is one entry of its table, in order of
+    first use, named by its index. Every entry is a dict of its own. A net's
     ``driver`` is its first driver from :func:`_analyse`, null for none."""
-    # keyed by id(): the circuit keeps every encoding, primitive and map alive
-    encs: dict = {}  # id(encoding) -> its dict, id(inventory) -> its rows
-    templates: dict = {}  # (id(primitive), id(pin_encodings)) -> (entry, pin_encodings)
-    driver = _analysed(c).driver
+    tables: dict = {"encodings": [], "primitives": [], "pin_maps": []}
+    seen: dict = {}  # id(object), then (table, value, its types) -> the index of its entry
 
-    def enc(e: SignalEncoding) -> dict:
-        return encs.get(id(e)) or encs.setdefault(
-            id(e), {"name": e.name, "level_voltages": list(e.level_voltages)})
+    def index(table: str, obj, key: tuple, entry) -> int:
+        rows = tables[table]
+        i = seen[id(obj)] = seen.setdefault((table, *key), len(rows))
+        if i == len(rows):
+            rows.append(entry)
+        return i
 
-    meta = _thawed(c.metadata)
-    if "cell_inventory_overrides" in meta:
-        meta["cell_inventory_overrides"] = {
-            tag: _inv_to_json(inv)
-            for tag, inv in meta["cell_inventory_overrides"].items()
-        }
+    def enc(e: SignalEncoding) -> int:
+        if id(e) in seen:  # the circuit keeps each object alive: its id names no other
+            return seen[id(e)]
+        v = e.level_voltages
+        return index("encodings", e, (e.name, v, *map(type, v)),
+                     {"name": e.name, "level_voltages": list(v)})
+
+    def primitive(prim: GatePrimitive) -> int:
+        nums, rows = [getattr(prim.params, f) for f in ELECTRICAL_NUMBERS], prim.inventory.entries
+        out = enc(prim.params.output_encoding)
+        return index("primitives", prim, (prim.kind, *nums, *map(type, nums), out, rows,
+                                          *map(type, itertools.chain(*rows))),
+                     {"kind": prim.kind, **dict(zip(ELECTRICAL_NUMBERS, nums)),
+                      "output_encoding": out, "inventory": [list(r) for r in rows]})
+
+    def pin_map(m: Mapping) -> int:  # keyed in any pin order: dump_netlist sorts the pins
+        entry = {pin: enc(e) for pin, e in m.items()}
+        return index("pin_maps", m, (frozenset(entry.items()),), entry)
+
     data = {
+        "format": FORMAT,
         "name": c.name,
+        **tables,
         "ports": [
             {"name": p.name, "direction": p.direction, "encoding": enc(p.encoding), "net": p.net}
             for p in c.ports.values()
@@ -741,63 +758,34 @@ def to_json(c: Circuit) -> dict:
         "nets": [
             {"id": n.id, "encoding": enc(n.encoding), "driver": d and list(d),
              "external_load": n.external_load}
-            for n, d in zip(c.nets.values(), driver)
+            for n, d in zip(c.nets.values(), _analysed(c).driver)
         ],
         "instances": [],
-        "metadata": meta,
+        "metadata": _thawed(c.metadata),
     }
     add = data["instances"].append  # after the nets: that order keeps the peak RSS down
     for iid, prim, pins, pin_enc, tag in c.instances.values():
-        t = templates.get((id(prim), id(pin_enc)))
-        if t is None:
-            p = prim.params
-            t = templates[id(prim), id(pin_enc)] = (
-                {"id": None, "kind": prim.kind, **{f: getattr(p, f) for f in ELECTRICAL_NUMBERS},
-                 "output_encoding": enc(p.output_encoding),
-                 "inventory": encs.get(id(prim.inventory)) or encs.setdefault(
-                     id(prim.inventory), _inv_to_json(prim.inventory)),
-                 "pins": None, "pin_encodings": None, "cell_tag": None},
-                {pin: enc(e) for pin, e in pin_enc.items()})
-        entry = t[0].copy()  # cheaper than {**t[0], ...}, and keeps the template's key order
-        entry["id"], entry["pins"], entry["pin_encodings"], entry["cell_tag"] = (
-            iid, pins.copy(), t[1].copy(), tag)
-        add(entry)
+        p, m = seen.get(id(prim)), seen.get(id(pin_enc))
+        if p is None or m is None:
+            p, m = primitive(prim), pin_map(pin_enc)
+        add({"id": iid, "primitive": p, "pin_encodings": m, "pins": pins.copy(), "cell_tag": tag})
     return data
 
 
 # what a malformed field raises while an interchange entry is parsed
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 # the fields of each kind of entry, read at once: a KeyError names the one missing
+_PRIMITIVE_FIELDS = operator.itemgetter("kind", *ELECTRICAL_NUMBERS, "output_encoding", "inventory")
 _NET_FIELDS = operator.itemgetter("id", "encoding", "driver", "external_load")
-_INSTANCE_FIELDS = operator.itemgetter("id", "kind", *ELECTRICAL_NUMBERS, "output_encoding",
-                                       "inventory", "pins", "pin_encodings", "cell_tag")
+_INSTANCE_FIELDS = operator.itemgetter("id", "primitive", "pin_encodings", "pins", "cell_tag")
 _PORT_FIELDS = operator.itemgetter("name", "direction", "encoding", "net")
-
-
-def _template_types(out_enc: dict, rows: list, pin_encodings: dict) -> tuple:
-    """An instance template's pin order, then the types of its output and pin
-    voltages and of its inventory entries (1 == 1.0 == True, but each dumps or
-    parses apart)."""
-    return (*pin_encodings, *map(type, itertools.chain(
-        out_enc["level_voltages"], *[e["level_voltages"] for e in pin_encodings.values()], *rows)))
-
-
-def _same_template(old: tuple, new: tuple) -> bool:
-    """Whether an instance's (output encoding, inventory rows, pin_encodings) are a
-    template's: the same objects in the same pin order, or equal ones of the
-    template's pin order and types (:func:`_template_types`, stored as ``old[5]``)."""
-    o, n = old[2], new[2]
-    if old[0] is new[0] and old[1] is new[1] and [*o] == [*n] and all(
-            map(operator.is_, o.values(), n.values())):
-        return True
-    return old[:3] == new and old[5] == _template_types(*new)
 
 
 def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistError:
     """The NetlistError for a ``kind`` entry (or the whole netlist) whose
-    field ``key`` raised ``exc`` while parsed. ``key`` is None while the
-    fields are read (a KeyError names the missing one) and where the
-    message names the field."""
+    field ``key`` raised ``exc`` while parsed. A table entry is named by its
+    index, passed as ``entry``. ``key`` is None while the fields are read (a
+    KeyError names the missing one) and where the message names the field."""
     name = "name" if kind == "port" else "id"
     what = kind if kind == "netlist" else (
         f"{kind} {entry.get(name)!r}" if isinstance(entry, dict) else f"{kind} {entry!r}")
@@ -807,51 +795,25 @@ def _malformed(kind: str, entry, key: str | None, exc: Exception) -> NetlistErro
 
 @gc_paused
 def from_json(data: dict) -> Circuit:
-    """Rebuild a circuit from its interchange form. Equal encodings become one
-    :class:`SignalEncoding`, instances with equal kind, electrical numbers,
-    output encoding and inventory share one :class:`GatePrimitive`, as in a
-    :func:`build_cpa` chain, and equal ``pin_encodings`` share one map. An
-    encoding is looked up by its name and confirmed as the same voltages list or
-    by comparing its voltages with ``==`` and by type (0 == 0.0, but each dumps
-    apart). An instance is looked up in a cache of the templates of
-    :func:`to_json`, keyed by its kind, numbers and output encoding's name, and
-    confirmed by the rest of the template (output encoding, inventory rows and
-    ``pin_encodings``) by identity, else by ``==`` and the voltages' types; a
-    miss interns its primitive and map by their full values and types. No input
-    dict is keyed by identity, so a dict parsed from a file loads by the same
-    path as one shared by :func:`to_json`. Raises NetlistError naming the port,
-    net or instance and the field on a missing or malformed field, a duplicate
-    id, a bad number, a constant level outside its net's encoding, and, from the
-    circuit's one pass, a pin unbound or bound to a missing net, a gate output
-    on a net already driven, or a net's ``driver`` other than its first driver."""
-    encs: dict = {}  # (name, voltages, their types) -> SignalEncoding
-    by_name: dict = {}  # name -> (voltages as given, SignalEncoding)
-    prims: dict = {}  # (kind, *numbers, *their types, id(output encoding), inventory) -> primitive
-    pin_maps: dict = {}  # (*pins, *ids of their encodings) -> one read-only pin_encodings map
-    # (kind, *numbers, *their types, output encoding name) -> the last template given with them:
-    # (output encoding, inventory rows and pin_encodings as given, primitive, map, their types)
-    templates: dict = {}
-
-    def enc(d: dict) -> SignalEncoding:
-        name, volts = d["name"], d["level_voltages"]
-        try:
-            hit = by_name.get(name)
-            if hit is not None and (hit[0] is volts or hit[0] == volts
-                                    and [*map(type, hit[0])] == [*map(type, volts)]):
-                return hit[1]
-        except (TypeError, ValueError):  # the value key below names what is wrong
-            pass
-        v = tuple(volts)
-        key = (name, v, tuple(map(type, v)))
-        e = encs.get(key) or encs.setdefault(key, SignalEncoding(name, v))
-        by_name[name] = (volts, e)
-        return e
-
+    """Rebuild a circuit from :func:`to_json`'s form. Each table entry is
+    built and checked once, as one object that every index of it shares.
+    Raises NetlistError naming the entry and field of a missing or malformed
+    field, a bad index or number, a duplicate id, a constant level outside
+    its net's encoding, and, from the circuit's one pass, a pin unbound or
+    bound to a missing net, a second gate driving a net, or a stored
+    ``driver`` other than the net's first."""
     kind, entry, key = "netlist", data, None  # what is being parsed, for _malformed
-    nets, instances, ports = {}, {}, {}
+    encs, prims, pin_maps, nets, instances, ports = [], [], [], {}, {}, {}
+
+    def at(table: list, i):
+        return table[whole("index", i, low=0, high=len(table) - 1)]
+
     try:
         name = data["name"]
-        for key in ("ports", "nets", "instances"):
+        key = "format"
+        if data.get(key) != FORMAT:
+            raise ValueError(f"expected {FORMAT!r}, got {data.get(key)!r}")
+        for key in ("encodings", "primitives", "pin_maps", "ports", "nets", "instances"):
             if not isinstance(data.get(key), list):
                 raise TypeError(f"expected a list, got {data.get(key)!r}")
         key = "metadata"
@@ -862,6 +824,36 @@ def from_json(data: dict) -> Circuit:
                 for tag, raw in meta["cell_inventory_overrides"].items()
             }
 
+        kind = "encoding"
+        for entry, raw in enumerate(data["encodings"]):
+            key = None
+            ename, volts = raw["name"], raw["level_voltages"]
+            key = "level_voltages"
+            volts = tuple(volts)
+            key = None  # SignalEncoding names the field
+            encs.append(SignalEncoding(ename, volts))
+
+        kind = "primitive"
+        for entry, raw in enumerate(data["primitives"]):
+            key = None
+            gate, *nums, out_enc, rows = _PRIMITIVE_FIELDS(raw)
+            key = "kind"
+            if gate not in KIND_SPECS:
+                raise ValueError(f"unknown gate kind {gate!r}")
+            key = "output_encoding"
+            out_enc = at(encs, out_enc)
+            key = "inventory"
+            inventory = _parse_inventory(rows)
+            key = None  # ElectricalParams names the field
+            prims.append(GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory))
+
+        kind = "pin_map"
+        for entry, raw in enumerate(data["pin_maps"]):
+            key, pin_map = None, {}
+            for key, i in raw.items():  # key: the pin, which names the field
+                pin_map[key] = at(encs, i)
+            pin_maps.append(MappingProxyType(pin_map))
+
         kind = "net"
         for entry in data["nets"]:
             key = None
@@ -870,7 +862,7 @@ def from_json(data: dict) -> Circuit:
             if nid in nets:
                 raise ValueError("another net has this id")
             key = "encoding"
-            encoding = enc(encoding)
+            encoding = at(encs, encoding)
             key = "driver"
             if driver is not None and not isinstance(driver, list):
                 raise TypeError(f"expected null or a list, got {driver!r}")
@@ -880,47 +872,16 @@ def from_json(data: dict) -> Circuit:
         kind = "instance"
         for entry in data["instances"]:
             key = None
-            iid, gate, *nums, out_enc, rows, pins, pin_encodings, tag = _INSTANCE_FIELDS(entry)
+            iid, prim, pin_map, pins, tag = _INSTANCE_FIELDS(entry)
             key = "id"
             if iid in instances:
                 raise ValueError("another instance has this id")
-            key = "kind"
-            if gate not in KIND_SPECS:
-                raise ValueError(f"unknown gate kind {gate!r}")
-            typed = (*nums, *map(type, nums))  # 1 == 1.0 == True, but each dumps apart
-            try:
-                tkey = (gate, *typed, out_enc["name"])
-                hit = templates.get(tkey)
-                if hit is not None and not _same_template(hit, (out_enc, rows, pin_encodings)):
-                    hit = None
-            except _MALFORMED:  # parsing below names the field
-                tkey = hit = None
-            if hit is None:
-                key = "output_encoding"
-                out_encoding = enc(out_enc)
-                key = "inventory"
-                pkey = (gate, *typed, id(out_encoding), tuple(map(tuple, rows)),
-                        *map(type, itertools.chain(*rows)))
-                try:
-                    prim = prims.get(pkey)
-                except TypeError:
-                    prim = None
-                if prim is None:
-                    inventory = _parse_inventory(rows)
-                    key = None  # ElectricalParams names the field
-                    prim = prims[pkey] = GatePrimitive(
-                        gate, ElectricalParams(*nums, out_encoding), inventory)
-                key = "pin_encodings"
-                pin_map = {p: enc(e) for p, e in pin_encodings.items()}
-                shared = (*pin_map, *map(id, pin_map.values()))
-                pin_map = pin_maps.get(shared) or pin_maps.setdefault(
-                    shared, MappingProxyType(pin_map))
-                hit = (out_enc, rows, pin_encodings, prim, pin_map,
-                       _template_types(out_enc, rows, pin_encodings))
-                if tkey is not None:
-                    templates[tkey] = hit
+            key = "primitive"
+            prim = at(prims, prim)
+            key = "pin_encodings"
+            pin_map = at(pin_maps, pin_map)
             key = "pins"
-            instances[iid] = _instance(iid, hit[3], MappingProxyType(dict(pins)), hit[4], tag)
+            instances[iid] = _instance(iid, prim, MappingProxyType(dict(pins)), pin_map, tag)
 
         kind = "port"
         for entry in data["ports"]:
@@ -933,7 +894,7 @@ def from_json(data: dict) -> Circuit:
             if direction not in ("in", "out"):
                 raise ValueError(f"expected 'in' or 'out', got {direction!r}")
             key = "encoding"
-            ports[pname] = Port(pname, direction, enc(encoding), net)
+            ports[pname] = Port(pname, direction, at(encs, encoding), net)
 
         circuit = Circuit(name, ports, nets, instances, meta)
         a = _analysed(circuit)

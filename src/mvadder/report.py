@@ -115,9 +115,7 @@ def measure_config(config: AdderConfig, lib: CellLibrary | None = None) -> Compa
 def compare(configs, lib: CellLibrary | None = None, threads: int = 1) -> list:
     """Measure every config in ``threads`` threads (a whole number >= 1);
     row order follows input order regardless of thread count."""
-    configs, threads = listed("configs", configs), whole("threads", threads)
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    configs, threads = listed("configs", configs), whole("threads", threads, low=1)
     if threads == 1:
         return [measure_config(c, lib) for c in configs]
     from concurrent.futures import ThreadPoolExecutor  # imported for a pool only

@@ -10,9 +10,6 @@ from .engine import settle_matrix
 from .levels import DomainError, _cpa_sums, whole
 from .netlist import Circuit
 
-#: The most matrix entries a check draws: 2**27 int64 entries, 1 GiB.
-_ENTRIES = 2 ** 27
-
 
 def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
     """Whether :func:`adder_mismatches` checks every input combination of
@@ -32,13 +29,9 @@ def adder_mismatches(adder: Circuit, vectors: int = 10_000, seed: int = 0) -> tu
     The matrix it draws is int64 and within each port's radix."""
     in_ports, out_ports = _adder_ports(adder)
     n_digits = len(out_ports) - 1
-    vectors, seed = whole("vectors", vectors), whole("seed", seed)
-    if vectors < 1:
-        raise DomainError(f"vectors must be >= 1, got {vectors}")
-    if vectors > (most := _ENTRIES // len(in_ports)):
-        raise DomainError(f"vectors must be <= {most} (2**27 matrix entries), got {vectors}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    # at most 2**27 int64 matrix entries, 1 GiB
+    vectors = whole("vectors", vectors, low=1, high=2 ** 27 // len(in_ports))
+    seed = whole("seed", seed, low=0)
     radix = adder.ports[in_ports[1]].encoding.radix
     if cpa_is_exhaustive(radix, n_digits):
         # rows run over A, then B, then Cin; digits least-significant first
@@ -86,9 +79,7 @@ def _adder_ports(adder: Circuit) -> tuple:
 def verify_cpa(cpa: Circuit, n_digits: int, vectors: int = 10_000, seed: int = 0) -> list:
     """The mismatch descriptions of :func:`adder_mismatches` (empty = pass)
     for a :func:`~mvadder.netlist.build_cpa` chain of ``n_digits``."""
-    n_digits = whole("n_digits", n_digits)
-    if n_digits < 1:
-        raise DomainError(f"n_digits must be >= 1, got {n_digits}")
+    n_digits = whole("n_digits", n_digits, low=1)
     if _adder_ports(cpa)[1][-1] != f"C{n_digits}":  # a cell's or slice's is Cout
         raise DomainError(f"{cpa.name} is not a {n_digits}-digit CPA")
     return adder_mismatches(cpa, vectors, seed)[0]

@@ -42,6 +42,7 @@ from mvadder.levels import (
     quaternary,
 )
 from mvadder.netlist import (
+    Circuit,
     _Builder,
     build_bfa,
     build_binary_slice,
@@ -1416,7 +1417,7 @@ def test_long_carry_path_settles_with_keys_past_2_to_the_62():
 def test_a_circuit_without_nets_simulates_to_an_empty_trace():
     """The tick budget of a circuit with no nets is that of one net: no
     division by its zero nets."""
-    c = from_json({"name": "e", "ports": [], "nets": [], "instances": []})
+    c = Circuit("e", {}, {}, {})
     trace = simulate(c, Stimulus({}, (), 100.0))
     assert len(trace.times) == len(trace.final_levels) == trace.n_settle == 0
     assert trace.records == [] and trace.energies.dtype == np.float64

@@ -180,13 +180,13 @@ def _api_runs(tmp_path):
          WHOLE, others),
         ("adder_mismatches vectors past its bound",
          lambda v: adder_mismatches(qfa2, vectors=top_1 - 1 + v), DomainError,
-         f"^vectors must be <= {top_1} ", set(), others),
+         f"^vectors must be <= {top_1}, got ", set(), others),
         ("verify_cpa vectors at its bound",
          lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 2 + v), DomainError, "vectors", WHOLE,
          others),
         ("verify_cpa vectors past its bound",
          lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 1 + v), DomainError,
-         f"^vectors must be <= {top_2} ", set(), others),
+         f"^vectors must be <= {top_2}, got ", set(), others),
         ("adder_mismatches seed", lambda v: adder_mismatches(cpa3, vectors=2, seed=v),
          DomainError, "seed", {*WHOLE, "2**63"}, ()),
         ("measure_delay src_event_index", lambda v: measure_delay(trace, "A", v, "Cout"),
@@ -324,11 +324,12 @@ def _paths(v, at=()):
 
 _DUMP = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
 _DUMP_PATHS = [p for p in _paths(_DUMP) if p]
-# each number field of one net, one instance and the encodings they name
-_NUMBER_PATHS = [p for p in _DUMP_PATHS if p[:2] in (("nets", 0), ("instances", 12))
-                 and (p[-1] in ("external_load", "supply_voltage", "input_cap_per_pin",
-                                "drive_resistance_ref", "intrinsic_delay", "threshold_voltage")
-                      or "level_voltages" in p[:-1])]
+# each number field of one net, inv_cout's primitive and every encoding
+_NUMBER_PATHS = [p for p in _DUMP_PATHS
+                 if p[:2] in (("nets", 0), ("primitives", _DUMP["instances"][12]["primitive"]))
+                 and p[-1] in ("external_load", "supply_voltage", "input_cap_per_pin",
+                               "drive_resistance_ref", "intrinsic_delay", "threshold_voltage")
+                 or p[0] == "encodings" and "level_voltages" in p[:-1]]
 NET_IDS = [n["id"] for n in _DUMP["nets"]]
 
 

@@ -209,6 +209,15 @@ def test_eval_primitive_takes_a_level_or_a_whole_number_naming_one():
         eval_primitive("succ1", None)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_eval_primitive_evaluates_every_kind(kind):
+    """X in gives X out, and L1 on every input gives a level on every output."""
+    spec = gates.KIND_SPECS[kind]
+    assert eval_primitive(kind, [X] * len(spec.inputs)) == (X,) * len(spec.outputs)
+    out = eval_primitive(kind, [L.L1] * len(spec.inputs))
+    assert len(out) == len(spec.outputs) and X not in out
+
+
 def test_kind_table_is_one_tuple_of_ints_per_output():
     for kind in KINDS:
         table = gates.kind_table(kind)

@@ -113,6 +113,11 @@ def test_encoding_invariants():
     for last in (float("nan"), float("inf"), 10 ** 400, "0.9"):
         with pytest.raises(EncodingMismatchError, match="'bad' voltages must be finite numbers"):
             SignalEncoding("bad", (0.0, 0.3, 0.6, last))
+    # the netlist dump keys an encoding by its name, so a name that cannot be a key is refused
+    for name in (["bin"], None, 1):
+        with pytest.raises(EncodingMismatchError,
+                           match=f"^encoding name must be a string, got {re.escape(repr(name))}$"):
+            SignalEncoding(name, (0.0, 0.9))
 
 
 # --------------------------------------------------------------------------

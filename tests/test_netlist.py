@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mvadder import netlist
 from mvadder._kernel import compile_circuit
 from mvadder.gates import KIND_SPECS, CellLibrary, GatePrimitive, TransistorInventory
-from mvadder.levels import DomainError, binary_full, quaternary
+from mvadder.levels import DomainError, SignalEncoding, binary_full, quaternary
 from mvadder.netlist import (
     CELL_KINDS,
     Instance,
@@ -224,15 +225,17 @@ def test_validate_flags_qfa1_cout_into_qfa2_cin():
 
 
 def test_validate_flags_a_port_whose_encoding_differs_from_its_nets():
-    blob = to_json(build_qfa("qfa2", 0.9))
-    port = _entry(blob, "ports", "Cin")
-    port["encoding"] = {"name": "quat@0.9", "level_voltages": list(quaternary(0.9).level_voltages)}
-    c = from_json(blob)
+    cell = build_qfa("qfa2", 0.9)
+
+    def with_cin(encoding):
+        return edited(cell, ports={**cell.ports, "Cin": cell.ports["Cin"]._replace(
+            encoding=encoding)})
+
+    c = with_cin(quaternary(0.9))
     assert validate(c) == ["encoding-mismatch: port Cin expects quat@0.9, net Cin carries bin@0.9"]
     with pytest.raises(DomainError, match="encoding-mismatch: port Cin"):
         compile_circuit(c)
-    port["encoding"] = {"name": "renamed", "level_voltages": [0.0, 0.9]}  # equal voltages
-    assert validate(from_json(blob)) == []
+    assert validate(with_cin(SignalEncoding("renamed", (0.0, 0.9)))) == []  # equal voltages
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -416,11 +419,29 @@ def test_netlist_json_roundtrip_lossless(factory):
     assert compile_circuit(c2).net_cap == compile_circuit(c).net_cap
 
 
+def _with_primitive(c, iid, inventory=None, **params):
+    """``c`` with instance ``iid`` given a new primitive: its old one with
+    the ``params`` fields and the ``inventory`` given."""
+    inst = c.instances[iid]
+    p = inst.primitive
+    prim = GatePrimitive(p.kind, dataclasses.replace(p.params, **params), inventory or p.inventory)
+    return edited(c, instances={**c.instances, iid: inst._replace(primitive=prim)})
+
+
+def _zero_first(e):
+    """An encoding equal to ``e`` whose first voltage is the int 0."""
+    return SignalEncoding(e.name, (0, *e.level_voltages[1:]))
+
+
 def test_numbers_equal_in_value_but_not_type_round_trip_byte_for_byte():
     """1 and 1.0 are equal dict keys, but each dumps as written: an
-    instance whose supply differs from its twin's only in type keeps it."""
-    blob = to_json(build_qfa("qfa2", 1))
-    _entry(blob, "instances", "mux_sum1")["supply_voltage"] = 1.0
+    instance whose supply differs from its twin's only in type has a
+    primitive entry of its own, and keeps it."""
+    c = _with_primitive(build_qfa("qfa2", 1), "mux_sum1", supply_voltage=1.0)
+    blob = to_json(c)
+    sum0, sum1 = (blob["primitives"][_entry(blob, "instances", iid)["primitive"]]
+                  for iid in ("mux_sum0", "mux_sum1"))
+    assert type(sum0["supply_voltage"]) is int and type(sum1["supply_voltage"]) is float
     c = from_json(json.loads(json.dumps(blob)))
     assert c.instances["mux_sum0"].primitive is not c.instances["mux_sum1"].primitive
     assert json.dumps(to_json(c), sort_keys=True) == json.dumps(blob, sort_keys=True)
@@ -429,10 +450,13 @@ def test_numbers_equal_in_value_but_not_type_round_trip_byte_for_byte():
 @pytest.mark.parametrize("nid", ["n_sum", "A"])
 def test_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(nid):
     """0 == 0.0, but each dumps as written: a net whose encoding starts at
-    0 keeps it whether it comes after its 0.0 twins (n_sum) or before
-    them (A), and the 0.0 nets keep theirs."""
-    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
-    _entry(blob, "nets", nid)["encoding"]["level_voltages"][0] = 0
+    0 has an encoding entry of its own, whether it comes after its 0.0
+    twins (n_sum) or before them (A), and the 0.0 nets keep theirs."""
+    cell = build_qfa("qfa2", 0.9)
+    net = cell.nets[nid]
+    blob = to_json(edited(cell, nets={**cell.nets, nid: net._replace(
+        encoding=_zero_first(net.encoding))}))
+    assert len(blob["encodings"]) == 3
     c = from_json(json.loads(json.dumps(blob)))
     assert json.dumps(to_json(c), sort_keys=True) == json.dumps(blob, sort_keys=True)
     assert c.nets[nid].encoding is not c.nets["B" if nid == "A" else "A"].encoding
@@ -444,12 +468,16 @@ def test_instance_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(
     """An instance whose output or first pin encoding starts at 0 where its
     twin in the other digit has 0.0 shares neither primitive nor pin map
     with it, whichever comes first, and the reload dumps the edit as made."""
-    blob = json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 2))))
-    entry = _entry(blob, "instances", iid)
-    enc = entry[field] if field == "output_encoding" else next(iter(entry[field].values()))
-    enc["level_voltages"][0] = 0
-    text = json.dumps(blob)
-    for data in (blob, json.loads(text)):
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 2)
+    inst = cpa.instances[iid]
+    if field == "output_encoding":
+        c = _with_primitive(cpa, iid,
+                            output_encoding=_zero_first(inst.primitive.params.output_encoding))
+    else:
+        pin, e = next(iter(inst.pin_encodings.items()))
+        c = edited(cpa, pin_encodings={f"{iid}.{pin}": _zero_first(e)})
+    text = json.dumps(to_json(c))
+    for data in (to_json(c), json.loads(text)):
         c = from_json(data)
         assert json.dumps(to_json(c)) == text
         twin = c.instances["d0.mux2_sum" if iid == "d1.mux2_sum" else "d1.mux2_sum"]
@@ -457,15 +485,20 @@ def test_instance_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(
             c.instances[iid].pin_encodings is not twin.pin_encodings)
 
 
-@pytest.mark.parametrize("iid", ["d1.mux2_sum", "d0.mux2_sum"])
-def test_an_inventory_count_equal_to_its_twins_but_a_bool_is_rejected(iid):
-    """True == 1, but a bool is no count: after its twin, as before it."""
+@pytest.mark.parametrize("second", [True, False])
+def test_an_inventory_count_equal_to_its_twins_but_a_bool_is_rejected(second):
+    """True == 1, but a bool is no count: in the second of two equal
+    primitive entries, as in the first."""
     blob = json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 2))))
-    for twin in ("d0.mux2_sum", "d1.mux2_sum"):
-        _entry(blob, "instances", twin)["inventory"][0][2] = 1
-    from_json(json.loads(json.dumps(blob)))
-    _entry(blob, "instances", iid)["inventory"][0][2] = True
-    with pytest.raises(NetlistError, match=fr"^instance '{iid}': field 'inventory': inventory "
+    k, twin = _entry(blob, "instances", "d0.mux2_sum")["primitive"], len(blob["primitives"])
+    blob["primitives"][k]["inventory"][0][2] = 1
+    blob["primitives"].append(json.loads(json.dumps(blob["primitives"][k])))
+    _entry(blob, "instances", "d1.mux2_sum")["primitive"] = twin
+    c = from_json(json.loads(json.dumps(blob)))
+    assert c.instances["d0.mux2_sum"].primitive == c.instances["d1.mux2_sum"].primitive
+    bad = twin if second else k
+    blob["primitives"][bad]["inventory"][0][2] = True
+    with pytest.raises(NetlistError, match=fr"^primitive {bad}: field 'inventory': inventory "
                                            r"entry must hold whole numbers: \['N', 19, True\]$"):
         from_json(blob)
 
@@ -473,28 +506,35 @@ def test_an_inventory_count_equal_to_its_twins_but_a_bool_is_rejected(iid):
 # a mux4's pins all share one encoding: a reversed order keeps each position's encoding
 @pytest.mark.parametrize("iid", ["d1.mux2_sum", "d0.mux2_sum", "d1.mux_sum0"])
 def test_pin_encodings_in_another_order_than_the_twins_round_trip_byte_for_byte(iid):
-    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 2))
-    entry = _entry(blob, "instances", iid)
-    entry["pin_encodings"] = dict(reversed(entry["pin_encodings"].items()))
+    """A map is the same value in any pin order: it shares its twins' entry,
+    and the file that dump_netlist writes (pins sorted) reloads to itself."""
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 2)
+    inst = cpa.instances[iid]
+    blob = to_json(edited(cpa, instances={**cpa.instances, iid: inst._replace(
+        pin_encodings=dict(reversed(inst.pin_encodings.items())))}))
+    assert len(blob["pin_maps"]) == len(to_json(cpa)["pin_maps"]) and blob == to_json(cpa)
     text = json.dumps(blob)
-    for data in (blob, json.loads(text)):  # the encodings shared as to_json gives them, or parsed
+    for data in (blob, json.loads(text)):  # the dump as to_json gives it, or parsed
         assert json.dumps(to_json(from_json(data))) == text
+    sorted_text = json.dumps(blob, sort_keys=True)
+    assert json.dumps(to_json(from_json(json.loads(sorted_text))), sort_keys=True) == sorted_text
 
 
 def test_an_encoding_name_that_cannot_be_a_key_names_the_field():
     blob = to_json(build_qfa("qfa2", 0.9))
-    blob["nets"][0] = {**blob["nets"][0], "encoding": {"name": ["quat"], "level_voltages": [0.0]}}
-    with pytest.raises(NetlistError, match="^net 'A': field 'encoding': unhashable type: 'list'$"):
+    blob["encodings"][0] = {"name": ["quat"], "level_voltages": [0.0, 0.9]}
+    with pytest.raises(NetlistError,
+                       match=r"^encoding 0: encoding name must be a string, got \['quat'\]$"):
         from_json(blob)
 
 
 def test_cpa_rejects_a_cell_whose_carries_differ():
-    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
-    e = {"name": "bin@0.8", "level_voltages": [0.0, 0.8]}
-    _entry(blob, "ports", "Cout")["encoding"] = _entry(blob, "nets", "n_cout")["encoding"] = e
+    cell, e = build_qfa("qfa2", 0.9), binary_full(0.8)
+    c = edited(cell, ports={**cell.ports, "Cout": cell.ports["Cout"]._replace(encoding=e)},
+               nets={**cell.nets, "n_cout": cell.nets["n_cout"]._replace(encoding=e)})
     with pytest.raises(NetlistError, match="^cell carry-in and carry-out encodings differ; "
                                            "not chainable$"):
-        build_cpa(from_json(blob), 2)
+        build_cpa(c, 2)
 
 
 def test_roundtripped_circuit_still_verifies():
@@ -504,8 +544,8 @@ def test_roundtripped_circuit_still_verifies():
 
 # dump_netlist bytes (SHA-256) of circuits whose JSON form must not drift
 DUMP_SHA256 = {
-    "qfa2_cpa32": "d0f2e4fe25773377c3546737fe8a41137c26afb6ee3b07e6b470564b2236bd16",
-    "bfa2x2": "bf7b6644e8f02c06f55ae3823c9b3323d7cf0ea505c3dadb594e28cab60655e2",
+    "qfa2_cpa32": "d95f46ed43532f396a04edfd6ced1e83e6c552d77967523f76dace111c0ccf11",
+    "bfa2x2": "aa68d40fd4234fb63bc16fac9c80e17fc1e740fe36de4ccd0dcf705e46375168",
 }
 
 
@@ -536,6 +576,29 @@ def test_from_json_shares_equal_primitives_and_encodings():
     assert len({id(e) for e in encs}) == len(set(encs)) == 2  # quaternary and binary
 
 
+def test_a_cpa_dump_names_each_distinct_encoding_and_primitive_once():
+    cell = build_qfa("qfa2", 0.9)
+    blob = to_json(build_cpa(cell, 8))
+    prims = [inst.primitive for inst in cell.instances.values()]
+    assert len(blob["encodings"]) == 2 and len(blob["primitives"]) == len(set(prims)) == 11
+    assert len(blob["pin_maps"]) == len({tuple(i.pin_encodings.items())
+                                         for i in cell.instances.values()}) == 6
+    # mux_sum0 and mux_sum1 share a primitive, and their pin maps are equal
+    # but built apart: they share one entry of each table
+    sum0, sum1 = (cell.instances[i] for i in ("mux_sum0", "mux_sum1"))
+    assert sum0.pin_encodings is not sum1.pin_encodings
+    sum0, sum1 = (_entry(blob, "instances", f"d3.{i}") for i in ("mux_sum0", "mux_sum1"))
+    assert [sum0["primitive"], sum0["pin_encodings"]] == [sum1["primitive"], sum1["pin_encodings"]]
+
+
+@pytest.mark.parametrize("n_digits", [32, 128])
+def test_a_fresh_cpa_dump_survives_a_reload_in_memory_and_as_text(n_digits):
+    """The round trip that the scale benchmark checks on every operation."""
+    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), n_digits, cl=2e-15))
+    assert to_json(from_json(blob)) == blob
+    assert to_json(from_json(json.loads(json.dumps(blob)))) == blob
+
+
 @pytest.mark.parametrize("shape", ["in_memory", "file"])
 def test_from_json_interns_both_traffic_shapes(shape):
     """A reload shares one object per distinct encoding and primitive value,
@@ -564,23 +627,24 @@ def test_from_json_interns_both_traffic_shapes(shape):
 
 def test_from_json_confirms_an_interning_hit_by_value():
     """One name with other voltages, or equal kind and numbers with another
-    inventory, is a different value: it gets an object of its own, and the
-    entries after it still get the first."""
-    blob = to_json(build_qfa("qfa2", 0.9))
-    quat = _entry(blob, "nets", "A")["encoding"]
-    odd = {"name": quat["name"], "level_voltages": [0.0, 0.2, 0.5, 0.9]}
-    _entry(blob, "nets", "a_plus2")["encoding"] = odd
-    mux = _entry(blob, "instances", "mux_sum1")
-    mux["inventory"] = [[dev, n, count + 1] for dev, n, count in mux["inventory"]]
+    inventory, is a different value: it gets an entry and an object of its
+    own, and the entries after it still get the first."""
+    cell = build_qfa("qfa2", 0.9)
+    odd = SignalEncoding("quat@0.9", (0.0, 0.2, 0.5, 0.9))
+    rows = tuple((dev, n, count + 1)
+                 for dev, n, count in cell.instances["mux_sum1"].primitive.inventory.entries)
+    blob = to_json(edited(_with_primitive(cell, "mux_sum1", TransistorInventory(rows)),
+                          nets={**cell.nets, "a_plus2": cell.nets["a_plus2"]._replace(encoding=odd)}))
+    assert (len(blob["encodings"]), len(blob["primitives"])) == (3, 12)
     for data in (blob, json.loads(json.dumps(blob))):
         c = from_json(data)
         a, odd_net, after = (c.nets[n].encoding for n in ("A", "a_plus2", "a_plus3"))
         assert odd_net is not a and odd_net.name == a.name
-        assert list(odd_net.level_voltages) == odd["level_voltages"]
+        assert odd_net.level_voltages == odd.level_voltages
         assert after is a
         sum0, sum1 = (c.instances[i].primitive for i in ("mux_sum0", "mux_sum1"))
         assert sum0 is not sum1 and sum0.params == sum1.params
-        assert [list(e) for e in sum1.inventory.entries] == mux["inventory"]
+        assert sum1.inventory.entries == rows
         assert to_json(c) == blob
 
 
@@ -588,17 +652,19 @@ def test_to_json_entries_are_independent_dicts():
     c = build_cpa(build_qfa("qfa2", 0.9), 4)
     blob = to_json(c)
     before = json.loads(json.dumps(blob))
-    for key in ("ports", "nets", "instances"):
+    for key in ("encodings", "primitives", "pin_maps", "ports", "nets", "instances"):
         blob[key][0]["kind"] = "mutated"
         blob[key][0]["id"] = "mutated"
         assert blob[key][1:] == before[key][1:]
     assert blob["instances"][0]["pins"] is not blob["instances"][1]["pins"]
-    # the entries of a cell's copies come from one template: one changes alone
+    # the entries of a cell's copies name one table entry: one changes alone
     blob = to_json(c)
     inst = _entry(blob, "instances", "d1.mux_sum0")
     inst["pins"]["d0"] = "elsewhere"
-    inst["pin_encodings"]["d0"] = {"name": "other", "level_voltages": [0.0, 1.0]}
     inst["cell_tag"] = "mutated"
+    blob["primitives"][inst["primitive"]]["inventory"][0][2] = 99
+    blob["pin_maps"][inst["pin_encodings"]]["d0"] = 99
+    blob["encodings"][0]["level_voltages"][0] = 99
     _entry(blob, "nets", "C1")["driver"] = ["mutated"]
     for key in ("ports", "nets", "instances"):
         for got, want in zip(blob[key], before[key]):
@@ -632,6 +698,47 @@ def _entry(blob, section, name):
     return next(d for d in blob[section] if name in (d.get("id"), d.get("name")))
 
 
+def _primitive_of(blob, iid):
+    return blob["primitives"][_entry(blob, "instances", iid)["primitive"]]
+
+
+def _twin_primitive(blob, iid):
+    """Give instance ``iid`` a second primitive entry, equal to its first, and
+    return the new entry."""
+    entry = json.loads(json.dumps(_primitive_of(blob, iid)))
+    _entry(blob, "instances", iid)["primitive"] = len(blob["primitives"])
+    blob["primitives"].append(entry)
+    return entry
+
+
+# the qfa2 cell's dump: encoding 0 is quat@0.9 and 1 bin@0.9; inv_cout has
+# primitive 10 and pin map 5; mux_sum1 pin map 1
+_INDEX_FIELDS = {  # a field that holds an index: how to set it, where it is, its table's top
+    "primitive": (lambda b, v: _entry(b, "instances", "inv_cout").update(primitive=v),
+                  "instance 'inv_cout': field 'primitive'", 10),
+    "pin_encodings": (lambda b, v: _entry(b, "instances", "inv_cout").update(pin_encodings=v),
+                      "instance 'inv_cout': field 'pin_encodings'", 5),
+    "net encoding": (lambda b, v: _entry(b, "nets", "n_sum").update(encoding=v),
+                     "net 'n_sum': field 'encoding'", 1),
+    "port encoding": (lambda b, v: _entry(b, "ports", "Sum").update(encoding=v),
+                      "port 'Sum': field 'encoding'", 1),
+    "output_encoding": (lambda b, v: _primitive_of(b, "inv_cout").update(output_encoding=v),
+                        "primitive 10: field 'output_encoding'", 1),
+    "pin map": (lambda b, v: b["pin_maps"][5].update(a=v), "pin_map 5: field 'a'", 1),
+}
+
+
+def _bad_indices():
+    """A case of each kind of bad index in each field of :data:`_INDEX_FIELDS`."""
+    for field, (set_it, where, top) in _INDEX_FIELDS.items():
+        for value, why in ((top + 1, f"<= {top}, got {top + 1}"), (-1, ">= 0, got -1"),
+                           (True, "a whole number, got True"), (1.0, "a whole number, got 1.0"),
+                           ("0", "a whole number, got '0'")):
+            yield pytest.param(lambda b, v=value, set_it=set_it: set_it(b, v),
+                               f"^{where}: index must be {re.escape(why)}$",
+                               id=f"index-{field}-{value!r}")
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda b: _entry(b, "ports", "Sum").pop("net"), "port 'Sum': missing field 'net'"),
     (lambda b: _entry(b, "ports", "Sum").update(direction="both"),
@@ -640,27 +747,26 @@ def _entry(blob, section, name):
      "instance 'inv_cout': field 'pins': 'int' object is not iterable"),
     (lambda b: _entry(b, "instances", "inv_cout")["pins"].update(a=["n_ncout"]),
      "instance 'inv_cout': field 'pins': unhashable type"),
-    (lambda b: _entry(b, "instances", "inv_cout").update(pin_encodings=3),
-     "instance 'inv_cout': field 'pin_encodings': 'int' object has no attribute 'items'"),
-    # mux_sum1 shares mux_sum0's primitive: its pin_encodings are compared with mux_sum0's first
-    (lambda b: _entry(b, "instances", "mux_sum1")["pin_encodings"]["d0"].pop("level_voltages"),
-     "instance 'mux_sum1': field 'pin_encodings': missing field 'level_voltages'"),
-    (lambda b: _entry(b, "instances", "mux_sum1").update(pin_encodings=[["d0", None]]),
-     "instance 'mux_sum1': field 'pin_encodings': 'list' object has no attribute 'items'"),
-    (lambda b: _entry(b, "instances", "mux_sum1")["pin_encodings"].update(
-        d0={"name": "q", "level_voltages": [0.0]}),
-     "instance 'mux_sum1': field 'pin_encodings': encoding 'q' must have 2 or 4 levels"),
-    (lambda b: _entry(b, "instances", "inv_cout").update(input_cap_per_pin=[1e-15]),
-     r"instance 'inv_cout': input_cap_per_pin must be finite and > 0, got \[1e-15\]"),
-    (lambda b: _entry(b, "instances", "inv_cout")["inventory"][0].pop(),
-     r"instance 'inv_cout': field 'inventory': inventory entry must be \[device, chirality"),
-    (lambda b: _entry(b, "instances", "inv_cout").update(kind="flux"),
-     "instance 'inv_cout': field 'kind': unknown gate kind 'flux'"),
+    (lambda b: _entry(b, "instances", "inv_cout").update(pin_encodings={"a": 1}),
+     r"instance 'inv_cout': field 'pin_encodings': index must be a whole number, got \{'a': 1\}"),
+    # mux_sum1 shares mux_sum0's pin map, and its encodings
+    (lambda b: b["encodings"][0].pop("level_voltages"), "encoding 0: missing field 'level_voltages'"),
+    (lambda b: b["encodings"][1].update(level_voltages=5),
+     "^encoding 1: field 'level_voltages': 'int' object is not iterable$"),
+    (lambda b: b["pin_maps"].__setitem__(1, [["d0", None]]),
+     "pin_map 1: 'list' object has no attribute 'items'"),
+    (lambda b: b["encodings"].append({"name": "q", "level_voltages": [0.0]}),
+     "^encoding 2: encoding 'q' must have 2 or 4 levels, got 1$"),
+    (lambda b: _primitive_of(b, "inv_cout").update(input_cap_per_pin=[1e-15]),
+     r"primitive 10: input_cap_per_pin must be finite and > 0, got \[1e-15\]"),
+    (lambda b: _primitive_of(b, "inv_cout")["inventory"][0].pop(),
+     r"primitive 10: field 'inventory': inventory entry must be \[device, chirality"),
+    (lambda b: _primitive_of(b, "inv_cout").update(kind="flux"),
+     "primitive 10: field 'kind': unknown gate kind 'flux'"),
     (lambda b: _entry(b, "nets", "n_sum").update(encoding={"name": "quat@0.9"}),
-     "net 'n_sum': field 'encoding': missing field 'level_voltages'"),
-    *[pytest.param(lambda b, v=v: _entry(b, "nets", "n_sum")["encoding"]["level_voltages"]
-                   .__setitem__(-1, v),
-                   "net 'n_sum': field 'encoding': encoding 'quat@0.9' voltages must be finite",
+     "net 'n_sum': field 'encoding': index must be a whole number, got {'name': 'quat@0.9'}"),
+    *[pytest.param(lambda b, v=v: b["encodings"][0]["level_voltages"].__setitem__(-1, v),
+                   "^encoding 0: encoding 'quat@0.9' voltages must be finite numbers$",
                    id=f"level-voltage-{name}")
       for name, v in (("nan", float("nan")), ("inf", float("inf")), ("int-past-float", 10 ** 400),
                       ("bool", True))],
@@ -678,6 +784,14 @@ def _entry(blob, section, name):
     (lambda b: b.update(instances={}), "netlist: field 'instances': expected a list"),
     (lambda b: b["metadata"].update(cell_inventory_overrides={"cell0": [["N", 19]]}),
      "netlist: field 'metadata': inventory entry must be"),
+    (lambda b: b.pop("format"), "^netlist: field 'format': expected 'mvadder-netlist-2', got None$"),
+    (lambda b: b.update(format="mvadder-netlist-1"),
+     "^netlist: field 'format': expected 'mvadder-netlist-2', got 'mvadder-netlist-1'$"),
+    (lambda b: b.update(primitives={}), "netlist: field 'primitives': expected a list"),
+    (lambda b: _twin_primitive(b, "mux_sum1")["inventory"][0].__setitem__(2, True),
+     r"^primitive 11: field 'inventory': inventory entry must hold whole numbers: "
+     r"\['N', 13, True\]$"),
+    *_bad_indices(),
 ])
 def test_from_json_names_the_entry_and_field_of_each_malformed_field(mutate, message):
     blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
@@ -786,18 +900,18 @@ def test_external_load_must_be_a_finite_number_at_least_zero(load):
 
 @pytest.mark.parametrize("entry, field, value, message", [
     ("nets", "external_load", None, "net 'n_sum': missing field 'external_load'"),
-    ("instances", "supply_voltage", None, "instance 'inv_cout': missing field 'supply_voltage'"),
-    ("instances", "supply_voltage", "0.9",
-     "instance 'inv_cout': supply_voltage must be finite and > 0, got '0.9'"),
-    pytest.param("instances", "input_cap_per_pin", 10 ** 400,
-                 "instance 'inv_cout': input_cap_per_pin must be finite and > 0, got 1000",
+    ("primitives", "supply_voltage", None, "primitive 10: missing field 'supply_voltage'"),
+    ("primitives", "supply_voltage", "0.9",
+     "primitive 10: supply_voltage must be finite and > 0, got '0.9'"),
+    pytest.param("primitives", "input_cap_per_pin", 10 ** 400,
+                 "primitive 10: input_cap_per_pin must be finite and > 0, got 1000",
                  id="int-past-float-range"),
-    *[pytest.param("instances", f, True, f"instance 'inv_cout': {f} must be finite and > 0, "
+    *[pytest.param("primitives", f, True, f"primitive 10: {f} must be finite and > 0, "
                    "got True", id=f"bool-{f}") for f in ("supply_voltage", "input_cap_per_pin")],
 ])
 def test_from_json_names_the_entry_and_field_at_fault(entry, field, value, message):
     blob = to_json(build_qfa("qfa2", 0.9))
-    [d] = [d for d in blob[entry] if d["id"] in ("n_sum", "inv_cout")]
+    d = _entry(blob, "nets", "n_sum") if entry == "nets" else _primitive_of(blob, "inv_cout")
     if value is None:
         del d[field]
     else:
@@ -1012,13 +1126,12 @@ def test_shared_templates_keep_every_diagnostic():
 
 def test_from_json_gives_a_shared_primitive_the_pin_encodings_each_gate_binds():
     """mux_sum0 and mux_sum1 share one primitive; bound to a binary net,
-    mux_sum1's pin_encodings differ from those last seen with it, so it
-    gets a map of its own, and the gates after it share the first again."""
-    blob = to_json(build_cpa(build_qfa("qfa2", 0.9), 2))
-    bit = _entry(blob, "nets", "d0.b_lt1")["encoding"]
-    mux = _entry(blob, "instances", "d0.mux_sum1")
-    mux["pins"]["d3"] = "d0.b_lt1"
-    mux["pin_encodings"]["d3"] = bit
+    mux_sum1's pin_encodings differ from those of its twins, so it gets a
+    pin map of its own, and the gates after it share the first again."""
+    cpa = build_cpa(build_qfa("qfa2", 0.9), 2)
+    blob = to_json(edited(cpa, pins={"d0.mux_sum1.d3": "d0.b_lt1"},
+                          pin_encodings={"d0.mux_sum1.d3": binary_full(0.9)}))
+    assert len(blob["pin_maps"]) == len(to_json(cpa)["pin_maps"]) + 1
     for data in (blob, json.loads(json.dumps(blob))):
         c = from_json(data)
         sum0, sum1, later = (c.instances[i] for i in ("d0.mux_sum0", "d0.mux_sum1", "d1.mux_sum1"))

@@ -6,20 +6,23 @@ import pytest
 from mvadder import cli, engine, verify
 from mvadder.engine import UnsettledOutputError, settle_matrix
 from mvadder.levels import DigitVector, DomainError, bfa_oracle, cpa_oracle, qfa_oracle
+from mvadder.gates import GatePrimitive
 from mvadder.netlist import (CELL_KINDS, build_binary_slice, build_bfa, build_cell, build_cpa,
-                             build_qfa, from_json, to_json)
+                             build_qfa)
 from mvadder.verify import adder_mismatches, verify_cpa
 from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
 
 def edited_cell(circuit, inst, kind=None, pins=None):
-    """``circuit`` reloaded with instance ``inst`` retyped to ``kind`` or
-    its ``pins`` updated."""
-    data = to_json(circuit)
-    [hit] = [i for i in data["instances"] if i["id"] == inst]
-    hit.update({"kind": kind or hit["kind"], "pins": {**hit["pins"], **(pins or {})}})
-    return from_json(data)
+    """``circuit`` with instance ``inst`` retyped to ``kind`` (a new
+    primitive with the old one's numbers and inventory) or its ``pins``
+    rebound."""
+    old = circuit.instances[inst]
+    prim = old.primitive if kind is None else GatePrimitive(kind, old.primitive.params,
+                                                            old.primitive.inventory)
+    return edited(circuit, pins={f"{inst}.{pin}": net for pin, net in (pins or {}).items()},
+                  instances={**circuit.instances, inst: old._replace(primitive=prim)})
 
 
 def broken_qfa2_cpa(n_digits=4, inst="d3.succ1", kind="succ2"):
