@@ -229,11 +229,9 @@ def _level(comp, port: str, value) -> int:
     lvl = value
     if type(lvl) is not Level:  # ints, floats: checked
         try:
-            lvl = whole(port, value, floats=True)
+            lvl = whole(port, value, floats=True, low=-1, high=3)
         except DomainError:
-            lvl = None
-        if lvl not in (-1, 0, 1, 2, 3):
-            raise StimulusError(f"{port}: {value!r} is not a logic level")
+            raise StimulusError(f"{port}: {value!r} is not a logic level") from None
     enc = comp.port_encoding[port]
     if 0 <= lvl < enc.radix:
         return int(lvl)

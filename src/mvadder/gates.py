@@ -62,13 +62,10 @@ class TransistorInventory:
             if dev not in ("N", "P"):
                 raise LibraryError(f"device type must be N or P, got {dev!r}")
             try:
-                n, count = whole("chirality", n), whole("count", count)
+                whole("chirality", n, low=1)
+                whole("count", count, low=1)
             except DomainError as exc:
                 raise LibraryError(str(exc)) from None
-            if count < 1:
-                raise LibraryError(f"count must be >= 1, got {count}")
-            if n < 1:
-                raise LibraryError(f"chirality must be positive, got {n}")
 
     @property
     def total_count(self) -> int:
@@ -172,8 +169,8 @@ _LEVEL = {int(v): v for v in Level}  # a level's int -> the Level
 
 def _input(k: int, value) -> Level:
     try:
-        return _LEVEL[whole("inputs", value)]
-    except (DomainError, KeyError):
+        return _LEVEL[whole("inputs", value, low=-1, high=3)]
+    except DomainError:
         raise DomainError(f"inputs[{k}] must be a level -1..3, got {value!r}") from None
 
 
@@ -274,7 +271,7 @@ def propagation_delay(gate: GatePrimitive, load_cap: float) -> float:
     overdrive, so a reduced supply slows the gate:
     R_eff = R_ref * (V_REF - V_th) / (V_supply - V_th).
     """
-    if not load_cap >= 0:  # NaN fails too
+    if not (is_finite(load_cap) and load_cap >= 0):
         raise DomainError(f"load_cap must be >= 0, got {load_cap!r}")
     p = gate.params
     if p.supply_voltage <= p.threshold_voltage:
@@ -293,7 +290,7 @@ def switching_energy(node_cap: float, v_from: float, v_to: float) -> float:
 
     Symmetric in direction; both edges of a pulse are counted.
     """
-    if not node_cap >= 0:  # NaN fails too
+    if not (is_finite(node_cap) and node_cap >= 0):
         raise DomainError(f"node_cap must be >= 0, got {node_cap!r}")
     dv = v_to - v_from
     return 0.5 * node_cap * dv * dv

@@ -15,6 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# The most digits of a CPA or a DigitVector: a built, compiled and planned QFA2
+# CPA keeps about 31 KB and peaks at about 40 KB per digit (tracemalloc), so
+# 2**14 digits stay under the 1 GiB that verify's ``vectors`` bound allows.
+MAX_DIGITS = 2 ** 14
+
 
 class DomainError(ValueError):
     """Operand outside the legal domain of an operation."""
@@ -151,8 +156,7 @@ class DigitVector:
         if not isinstance(self.digits, tuple):
             raise DomainError(f"digits must be a tuple of whole numbers, got {self.digits!r}")
         for d in self.digits:
-            if not 0 <= whole("digit", d) < self.radix:
-                raise DomainError(f"digit {d} out of range for radix {self.radix}")
+            whole("digit", d, low=0, high=self.radix - 1)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -166,8 +170,8 @@ class DigitVector:
 
     @classmethod
     def from_int(cls, value: int, radix: int, n_digits: int) -> "DigitVector":
-        value, n_digits = whole("value", value), whole("n_digits", n_digits)
-        radix = whole("radix", radix)
+        radix = whole("radix", radix, low=2, high=4)  # bounded before its power is taken
+        value, n_digits = whole("value", value), whole("n_digits", n_digits, low=0, high=MAX_DIGITS)
         if value < 0 or value >= radix**n_digits:
             raise DomainError(f"{value} does not fit in {n_digits} radix-{radix} digits")
         digits = []
@@ -177,15 +181,9 @@ class DigitVector:
         return cls(radix, tuple(digits))
 
 
-def _check_digit(name: str, value: int, radix: int) -> int:
-    value = whole(name, value)
-    if not 0 <= value < radix:
-        raise DomainError(f"{name}={value} out of range [0, {radix})")
-    return value
-
-
 def _full_add(a: int, b: int, cin: int, radix: int) -> tuple[int, int]:
-    total = _check_digit("a", a, radix) + _check_digit("b", b, radix) + _check_digit("cin", cin, 2)
+    total = (whole("a", a, low=0, high=radix - 1) + whole("b", b, low=0, high=radix - 1)
+             + whole("cin", cin, low=0, high=1))
     return total % radix, total // radix
 
 
@@ -201,11 +199,14 @@ def bfa_oracle(a: int, b: int, cin: int) -> tuple[int, int]:
 
 def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, int]:
     """Digit-serial ripple addition of two same-shape digit vectors."""
+    for name, v in (("a", a), ("b", b)):
+        if not isinstance(v, DigitVector):
+            raise DomainError(f"{name} must be a DigitVector, got {v!r}")
     if a.radix != b.radix:
         raise DomainError(f"radix mismatch: {a.radix} vs {b.radix}")
     if len(a) != len(b):
         raise DomainError(f"length mismatch: {len(a)} vs {len(b)}")
-    carry = _check_digit("cin", cin, 2)
+    carry = whole("cin", cin, low=0, high=1)
     step = qfa_oracle if a.radix == 4 else bfa_oracle
     out = []
     for da, db in zip(a.digits, b.digits):

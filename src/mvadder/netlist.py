@@ -36,7 +36,8 @@ from .gates import (
     _parse_inventory,
     inventory_area,
 )
-from .levels import Level, SignalEncoding, binary_full, is_finite, quaternary, third_swing, whole
+from .levels import (MAX_DIGITS, Level, SignalEncoding, binary_full, is_finite, quaternary,
+                     third_swing, whole)
 
 
 class NetlistError(ValueError):
@@ -405,9 +406,7 @@ def build_cpa(cell: Circuit, n_digits: int, cl: float = 0.0) -> Circuit:
     Ports: A0..A{n-1}, B0.., C0 in; S0.., C{n} out. The external load
     ``cl`` hangs on every sum output and on the final carry.
     """
-    n_digits = whole("n_digits", n_digits)
-    if n_digits < 1:
-        raise NetlistError("n_digits must be >= 1")
+    n_digits = whole("n_digits", n_digits, low=1, high=MAX_DIGITS)
     missing = _ADDER_PORTS - set(cell.ports)
     if missing:
         raise NetlistError(f"cell lacks adder ports: {sorted(missing)}")

@@ -23,7 +23,7 @@ from .engine import (
     worst_case_stimulus,
 )
 from .gates import CellLibrary
-from .levels import DomainError, Level, listed, whole
+from .levels import MAX_DIGITS, DomainError, Level, listed, whole
 from .netlist import CELL_KINDS, area_report, build_cell, build_cpa
 from .timing import sta
 
@@ -138,7 +138,8 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
     (propagate mode on every cell) and steps C0, so the carry walks the
     whole chain. The step and the window after it are each one
     :func:`stimulus_step_ps` of the CPA's arrival. A kind not in
-    :data:`CELL_KINDS` or an empty ``n_list`` raises DomainError.
+    :data:`CELL_KINDS`, an empty ``n_list`` or a size that is not a whole
+    number in 1..MAX_DIGITS cells raises DomainError, before any is built.
     """
     if not isinstance(config, AdderConfig):
         raise DomainError(f"config must be an AdderConfig, got {config!r}")
@@ -148,17 +149,18 @@ def cpa_scaling(config: AdderConfig, n_list, lib: CellLibrary | None = None) -> 
         raise DomainError(f"kind: unknown cell kind {config.kind!r}")
     if not n_list:
         raise DomainError("n_list: expected at least one CPA size")
-    quaternary = kind.startswith("qfa")
+    per = 1 if kind.startswith("qfa") else 2  # cells per size: a binary kind chains two
+    sizes = [whole(f"n_list[{k}]", n, low=1, high=MAX_DIGITS // per) for k, n in enumerate(n_list)]
     rows = []
-    for n in n_list:
-        cells = n if quaternary else 2 * n
+    for n in sizes:
+        cells = per * n
         cpa = build_cpa(build_cell(kind[:4], config.vdd, lib), cells, cl=config.cl)
         last = cells - 1
         rep = sta(cpa, ("C0", "A0", "B0"), (f"C{cells}", f"S{last}"))
 
         initial = {"C0": Level.L0}
         for i in range(cells):
-            initial[f"A{i}"] = Level.L3 if quaternary else Level.L1
+            initial[f"A{i}"] = Level.L3 if per == 1 else Level.L1
             initial[f"B{i}"] = Level.L0
         step = stimulus_step_ps(rep.worst_arrival_ps)
         stim = Stimulus(initial=initial, events=((step, "C0", Level.L1),), duration_ps=2 * step)

@@ -7,14 +7,16 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import settle_matrix
-from .levels import DomainError, _cpa_sums, whole
+from .levels import MAX_DIGITS, DomainError, _cpa_sums, whole
 from .netlist import Circuit
 
 
 def cpa_is_exhaustive(radix: int, n_digits: int) -> bool:
     """Whether :func:`adder_mismatches` checks every input combination of
-    an ``n_digits`` radix-``radix`` adder: at most 4096 of them."""
-    return (radix ** n_digits) ** 2 * 2 <= 4096
+    an ``n_digits`` radix-``radix`` adder: at most 4096 of them. A radix
+    past 2..4 or a count past 1..MAX_DIGITS raises DomainError."""
+    radix = whole("radix", radix, low=2, high=4)
+    return (radix ** whole("n_digits", n_digits, low=1, high=MAX_DIGITS)) ** 2 * 2 <= 4096
 
 
 def adder_mismatches(adder: Circuit, vectors: int = 10_000, seed: int = 0) -> tuple[list, int]:

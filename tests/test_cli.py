@@ -210,7 +210,7 @@ def test_bad_library_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, message", [
     ({"nand": 3}, "nand: overrides must be a JSON object"),
-    ({"nand": {"inventory": [["N", 0, 1]]}}, "nand: inventory: chirality must be positive, got 0"),
+    ({"nand": {"inventory": [["N", 0, 1]]}}, "nand: inventory: chirality must be >= 1, got 0"),
 ])
 def test_bad_library_names_the_kind_and_field(fields, message, tmp_path, capsys):
     lib = tmp_path / "lib.json"

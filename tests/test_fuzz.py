@@ -23,14 +23,15 @@ from mvadder.cli import main
 from mvadder.engine import (Stimulus, StimulusError, measure_delay, settle_matrix, simulate,
                             worst_case_stimulus)
 from mvadder.gates import (CellLibrary, LibraryError, TransistorInventory, eval_primitive,
-                           load_library)
-from mvadder.levels import (DigitVector, DomainError, bfa_oracle, binary_full, cpa_oracle_rows,
-                            qfa_oracle)
+                           load_library, propagation_delay, switching_energy)
+from mvadder.levels import (MAX_DIGITS, DigitVector, DomainError, bfa_oracle, binary_full,
+                            cpa_oracle, cpa_oracle_rows, qfa_oracle)
 from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
                              validate)
 from mvadder.report import AdderConfig, compare, cpa_scaling
 from mvadder.timing import sta
-from mvadder.verify import adder_mismatches, verify_cpa
+from mvadder.verify import adder_mismatches, cpa_is_exhaustive, verify_cpa
+from circuit_edits import edited
 
 # flag values: non-finite, huge, tiny, negative, zero, fractional, wrongly typed, empty
 BAD_TEXT = ["nan", "inf", "-inf", "1e400", "1e300", "1e-300", "-1", "0", "-0.5", "0.5", "2.5",
@@ -142,14 +143,24 @@ REAL = {"int64(2)", "2**63", "1.5"}  # what a real parameter > 0 takes
 def _api_runs(tmp_path):
     """(parameter, call of one value, error class, what its message names, the
     labels of the values it accepts, the labels it is not given). A count
-    that sizes the work it asks for is never given 2**63, as the CLI's
-    integer flags are never given a huge valid integer."""
+    that sizes the work it asks for has an upper bound, so it refuses 2**63
+    before it builds anything."""
     qfa2 = build_qfa("qfa2", 0.9)
+    no_cout = edited(qfa2, ports={n: p for n, p in qfa2.ports.items() if n != "Cout"})
     cpa2, cpa3 = build_cpa(qfa2, 2), build_cpa(qfa2, 3)  # exhaustive; random rows
     trace = simulate(qfa2, worst_case_stimulus("input_to_carry", "qfa2"))  # A steps 6 times
-    params = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9)).params
-    zeros = {"A": 0, "B": 0, "Cin": 0}
-    top_1, top_2, others = 2 ** 27 // 3, 2 ** 27 // 5, set(API_VALUES) - WHOLE
+    nand = CellLibrary.default().make_primitive("nand", 0.9, binary_full(0.9))
+    zeros, digit = {"A": 0, "B": 0, "Cin": 0}, DigitVector(4, (0,))
+    others = set(API_VALUES) - WHOLE
+
+    def bounded(param, name, top, call):
+        """int64(2) alone, shifted to ``top``, the largest value that ``call``
+        takes for ``name``, and to the smallest it refuses. The accepted value
+        builds nothing large: it runs into a later refusal, or into none."""
+        return [(f"{param} at its bound", lambda v: call(top - 2 + v), DomainError, name, WHOLE,
+                 others),
+                (f"{param} past its bound", lambda v: call(top - 1 + v), DomainError,
+                 fr"^{re.escape(name)} must be <= {top}, got {top + 1}$", set(), others)]
 
     def stimulus(initial=zeros, events=(), duration_ps=100.0):
         """The stimulus through the Python API and through its JSON form."""
@@ -163,8 +174,9 @@ def _api_runs(tmp_path):
         load_library(path)
 
     return [
-        ("build_cpa n_digits", lambda v: build_cpa(qfa2, v), DomainError, "n_digits", WHOLE,
-         {"2**63"}),
+        ("build_cpa n_digits", lambda v: build_cpa(qfa2, v), DomainError, "n_digits", WHOLE, ()),
+        *bounded("build_cpa n_digits", "n_digits", MAX_DIGITS,
+                 lambda n: pytest.raises(NetlistError, build_cpa, no_cout, n)),  # no Cout port
         ("verify_cpa n_digits", lambda v: verify_cpa(cpa2, v), DomainError, "digit", WHOLE, ()),
         ("verify_cpa vectors", lambda v: verify_cpa(cpa2, 2, vectors=v), DomainError, "vectors",
          WHOLE, ()),
@@ -172,21 +184,12 @@ def _api_runs(tmp_path):
          {*WHOLE, "2**63"}, ()),
         ("adder_mismatches vectors", lambda v: adder_mismatches(qfa2, vectors=v), DomainError,
          "vectors", WHOLE, ()),
-        # int64(2) alone, shifted to vectors' largest accepted and smallest refused value
-        # (2**27 matrix entries of 2n + 1 columns); both adders are exhaustive, so the
+        # 2**27 matrix entries of 2n + 1 columns; both adders are exhaustive, so the
         # accepted value draws nothing
-        ("adder_mismatches vectors at its bound",
-         lambda v: adder_mismatches(qfa2, vectors=top_1 - 2 + v), DomainError, "vectors",
-         WHOLE, others),
-        ("adder_mismatches vectors past its bound",
-         lambda v: adder_mismatches(qfa2, vectors=top_1 - 1 + v), DomainError,
-         f"^vectors must be <= {top_1}, got ", set(), others),
-        ("verify_cpa vectors at its bound",
-         lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 2 + v), DomainError, "vectors", WHOLE,
-         others),
-        ("verify_cpa vectors past its bound",
-         lambda v: verify_cpa(cpa2, 2, vectors=top_2 - 1 + v), DomainError,
-         f"^vectors must be <= {top_2}, got ", set(), others),
+        *bounded("adder_mismatches vectors", "vectors", 2 ** 27 // 3,
+                 lambda n: adder_mismatches(qfa2, vectors=n)),
+        *bounded("verify_cpa vectors", "vectors", 2 ** 27 // 5,
+                 lambda n: verify_cpa(cpa2, 2, vectors=n)),
         ("adder_mismatches seed", lambda v: adder_mismatches(cpa3, vectors=2, seed=v),
          DomainError, "seed", {*WHOLE, "2**63"}, ()),
         ("measure_delay src_event_index", lambda v: measure_delay(trace, "A", v, "Cout"),
@@ -204,7 +207,18 @@ def _api_runs(tmp_path):
         ("from_int radix", lambda v: DigitVector.from_int(1, v, 2), DomainError, "radix", WHOLE,
          ()),
         ("from_int n_digits", lambda v: DigitVector.from_int(1, 4, v), DomainError, "n_digits",
-         WHOLE, {"2**63"}),
+         WHOLE, ()),
+        *bounded("from_int n_digits", "n_digits", MAX_DIGITS,
+                 lambda n: DigitVector.from_int(0, 4, n)),  # 2**14 zeros
+        ("cpa_is_exhaustive radix", lambda v: cpa_is_exhaustive(v, 2), DomainError, "radix",
+         WHOLE, ()),
+        *bounded("cpa_is_exhaustive radix", "radix", 4, lambda r: cpa_is_exhaustive(r, 2)),
+        ("cpa_is_exhaustive n_digits", lambda v: cpa_is_exhaustive(4, v), DomainError,
+         "n_digits", WHOLE, ()),
+        *bounded("cpa_is_exhaustive n_digits", "n_digits", MAX_DIGITS,
+                 lambda n: cpa_is_exhaustive(4, n)),
+        ("cpa_oracle a", lambda v: cpa_oracle(v, digit, 0), DomainError, "^a must", set(), ()),
+        ("cpa_oracle b", lambda v: cpa_oracle(digit, v, 0), DomainError, "^b must", set(), ()),
         *[(f"{name} {operand}", lambda v, oracle=oracle, k=k: oracle(*(v if i == k else 0
                                                                       for i in range(3))),
            DomainError, operand, WHOLE if name == "qfa_oracle" and k < 2 else set(), ())
@@ -229,6 +243,14 @@ def _api_runs(tmp_path):
         ("sta sinks", lambda v: sta(qfa2, ("Cin",), v), DomainError, "^sinks", set(), ()),
         ("cpa_scaling n_list", lambda v: cpa_scaling(AdderConfig("qfa2", 0.9), v), DomainError,
          "^n_list", set(), ()),
+        # a binary kind chains two cells per size, so 1.5 makes a whole number of cells
+        ("cpa_scaling n_list entry", lambda v: cpa_scaling(AdderConfig("bfa2x2", 0.9), [v]),
+         DomainError, r"^n_list\[0\]", WHOLE, ()),
+        # a negative supply fails the cell's build, after the sizes are read
+        *[row for kind, top in (("qfa2", MAX_DIGITS), ("bfa2x2", MAX_DIGITS // 2))
+          for row in bounded(f"cpa_scaling {kind} n_list entry", "n_list[0]", top,
+                             lambda n, kind=kind: pytest.raises(
+                                 NetlistError, cpa_scaling, AdderConfig(kind, -1.0), [n]))],
         ("compare configs", compare, DomainError, "^configs", set(), ()),
         ("settle_matrix in_ports", lambda v: settle_matrix(qfa2, v, [[0, 0, 0]]), DomainError,
          "^in_ports", set(), ()),
@@ -238,8 +260,12 @@ def _api_runs(tmp_path):
         ("eval_primitive input", lambda v: eval_primitive("succ1", [v]), DomainError,
          r"inputs\[0\]", WHOLE, ()),
         ("ElectricalParams drive_resistance_ref",
-         lambda v: replace(params, drive_resistance_ref=v), DomainError, "drive_resistance_ref",
-         REAL, ()),
+         lambda v: replace(nand.params, drive_resistance_ref=v), DomainError,
+         "drive_resistance_ref", REAL, ()),
+        ("propagation_delay load_cap", lambda v: propagation_delay(nand, v), DomainError,
+         "^load_cap", REAL, ()),
+        ("switching_energy node_cap", lambda v: switching_energy(v, 0.0, 0.9), DomainError,
+         "^node_cap", REAL, ()),
         ("library drive_resistance_ohm", lambda v: library({"drive_resistance_ohm": v}),
          LibraryError, "drive_resistance_ohm", REAL, ()),
         ("library inventory count", lambda v: library({"inventory": [["N", 19, v]]}),

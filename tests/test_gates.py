@@ -354,7 +354,7 @@ def test_load_library_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("inventory, message", [
-    ([["N", 0, 1]], "chirality must be positive, got 0"),
+    ([["N", 0, 1]], "chirality must be >= 1, got 0"),
     ([["Q", 19, 1]], "device type must be N or P, got 'Q'"),
     ([["N", 19, 0]], "count must be >= 1, got 0"),
     ([["N", 12, 1]], "chirality 12 not in the diameter table"),

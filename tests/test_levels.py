@@ -46,11 +46,11 @@ def test_qfa_oracle_matches_truth_table_row_for_row():
 
 
 def test_qfa_oracle_rejects_out_of_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^a must be <= 3, got 4$"):
         qfa_oracle(4, 0, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^b must be >= 0, got -1$"):
         qfa_oracle(0, -1, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^cin must be <= 1, got 2$"):
         qfa_oracle(0, 0, 2)
     with pytest.raises(DomainError):
         qfa_oracle(Level.X, 0, 0)
@@ -131,8 +131,10 @@ def test_digit_vector_value_roundtrip():
 
 
 def test_digit_vector_rejects_bad_digits():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^digit must be <= 3, got 4$"):
         DigitVector(4, (0, 4))
+    with pytest.raises(DomainError, match="^digit must be >= 0, got -1$"):
+        DigitVector(2, (-1,))
     with pytest.raises(DomainError):
         DigitVector(3, (0, 1))
     with pytest.raises(DomainError, match="^digit must be a whole number, got 2.7"):
@@ -145,6 +147,12 @@ def test_digit_vector_rejects_bad_digits():
         DigitVector.from_int(2.5, 4, 2)
     with pytest.raises(DomainError, match="^16 does not fit in 2 radix-4 digits$"):
         DigitVector.from_int(16, 4, 2)
+    with pytest.raises(DomainError, match="^n_digits must be >= 0, got -1$"):
+        DigitVector.from_int(0, 4, -1)
+    for radix in (5, 10 ** 400):  # bounded before radix ** n_digits is taken
+        with pytest.raises(DomainError, match="^radix must be <= 4, got "):
+            DigitVector.from_int(0, radix, 2 ** 14)
+    assert DigitVector.from_int(0, 4, 0) == DigitVector(4, ())
     assert DigitVector.from_int(np.int64(54), np.int32(4), np.uint8(4)).value() == 54
 
 
@@ -175,6 +183,10 @@ def test_cpa_oracle_mismatch_errors():
         cpa_oracle(DigitVector(4, (0,)), DigitVector(2, (0,)), 0)
     with pytest.raises(DomainError):
         cpa_oracle(DigitVector(4, (0,)), DigitVector(4, (0, 0)), 0)
+    with pytest.raises(DomainError, match=r"^a must be a DigitVector, got \[1\]$"):
+        cpa_oracle([1], [2], 0)
+    with pytest.raises(DomainError, match="^b must be a DigitVector, got 54$"):
+        cpa_oracle(DigitVector(4, (0,)), 54, 0)
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9),

@@ -165,7 +165,7 @@ def test_cpa_requires_adder_ports():
     broken = edited(cell, ports={n: p for n, p in cell.ports.items() if n != "Cout"})
     with pytest.raises(NetlistError):
         build_cpa(broken, 2)
-    with pytest.raises(NetlistError):
+    with pytest.raises(DomainError, match=r"^n_digits must be >= 1, got 0$"):
         build_cpa(cell, 0)
 
 

@@ -270,6 +270,18 @@ def test_cpa_scaling_rejects_an_unknown_kind_and_an_empty_size_list(config, n_li
         cpa_scaling(config, n_list)
 
 
+@pytest.mark.parametrize("kind, n_list, match", [
+    ("bfa2x2", [True], r"^n_list\[0\] must be a whole number, got True$"),
+    ("bfa2x2", [2.5], r"^n_list\[0\] must be a whole number, got 2.5$"),  # not 5 cells
+    ("qfa2", [2, 0], r"^n_list\[1\] must be >= 1, got 0$"),
+    ("bfa2x2", [2, 2 ** 13 + 1], r"^n_list\[1\] must be <= 8192, got 8193$"),  # 2 cells each
+])
+def test_cpa_scaling_reads_every_size_before_it_builds_any(kind, n_list, match, monkeypatch):
+    monkeypatch.setattr("mvadder.report.build_cell", lambda *a: pytest.fail("built a cell"))
+    with pytest.raises(DomainError, match=match):
+        cpa_scaling(AdderConfig(kind, 0.9), n_list)
+
+
 @pytest.mark.parametrize("call", [
     lambda: measure_config(None),
     lambda: measure_config("qfa2@0.9"),

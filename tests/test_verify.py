@@ -9,7 +9,7 @@ from mvadder.levels import DigitVector, DomainError, bfa_oracle, cpa_oracle, qfa
 from mvadder.gates import GatePrimitive
 from mvadder.netlist import (CELL_KINDS, build_binary_slice, build_bfa, build_cell, build_cpa,
                              build_qfa)
-from mvadder.verify import adder_mismatches, verify_cpa
+from mvadder.verify import adder_mismatches, cpa_is_exhaustive, verify_cpa
 from circuit_edits import UNBIND, edited
 from random_circuits import random_circuit
 
@@ -234,6 +234,10 @@ def test_cli_counts_mismatching_rows_not_lines(monkeypatch, capsys):
     (lambda cell: adder_mismatches(cell, vectors=0), "vectors must be >= 1, got 0"),
     (lambda cell: verify_cpa(build_cpa(cell, 1), 1, seed=-1), "seed must be >= 0, got -1"),
     (lambda cell: adder_mismatches(cell, vectors="x"), "vectors must be a whole number"),
+    (lambda cell: build_cpa(cell, 0), "^n_digits must be >= 1, got 0$"),
+    (lambda cell: cpa_is_exhaustive(4, -3), "^n_digits must be >= 1, got -3$"),
+    (lambda cell: cpa_is_exhaustive("4", 2), "^radix must be a whole number, got '4'$"),
+    (lambda cell: cpa_is_exhaustive(1, 2), "^radix must be >= 2, got 1$"),
 ])
 def test_cpa_sizes_vector_counts_and_seeds_are_whole_numbers(call, message):
     with pytest.raises(DomainError, match=message):
