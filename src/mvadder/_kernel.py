@@ -26,11 +26,12 @@ the fan-out and the gate order come from the one pass of
 from __future__ import annotations
 
 import heapq
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gates import _CODES, KIND_SPECS, kind_table, propagation_delay
+from .gates import KIND_SPECS, kind_table, propagation_delay
 from .levels import DomainError
 from .netlist import _analysed
 
@@ -103,8 +104,8 @@ class CompiledCircuit:
             delays = []
             for o in outs:
                 delay = ticks.get((id(prim), cap[o]))
-                if delay is None:
-                    delay_s = propagation_delay(prim, cap[o])
+                if delay is None:  # a load summed past float range delays without end
+                    delay_s = propagation_delay(prim, cap[o]) if cap[o] < math.inf else math.inf
                     delay = delay_s / (TICK_PS * 1e-12)
                     if not 0 <= delay <= max_ticks:  # NaN fails too
                         pin = KIND_SPECS[prim.kind].outputs[outs.index(o)]
@@ -158,13 +159,14 @@ class CompiledCircuit:
         that writes or reads as a pin one of its inputs, if each other input
         is a pin or output of that unit, a constant, or set at an earlier
         step (a port, or an output of a lower-level unit), and the unit's
-        rows stay within the widest kind table's. Else it starts a unit one
-        level above those writing its pins (0 if all are ports); a gate
-        feeding no gate joins only a unit it adds no pin to, else it settles
-        at the last level. The units of one level and form (pin widths, gate
-        kinds, input sources) share a step and a table tabulated from the
-        kind tables. Exact, since both engines take a gate's table entry at
-        its inputs' settled codes, X included."""
+        rows stay within ``_ROWS`` (3**9, four carry digits). Else it starts
+        a unit one level above those writing its pins (0 if all are ports); a
+        gate feeding no gate joins only a unit it adds no pin to, else it
+        settles at the last level. The units of one level and form (pin
+        widths, gate kinds, input sources) share a step, and every step of a
+        form shares one read-only table tabulated from the kind tables
+        (:func:`_step_table`). Exact, since both engines take a gate's table
+        entry at its inputs' settled codes, X included."""
         kind, gate_in, gate_out = self.gate_kind, self.gate_in, self.gate_out
         const = self.net_init.copy()  # per net not set by a step: its level
         width = {n: self.port_encoding[p].radix + 1 for p, n in self.in_port_net.items()}
@@ -210,26 +212,21 @@ class CompiledCircuit:
             units.append([top, [], [], 1])
             add(len(units) - 1, g, ins)
 
-        steps: dict = {}  # (level, form) -> per unit: (pins, gates, output nets)
+        steps: dict = {}  # (level, form) -> per unit: (pins, output nets)
         for level, pins, gates, _ in units:
             outs = [o for g in gates for o in gate_out[g]]
             src = {n: j for j, n in enumerate(pins + outs)}  # a constant's source is (level,)
             form = (tuple(width[n] for n in pins),
                     tuple((kind[g], tuple(src.get(n, (const[n],)) for n in gate_in[g]))
                           for g in gates))
-            steps.setdefault((level, form), []).append((pins, gates, outs))
+            steps.setdefault((level, form), []).append((pins, outs))
         plan = []
-        for ((_, (widths, _)), members) in sorted(steps.items(), key=lambda kv: kv[0][0]):
-            pins, gates, outs = members[0]
-            codes = dict(zip(pins, np.ix_(*map(np.arange, widths))))
-            for g in gates:
-                codes.update(zip(gate_out[g], _codes(kind[g], [
-                    codes.get(n, const[n] + 1) for n in gate_in[g]])))
-            table = np.array([np.broadcast_to(codes[o], widths).ravel() for o in outs], CODE)
-            weights = table.shape[1] // np.cumprod(widths, dtype=np.intp)  # mixed radix
+        for ((_, form), members) in sorted(steps.items(), key=lambda kv: kv[0][0]):
+            table = _step_table(form)
+            weights = table.shape[1] // np.cumprod(form[0], dtype=np.intp)  # mixed radix
             ins = np.array([m[0] for m in members], np.intp)
             plan.append((ins[:, 0] if len(weights) == 1 else ins, np.array(weights, CODE),
-                         table, np.array([m[2] for m in members], np.intp).T))
+                         table, np.array([m[1] for m in members], np.intp).T))
         order = [o for *_, outs in plan for o in outs.ravel().tolist()]  # the written nets
         tail = sorted(set(range(self.n_nets)).difference(order))
         row = np.argsort(order + tail)  # per net, its row
@@ -251,12 +248,27 @@ def compile_circuit(circuit) -> CompiledCircuit:
 # --------------------------------------------------------------------------
 # Levelized batch settle. Levels are held as codes, level + 1 (X is 0), in
 # CODE, the one signed dtype of codes, weights and step tables; it holds the
-# widest kind table's last row index (a mux4's 3124), which no step table
-# exceeds, so no index is cast.
+# last row index of the widest step table, _ROWS - 1, so no index is cast.
+# _ROWS fits four carry digits (a carry in and two three-code nets each) and
+# is above every kind table's rows (a mux4's 3125), so each gate fits a unit.
 
-_ROWS = max(_CODES ** len(s.inputs) for s in KIND_SPECS.values())
+_ROWS = 3 ** 9
 CODE = np.min_scalar_type(-_ROWS)
 _BLOCK_ROWS = 1024  # vectors settled together; bounds working memory
+
+
+@lru_cache(maxsize=64)
+def _step_table(form: tuple) -> np.ndarray:
+    """The read-only table of a step of ``form`` (see :attr:`CompiledCircuit._settle`):
+    per output of its gates, its code at each row of its pins' codes. One
+    table per form, shared by every step and circuit of that form."""
+    widths, gates = form
+    codes = list(np.ix_(*map(np.arange, widths)))  # per source: pins, then outputs
+    for kind, src in gates:
+        codes += _codes(kind, [codes[j] if type(j) is int else j[0] + 1 for j in src])
+    table = np.array([np.broadcast_to(c, widths).ravel() for c in codes[len(widths):]], CODE)
+    table.flags.writeable = False
+    return table
 
 
 def _codes(kind: str, ins) -> list:

@@ -22,7 +22,7 @@ from .engine import (
     step_response_delays,
 )
 from .gates import CellLibrary, LibraryError, NonFunctionalGateError, load_library
-from .levels import DomainError, EncodingMismatchError
+from .levels import MAX_DIGITS, DomainError, EncodingMismatchError
 from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist
 from .timing import sta
 from .verify import adder_mismatches, cpa_is_exhaustive
@@ -41,10 +41,12 @@ def parse_cap(text: str) -> float:
     return value
 
 
-def _int_at_least(text: str, low: int) -> int:
+def _int_at_least(text: str, low: int, high: int | None = None) -> int:
     value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
 
 
@@ -54,6 +56,10 @@ def positive_int(text: str) -> int:
 
 def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
+
+
+def digit_count(text: str) -> int:
+    return _int_at_least(text, 1, MAX_DIGITS)
 
 
 def port_list(text: str) -> tuple:
@@ -158,7 +164,7 @@ def _add_build_args(p):
     p.add_argument("--vdd", type=supply, default=0.9)
     p.add_argument("--cl", type=parse_cap, default=0.0,
                    help="external load per output (e.g. 2fF)")
-    p.add_argument("--digits", type=positive_int, default=4,
+    p.add_argument("--digits", type=digit_count, default=4,
                    help="digit count for --cell cpa")
     p.add_argument("--base", default="qfa2",
                    choices=("qfa1", "qfa2", "bfa1", "bfa2"),

@@ -215,43 +215,15 @@ def cpa_oracle(a: DigitVector, b: DigitVector, cin: int) -> tuple[DigitVector, i
     return DigitVector(a.radix, tuple(out)), carry
 
 
-def _whole_rows(name: str, x) -> np.ndarray:
-    """``x`` as an int64 array, if :func:`whole` takes each entry."""
-    try:
-        x = np.asarray(x)
-    except ValueError:  # ragged rows
-        raise DomainError(f"{name} must be rows of one length") from None
-    if x.dtype.kind not in "iu":  # tested first: verify's int64 matrices take no extra pass
-        # clamped to [-1, 4], out of every digit range: an entry past int64 too
-        x = np.array([min(max(whole(name, v), -1), 4) for v in x.ravel().tolist()],
-                     np.int64).reshape(x.shape)
-    return x.astype(np.int64, copy=False)
-
-
-def cpa_oracle_rows(a, b, cin, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cpa_oracle` for many operand pairs at once: row r adds the
-    digit rows ``a[r]`` and ``b[r]`` (least-significant digit first) and
-    ``cin[r]``. Returns the sum digit matrix and the carry-out vector. The
-    digits are added in int64 chunks of at most 60 bits (30 radix-4 or 60
-    radix-2 digits), each chunk's carry-out going into the next, so it is
-    exact at any digit count."""
-    a, b, carry = (_whole_rows(name, x) for name, x in (("a", a), ("b", b), ("cin", cin)))
-    if (whole("radix", radix) not in (2, 4) or a.ndim != 2 or a.shape != b.shape
-            or carry.shape != a.shape[:1]):
-        raise DomainError(f"need radix 2 or 4, (rows, digits) a and b and (rows,) cin; "
-                          f"got radix {radix}, {a.shape}, {b.shape}, {carry.shape}")
-    # as uint64 a negative digit is huge, so one maximum checks both ends
-    if max(a.view(np.uint64).max(initial=0), b.view(np.uint64).max(initial=0)) >= radix or (
-            carry.view(np.uint64).max(initial=0) > 1):
-        raise DomainError(f"digit out of range [0, {radix}) or carry-in out of [0, 2)")
-    out = _cpa_sums(np.column_stack([carry, a, b]), radix)
-    return out[:, :-1], out[:, -1]
-
-
 def _cpa_sums(mat: np.ndarray, radix: int) -> np.ndarray:
-    """:func:`cpa_oracle_rows` of an int64 matrix of rows it would accept,
-    each the carry in, then the digits of ``a``, then those of ``b``, as
-    one (rows, digits + 1) matrix: the sum digits, then the carry out."""
+    """:func:`cpa_oracle` for many operand pairs at once, unchecked: each row
+    of the int64 matrix ``mat`` is a carry in (0 or 1), then the digits of
+    ``a``, then those of ``b`` (least significant first, each in [0,
+    ``radix``), ``radix`` 2 or 4). Returns one (rows, digits + 1) matrix:
+    the sum digits, then the carry out. The digits are added in int64
+    chunks of at most 60 bits (30 radix-4 or 60 radix-2 digits), each
+    chunk's carry-out going into the next, so it is exact at any digit
+    count."""
     out = np.empty((len(mat), mat.shape[1] // 2 + 1), np.int64)
     carry = mat[:, 0]
     for lo, shifts, places, top in _chunks(int(radix), mat.shape[1] // 2):

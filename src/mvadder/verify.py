@@ -41,10 +41,14 @@ def adder_mismatches(adder: Circuit, vectors: int = 10_000, seed: int = 0) -> tu
         va, vb, c = np.indices((len(digits), len(digits), 2)).reshape(3, -1)
         mat = np.column_stack([c, digits[va], digits[vb]])
     else:
-        rng = np.random.default_rng(seed)
+        # default_rng(seed).integers(0, 2, vectors), then (0, radix, (vectors, 2n)),
+        # from the raw words: PCG64's 32-bit draws are its 64-bit outputs' halves,
+        # low first, and a power-of-two bound takes a draw's top bits, never rejecting
+        m = vectors * 2 * n_digits
+        words = np.random.PCG64(seed).random_raw((vectors + m + 1) // 2).view(np.uint32)
         mat = np.empty((vectors, 1 + 2 * n_digits), np.int64)
-        mat[:, 0] = rng.integers(0, 2, size=vectors)
-        mat[:, 1:] = rng.integers(0, radix, size=(vectors, 2 * n_digits))
+        mat[:, 0] = words[:vectors] >> 31
+        mat[:, 1:] = (words[vectors: vectors + m] >> (33 - radix.bit_length())).reshape(vectors, -1)
     got = settle_matrix(adder, in_ports, mat, out_ports)
     want = _cpa_sums(mat, radix)  # the matrix is drawn in range: no checks
     if (got == want).all():  # the one comparison of a passing check

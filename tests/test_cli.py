@@ -117,6 +117,8 @@ def test_verify_names_a_negative_seed_before_drawing_vectors():
     (["--seed", "-1", "verify", "--cell", "qfa2"], "argument --seed: must be >= 0, got -1"),
     (["--seed", "-1", "compare", "--configs", "qfa2@0.9"], "argument --seed: must be >= 0, got -1"),
     (["verify", "--cell", "cpa", "--digits", "0"], "argument --digits: must be >= 1, got 0"),
+    (["verify", "--cell", "cpa", "--base", "qfa2", "--digits", "20000"],
+     "argument --digits: must be <= 16384, got 20000"),
     (["compare", "--configs", "qfa2@0.9", "--threads", "-3"],
      "argument --threads: must be >= 1, got -3"),
     (["compare", "--configs", "qfa2@0.9", "--threads", "0"],
@@ -280,6 +282,17 @@ def test_a_gate_delay_past_the_tick_range_exits_two(tmp_path, capsys):
                     "--from", "A", "--to", "Cout"]) == 2
     assert ("error: inv_cout.y: gate delay 2.0000000000000002e+285 s is not a finite number "
             "of ticks") in capsys.readouterr().err
+
+
+def test_a_load_summed_past_float_range_exits_two_naming_the_gate_delay(tmp_path, capsys):
+    """Each pin's capacitance is finite, but two mux4 pins on one net sum to
+    inf: the driving gate's delay is infinite, and named as such."""
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({"mux4": {"input_cap_per_pin_f": 8.98846567431158e+307}}))
+    assert run_cli(["--lib", str(lib), "sta", "--cell", "qfa2", "--from", "Cin", "--to",
+                    "Cout"]) == 2
+    assert "error: det1.y: gate delay inf s is not a finite number of ticks" in (
+        capsys.readouterr().err)
 
 
 def test_custom_library_changes_timing(tmp_path, capsys):

@@ -36,9 +36,9 @@ from mvadder.levels import (
     DigitVector,
     DomainError,
     Level,
+    _cpa_sums,
     binary_full,
     cpa_oracle,
-    cpa_oracle_rows,
     quaternary,
 )
 from mvadder.netlist import (
@@ -729,8 +729,7 @@ def test_settle_matrix_across_block_boundary_equals_array_oracle():
     vectors = np.column_stack([rng.integers(0, 2, rows), rng.integers(0, 4, (rows, 2 * n))])
     in_ports = ["C0"] + [f"A{i}" for i in range(n)] + [f"B{i}" for i in range(n)]
     got = settle_matrix(cpa, in_ports, vectors, [f"S{i}" for i in range(n)] + [f"C{n}"])
-    sums, couts = cpa_oracle_rows(vectors[:, 1: 1 + n], vectors[:, 1 + n:], vectors[:, 0], 4)
-    assert got.tolist() == np.column_stack([sums, couts]).tolist()
+    assert got.tolist() == _cpa_sums(vectors, 4).tolist()
 
 
 def test_settle_matrix_range_check_names_the_first_bad_port():
@@ -1113,18 +1112,36 @@ def test_settle_plan_composes_single_input_gates_into_their_hosts():
         assert settled == [ref[nid] for nid in comp.net_ids], row
 
 
-@pytest.mark.parametrize("cell, n, steps", [("qfa2", 4, 5), ("qfa2", 8, 7), ("qfa2", 16, 9),
-                                            ("bfa2", 32, 13)])
+@pytest.mark.parametrize("cell, n, steps", [("qfa2", 4, 5), ("qfa2", 8, 6), ("qfa2", 16, 8),
+                                            ("bfa2", 32, 11)])
 def test_settle_plan_steps_of_the_verify_cpas(cell, n, steps):
     """Carry nets hold three codes (X, 0 and 1), so the carry logic of
-    three digits shares one table: QFA2 takes three steps of its own units
-    at level 0 (the first digit's carry among them), one per three later
-    digits and one for the sum muxes. BFA2 takes two at level 0, then one
-    per three cells; its last carry mux feeds no gate and settles with the
-    sum muxes."""
+    four digits (a carry in and two three-code nets each, 3**9 rows) shares
+    one table: QFA2 takes three steps of its own units at level 0 (the
+    first digit's carry among them), one per four later digits and one for
+    the sum muxes. BFA2 takes two at level 0, then one per four cells; its
+    last carry mux feeds no gate and settles with the sum muxes."""
     build = build_qfa if cell.startswith("qfa") else build_bfa
     comp = _kernel.compile_circuit(build_cpa(build(cell, 0.9), n))
     assert len(comp.settle_plan) == steps
+
+
+def test_steps_of_one_form_share_one_read_only_table():
+    """Two CPAs of one cell share their step tables: each of an 8-digit
+    QFA2 CPA's six is one of a 16-digit one's eight, whose three full carry
+    steps (four digits each, 3**9 rows) share one. No table can be written,
+    and the table cache stays within its bound."""
+    cell = build_qfa("qfa2", 0.9)
+    eight, sixteen = ([table for _, _, table, _ in _kernel.compile_circuit(
+        build_cpa(cell, n)).settle_plan] for n in (8, 16))
+    assert [any(t is u for u in sixteen) for t in eight] == [True] * 6
+    assert sixteen[3] is sixteen[4] is sixteen[5] and sixteen[3].shape[1] == 3 ** 9
+    assert len({id(t) for t in sixteen}) == 6
+    assert not any(table.flags.writeable for table in sixteen)
+    with pytest.raises(ValueError, match="read-only"):
+        sixteen[0][0, 0] = 1
+    info = _kernel._step_table.cache_info()
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_settle_plan_settles_the_sum_muxes_of_a_qfa2_cpa_in_one_last_step():
@@ -1186,11 +1203,14 @@ def test_code_dtype_holds_every_table_index():
     """settle_batch computes each table index in its code dtype, so the last
     row of every kind table and the last column of every step table must
     fit it: a wider kind fails here instead of wrapping silently. A step's
-    last column is its pins' highest codes (width - 1) times their weights."""
+    last column is its pins' highest codes (width - 1) times their weights,
+    and no step table has more than _ROWS columns (the carry steps of an
+    8-digit CPA reach 3**9)."""
     top = np.iinfo(_kernel.CODE).max
     for kind in KINDS:
         assert len(kind_table(kind)[0]) - 1 <= top, kind
-    cells = [riders_circuit()] + [build_cpa(build(v, 0.9), 2) for build, v in (
+    assert _kernel._ROWS - 1 <= top
+    cells = [riders_circuit()] + [build_cpa(build(v, 0.9), 8) for build, v in (
         (build_qfa, "qfa1"), (build_qfa, "qfa2"), (build_bfa, "bfa1"), (build_bfa, "bfa2"))]
     for c in cells:
         for ins, weights, table, outs in _kernel.compile_circuit(c).settle_plan:
@@ -1199,7 +1219,7 @@ def test_code_dtype_holds_every_table_index():
             assert ins.shape == ((hosts,) if len(weights) == 1 else (hosts, len(weights)))
             widths = pin_widths(weights, table)
             assert sum((w - 1) * int(x) for w, x in zip(widths, weights)) == (
-                table.shape[1] - 1) <= min(top, 5 ** 5 - 1)
+                table.shape[1] - 1) < _kernel._ROWS
 
 
 @settings(deadline=None, max_examples=40)

@@ -25,7 +25,7 @@ from mvadder.engine import (Stimulus, StimulusError, measure_delay, settle_matri
 from mvadder.gates import (CellLibrary, LibraryError, TransistorInventory, eval_primitive,
                            load_library, propagation_delay, switching_energy)
 from mvadder.levels import (MAX_DIGITS, DigitVector, DomainError, bfa_oracle, binary_full,
-                            cpa_oracle, cpa_oracle_rows, qfa_oracle)
+                            cpa_oracle, qfa_oracle)
 from mvadder.netlist import (Circuit, NetlistError, build_cpa, build_qfa, from_json, to_json,
                              validate)
 from mvadder.report import AdderConfig, compare, cpa_scaling
@@ -224,12 +224,6 @@ def _api_runs(tmp_path):
            DomainError, operand, WHOLE if name == "qfa_oracle" and k < 2 else set(), ())
           for name, oracle in (("qfa_oracle", qfa_oracle), ("bfa_oracle", bfa_oracle))
           for k, operand in enumerate(("a", "b", "cin"))],
-        ("cpa_oracle_rows a", lambda v: cpa_oracle_rows([[v]], [[0]], [0], 4), DomainError,
-         "a must|digit", WHOLE, ()),
-        ("cpa_oracle_rows b", lambda v: cpa_oracle_rows([[0]], [[v]], [0], 4), DomainError,
-         "b must|digit", WHOLE, ()),
-        ("cpa_oracle_rows cin", lambda v: cpa_oracle_rows([[0]], [[0]], [v], 4), DomainError,
-         "cin|carry-in", set(), ()),
         ("stimulus level", lambda v: stimulus(initial={**zeros, "A": v}), StimulusError,
          "^initial: A: ", WHOLE, ()),
         ("stimulus events", lambda v: stimulus(events=v), StimulusError, "^events", set(), ()),

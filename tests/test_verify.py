@@ -168,6 +168,30 @@ def test_the_drawn_matrix_is_int64_within_each_input_ports_radix(kind, n_digits,
         assert (mat.max(axis=0) == np.array(radix) - 1).all()
 
 
+class _Drawn(Exception):
+    """Raised in place of settling a drawn matrix, which it carries."""
+
+
+@pytest.mark.parametrize("radix, n_digits", [(4, 1), (4, 4), (4, 16), (2, 32)])
+def test_the_random_rows_are_numpys_integers_rows(radix, n_digits, monkeypatch):
+    """adder_mismatches draws its rows from PCG64's raw words; they equal
+    default_rng(seed).integers(0, 2, v), then .integers(0, radix, (v, 2n)),
+    on every seed and row count here (a 1-digit CPA draws them only when
+    not checked exhaustively). A change in numpy's draw fails here instead
+    of silently changing every seed's rows."""
+    def capture(adder, in_ports, mat, out_ports):
+        raise _Drawn(mat)
+
+    monkeypatch.setattr(verify, "settle_matrix", capture)
+    monkeypatch.setattr(verify, "cpa_is_exhaustive", lambda radix, n_digits: False)
+    cpa = build_cpa(build_cell("qfa2" if radix == 4 else "bfa2", 0.9), n_digits)
+    for seed in range(100):
+        for v in (1, 2, 3, 32, 33):
+            with pytest.raises(_Drawn) as drawn:
+                adder_mismatches(cpa, vectors=v, seed=seed)
+            assert np.array_equal(drawn.value.args[0], random_matrix(n_digits, v, seed, radix))
+
+
 def test_a_cpa_output_settling_to_x_is_named_through_verify_cpa():
     """A QFA2 CPA whose digit-1 carry inverter reads the quaternary A1 (as
     nand_l2_circuit feeds a NAND) settles to X wherever A1 is 2 or 3: the
