@@ -67,7 +67,8 @@ class CompiledCircuit:
     in ticks, the initial levels ``net_init`` and table rows ``gate_row``
     (which the event loop copies), the net rails, the gates the constants
     alone decide, and ``max_ticks``, the longest gate delay or stimulus
-    window that keeps every tick in int64."""
+    window that keeps every tick in int64. ``port_plan`` is the one slot in
+    which :func:`engine.settle_matrix` keeps its last checked port lists."""
 
     def __init__(self, circuit):
         a = _analysed(circuit)
@@ -132,7 +133,7 @@ class CompiledCircuit:
         self.in_port_net = {p.name: self.net_index[p.net] for p in circuit.input_ports()}
         self.out_port_net = {p.name: self.net_index[p.net] for p in circuit.output_ports()}
         self.port_encoding = {p.name: p.encoding for p in circuit.ports.values()}
-        self.port_plans: dict = {}  # engine.settle_matrix's checked port lists and their arrays
+        self.port_plan = None  # (key, plan), from engine._port_plan
 
     @cached_property
     def event_plan(self) -> list:

@@ -85,7 +85,12 @@ def _build(args, lib: CellLibrary | None):
 
 def _cmd_verify(args, lib) -> int:
     circuit = _build(args, lib)
-    bad, n_bad = adder_mismatches(circuit, vectors=args.vectors, seed=args.seed)
+    try:
+        bad, n_bad = adder_mismatches(circuit, vectors=args.vectors, seed=args.seed)
+    except DomainError as exc:  # the count's bound depends on the adder's ports
+        if not str(exc).startswith("vectors "):
+            raise
+        args.flag_error(f"argument --vectors: {str(exc).removeprefix('vectors ')}")
     if args.cell == "cpa":
         exhaustive = cpa_is_exhaustive(circuit.ports["A0"].encoding.radix, args.digits)
         total = "exhaustive" if exhaustive else f"{args.vectors} random vectors"
@@ -183,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_build_args(p)
     p.add_argument("--vectors", type=positive_int, default=10_000,
                    help="random vectors for large CPAs")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, flag_error=p.error)
 
     p = sub.add_parser("sta", help="static timing report (JSON on stdout)")
     _add_build_args(p)

@@ -31,9 +31,6 @@ SETTLE_GAP_TICKS = 10_000  # 1 ns
 
 _MAX_EVENTS_PER_NET = 10_000
 
-#: Port lists :func:`settle_matrix` keeps resolved per compiled circuit.
-_PORT_PLANS = 8
-
 #: The least time between the steps of a worst-case stimulus.
 STEP_PS = 2000.0
 
@@ -131,6 +128,12 @@ def _events(events):
         yield k, t, port, lvl
 
 
+def _joules(records) -> float:
+    """The joules of trace ``records``, summed as numpy sums a float64 array:
+    pairwise (a Python sum rounds otherwise)."""
+    return float(np.array([r[3] for r in records], np.float64).sum())
+
+
 def _column(k: int, dtype) -> cached_property:
     """Field ``k`` of every trace record, as a numpy array built on first read."""
     return cached_property(lambda trace: np.array([r[k] for r in trace.records], dtype))
@@ -144,10 +147,10 @@ class Trace:
     src) tuples, in time order: ticks are absolute (settle included) and
     ``origin_ticks`` marks the stimulus origin; ``src`` tells externally
     driven input transitions (1, zero energy) from gate-driven ones (0).
-    The measurements and the CSV writers read the records. ``times``,
-    ``nets``, ``levels``, ``energies`` and ``srcs`` are the same records as
-    numpy columns (float64 for ``energies``, int64 for the rest), each
-    built on its first read.
+    The measurements, the energy sums and the CSV writers read the records.
+    ``times``, ``nets``, ``levels``, ``energies`` and ``srcs`` are the same
+    records as numpy columns (float64 for ``energies``, int64 for the rest),
+    each built on its first read.
     """
 
     circuit: Circuit
@@ -167,15 +170,15 @@ class Trace:
 
     @property
     def total_energy(self) -> float:
-        return float(self.energies.sum())
+        return _joules(self.records)
 
     @property
     def settle_energy(self) -> float:
-        return float(self.energies[: self.n_settle].sum())
+        return _joules(self.records[: self.n_settle])
 
     @property
     def measurement_energy(self) -> float:
-        return float(self.energies[self.n_settle:].sum())
+        return _joules(self.records[self.n_settle:])
 
     def net_index(self, name: str) -> int:
         """The index of a net, named by its id or by a port on it."""
@@ -318,13 +321,14 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
 
 
 def _port_plan(comp, key: tuple) -> tuple:
-    """The port lists ``key``, (in_ports, out_ports or None), as kept in
-    ``comp.port_plans``, else checked: (radix, in_rows, out_ports, out_rows),
-    kept once all checks pass."""
-    try:
-        return comp.port_plans[key]
-    except (KeyError, TypeError):  # a miss, or an unhashable entry the checks refuse
-        pass
+    """The plan of the port lists ``key``, (in_ports, out_ports or None):
+    (in_ports, radix, in_rows, out_ports, out_rows), ``comp.port_plan``'s if
+    it holds these lists, else checked and kept there once every check passes."""
+    kept = comp.port_plan
+    # its very lists, or equal lists of str alone (an array's == gives no bool)
+    if kept and (kept[0][0] is key[0] and kept[0][1] is key[1] or all(
+            type(p) is str for p in key[0] + (key[1] or ())) and kept[0] == key):
+        return kept[1]
     in_ports, out_ports = key[0], tuple(sorted(comp.out_port_net)) if key[1] is None else key[1]
     for p in in_ports:
         if not isinstance(p, str):  # a list is unhashable
@@ -336,12 +340,10 @@ def _port_plan(comp, key: tuple) -> tuple:
         if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
             raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
     row = comp.settle_row
-    plan = (np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64),
+    plan = (in_ports, np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64),
             row[[comp.in_port_net[p] for p in in_ports]], out_ports,
             row[[comp.out_port_net[p] for p in out_ports]])
-    if len(comp.port_plans) >= _PORT_PLANS:
-        comp.port_plans.clear()  # atomic, unlike evicting one entry
-    comp.port_plans[key] = plan
+    comp.port_plan = key, plan
     return plan
 
 
@@ -356,12 +358,12 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     final levels :func:`simulate` reaches after its settle phase: every gate
     at its truth-table entry for its settled inputs, with X where no input
     combination decides it. This is the port and vector checks, then
-    :func:`_settle_ports`. The compiled circuit keeps a few checked port
+    :func:`_settle_ports`. The compiled circuit keeps the last checked port
     lists with their arrays; the vectors are checked after them, every call."""
     comp = compile_circuit(circuit)
     in_ports = listed("in_ports", in_ports)
     key = (in_ports, None if out_ports is None else listed("out_ports", out_ports))
-    radix = _port_plan(comp, key)[0]
+    radix = (plan := _port_plan(comp, key))[1]
     # tested first: an integer array takes no extra pass; anything else, a
     # list too, is checked entry by entry as given (so True is not taken for 1)
     if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
@@ -386,13 +388,13 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
         row = int((vectors[:, col].view(np.uint64) >= radix[col]).argmax())
         raise StimulusError(f"{in_ports[col]}: levels outside {radix[col]}-level encoding, "
                             f"first at vector row {row}")
-    return _settle_ports(comp, key, vectors)
+    return _settle_ports(comp, plan, vectors)
 
 
-def _settle_ports(comp, key: tuple, vectors: np.ndarray) -> np.ndarray:
-    """:func:`settle_matrix` of ``vectors`` it would accept on the port lists
-    ``key``: the batch settle and its X check, which names ports and a row."""
-    _, in_rows, out_ports, out_rows = _port_plan(comp, key)
+def _settle_ports(comp, plan: tuple, vectors: np.ndarray) -> np.ndarray:
+    """:func:`settle_matrix` of ``vectors`` it would accept on the ports of the
+    :func:`_port_plan` ``plan``: the batch settle and its X check, naming a row."""
+    _, _, in_rows, out_ports, out_rows = plan
     out_lvls = _kernel.settle_rows(comp, in_rows, vectors, out_rows)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
         x = out_lvls < 0
@@ -455,9 +457,7 @@ def measure_power(trace: Trace, window: tuple) -> float:
         raise DomainError(f"window {window} empty or outside the trace")
     t0 = trace.origin_ticks + _ticks(w0)
     t1 = trace.origin_ticks + _ticks(w1)
-    # numpy's pairwise sum, as over the energies column: a Python sum rounds otherwise
-    selected = [e for t, _, _, e, s in trace.records[trace.n_settle:] if s == 0 and t0 <= t < t1]
-    energy = float(np.array(selected, np.float64).sum())
+    energy = _joules(r for r in trace.records[trace.n_settle:] if r[4] == 0 and t0 <= r[0] < t1)
     return energy / ((w1 - w0) * 1e-12)
 
 

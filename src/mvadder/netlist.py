@@ -713,16 +713,17 @@ FORMAT = "mvadder-netlist-2"
 @gc_paused
 def to_json(c: Circuit) -> dict:
     """Lossless netlist interchange form, :data:`FORMAT`. Each distinct
-    encoding, primitive and ``pin_encodings`` map (values equal but of other
-    types, as 1 and 1.0, are distinct) is one entry of its table, in order of
-    first use, named by its index. Every entry is a dict of its own. A net's
-    ``driver`` is its first driver from :func:`_analyse`, null for none."""
+    encoding, primitive and ``pin_encodings`` map (by :func:`_table_key`:
+    values equal but of other types, as 1 and 1.0, are distinct) is one
+    entry of its table, in order of first use, named by its index. Every
+    entry is a dict of its own. A net's ``driver`` is its first driver from
+    :func:`_analyse`, null for none."""
     tables: dict = {"encodings": [], "primitives": [], "pin_maps": []}
-    seen: dict = {}  # id(object), then (table, value, its types) -> the index of its entry
+    seen: dict = {}  # id(object), then (table, _table_key) -> the index of its entry
 
-    def index(table: str, obj, key: tuple, entry) -> int:
+    def index(table: str, obj, entry) -> int:
         rows = tables[table]
-        i = seen[id(obj)] = seen.setdefault((table, *key), len(rows))
+        i = seen[id(obj)] = seen.setdefault((table, _table_key(obj, enc)), len(rows))
         if i == len(rows):
             rows.append(entry)
         return i
@@ -730,21 +731,16 @@ def to_json(c: Circuit) -> dict:
     def enc(e: SignalEncoding) -> int:
         if id(e) in seen:  # the circuit keeps each object alive: its id names no other
             return seen[id(e)]
-        v = e.level_voltages
-        return index("encodings", e, (e.name, v, *map(type, v)),
-                     {"name": e.name, "level_voltages": list(v)})
+        return index("encodings", e, {"name": e.name, "level_voltages": list(e.level_voltages)})
 
     def primitive(prim: GatePrimitive) -> int:
-        nums, rows = [getattr(prim.params, f) for f in ELECTRICAL_NUMBERS], prim.inventory.entries
-        out = enc(prim.params.output_encoding)
-        return index("primitives", prim, (prim.kind, *nums, *map(type, nums), out, rows,
-                                          *map(type, itertools.chain(*rows))),
-                     {"kind": prim.kind, **dict(zip(ELECTRICAL_NUMBERS, nums)),
-                      "output_encoding": out, "inventory": [list(r) for r in rows]})
+        out = enc(prim.params.output_encoding)  # its entry first, as the key reads it
+        return index("primitives", prim, {
+            "kind": prim.kind, **{f: getattr(prim.params, f) for f in ELECTRICAL_NUMBERS},
+            "output_encoding": out, "inventory": [list(r) for r in prim.inventory.entries]})
 
     def pin_map(m: Mapping) -> int:  # keyed in any pin order: dump_netlist sorts the pins
-        entry = {pin: enc(e) for pin, e in m.items()}
-        return index("pin_maps", m, (frozenset(entry.items()),), entry)
+        return index("pin_maps", m, {pin: enc(e) for pin, e in m.items()})
 
     data = {
         "format": FORMAT,
@@ -769,6 +765,20 @@ def to_json(c: Circuit) -> dict:
             p, m = primitive(prim), pin_map(pin_enc)
         add({"id": iid, "primitive": p, "pin_encodings": m, "pins": pins.copy(), "cell_tag": tag})
     return data
+
+
+def _table_key(obj, enc) -> tuple | frozenset:
+    """What makes two entries of one table one entry: an encoding's, a
+    primitive's or a pin map's values and their types (1, 1.0 and True
+    differ), its encodings by ``enc(encoding)``."""
+    if isinstance(obj, SignalEncoding):
+        v = obj.level_voltages
+        return obj.name, v, *map(type, v)
+    if isinstance(obj, GatePrimitive):
+        nums, rows = [getattr(obj.params, f) for f in ELECTRICAL_NUMBERS], obj.inventory.entries
+        return (obj.kind, *nums, *map(type, nums), enc(obj.params.output_encoding), rows,
+                *map(type, itertools.chain(*rows)))
+    return frozenset((pin, enc(e)) for pin, e in obj.items())
 
 
 # what a malformed field raises while an interchange entry is parsed
@@ -798,14 +808,23 @@ def from_json(data: dict) -> Circuit:
     built and checked once, as one object that every index of it shares.
     Raises NetlistError naming the entry and field of a missing or malformed
     field, a bad index or number, a duplicate id, a constant level outside
-    its net's encoding, and, from the circuit's one pass, a pin unbound or
+    its net's encoding, a table entry equal to an earlier one (by
+    :func:`_table_key`), and, from the circuit's one pass, a pin unbound or
     bound to a missing net, a second gate driving a net, or a stored
-    ``driver`` other than the net's first."""
+    ``driver`` other than the net's first; then a table entry that no index
+    names. (to_json would merge the one and drop the other.)"""
     kind, entry, key = "netlist", data, None  # what is being parsed, for _malformed
     encs, prims, pin_maps, nets, instances, ports = [], [], [], {}, {}, {}
+    firsts: dict = {}  # (kind, _table_key) -> the index of the first such entry
 
     def at(table: list, i):
         return table[whole("index", i, low=0, high=len(table) - 1)]
+
+    def add(table: list, obj) -> None:  # one of equal entries, to_json's twins, would merge
+        first = firsts.setdefault((kind, _table_key(obj, id)), entry)  # entries: distinct objects
+        if first != entry:
+            raise ValueError(f"equal to {kind} {first}")
+        table.append(obj)
 
     try:
         name = data["name"]
@@ -830,7 +849,7 @@ def from_json(data: dict) -> Circuit:
             key = "level_voltages"
             volts = tuple(volts)
             key = None  # SignalEncoding names the field
-            encs.append(SignalEncoding(ename, volts))
+            add(encs, SignalEncoding(ename, volts))
 
         kind = "primitive"
         for entry, raw in enumerate(data["primitives"]):
@@ -844,14 +863,15 @@ def from_json(data: dict) -> Circuit:
             key = "inventory"
             inventory = _parse_inventory(rows)
             key = None  # ElectricalParams names the field
-            prims.append(GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory))
+            add(prims, GatePrimitive(gate, ElectricalParams(*nums, out_enc), inventory))
 
         kind = "pin_map"
         for entry, raw in enumerate(data["pin_maps"]):
             key, pin_map = None, {}
             for key, i in raw.items():  # key: the pin, which names the field
                 pin_map[key] = at(encs, i)
-            pin_maps.append(MappingProxyType(pin_map))
+            key = None
+            add(pin_maps, MappingProxyType(pin_map))
 
         kind = "net"
         for entry in data["nets"]:
@@ -910,6 +930,21 @@ def from_json(data: dict) -> Circuit:
             got = entry["driver"]
             if (got and tuple(got)) != d:
                 raise ValueError(f"got {got!r}, but the netlist gives {d and list(d)!r}")
+        key, get = None, operator.attrgetter
+        for kind, table, used in (  # to_json writes only the entries that an index names
+                ("encoding", encs, itertools.chain(
+                    (p.params.output_encoding for p in prims),
+                    (e for m in pin_maps for e in m.values()),
+                    map(get("encoding"), ports.values()), map(get("encoding"), nets.values()))),
+                ("primitive", prims, map(get("primitive"), instances.values())),
+                ("pin_map", pin_maps, map(get("pin_encodings"), instances.values()))):
+            unnamed = {id(obj): i for i, obj in enumerate(table)}
+            for obj in used:  # a valid netlist names each entry early on: few are read
+                if unnamed.pop(id(obj), None) is not None and not unnamed:
+                    break
+            if unnamed:
+                entry = min(unnamed.values())
+                raise ValueError("no index names this entry")
     except NetlistError:
         raise
     except _MALFORMED as exc:

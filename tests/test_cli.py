@@ -119,6 +119,8 @@ def test_verify_names_a_negative_seed_before_drawing_vectors():
     (["verify", "--cell", "cpa", "--digits", "0"], "argument --digits: must be >= 1, got 0"),
     (["verify", "--cell", "cpa", "--base", "qfa2", "--digits", "20000"],
      "argument --digits: must be <= 16384, got 20000"),
+    (["verify", "--cell", "cpa", "--digits", "16", "--vectors", "100000000"],
+     "mvadder verify: error: argument --vectors: must be <= 4067203, got 100000000"),
     (["compare", "--configs", "qfa2@0.9", "--threads", "-3"],
      "argument --threads: must be >= 1, got -3"),
     (["compare", "--configs", "qfa2@0.9", "--threads", "0"],

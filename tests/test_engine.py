@@ -770,35 +770,79 @@ def test_settle_matrix_names_the_port_and_row_at_fault(in_ports, vectors, out_po
         settle_matrix(c, in_ports, vectors, out_ports)
 
 
-def test_settle_matrix_resolves_a_port_list_once_and_checks_every_call():
-    """The first call with a port list resolves it, later ones reuse it: the
-    same levels, and the same error for each bad call after a good one."""
+def _cpa2():
+    """A 2-digit QFA2 CPA, its input and output ports, and two rows for them."""
     c = build_cpa(build_qfa("qfa2", 0.9), 2)
-    ins, outs = ["C0", "A0", "A1", "B0", "B1"], ["S0", "S1", "C2"]
-    vectors = np.array([[1, 3, 2, 1, 0], [0, 0, 3, 3, 3]])
+    return c, ["C0", "A0", "A1", "B0", "B1"], ["S0", "S1", "C2"], np.array(
+        [[1, 3, 2, 1, 0], [0, 0, 3, 3, 3]])
+
+
+def test_settle_matrix_reuses_the_plan_of_equal_port_lists(monkeypatch):
+    """Equal lists, as new objects, reuse the kept plan: the port checks,
+    which read the circuit's ports, run for the first call alone."""
+    c, ins, outs, vectors = _cpa2()
     comp = _kernel.compile_circuit(c)
-    assert comp.port_plans == {}
+    assert comp.port_plan is None
     cold = settle_matrix(c, ins, vectors, outs)
-    assert list(comp.port_plans) == [(tuple(ins), tuple(outs))]
+    kept = comp.port_plan
+    assert kept[0] == (tuple(ins), tuple(outs))
+    again = ["".join(p) for p in ins]  # equal strs, not the same objects
+    assert again == ins and again[0] is not ins[0]
+    monkeypatch.setattr(comp, "in_port_net", None)  # a port check would fail on these
+    monkeypatch.setattr(comp, "out_port_net", None)
     # 11 + 1 + 1 = 13 and 12 + 15 = 27, in base-4 digits and a carry
-    assert settle_matrix(c, tuple(ins), vectors, outs).tolist() == cold.tolist() == [
+    assert settle_matrix(c, again, vectors, tuple(outs)).tolist() == cold.tolist() == [
         [1, 3, 0], [3, 2, 1]]
-    assert settle_matrix(c, ins, vectors).tolist() == settle_matrix(c, ins, vectors).tolist()
+    assert comp.port_plan is kept
+
+
+def test_settle_matrix_keeps_the_last_checked_pair_of_port_lists():
+    """A new pair that passes every port check replaces the kept one, even
+    when the vectors then fail; out_ports omitted is a pair of its own."""
+    c, ins, outs, vectors = _cpa2()
+    comp = _kernel.compile_circuit(c)
+    want = settle_matrix(c, ins, vectors, outs).tolist()
+    for order in itertools.islice(itertools.permutations(range(5)), 6):
+        got = settle_matrix(c, [ins[i] for i in order], vectors[:, order], outs)
+        assert got.tolist() == want
+        assert comp.port_plan[0] == (tuple(ins[i] for i in order), tuple(outs))
+    everything = settle_matrix(c, ins, vectors)
+    assert comp.port_plan[0] == (tuple(ins), None)
+    assert everything.tolist() == [[0, 1, 3], [1, 3, 2]]  # C2, S0, S1: in name order
+    with pytest.raises(StimulusError, match="^A1: levels outside 4-level encoding"):
+        settle_matrix(c, ins, vectors + [[0, 0, 1, 0, 0]], ["C2"])
+    assert comp.port_plan[0] == (tuple(ins), ("C2",))
+
+
+def test_settle_matrix_keeps_its_plan_through_a_pair_that_fails_a_port_check():
+    """Every bad call, before and after a good one, raises its own error
+    every time and leaves the kept plan as it was; a list holding a list or
+    an array is refused as any entry other than a port name is."""
+    c, ins, outs, vectors = _cpa2()
+    comp = _kernel.compile_circuit(c)
     everything = r"in_ports must cover exactly the input ports \['A0', 'A1', 'B0', 'B1', 'C0'\]"
-    for in_ports, rows, out_ports, match in [
+    bad = [
         ([["C0"], *ins[1:]], vectors, outs, r"in_ports: \['C0'\] is not an input port"),
+        ([np.array(["C0"]), *ins[1:]], vectors, outs,
+         r"in_ports: array\(\['C0'\], dtype='<U2'\) is not an input port"),
+        ([np.array(["C0", "A0"]), *ins[1:]], vectors, outs, r"in_ports: array\(\['C0', 'A0'\]"),
         ([True, *ins[1:]], vectors, outs, "in_ports: True is not an input port"),
         (ins[:-1], vectors[:, :-1], outs, everything),
         ([*ins, "S0"], vectors[:, [0, 1, 2, 3, 4, 4]], outs, everything),
         (ins, vectors, ["S0", "A0"], "out_ports: 'A0' is not an output port"),
         (ins, vectors, [["S0"]], r"out_ports: \['S0'\] is not an output port"),
-        (ins, vectors + [[0, 0, 1, 0, 0]], outs,
-         "A1: levels outside 4-level encoding, first at vector row 1"),
-    ]:
-        for _ in range(2):
-            with pytest.raises(StimulusError, match=f"^{match}"):
-                settle_matrix(c, in_ports, rows, out_ports)
-    assert settle_matrix(c, ins, vectors, outs).tolist() == cold.tolist()
+        (ins, vectors, [np.array(["S0"])], r"out_ports: array\(\['S0'\]"),
+    ]
+    for kept in (None, "checked"):
+        if kept:
+            settle_matrix(c, ins, vectors, outs)
+            kept = comp.port_plan
+        for in_ports, rows, out_ports, match in bad:
+            for _ in range(2):
+                with pytest.raises(StimulusError, match=f"^{match}"):
+                    settle_matrix(c, in_ports, rows, out_ports)
+                assert comp.port_plan is kept
+    assert settle_matrix(c, ins, vectors, outs).tolist() == [[1, 3, 0], [3, 2, 1]]
 
 
 @pytest.mark.parametrize("in_ports, out_ports, match", [
@@ -818,23 +862,10 @@ def test_settle_matrix_checks_the_ports_before_the_vectors_and_keeps_only_checke
     for out_ports in (["Nope"], [["Sum"]]):
         with pytest.raises(StimulusError, match="^out_ports: "):
             settle_matrix(c, _ABC, [[0, 0]], out_ports)
-    assert comp.port_plans == {}
+    assert comp.port_plan is None
     with pytest.raises(StimulusError, match="^vectors must be"):
         settle_matrix(c, _ABC, [[0, 0]], ["Sum"])
-    assert list(comp.port_plans) == [(tuple(_ABC), ("Sum",))]
-
-
-def test_settle_matrix_keeps_at_most_its_cap_of_port_lists():
-    c = build_cpa(build_qfa("qfa2", 0.9), 2)
-    ins = ["C0", "A0", "A1", "B0", "B1"]
-    vectors = np.array([[1, 3, 2, 1, 0], [0, 0, 3, 3, 3]])
-    want = settle_matrix(c, ins, vectors)
-    comp = _kernel.compile_circuit(c)
-    for order in itertools.islice(itertools.permutations(range(5)), 41):
-        got = settle_matrix(c, [ins[i] for i in order], vectors[:, order])
-        assert got.tolist() == want.tolist()
-        assert (tuple(ins[i] for i in order), None) in comp.port_plans
-        assert len(comp.port_plans) <= engine._PORT_PLANS
+    assert comp.port_plan[0] == (tuple(_ABC), ("Sum",))
 
 
 def test_settle_matrix_checks_levels_entry_by_entry_only_off_integer_arrays(monkeypatch):

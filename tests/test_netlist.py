@@ -487,19 +487,53 @@ def test_instance_voltages_equal_in_value_but_not_type_round_trip_byte_for_byte(
 
 @pytest.mark.parametrize("second", [True, False])
 def test_an_inventory_count_equal_to_its_twins_but_a_bool_is_rejected(second):
-    """True == 1, but a bool is no count: in the second of two equal
-    primitive entries, as in the first."""
+    """True == 1, but a bool is no count: in the second of two primitive
+    entries equal but for it, as in the first. Two equal entries, which
+    to_json would merge, are refused."""
     blob = json.loads(json.dumps(to_json(build_cpa(build_qfa("qfa2", 0.9), 2))))
     k, twin = _entry(blob, "instances", "d0.mux2_sum")["primitive"], len(blob["primitives"])
     blob["primitives"][k]["inventory"][0][2] = 1
     blob["primitives"].append(json.loads(json.dumps(blob["primitives"][k])))
     _entry(blob, "instances", "d1.mux2_sum")["primitive"] = twin
-    c = from_json(json.loads(json.dumps(blob)))
-    assert c.instances["d0.mux2_sum"].primitive == c.instances["d1.mux2_sum"].primitive
+    with pytest.raises(NetlistError, match=fr"^primitive {twin}: equal to primitive {k}$"):
+        from_json(json.loads(json.dumps(blob)))
     bad = twin if second else k
     blob["primitives"][bad]["inventory"][0][2] = True
     with pytest.raises(NetlistError, match=fr"^primitive {bad}: field 'inventory': inventory "
                                            r"entry must hold whole numbers: \['N', 19, True\]$"):
+        from_json(blob)
+
+
+def _named_twice(blob, table: str) -> str:
+    """Give the qfa2 cell's ``table`` a last entry equal to its first;
+    returns the expected refusal."""
+    blob[table].append(json.loads(json.dumps(blob[table][0])))
+    return f"^{table[:-1]} {len(blob[table]) - 1}: equal to {table[:-1]} 0$"
+
+
+def _named_nowhere(blob, table: str) -> str:
+    """Give the qfa2 cell's ``table`` a last entry, of its own value, that no
+    index names; returns the expected refusal."""
+    entry = json.loads(json.dumps(blob[table][0]))
+    if table == "encodings":
+        entry["level_voltages"][-1] += 0.1
+    elif table == "primitives":
+        entry["supply_voltage"] += 0.1
+    else:
+        entry = {"spare": 0}
+    blob[table].append(entry)
+    return f"^{table[:-1]} {len(blob[table]) - 1}: no index names this entry$"
+
+
+@pytest.mark.parametrize("table", ["encodings", "primitives", "pin_maps"])
+@pytest.mark.parametrize("edit", [_named_twice, _named_nowhere])
+def test_from_json_refuses_a_table_entry_that_would_not_dump_as_written(edit, table):
+    """to_json writes each distinct entry once (values and their types) and
+    only those an index names: an entry equal to an earlier one of its
+    table, or named nowhere, would not reload to its own bytes."""
+    blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
+    message = edit(blob, table)
+    with pytest.raises(NetlistError, match=message):
         from_json(blob)
 
 

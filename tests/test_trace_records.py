@@ -148,7 +148,8 @@ def test_csv_bytes_equal_the_column_format(tmp_path, energy):
 
 def test_measure_config_builds_no_column(monkeypatch):
     """A comparison row is measured from the records alone: neither trace of
-    measure_config builds a numpy column."""
+    measure_config builds a numpy column, nor do a trace's energy sums, which
+    are the sums over the energies column bit for bit."""
     traces = []
 
     def kept(circuit, stim):
@@ -162,3 +163,9 @@ def test_measure_config_builds_no_column(monkeypatch):
         assert len(traces) == 2
         for tr in traces:
             assert not set(COLUMNS) & set(vars(tr)), kind
+        tr = simulate(build_cell(kind, 0.9), worst_case_stimulus("input_to_carry", kind))
+        sums = tr.total_energy, tr.settle_energy, tr.measurement_energy
+        assert not set(COLUMNS) & set(vars(tr)), kind
+        e = tr.energies
+        assert sums == (float(e.sum()), float(e[: tr.n_settle].sum()),
+                        float(e[tr.n_settle:].sum()))

@@ -114,9 +114,9 @@ def test_adder_mismatches_takes_its_ports_and_rows_from_the_adder(kind, n_digits
     seen = []
     core = engine._settle_ports
 
-    def spy(comp, key, mat):
-        seen.append((key[0], mat, key[1]))
-        return core(comp, key, mat)
+    def spy(comp, plan, mat):
+        seen.append((plan[0], mat, plan[3]))
+        return core(comp, plan, mat)
 
     monkeypatch.setattr(engine, "_settle_ports", spy)
     cell = build_cell(kind, 0.9)
@@ -141,6 +141,25 @@ def test_adder_mismatches_takes_its_ports_and_rows_from_the_adder(kind, n_digits
         assert len(np.unique(mat, axis=0)) == rows == 2 * radix ** (2 * len(a))
 
 
+def test_verify_cpa_resolves_the_adders_port_lists_once(monkeypatch):
+    """Four checks of one adder read the kept port plan once per call and
+    resolve the adder's port lists on the first alone."""
+    resolved = []
+    core = engine._port_plan
+
+    def spy(comp, key):
+        before = comp.port_plan
+        plan = core(comp, key)
+        resolved.append(comp.port_plan is not before)
+        return plan
+
+    monkeypatch.setattr(engine, "_port_plan", spy)
+    cpa = build_cpa(build_cell("qfa2", 0.9), 16)
+    for seed in range(4):
+        assert verify_cpa(cpa, 16, vectors=32, seed=seed) == []
+    assert resolved == [True, False, False, False]
+
+
 @pytest.mark.parametrize("kind, n_digits", [
     *[(kind, None) for kind in CELL_KINDS], ("qfa2", 2), ("bfa2", 5),  # exhaustive
     ("qfa2", 3), ("qfa2", 16), ("bfa2", 6), ("bfa2", 32)])  # seeded random rows
@@ -151,9 +170,9 @@ def test_the_drawn_matrix_is_int64_within_each_input_ports_radix(kind, n_digits,
     seen = []
     core = engine._settle_ports
 
-    def spy(comp, key, mat):
-        seen.append((key[0], mat))
-        return core(comp, key, mat)
+    def spy(comp, plan, mat):
+        seen.append((plan[0], mat))
+        return core(comp, plan, mat)
 
     monkeypatch.setattr(engine, "_settle_ports", spy)
     cell = build_cell(kind, 0.9)
