@@ -138,7 +138,8 @@ class CompiledCircuit:
     @cached_property
     def event_plan(self) -> list:
         """Per gate: (output net, its table tuple, delay in ticks) per output."""
-        return [tuple(zip(outs, kind_table(kind), delays))
+        tables = {kind: kind_table(kind) for kind in set(self.gate_kind)}
+        return [tuple(zip(outs, tables[kind], delays))
                 for outs, kind, delays in zip(self.gate_out, self.gate_kind, self.gate_delay)]
 
     @cached_property

@@ -18,6 +18,7 @@ import contextlib
 import gc
 import itertools
 import json
+import math
 import operator
 import threading
 from collections import namedtuple
@@ -115,7 +116,8 @@ class Net(namedtuple("Net", "id encoding driver external_load", defaults=(None, 
     _make = _MAKE
 
     def __new__(cls, id, encoding, driver=None, external_load=0.0):
-        if not (is_finite(external_load) and external_load >= 0):
+        if not (type(external_load) is float and 0.0 <= external_load < math.inf
+                or is_finite(external_load) and external_load >= 0):
             raise NetlistError(f"net {id!r}: external_load must be a finite number >= 0, "
                                f"got {external_load!r}")
         if driver is not None and not (len(driver) == 2 and driver[0] == "const"
@@ -218,11 +220,15 @@ class _Builder:
     def copy_cell(self, cell: Circuit, prefix: str, tag: str,
                   port_nets: Mapping[str, str]) -> None:
         """Instantiate ``cell`` with every internal id prefixed; cell ports
-        are stitched onto existing builder nets per ``port_nets``."""
+        are stitched onto existing builder nets per ``port_nets``. A copied
+        net is the cell's checked record under its new id, load and all."""
         mapped = {port.net: port_nets[name] for name, port in cell.ports.items()}
         for nid, net in cell.nets.items():
             if nid not in mapped:
-                mapped[nid] = self.net(prefix + nid, net.encoding, driver=net.driver)
+                new_id = mapped[nid] = prefix + nid
+                if new_id in self.nets:
+                    raise NetlistError(f"duplicate net id {new_id!r}")
+                self.nets[new_id] = tuple.__new__(Net, (new_id, *net[1:]))
         for iid, inst in cell.instances.items():
             new_iid = prefix + iid
             new_pins = {pin: mapped[nid] for pin, nid in inst.pins.items()}
@@ -403,7 +409,8 @@ _ADDER_PORTS = {"A", "B", "Cin", "Sum", "Cout"}
 def build_cpa(cell: Circuit, n_digits: int, cl: float = 0.0) -> Circuit:
     """Ripple chain of ``n_digits`` copies of a 1-digit adder cell.
 
-    Ports: A0..A{n-1}, B0.., C0 in; S0.., C{n} out. The external load
+    Ports: A0..A{n-1}, B0.., C0 in; S0.., C{n} out. Each copy keeps the
+    external load of each of the cell's internal nets. The external load
     ``cl`` hangs on every sum output and on the final carry.
     """
     n_digits = whole("n_digits", n_digits, low=1, high=MAX_DIGITS)
@@ -751,8 +758,8 @@ def to_json(c: Circuit) -> dict:
             for p in c.ports.values()
         ],
         "nets": [
-            {"id": n.id, "encoding": enc(n.encoding), "driver": d and list(d),
-             "external_load": n.external_load}
+            {"id": n.id, "encoding": seen[e] if (e := id(n.encoding)) in seen else enc(n.encoding),
+             "driver": d and list(d), "external_load": n.external_load}
             for n, d in zip(c.nets.values(), _analysed(c).driver)
         ],
         "instances": [],
@@ -818,6 +825,8 @@ def from_json(data: dict) -> Circuit:
     firsts: dict = {}  # (kind, _table_key) -> the index of the first such entry
 
     def at(table: list, i):
+        if type(i) is int and 0 <= i < len(table):  # else whole checks and names it
+            return table[i]
         return table[whole("index", i, low=0, high=len(table) - 1)]
 
     def add(table: list, obj) -> None:  # one of equal entries, to_json's twins, would merge

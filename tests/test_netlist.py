@@ -160,6 +160,43 @@ def test_cpa_single_digit_is_the_cell_with_renamed_ports():
     assert verify_cpa(cpa, 1) == []
 
 
+def _loaded_cell():
+    """A qfa2 cell (cl 2 fF) whose internal net b_lt1 carries a 5 fF load."""
+    blob = to_json(build_qfa("qfa2", 0.9, cl=2e-15))
+    _entry(blob, "nets", "b_lt1")["external_load"] = 5e-15
+    return from_json(blob)
+
+
+def test_a_cpa_copy_keeps_each_internal_net_load():
+    cell = _loaded_cell()
+    want = sta(cell, ("A", "B", "Cin"), ("Cout", "Sum")).arrivals_ps
+    got = sta(build_cpa(cell, 1, cl=2e-15), ("A0", "B0", "C0"), ("C1", "S0")).arrivals_ps
+    assert got == {"C1": want["Cout"], "S0": want["Sum"]}
+    assert want["Cout"] > sta(build_qfa("qfa2", 0.9, cl=2e-15), ("A", "B", "Cin"),
+                              ("Cout",)).arrivals_ps["Cout"]  # the load is felt
+    blob = to_json(build_cpa(cell, 3))
+    assert [_entry(blob, "nets", f"d{i}.b_lt1")["external_load"] for i in range(3)] == [5e-15] * 3
+    assert {n["external_load"] for n in blob["nets"] if ".b_lt1" not in n["id"]} == {0.0}
+
+
+@pytest.mark.parametrize("chain", [lambda: build_cpa(build_qfa("qfa2", 0.9), 3, cl=1e-15),
+                                   lambda: build_cpa(_loaded_cell(), 3, cl=1e-15),
+                                   lambda: build_binary_slice("bfa2", 0.9, cl=1e-15)],
+                         ids=["qfa2_cpa", "loaded_qfa2_cpa", "bfa2x2"])
+def test_every_net_of_a_chain_of_copies_is_a_checked_net_record(chain):
+    for n in chain().nets.values():
+        assert type(n) is Net and Net(*n) == n
+
+
+def test_copying_a_cell_twice_under_one_prefix_names_the_duplicate_net():
+    cell = build_qfa("qfa2", 0.9)
+    b = _Builder("twice", CellLibrary.default())
+    ports = {name: b.port(name, p.direction, p.encoding) for name, p in cell.ports.items()}
+    b.copy_cell(cell, "d0.", "d0", ports)
+    with pytest.raises(NetlistError, match=r"^duplicate net id 'd0\.const1'$"):
+        b.copy_cell(cell, "d0.", "d0", ports)
+
+
 def test_cpa_requires_adder_ports():
     cell = build_qfa("qfa2", 0.9)
     broken = edited(cell, ports={n: p for n, p in cell.ports.items() if n != "Cout"})
@@ -766,6 +803,7 @@ def _bad_indices():
     """A case of each kind of bad index in each field of :data:`_INDEX_FIELDS`."""
     for field, (set_it, where, top) in _INDEX_FIELDS.items():
         for value, why in ((top + 1, f"<= {top}, got {top + 1}"), (-1, ">= 0, got -1"),
+                           (np.int64(-1), ">= 0, got -1"),
                            (True, "a whole number, got True"), (1.0, "a whole number, got 1.0"),
                            ("0", "a whole number, got '0'")):
             yield pytest.param(lambda b, v=value, set_it=set_it: set_it(b, v),
@@ -831,6 +869,34 @@ def test_from_json_names_the_entry_and_field_of_each_malformed_field(mutate, mes
     blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
     mutate(blob)
     with pytest.raises(NetlistError, match=message):
+        from_json(blob)
+
+
+# in the qfa2 cell's dump each of these fields holds index 1
+_INDEX_ONE = {
+    "primitive": (lambda b: _entry(b, "instances", "det2"), "primitive",
+                  "instance 'det2': field 'primitive'"),
+    "pin_encodings": (lambda b: _entry(b, "instances", "mux_sum0"), "pin_encodings",
+                      "instance 'mux_sum0': field 'pin_encodings'"),
+    "net encoding": (lambda b: _entry(b, "nets", "Cin"), "encoding", "net 'Cin': field 'encoding'"),
+    "port encoding": (lambda b: _entry(b, "ports", "Cin"), "encoding",
+                      "port 'Cin': field 'encoding'"),
+    "output_encoding": (lambda b: _primitive_of(b, "inv_cout"), "output_encoding",
+                        "primitive 10: field 'output_encoding'"),
+    "pin map": (lambda b: b["pin_maps"][5], "a", "pin_map 5: field 'a'"),
+}
+
+
+@pytest.mark.parametrize("field", _INDEX_ONE)
+def test_a_numpy_index_loads_as_its_int_and_true_is_refused_though_it_equals_one(field):
+    cell = build_qfa("qfa2", 0.9)
+    blob, (entry_of, key, where) = to_json(cell), _INDEX_ONE[field]
+    entry = entry_of(blob)
+    assert entry[key] == 1
+    entry[key] = np.int64(1)
+    assert to_json(from_json(blob)) == to_json(cell)
+    entry[key] = True
+    with pytest.raises(NetlistError, match=f"^{where}: index must be a whole number, got True$"):
         from_json(blob)
 
 
