@@ -14,7 +14,7 @@ read as they are, with a ``heapq`` event queue and one output plan per gate
 by evaluating the gates the constants alone decide, then applies the input
 levels at t = 0, and raises :class:`UnsettledOutputError` or
 :class:`SimulationTimeoutError` where it finds the failure. The batch
-settle (:func:`settle_rows`) is one levelized pass, vectorized with numpy
+settle (:func:`settle_batch`) is one levelized pass, vectorized with numpy
 over input vectors: each step is one gather from a table composed from the
 kind tables of a unit of gates, over its pins' codes, for every unit of one
 form (:attr:`CompiledCircuit.settle_plan`), written in place to the step's
@@ -144,7 +144,7 @@ class CompiledCircuit:
 
     @cached_property
     def _settle(self) -> tuple:
-        """The steps for :func:`settle_rows` in level order, one table gather
+        """The steps for :func:`settle_batch` in level order, one table gather
         each: (pin rows (units, k), or (units,) for one pin; the k table index
         weights; output codes (outputs, rows); output rows (outputs, units));
         each net's row: each step's outputs, outputs-major, follow the
@@ -287,15 +287,9 @@ def _widths(kind: str, spans: tuple) -> tuple:
 
 
 def settle_batch(comp: CompiledCircuit, in_nets, vectors, out_nets) -> np.ndarray:
-    """:func:`settle_rows` on ``in_nets`` and ``out_nets``, nets."""
-    row = comp.settle_row
-    return settle_rows(comp, row[in_nets], vectors, row[out_nets])
-
-
-def settle_rows(comp: CompiledCircuit, in_rows, vectors, out_rows) -> np.ndarray:
-    """Settled levels on ``out_rows`` (int64, -1 for X), one row per row of
+    """Settled levels on ``out_nets`` (int64, -1 for X), one row per row of
     ``vectors``, an integer matrix whose columns are the levels driven on
-    ``in_rows``, input port rows: within each port's radix or -1, as
+    ``in_nets``, input port nets: within each port's radix or -1, as
     :func:`engine.settle_matrix` checks, so every code is below its net's width.
 
     One pass over :attr:`CompiledCircuit.settle_plan`, level by level; each
@@ -309,7 +303,8 @@ def settle_rows(comp: CompiledCircuit, in_rows, vectors, out_rows) -> np.ndarray
     and the gates it never evaluates are those whose table entry at the
     constants and X is X on every output.
     """
-    plan, init = comp.settle_plan, comp.settle_init
+    plan, net_row, init = comp._settle
+    in_rows, out_rows = net_row[in_nets], net_row[out_nets]
     out = np.empty((len(vectors), len(out_rows)), np.int64)
     for r0 in range(0, len(vectors), _BLOCK_ROWS):
         block = vectors[r0: r0 + _BLOCK_ROWS]

@@ -321,9 +321,9 @@ def simulate(circuit: Circuit, stimulus: Stimulus) -> Trace:
 
 
 def _port_plan(comp, key: tuple) -> tuple:
-    """The plan of the port lists ``key``, (in_ports, out_ports or None):
-    (in_ports, radix, in_rows, out_ports, out_rows), ``comp.port_plan``'s if
-    it holds these lists, else checked and kept there once every check passes."""
+    """The :func:`_kernel.settle_batch` plan of the port lists ``key``, (in_ports,
+    out_ports or None): (in_ports, radix, in_nets, out_ports, out_nets), ``comp.port_plan``'s
+    if it holds these lists, else checked and kept there once every check passes."""
     kept = comp.port_plan
     # its very lists, or equal lists of str alone (an array's == gives no bool)
     if kept and (kept[0][0] is key[0] and kept[0][1] is key[1] or all(
@@ -339,10 +339,9 @@ def _port_plan(comp, key: tuple) -> tuple:
     for p in out_ports:
         if not isinstance(p, str) or p not in comp.out_port_net:  # a list is unhashable
             raise StimulusError(f"out_ports: {p!r} is not an output port of the circuit")
-    row = comp.settle_row
     plan = (in_ports, np.array([comp.port_encoding[p].radix for p in in_ports], np.uint64),
-            row[[comp.in_port_net[p] for p in in_ports]], out_ports,
-            row[[comp.out_port_net[p] for p in out_ports]])
+            np.array([comp.in_port_net[p] for p in in_ports], np.intp), out_ports,
+            np.array([comp.out_port_net[p] for p in out_ports], np.intp))
     comp.port_plan = key, plan
     return plan
 
@@ -354,7 +353,7 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
     exhaustive and random functional verification.
 
     The settle is one levelized pass, vectorized over the gate units of a
-    step and over the rows (see :func:`_kernel.settle_rows`); it gives the
+    step and over the rows (see :func:`_kernel.settle_batch`); it gives the
     final levels :func:`simulate` reaches after its settle phase: every gate
     at its truth-table entry for its settled inputs, with X where no input
     combination decides it. This is the port and vector checks, then
@@ -394,8 +393,8 @@ def settle_matrix(circuit: Circuit, in_ports, vectors, out_ports=None) -> np.nda
 def _settle_ports(comp, plan: tuple, vectors: np.ndarray) -> np.ndarray:
     """:func:`settle_matrix` of ``vectors`` it would accept on the ports of the
     :func:`_port_plan` ``plan``: the batch settle and its X check, naming a row."""
-    _, _, in_rows, out_ports, out_rows = plan
-    out_lvls = _kernel.settle_rows(comp, in_rows, vectors, out_rows)
+    _, _, in_nets, out_ports, out_nets = plan
+    out_lvls = _kernel.settle_batch(comp, in_nets, vectors, out_nets)
     if out_lvls.size and out_lvls.min() < 0:  # min(): no row-sized temporary
         x = out_lvls < 0
         ports = [p for p, is_x in zip(out_ports, x.any(axis=0)) if is_x]

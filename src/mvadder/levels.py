@@ -91,9 +91,9 @@ class Level(enum.IntEnum):
 class SignalEncoding:
     """Mapping from logical values to voltages for one family of nets.
 
-    ``name`` must be a string, and ``level_voltages`` finite, strictly
-    increasing and start at 0 V; its length fixes the radix (2 for binary
-    rails, 4 for quaternary signals).
+    ``name`` must be a string, and ``level_voltages`` a tuple, finite,
+    strictly increasing and starting at 0 V; its length fixes the radix (2
+    for binary rails, 4 for quaternary signals).
     """
 
     name: str
@@ -103,6 +103,8 @@ class SignalEncoding:
         v = self.level_voltages
         if not isinstance(self.name, str):
             raise EncodingMismatchError(f"encoding name must be a string, got {self.name!r}")
+        if not isinstance(v, tuple):  # hashed as a table key: a list would not hash
+            raise EncodingMismatchError(f"encoding {self.name!r} levels must be a tuple, got {v!r}")
         if len(v) not in (2, 4):
             raise EncodingMismatchError(
                 f"encoding {self.name!r} must have 2 or 4 levels, got {len(v)}"

@@ -818,8 +818,8 @@ def from_json(data: dict) -> Circuit:
     its net's encoding, a table entry equal to an earlier one (by
     :func:`_table_key`), and, from the circuit's one pass, a pin unbound or
     bound to a missing net, a second gate driving a net, or a stored
-    ``driver`` other than the net's first; then a table entry that no index
-    names. (to_json would merge the one and drop the other.)"""
+    ``driver`` other than the net's first; then a table entry named before a
+    lower-numbered one, or nowhere. (to_json would merge, renumber or drop them.)"""
     kind, entry, key = "netlist", data, None  # what is being parsed, for _malformed
     encs, prims, pin_maps, nets, instances, ports = [], [], [], {}, {}, {}
     firsts: dict = {}  # (kind, _table_key) -> the index of the first such entry
@@ -939,21 +939,24 @@ def from_json(data: dict) -> Circuit:
             got = entry["driver"]
             if (got and tuple(got)) != d:
                 raise ValueError(f"got {got!r}, but the netlist gives {d and list(d)!r}")
-        key, get = None, operator.attrgetter
-        for kind, table, used in (  # to_json writes only the entries that an index names
-                ("encoding", encs, itertools.chain(
-                    (p.params.output_encoding for p in prims),
-                    (e for m in pin_maps for e in m.values()),
-                    map(get("encoding"), ports.values()), map(get("encoding"), nets.values()))),
-                ("primitive", prims, map(get("primitive"), instances.values())),
-                ("pin_map", pin_maps, map(get("pin_encodings"), instances.values()))):
-            unnamed = {id(obj): i for i, obj in enumerate(table)}
-            for obj in used:  # a valid netlist names each entry early on: few are read
-                if unnamed.pop(id(obj), None) is not None and not unnamed:
+        key, tables = None, {"primitive": prims, "pin_map": pin_maps, "encoding": encs}
+        index = {id(obj): (k, i) for k, table in tables.items() for i, obj in enumerate(table)}
+        met = dict.fromkeys(tables, 0)  # per table: its entries met, as to_json numbers them
+        wires = itertools.takewhile(lambda _: met["encoding"] < len(encs),
+                                    itertools.chain(ports.values(), nets.values()))
+        for obj in itertools.chain((w.encoding for w in wires), (  # to_json's order of first use
+                o for g in instances.values() for o in (g.primitive.params.output_encoding,
+                g.primitive, *g.pin_encodings.values(), g.pin_encodings))):
+            if id(obj) in index:
+                kind, entry = index.pop(id(obj))
+                if entry != met[kind]:
+                    raise ValueError(f"first named before {kind} {met[kind]}")
+                met[kind] += 1
+                if not index:  # a valid netlist names each entry early on: few are read
                     break
-            if unnamed:
-                entry = min(unnamed.values())
-                raise ValueError("no index names this entry")
+        # never met: a primitive or pin map first, as the encodings it alone names are unmet too
+        for kind, entry in itertools.islice(index.values(), 1):
+            raise ValueError("no index names this entry")
     except NetlistError:
         raise
     except _MALFORMED as exc:

@@ -2,8 +2,9 @@
 reads each private name a module defines at its top level, and some call
 passes each defaulted parameter of a private function. The CLI reads no
 private name of another module, and importing it loads no thread pool.
-The number rules for Python values live in ``levels`` alone, and the
-event path and the gate tables name no numpy.
+The number rules for Python values live in ``levels`` alone, the batch
+settle's row order in ``_kernel`` alone, and the event path and the gate
+tables name no numpy.
 
 No linter ships with the package's test requirements, so this walks each
 module's syntax tree with the standard library's ``ast``. ``__init__.py``
@@ -180,6 +181,32 @@ def test_the_check_finds_a_private_name_taken_from_the_package():
 def test_the_cli_reads_no_private_name_of_another_module():
     """The CLI runs the package through its public checks, as a caller would."""
     assert private_reads((PACKAGE / "cli.py").read_text()) == []
+
+
+#: The batch settle's row order and what reads it by rows: ``_kernel``'s alone.
+SETTLE_ORDER = {"settle_rows", "settle_row", "settle_plan", "settle_init", "_settle"}
+
+
+def settle_order_names(source: str) -> list[str]:
+    """The names of :data:`SETTLE_ORDER` that ``source`` reads, binds or
+    imports, sorted."""
+    names = {getattr(n, a, None) for n in ast.walk(ast.parse(source))
+             for a in ("id", "attr", "name", "asname", "arg")}
+    return sorted(SETTLE_ORDER & names)
+
+
+def test_the_check_finds_a_name_of_the_settle_order():
+    source = ("from ._kernel import settle_rows as go\nrow = comp.settle_row[nets]\n"
+              "def _settle(settle_init):\n    pass\nn_settle = x._settle_ports, 'settle_plan'\n")
+    assert settle_order_names(source) == ["_settle", "settle_init", "settle_row", "settle_rows"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "_kernel.py"))
+def test_only_the_kernel_names_the_settle_order(path):
+    """Callers settle by nets through ``_kernel.settle_batch``; the order of
+    the rows it settles is the kernel's own."""
+    assert settle_order_names((PACKAGE / path).read_text()) == []
 
 
 #: Unbounded caches over a small fixed set of inputs: one entry per gate kind.

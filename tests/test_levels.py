@@ -118,6 +118,11 @@ def test_encoding_invariants():
         with pytest.raises(EncodingMismatchError,
                            match=f"^encoding name must be a string, got {re.escape(repr(name))}$"):
             SignalEncoding(name, (0.0, 0.9))
+    # hashed as a table key and dumped by to_json: a tuple alone, as from_json builds it
+    for levels in ([0.0, 0.9], 5):
+        with pytest.raises(EncodingMismatchError, match="^encoding 'bad' levels must be a tuple, "
+                                                        f"got {re.escape(repr(levels))}$"):
+            SignalEncoding("bad", levels)
 
 
 # --------------------------------------------------------------------------

@@ -562,12 +562,28 @@ def _named_nowhere(blob, table: str) -> str:
     return f"^{table[:-1]} {len(blob[table]) - 1}: no index names this entry$"
 
 
+def _named_out_of_order(blob, table: str) -> str:
+    """Swap the qfa2 cell's first two ``table`` entries, and every index of
+    them; returns the expected refusal."""
+    refs = {"encodings": [(e, "encoding") for e in blob["ports"] + blob["nets"]]
+                         + [(p, "output_encoding") for p in blob["primitives"]]
+                         + [(m, pin) for m in blob["pin_maps"] for pin in m],
+            "primitives": [(i, "primitive") for i in blob["instances"]],
+            "pin_maps": [(i, "pin_encodings") for i in blob["instances"]]}[table]
+    for entry, key in refs:
+        if entry[key] < 2:
+            entry[key] = 1 - entry[key]
+    blob[table][:2] = blob[table][1::-1]
+    return f"^{table[:-1]} 1: first named before {table[:-1]} 0$"
+
+
 @pytest.mark.parametrize("table", ["encodings", "primitives", "pin_maps"])
-@pytest.mark.parametrize("edit", [_named_twice, _named_nowhere])
+@pytest.mark.parametrize("edit", [_named_twice, _named_nowhere, _named_out_of_order])
 def test_from_json_refuses_a_table_entry_that_would_not_dump_as_written(edit, table):
-    """to_json writes each distinct entry once (values and their types) and
-    only those an index names: an entry equal to an earlier one of its
-    table, or named nowhere, would not reload to its own bytes."""
+    """to_json writes each distinct entry once (values and their types),
+    only those an index names, and numbers each table in order of first
+    use: an entry equal to an earlier one of its table, named nowhere, or
+    named before a lower-numbered one would not reload to its own bytes."""
     blob = json.loads(json.dumps(to_json(build_qfa("qfa2", 0.9))))
     message = edit(blob, table)
     with pytest.raises(NetlistError, match=message):
