@@ -21,9 +21,9 @@ from .engine import (
     simulate,
     step_response_delays,
 )
-from .gates import CellLibrary, LibraryError, NonFunctionalGateError, load_library
-from .levels import MAX_DIGITS, DomainError, EncodingMismatchError
-from .netlist import CELL_KINDS, NetlistError, build_cell, build_cpa, dump_netlist
+from .gates import CellLibrary, NonFunctionalGateError, load_library
+from .levels import MAX_DIGITS, DomainError
+from .netlist import CELL_KINDS, build_cell, build_cpa, dump_netlist
 from .timing import sta
 from .verify import adder_mismatches, cpa_is_exhaustive
 
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lib = load_library(args.lib) if args.lib else None
-    except (LibraryError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"library error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -234,8 +234,7 @@ def main(argv=None) -> int:
     except (NonFunctionalGateError, SimulationTimeoutError, UnsettledOutputError) as exc:
         print("model error:", *getattr(exc, "__notes__", ()), exc, file=sys.stderr)
         return 3
-    except (DomainError, EncodingMismatchError, NetlistError, LibraryError,
-            OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         print("error:", *getattr(exc, "__notes__", ()), exc, file=sys.stderr)
         return 2
 

@@ -134,11 +134,6 @@ def _joules(records) -> float:
     return float(np.array([r[3] for r in records], np.float64).sum())
 
 
-def _column(k: int, dtype) -> cached_property:
-    """Field ``k`` of every trace record, as a numpy array built on first read."""
-    return cached_property(lambda trace: np.array([r[k] for r in trace.records], dtype))
-
-
 @dataclass
 class Trace:
     """Time-ordered transition record plus the per-transition energy ledger.
@@ -147,10 +142,8 @@ class Trace:
     src) tuples, in time order: ticks are absolute (settle included) and
     ``origin_ticks`` marks the stimulus origin; ``src`` tells externally
     driven input transitions (1, zero energy) from gate-driven ones (0).
-    The measurements, the energy sums and the CSV writers read the records.
-    ``times``, ``nets``, ``levels``, ``energies`` and ``srcs`` are the same
-    records as numpy columns (float64 for ``energies``, int64 for the rest),
-    each built on its first read.
+    The measurements, the energy sums and the CSV writers read the records;
+    ``times`` is their ticks as an int64 numpy array, built on first read.
     """
 
     circuit: Circuit
@@ -162,11 +155,7 @@ class Trace:
     final_levels: list  # the kernel's last level per net, as an int (-1 for X)
     compiled: object = field(repr=False)  # the circuit's _kernel.CompiledCircuit
 
-    times = _column(0, np.int64)
-    nets = _column(1, np.int64)
-    levels = _column(2, np.int64)
-    energies = _column(3, np.float64)
-    srcs = _column(4, np.int64)
+    times = cached_property(lambda trace: np.array([r[0] for r in trace.records], np.int64))
 
     @property
     def total_energy(self) -> float:

@@ -307,7 +307,7 @@ def test_custom_library_changes_timing(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_fallback_mode_produces_identical_report(tmp_path):
+def test_a_fresh_cli_process_writes_the_apis_compare_report(tmp_path):
     """The CLI's compare report, written by a fresh process, equals the
     API's byte for byte."""
     from mvadder.report import compare, parse_config_spec, rows_to_json
@@ -343,6 +343,25 @@ def test_huge_load_exits_two_without_traceback(cl, message, command, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("content", ["not-utf-8", "nested", "directory"])
+@pytest.mark.parametrize("command", ["lib", "sim"])
+def test_an_unreadable_json_file_exits_two_without_traceback(content, command, tmp_path):
+    """A file that is not UTF-8, JSON nested past the decoder's recursion
+    limit and a directory are all input errors, as a library or a stimulus."""
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" if content == "not-utf-8" else
+                         b"[" * 200_000 + b"]" * 200_000)
+    args = {"lib": ["--lib", str(path), "sta", "--cell", "qfa2", "--from", "A", "--to", "Cout"],
+            "sim": ["sim", "--cell", "qfa2", "--stimulus", str(path)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "mvadder.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_parse_cap_rejects_non_finite_values():

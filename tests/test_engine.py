@@ -157,7 +157,7 @@ def test_step_delays_equal_a_scan_of_the_records_on_random_circuits(seed):
 
     for k in range(int(rng.integers(1, 6))):
         tr = run(1e5)
-        later = [int(x) - tr.origin_ticks for x, src in zip(tr.times, tr.srcs)
+        later = [x - tr.origin_ticks for x, _, _, _, src in tr.records
                  if src == 0 and x - tr.origin_ticks > t]
         t = int(rng.choice(later)) if later and rng.integers(2) else t + 5 * int(rng.integers(1, 400))
         for p in rng.choice(ports, 2 if k == 0 else 1, replace=False).tolist():
@@ -166,13 +166,13 @@ def test_step_delays_equal_a_scan_of_the_records_on_random_circuits(seed):
             events.append((t / 10, p, L(level[p])))
     tr = run(1e5)
     if rng.integers(2):
-        tr = run((int(tr.times[-1]) - tr.origin_ticks) / 10)
+        tr = run((tr.records[-1][0] - tr.origin_ticks) / 10)
     steps = sorted({t for t, _, _ in tr.stim_events})
     ends = [*steps[1:], tr.origin_ticks + tr.duration_ticks]
     for ni, net in enumerate(comp.net_ids):
         want = []
         for t, end in zip(steps, ends):
-            moves = [int(x) for x, n in zip(tr.times, tr.nets) if n == ni and t < x <= end]
+            moves = [x for x, n, *_ in tr.records if n == ni and t < x <= end]
             want.append(((t - tr.origin_ticks) * _kernel.TICK_PS,
                          (max(moves) - t) * _kernel.TICK_PS if moves else None))
         assert step_response_delays(tr, net) == want
@@ -196,7 +196,7 @@ def test_constant_stimulus_settles_with_no_measurement_activity():
     assert tr.measurement_energy == 0.0
     assert tr.total_energy == tr.settle_energy
     assert tr.total_energy > 0.0
-    assert (tr.times[tr.n_settle:] .size) == 0
+    assert len(tr.records) == tr.n_settle
     # settled outputs follow the truth table: 2+1+1 = 0 carry 1
     assert tr.final_level("Sum") is L.L0
     assert tr.final_level("Cout") is L.L1
@@ -490,10 +490,7 @@ def test_traces_are_bit_identical_across_runs():
     stim = worst_case_stimulus("input_to_carry", "qfa1")
     t1 = simulate(c, stim)
     t2 = simulate(c, stim)
-    assert np.array_equal(t1.times, t2.times)
-    assert np.array_equal(t1.nets, t2.nets)
-    assert np.array_equal(t1.levels, t2.levels)
-    assert np.array_equal(t1.energies, t2.energies)
+    assert t1.records == t2.records
     assert t1.total_energy == t2.total_energy
     assert t1.origin_ticks == t2.origin_ticks
 
@@ -511,7 +508,7 @@ def test_energy_ledger_consistency():
     # net and apply C*(dV)^2/2
     last_v = {}
     total = 0.0
-    for t, n, lvl, e, s in zip(tr.times, tr.nets, tr.levels, tr.energies, tr.srcs):
+    for t, n, lvl, e, s in tr.records:
         v_to = c.nets[comp.net_ids[n]].encoding.level_voltages[lvl] if lvl >= 0 else 0.0
         v_from = last_v.get(int(n), 0.0)
         expect = 0.5 * comp.net_cap[n] * (v_to - v_from) ** 2 if s == 0 else 0.0
@@ -526,8 +523,8 @@ def test_input_transitions_carry_no_energy():
     stim = Stimulus(initial={"A": L.L0}, events=((100.0, "A", L.L1),),
                     duration_ps=400.0)
     tr = simulate(c, stim)
-    assert tr.energies[tr.srcs == 1].sum() == 0.0
-    assert tr.energies[tr.srcs == 0].sum() > 0.0
+    assert sum(e for _, _, _, e, src in tr.records if src == 1) == 0.0
+    assert sum(e for _, _, _, e, src in tr.records if src == 0) > 0.0
 
 
 def test_energy_scales_linearly_with_capacitance():
@@ -557,8 +554,7 @@ def test_halving_swing_quarters_power_exactly():
         c = build_bfa("bfa2", vdd, cl=2e-15)
         stim = worst_case_stimulus("input_to_carry", "bfa2")
         tr = simulate(c, stim)
-        acts = [(int(n), int(l)) for n, l, s in zip(tr.nets, tr.levels, tr.srcs)
-                if s == 0]
+        acts = [(n, l) for _, n, l, _, s in tr.records if s == 0]
         return measure_power(tr, (0.0, stim.duration_ps)), acts
 
     p_full, act_full = run(0.9)
@@ -593,13 +589,13 @@ def test_pulse_shorter_than_gate_delay_is_absorbed():
                     events=((100.0, "A", L.L1), (110.0, "A", L.L0)),
                     duration_ps=400.0)
     tr = simulate(c, stim)
-    assert (tr.nets[tr.n_settle:] == tr.net_index("Y")).sum() == 0
+    assert [r[1] for r in tr.records[tr.n_settle:]].count(tr.net_index("Y")) == 0
     # and a pulse longer than the delay gets through (both edges)
     stim2 = Stimulus(initial={"A": L.L0},
                      events=((100.0, "A", L.L1), (200.0, "A", L.L0)),
                      duration_ps=500.0)
     tr2 = simulate(c, stim2)
-    assert (tr2.nets[tr2.n_settle:] == tr2.net_index("Y")).sum() == 2
+    assert [r[1] for r in tr2.records[tr2.n_settle:]].count(tr2.net_index("Y")) == 2
 
 
 def test_emitted_glitch_energy_is_counted():
@@ -622,9 +618,9 @@ def test_emitted_glitch_energy_is_counted():
                     duration_ps=800.0)
     tr = simulate(c, stim)
     y_net = tr.net_index("Y")
-    assert (tr.nets[tr.n_settle:] == y_net).sum() == 2
-    mask = (tr.nets == y_net) & (tr.srcs == 0)
-    assert tr.energies[mask].sum() == pytest.approx(2 * 0.5 * 2e-15 * 0.81)
+    assert [r[1] for r in tr.records[tr.n_settle:]].count(y_net) == 2
+    energy = sum(e for _, n, _, e, src in tr.records if n == y_net and src == 0)
+    assert energy == pytest.approx(2 * 0.5 * 2e-15 * 0.81)
 
 
 def test_short_reconvergent_hazard_is_absorbed():
@@ -645,7 +641,7 @@ def test_short_reconvergent_hazard_is_absorbed():
     stim = Stimulus(initial={"A": L.L0}, events=((100.0, "A", L.L1),),
                     duration_ps=800.0)
     tr = simulate(c, stim)
-    assert (tr.nets[tr.n_settle:] == tr.net_index("Y")).sum() == 0
+    assert [r[1] for r in tr.records[tr.n_settle:]].count(tr.net_index("Y")) == 0
 
 
 # --------------------------------------------------------------------------
@@ -1078,7 +1074,7 @@ def test_batch_settle_agrees_with_event_engine_on_random_circuits(seed):
         assert settled.tolist() == want
         tr = _settled_by_simulate(c, in_ports, row)
         assert tr.final_levels == want
-        assert tr.levels.min(initial=0) >= -1  # nothing below X
+        assert min((r[2] for r in tr.records), default=0) >= -1  # nothing below X
 
 
 def riders_circuit(vdd=0.9):
@@ -1302,7 +1298,7 @@ def test_random_stimuli_on_random_circuits(seed, data):
     assert tr.final_levels == settled[0].tolist()
 
     cur = comp.net_init.copy()
-    for n, lvl, energy, src in zip(tr.nets, tr.levels, tr.energies, tr.srcs):
+    for _, n, lvl, energy, src in tr.records:
         if src == 0:
             v_from, v_to = comp.net_rail[n][cur[n]], comp.net_rail[n][lvl]
             assert energy == switching_energy(comp.net_cap[n], v_from, v_to)
@@ -1313,7 +1309,7 @@ def test_random_stimuli_on_random_circuits(seed, data):
     for ni, net in enumerate(comp.net_ids):  # no output ports: every net instead
         want = []
         for t, end in zip(steps, ends):
-            moves = [int(x) for x, n in zip(tr.times, tr.nets) if n == ni and t < x <= end]
+            moves = [x for x, n, *_ in tr.records if n == ni and t < x <= end]
             want.append(((t - tr.origin_ticks) * _kernel.TICK_PS,
                          (max(moves) - t) * _kernel.TICK_PS if moves else None))
         assert step_response_delays(tr, net) == want
@@ -1324,8 +1320,7 @@ def test_random_stimuli_on_random_circuits(seed, data):
                 by_tick[t] for t in ticks]
 
     again = simulate(from_json(json.loads(json.dumps(to_json(c)))), stim)
-    for name in ("times", "nets", "levels", "energies", "srcs"):
-        assert np.array_equal(getattr(again, name), getattr(tr, name)), name
+    assert again.records == tr.records
 
 
 def test_stimulus_json_roundtrip(tmp_path):
@@ -1401,7 +1396,7 @@ def test_trace_and_energy_csv(tmp_path):
     tr.write_energy_csv(energy_path)
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "time_ps,net,level,voltage"
-    assert len(lines) == len(tr.times) + 1
+    assert len(lines) == len(tr.records) + 1
     for line in lines[1:]:
         t, net, level, voltage = line.split(",")
         float(t)
@@ -1421,8 +1416,8 @@ def test_transition_times_strictly_increasing_per_net():
     c = build_qfa("qfa1", 0.9, cl=2e-15)
     tr = simulate(c, worst_case_stimulus("input_to_carry", "qfa1"))
     for ni in range(tr.compiled.n_nets):
-        times = tr.times[tr.nets == ni]
-        assert (np.diff(times) > 0).all()
+        times = [t for t, n, *_ in tr.records if n == ni]
+        assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_compiled_delays_equal_per_gate_propagation_delay():
@@ -1471,8 +1466,7 @@ def test_a_circuit_without_nets_simulates_to_an_empty_trace():
     c = Circuit("e", {}, {}, {})
     trace = simulate(c, Stimulus({}, (), 100.0))
     assert len(trace.times) == len(trace.final_levels) == trace.n_settle == 0
-    assert trace.records == [] and trace.energies.dtype == np.float64
-    assert all(getattr(trace, c).dtype == np.int64 for c in ("times", "nets", "levels", "srcs"))
+    assert trace.records == [] and trace.times.dtype == np.int64
     assert trace.total_energy == 0.0 and trace.duration_ticks == 1000
     assert _kernel.compile_circuit(c).max_ticks == 2 ** 61
     with pytest.raises(StimulusError, match=r"duration_ps must be a time in \[0, 2\.30584e\+17\]"):

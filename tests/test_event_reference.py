@@ -30,8 +30,7 @@ from mvadder.netlist import CELL_KINDS, build_cell, build_cpa, build_qfa, from_j
 from random_circuits import INPUTS, random_circuit
 
 X = -1
-FIELDS = ("times", "nets", "levels", "energies", "srcs", "origin_ticks", "n_settle",
-          "final_levels")
+FIELDS = ("records", "origin_ticks", "n_settle", "final_levels")
 
 
 def reference_simulate(circuit, stim: Stimulus) -> dict:
@@ -114,14 +113,12 @@ def reference_simulate(circuit, stim: Stimulus) -> dict:
     n_settle = len(records)
     play([(origin + _kernel._ticks(t), port_net[p], int(lvl)) for t, p, lvl in stim.events],
          origin + _kernel._ticks(stim.duration_ps))
-    columns = [list(col) for col in zip(*records)] or [[]] * 5
-    return dict(zip(FIELDS, [*columns, origin, n_settle, level]))
+    return dict(zip(FIELDS, [records, origin, n_settle, level]))
 
 
 def simulated(circuit, stim: Stimulus) -> dict:
     tr = simulate(circuit, stim)
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v
-            for name, v in ((name, getattr(tr, name)) for name in FIELDS)}
+    return {name: getattr(tr, name) for name in FIELDS}
 
 
 def outcome(run, circuit, stim):
@@ -184,7 +181,7 @@ def random_case(rng):
     probe = outcome(reference_simulate, c, Stimulus(initial, tuple(events), end))
     if isinstance(probe, dict):
         origin = probe["origin_ticks"]
-        ticks = sorted({t - origin for t, src in zip(probe["times"], probe["srcs"])
+        ticks = sorted({t - origin for t, _, _, _, src in probe["records"]
                         if src == 0 and t > origin})
         for t in rng.permutation(ticks)[: rng.integers(0, 5)].tolist():
             e = event(t)
@@ -204,7 +201,7 @@ def test_reference_simulator_agrees_on_random_circuits(seed):
 @pytest.mark.parametrize("target", ["input_to_carry", "carry_to_carry"])
 def test_reference_simulator_agrees_on_each_cell_under_worst_case_stimuli(kind, target):
     got = assert_agree(build_cell(kind, 0.9, cl=2e-15), worst_case_stimulus(target, kind))
-    assert isinstance(got, dict) and got["n_settle"] < len(got["times"])
+    assert isinstance(got, dict) and got["n_settle"] < len(got["records"])
 
 
 def test_reference_simulator_agrees_on_a_cpa_ripple():
@@ -216,7 +213,7 @@ def test_reference_simulator_agrees_on_a_cpa_ripple():
     stim = Stimulus(initial=initial, events=((2000.0, "C0", Level.L1),), duration_ps=6000.0)
     got = assert_agree(cpa, stim)
     carry = _kernel.compile_circuit(cpa).net_index[f"C{n}"]
-    assert [lvl for net, lvl in zip(got["nets"], got["levels"]) if net == carry][-1] == 1
+    assert [lvl for _, net, lvl, _, _ in got["records"] if net == carry][-1] == 1
 
 
 def test_reference_simulator_raises_as_the_kernel_does():

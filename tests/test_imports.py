@@ -321,7 +321,7 @@ def test_the_check_finds_numpy_in_a_function():
 def test_the_event_path_keeps_lists(module, qualname):
     """Compiling, the event loop and the trace it fills keep one form of
     each fact, the lists the event loop reads: numpy is for the batch
-    settle and the trace's columns."""
+    settle, the energy sums and the trace's ``times``, built on first read."""
     assert numpy_names((PACKAGE / f"{module}.py").read_text(), qualname) == []
 
 

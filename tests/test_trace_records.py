@@ -1,7 +1,7 @@
-"""A trace keeps the event kernel's records; its numpy columns are built on
-first read. The measurements and the CSV writers read the records, and
-must give what the array-and-mask formulas over the columns give, bit for
-bit, and the same CSV bytes."""
+"""A trace keeps the event kernel's records, and only ``times`` as a numpy
+column, built on first read. The measurements and the CSV writers read the
+records, and must give what the array-and-mask formulas give over numpy
+columns built from the records, bit for bit, and the same CSV bytes."""
 
 import csv
 from bisect import bisect_right
@@ -22,22 +22,30 @@ from mvadder.levels import Level
 from mvadder.netlist import CELL_KINDS, build_cell, build_cpa, build_qfa
 from random_circuits import INPUTS, random_circuit
 
-COLUMNS = ("times", "nets", "levels", "energies", "srcs")
 TARGETS = ("input_to_carry", "carry_to_carry")
+
+
+def columns(tr) -> list:
+    """The records as five numpy columns: ticks, nets, levels, joules and
+    srcs, float64 for the joules and int64 for the rest."""
+    return [np.array([r[k] for r in tr.records], np.float64 if k == 3 else np.int64)
+            for k in range(5)]
 
 
 def mask_power(tr, window) -> float:
     """measure_power over the columns: a mask, then numpy's sum."""
     w0, w1 = window
     t0, t1 = tr.origin_ticks + _ticks(w0), tr.origin_ticks + _ticks(w1)
-    mask = (tr.srcs == 0) & (tr.times >= t0) & (tr.times < t1)
-    return float(tr.energies[mask].sum()) / ((w1 - w0) * 1e-12)
+    times, _, _, energies, srcs = columns(tr)
+    mask = (srcs == 0) & (times >= t0) & (times < t1)
+    return float(energies[mask].sum()) / ((w1 - w0) * 1e-12)
 
 
 def mask_step_delays(tr, dst) -> list:
     """step_response_delays over the columns, settle records included."""
     steps = sorted({t for t, _, _ in tr.stim_events})
-    times = tr.times[tr.nets == tr.net_index(dst)].tolist()
+    times, nets, *_ = columns(tr)
+    times = times[nets == tr.net_index(dst)].tolist()
     ends = [*steps[1:], tr.origin_ticks + tr.duration_ticks]
     return [((t - tr.origin_ticks) * TICK_PS,
              float((times[h - 1] - t) * TICK_PS)
@@ -51,7 +59,7 @@ def column_csv(tr, path, energy: bool) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time_ps", "net", *(["joules"] if energy else ["level", "voltage"])])
-        for t, n, l, e, s in zip(tr.times, tr.nets, tr.levels, tr.energies, tr.srcs):
+        for t, n, l, e, s in zip(*columns(tr)):
             head = [repr(float(t) * TICK_PS), comp.net_ids[n]]
             if energy:
                 if s == 0:
@@ -102,15 +110,14 @@ def random_trace(rng):
         return None
 
 
-def test_records_and_columns_agree():
+def test_times_is_the_records_ticks_built_on_first_read():
     for tr in [*cell_traces(), cpa_trace()]:
-        assert not set(COLUMNS) & set(vars(tr))  # none built yet
-        want = list(zip(*tr.records))
-        for k, name in enumerate(COLUMNS):
-            col = getattr(tr, name)
-            assert col.dtype == (np.float64 if name == "energies" else np.int64), name
-            assert col.shape == (len(tr.records),) and col.tolist() == list(want[k]), name
-            assert getattr(tr, name) is col  # built once
+        assert "times" not in vars(tr)  # not built yet
+        times = tr.times
+        assert times.dtype == np.int64 and times.shape == (len(tr.records),)
+        assert times.tolist() == [r[0] for r in tr.records]
+        assert tr.times is times  # built once
+        assert not {"nets", "levels", "energies", "srcs"} & set(dir(tr))  # records only
 
 
 def test_measurements_equal_the_column_formulas_on_every_cell():
@@ -148,8 +155,8 @@ def test_csv_bytes_equal_the_column_format(tmp_path, energy):
 
 def test_measure_config_builds_no_column(monkeypatch):
     """A comparison row is measured from the records alone: neither trace of
-    measure_config builds a numpy column, nor do a trace's energy sums, which
-    are the sums over the energies column bit for bit."""
+    measure_config builds ``times``, nor do a trace's energy sums, which are
+    numpy's sums over the records' joules bit for bit."""
     traces = []
 
     def kept(circuit, stim):
@@ -162,10 +169,10 @@ def test_measure_config_builds_no_column(monkeypatch):
         report.measure_config(report.AdderConfig(kind, 0.9))
         assert len(traces) == 2
         for tr in traces:
-            assert not set(COLUMNS) & set(vars(tr)), kind
+            assert "times" not in vars(tr), kind
         tr = simulate(build_cell(kind, 0.9), worst_case_stimulus("input_to_carry", kind))
         sums = tr.total_energy, tr.settle_energy, tr.measurement_energy
-        assert not set(COLUMNS) & set(vars(tr)), kind
-        e = tr.energies
+        assert "times" not in vars(tr), kind
+        e = columns(tr)[3]
         assert sums == (float(e.sum()), float(e[: tr.n_settle].sum()),
                         float(e[tr.n_settle:].sum()))
